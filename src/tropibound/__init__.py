@@ -42,7 +42,6 @@ from tropibound.subdivision import (
     full_cells,
     is_triangulation,
     positively_decorated,
-    witness_normal,
 )
 from tropibound.systems import BoundReport, CRNModel, VerticalSystem, assemble_crn, bound
 
@@ -87,7 +86,6 @@ __all__ = [
     "tangent_direction",
     "validate_inputs",
     "vector",
-    "witness_normal",
 ]
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ import json
 import sys
 from fractions import Fraction
 
-from tropibound import _util
 from tropibound.bergman import (
     compare_with_coarse,
     fine_fan,
@@ -22,9 +21,9 @@ from tropibound.bergman import (
     sample_relative_interior,
 )
 from tropibound.intersection import InputValidationError, lower_bound
-from tropibound.matroid import MatroidError, all_flats, realize_from_kernel
+from tropibound.matroid import MatroidError, realize_from_kernel
 from tropibound.numeric import InstantiationError, count_roots
-from tropibound.rational import RationalMatrix
+from tropibound.rational import RationalMatrix, to_rational
 from tropibound.subdivision import SubdivisionError, decorated_count, full_cells
 from tropibound.systems import CRNModel, SystemError_, VerticalSystem, assemble_crn, bound
 
@@ -34,16 +33,14 @@ class CliInputError(ValueError):
 
 
 def _fraction(value, path: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise CliInputError(f"{path}: expected an integer or fraction string, got {value!r}")
     try:
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value.strip().replace("−", "-"))
+        return to_rational(value)
+    except TypeError:
+        raise CliInputError(
+            f"{path}: expected an integer or fraction string, got {value!r}"
+        ) from None
     except (ValueError, ZeroDivisionError) as exc:
         raise CliInputError(f"{path}: malformed fraction {value!r} ({exc})") from None
-    raise CliInputError(f"{path}: expected an integer or fraction string, got {value!r}")
 
 
 def _matrix(rows, path: str, integer: bool = False) -> RationalMatrix:
@@ -155,7 +152,6 @@ def _require_matrix(obj, command) -> RationalMatrix:
 
 
 def run(args) -> int:
-    threads = _util.resolve_threads(args.threads)
     obj = parse_input(args.input)
     cmd = args.command
 
@@ -169,19 +165,11 @@ def run(args) -> int:
 
     if cmd == "flats":
         M = realize_from_kernel(_require_matrix(obj, cmd))
-        flats = all_flats(M)
-        doc = {
-            "kind": "flats",
-            "ground_size": M.ground_size,
-            "flats_by_rank": {
-                str(k): [list(f.elements) for f in flats if f.rank == k]
-                for k in range(M.rank + 1)
-            },
-        }
+        by_rank = M.to_document()["flats_by_rank"]
+        doc = {"kind": "flats", "ground_size": M.ground_size, "flats_by_rank": by_rank}
         lines = [f"flats of the rank-{M.rank} matroid, by rank:"]
-        for k in range(M.rank + 1):
-            row = [set(f.elements) or "{}" for f in flats if f.rank == k]
-            lines.append(f"  rank {k}: {row}")
+        for k, flats in by_rank.items():
+            lines.append(f"  rank {k}: {[set(f) or '{}' for f in flats]}")
         _emit(doc, args, lines)
         return 0
 
@@ -268,14 +256,7 @@ def run(args) -> int:
         doc = {
             "kind": "decorated",
             "count": count,
-            "simplices": [
-                {
-                    "members": list(s.cell.members),
-                    "witness": [str(x) for x in s.cell.witness],
-                    "kernel_vector": [str(x) for x in s.kernel_vector],
-                }
-                for s in simplices
-            ],
+            "simplices": [s.to_document() for s in simplices],
         }
         lines = [f"positively decorated simplices: {count}"]
         for s in simplices:
@@ -314,7 +295,6 @@ def run(args) -> int:
             tol=args.tol,
             multistarts=args.multistarts,
             seed=args.seed,
-            threads=threads,
         )
         target = report.count if report.transverse else 0
         doc = {
@@ -372,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("input", help="path to a JSON input document")
     parser.add_argument("--json", metavar="PATH", help="write machine-readable JSON ('-' for stdout only)")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (or TROPIBOUND_THREADS)")
     parser.add_argument("--cross-check", action="store_true", help="also run the vertex oracle and compare")
     parser.add_argument("--coarse-compare", metavar="PATH", help="coarse fan document to diff against (bergman commands)")
     parser.add_argument("--t", type=float, default=0.01, help="parameter value for verify")

@@ -12,9 +12,9 @@ never by genericity arguments.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from tropibound import _polyhedra
 from tropibound.bergman import FlagCone, is_positive_member, positive_chains
@@ -56,6 +56,48 @@ class Diagnostics:
         return self.ranks_ok and self.lineality_ok
 
 
+def check_shape(C: RationalMatrix, A: RationalMatrix, h: Sequence, error: type[Exception]) -> None:
+    """Raise ``error`` unless C, A and h agree on the column count and A
+    is integer."""
+    if not (C.cols == A.cols == len(h)):
+        raise error(
+            f"column mismatch: C has {C.cols} columns, A has {A.cols}, h has {len(h)}"
+        )
+    if not A.is_integer():
+        raise error("exponent matrix must have integer entries")
+
+
+def _diagnostics(A: RationalMatrix, r: int, rank_C: int, rank_C_label: str) -> Diagnostics:
+    """Shared rank and lineality checks; ``rank_C_label`` names how rank_C
+    was obtained in the message."""
+    n = A.rows
+    rank_A = rank(A)
+    if rank_A < n:
+        raise InputValidationError(
+            f"exponent matrix has rank {rank_A} < {n} rows; parametrization is not injective"
+        )
+    messages = []
+    ranks_ok = rank_C == n
+    if not ranks_ok:
+        messages.append(
+            f"{rank_C_label} {rank_C} differs from n = {n}; the root-count bound does not apply"
+        )
+    ones_in = in_row_span(A, [1] * A.cols)
+    if ones_in:
+        messages.append(
+            "the all-ones vector lies in rowspan(A); every solution translates along a line"
+        )
+    return Diagnostics(
+        r=r,
+        n=n,
+        rank_A=rank_A,
+        rank_C=rank_C,
+        ranks_ok=ranks_ok,
+        lineality_ok=not ones_in,
+        messages=tuple(messages),
+    )
+
+
 def validate_inputs(C: RationalMatrix, A: RationalMatrix, h: Sequence) -> Diagnostics:
     """Check the rank hypotheses and the lineality obstruction.
 
@@ -64,40 +106,15 @@ def validate_inputs(C: RationalMatrix, A: RationalMatrix, h: Sequence) -> Diagno
     reported in the diagnostics and degrades certification, not
     computation.
     """
-    if not (C.cols == A.cols == len(h)):
-        raise InputValidationError(
-            f"column/shift mismatch: C has {C.cols} columns, A has {A.cols}, h has {len(h)}"
-        )
-    if not A.is_integer():
-        raise InputValidationError("exponent matrix must have integer entries")
+    check_shape(C, A, h, InputValidationError)
     vector(h)  # shift entries must coerce to exact rationals
-    n = A.rows
-    rank_A = rank(A)
-    if rank_A < n:
-        raise InputValidationError(
-            f"exponent matrix has rank {rank_A} < {n} rows; parametrization is not injective"
-        )
-    rank_C = rank(C)
-    messages = []
-    ranks_ok = rank_C == n
-    if not ranks_ok:
-        messages.append(
-            f"rank(C) = {rank_C} differs from n = {n}; the root-count bound does not apply"
-        )
-    ones_in = in_row_span(A, [1] * A.cols)
-    if ones_in:
-        messages.append(
-            "the all-ones vector lies in rowspan(A); every solution translates along a line"
-        )
-    return Diagnostics(
-        r=A.cols,
-        n=n,
-        rank_A=rank_A,
-        rank_C=rank_C,
-        ranks_ok=ranks_ok,
-        lineality_ok=not ones_in,
-        messages=tuple(messages),
-    )
+    return _diagnostics(A, A.cols, rank(C), "rank(C) =")
+
+
+def _diagnostics_from_matroid(OM: OrientedMatroid, A: RationalMatrix) -> Diagnostics:
+    """Diagnostics when only the matroid (not C) is in hand: the kernel
+    realization stands in for rank(C) = r - rank(M)."""
+    return _diagnostics(A, OM.ground_size, OM.ground_size - OM.rank, "kernel codimension")
 
 
 @dataclass(frozen=True)
@@ -130,6 +147,8 @@ class IntersectionReport:
     positive_dimensional: bool = False
     non_transverse_flags: tuple[FlagOfFlats, ...] = ()
     notes: tuple[str, ...] = ()
+    # the oriented matroid the points were found in; not part of the document
+    matroid: OrientedMatroid | None = field(default=None, compare=False, repr=False)
 
     def to_document(self) -> dict:
         return {
@@ -179,23 +198,11 @@ def _is_interior(p: Sequence[Fraction], OM: OrientedMatroid) -> bool:
     out by tying each circuit's argmin set; merging those sets leaves
     exactly rank(M) parts iff the cell has the fan's full dimension.
     """
-    r = OM.ground_size
-    parent = list(range(r + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    argmins = []
     for sup in OM.circuit_supports:
         m = min(p[e - 1] for e in sup)
-        arg = [e for e in sup if p[e - 1] == m]
-        root = find(arg[0])
-        for e in arg[1:]:
-            parent[find(e)] = root
-    components = len({find(e) for e in range(1, r + 1)})
-    return components == OM.rank
+        argmins.append([e for e in sup if p[e - 1] == m])
+    return len(_merge(OM.ground_size, argmins)) == OM.rank
 
 
 def tangent_direction(
@@ -278,10 +285,10 @@ def is_isolated(point, OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> b
 # componentwise cell enumeration
 
 
-def _components(OM: OrientedMatroid) -> list[list[int]]:
-    """Connected components of the circuit hypergraph; singletons are
-    elements lying on no circuit."""
-    parent = list(range(OM.ground_size + 1))
+def _merge(size: int, groups: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Partition of {1..size} into the classes of the union-find that
+    merges each group, sorted."""
+    parent = list(range(size + 1))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -289,14 +296,20 @@ def _components(OM: OrientedMatroid) -> list[list[int]]:
             a = parent[a]
         return a
 
-    for sup in OM.circuit_supports:
-        root = find(sup[0])
-        for e in sup[1:]:
+    for group in groups:
+        root = find(group[0])
+        for e in group[1:]:
             parent[find(e)] = root
-    groups: dict[int, list[int]] = {}
-    for e in range(1, OM.ground_size + 1):
-        groups.setdefault(find(e), []).append(e)
-    return sorted(groups.values())
+    classes: dict[int, list[int]] = {}
+    for e in range(1, size + 1):
+        classes.setdefault(find(e), []).append(e)
+    return sorted(classes.values())
+
+
+def _components(OM: OrientedMatroid) -> list[list[int]]:
+    """Connected components of the circuit hypergraph; singletons are
+    elements lying on no circuit."""
+    return _merge(OM.ground_size, OM.circuit_supports)
 
 
 @dataclass(frozen=True)
@@ -361,47 +374,6 @@ def _representative_flag(
     return FlagOfFlats(tuple(chain))
 
 
-def _solve_rows(
-    rows: list[tuple[Fraction, ...]], rhs: list[Fraction], n: int
-) -> tuple[str, tuple[Fraction, ...] | None]:
-    """Row-echelon solve with early exits.
-
-    Returns ('none', None), ('under', None), or ('unique', v).
-    """
-    work = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(n):
-        pivot_row = None
-        for i in range(pr, len(work)):
-            if work[i][pc] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[pr], work[pivot_row] = work[pivot_row], work[pr]
-        pv = work[pr][pc]
-        for i in range(pr + 1, len(work)):
-            if work[i][pc] != 0:
-                f = work[i][pc] / pv
-                wi, wp = work[i], work[pr]
-                for j in range(pc, n + 1):
-                    wi[j] -= f * wp[j]
-        pivots.append(pc)
-        pr += 1
-    for i in range(pr, len(work)):
-        if work[i][n] != 0:
-            return "none", None
-    if len(pivots) < n:
-        return "under", None
-    sol = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        pc = pivots[k]
-        s = work[k][n] - sum(work[k][j] * sol[j] for j in range(pc + 1, n))
-        sol[pc] = s / work[k][pc]
-    return "unique", tuple(sol)
-
-
 def _build_report(
     candidates: dict[tuple[Fraction, ...], tuple[Fraction, ...]],
     OM: OrientedMatroid,
@@ -444,6 +416,7 @@ def _build_report(
         positive_dimensional=positive_dimensional,
         non_transverse_flags=non_transverse_flags,
         notes=tuple(notes),
+        matroid=OM,
     )
 
 
@@ -485,7 +458,7 @@ def intersect_via_fan(
     """
     hh = vector(h)
     if diagnostics is None:
-        diagnostics = _diagnostics_from_matroid(OM, A, hh)
+        diagnostics = _diagnostics_from_matroid(OM, A)
     n = A.rows
     if not OM.circuits:
         return _free_matroid_report(OM, diagnostics, "fan")
@@ -536,10 +509,12 @@ def intersect_via_fan(
     ):
         blocks = [b for _, cells in partition_combo for b in cells[0].ordered_blocks]
         rows, rhs = tie_system(blocks)
-        status, v = _solve_rows(rows, rhs, n)
-        if status == "none":
+        M = RationalMatrix(len(rows), n, [x for row in rows for x in row])
+        solution = solve_affine(M, rhs)
+        if solution is None:
             continue
-        if status == "unique":
+        v, kernel = solution
+        if kernel.rows == 0:
             w = At.apply(v)
             p = tuple(a + b for a, b in zip(w, hh))
             if is_positive_member(p, OM):
@@ -557,11 +532,11 @@ def intersect_via_fan(
                         x - y for x, y in zip(at_rows[el - 1], at_rows[eu - 1])
                     )
                     ineqs.append((row, hh[eu - 1] - hh[el - 1], False))
-            dim, _sample = _polyhedra.polyhedron_dimension(n, eqs, ineqs)
+            dim, vstar = _polyhedra.polyhedron_dimension(n, eqs, ineqs)
             if dim < 0:
                 continue
             if dim == 0:
-                vstar = _pinpoint(n, eqs, ineqs)
+                # a zero-dimensional piece is one point, so its sample is it
                 wstar = At.apply(vstar)
                 pstar = tuple(a + b for a, b in zip(wstar, hh))
                 if not is_positive_member(pstar, OM):
@@ -596,31 +571,6 @@ def intersect_via_fan(
     )
 
 
-def _pinpoint(n: int, eqs, ineqs) -> tuple[Fraction, ...]:
-    """The unique point of a zero-dimensional polyhedron: fold implicit
-    equalities in and solve."""
-    current_eqs = list(eqs)
-    current_ineqs = [(c, r, False) for c, r, _ in ineqs]
-    while True:
-        still = []
-        changed = False
-        for i, (coeffs, rhs, _) in enumerate(current_ineqs):
-            probe = still + current_ineqs[i + 1 :] + [(coeffs, rhs, True)]
-            if _polyhedra.feasible_point(n, current_eqs, probe) is None:
-                current_eqs.append((coeffs, rhs))
-                changed = True
-            else:
-                still.append((coeffs, rhs, False))
-        current_ineqs = still
-        if not changed:
-            break
-    M = RationalMatrix(len(current_eqs), n, [c for row, _ in current_eqs for c in row])
-    sol = solve_affine(M, [rhs for _, rhs in current_eqs])
-    if sol is None or sol[1].rows != 0:
-        raise RuntimeError("zero-dimensional piece did not pin to a unique point")
-    return sol[0]
-
-
 def intersect_via_vertices(
     OM: OrientedMatroid,
     A: RationalMatrix,
@@ -636,7 +586,7 @@ def intersect_via_vertices(
     """
     hh = vector(h)
     if diagnostics is None:
-        diagnostics = _diagnostics_from_matroid(OM, A, hh)
+        diagnostics = _diagnostics_from_matroid(OM, A)
     n = A.rows
     if not OM.circuits:
         return _free_matroid_report(OM, diagnostics, "vertices")
@@ -710,40 +660,6 @@ def intersect_via_vertices(
 
     walk(0, [])
     return _build_report(candidates, OM, A, hh, diagnostics, "vertices", False, (), [])
-
-
-def _diagnostics_from_matroid(
-    OM: OrientedMatroid, A: RationalMatrix, hh: tuple[Fraction, ...]
-) -> Diagnostics:
-    """Diagnostics when only the matroid (not C) is in hand: the kernel
-    realization stands in for rank(C) = r - rank(M)."""
-    n = A.rows
-    rank_A = rank(A)
-    if rank_A < n:
-        raise InputValidationError(
-            f"exponent matrix has rank {rank_A} < {n} rows; parametrization is not injective"
-        )
-    rank_C = OM.ground_size - OM.rank
-    messages = []
-    ranks_ok = rank_C == n
-    if not ranks_ok:
-        messages.append(
-            f"kernel codimension {rank_C} differs from n = {n}; the root-count bound does not apply"
-        )
-    ones_in = in_row_span(A, [1] * A.cols)
-    if ones_in:
-        messages.append(
-            "the all-ones vector lies in rowspan(A); every solution translates along a line"
-        )
-    return Diagnostics(
-        r=OM.ground_size,
-        n=n,
-        rank_A=rank_A,
-        rank_C=rank_C,
-        ranks_ok=ranks_ok,
-        lineality_ok=not ones_in,
-        messages=tuple(messages),
-    )
 
 
 def lower_bound(

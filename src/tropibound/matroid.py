@@ -9,7 +9,7 @@ stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -56,13 +56,12 @@ class Flat:
 
     elements: tuple[int, ...]
     rank: int
+    as_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
-
-    @property
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
+        as_set = frozenset(self.elements)
+        object.__setattr__(self, "elements", tuple(sorted(as_set)))
+        object.__setattr__(self, "as_set", as_set)
 
     def __repr__(self) -> str:
         return f"Flat({set(self.elements) or '{}'}, rank={self.rank})"

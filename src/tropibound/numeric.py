@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from tropibound._util import parallel_map
 from tropibound.intersection import IntersectionReport
 from tropibound.systems import VerticalSystem
 
@@ -174,7 +173,6 @@ def count_roots(
     multistarts: int = 16,
     seed: int = 0,
     separation: float = 1e-4,
-    threads: int = 1,
 ) -> list[RootWitness]:
     """Verified-distinct positive roots: one Newton run per intersection
     point plus random log-uniform multistarts.
@@ -194,13 +192,9 @@ def count_roots(
         y0 = [rng.uniform(-span, span) for _ in range(system.n)]
         seeds.append((f"random#{k}", [math.exp(c) for c in y0]))
 
-    runs = parallel_map(
-        lambda s: newton(F, s[1], tol=tol, max_iter=max_iter, seed_origin=s[0]),
-        seeds,
-        threads=threads,
-    )
     witnesses: list[RootWitness] = []
-    for w in runs:
+    for origin, x0 in seeds:
+        w = newton(F, x0, tol=tol, max_iter=max_iter, seed_origin=origin)
         if w is None:
             continue
         logs = [math.log(v) for v in w.x]

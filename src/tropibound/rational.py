@@ -2,8 +2,15 @@
 
 Scalars are ``fractions.Fraction`` (always in lowest terms, positive
 denominator), so every operation in this module is exact.  Matrices are
-immutable values; operations return fresh objects and are safe to share
-between threads.
+immutable values; operations return fresh objects.
+
+Every elimination runs through one kernel, ``_echelon``: each row is
+scaled to integers once, then fraction-free Gauss-Jordan elimination
+with a single running pivot (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+1968) works on plain ints.  Reduced echelon forms, ranks, kernels,
+affine solutions, determinants and independent row sets are all read
+off its result; Fractions are built only for the values returned.
 
 No floating point enters this module.
 """
@@ -11,12 +18,16 @@ No floating point enters this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 RationalVector = tuple[Fraction, ...]
 
 Scalar = Union[int, str, Fraction]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def to_rational(x: Scalar) -> Fraction:
@@ -144,61 +155,93 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
 
-def rref(M: RationalMatrix) -> tuple[RationalMatrix, list[int]]:
-    """Reduced row echelon form and the pivot columns, in order.
+def _echelon(
+    rows: Iterable[Sequence[Fraction]], ncols: int
+) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination; the one elimination kernel.
 
-    Pivoting is deterministic: the first nonzero entry of each column is
-    used, so identical inputs give identical outputs.
+    Returns ``(m, pivots, d, scale)``.  Each pivot is the first nonzero
+    entry of its column among the rows not yet used, columns taken left
+    to right.  The first ``len(pivots)`` integer rows of ``m`` divided by
+    ``d`` are the reduced row echelon form; the remaining rows are zero.
+    ``scale`` is the product of the integer row scales, negated once per
+    row swap, so a square matrix of full rank has determinant d / scale.
     """
-    m = M.row_list()
-    nrows, ncols = M.rows, M.cols
+    m: list[list[int]] = []
+    scale = 1
+    for row in rows:
+        den = lcm(*[x.denominator for x in row])
+        if den == 1:
+            m.append([x.numerator for x in row])
+        else:
+            m.append([x.numerator * (den // x.denominator) for x in row])
+            scale *= den
+    nrows = len(m)
     pivots: list[int] = []
+    d = 1
     pr = 0
     for pc in range(ncols):
-        pivot_row = None
-        for i in range(pr, nrows):
-            if m[i][pc] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        pv = m[pr][pc]
-        if pv != 1:
-            m[pr] = [x / pv for x in m[pr]]
-        for i in range(nrows):
-            if i != pr and m[i][pc] != 0:
-                f = m[i][pc]
-                m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
-        pivots.append(pc)
-        pr += 1
         if pr == nrows:
             break
-    return RationalMatrix(nrows, ncols, [x for row in m for x in row]), pivots
+        for i in range(pr, nrows):
+            if m[i][pc]:
+                break
+        else:
+            continue
+        if i != pr:
+            m[pr], m[i] = m[i], m[pr]
+            scale = -scale
+        prow = m[pr]
+        p = prow[pc]
+        # Sylvester's identity makes every division below exact
+        for i in range(nrows):
+            if i == pr:
+                continue
+            f = m[i][pc]
+            if f:
+                m[i] = [(p * a - f * b) // d for a, b in zip(m[i], prow)]
+            elif p != d:
+                m[i] = [p * a // d for a in m[i]]
+        d = p
+        pivots.append(pc)
+        pr += 1
+    return m, pivots, d, scale
+
+
+def _kernel(m: list[list[int]], pivots: list[int], d: int, ncols: int) -> RationalMatrix:
+    """Kernel basis of the first ncols columns, read off an elimination:
+    one back-substituted vector per free column."""
+    pivot_set = set(pivots)
+    free = [j for j in range(ncols) if j not in pivot_set]
+    entries: list[Fraction] = []
+    for f in free:
+        v = [_ZERO] * ncols
+        v[f] = _ONE
+        for row, p in zip(m, pivots):
+            if row[f]:
+                v[p] = Fraction(-row[f], d)
+        entries.extend(v)
+    return RationalMatrix(len(free), ncols, entries)
+
+
+def rref(M: RationalMatrix) -> tuple[RationalMatrix, list[int]]:
+    """Reduced row echelon form and the pivot columns, in order."""
+    m, pivots, d, _ = _echelon(M.row_list(), M.cols)
+    return RationalMatrix(M.rows, M.cols, [Fraction(x, d) for row in m for x in row]), pivots
 
 
 def rank(M: RationalMatrix) -> int:
-    return len(rref(M)[1])
+    return len(_echelon(M.row_list(), M.cols)[1])
 
 
 def kernel_basis(M: RationalMatrix) -> RationalMatrix:
     """Basis of the right kernel {x : Mx = 0}, one basis vector per row.
 
-    Row count is cols(M) - rank(M).  Built from the reduced echelon form:
-    each free column contributes the standard back-substituted vector.
+    Row count is cols(M) - rank(M): each free column of the reduced
+    echelon form contributes the standard back-substituted vector.
     """
-    R, pivots = rref(M)
-    ncols = M.cols
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    rows = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r_idx, p in enumerate(pivots):
-            v[p] = -R[r_idx, f]
-        rows.append(v)
-    return RationalMatrix(len(free), ncols, [x for row in rows for x in row])
+    m, pivots, d, _ = _echelon(M.row_list(), M.cols)
+    return _kernel(m, pivots, d, M.cols)
 
 
 def solve_affine(
@@ -207,76 +250,46 @@ def solve_affine(
     """Solve Mx = b exactly.
 
     Returns (particular solution, kernel basis) when the system is
-    consistent, and None otherwise.
+    consistent, and None otherwise; both are read off one elimination of
+    the augmented matrix [M | b], whose left block reduces exactly as M.
     """
     if len(b) != M.rows:
         raise ValueError("right-hand side length mismatch")
     bb = vector(b)
-    aug = RationalMatrix(M.rows, M.cols + 1, [x for i in range(M.rows) for x in (*M.row(i), bb[i])])
-    R, pivots = rref(aug)
-    if M.cols in pivots:
+    m, pivots, d, _ = _echelon([(*M.row(i), bb[i]) for i in range(M.rows)], M.cols + 1)
+    if pivots and pivots[-1] == M.cols:
         return None
-    particular = [Fraction(0)] * M.cols
-    for r_idx, p in enumerate(pivots):
-        particular[p] = R[r_idx, M.cols]
-    return tuple(particular), kernel_basis(M)
+    particular = [_ZERO] * M.cols
+    for row, p in zip(m, pivots):
+        if row[-1]:
+            particular[p] = Fraction(row[-1], d)
+    return tuple(particular), _kernel(m, pivots, d, M.cols)
 
 
 def det(M: RationalMatrix) -> Fraction:
-    """Exact determinant via fraction Gaussian elimination."""
+    """Exact determinant, from the last fraction-free pivot."""
     if M.rows != M.cols:
         raise ValueError("determinant requires a square matrix")
-    n = M.rows
-    m = M.row_list()
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        pv = m[c][c]
-        result *= pv
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * result
+    _, pivots, d, scale = _echelon(M.row_list(), M.cols)
+    return Fraction(d, scale) if len(pivots) == M.rows else _ZERO
 
 
 def row_space_equal(A: RationalMatrix, B: RationalMatrix) -> bool:
-    """Whether two matrices span the same row space."""
+    """Whether two matrices span the same row space, i.e. share their
+    reduced row echelon form up to zero rows."""
     if A.cols != B.cols:
         return False
-    ra, rb = rank(A), rank(B)
-    if ra != rb:
-        return False
-    stacked = RationalMatrix(
-        A.rows + B.rows,
-        A.cols,
-        [x for i in range(A.rows) for x in A.row(i)]
-        + [x for i in range(B.rows) for x in B.row(i)],
+    ma, pa, da, _ = _echelon(A.row_list(), A.cols)
+    mb, pb, db, _ = _echelon(B.row_list(), B.cols)
+    return pa == pb and all(
+        x * db == y * da for ra, rb in zip(ma, mb) for x, y in zip(ra, rb)
     )
-    return rank(stacked) == ra
 
 
 def first_independent_rows(M: RationalMatrix) -> list[int]:
-    """Indices of the lexicographically first maximal independent row set."""
-    chosen: list[int] = []
-    current_rank = 0
-    for i in range(M.rows):
-        candidate = M.submatrix_rows(chosen + [i])
-        r = rank(candidate)
-        if r > current_rank:
-            chosen.append(i)
-            current_rank = r
-    return chosen
+    """Indices of the lexicographically first maximal independent row set:
+    the pivot columns of the transpose."""
+    return _echelon([M.column(j) for j in range(M.cols)], M.rows)[1]
 
 
 def in_row_span(M: RationalMatrix, v: Sequence[Scalar]) -> bool:

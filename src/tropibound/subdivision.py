@@ -19,7 +19,7 @@ from typing import Sequence
 
 from tropibound.bergman import is_positive_member
 from tropibound.matroid import OrientedMatroid
-from tropibound.rational import RationalMatrix, det, solve_affine, vector
+from tropibound.rational import RationalMatrix, det, rank, solve_affine, vector
 
 
 class SubdivisionError(ValueError):
@@ -68,6 +68,13 @@ class DecoratedSimplex:
     cell: Cell
     kernel_vector: tuple[Fraction, ...]
 
+    def to_document(self) -> dict:
+        return {
+            "members": list(self.cell.members),
+            "witness": [str(x) for x in self.cell.witness],
+            "kernel_vector": [str(x) for x in self.kernel_vector],
+        }
+
 
 def _argmin_set(cols, h, v) -> tuple[tuple[int, ...], Fraction]:
     vals = [sum(vi * ci for vi, ci in zip(v, col)) + hj for col, hj in zip(cols, h)]
@@ -81,9 +88,7 @@ def _affinely_spans(cols, members: Sequence[int], n: int) -> bool:
     M = RationalMatrix.from_rows(
         [list(cols[j - 1]) + [1] for j in members]
     ).transpose()
-    from tropibound.rational import rank as _rank
-
-    return _rank(M) == n + 1
+    return rank(M) == n + 1
 
 
 def full_cells(A: RationalMatrix, h: Sequence) -> list[Cell]:
@@ -115,11 +120,6 @@ def full_cells(A: RationalMatrix, h: Sequence) -> list[Cell]:
         if _affinely_spans(cols, members, n):
             found[members] = Cell(members, tuple(v))
     return sorted(found.values(), key=lambda c: c.members)
-
-
-def witness_normal(cell: Cell) -> tuple[Fraction, ...]:
-    """The v with inner lift normal (v, 1) supporting the cell."""
-    return cell.witness
 
 
 def is_triangulation(cells: Sequence[Cell], n: int) -> bool:

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tropibound.intersection import IntersectionReport, lower_bound
-from tropibound.matroid import realize_from_kernel
+from tropibound.intersection import IntersectionReport, check_shape, lower_bound
 from tropibound.rational import (
     RationalMatrix,
     first_independent_rows,
@@ -36,13 +35,7 @@ class VerticalSystem:
     h: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not (self.C.cols == self.A.cols == len(self.h)):
-            raise SystemError_(
-                f"column mismatch: C has {self.C.cols}, A has {self.A.cols},"
-                f" h has {len(self.h)}"
-            )
-        if not self.A.is_integer():
-            raise SystemError_("exponent matrix must be integer")
+        check_shape(self.C, self.A, self.h, SystemError_)
         object.__setattr__(self, "h", vector(self.h))
 
     @property
@@ -133,14 +126,7 @@ class BoundReport:
             count, simplices = self.decorated
             doc["decorated"] = {
                 "count": count,
-                "simplices": [
-                    {
-                        "members": list(s.cell.members),
-                        "witness": [str(x) for x in s.cell.witness],
-                        "kernel_vector": [str(x) for x in s.kernel_vector],
-                    }
-                    for s in simplices
-                ],
+                "simplices": [s.to_document() for s in simplices],
             }
         return doc
 
@@ -176,11 +162,10 @@ def bound(system: VerticalSystem, cross_check: bool = False) -> BoundReport:
         else:
             count, simplices = decorated_count(Ctilde, system.A, system.h)
             decorated = (count, tuple(simplices))
-            matroid = realize_from_kernel(system.C)
-            images = []
-            for s in simplices:
-                w = decorated_to_tropical(s, system.A, system.h, matroid=matroid)
-                images.append(w)
+            images = [
+                decorated_to_tropical(s, system.A, system.h, matroid=tropical.matroid)
+                for s in simplices
+            ]
             if len(set(images)) != len(images):
                 raise ComparisonViolation(
                     "two decorated simplices share one tropical image"

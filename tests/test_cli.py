@@ -187,15 +187,6 @@ def test_machine_output_reparses(tmp_path):
         assert [Fraction(x) for x in p["w"]]
 
 
-def test_threads_env_is_honored(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TROPIBOUND_THREADS", "2")
-    code = main(["verify", str(INPUTS / "running_2x5.json"), "--t", "0.01"])
-    assert code == 0
-    monkeypatch.setenv("TROPIBOUND_THREADS", "0")
-    code = main(["verify", str(INPUTS / "running_2x5.json")])
-    assert code == 1  # invalid thread count is a structured error
-
-
 def test_crn_command_exit_zero(capsys):
     code = main(["crn", str(INPUTS / "hhk_crn.json")])
     out = capsys.readouterr().out

@@ -115,8 +115,6 @@ def test_count_roots_deterministic(running_system):
     a = count_roots(running_system, 0.01, report, seed=5)
     b = count_roots(running_system, 0.01, report, seed=5)
     assert [w.x for w in a] == [w.x for w in b]
-    c = count_roots(running_system, 0.01, report, seed=5, threads=4)
-    assert [w.x for w in a] == [w.x for w in c]
 
 
 def test_seeding_schedule_converges_on_shipped_examples(running_system, hhk_model):

@@ -28,11 +28,24 @@ def random_matrix(rng, rows, cols, denom=3, span=4):
     )
 
 
+def dependent_matrix(rng, rows, cols, zero_cols=()):
+    """A random matrix whose last row combines two earlier ones, so its
+    rank is below its row count, with the given columns zeroed."""
+    M = random_matrix(rng, rows - 1, cols).row_list()
+    a, b = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3), 3)
+    M.append([a * x + b * y for x, y in zip(M[0], M[-1])])
+    return RationalMatrix.from_rows(
+        [[0 if j in zero_cols else x for j, x in enumerate(row)] for row in M]
+    )
+
+
 # --- independent oracles ------------------------------------------------
 
 
 def det_cofactor(M: RationalMatrix) -> Fraction:
     n = M.rows
+    if n == 0:
+        return Fraction(1)
     if n == 1:
         return M[0, 0]
     total = Fraction(0)
@@ -83,10 +96,16 @@ def test_rref_rank_one():
 
 def test_rref_random_against_minor_oracle():
     rng = random.Random(101)
-    for _ in range(10):
-        M = random_matrix(rng, 4, 6)
+    cases = [random_matrix(rng, 4, 6) for _ in range(10)]
+    cases += [dependent_matrix(rng, 4, 6, zero_cols={0, 3}) for _ in range(5)]
+    for M in cases:
         R, pivots = rref(M)
         assert rank_by_minors(R) == rank_by_minors(M) == len(pivots)
+        # column j is a pivot iff it raises the rank of the columns before it
+        prefix_ranks = [0] + [
+            rank_by_minors(M.submatrix_columns(range(j + 1))) for j in range(M.cols)
+        ]
+        assert pivots == [j for j in range(M.cols) if prefix_ranks[j + 1] > prefix_ranks[j]]
         for i in range(R.rows):
             assert row_in_span_by_minors(M, R.row(i))
         for i in range(M.rows):
@@ -170,8 +189,9 @@ def test_solve_affine_inconsistent():
 
 def test_solve_affine_random_substitution():
     rng = random.Random(29)
-    for _ in range(12):
-        M = random_matrix(rng, 3, 5)
+    cases = [random_matrix(rng, 3, 5) for _ in range(12)]
+    cases += [dependent_matrix(rng, 4, 5, zero_cols={2}) for _ in range(6)]
+    for M in cases:
         x = vector([rng.randint(-4, 4) for _ in range(5)])
         b = M.apply(x)
         sol = solve_affine(M, b)
@@ -181,6 +201,7 @@ def test_solve_affine_random_substitution():
         # every kernel row really is in the kernel
         for i in range(K.rows):
             assert all(v == 0 for v in M.apply(K.row(i)))
+        assert K == kernel_basis(M)
 
 
 # --- det ----------------------------------------------------------------
@@ -201,9 +222,13 @@ def test_det_rejects_nonsquare():
 
 def test_det_random_against_cofactor():
     rng = random.Random(43)
-    for _ in range(6):
-        M = random_matrix(rng, 5, 5, denom=2, span=3)
+    cases = [random_matrix(rng, 5, 5, denom=2, span=3) for _ in range(6)]
+    cases += [dependent_matrix(rng, 4, 4) for _ in range(3)]
+    cases += [random_matrix(rng, n, n, denom=7, span=9) for n in (1, 2, 3, 4)]
+    cases += [RationalMatrix.from_rows([]), RationalMatrix.from_rows([[0, 1], [0, 2]])]
+    for M in cases:
         assert det(M) == det_cofactor(M)
+    assert det(RationalMatrix.from_rows([])) == 1
 
 
 def test_det_multiplicative():
@@ -230,6 +255,15 @@ def test_matrix_is_immutable(running_N):
 def test_first_independent_rows_skips_dependent():
     M = RationalMatrix.from_rows([[1, 0], [2, 0], [0, 1]])
     assert first_independent_rows(M) == [0, 2]
+    rng = random.Random(53)
+    for _ in range(8):
+        M = dependent_matrix(rng, 5, 3, zero_cols={1})
+        M = M.submatrix_rows(rng.sample(range(M.rows), M.rows))
+        chosen: list[int] = []
+        for i in range(M.rows):
+            if rank_by_minors(M.submatrix_rows(chosen + [i])) > len(chosen):
+                chosen.append(i)
+        assert first_independent_rows(M) == chosen
 
 
 def test_in_row_span():

@@ -15,7 +15,6 @@ from tropibound.subdivision import (
     full_cells,
     is_triangulation,
     positively_decorated,
-    witness_normal,
 )
 
 H_RUN = [0, 0, 0, 0, -1]
@@ -61,7 +60,7 @@ def test_full_cells_running_example(running_A):
 
 def test_witness_of_second_cell(running_A):
     cells = {c.members: c for c in full_cells(running_A, H_RUN)}
-    assert witness_normal(cells[(1, 3, 5)]) == vector([1, 0])
+    assert cells[(1, 3, 5)].witness == vector([1, 0])
 
 
 def test_flat_lift_single_cell(running_A):
