@@ -32,7 +32,7 @@ from tropibound.matroid import (
     maximal_flags,
     realize_from_kernel,
 )
-from tropibound.rational import Rational, RationalMatrix, RationalVector, vector
+from tropibound.rational import RationalMatrix, RationalVector, vector
 from tropibound.subdivision import (
     Cell,
     DecoratedSimplex,
@@ -57,7 +57,6 @@ __all__ = [
     "LiftedConfig",
     "OrientedMatroid",
     "PositiveFan",
-    "Rational",
     "RationalMatrix",
     "RationalVector",
     "SignedCircuit",

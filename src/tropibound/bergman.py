@@ -89,10 +89,6 @@ class FlagCone:
         )
 
     @property
-    def lineality(self) -> tuple[int, ...]:
-        return (1,) * self.ground_size
-
-    @property
     def dimension(self) -> int:
         return len(self.flag) + 1
 
@@ -125,6 +121,12 @@ class FlagCone:
                 return False
         return True
 
+    def to_document(self) -> dict:
+        return {
+            "flats": [list(f.elements) for f in self.flag.chain],
+            "sample": [str(x) for x in sample_relative_interior(self)],
+        }
+
 
 def sample_relative_interior(cone: FlagCone) -> tuple[Fraction, ...]:
     """Sum of the flag's indicator vectors: a canonical relative-interior
@@ -154,14 +156,7 @@ class PositiveFan:
         return {
             "ground_size": self.matroid.ground_size,
             "free_matroid": self.free_matroid,
-            "cones": [
-                {
-                    "flats": [list(f.elements) for f in c.flag.chain],
-                    "sample": [str(x) for x in sample_relative_interior(c)],
-                    "dimension": c.dimension,
-                }
-                for c in self.cones
-            ],
+            "cones": [{**c.to_document(), "dimension": c.dimension} for c in self.cones],
         }
 
 
@@ -179,20 +174,17 @@ def positive_fan(OM: OrientedMatroid) -> PositiveFan:
     return PositiveFan(tuple(kept), OM)
 
 
-def positive_chains(
-    OM: OrientedMatroid, append_maximal_only: bool = False
-) -> list[FlagOfFlats]:
-    """All chains of proper nonempty flats whose cone lies in the
-    positive fan, found by depth-first extension with pruning.
+def positive_chains(OM: OrientedMatroid) -> list[FlagOfFlats]:
+    """Chains of proper nonempty flats whose cone lies in the positive fan
+    and that have no positive upward extension, found by depth-first
+    extension with pruning.
 
-    A chain is kept iff the relative-interior sample of its cone passes
-    the positive-membership test; failing chains cannot be extended into
-    passing ones, so the search prunes on first failure.  The empty chain
-    (lineality-only cone) is included when it passes.
-
-    With append_maximal_only=True, only chains with no positive
-    upward extension are returned; their closed cones still cover the
-    whole positive fan.
+    A chain's cone is positive iff its relative-interior sample passes
+    the positive-membership test.  Faces of positive cones are positive,
+    so the search prunes on first failure.  Every positive chain is a
+    prefix of a returned one, so the returned closed cones cover the
+    whole positive fan.  The empty chain (lineality-only cone) is
+    returned when it passes and no flat extends it.
     """
     r = OM.ground_size
     proper = [
@@ -221,7 +213,7 @@ def positive_chains(
                 continue
             extended = True
             extend(chain + [f], new_sample, idx + 1)
-        if not extended or not append_maximal_only:
+        if not extended:
             out.append(FlagOfFlats(tuple(chain)))
 
     zero = (0,) * r

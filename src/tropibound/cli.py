@@ -14,17 +14,17 @@ import json
 import sys
 from fractions import Fraction
 
-from tropibound.bergman import (
-    compare_with_coarse,
-    fine_fan,
-    positive_fan,
-    sample_relative_interior,
-)
+from tropibound.bergman import compare_with_coarse, fine_fan, positive_fan
 from tropibound.intersection import InputValidationError, lower_bound
 from tropibound.matroid import MatroidError, realize_from_kernel
 from tropibound.numeric import InstantiationError, count_roots
 from tropibound.rational import RationalMatrix, to_rational
-from tropibound.subdivision import SubdivisionError, decorated_count, full_cells
+from tropibound.subdivision import (
+    SubdivisionError,
+    decorated_count,
+    full_cells,
+    is_triangulation,
+)
 from tropibound.systems import CRNModel, SystemError_, VerticalSystem, assemble_crn, bound
 
 
@@ -180,13 +180,7 @@ def run(args) -> int:
             doc = {
                 "kind": "fan",
                 "ground_size": M.ground_size,
-                "cones": [
-                    {
-                        "flats": [list(f.elements) for f in c.flag.chain],
-                        "sample": [str(x) for x in sample_relative_interior(c)],
-                    }
-                    for c in cones
-                ],
+                "cones": [c.to_document() for c in cones],
             }
             lines = [f"fine fan: {len(cones)} maximal cones"]
         else:
@@ -237,7 +231,7 @@ def run(args) -> int:
                 {"members": list(c.members), "witness": [str(x) for x in c.witness]}
                 for c in cells
             ],
-            "is_triangulation": all(len(c.members) == system.n + 1 for c in cells),
+            "is_triangulation": is_triangulation(cells, system.n),
         }
         lines = [f"regular subdivision: {len(cells)} full-dimensional cells"]
         for c in cells:

@@ -11,6 +11,7 @@ never by genericity arguments.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -145,7 +146,6 @@ class IntersectionReport:
     method: str
     free_matroid: bool = False
     positive_dimensional: bool = False
-    non_transverse_flags: tuple[FlagOfFlats, ...] = ()
     notes: tuple[str, ...] = ()
     # the oriented matroid the points were found in; not part of the document
     matroid: OrientedMatroid | None = field(default=None, compare=False, repr=False)
@@ -312,21 +312,13 @@ def _components(OM: OrientedMatroid) -> list[list[int]]:
     return _merge(OM.ground_size, OM.circuit_supports)
 
 
-@dataclass(frozen=True)
-class _LocalCell:
-    """An inclusion-maximal positive chain of one component, with its
-    ordered blocks translated back to global element labels."""
-
-    ordered_blocks: tuple[tuple[int, ...], ...]
-    chain_global: tuple[tuple[int, ...], ...]
-
-    @property
-    def partition(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(b) for b in self.ordered_blocks)
+# a positive cell as its ordered, nonempty blocks of element labels
+_Cell = tuple[tuple[int, ...], ...]
 
 
-def _local_cells(OM: OrientedMatroid, comp: list[int]) -> list[_LocalCell] | None:
-    """Positive cells of the fan restricted to one component.
+def _local_cells(OM: OrientedMatroid, comp: list[int]) -> list[_Cell] | None:
+    """Positive cells of the fan restricted to one component, each as its
+    ordered nonempty blocks in global element labels.
 
     Returns None when the component admits no positive weight at all
     (some circuit is one-signed), which empties the whole fan.
@@ -345,33 +337,15 @@ def _local_cells(OM: OrientedMatroid, comp: list[int]) -> list[_LocalCell] | Non
     local = OrientedMatroid(local_size, local_circuits)
     if any(not c.positive or not c.negative for c in local.circuits):
         return None
-    cells = []
-    for flag in positive_chains(local, append_maximal_only=True):
-        cone = FlagCone(flag, local_size)
-        blocks = tuple(
-            tuple(comp[e - 1] for e in block) for block in cone.blocks() if block
+    cells = [
+        tuple(
+            tuple(comp[e - 1] for e in block)
+            for block in FlagCone(flag, local_size).blocks()
+            if block
         )
-        chain_global = tuple(
-            tuple(comp[e - 1] for e in f.elements) for f in flag.chain
-        )
-        cells.append(_LocalCell(blocks, chain_global))
+        for flag in positive_chains(local)
+    ]
     return cells if cells else None
-
-
-def _representative_flag(
-    OM: OrientedMatroid, combo: Sequence[_LocalCell]
-) -> FlagOfFlats:
-    """One valid chain of global flats through a product of local cells:
-    concatenate the factors' chains, accumulating earlier factors."""
-    chain: list[Flat] = []
-    acc: set[int] = set()
-    for cell in combo:
-        for members in cell.chain_global:
-            full = tuple(sorted(acc | set(members)))
-            chain.append(Flat(full, OM.rank_of(full)))
-        if cell.chain_global:
-            acc |= set(cell.chain_global[-1])
-    return FlagOfFlats(tuple(chain))
 
 
 def _build_report(
@@ -382,7 +356,6 @@ def _build_report(
     diagnostics: Diagnostics,
     method: str,
     positive_dimensional: bool,
-    non_transverse_flags: tuple[FlagOfFlats, ...],
     notes: list[str],
     free_matroid: bool = False,
 ) -> IntersectionReport:
@@ -414,24 +387,26 @@ def _build_report(
         method=method,
         free_matroid=free_matroid,
         positive_dimensional=positive_dimensional,
-        non_transverse_flags=non_transverse_flags,
         notes=tuple(notes),
         matroid=OM,
     )
 
 
 def _free_matroid_report(
-    OM: OrientedMatroid, diagnostics: Diagnostics, method: str
+    OM: OrientedMatroid,
+    A: RationalMatrix,
+    hh: tuple[Fraction, ...],
+    diagnostics: Diagnostics,
+    method: str,
 ) -> IntersectionReport:
     return _build_report(
         {},
         OM,
-        RationalMatrix.zero(diagnostics.n, diagnostics.r),
-        (Fraction(0),) * diagnostics.r,
+        A,
+        hh,
         diagnostics,
         method,
         positive_dimensional=True,
-        non_transverse_flags=(),
         notes=[
             "free matroid: no circuits, the positive fan is all of R^r and the"
             " intersection is all of rowspan(A)"
@@ -461,45 +436,33 @@ def intersect_via_fan(
         diagnostics = _diagnostics_from_matroid(OM, A)
     n = A.rows
     if not OM.circuits:
-        return _free_matroid_report(OM, diagnostics, "fan")
+        return _free_matroid_report(OM, A, hh, diagnostics, "fan")
     At = A.transpose()
     at_rows = [At.row(i) for i in range(At.rows)]
 
+    @functools.cache
+    def tie(a: int, b: int) -> tuple[tuple[Fraction, ...], Fraction]:
+        """The tie (w + h)_a = (w + h)_b as a row and right-hand side in v."""
+        row = tuple(x - y for x, y in zip(at_rows[a - 1], at_rows[b - 1]))
+        return row, hh[b - 1] - hh[a - 1]
+
     notes: list[str] = []
-    comps = _components(OM)
-    factor_partitions: list[dict[frozenset, list[_LocalCell]]] = []
-    for comp in comps:
+    factor_partitions: list[dict[frozenset, list[_Cell]]] = []
+    for comp in _components(OM):
         cells = _local_cells(OM, comp)
         if cells is None:
             notes.append(
                 f"component {comp} admits no positive weight; the positive fan is empty"
             )
-            return _build_report(
-                {}, OM, A, hh, diagnostics, "fan", False, (), notes
-            )
-        grouped: dict[frozenset, list[_LocalCell]] = {}
+            return _build_report({}, OM, A, hh, diagnostics, "fan", False, notes)
+        grouped: dict[frozenset, list[_Cell]] = {}
         for cell in cells:
-            grouped.setdefault(cell.partition, []).append(cell)
+            grouped.setdefault(frozenset(map(frozenset, cell)), []).append(cell)
         factor_partitions.append(grouped)
 
     candidates: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
-    positive_dimensional = False
-    bad_flags: list[FlagOfFlats] = []
-    underdetermined_pinned = 0
-
-    def tie_system(blocks: list[tuple[int, ...]]):
-        rows: list[tuple[Fraction, ...]] = []
-        rhs: list[Fraction] = []
-        for block in blocks:
-            if len(block) < 2:
-                continue
-            e0 = block[0]
-            r0 = at_rows[e0 - 1]
-            h0 = hh[e0 - 1]
-            for e in block[1:]:
-                rows.append(tuple(x - y for x, y in zip(r0, at_rows[e - 1])))
-                rhs.append(hh[e - 1] - h0)
-        return rows, rhs
+    pinned = 0
+    positive_cells = 0
 
     def partition_key(item):
         return sorted(sorted(b) for b in item[0])
@@ -507,10 +470,14 @@ def intersect_via_fan(
     for partition_combo in itertools.product(
         *(sorted(g.items(), key=partition_key) for g in factor_partitions)
     ):
-        blocks = [b for _, cells in partition_combo for b in cells[0].ordered_blocks]
-        rows, rhs = tie_system(blocks)
-        M = RationalMatrix(len(rows), n, [x for row in rows for x in row])
-        solution = solve_affine(M, rhs)
+        eqs = [
+            tie(block[0], e)
+            for _, cells in partition_combo
+            for block in cells[0]
+            for e in block[1:]
+        ]
+        M = RationalMatrix(len(eqs), n, [x for row, _ in eqs for x in row])
+        solution = solve_affine(M, [rhs for _, rhs in eqs])
         if solution is None:
             continue
         v, kernel = solution
@@ -522,16 +489,12 @@ def intersect_via_fan(
             continue
         # Underdetermined ties: examine each product cell of this partition
         # with its ordering facets.
-        eqs = list(zip(rows, rhs))
         for combo in itertools.product(*(cells for _, cells in partition_combo)):
-            ineqs = []
-            for cell in combo:
-                for upper, lower in zip(cell.ordered_blocks, cell.ordered_blocks[1:]):
-                    eu, el = upper[0], lower[0]
-                    row = tuple(
-                        x - y for x, y in zip(at_rows[el - 1], at_rows[eu - 1])
-                    )
-                    ineqs.append((row, hh[eu - 1] - hh[el - 1], False))
+            ineqs = [
+                (*tie(lower[0], upper[0]), False)
+                for cell in combo
+                for upper, lower in zip(cell, cell[1:])
+            ]
             dim, vstar = _polyhedra.polyhedron_dimension(n, eqs, ineqs)
             if dim < 0:
                 continue
@@ -545,29 +508,19 @@ def intersect_via_fan(
                         " bookkeeping is wrong"
                     )
                 candidates[vstar] = wstar
-                underdetermined_pinned += 1
+                pinned += 1
             else:
-                positive_dimensional = True
-                bad_flags.append(_representative_flag(OM, combo))
-    if underdetermined_pinned:
+                positive_cells += 1
+    if pinned:
         notes.append(
-            f"{underdetermined_pinned} underdetermined tie system(s) pinned to a point"
-            " by cone facets"
+            f"{pinned} underdetermined tie system(s) pinned to a point by cone facets"
         )
-    if bad_flags:
+    if positive_cells:
         notes.append(
-            f"{len(bad_flags)} positive cell(s) meet rowspan(A) in positive dimension"
+            f"{positive_cells} positive cell(s) meet rowspan(A) in positive dimension"
         )
     return _build_report(
-        candidates,
-        OM,
-        A,
-        hh,
-        diagnostics,
-        "fan",
-        positive_dimensional,
-        tuple(bad_flags),
-        notes,
+        candidates, OM, A, hh, diagnostics, "fan", positive_cells > 0, notes
     )
 
 
@@ -589,7 +542,7 @@ def intersect_via_vertices(
         diagnostics = _diagnostics_from_matroid(OM, A)
     n = A.rows
     if not OM.circuits:
-        return _free_matroid_report(OM, diagnostics, "vertices")
+        return _free_matroid_report(OM, A, hh, diagnostics, "vertices")
     At = A.transpose()
 
     # Integer augmented rows (a . v = b scaled to integers per plane) so
@@ -659,7 +612,7 @@ def intersect_via_vertices(
                     break
 
     walk(0, [])
-    return _build_report(candidates, OM, A, hh, diagnostics, "vertices", False, (), [])
+    return _build_report(candidates, OM, A, hh, diagnostics, "vertices", False, [])
 
 
 def lower_bound(

@@ -125,13 +125,6 @@ class OrientedMatroid:
     def __setattr__(self, name, value):
         raise AttributeError("OrientedMatroid is immutable")
 
-    @classmethod
-    def from_circuits(
-        cls, ground_size: int, circuits: Iterable[SignedCircuit]
-    ) -> "OrientedMatroid":
-        """Expert escape hatch: build from circuits with no realization."""
-        return cls(ground_size, circuits, realization=None)
-
     @property
     def circuit_supports(self) -> tuple[tuple[int, ...], ...]:
         """Deduplicated circuit supports, sorted by (size, elements)."""

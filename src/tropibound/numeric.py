@@ -81,7 +81,9 @@ def instantiate(system: VerticalSystem, t: float) -> InstantiatedSystem:
 
     Rejects t outside (0, 1): the bound is a small-parameter statement
     and t >= 1 inverts the meaning of the shifts.  Rows are reduced to a
-    rank-selected square system first, exactly.
+    rank-selected square system first, exactly.  A nonzero coefficient
+    that overflows or rounds to 0 as a float is refused, naming its
+    column.
     """
     if not (0.0 < t < 1.0):
         raise InstantiationError(f"t must lie in (0, 1), got {t}")
@@ -92,10 +94,22 @@ def instantiate(system: VerticalSystem, t: float) -> InstantiatedSystem:
             f"rank(C) = {Ct.rows} differs from the variable count {n};"
             " no square instantiation exists"
         )
-    coeffs = np.empty((n, r), dtype=float)
+    coeffs = np.zeros((n, r), dtype=float)
     for i in range(n):
         for j in range(r):
-            coeffs[i, j] = float(Ct[i, j]) * t ** float(system.h[j])
+            if Ct[i, j] == 0:
+                continue
+            try:
+                value = float(Ct[i, j]) * t ** float(system.h[j])
+            except OverflowError:
+                value = math.inf
+            if value == 0.0 or not math.isfinite(value):
+                problem = "rounds to 0" if value == 0.0 else "overflows"
+                raise InstantiationError(
+                    f"column {j + 1}: coefficient {Ct[i, j]} * t^{system.h[j]} at t = {t}"
+                    f" {problem} in floating point"
+                )
+            coeffs[i, j] = value
     exps = np.array(
         [[int(system.A[i, j]) for i in range(n)] for j in range(r)], dtype=float
     )

@@ -21,7 +21,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 RationalVector = tuple[Fraction, ...]
 
 Scalar = Union[int, str, Fraction]

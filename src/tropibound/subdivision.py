@@ -46,10 +46,6 @@ class LiftedConfig:
             lifts=vector(h),
         )
 
-    @property
-    def lifted_points(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(p + (z,) for p, z in zip(self.points, self.lifts))
-
 
 @dataclass(frozen=True)
 class Cell:

@@ -124,6 +124,15 @@ def test_error_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_large_shift_exit_one(tmp_path, capsys):
+    doc = json.loads((INPUTS / "running_2x5.json").read_text())
+    doc["h"] = ["0", "0", "0", "0", "-400"]
+    code = main(["verify", write(tmp_path, "shifted.json", doc), "--t", "0.01"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: column 5:") and "Traceback" not in err
+
+
 def test_circuits_command_machine_output(tmp_path, capsys):
     out_path = tmp_path / "out.json"
     code = main(["circuits", str(INPUTS / "running_2x5.json"), "--json", str(out_path)])

@@ -176,6 +176,26 @@ def test_crn_points_isolated_and_interior(hhk_model):
         assert p.interior
 
 
+def test_crn_underdetermined_ties_notes(hhk_model):
+    # these shifts leave tie systems underdetermined: five are pinned to a
+    # point by their cone facets and four cells meet rowspan(A) in positive
+    # dimension
+    import dataclasses
+
+    from tropibound.systems import assemble_crn, bound
+
+    model = dataclasses.replace(hhk_model, h=(7, 8, 3, 3, -1, 8))
+    report = bound(assemble_crn(model))
+    tropical = report.tropical
+    assert tropical.count == 5
+    assert not tropical.transverse and tropical.positive_dimensional
+    assert report.certified_bound == 0
+    assert tropical.notes == (
+        "5 underdetermined tie system(s) pinned to a point by cone facets",
+        "4 positive cell(s) meet rowspan(A) in positive dimension",
+    )
+
+
 def test_free_matroid_report():
     C = RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     # kernel is trivial: every element is a loop, not a free matroid

@@ -266,7 +266,7 @@ def test_circuit_exchange_on_desk_instances(running_N):
 
 
 def test_escape_hatch_from_circuits():
-    M = OrientedMatroid.from_circuits(3, [SignedCircuit((1, 2), (3,))])
+    M = OrientedMatroid(3, [SignedCircuit((1, 2), (3,))])
     assert SignedCircuit((3,), (1, 2)) in M.circuits
     assert M.realization is None
 

@@ -40,6 +40,21 @@ def test_instantiate_constant_system_unchanged_by_t():
         assert list(F.coefficients[0]) == [1.0, -1.0]
 
 
+def test_instantiate_refuses_unrepresentable_coefficients(running_N, running_A):
+    # t^-400 overflows and t^400 underflows at t = 0.01; the shift is on column 5
+    for shift, reason in ((-400, "overflows"), (400, "rounds to 0")):
+        system = VerticalSystem(running_N, running_A, (0, 0, 0, 0, shift))
+        with pytest.raises(InstantiationError, match=f"^column 5: .*{reason}"):
+            instantiate(system, 0.01)
+    huge = VerticalSystem(
+        RationalMatrix.from_rows([[1, -(10**400)]]),
+        RationalMatrix.from_rows([[1, 0]]),
+        (0, 0),
+    )
+    with pytest.raises(InstantiationError, match="^column 2: .*overflows"):
+        instantiate(huge, 0.5)
+
+
 def test_terms_view(running_system):
     F = instantiate(running_system, 0.1)
     assert F.terms[0][4] == (pytest.approx(20.0), (1, 1))
