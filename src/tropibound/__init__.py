@@ -36,7 +36,6 @@ from tropibound.rational import RationalMatrix, RationalVector, vector
 from tropibound.subdivision import (
     Cell,
     DecoratedSimplex,
-    LiftedConfig,
     decorated_count,
     decorated_to_tropical,
     full_cells,
@@ -54,7 +53,6 @@ __all__ = [
     "FlagOfFlats",
     "IntersectionPoint",
     "IntersectionReport",
-    "LiftedConfig",
     "OrientedMatroid",
     "PositiveFan",
     "RationalMatrix",

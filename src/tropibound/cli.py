@@ -2,7 +2,8 @@
 to the pipeline, render human- and machine-readable reports.
 
 Exit codes: 0 success (certified where certification applies), 2 computed
-but not certified, 1 error.  Machine output is deterministic: exact
+but not certified, 1 error, 3 internal inconsistency (an independent check
+disagreed with the pipeline).  Machine output is deterministic: exact
 fraction strings, sorted keys, fixed layout.  Human output may show
 decimal approximations, always marked as such.
 """
@@ -15,16 +16,11 @@ import sys
 from fractions import Fraction
 
 from tropibound.bergman import compare_with_coarse, fine_fan, positive_fan
-from tropibound.intersection import InputValidationError, lower_bound
+from tropibound.intersection import lower_bound
 from tropibound.matroid import MatroidError, realize_from_kernel
-from tropibound.numeric import InstantiationError, count_roots
+from tropibound.numeric import count_roots
 from tropibound.rational import RationalMatrix, to_rational
-from tropibound.subdivision import (
-    SubdivisionError,
-    decorated_count,
-    full_cells,
-    is_triangulation,
-)
+from tropibound.subdivision import decorated_count, full_cells, is_triangulation
 from tropibound.systems import CRNModel, SystemError_, VerticalSystem, assemble_crn, bound
 
 
@@ -359,18 +355,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except (
-        CliInputError,
-        InputValidationError,
-        MatroidError,
-        SystemError_,
-        SubdivisionError,
-        InstantiationError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (AssertionError, RuntimeError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -92,18 +92,12 @@ class OrientedMatroid:
     """Signed-circuit presentation of an oriented matroid on {1..r}.
 
     Closed under negation: for every stored (C+, C-) the pair (C-, C+)
-    is stored too.  ``realization`` is a matrix whose rows span the
-    realized linear space, or None for matroids supplied circuit-first.
+    is stored too.
     """
 
-    __slots__ = ("ground_size", "circuits", "realization", "_supports", "_rank")
+    __slots__ = ("ground_size", "circuits", "_supports", "_masks", "_rank")
 
-    def __init__(
-        self,
-        ground_size: int,
-        circuits: Iterable[SignedCircuit],
-        realization: RationalMatrix | None = None,
-    ):
+    def __init__(self, ground_size: int, circuits: Iterable[SignedCircuit]):
         if ground_size < 1:
             raise MatroidError("ground set must be nonempty")
         closed: set[SignedCircuit] = set()
@@ -118,8 +112,8 @@ class OrientedMatroid:
                 raise MatroidError(f"circuit supports are nested: {set(a)} < {set(b)}")
         object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "circuits", tuple(sorted(closed)))
-        object.__setattr__(self, "realization", realization)
         object.__setattr__(self, "_supports", tuple(tuple(sorted(s)) for s in supports))
+        object.__setattr__(self, "_masks", tuple(_mask(s) for s in supports))
         object.__setattr__(self, "_rank", None)
 
     def __setattr__(self, name, value):
@@ -134,17 +128,14 @@ class OrientedMatroid:
     def ground_set(self) -> range:
         return range(1, self.ground_size + 1)
 
-    def is_independent(self, subset: Iterable[int]) -> bool:
-        s = set(subset)
-        return not any(set(sup) <= s for sup in self._supports)
-
     def rank_of(self, subset: Iterable[int]) -> int:
         """Matroid rank of a subset, by greedy extension of independent sets."""
-        chosen: set[int] = set()
+        chosen = 0
         for e in sorted(set(subset)):
-            if self.is_independent(chosen | {e}):
-                chosen.add(e)
-        return len(chosen)
+            trial = chosen | 1 << (e - 1)
+            if all(c & ~trial for c in self._masks):
+                chosen = trial
+        return chosen.bit_count()
 
     @property
     def rank(self) -> int:
@@ -192,11 +183,16 @@ def circuits_via_subsets(G: RationalMatrix) -> list[SignedCircuit]:
     r = G.cols
     g_rank = rank(G)
     circuits: list[SignedCircuit] = []
-    supports: list[set[int]] = []
+    # masks of the scanned dependent subsets; every smaller subset has been
+    # scanned, so cols strictly contains a circuit iff one of its
+    # one-smaller subsets is in here
+    dependent: set[int] = set()
+    bits = [1 << j for j in range(r)]
     for size in range(1, min(r, g_rank + 1) + 1):
-        for cols in combinations(range(r), size):
-            colset = set(cols)
-            if any(s < colset for s in supports):
+        for cols, colbits in zip(combinations(range(r), size), combinations(bits, size)):
+            colmask = sum(colbits)
+            if any(colmask - b in dependent for b in colbits):
+                dependent.add(colmask)
                 continue
             sub = G.submatrix_columns(cols)
             ker = kernel_basis(sub)
@@ -209,7 +205,7 @@ def circuits_via_subsets(G: RationalMatrix) -> list[SignedCircuit]:
             neg = tuple(cols[i] + 1 for i, x in enumerate(lam) if x < 0)
             c = SignedCircuit(pos, neg)
             circuits.extend([c, c.negated()])
-            supports.append(colset)
+            dependent.add(colmask)
     return sorted(set(circuits))
 
 
@@ -222,8 +218,7 @@ def realize_from_kernel(C: RationalMatrix) -> OrientedMatroid:
     """
     if C.is_zero():
         raise MatroidError("zero matrix realizes no oriented matroid here")
-    G = kernel_basis(C)
-    return OrientedMatroid(C.cols, circuits_via_subsets(G), realization=G)
+    return OrientedMatroid(C.cols, circuits_via_subsets(kernel_basis(C)))
 
 
 def initial_circuit(w: Sequence, c: SignedCircuit) -> SignedCircuit:
@@ -237,49 +232,51 @@ def initial_circuit(w: Sequence, c: SignedCircuit) -> SignedCircuit:
     )
 
 
-def closure(S: Iterable[int], M: OrientedMatroid) -> Flat:
-    """Smallest flat containing S.
+def _mask(S: Iterable[int]) -> int:
+    """Bitmask of distinct elements: element e is bit e-1."""
+    return sum(1 << (e - 1) for e in S)
 
-    Iterates "add e whenever some circuit support C has e in C and
-    C minus e inside the current set" to a fixed point.
+
+def _elements(mask: int, M: OrientedMatroid) -> tuple[int, ...]:
+    return tuple(e for e in M.ground_set if mask >> (e - 1) & 1)
+
+
+def _close(mask: int, M: OrientedMatroid) -> int:
+    """Add every e that is the only element of some circuit support outside.
+
+    One pass suffices: e lies in the closure of S iff some circuit C has
+    C - e inside S, and the closure of a closure adds nothing.
     """
-    current = set(S)
-    if not current <= set(M.ground_set):
+    for c in M._masks:
+        outside = c & ~mask
+        if outside and not outside & (outside - 1):
+            mask |= outside
+    return mask
+
+
+def closure(S: Iterable[int], M: OrientedMatroid) -> Flat:
+    """Smallest flat containing S."""
+    S = set(S)
+    if not S <= set(M.ground_set):
         raise MatroidError("subset leaves the ground set")
-    changed = True
-    while changed:
-        changed = False
-        for sup in M.circuit_supports:
-            sup_set = set(sup)
-            outside = sup_set - current
-            if len(outside) == 1:
-                current |= outside
-                changed = True
-    return Flat(tuple(sorted(current)), M.rank_of(current))
+    elements = _elements(_close(_mask(S), M), M)
+    return Flat(elements, M.rank_of(elements))
 
 
 @lru_cache(maxsize=64)
 def all_flats(M: OrientedMatroid) -> tuple[Flat, ...]:
     """Every flat of the underlying matroid, graded by rank.
 
-    Walks the lattice upward: the flats covering F are the closures of
-    F + {e} over e outside F.
+    Walks the lattice upward one rank at a time: the flats covering a
+    rank-k flat F are the closures of F + {e} over e outside F, and each
+    has rank k+1.
     """
-    bottom = closure((), M)
-    flats = {bottom.as_set: bottom}
-    frontier = [bottom]
-    while frontier:
-        nxt: dict[frozenset[int], Flat] = {}
-        for F in frontier:
-            for e in M.ground_set:
-                if e in F.as_set:
-                    continue
-                cover = closure(F.as_set | {e}, M)
-                if cover.as_set not in flats:
-                    nxt[cover.as_set] = cover
-        flats.update(nxt)
-        frontier = list(nxt.values())
-    return tuple(sorted(flats.values(), key=lambda f: (f.rank, f.elements)))
+    r = range(M.ground_size)
+    levels = [{_close(0, M)}]
+    while levels[-1]:
+        levels.append({_close(F | 1 << e, M) for F in levels[-1] for e in r if not F >> e & 1})
+    flats = (Flat(_elements(F, M), k) for k, level in enumerate(levels) for F in level)
+    return tuple(sorted(flats, key=lambda f: (f.rank, f.elements)))
 
 
 @lru_cache(maxsize=64)

@@ -27,27 +27,6 @@ class SubdivisionError(ValueError):
 
 
 @dataclass(frozen=True)
-class LiftedConfig:
-    """Exponent columns paired with their rational lift heights."""
-
-    points: tuple[tuple[Fraction, ...], ...]
-    lifts: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
-            raise SubdivisionError("exponent matrix has repeated columns")
-        if len(self.lifts) != len(self.points):
-            raise SubdivisionError("lift length mismatch")
-
-    @classmethod
-    def from_matrix(cls, A: RationalMatrix, h) -> "LiftedConfig":
-        return cls(
-            points=tuple(A.column(j) for j in range(A.cols)),
-            lifts=vector(h),
-        )
-
-
-@dataclass(frozen=True)
 class Cell:
     """A full-dimensional cell: 1-based column indices plus the witness v
     whose lift normal (v, 1) supports the cell's lower face."""
@@ -96,10 +75,13 @@ def full_cells(A: RationalMatrix, h: Sequence) -> list[Cell]:
     global argmin of (v, 1).(alpha_j, h_j), and keep the argmin set when
     its columns affinely span.  Cells are deduplicated by member set.
     """
-    config = LiftedConfig.from_matrix(A, h)
     n, r = A.rows, A.cols
-    hh = config.lifts
-    cols = list(config.points)
+    cols = [A.column(j) for j in range(r)]
+    hh = vector(h)
+    if len(set(cols)) != r:
+        raise SubdivisionError("exponent matrix has repeated columns")
+    if len(hh) != r:
+        raise SubdivisionError("lift length mismatch")
     found: dict[tuple[int, ...], Cell] = {}
     for subset in combinations(range(1, r + 1), n + 1):
         # unknowns (v, c): alpha_j . v - c = -h_j

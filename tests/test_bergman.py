@@ -263,9 +263,7 @@ def test_positive_implies_member(M):
 
 def test_negation_pair_invariance(running_N):
     M = realize_from_kernel(running_N)
-    flipped = OrientedMatroid(
-        M.ground_size, [c.negated() for c in M.circuits], realization=M.realization
-    )
+    flipped = OrientedMatroid(M.ground_size, [c.negated() for c in M.circuits])
     rng = random.Random(23)
     for _ in range(200):
         w = tuple(rng.randint(-4, 4) for _ in range(5))

@@ -133,6 +133,29 @@ def test_verify_large_shift_exit_one(tmp_path, capsys):
     assert err.startswith("error: column 5:") and "Traceback" not in err
 
 
+def test_internal_error_exit_three(monkeypatch, capsys):
+    import tropibound.intersection as mod
+
+    real = mod.intersect_via_vertices
+
+    def broken(OM, A, h, diagnostics=None):
+        rep = real(OM, A, h, diagnostics)
+        return mod.IntersectionReport(
+            points=rep.points[1:],
+            count=rep.count - 1,
+            transverse=rep.transverse,
+            lineality_ok=rep.lineality_ok,
+            diagnostics=rep.diagnostics,
+            method="vertices",
+        )
+
+    monkeypatch.setattr(mod, "intersect_via_vertices", broken)
+    code = main(["intersect", str(INPUTS / "running_2x5.json"), "--cross-check"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "Traceback" not in err
+
+
 def test_circuits_command_machine_output(tmp_path, capsys):
     out_path = tmp_path / "out.json"
     code = main(["circuits", str(INPUTS / "running_2x5.json"), "--json", str(out_path)])

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropibound.matroid import (
     Flat,
@@ -17,7 +19,7 @@ from tropibound.matroid import (
     maximal_flags,
     realize_from_kernel,
 )
-from tropibound.rational import RationalMatrix, kernel_basis
+from tropibound.rational import RationalMatrix, kernel_basis, rank
 
 RUNNING_CIRCUITS = {
     SignedCircuit((3,), (1, 2)),
@@ -188,12 +190,46 @@ def test_flats_match_exhaustive_closure_oracle():
         if C.is_zero():
             continue
         M = realize_from_kernel(C)
-        expected = set()
+        G = kernel_basis(C)
+
+        def col_rank(S):
+            return rank(G.submatrix_columns([e - 1 for e in S])) if S else 0
+
+        # S is a flat iff every column outside S raises the rank of S
+        expected = {}
         for size in range(6):
             for S in combinations(range(1, 6), size):
-                if closure(S, M).as_set == frozenset(S):
-                    expected.add(frozenset(S))
-        assert {f.as_set for f in all_flats(M)} == expected
+                k = col_rank(S)
+                if all(col_rank(S + (e,)) > k for e in range(1, 6) if e not in S):
+                    expected[frozenset(S)] = k
+        assert {f.as_set: f.rank for f in all_flats(M)} == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_column_permutation_relabels_circuits_and_flats(data):
+    r = data.draw(st.integers(1, 6), label="r")
+    C_rows = data.draw(
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=r, max_size=r), min_size=1, max_size=r
+        ).filter(lambda rows: any(any(row) for row in rows)),
+        label="C",
+    )
+    perm = data.draw(st.permutations(range(r)), label="perm")
+    # column j+1 of the permuted matrix is column perm[j]+1 of C
+    relabel = {perm[j] + 1: j + 1 for j in range(r)}
+    M = realize_from_kernel(RationalMatrix.from_rows(C_rows))
+    MP = realize_from_kernel(RationalMatrix.from_rows([[row[p] for p in perm] for row in C_rows]))
+
+    def moved(elements):
+        return tuple(relabel[e] for e in elements)
+
+    assert set(MP.circuits) == {
+        SignedCircuit(moved(c.positive), moved(c.negative)) for c in M.circuits
+    }
+    assert {(f.as_set, f.rank) for f in all_flats(MP)} == {
+        (frozenset(moved(f.elements)), f.rank) for f in all_flats(M)
+    }
 
 
 def test_closure_idempotent_extensive_monotone(running_N):
@@ -268,7 +304,6 @@ def test_circuit_exchange_on_desk_instances(running_N):
 def test_escape_hatch_from_circuits():
     M = OrientedMatroid(3, [SignedCircuit((1, 2), (3,))])
     assert SignedCircuit((3,), (1, 2)) in M.circuits
-    assert M.realization is None
 
 
 def test_rejects_nested_supports():
