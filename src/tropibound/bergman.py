@@ -5,7 +5,8 @@ minimum over every circuit support is attained at least twice, and to the
 positive subfan when every circuit's argmin meets both the positive and
 the negative part.  Fine cones are spanned by indicator vectors of flats
 along a chain, plus the all-ones lineality line; small flats carry the
-largest weights.
+largest weights.  Whether a whole cone is positive is decided flat by
+flat (``_positive_flats``); the weight predicates serve single vectors.
 """
 
 from __future__ import annotations
@@ -45,15 +46,7 @@ def _min_attained_twice(w: Sequence, support: tuple[int, ...]) -> bool:
 
 
 def _argmin_two_signed(w: Sequence, positive: tuple[int, ...], negative: tuple[int, ...]) -> bool:
-    m = None
-    for e in positive:
-        x = w[e - 1]
-        if m is None or x < m:
-            m = x
-    for e in negative:
-        x = w[e - 1]
-        if m is None or x < m:
-            m = x
+    m = min(w[e - 1] for e in positive + negative)
     return any(w[e - 1] == m for e in positive) and any(w[e - 1] == m for e in negative)
 
 
@@ -160,65 +153,66 @@ class PositiveFan:
         }
 
 
-def positive_fan(OM: OrientedMatroid) -> PositiveFan:
-    """Filter the fine fan's maximal cones by the relative-interior sample.
+def _positive_flats(OM: OrientedMatroid) -> set[Flat]:
+    """Flats F such that every signed circuit not inside F meets both signs
+    outside F; none at all when some circuit is one-signed.
 
-    Initial circuits are constant on the relative interior of a fine
-    cone, so one sample point decides the whole cone.
+    On the relative interior of a chain's cone the argmin of a circuit S
+    is S minus the largest chain flat not containing S, so the cone is
+    positive iff the empty flat and each flat of the chain are (the flag
+    description of Ardila-Klivans-Williams, arXiv math/0406116).
     """
-    kept = []
-    for cone in fine_fan(OM):
-        w = sample_relative_interior(cone)
-        if is_positive_member(w, OM):
-            kept.append(cone)
+    if not all(c.positive and c.negative for c in OM.circuits):
+        return set()
+    return {
+        f
+        for f in all_flats(OM)
+        if all(
+            c.support <= f.as_set
+            or not (f.as_set.issuperset(c.positive) or f.as_set.issuperset(c.negative))
+            for c in OM.circuits
+        )
+    }
+
+
+def positive_fan(OM: OrientedMatroid) -> PositiveFan:
+    """Filter the fine fan's maximal cones by the positivity of their flats
+    (see ``_positive_flats``)."""
+    positive = _positive_flats(OM)
+    # an empty set means a one-signed circuit, which the empty chain fails too
+    kept = [c for c in fine_fan(OM) if positive and positive.issuperset(c.flag.chain)]
     return PositiveFan(tuple(kept), OM)
 
 
 def positive_chains(OM: OrientedMatroid) -> list[FlagOfFlats]:
     """Chains of proper nonempty flats whose cone lies in the positive fan
     and that have no positive upward extension, found by depth-first
-    extension with pruning.
+    extension over the positive flats.
 
-    A chain's cone is positive iff its relative-interior sample passes
-    the positive-membership test.  Faces of positive cones are positive,
-    so the search prunes on first failure.  Every positive chain is a
-    prefix of a returned one, so the returned closed cones cover the
-    whole positive fan.  The empty chain (lineality-only cone) is
-    returned when it passes and no flat extends it.
+    A chain's cone is positive iff each of its flats is (see
+    ``_positive_flats``), so the returned closed cones cover the whole
+    positive fan.  The empty chain (lineality-only cone) is returned when
+    no circuit is one-signed and no flat extends it.
     """
-    r = OM.ground_size
-    proper = [
-        f
-        for f in all_flats(OM)
-        if f.elements and len(f.elements) < r and f.rank >= 1 and f.rank < OM.rank
-    ]
-    proper.sort(key=lambda f: (f.rank, f.elements))
-    indicator = {
-        f: tuple(1 if e in f.as_set else 0 for e in range(1, r + 1)) for f in proper
-    }
-
+    positive = _positive_flats(OM)
+    proper = sorted(
+        (f for f in positive if 0 < f.rank < OM.rank), key=lambda f: (f.rank, f.elements)
+    )
     out: list[FlagOfFlats] = []
 
-    def passes(sample: Sequence[int]) -> bool:
-        return all(_argmin_two_signed(sample, c.positive, c.negative) for c in OM.circuits)
-
-    def extend(chain: list[Flat], sample: tuple[int, ...], start: int):
+    def extend(chain: list[Flat], start: int):
         extended = False
         for idx in range(start, len(proper)):
             f = proper[idx]
             if chain and not (chain[-1].as_set < f.as_set):
                 continue
-            new_sample = tuple(a + b for a, b in zip(sample, indicator[f]))
-            if not passes(new_sample):
-                continue
             extended = True
-            extend(chain + [f], new_sample, idx + 1)
+            extend(chain + [f], idx + 1)
         if not extended:
             out.append(FlagOfFlats(tuple(chain)))
 
-    zero = (0,) * r
-    if passes(zero):
-        extend([], zero, 0)
+    if positive:
+        extend([], 0)
     return out
 
 

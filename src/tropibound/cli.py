@@ -92,10 +92,14 @@ def parse_input(path: str):
                 h=tuple(_vector(doc.get("h"), "h")),
             )
         if kind == "coarse_fan":
-            rays = [_vector(ray, f"rays[{i}]") for i, ray in enumerate(doc.get("rays", []))]
-            cones = doc.get("cones", [])
-            if not all(isinstance(c, list) and all(isinstance(i, int) for i in c) for c in cones):
-                raise CliInputError("cones: expected lists of 1-based ray indices")
+            rays, cones = doc.get("rays", []), doc.get("cones", [])
+            if not isinstance(rays, list) or not isinstance(cones, list):
+                raise CliInputError(f"{path}: 'rays' and 'cones' must be lists")
+            rays = [_vector(ray, f"rays[{i}]") for i, ray in enumerate(rays)]
+            indices = range(1, len(rays) + 1)
+            for k, c in enumerate(cones):
+                if not isinstance(c, list) or not all(type(i) is int and i in indices for i in c):
+                    raise CliInputError(f"{path}: cones[{k}]: indices run from 1 to {len(rays)}")
             return {"rays": rays, "cones": cones}
     except (SystemError_, MatroidError) as exc:
         raise CliInputError(f"{path}: {exc}") from None

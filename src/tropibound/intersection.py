@@ -335,8 +335,6 @@ def _local_cells(OM: OrientedMatroid, comp: list[int]) -> list[_Cell] | None:
                 )
             )
     local = OrientedMatroid(local_size, local_circuits)
-    if any(not c.positive or not c.negative for c in local.circuits):
-        return None
     cells = [
         tuple(
             tuple(comp[e - 1] for e in block)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropibound.bergman import (
     FlagCone,
@@ -18,6 +20,7 @@ from tropibound.matroid import (
     FlagOfFlats,
     OrientedMatroid,
     SignedCircuit,
+    all_flats,
     realize_from_kernel,
 )
 from tropibound.rational import RationalMatrix
@@ -232,6 +235,66 @@ def test_positive_chains_cover_positive_fan_cones(M):
     chains = {tuple(f.as_set for f in fl.chain) for fl in positive_chains(M)}
     for cone in positive_fan(M).cones:
         assert tuple(f.as_set for f in cone.flag.chain) in chains
+
+
+def reference_positive_chains(OM):
+    """Brute force: every chain of proper flats, in depth-first order, whose
+    relative-interior sample is a positive member and that no positive
+    flat extends upward."""
+    proper = [f for f in all_flats(OM) if 0 < f.rank < OM.rank]
+
+    def positive(chain):
+        cone = FlagCone(FlagOfFlats(tuple(chain)), OM.ground_size)
+        return is_positive_member(sample_relative_interior(cone), OM)
+
+    out = []
+
+    def walk(chain):
+        above = [f for f in proper if not chain or chain[-1].as_set < f.as_set]
+        if positive(chain) and not any(positive(chain + [f]) for f in above):
+            out.append(FlagOfFlats(tuple(chain)))
+        for f in above:
+            walk(chain + [f])
+
+    walk([])
+    return out
+
+
+def check_positive_flats_against_samples(OM):
+    assert positive_chains(OM) == reference_positive_chains(OM)
+    assert positive_fan(OM).cones == tuple(
+        cone
+        for cone in fine_fan(OM)
+        if is_positive_member(sample_relative_interior(cone), OM)
+    )
+
+
+@pytest.mark.parametrize(
+    "OM",
+    [
+        OrientedMatroid(4, [SignedCircuit((1, 2, 3), ())]),
+        OrientedMatroid(5, [SignedCircuit((1, 2), (3,)), SignedCircuit((4, 5), ())]),
+        OrientedMatroid(4, []),
+        OrientedMatroid(6, [SignedCircuit((1, 2, 3), (4, 5, 6))]),
+        OrientedMatroid(6, [SignedCircuit((2,), (1, 3, 4, 5, 6))]),
+    ],
+    ids=["one-signed", "one-signed-beside-mixed", "free", "mixed-3-3", "mixed-1-5"],
+)
+def test_positive_chains_match_sample_reference(OM):
+    check_positive_flats_against_samples(OM)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_positive_chains_match_sample_reference_random(data):
+    r = data.draw(st.integers(1, 6), label="r")
+    C_rows = data.draw(
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=r, max_size=r), min_size=1, max_size=r
+        ).filter(lambda rows: any(any(row) for row in rows)),
+        label="C",
+    )
+    check_positive_flats_against_samples(realize_from_kernel(RationalMatrix.from_rows(C_rows)))
 
 
 # --- invariance properties ---------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,32 @@ def test_positive_bergman_with_coarse_compare(capsys):
     doc = json.loads(capsys.readouterr().out)
     verdicts = [c["positive_member"] for c in doc["coarse_comparison"]["cones"]]
     assert verdicts == [True] * 5 + [False] * 5
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("cones", [[1, 2], [0, 3]]),
+        ("cones", [[1, 2], [3, 8]]),
+        ("cones", {"1": [1, 2]}),
+        ("rays", 7),
+    ],
+)
+def test_coarse_compare_refuses_bad_fan(tmp_path, capsys, field, value):
+    doc = json.loads((INPUTS / "coarse_fan_2x5.json").read_text())
+    doc[field] = value
+    path = write(tmp_path, "coarse.json", doc)
+    with pytest.raises(CliInputError, match=re.escape(path)):
+        parse_input(path)
+    code = main([
+        "positive-bergman",
+        str(INPUTS / "running_2x5.json"),
+        "--coarse-compare",
+        path,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
 def test_verify_command(capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tropibound.rational import RationalMatrix, kernel_basis, rank, vector
 from tropibound.systems import (
@@ -158,3 +160,68 @@ def test_decorated_le_tropical_on_random_instances():
         if report.tropical.transverse and report.decorated is not None:
             assert report.decorated[0] <= report.tropical.count
         checked += 1
+
+
+def bound_invariants(C, A, h):
+    report = bound(VerticalSystem(C, A, tuple(h)))
+    return (
+        report.certified_bound,
+        report.tropical.count,
+        report.tropical.transverse,
+        {p.w for p in report.tropical.points},
+    )
+
+
+def integer_rows(rows, cols, lo, hi):
+    return st.lists(
+        st.lists(st.integers(lo, hi), min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    ).map(RationalMatrix.from_rows)
+
+
+@settings(max_examples=70, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_bound_invariant_under_coordinate_changes(data):
+    r = data.draw(st.integers(3, 5), label="r")
+    n = data.draw(st.integers(1, 2), label="n")
+    C = data.draw(integer_rows(n, r, -3, 3), label="C")
+    A = data.draw(integer_rows(n, r, -3, 3), label="A")
+    assume(rank(C) == n and rank(A) == n)
+    h = data.draw(st.lists(st.integers(-6, 6), min_size=r, max_size=r), label="h")
+    expected = bound_invariants(C, A, h)
+
+    # C -> UC for an invertible integer U: ker(C) is unchanged
+    U = data.draw(integer_rows(n, n, -2, 2), label="U")
+    assume(rank(U) == n)
+    assert bound_invariants(U.matmul(C), A, h) == expected
+
+    # C -> CD for a positive diagonal D: the signs of ker(C) are unchanged
+    d = data.draw(
+        st.lists(st.fractions(min_value=Fraction(1, 4), max_value=4), min_size=r, max_size=r),
+        label="D",
+    )
+    CD = RationalMatrix.from_rows([[x * y for x, y in zip(row, d)] for row in C.row_list()])
+    assert bound_invariants(CD, A, h) == expected
+
+    # A -> VA for a unimodular V, built from elementary row operations: the
+    # points v move to V^-T v and their w = A^T v stay
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2)), max_size=4),
+        label="row operations",
+    ):
+        if i == j:
+            V[i] = [-x for x in V[i]]
+        else:
+            V[i] = [x + c * y for x, y in zip(V[i], V[j])]
+    VA = RationalMatrix.from_rows(V).matmul(A)
+    assert bound_invariants(C, VA, h) == expected
+
+    # a column permutation of C, A and h permutes the coordinates of each w
+    perm = data.draw(st.permutations(range(r)), label="perm")
+    certified, count, transverse, ws = bound_invariants(
+        C.submatrix_columns(perm), A.submatrix_columns(perm), [h[p] for p in perm]
+    )
+    assert (certified, count, transverse) == expected[:3]
+    assert ws == {tuple(w[p] for p in perm) for w in expected[3]}
