@@ -26,8 +26,6 @@ from tropibound.rational import to_rational
 
 
 def _coerce(w: Sequence) -> tuple:
-    if any(isinstance(x, str) for x in w):
-        return tuple(to_rational(x) for x in w)
     for x in w:
         if isinstance(x, float):
             raise TypeError("membership predicates are exact; pass int/Fraction, not float")

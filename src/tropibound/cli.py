@@ -194,6 +194,12 @@ def run(args) -> int:
             coarse = parse_input(args.coarse_compare)
             if not isinstance(coarse, dict):
                 raise CliInputError("--coarse-compare needs a coarse_fan document")
+            for i, ray in enumerate(coarse["rays"]):
+                if len(ray) != M.ground_size:
+                    raise CliInputError(
+                        f"{args.coarse_compare}: rays[{i}]: expected {M.ground_size}"
+                        f" entries, got {len(ray)}"
+                    )
             cmp_doc = compare_with_coarse(M, coarse["rays"], coarse["cones"])
             doc["coarse_comparison"] = cmp_doc
             lines.append("coarse comparison:")

@@ -24,6 +24,7 @@ from tropibound.matroid import (
     FlagOfFlats,
     OrientedMatroid,
     SignedCircuit,
+    initial_circuit,
 )
 from tropibound.rational import (
     RationalMatrix,
@@ -231,15 +232,11 @@ def tangent_direction(
         if key in seen_pairs:
             continue
         seen_pairs.add(key)
-        sup = tuple(sorted(c.support))
-        m = min(p[e - 1] for e in sup)
-        arg = tuple(e for e in sup if p[e - 1] == m)
-        pos = [e for e in c.positive if e in arg]
-        neg = [e for e in c.negative if e in arg]
-        if not pos or not neg:
+        ic = initial_circuit(p, c)
+        if not ic.positive or not ic.negative:
             raise ValueError("point is not in the positive fan; isolation is undefined")
-        witnesses = [(i, j) for i in pos for j in neg]
-        tasks.append((witnesses, arg))
+        witnesses = [(i, j) for i in ic.positive for j in ic.negative]
+        tasks.append((witnesses, tuple(sorted(ic.support))))
     tasks.sort(key=lambda t: (len(t[0]), len(t[1])))
     if not tasks:
         # no circuits: the fan is everything and every direction stays in
@@ -530,10 +527,17 @@ def intersect_via_vertices(
 ) -> IntersectionReport:
     """Independent oracle: vertices of the tie-hyperplane arrangement.
 
-    Ties between coordinates sharing a circuit support are enough: an
-    isolated intersection point is pinned by its argmin ties, all of
-    which live inside circuit supports.  Slow but structurally unrelated
-    to the fan walk; intended as a desk-scale cross-check.
+    The planes are the ties w_i = w_j for every pair i, j sharing a
+    circuit support.  An isolated point in the relative interior of a
+    positive cell is pinned by its argmin ties, all of which live inside
+    circuit supports, so it is a vertex here.  That argument does not
+    cover a point pinned on a cell boundary by the cell's facets; the
+    oracle finding those rests on its agreement with the fan walk
+    (acceptance criterion 7), not on a proof.  The plane set is kept
+    whole: keeping only opposite-sign ties inside each circuit cut the
+    hhk oracle about eightfold but missed 1 of the 5 points at
+    h = (7, 8, 3, 3, -1, 8).  Slow but structurally unrelated to the
+    fan walk; intended as a desk-scale cross-check.
     """
     hh = vector(h)
     if diagnostics is None:

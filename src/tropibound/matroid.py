@@ -254,15 +254,6 @@ def _close(mask: int, M: OrientedMatroid) -> int:
     return mask
 
 
-def closure(S: Iterable[int], M: OrientedMatroid) -> Flat:
-    """Smallest flat containing S."""
-    S = set(S)
-    if not S <= set(M.ground_set):
-        raise MatroidError("subset leaves the ground set")
-    elements = _elements(_close(_mask(S), M), M)
-    return Flat(elements, M.rank_of(elements))
-
-
 @lru_cache(maxsize=64)
 def all_flats(M: OrientedMatroid) -> tuple[Flat, ...]:
     """Every flat of the underlying matroid, graded by rank.

@@ -35,16 +35,6 @@ class InstantiatedSystem:
     exponents: np.ndarray  # shape (r, n), column j of A as row j
     t: float
 
-    @property
-    def terms(self) -> list[list[tuple[float, tuple[int, ...]]]]:
-        return [
-            [
-                (float(self.coefficients[i, j]), tuple(int(e) for e in self.exponents[j]))
-                for j in range(self.exponents.shape[0])
-            ]
-            for i in range(self.n)
-        ]
-
     def evaluate_log(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Values, term magnitudes scale, and scaled residual at x = exp(y).
 
@@ -183,7 +173,6 @@ def count_roots(
     t: float,
     report: IntersectionReport,
     tol: float = 1e-9,
-    max_iter: int = 100,
     multistarts: int = 16,
     seed: int = 0,
     separation: float = 1e-4,
@@ -208,7 +197,7 @@ def count_roots(
 
     witnesses: list[RootWitness] = []
     for origin, x0 in seeds:
-        w = newton(F, x0, tol=tol, max_iter=max_iter, seed_origin=origin)
+        w = newton(F, x0, tol=tol, seed_origin=origin)
         if w is None:
             continue
         logs = [math.log(v) for v in w.x]

@@ -75,10 +75,6 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):

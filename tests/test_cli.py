@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -219,6 +220,22 @@ def test_coarse_compare_refuses_bad_fan(tmp_path, capsys, field, value):
     assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
+def test_coarse_compare_refuses_short_ray(tmp_path, capsys):
+    # parse_input cannot know the ground size, so the command refuses the ray
+    doc = json.loads((INPUTS / "coarse_fan_2x5.json").read_text())
+    doc["rays"][0] = doc["rays"][0][:4]
+    path = write(tmp_path, "coarse.json", doc)
+    code = main([
+        "positive-bergman",
+        str(INPUTS / "running_2x5.json"),
+        "--coarse-compare",
+        path,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: rays[0]: ") and "Traceback" not in err
+
+
 def test_verify_command(capsys):
     code = main(["verify", str(INPUTS / "running_2x5.json"), "--t", "0.01", "--json", "-"])
     assert code == 0
@@ -251,3 +268,40 @@ def test_crn_command_exit_zero(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "certified lower bound on positive real roots: 3" in out
+
+
+# sha256 of the `--json -` document of each command on the shipped inputs;
+# None marks a command that refuses the input (exit 1, nothing on stdout).
+# `verify` is left out: its floats depend on numpy.
+CLI_GOLDEN = {
+    ("running_2x5", "circuits"): "99fc90d96328c4aedd84bc2a573361732049f2bcd4f7e6857819d777927fe4a9",
+    ("running_2x5", "flats"): "72cf150057bcda572dfef79b4f5ebbedde26a2e7d0e944934e88618f4ee36c5c",
+    ("running_2x5", "bergman"): "2e787ccb61cdd845efd6a46ec83eec5cff52f0ce38de5068a15685b61d552023",
+    ("running_2x5", "positive-bergman"): "46f8f838e080e90aa2ac6e97f331a6ef9f3beba1c217b7de2959209ce23cea0d",
+    ("running_2x5", "intersect"): "6f591e6c541aa9db37a395f70ef9a05dc84ac13dd55584d51c04bbe062e85297",
+    ("running_2x5", "subdivision"): "216d6d4b72e23009d794b1ffa19bcb69cb1913dd3e65696851c33f76a696f643",
+    ("running_2x5", "decorated"): "de1527bf08a6696210ee8300bd0728dc513fab3ad97e077addbd5e71d8079dc5",
+    ("running_2x5", "bound"): "e71040efe76520a4873a1ffd280df21801b68198ee3ec08a216cdb0941f4d975",
+    ("running_2x5", "crn"): None,
+    ("hhk_crn", "circuits"): "e55bd713ac6ead06af3438c09eaaea122ed774f66b58dd16aa8963693dcb9a3f",
+    ("hhk_crn", "flats"): "4aa678fa46870288f1b218f4c49d423a27aa82886283d0d6ed0143faf7ab4dae",
+    ("hhk_crn", "bergman"): "220f8809fcc0ad9bdb9e4f776be3dc512364ece5af2e90143511de8d10e3bbaf",
+    ("hhk_crn", "positive-bergman"): "4963e541d8e94aa55293c6df46f6b4d974a6eb958d969482a25fb5941701f39d",
+    ("hhk_crn", "intersect"): "0b2bc0b7b703a080c08b21938b3ba40a8113a8846e3276a9548f6268dcb8955e",
+    ("hhk_crn", "subdivision"): None,
+    ("hhk_crn", "decorated"): None,
+    ("hhk_crn", "bound"): "457e6c98915f84aa984a5a943abeee9236b2907a51024332f79ff4ec676544a5",
+    ("hhk_crn", "crn"): "457e6c98915f84aa984a5a943abeee9236b2907a51024332f79ff4ec676544a5",
+}
+
+
+@pytest.mark.parametrize("name, command", list(CLI_GOLDEN), ids=[f"{n}-{c}" for n, c in CLI_GOLDEN])
+def test_shipped_documents_golden(capsys, name, command):
+    code = main([command, str(INPUTS / f"{name}.json"), "--json", "-"])
+    out = capsys.readouterr().out
+    expected = CLI_GOLDEN[name, command]
+    if expected is None:
+        assert code == 1 and out == ""
+    else:
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected

@@ -14,7 +14,6 @@ from tropibound.matroid import (
     SignedCircuit,
     all_flats,
     circuits_via_subsets,
-    closure,
     initial_circuit,
     maximal_flags,
     realize_from_kernel,
@@ -78,7 +77,7 @@ def test_realize_two_element_dependency():
 
 def test_realize_rejects_zero_matrix():
     with pytest.raises(MatroidError):
-        realize_from_kernel(RationalMatrix.zero(2, 3))
+        realize_from_kernel(RationalMatrix(2, 3, [0] * 6))
 
 
 def test_circuits_random_against_sympy_oracle():
@@ -142,19 +141,7 @@ def test_initial_circuit_single_example(running_N):
     )
 
 
-# --- closure and flats ---------------------------------------------------
-
-
-def test_closure_free_matroid():
-    M = OrientedMatroid(3, [])
-    for S in [set(), {1}, {2, 3}, {1, 2, 3}]:
-        assert closure(S, M).as_set == frozenset(S)
-
-
-def test_closure_running_example(running_N):
-    M = realize_from_kernel(running_N)
-    assert closure({2, 3}, M).as_set == frozenset({1, 2, 3})
-    assert closure({1, 4, 5}, M).as_set == frozenset({1, 4, 5})
+# --- flats ----------------------------------------------------------------
 
 
 def test_all_flats_running_example(running_N):
@@ -230,18 +217,6 @@ def test_column_permutation_relabels_circuits_and_flats(data):
     assert {(f.as_set, f.rank) for f in all_flats(MP)} == {
         (frozenset(moved(f.elements)), f.rank) for f in all_flats(M)
     }
-
-
-def test_closure_idempotent_extensive_monotone(running_N):
-    M = realize_from_kernel(running_N)
-    rng = random.Random(17)
-    for _ in range(25):
-        S = {e for e in range(1, 6) if rng.random() < 0.5}
-        T = S | {e for e in range(1, 6) if rng.random() < 0.3}
-        cS, cT = closure(S, M).as_set, closure(T, M).as_set
-        assert S <= cS
-        assert closure(cS, M).as_set == cS
-        assert cS <= cT
 
 
 # --- flags ----------------------------------------------------------------

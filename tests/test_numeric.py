@@ -57,7 +57,8 @@ def test_instantiate_refuses_unrepresentable_coefficients(running_N, running_A):
 
 def test_terms_view(running_system):
     F = instantiate(running_system, 0.1)
-    assert F.terms[0][4] == (pytest.approx(20.0), (1, 1))
+    assert F.coefficients[0, 4] == pytest.approx(20.0)
+    assert tuple(F.exponents[4]) == (1, 1)
 
 
 def test_newton_toy_square():

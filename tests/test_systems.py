@@ -82,7 +82,7 @@ def test_single_species_toy_assembly():
     model = CRNModel(
         N_stoich=RationalMatrix.from_rows([[-1]]),
         B=RationalMatrix.from_rows([[1]]),
-        W=RationalMatrix.zero(0, 1),
+        W=RationalMatrix(0, 1, []),
         T=(),
         h=(0,),
     )
