@@ -12,7 +12,6 @@ flat (``_positive_flats``); the weight predicates serve single vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from tropibound.matroid import (
@@ -119,13 +118,15 @@ class FlagCone:
         }
 
 
-def sample_relative_interior(cone: FlagCone) -> tuple[Fraction, ...]:
-    """Sum of the flag's indicator vectors: a canonical relative-interior
+def sample_relative_interior(cone: FlagCone) -> tuple[int, ...]:
+    """Sum of the flag's indicator vectors, counted per element as the
+    number of chain flats containing it: a canonical relative-interior
     point with zero lineality part."""
     acc = [0] * cone.ground_size
-    for g in cone.generators:
-        acc = [a + b for a, b in zip(acc, g)]
-    return tuple(Fraction(a) for a in acc)
+    for f in cone.flag.chain:
+        for e in f.elements:
+            acc[e - 1] += 1
+    return tuple(acc)
 
 
 def fine_fan(M: OrientedMatroid) -> list[FlagCone]:

@@ -186,10 +186,7 @@ def run(args) -> int:
         else:
             pf = positive_fan(M)
             doc = {"kind": "positive_fan", **pf.to_document()}
-            lines = [
-                f"positive fan: {len(pf.cones)} of {len(fine_fan(M))} maximal cones"
-                + (" (free matroid: whole space)" if pf.free_matroid else "")
-            ]
+            lines = [f"positive fan: {len(pf.cones)} of {len(fine_fan(M))} maximal cones"]
         if args.coarse_compare:
             coarse = parse_input(args.coarse_compare)
             if not isinstance(coarse, dict):

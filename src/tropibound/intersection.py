@@ -142,21 +142,19 @@ class IntersectionReport:
     points: tuple[IntersectionPoint, ...]
     count: int
     transverse: bool
-    lineality_ok: bool
     diagnostics: Diagnostics
-    method: str
-    free_matroid: bool = False
-    positive_dimensional: bool = False
-    notes: tuple[str, ...] = ()
+    free_matroid: bool
+    positive_dimensional: bool
+    notes: tuple[str, ...]
     # the oriented matroid the points were found in; not part of the document
-    matroid: OrientedMatroid | None = field(default=None, compare=False, repr=False)
+    matroid: OrientedMatroid = field(compare=False, repr=False)
 
     def to_document(self) -> dict:
         return {
-            "method": self.method,
+            "method": "fan",
             "count": self.count,
             "transverse": self.transverse,
-            "lineality_ok": self.lineality_ok,
+            "lineality_ok": self.diagnostics.lineality_ok,
             "free_matroid": self.free_matroid,
             "positive_dimensional": self.positive_dimensional,
             "diagnostics": {
@@ -207,7 +205,7 @@ def _is_interior(p: Sequence[Fraction], OM: OrientedMatroid) -> bool:
 
 
 def tangent_direction(
-    point, OM: OrientedMatroid, A: RationalMatrix, h: Sequence
+    v: Sequence, OM: OrientedMatroid, A: RationalMatrix, h: Sequence
 ) -> tuple[Fraction, ...] | None:
     """A nonzero direction u with A^T (v + eps u) + h inside the positive
     fan for all small eps > 0, or None when no such direction exists.
@@ -216,9 +214,9 @@ def tangent_direction(
     of A^T u over the circuit's current argmin set still meets both
     signs.  That is a finite union of polyhedral cones indexed by
     per-circuit witness pairs; each surviving cone is probed exactly for
-    a nonzero point.  Accepts an IntersectionPoint or a bare v vector.
+    a nonzero point.
     """
-    v = point.v if isinstance(point, IntersectionPoint) else vector(point)
+    v = vector(v)
     hh = vector(h)
     At = A.transpose()
     w = At.apply(v)
@@ -272,10 +270,10 @@ def tangent_direction(
     return next(iter(samples.values()))
 
 
-def is_isolated(point, OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> bool:
+def is_isolated(v: Sequence, OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> bool:
     """Exact certificate: no nonzero tangent direction inside rowspan(A)
     stays in the positive fan."""
-    return tangent_direction(point, OM, A, h) is None
+    return tangent_direction(v, OM, A, h) is None
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +347,8 @@ def _build_report(
     A: RationalMatrix,
     hh: tuple[Fraction, ...],
     diagnostics: Diagnostics,
-    method: str,
     positive_dimensional: bool,
     notes: list[str],
-    free_matroid: bool = False,
 ) -> IntersectionReport:
     points = []
     for v in sorted(candidates):
@@ -367,6 +363,7 @@ def _build_report(
                 interior=_is_interior(p, OM),
             )
         )
+    free_matroid = not OM.circuits
     transverse = (
         diagnostics.ok
         and not free_matroid
@@ -377,36 +374,11 @@ def _build_report(
         points=tuple(points),
         count=len(points),
         transverse=transverse,
-        lineality_ok=diagnostics.lineality_ok,
         diagnostics=diagnostics,
-        method=method,
         free_matroid=free_matroid,
         positive_dimensional=positive_dimensional,
         notes=tuple(notes),
         matroid=OM,
-    )
-
-
-def _free_matroid_report(
-    OM: OrientedMatroid,
-    A: RationalMatrix,
-    hh: tuple[Fraction, ...],
-    diagnostics: Diagnostics,
-    method: str,
-) -> IntersectionReport:
-    return _build_report(
-        {},
-        OM,
-        A,
-        hh,
-        diagnostics,
-        method,
-        positive_dimensional=True,
-        notes=[
-            "free matroid: no circuits, the positive fan is all of R^r and the"
-            " intersection is all of rowspan(A)"
-        ],
-        free_matroid=True,
     )
 
 
@@ -430,8 +402,6 @@ def intersect_via_fan(
     if diagnostics is None:
         diagnostics = _diagnostics_from_matroid(OM, A)
     n = A.rows
-    if not OM.circuits:
-        return _free_matroid_report(OM, A, hh, diagnostics, "fan")
     At = A.transpose()
     at_rows = [At.row(i) for i in range(At.rows)]
 
@@ -449,7 +419,7 @@ def intersect_via_fan(
             notes.append(
                 f"component {comp} admits no positive weight; the positive fan is empty"
             )
-            return _build_report({}, OM, A, hh, diagnostics, "fan", False, notes)
+            return _build_report({}, OM, A, hh, diagnostics, False, notes)
         grouped: dict[frozenset, list[_Cell]] = {}
         for cell in cells:
             grouped.setdefault(frozenset(map(frozenset, cell)), []).append(cell)
@@ -514,18 +484,14 @@ def intersect_via_fan(
         notes.append(
             f"{positive_cells} positive cell(s) meet rowspan(A) in positive dimension"
         )
-    return _build_report(
-        candidates, OM, A, hh, diagnostics, "fan", positive_cells > 0, notes
-    )
+    return _build_report(candidates, OM, A, hh, diagnostics, positive_cells > 0, notes)
 
 
 def intersect_via_vertices(
-    OM: OrientedMatroid,
-    A: RationalMatrix,
-    h: Sequence,
-    diagnostics: Diagnostics | None = None,
-) -> IntersectionReport:
-    """Independent oracle: vertices of the tie-hyperplane arrangement.
+    OM: OrientedMatroid, A: RationalMatrix, h: Sequence
+) -> set[tuple[Fraction, ...]]:
+    """Independent oracle: the exact v of every vertex of the
+    tie-hyperplane arrangement whose image lies in the positive fan.
 
     The planes are the ties w_i = w_j for every pair i, j sharing a
     circuit support.  An isolated point in the relative interior of a
@@ -538,13 +504,13 @@ def intersect_via_vertices(
     hhk oracle about eightfold but missed 1 of the 5 points at
     h = (7, 8, 3, 3, -1, 8).  Slow but structurally unrelated to the
     fan walk; intended as a desk-scale cross-check.
+
+    Only the v set is returned, with no isolation, interiority or level
+    flags: that set is all ``lower_bound`` and acceptance criterion 7
+    compare.  A matroid with no circuits has no planes and so no vertices.
     """
     hh = vector(h)
-    if diagnostics is None:
-        diagnostics = _diagnostics_from_matroid(OM, A)
     n = A.rows
-    if not OM.circuits:
-        return _free_matroid_report(OM, A, hh, diagnostics, "vertices")
     At = A.transpose()
 
     # Integer augmented rows (a . v = b scaled to integers per plane) so
@@ -565,7 +531,7 @@ def intersect_via_vertices(
                 hyperplanes[aug] = None
     planes = list(hyperplanes)
 
-    candidates: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
+    found: set[tuple[Fraction, ...]] = set()
     solved: set[tuple[Fraction, ...]] = set()
     from math import gcd
 
@@ -593,7 +559,7 @@ def intersect_via_vertices(
             w = At.apply(v)
             p = tuple(a + b for a, b in zip(w, hh))
             if is_positive_member(p, OM):
-                candidates[v] = w
+                found.add(v)
             return
         limit = len(planes) - (n - depth) + 1
         for k in range(start, limit):
@@ -614,7 +580,7 @@ def intersect_via_vertices(
                     break
 
     walk(0, [])
-    return _build_report(candidates, OM, A, hh, diagnostics, "vertices", False, [])
+    return found
 
 
 def lower_bound(
@@ -636,10 +602,10 @@ def lower_bound(
     OM = realize_from_kernel(C)
     report = intersect_via_fan(OM, A, h, diagnostics)
     if cross_check:
-        other = intersect_via_vertices(OM, A, h, diagnostics)
-        if {p.v for p in report.points} != {p.v for p in other.points}:
+        found = {p.v for p in report.points}
+        other = intersect_via_vertices(OM, A, h)
+        if found != other:
             raise OracleMismatchError(
-                f"fan walk found {[p.v for p in report.points]} but vertex oracle found"
-                f" {[p.v for p in other.points]}"
+                f"fan walk found {sorted(found)} but vertex oracle found {sorted(other)}"
             )
     return report

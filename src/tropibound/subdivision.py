@@ -160,23 +160,20 @@ def decorated_to_tropical(
     d: DecoratedSimplex,
     A: RationalMatrix,
     h: Sequence,
-    matroid: OrientedMatroid | None = None,
+    matroid: OrientedMatroid,
 ) -> tuple[Fraction, ...]:
     """Image of a decorated simplex in the tropical intersection set:
     w = A^T v for the cell's witness v.
 
-    When the coefficient matroid is supplied, w + h must pass the
-    positive-membership test; a failure would falsify the comparison map's
-    injectivity on this instance and raises immediately.
+    w + h must pass the positive-membership test for the coefficient
+    matroid; a failure would falsify the comparison map's injectivity on
+    this instance and raises immediately.
     """
-    v = d.cell.witness
-    w = A.transpose().apply(v)
-    if matroid is not None:
-        hh = vector(h)
-        p = tuple(a + b for a, b in zip(w, hh))
-        if not is_positive_member(p, matroid):
-            raise AssertionError(
-                "decorated simplex maps outside the positive tropical set;"
-                f" cell {d.cell.members}, image {tuple(str(x) for x in w)}"
-            )
+    w = A.transpose().apply(d.cell.witness)
+    p = tuple(a + b for a, b in zip(w, vector(h)))
+    if not is_positive_member(p, matroid):
+        raise AssertionError(
+            "decorated simplex maps outside the positive tropical set;"
+            f" cell {d.cell.members}, image {tuple(str(x) for x in w)}"
+        )
     return w

@@ -195,9 +195,7 @@ def bound(system: VerticalSystem, cross_check: bool = False) -> BoundReport:
     else:
         certified = 0
         notes.append("no certified method applies; bound defaults to 0")
-    if tropical.free_matroid:
-        notes.append("positive fan is the whole space (free matroid)")
-    elif tropical.transverse and tropical.count == 0:
+    if tropical.transverse and tropical.count == 0:
         notes.append("the shifted positive fan misses rowspan(A) entirely")
     notes.extend(tropical.diagnostics.messages)
     return BoundReport(

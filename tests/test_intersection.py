@@ -126,8 +126,7 @@ def test_positive_dimensional_intersection_flagged():
     assert report.positive_dimensional
     assert not report.transverse
     assert report.count == 0
-    other = intersect_via_vertices(realize_from_kernel(C), A, [0, 0, 0, 0])
-    assert {p.v for p in other.points} == set()
+    assert intersect_via_vertices(realize_from_kernel(C), A, [0, 0, 0, 0]) == set()
 
 
 def test_one_signed_pair_literal():
@@ -146,8 +145,8 @@ def test_loop_element_empties_the_fan():
     assert any(len(c.support) == 1 for c in M.circuits)
     A = RationalMatrix.from_rows([[1, 0, 1], [0, 1, 2]])
     fan = intersect_via_fan(M, A, [0, 0, 0])
-    vx = intersect_via_vertices(M, A, [0, 0, 0])
-    assert fan.count == vx.count == 0
+    assert fan.count == 0
+    assert intersect_via_vertices(M, A, [0, 0, 0]) == set()
 
 
 def test_repeated_exponent_columns_both_methods():
@@ -157,11 +156,11 @@ def test_repeated_exponent_columns_both_methods():
     # equal shifts: the tied pair collapses to a line of solutions
     fan = intersect_via_fan(M, A, [0, 0, 0])
     assert fan.positive_dimensional and not fan.transverse and fan.count == 0
-    assert {p.v for p in intersect_via_vertices(M, A, [0, 0, 0]).points} == set()
+    assert intersect_via_vertices(M, A, [0, 0, 0]) == set()
     # unequal shifts: the tie is impossible, nothing survives
     fan2 = intersect_via_fan(M, A, [0, 1, 0])
     assert fan2.count == 0 and not fan2.positive_dimensional
-    assert {p.v for p in intersect_via_vertices(M, A, [0, 1, 0]).points} == set()
+    assert intersect_via_vertices(M, A, [0, 1, 0]) == set()
 
 
 def test_crn_points_isolated_and_interior(hhk_model):
@@ -172,7 +171,7 @@ def test_crn_points_isolated_and_interior(hhk_model):
     report = lower_bound(vs.C, vs.A, vs.h)
     assert report.count == 3
     for p in report.points:
-        assert is_isolated(p, M, vs.A, vs.h)
+        assert is_isolated(p.v, M, vs.A, vs.h)
         assert p.interior
 
 
@@ -204,10 +203,12 @@ def test_free_matroid_report():
 
     M = OrientedMatroid(3, [])
     A = RationalMatrix.from_rows([[1, 0, 1], [0, 1, 2]])
+    # no circuits: the general walk sees one positive cell, the whole space
     rep = intersect_via_fan(M, A, [0, 0, 0])
-    assert rep.free_matroid and not rep.transverse and rep.count == 0
-    rep_v = intersect_via_vertices(M, A, [0, 0, 0])
-    assert rep_v.free_matroid and not rep_v.transverse and rep_v.count == 0
+    assert rep.free_matroid and rep.positive_dimensional
+    assert not rep.transverse and rep.count == 0
+    assert rep.notes == ("1 positive cell(s) meet rowspan(A) in positive dimension",)
+    assert intersect_via_vertices(M, A, [0, 0, 0]) == set()
 
 
 # --- isolation -----------------------------------------------------------------
@@ -217,7 +218,7 @@ def test_is_isolated_on_golden_points(running_N, running_A):
     M = realize_from_kernel(running_N)
     report = lower_bound(running_N, running_A, H_RUN)
     for p in report.points:
-        assert is_isolated(p, M, running_A, H_RUN)
+        assert is_isolated(p.v, M, running_A, H_RUN)
 
 
 def test_is_isolated_false_on_a_line():
@@ -245,7 +246,7 @@ def test_reported_non_isolated_point_carries_verified_direction():
     target = vector([Fraction(1, 5), Fraction(1, 10)])
     point = {p.v: p for p in rep.points}[target]
     assert not point.isolated
-    u = tangent_direction(point, M, A, h)
+    u = tangent_direction(point.v, M, A, h)
     assert u is not None
     # the direction really stays inside the fan at a small exact step
     from tropibound.bergman import is_positive_member
@@ -275,7 +276,7 @@ def test_tangent_probe_on_random_instances():
         At = A.transpose()
         hh = vector(h)
         for p in rep.points:
-            u = tangent_direction(p, M, A, h)
+            u = tangent_direction(p.v, M, A, h)
             assert (u is None) == p.isolated
             if u is None:
                 for _ in range(40):
@@ -324,8 +325,7 @@ def test_oracle_equivalence_random_instances():
         d = validate_inputs(C, A, h)
         M = realize_from_kernel(C)
         fan = intersect_via_fan(M, A, h, d)
-        vertices = intersect_via_vertices(M, A, h, d)
-        assert {p.v for p in fan.points} == {p.v for p in vertices.points}
+        assert {p.v for p in fan.points} == intersect_via_vertices(M, A, h)
 
 
 def test_oracle_mismatch_raises(monkeypatch, running_N, running_A):
@@ -333,16 +333,8 @@ def test_oracle_mismatch_raises(monkeypatch, running_N, running_A):
 
     real = mod.intersect_via_vertices
 
-    def broken(OM, A, h, diagnostics=None):
-        rep = real(OM, A, h, diagnostics)
-        return mod.IntersectionReport(
-            points=rep.points[1:],
-            count=rep.count - 1,
-            transverse=rep.transverse,
-            lineality_ok=rep.lineality_ok,
-            diagnostics=rep.diagnostics,
-            method="vertices",
-        )
+    def broken(OM, A, h):
+        return set(sorted(real(OM, A, h))[1:])
 
     monkeypatch.setattr(mod, "intersect_via_vertices", broken)
     with pytest.raises(OracleMismatchError):

@@ -207,6 +207,9 @@ def test_column_permutation_relabels_circuits_and_flats(data):
     relabel = {perm[j] + 1: j + 1 for j in range(r)}
     M = realize_from_kernel(RationalMatrix.from_rows(C_rows))
     MP = realize_from_kernel(RationalMatrix.from_rows([[row[p] for p in perm] for row in C_rows]))
+    # a nonzero C always yields a circuit (loops when its kernel is zero),
+    # so no kernel realization is a free matroid
+    assert M.circuits and MP.circuits
 
     def moved(elements):
         return tuple(relabel[e] for e in elements)

@@ -225,7 +225,7 @@ def test_decorated_image_is_reported_point(running_N, running_A):
     _, simplices = decorated_count(running_N, running_A, H_RUN)
     reported = {p.w for p in report.points}
     images = {
-        decorated_to_tropical(s, running_A, H_RUN) for s in simplices
+        decorated_to_tropical(s, running_A, H_RUN, matroid=report.matroid) for s in simplices
     }
     assert images <= reported
     assert len(images) == len(simplices)  # injectivity on this instance
