@@ -107,7 +107,6 @@ def _feasible_ineqs(dim: int, ineqs: list[Inequality]) -> tuple[Fraction, ...] |
         return None
     # Feasible: back-substitute, innermost variable first.
     sample: list[Fraction] = [Fraction(0)] * dim
-    assigned = [False] * dim
     for var, constraints in reversed(stages):
         lo: tuple[Fraction, bool] | None = None
         hi: tuple[Fraction, bool] | None = None
@@ -138,7 +137,6 @@ def _feasible_ineqs(dim: int, ineqs: list[Inequality]) -> tuple[Fraction, ...] |
         else:
             value = (lo[0] + hi[0]) / 2
         sample[var] = value
-        assigned[var] = True
     return tuple(sample)
 
 

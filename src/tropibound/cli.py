@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from tropibound.bergman import compare_with_coarse, fine_fan, positive_fan
 from tropibound.intersection import lower_bound
-from tropibound.matroid import MatroidError, realize_from_kernel
+from tropibound.matroid import MatroidError, maximal_flags, realize_from_kernel
 from tropibound.numeric import count_roots
 from tropibound.rational import RationalMatrix, to_rational
 from tropibound.subdivision import decorated_count, full_cells, is_triangulation
@@ -159,7 +159,7 @@ def run(args) -> int:
         M = realize_from_kernel(_require_matrix(obj, cmd))
         doc = M.to_document()
         lines = [f"oriented matroid on {{1..{M.ground_size}}}, rank {M.rank}"]
-        lines += [f"  circuit ({set(c.positive) or '{}'}, {set(c.negative) or '{}'})" for c in M.circuits]
+        lines += [f"  circuit {c!r}" for c in M.circuits]
         _emit({"kind": "matroid", **doc}, args, lines)
         return 0
 
@@ -186,7 +186,7 @@ def run(args) -> int:
         else:
             pf = positive_fan(M)
             doc = {"kind": "positive_fan", **pf.to_document()}
-            lines = [f"positive fan: {len(pf.cones)} of {len(fine_fan(M))} maximal cones"]
+            lines = [f"positive fan: {len(pf.cones)} of {len(maximal_flags(M))} maximal cones"]
         if args.coarse_compare:
             coarse = parse_input(args.coarse_compare)
             if not isinstance(coarse, dict):
@@ -230,10 +230,7 @@ def run(args) -> int:
         cells = full_cells(system.A, system.h)
         doc = {
             "kind": "subdivision",
-            "cells": [
-                {"members": list(c.members), "witness": [str(x) for x in c.witness]}
-                for c in cells
-            ],
+            "cells": [c.to_document() for c in cells],
             "is_triangulation": is_triangulation(cells, system.n),
         }
         lines = [f"regular subdivision: {len(cells)} full-dimensional cells"]
@@ -244,12 +241,7 @@ def run(args) -> int:
 
     if cmd == "decorated":
         system = _require_system(obj, cmd)
-        Ct = system.reduced_coefficients()
-        if Ct.rows != system.n:
-            raise CliInputError(
-                f"rank(C) = {Ct.rows} differs from n = {system.n}; no decorated bound"
-            )
-        count, simplices = decorated_count(Ct, system.A, system.h)
+        count, simplices = decorated_count(system.reduced_coefficients(), system.A, system.h)
         doc = {
             "kind": "decorated",
             "count": count,
@@ -284,21 +276,20 @@ def run(args) -> int:
 
     if cmd == "verify":
         system = _require_system(obj, cmd)
-        report = lower_bound(system.C, system.A, system.h)
+        report = bound(system)
         witnesses = count_roots(
             system,
             args.t,
-            report,
+            report.tropical,
             tol=args.tol,
             multistarts=args.multistarts,
             seed=args.seed,
         )
-        target = report.count if report.transverse else 0
         doc = {
             "kind": "witnesses",
             "t": args.t,
             "empirical": True,
-            "certified_bound": target,
+            "certified_bound": report.certified_bound,
             "witnesses": [
                 {
                     "x": list(w.x),
@@ -311,7 +302,7 @@ def run(args) -> int:
         }
         lines = [
             f"empirical witnesses at t = {args.t}: {len(witnesses)} distinct positive"
-            f" roots (certified bound {target}); heuristic, not a certificate"
+            f" roots (certified bound {report.certified_bound}); heuristic, not a certificate"
         ]
         for w in witnesses:
             approx = ", ".join(f"{v:.6g}" for v in w.x)
@@ -319,7 +310,7 @@ def run(args) -> int:
                 f"  x ~ ({approx})  residual {w.residual:.2e}  from {w.seed_origin}"
             )
         _emit(doc, args, lines)
-        return 0 if len(witnesses) >= target else 2
+        return 0 if len(witnesses) >= report.certified_bound else 2
 
     raise CliInputError(f"unknown command {cmd!r}")
 

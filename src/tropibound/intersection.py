@@ -223,13 +223,10 @@ def tangent_direction(
     p = tuple(a + b for a, b in zip(w, hh))
     n = A.rows
 
-    seen_pairs: set[frozenset] = set()
     tasks: list[tuple[list[tuple[int, int]], tuple[int, ...]]] = []
     for c in OM.circuits:
-        key = frozenset({(c.positive, c.negative), (c.negative, c.positive)})
-        if key in seen_pairs:
+        if c.negated() < c:
             continue
-        seen_pairs.add(key)
         ic = initial_circuit(p, c)
         if not ic.positive or not ic.negative:
             raise ValueError("point is not in the positive fan; isolation is undefined")

@@ -70,20 +70,16 @@ def instantiate(system: VerticalSystem, t: float) -> InstantiatedSystem:
     """Evaluate the coefficients at a concrete parameter value.
 
     Rejects t outside (0, 1): the bound is a small-parameter statement
-    and t >= 1 inverts the meaning of the shifts.  Rows are reduced to a
-    rank-selected square system first, exactly.  A nonzero coefficient
-    that overflows or rounds to 0 as a float is refused, naming its
-    column.
+    and t >= 1 inverts the meaning of the shifts.  Rows are reduced to
+    the square system of ``VerticalSystem.reduced_coefficients`` first,
+    exactly, so rank(C) != n raises its SystemError_.  A nonzero
+    coefficient that overflows or rounds to 0 as a float is refused,
+    naming its column.
     """
     if not (0.0 < t < 1.0):
         raise InstantiationError(f"t must lie in (0, 1), got {t}")
     Ct = system.reduced_coefficients()
     n, r = system.n, system.r
-    if Ct.rows != n:
-        raise InstantiationError(
-            f"rank(C) = {Ct.rows} differs from the variable count {n};"
-            " no square instantiation exists"
-        )
     coeffs = np.zeros((n, r), dtype=float)
     for i in range(n):
         for j in range(r):
@@ -122,11 +118,10 @@ def newton(
     if np.any(x0 <= 0) or not np.all(np.isfinite(x0)):
         raise ValueError("seed must be strictly positive and finite")
     y = np.log(x0)
-    _, m, residual = F.evaluate_log(y)
+    values, m, residual = F.evaluate_log(y)
     for _ in range(max_iter):
         if residual < tol:
             break
-        values, m, _ = F.evaluate_log(y)
         J = F.jacobian_log(m)
         try:
             step = np.linalg.solve(J, -values)
@@ -137,10 +132,11 @@ def newton(
         lam = 1.0
         improved = False
         while lam > 2.0**-30:
-            _, _, trial = F.evaluate_log(y + lam * step)
-            if trial < residual:
-                y = y + lam * step
-                residual = trial
+            y_trial = y + lam * step
+            trial = F.evaluate_log(y_trial)
+            if trial[2] < residual:
+                y = y_trial
+                values, m, residual = trial
                 improved = True
                 break
             lam *= 0.5
@@ -151,12 +147,11 @@ def newton(
     x = np.exp(y)
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         return None
-    _, m, final_residual = F.evaluate_log(y)
     J = F.jacobian_log(m)
     cond = np.linalg.cond(J)
     return RootWitness(
         x=tuple(float(v) for v in x),
-        residual=final_residual,
+        residual=residual,
         jacobian_condition_flag=bool(np.isfinite(cond) and cond < 1e12),
         seed_origin=seed_origin,
     )

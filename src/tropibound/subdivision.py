@@ -37,6 +37,9 @@ class Cell:
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(sorted(self.members)))
 
+    def to_document(self) -> dict:
+        return {"members": list(self.members), "witness": [str(x) for x in self.witness]}
+
 
 @dataclass(frozen=True)
 class DecoratedSimplex:
@@ -45,16 +48,15 @@ class DecoratedSimplex:
 
     def to_document(self) -> dict:
         return {
-            "members": list(self.cell.members),
-            "witness": [str(x) for x in self.cell.witness],
+            **self.cell.to_document(),
             "kernel_vector": [str(x) for x in self.kernel_vector],
         }
 
 
-def _argmin_set(cols, h, v) -> tuple[tuple[int, ...], Fraction]:
+def _argmin_set(cols, h, v) -> tuple[int, ...]:
     vals = [sum(vi * ci for vi, ci in zip(v, col)) + hj for col, hj in zip(cols, h)]
     m = min(vals)
-    return tuple(j + 1 for j, x in enumerate(vals) if x == m), m
+    return tuple(j + 1 for j, x in enumerate(vals) if x == m)
 
 
 def _affinely_spans(cols, members: Sequence[int], n: int) -> bool:
@@ -92,7 +94,7 @@ def full_cells(A: RationalMatrix, h: Sequence) -> list[Cell]:
         if sol is None or sol[1].rows != 0:
             continue
         v = sol[0][:n]
-        members, _ = _argmin_set(cols, hh, v)
+        members = _argmin_set(cols, hh, v)
         if members in found:
             continue
         if _affinely_spans(cols, members, n):

@@ -19,7 +19,12 @@ from tropibound.rational import (
     first_independent_rows,
     vector,
 )
-from tropibound.subdivision import DecoratedSimplex, decorated_count, decorated_to_tropical
+from tropibound.subdivision import (
+    DecoratedSimplex,
+    SubdivisionError,
+    decorated_count,
+    decorated_to_tropical,
+)
 
 
 class SystemError_(ValueError):
@@ -47,8 +52,16 @@ class VerticalSystem:
         return self.A.cols
 
     def reduced_coefficients(self) -> RationalMatrix:
-        """rank(C) independent rows of C, first ones found; same kernel."""
-        return self.C.submatrix_rows(first_independent_rows(self.C))
+        """The n independent rows of C, first ones found; same kernel.
+
+        The square system, which the decorated count and the Newton
+        witnesses both need, exists only when rank(C) = n; otherwise
+        SystemError_ is raised.
+        """
+        rows = first_independent_rows(self.C)
+        if len(rows) != self.n:
+            raise SystemError_(f"rank(C) = {len(rows)} differs from n = {self.n}")
+        return self.C.submatrix_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -149,40 +162,31 @@ def bound(system: VerticalSystem, cross_check: bool = False) -> BoundReport:
     tropical = lower_bound(system.C, system.A, system.h, cross_check=cross_check)
 
     decorated = None
-    cols = [system.A.column(j) for j in range(system.A.cols)]
-    if len(set(cols)) != len(cols):
-        notes.append("exponent matrix has repeated columns; decorated-simplex bound skipped")
+    try:
+        count, simplices = decorated_count(system.reduced_coefficients(), system.A, system.h)
+    except (SystemError_, SubdivisionError) as exc:
+        notes.append(f"{exc}; decorated-simplex bound skipped")
     else:
-        Ctilde = system.reduced_coefficients()
-        if Ctilde.rows != system.n:
-            notes.append(
-                f"rank(C) = {Ctilde.rows} differs from n = {system.n};"
-                " decorated-simplex bound skipped"
-            )
-        else:
-            count, simplices = decorated_count(Ctilde, system.A, system.h)
-            decorated = (count, tuple(simplices))
-            images = [
-                decorated_to_tropical(s, system.A, system.h, matroid=tropical.matroid)
-                for s in simplices
-            ]
-            if len(set(images)) != len(images):
-                raise ComparisonViolation(
-                    "two decorated simplices share one tropical image"
-                )
-            if tropical.transverse:
-                reported = {p.w for p in tropical.points}
-                for s, w in zip(simplices, images):
-                    if w not in reported:
-                        raise ComparisonViolation(
-                            f"decorated simplex {s.cell.members} maps to"
-                            f" {tuple(str(x) for x in w)}, not a reported point"
-                        )
-                if count > tropical.count:
+        decorated = (count, tuple(simplices))
+        images = [
+            decorated_to_tropical(s, system.A, system.h, matroid=tropical.matroid)
+            for s in simplices
+        ]
+        if len(set(images)) != len(images):
+            raise ComparisonViolation("two decorated simplices share one tropical image")
+        if tropical.transverse:
+            reported = {p.w for p in tropical.points}
+            for s, w in zip(simplices, images):
+                if w not in reported:
                     raise ComparisonViolation(
-                        f"decorated count {count} exceeds certified tropical count"
-                        f" {tropical.count}"
+                        f"decorated simplex {s.cell.members} maps to"
+                        f" {tuple(str(x) for x in w)}, not a reported point"
                     )
+            if count > tropical.count:
+                raise ComparisonViolation(
+                    f"decorated count {count} exceeds certified tropical count"
+                    f" {tropical.count}"
+                )
 
     if tropical.transverse:
         certified = tropical.count

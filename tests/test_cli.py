@@ -236,6 +236,42 @@ def test_verify_command(capsys):
     assert len(doc["witnesses"]) >= 2
 
 
+def test_verify_certified_bound_matches_bound(tmp_path, capsys):
+    # not transverse (tropical count 2), one decorated simplex: bound certifies 1
+    path = write(
+        tmp_path,
+        "fallback.json",
+        {
+            "kind": "vertical_system",
+            "C": [[2, -2, 1, -3]],
+            "A": [[2, 1, -1, 0]],
+            "h": [2, 0, -1, -2],
+        },
+    )
+    assert main(["bound", path, "--json", "-"]) == 2
+    certified = json.loads(capsys.readouterr().out)["certified_bound"]
+    assert certified == 1
+    assert main(["verify", path, "--json", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["certified_bound"] == certified
+
+
+@pytest.mark.parametrize("command", ["decorated", "verify"])
+def test_rank_deficient_coefficients_exit_one(tmp_path, capsys, command):
+    path = write(
+        tmp_path,
+        "rank1.json",
+        {
+            "kind": "vertical_system",
+            "C": [[1, -1, 1, -1], [2, -2, 2, -2]],
+            "A": [[1, 0, 1, 2], [0, 1, 1, 3]],
+            "h": [0, 0, 0, 0],
+        },
+    )
+    assert main([command, path]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: rank(C) = 1 differs from n = 2\n"
+
+
 def test_machine_output_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["bound", str(INPUTS / "running_2x5.json"), "--json", str(a)])

@@ -108,6 +108,21 @@ def test_bound_crn(hhk_model):
     assert any("repeated columns" in note for note in report.method_notes)
 
 
+def test_bound_rank_deficient_skips_decorated():
+    # distinct exponent columns, so only the rank(C) = n gate refuses
+    system = VerticalSystem(
+        RationalMatrix.from_rows([[1, -1, 1, -1], [2, -2, 2, -2]]),
+        RationalMatrix.from_rows([[1, 0, 1, 2], [0, 1, 1, 3]]),
+        (0, 0, 0, 0),
+    )
+    report = bound(system)
+    assert report.decorated is None
+    note = "rank(C) = 1 differs from n = 2; decorated-simplex bound skipped"
+    assert note in report.method_notes
+    with pytest.raises(SystemError_, match=r"^rank\(C\) = 1 differs from n = 2$"):
+        system.reduced_coefficients()
+
+
 def test_bound_empty_fan(running_A):
     system = VerticalSystem(
         RationalMatrix.from_rows([[1, 1, 1, 1, 1], [1, 2, 3, 4, 5]]),
