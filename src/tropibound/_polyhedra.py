@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from tropibound.rational import RationalMatrix, kernel_basis, solve_affine
+from tropibound.rational import RationalMatrix, _echelon, kernel_basis, solve_affine
 
 Row = tuple[Fraction, ...]
 
@@ -214,9 +214,13 @@ def cone_nonzero_point(
     """A nonzero point of the homogeneous cone {u : Eu = 0, Gu <= 0}, or
     None when the cone is the origin alone.
 
-    Any nonzero point can be scaled so some coordinate is +-1, so 2*dim
-    slice feasibility checks decide the question.
+    When E has rank dim, Eu = 0 alone pins u to the origin, and one
+    elimination returns None.  Otherwise any nonzero point can be scaled
+    so some coordinate is +-1, so 2*dim slice feasibility checks decide
+    the question.
     """
+    if len(_echelon(equalities, dim)[1]) == dim:
+        return None
     eqs = [(row, Fraction(0)) for row in equalities]
     ineqs = [(row, Fraction(0), False) for row in inequalities]
     for i in range(dim):

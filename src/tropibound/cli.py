@@ -18,7 +18,7 @@ from fractions import Fraction
 from tropibound.bergman import compare_with_coarse, fine_fan, positive_fan
 from tropibound.intersection import lower_bound
 from tropibound.matroid import MatroidError, maximal_flags, realize_from_kernel
-from tropibound.numeric import count_roots
+from tropibound.numeric import check_parameter, count_roots
 from tropibound.rational import RationalMatrix, to_rational
 from tropibound.subdivision import decorated_count, full_cells, is_triangulation
 from tropibound.systems import CRNModel, SystemError_, VerticalSystem, assemble_crn, bound
@@ -276,6 +276,7 @@ def run(args) -> int:
 
     if cmd == "verify":
         system = _require_system(obj, cmd)
+        check_parameter(args.t)
         report = bound(system)
         witnesses = count_roots(
             system,

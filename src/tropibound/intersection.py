@@ -338,6 +338,35 @@ def _local_cells(OM: OrientedMatroid, comp: list[int]) -> list[_Cell] | None:
     return cells if cells else None
 
 
+# one component's positive cells grouped by block partition, as sorted
+# (partition, cells) items
+_Factor = tuple[tuple[frozenset, tuple[_Cell, ...]], ...]
+
+
+@functools.lru_cache(maxsize=1)
+def _cell_partitions(
+    OM: OrientedMatroid,
+) -> tuple[tuple[_Factor, ...], tuple[int, ...] | None]:
+    """Per component, its positive cells grouped by block partition.
+
+    Returns ``(factors, None)``, or ``((), comp)`` for the first component
+    ``comp`` that admits no positive weight.  None of this depends on A
+    or h, so a one-entry memo lets every shift of a scan over one matroid
+    share it; the result is immutable because callers share it.
+    """
+    factors = []
+    for comp in _components(OM):
+        cells = _local_cells(OM, comp)
+        if cells is None:
+            return (), tuple(comp)
+        grouped: dict[frozenset, list[_Cell]] = {}
+        for cell in cells:
+            grouped.setdefault(frozenset(map(frozenset, cell)), []).append(cell)
+        items = sorted(grouped.items(), key=lambda item: sorted(sorted(b) for b in item[0]))
+        factors.append(tuple((part, tuple(group)) for part, group in items))
+    return tuple(factors), None
+
+
 def _build_report(
     candidates: dict[tuple[Fraction, ...], tuple[Fraction, ...]],
     OM: OrientedMatroid,
@@ -409,29 +438,17 @@ def intersect_via_fan(
         return row, hh[b - 1] - hh[a - 1]
 
     notes: list[str] = []
-    factor_partitions: list[dict[frozenset, list[_Cell]]] = []
-    for comp in _components(OM):
-        cells = _local_cells(OM, comp)
-        if cells is None:
-            notes.append(
-                f"component {comp} admits no positive weight; the positive fan is empty"
-            )
-            return _build_report({}, OM, A, hh, diagnostics, False, notes)
-        grouped: dict[frozenset, list[_Cell]] = {}
-        for cell in cells:
-            grouped.setdefault(frozenset(map(frozenset, cell)), []).append(cell)
-        factor_partitions.append(grouped)
+    factor_partitions, empty = _cell_partitions(OM)
+    if empty is not None:
+        notes.append(
+            f"component {list(empty)} admits no positive weight; the positive fan is empty"
+        )
+        return _build_report({}, OM, A, hh, diagnostics, False, notes)
 
     candidates: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
     pinned = 0
     positive_cells = 0
-
-    def partition_key(item):
-        return sorted(sorted(b) for b in item[0])
-
-    for partition_combo in itertools.product(
-        *(sorted(g.items(), key=partition_key) for g in factor_partitions)
-    ):
+    for partition_combo in itertools.product(*factor_partitions):
         eqs = [
             tie(block[0], e)
             for _, cells in partition_combo

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
-from tropibound.rational import RationalMatrix, kernel_basis, rank, to_rational
+from tropibound.rational import RationalMatrix, _echelon, kernel_basis, rank, to_rational
 
 
 class MatroidError(ValueError):
@@ -179,9 +180,20 @@ def circuits_via_subsets(G: RationalMatrix) -> list[SignedCircuit]:
     Scans column subsets of size at most rank(G)+1; an inclusion-minimal
     dependent subset carries a unique linear relation up to scale, whose
     sign pattern is the circuit.  Both orientations are returned.
+
+    Each row of G is scaled to integers once, which leaves every column
+    slice's kernel unchanged, so the slices eliminate on plain ints.  The
+    relation of a slice with one free column f is v[f] = 1 and
+    v[p] = -m[p][f] / d on the pivot rows, whose signs are those of
+    -m[p][f] * d.
     """
     r = G.cols
     g_rank = rank(G)
+    ints = []
+    for i in range(G.rows):
+        row = G.row(i)
+        den = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (den // x.denominator) for x in row])
     circuits: list[SignedCircuit] = []
     # masks of the scanned dependent subsets; every smaller subset has been
     # scanned, so cols strictly contains a circuit iff one of its
@@ -194,12 +206,14 @@ def circuits_via_subsets(G: RationalMatrix) -> list[SignedCircuit]:
             if any(colmask - b in dependent for b in colbits):
                 dependent.add(colmask)
                 continue
-            sub = G.submatrix_columns(cols)
-            ker = kernel_basis(sub)
-            if ker.rows != 1:
+            m, pivots, d, _ = _echelon([[row[j] for j in cols] for row in ints], size)
+            if len(pivots) != size - 1:
                 continue
-            lam = ker.row(0)
-            if any(x == 0 for x in lam):
+            (free,) = set(range(size)).difference(pivots)
+            lam = [1] * size
+            for row, p in zip(m, pivots):
+                lam[p] = -row[free] * d
+            if 0 in lam:
                 continue
             pos = tuple(cols[i] + 1 for i, x in enumerate(lam) if x > 0)
             neg = tuple(cols[i] + 1 for i, x in enumerate(lam) if x < 0)
@@ -209,12 +223,18 @@ def circuits_via_subsets(G: RationalMatrix) -> list[SignedCircuit]:
     return sorted(set(circuits))
 
 
+@lru_cache(maxsize=1)
 def realize_from_kernel(C: RationalMatrix) -> OrientedMatroid:
     """Oriented matroid realized by ker(C), on ground set {1..cols(C)}.
 
     Circuits are the sign patterns of the minimal-support nonzero vectors
     of rowspan(C), i.e. of the minimal linear dependencies among the
     columns of a kernel basis of C.
+
+    A one-entry memo keeps the last result, so a scan over many shifts of
+    one C (a rate scan of one reaction network) realizes the matroid
+    once.  One entry is enough for that and keeps unrelated systems cold.
+    The matroid is immutable, so every caller shares the same object.
     """
     if C.is_zero():
         raise MatroidError("zero matrix realizes no oriented matroid here")

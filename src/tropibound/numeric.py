@@ -66,18 +66,23 @@ class RootWitness:
     seed_origin: str
 
 
+def check_parameter(t: float) -> None:
+    """Refuse t outside (0, 1): the bound is a small-parameter statement
+    and t >= 1 inverts the meaning of the shifts."""
+    if not (0.0 < t < 1.0):
+        raise InstantiationError(f"t must lie in (0, 1), got {t}")
+
+
 def instantiate(system: VerticalSystem, t: float) -> InstantiatedSystem:
     """Evaluate the coefficients at a concrete parameter value.
 
-    Rejects t outside (0, 1): the bound is a small-parameter statement
-    and t >= 1 inverts the meaning of the shifts.  Rows are reduced to
+    Rejects t outside (0, 1) through ``check_parameter``.  Rows are reduced to
     the square system of ``VerticalSystem.reduced_coefficients`` first,
     exactly, so rank(C) != n raises its SystemError_.  A nonzero
     coefficient that overflows or rounds to 0 as a float is refused,
     naming its column.
     """
-    if not (0.0 < t < 1.0):
-        raise InstantiationError(f"t must lie in (0, 1), got {t}")
+    check_parameter(t)
     Ct = system.reduced_coefficients()
     n, r = system.n, system.r
     coeffs = np.zeros((n, r), dtype=float)

@@ -236,6 +236,18 @@ def test_verify_command(capsys):
     assert len(doc["witnesses"]) >= 2
 
 
+def test_verify_refuses_t_before_bounding(monkeypatch, capsys):
+    import tropibound.cli as cli
+
+    def no_bound(system):
+        raise AssertionError("bound ran before the t check")
+
+    monkeypatch.setattr(cli, "bound", no_bound)
+    code = main(["verify", str(INPUTS / "hhk_crn.json"), "--t", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: t must lie in (0, 1), got 2.0\n"
+
+
 def test_verify_certified_bound_matches_bound(tmp_path, capsys):
     # not transverse (tropical count 2), one decorated simplex: bound certifies 1
     path = write(

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -115,6 +116,46 @@ def test_four_element_relation_signs(running_N):
 def test_realize_agrees_with_subset_scan(running_N):
     M = realize_from_kernel(running_N)
     assert set(M.circuits) == set(circuits_via_subsets(kernel_basis(running_N)))
+
+
+def test_realize_memo_returns_equal_matroids(running_N):
+    C2 = RationalMatrix.from_rows([[1, 2, -1, 0], [0, 1, 1, -3]])
+    for C in (running_N, C2, running_N):
+        assert realize_from_kernel(C) == OrientedMatroid(
+            C.cols, circuits_via_subsets(kernel_basis(C))
+        )
+
+
+def circuits_by_kernel_basis(G: RationalMatrix) -> set[SignedCircuit]:
+    """Every column subset whose kernel is one full-support line, read off
+    ``kernel_basis`` of the Fraction slice."""
+    out: set[SignedCircuit] = set()
+    for size in range(1, min(G.cols, rank(G) + 1) + 1):
+        for cols in combinations(range(G.cols), size):
+            ker = kernel_basis(G.submatrix_columns(cols))
+            if ker.rows != 1 or 0 in ker.row(0):
+                continue
+            lam = ker.row(0)
+            c = SignedCircuit(
+                tuple(cols[i] + 1 for i in range(size) if lam[i] > 0),
+                tuple(cols[i] + 1 for i in range(size) if lam[i] < 0),
+            )
+            out |= {c, c.negated()}
+    return out
+
+
+def test_circuits_via_subsets_fractional_rows():
+    # rows with unlike denominators go through the integer row scaling
+    rng = random.Random(7)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 3), rng.randint(2, 6)
+        G = RationalMatrix.from_rows(
+            [
+                [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+        )
+        assert set(circuits_via_subsets(G)) == circuits_by_kernel_basis(G)
 
 
 def test_initial_circuit_golden(running_N):

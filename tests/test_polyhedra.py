@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 from tropibound._polyhedra import (
@@ -85,3 +86,45 @@ def test_cone_nonzero_points_found_and_absent():
 
 def test_zero_dimensional_space():
     assert feasible_point(0, [], []) == ()
+
+
+def slice_reference(dim, equalities, inequalities):
+    """The 2*dim slice probes alone, without the rank exit."""
+    eqs = [(row, F(0)) for row in equalities]
+    ineqs = [(row, F(0), False) for row in inequalities]
+    for i in range(dim):
+        pin = tuple(F(1 if j == i else 0) for j in range(dim))
+        for sign in (1, -1):
+            pt = feasible_point(dim, eqs + [(pin, F(sign))], ineqs)
+            if pt is not None:
+                return pt
+    return None
+
+
+def test_cone_pinned_by_full_rank_equalities():
+    # two independent equalities in R^2 leave only the origin, whatever G says
+    eqs = [(F(1), F(2)), (F(3), F(-1))]
+    assert cone_nonzero_point(2, eqs, [(F(-1), F(0)), (F(1), F(1))]) is None
+    # four rows of rank 3 in R^3, the third the sum of the first two
+    eqs3 = [(F(1), F(0), F(1)), (F(0), F(1), F(1)), (F(1), F(1), F(2)), (F(1), F(-1), F(1))]
+    assert cone_nonzero_point(3, eqs3, [(F(0), F(0), F(1))]) is None
+
+
+def random_rows(rng, count, dim):
+    return [tuple(F(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(count)]
+
+
+def test_cone_nonzero_point_matches_slice_reference():
+    rng = random.Random(2024)
+    pinned = found = 0
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        eqs = random_rows(rng, rng.randint(0, dim + 1), dim)
+        if eqs and rng.random() < 0.3:
+            eqs.append(tuple(a + b for a, b in zip(eqs[0], eqs[-1])))
+        ineqs = random_rows(rng, rng.randint(0, 4), dim)
+        got = cone_nonzero_point(dim, eqs, ineqs)
+        assert got == slice_reference(dim, eqs, ineqs)
+        pinned += got is None
+        found += got is not None
+    assert pinned and found

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tropibound.intersection import _cell_partitions
+from tropibound.matroid import realize_from_kernel
 from tropibound.rational import RationalMatrix, kernel_basis, rank, vector
 from tropibound.systems import (
     ComparisonViolation,
@@ -121,6 +124,30 @@ def test_bound_rank_deficient_skips_decorated():
     assert note in report.method_notes
     with pytest.raises(SystemError_, match=r"^rank\(C\) = 1 differs from n = 2$"):
         system.reduced_coefficients()
+
+
+def test_rate_scan_documents_ignore_memo_state(hhk_model, running_system):
+    # 24 draws of the hhk rate exponents share C and so one matroid; the
+    # one-entry memos on the matroid and the cell partitions must give the
+    # same documents warm (forward, reversed) as evicted by another system
+    rng = random.Random(5)
+    systems = [
+        assemble_crn(dataclasses.replace(hhk_model, h=tuple(rng.randint(-8, 8) for _ in range(6))))
+        for _ in range(24)
+    ]
+    realize_from_kernel.cache_clear()
+    _cell_partitions.cache_clear()
+    forward = [bound(s).to_document() for s in systems]
+    assert realize_from_kernel.cache_info().hits == 23
+    assert _cell_partitions.cache_info().hits == 23
+    backward = [bound(s).to_document() for s in reversed(systems)][::-1]
+    evicted = []
+    for s in systems:
+        bound(running_system)
+        evicted.append(bound(s).to_document())
+    assert realize_from_kernel.cache_info().maxsize == _cell_partitions.cache_info().maxsize == 1
+    assert forward == backward == evicted
+    assert len({str(doc) for doc in forward}) > 1
 
 
 def test_bound_empty_fan(running_A):
