@@ -277,6 +277,7 @@ def run(args) -> int:
     if cmd == "verify":
         system = _require_system(obj, cmd)
         check_parameter(args.t)
+        system.reduced_coefficients()  # refuses rank(C) != n before bounding
         report = bound(system)
         witnesses = count_roots(
             system,

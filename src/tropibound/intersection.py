@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from math import gcd, lcm
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -516,8 +517,25 @@ def intersect_via_vertices(
     (acceptance criterion 7), not on a proof.  The plane set is kept
     whole: keeping only opposite-sign ties inside each circuit cut the
     hhk oracle about eightfold but missed 1 of the 5 points at
-    h = (7, 8, 3, 3, -1, 8).  Slow but structurally unrelated to the
-    fan walk; intended as a desk-scale cross-check.
+    h = (7, 8, 3, 3, -1, 8).  The search shares no code path with the
+    fan walk: no cells, chains or polyhedron probes.
+
+    A depth-first search visits every independent set of n planes, in
+    plane index order.  Each node carries its remaining candidate planes
+    as integer rows already reduced against the planes chosen above it;
+    choosing a pivot row reduces the child's candidates against that one
+    row and drops those whose coefficients vanished, since such a plane
+    contains the node's flat or misses it and can never pivot below.
+    The flat itself is carried as v = (u + sum of v_c * q_c) / d over its
+    free columns c, each pivot substituted in once, so at depth n - 1 it
+    is a line and every remaining candidate r meets it at
+    v_c = r[n] / r[c].  Vertices are keyed by their gcd-normalized
+    integer numerators and positive denominator, and each new one is
+    tested once, in integers: with H the lcm of the denominators of h
+    and A, H * d * (A^T v + h) = A^T (H num) + (H h) d is a positive
+    multiple of A^T v + h, so every circuit has the same argmin and the
+    verdict is exact.  Fractions are built only for accepted vertices.
+    On hhk this takes about 4 s (2 shared x86_64 cores, Python 3.11).
 
     Only the v set is returned, with no isolation, interiority or level
     flags: that set is all ``lower_bound`` and acceptance criterion 7
@@ -543,57 +561,69 @@ def intersect_via_vertices(
                 if tuple(-x for x in aug) in hyperplanes:
                     continue
                 hyperplanes[aug] = None
-    planes = list(hyperplanes)
 
+    at_rows = [At.row(i) for i in range(At.rows)]
+    H = lcm(*(x.denominator for x in (*hh, *(y for row in at_rows for y in row))))
+    h_int = [int(x * H) for x in hh]
+    at_int = [[int(x * H) for x in row] for row in at_rows]
     found: set[tuple[Fraction, ...]] = set()
-    solved: set[tuple[Fraction, ...]] = set()
-    from math import gcd
+    seen: set[tuple[tuple[int, ...], int]] = set()
 
-    def back_substitute(basis: list) -> tuple[Fraction, ...]:
-        # integer arithmetic over one running denominator, reduced once
-        num = [0] * n
-        den = 1
-        for pivot_col, brow in sorted(basis, key=lambda e: -e[0]):
-            s = brow[n] * den - sum(brow[j] * num[j] for j in range(pivot_col + 1, n))
-            pv = brow[pivot_col]
-            if pv < 0:
-                pv, s = -pv, -s
-            num = [x * pv for x in num]
-            num[pivot_col] = s
-            den *= pv
-        return tuple(Fraction(x, den) for x in num)
-
-    def walk(start: int, basis: list):
-        depth = len(basis)
-        if depth == n:
-            v = back_substitute(basis)
-            if v in solved:
-                return
-            solved.add(v)
-            w = At.apply(v)
-            p = tuple(a + b for a, b in zip(w, hh))
-            if is_positive_member(p, OM):
-                found.add(v)
+    def walk(cands: list, u: list[int], free: dict[int, list[int]], d: int) -> None:
+        # the node's flat: v = (u + sum over free columns c of v_c * free[c]) / d
+        if len(free) == 1:
+            ((c, q),) = free.items()
+            for r in cands:
+                # r meets the line at v_c = r[n] / r[c]
+                rc, rn = r[c], r[n]
+                den = d * rc
+                if den < 0:
+                    rc, rn, den = -rc, -rn, -den
+                num = [x * rc + rn * y for x, y in zip(u, q)]
+                g = gcd(den, *num)
+                if g > 1:
+                    num = [x // g for x in num]
+                    den //= g
+                key = (tuple(num), den)
+                if key in seen:
+                    continue
+                seen.add(key)
+                p = [
+                    sum(a * x for a, x in zip(row, num)) + hi * den
+                    for row, hi in zip(at_int, h_int)
+                ]
+                if is_positive_member(p, OM):
+                    found.add(tuple(Fraction(x, den) for x in num))
             return
-        limit = len(planes) - (n - depth) + 1
-        for k in range(start, limit):
-            r = planes[k]
-            for pivot_col, brow in basis:
-                f = r[pivot_col]
+        for k in range(len(cands) - len(free) + 1):
+            r = cands[k]
+            col = next(j for j, x in enumerate(r) if x)
+            pv, rn = r[col], r[n]
+            child = []
+            for s in cands[k + 1 :]:
+                f = s[col]
                 if f:
-                    pv = brow[pivot_col]
-                    r = tuple(pv * a - f * b for a, b in zip(r, brow))
-            for col in range(n):
-                if r[col]:
-                    g = 0
-                    for x in r:
-                        g = gcd(g, x if x >= 0 else -x)
+                    s = [pv * a - f * b for a, b in zip(s, r)]
+                    if not any(s[:n]):
+                        continue
+                    g = gcd(*s)
                     if g > 1:
-                        r = tuple(x // g for x in r)
-                    walk(k + 1, basis + [(col, r)])
-                    break
+                        s = [x // g for x in s]
+                child.append(s)
+            # substitute v_col = (r[n] - sum of r[c] * v_c) / r[col]
+            qp = free[col]
+            walk(
+                child,
+                [pv * a + rn * b for a, b in zip(u, qp)],
+                {
+                    c: [pv * a - r[c] * b for a, b in zip(q, qp)]
+                    for c, q in free.items()
+                    if c != col
+                },
+                d * pv,
+            )
 
-    walk(0, [])
+    walk(list(hyperplanes), [0] * n, {c: [int(j == c) for j in range(n)] for c in range(n)}, 1)
     return found
 
 

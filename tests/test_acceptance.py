@@ -153,7 +153,9 @@ def test_criterion_7_oracle_equivalence(running_N, running_A, hhk_model):
     d2 = validate_inputs(crn.C, crn.A, crn.h)
     M2 = realize_from_kernel(crn.C)
     fan2 = intersect_via_fan(M2, crn.A, crn.h, d2)
+    start = time.perf_counter()
     vx2 = intersect_via_vertices(M2, crn.A, crn.h)
+    elapsed = time.perf_counter() - start
     mismatches += {p.v for p in fan2.points} != vx2
 
     rng = random.Random(20260809)
@@ -181,7 +183,7 @@ def test_criterion_7_oracle_equivalence(running_N, running_A, hhk_model):
         7,
         mismatches == 0,
         f"fan walk and vertex oracle agree on both shipped instances and {ran}"
-        " random ones",
+        f" random ones (hhk oracle {elapsed:.1f}s)",
     )
 
 

@@ -248,6 +248,27 @@ def test_verify_refuses_t_before_bounding(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: t must lie in (0, 1), got 2.0\n"
 
 
+def test_verify_refuses_rank_deficient_before_bounding(monkeypatch, tmp_path, capsys):
+    import tropibound.cli as cli
+
+    def no_bound(system):
+        raise AssertionError("bound ran before the rank check")
+
+    monkeypatch.setattr(cli, "bound", no_bound)
+    path = write(
+        tmp_path,
+        "rank1.json",
+        {
+            "kind": "vertical_system",
+            "C": [[1, -1, 1, -1], [2, -2, 2, -2]],
+            "A": [[1, 0, 1, 2], [0, 1, 1, 3]],
+            "h": [0, 0, 0, 0],
+        },
+    )
+    assert main(["verify", path]) == 1
+    assert capsys.readouterr().err == "error: rank(C) = 1 differs from n = 2\n"
+
+
 def test_verify_certified_bound_matches_bound(tmp_path, capsys):
     # not transverse (tropical count 2), one decorated simplex: bound certifies 1
     path = write(

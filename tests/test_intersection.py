@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from tropibound import _polyhedra
+from tropibound.bergman import is_positive_member
 from tropibound.intersection import (
     InputValidationError,
     OracleMismatchError,
@@ -83,8 +85,6 @@ def test_lower_bound_running_example(running_N, running_A):
 
 
 def test_reported_points_satisfy_membership(running_N, running_A):
-    from tropibound.bergman import is_positive_member
-
     M = realize_from_kernel(running_N)
     report = lower_bound(running_N, running_A, H_RUN)
     for p in report.points:
@@ -183,8 +183,8 @@ def test_crn_underdetermined_ties_notes(hhk_model):
 
     from tropibound.systems import assemble_crn, bound
 
-    model = dataclasses.replace(hhk_model, h=(7, 8, 3, 3, -1, 8))
-    report = bound(assemble_crn(model))
+    vs = assemble_crn(dataclasses.replace(hhk_model, h=(7, 8, 3, 3, -1, 8)))
+    report = bound(vs)
     tropical = report.tropical
     assert tropical.count == 5
     assert not tropical.transverse and tropical.positive_dimensional
@@ -193,6 +193,9 @@ def test_crn_underdetermined_ties_notes(hhk_model):
         "5 underdetermined tie system(s) pinned to a point by cone facets",
         "4 positive cell(s) meet rowspan(A) in positive dimension",
     )
+    # the vertex oracle's argument does not cover these boundary-pinned points
+    oracle = intersect_via_vertices(tropical.matroid, vs.A, vs.h)
+    assert oracle == {p.v for p in tropical.points}
 
 
 def test_free_matroid_report():
@@ -249,8 +252,6 @@ def test_reported_non_isolated_point_carries_verified_direction():
     u = tangent_direction(point.v, M, A, h)
     assert u is not None
     # the direction really stays inside the fan at a small exact step
-    from tropibound.bergman import is_positive_member
-
     eps = Fraction(1, 10**7)
     At = A.transpose()
     shifted = tuple(
@@ -263,8 +264,6 @@ def test_reported_non_isolated_point_carries_verified_direction():
 def test_tangent_probe_on_random_instances():
     # isolated points survive an epsilon probe in forty directions;
     # non-isolated points must hand back a direction that verifies
-    from tropibound.bergman import is_positive_member
-
     rng = random.Random(424242)
     eps = Fraction(1, 10**7)
     ran = 0
@@ -299,6 +298,123 @@ def test_tangent_probe_on_random_instances():
 
 
 # --- oracle equivalence and properties ------------------------------------------
+
+
+def _reference_vertices(OM, A, h):
+    """The vertex oracle before its integer rewrite: each candidate
+    reduced against the whole basis at every node, Fraction
+    back-substitution at every leaf."""
+    hh = vector(h)
+    n = A.rows
+    At = A.transpose()
+
+    # Integer augmented rows (a . v = b scaled to integers per plane) so
+    # the elimination below runs on plain ints.
+    hyperplanes: dict[tuple[int, ...], None] = {}
+    for sup in OM.circuit_supports:
+        for a_idx in range(len(sup)):
+            for b_idx in range(a_idx + 1, len(sup)):
+                i, j = sup[a_idx], sup[b_idx]
+                row = tuple(x - y for x, y in zip(At.row(i - 1), At.row(j - 1)))
+                rhs = hh[j - 1] - hh[i - 1]
+                if all(x == 0 for x in row):
+                    continue
+                nrow, nrhs = _polyhedra._normalize(row, rhs)
+                aug = tuple(int(x) for x in nrow) + (int(nrhs),)
+                if tuple(-x for x in aug) in hyperplanes:
+                    continue
+                hyperplanes[aug] = None
+    planes = list(hyperplanes)
+
+    found: set[tuple[Fraction, ...]] = set()
+    solved: set[tuple[Fraction, ...]] = set()
+    from math import gcd
+
+    def back_substitute(basis: list) -> tuple[Fraction, ...]:
+        # integer arithmetic over one running denominator, reduced once
+        num = [0] * n
+        den = 1
+        for pivot_col, brow in sorted(basis, key=lambda e: -e[0]):
+            s = brow[n] * den - sum(brow[j] * num[j] for j in range(pivot_col + 1, n))
+            pv = brow[pivot_col]
+            if pv < 0:
+                pv, s = -pv, -s
+            num = [x * pv for x in num]
+            num[pivot_col] = s
+            den *= pv
+        return tuple(Fraction(x, den) for x in num)
+
+    def walk(start: int, basis: list):
+        depth = len(basis)
+        if depth == n:
+            v = back_substitute(basis)
+            if v in solved:
+                return
+            solved.add(v)
+            w = At.apply(v)
+            p = tuple(a + b for a, b in zip(w, hh))
+            if is_positive_member(p, OM):
+                found.add(v)
+            return
+        limit = len(planes) - (n - depth) + 1
+        for k in range(start, limit):
+            r = planes[k]
+            for pivot_col, brow in basis:
+                f = r[pivot_col]
+                if f:
+                    pv = brow[pivot_col]
+                    r = tuple(pv * a - f * b for a, b in zip(r, brow))
+            for col in range(n):
+                if r[col]:
+                    g = 0
+                    for x in r:
+                        g = gcd(g, x if x >= 0 else -x)
+                    if g > 1:
+                        r = tuple(x // g for x in r)
+                    walk(k + 1, basis + [(col, r)])
+                    break
+
+    walk(0, [])
+    return found
+
+
+def _differential_case(rng, i):
+    """Small seeded systems; i selects n = 1, a repeated exponent column or
+    collinear columns (parallel tie planes), and integer or fractional h."""
+    r = rng.randint(3, 7)
+    n = 1 if i % 4 == 0 else rng.randint(1, min(3, r - 1))
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        a, b, c = rng.sample(range(r), 3)
+        for row in rows:
+            if i % 4 == 1:
+                row[b] = row[a]
+            elif i % 4 == 2:
+                row[c] = 2 * row[b] - row[a]
+        A = RationalMatrix.from_rows(rows)
+        C = RationalMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rng.randint(1, r - 1))]
+        )
+        if rank(A) == n and not C.is_zero():
+            break
+    if i % 2:
+        h = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(r)]
+    else:
+        h = [rng.randint(-4, 4) for _ in range(r)]
+    return C, A, h
+
+
+def test_vertex_oracle_matches_reference():
+    rng = random.Random(4151)
+    nonempty = rank_off = 0
+    for i in range(150):
+        C, A, h = _differential_case(rng, i)
+        M = realize_from_kernel(C)
+        got = intersect_via_vertices(M, A, h)
+        assert got == _reference_vertices(M, A, h), (C, A, h)
+        nonempty += bool(got)
+        rank_off += rank(C) != A.rows
+    assert nonempty >= 30 and rank_off >= 30
 
 
 def random_instance(rng):
