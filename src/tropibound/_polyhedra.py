@@ -178,30 +178,28 @@ def polyhedron_dimension(
 
     Implicit equalities (inequalities tight on the whole polyhedron) are
     detected by probing each one strictly and folded into the equality
-    system until stable.
+    system.  One pass suffices: an inequality is implicit exactly when it
+    cannot hold strictly on the polyhedron, and folding an implicit one
+    into the equalities leaves the polyhedron, and so every other
+    verdict, unchanged.
     """
     eqs = list(equalities)
     ineqs = [(c, r, False) for c, r, _ in inequalities]
     if feasible_point(dim, eqs, ineqs) is None:
         return -1, None
-    changed = True
-    while changed:
-        changed = False
-        still: list[Inequality] = []
-        for i, (coeffs, rhs, _) in enumerate(ineqs):
-            probe = still + ineqs[i + 1 :] + [(coeffs, rhs, True)]
-            if feasible_point(dim, eqs, probe) is None:
-                eqs.append((coeffs, rhs))
-                changed = True
-            else:
-                still.append((coeffs, rhs, False))
-        ineqs = still
+    still: list[Inequality] = []
+    for i, (coeffs, rhs, _) in enumerate(ineqs):
+        probe = still + ineqs[i + 1 :] + [(coeffs, rhs, True)]
+        if feasible_point(dim, eqs, probe) is None:
+            eqs.append((coeffs, rhs))
+        else:
+            still.append((coeffs, rhs, False))
     if eqs:
         M = RationalMatrix(len(eqs), dim, [c for row, _ in eqs for c in row])
         d = kernel_basis(M).rows
     else:
         d = dim
-    strict_all = [(c, r, True) for c, r, _ in ineqs]
+    strict_all = [(c, r, True) for c, r, _ in still]
     sample = feasible_point(dim, eqs, strict_all)
     return d, sample
 

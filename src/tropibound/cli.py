@@ -18,9 +18,14 @@ from fractions import Fraction
 from tropibound.bergman import compare_with_coarse, fine_fan, positive_fan
 from tropibound.intersection import lower_bound
 from tropibound.matroid import MatroidError, maximal_flags, realize_from_kernel
-from tropibound.numeric import check_parameter, count_roots
+from tropibound.numeric import count_roots, instantiate
 from tropibound.rational import RationalMatrix, to_rational
-from tropibound.subdivision import decorated_count, full_cells, is_triangulation
+from tropibound.subdivision import (
+    decorated_count,
+    decorated_document,
+    full_cells,
+    is_triangulation,
+)
 from tropibound.systems import CRNModel, SystemError_, VerticalSystem, assemble_crn, bound
 
 
@@ -210,7 +215,7 @@ def run(args) -> int:
 
     if cmd == "intersect":
         system = _require_system(obj, cmd)
-        report = lower_bound(system.C, system.A, system.h, cross_check=args.cross_check)
+        report = lower_bound(system, cross_check=args.cross_check)
         doc = {"kind": "intersection_report", **report.to_document()}
         lines = [
             f"intersection count: {report.count}"
@@ -242,11 +247,7 @@ def run(args) -> int:
     if cmd == "decorated":
         system = _require_system(obj, cmd)
         count, simplices = decorated_count(system.reduced_coefficients(), system.A, system.h)
-        doc = {
-            "kind": "decorated",
-            "count": count,
-            "simplices": [s.to_document() for s in simplices],
-        }
+        doc = {"kind": "decorated", **decorated_document(count, simplices)}
         lines = [f"positively decorated simplices: {count}"]
         for s in simplices:
             lines.append(
@@ -276,12 +277,10 @@ def run(args) -> int:
 
     if cmd == "verify":
         system = _require_system(obj, cmd)
-        check_parameter(args.t)
-        system.reduced_coefficients()  # refuses rank(C) != n before bounding
+        F = instantiate(system, args.t)  # refuses bad input before bounding
         report = bound(system)
         witnesses = count_roots(
-            system,
-            args.t,
+            F,
             report.tropical,
             tol=args.tol,
             multistarts=args.multistarts,

@@ -16,7 +16,7 @@ import itertools
 from math import gcd, lcm
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from tropibound import _polyhedra
 from tropibound.bergman import FlagCone, is_positive_member, positive_chains
@@ -26,6 +26,7 @@ from tropibound.matroid import (
     OrientedMatroid,
     SignedCircuit,
     initial_circuit,
+    realize_from_kernel,
 )
 from tropibound.rational import (
     RationalMatrix,
@@ -34,6 +35,9 @@ from tropibound.rational import (
     solve_affine,
     vector,
 )
+
+if TYPE_CHECKING:
+    from tropibound.systems import VerticalSystem
 
 
 class InputValidationError(ValueError):
@@ -59,33 +63,29 @@ class Diagnostics:
         return self.ranks_ok and self.lineality_ok
 
 
-def check_shape(C: RationalMatrix, A: RationalMatrix, h: Sequence, error: type[Exception]) -> None:
-    """Raise ``error`` unless C, A and h agree on the column count and A
-    is integer."""
-    if not (C.cols == A.cols == len(h)):
-        raise error(
-            f"column mismatch: C has {C.cols} columns, A has {A.cols}, h has {len(h)}"
-        )
-    if not A.is_integer():
-        raise error("exponent matrix must have integer entries")
+def validate_inputs(OM: OrientedMatroid, A: RationalMatrix) -> Diagnostics:
+    """Check the rank hypotheses and the lineality obstruction.
 
-
-def _diagnostics(A: RationalMatrix, r: int, rank_C: int, rank_C_label: str) -> Diagnostics:
-    """Shared rank and lineality checks; ``rank_C_label`` names how rank_C
-    was obtained in the message."""
-    n = A.rows
+    Hard error when rank(A) < rows(A): the monomial parametrization is
+    not injective and no bound can be stated.  Everything else is
+    reported in the diagnostics and degrades certification, not
+    computation.  rank(C) is read off the kernel realization OM of C as
+    r - rank(OM), so C is never eliminated here.
+    """
+    n, r = A.rows, A.cols
     rank_A = rank(A)
     if rank_A < n:
         raise InputValidationError(
             f"exponent matrix has rank {rank_A} < {n} rows; parametrization is not injective"
         )
+    rank_C = r - OM.rank
     messages = []
     ranks_ok = rank_C == n
     if not ranks_ok:
         messages.append(
-            f"{rank_C_label} {rank_C} differs from n = {n}; the root-count bound does not apply"
+            f"rank(C) = {rank_C} differs from n = {n}; the root-count bound does not apply"
         )
-    ones_in = in_row_span(A, [1] * A.cols)
+    ones_in = in_row_span(A, [1] * r)
     if ones_in:
         messages.append(
             "the all-ones vector lies in rowspan(A); every solution translates along a line"
@@ -99,25 +99,6 @@ def _diagnostics(A: RationalMatrix, r: int, rank_C: int, rank_C_label: str) -> D
         lineality_ok=not ones_in,
         messages=tuple(messages),
     )
-
-
-def validate_inputs(C: RationalMatrix, A: RationalMatrix, h: Sequence) -> Diagnostics:
-    """Check the rank hypotheses and the lineality obstruction.
-
-    Hard error when rank(A) < rows(A): the monomial parametrization is
-    not injective and no bound can be stated.  Everything else is
-    reported in the diagnostics and degrades certification, not
-    computation.
-    """
-    check_shape(C, A, h, InputValidationError)
-    vector(h)  # shift entries must coerce to exact rationals
-    return _diagnostics(A, A.cols, rank(C), "rank(C) =")
-
-
-def _diagnostics_from_matroid(OM: OrientedMatroid, A: RationalMatrix) -> Diagnostics:
-    """Diagnostics when only the matroid (not C) is in hand: the kernel
-    realization stands in for rank(C) = r - rank(M)."""
-    return _diagnostics(A, OM.ground_size, OM.ground_size - OM.rank, "kernel codimension")
 
 
 @dataclass(frozen=True)
@@ -381,12 +362,20 @@ def _build_report(
     for v in sorted(candidates):
         w = candidates[v]
         p = tuple(a + b for a, b in zip(w, hh))
+        isolated = is_isolated(v, OM, A, hh)
+        if not isolated and not positive_dimensional:
+            # a tangent direction would put a segment into the closed piece
+            # of some positive cell, which the fan walk would have counted
+            raise RuntimeError(
+                f"point v = {tuple(str(x) for x in v)} is not isolated, but the fan"
+                " walk met no positive-dimensional piece"
+            )
         points.append(
             IntersectionPoint(
                 v=v,
                 w=w,
                 supporting_flag=_level_flag(p, OM),
-                isolated=is_isolated(v, OM, A, hh),
+                isolated=isolated,
                 interior=_is_interior(p, OM),
             )
         )
@@ -409,12 +398,7 @@ def _build_report(
     )
 
 
-def intersect_via_fan(
-    OM: OrientedMatroid,
-    A: RationalMatrix,
-    h: Sequence,
-    diagnostics: Diagnostics | None = None,
-) -> IntersectionReport:
+def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> IntersectionReport:
     """Primary enumeration: one tie system per positive cell.
 
     Circuits never straddle circuit-connected components, so positive
@@ -426,8 +410,7 @@ def intersect_via_fan(
     and higher-dimensional pieces flag the run as non-transverse.
     """
     hh = vector(h)
-    if diagnostics is None:
-        diagnostics = _diagnostics_from_matroid(OM, A)
+    diagnostics = validate_inputs(OM, A)
     n = A.rows
     At = A.transpose()
     at_rows = [At.row(i) for i in range(At.rows)]
@@ -627,12 +610,7 @@ def intersect_via_vertices(
     return found
 
 
-def lower_bound(
-    C: RationalMatrix,
-    A: RationalMatrix,
-    h: Sequence,
-    cross_check: bool = False,
-) -> IntersectionReport:
+def lower_bound(system: VerticalSystem, cross_check: bool = False) -> IntersectionReport:
     """Count the shifted positive tropical kernel against rowspan(A).
 
     The count is certified exactly when the report says transverse;
@@ -640,14 +618,11 @@ def lower_bound(
     cross_check=True the vertex oracle must reproduce the same v-set
     or an OracleMismatchError is raised.
     """
-    from tropibound.matroid import realize_from_kernel
-
-    diagnostics = validate_inputs(C, A, h)
-    OM = realize_from_kernel(C)
-    report = intersect_via_fan(OM, A, h, diagnostics)
+    OM = realize_from_kernel(system.C)
+    report = intersect_via_fan(OM, system.A, system.h)
     if cross_check:
         found = {p.v for p in report.points}
-        other = intersect_via_vertices(OM, A, h)
+        other = intersect_via_vertices(OM, system.A, system.h)
         if found != other:
             raise OracleMismatchError(
                 f"fan walk found {sorted(found)} but vertex oracle found {sorted(other)}"

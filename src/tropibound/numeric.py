@@ -20,6 +20,9 @@ import numpy as np
 from tropibound.intersection import IntersectionReport
 from tropibound.systems import VerticalSystem
 
+# max-norm distance in log coordinates at which two Newton roots count as one
+SEPARATION = 1e-4
+
 
 class InstantiationError(ValueError):
     pass
@@ -66,23 +69,18 @@ class RootWitness:
     seed_origin: str
 
 
-def check_parameter(t: float) -> None:
-    """Refuse t outside (0, 1): the bound is a small-parameter statement
-    and t >= 1 inverts the meaning of the shifts."""
-    if not (0.0 < t < 1.0):
-        raise InstantiationError(f"t must lie in (0, 1), got {t}")
-
-
 def instantiate(system: VerticalSystem, t: float) -> InstantiatedSystem:
     """Evaluate the coefficients at a concrete parameter value.
 
-    Rejects t outside (0, 1) through ``check_parameter``.  Rows are reduced to
+    Rejects t outside (0, 1): the bound is a small-parameter statement
+    and t >= 1 inverts the meaning of the shifts.  Rows are reduced to
     the square system of ``VerticalSystem.reduced_coefficients`` first,
     exactly, so rank(C) != n raises its SystemError_.  A nonzero
     coefficient that overflows or rounds to 0 as a float is refused,
     naming its column.
     """
-    check_parameter(t)
+    if not (0.0 < t < 1.0):
+        raise InstantiationError(f"t must lie in (0, 1), got {t}")
     Ct = system.reduced_coefficients()
     n, r = system.n, system.r
     coeffs = np.zeros((n, r), dtype=float)
@@ -169,30 +167,27 @@ def tropical_seed(t: float, v: Sequence) -> list[float]:
 
 
 def count_roots(
-    system: VerticalSystem,
-    t: float,
+    F: InstantiatedSystem,
     report: IntersectionReport,
     tol: float = 1e-9,
     multistarts: int = 16,
     seed: int = 0,
-    separation: float = 1e-4,
 ) -> list[RootWitness]:
-    """Verified-distinct positive roots: one Newton run per intersection
-    point plus random log-uniform multistarts.
+    """Verified-distinct positive roots of F: one Newton run per
+    intersection point plus random log-uniform multistarts.
 
-    Roots are deduplicated at the given max-norm log-distance; tropical
+    Roots are deduplicated at max-norm log-distance SEPARATION; tropical
     seeds run first so deterministic ties resolve toward them.  The
     result is an empirical witness list, not a certificate.
     """
-    F = instantiate(system, t)
     seeds: list[tuple[str, list[float]]] = []
     for p in report.points:
         label = "tropical v=(" + ",".join(str(x) for x in p.v) + ")"
-        seeds.append((label, tropical_seed(t, p.v)))
+        seeds.append((label, tropical_seed(F.t, p.v)))
     rng = random.Random(seed)
-    span = 1.5 * abs(math.log(t))
+    span = 1.5 * abs(math.log(F.t))
     for k in range(multistarts):
-        y0 = [rng.uniform(-span, span) for _ in range(system.n)]
+        y0 = [rng.uniform(-span, span) for _ in range(F.n)]
         seeds.append((f"random#{k}", [math.exp(c) for c in y0]))
 
     witnesses: list[RootWitness] = []
@@ -201,13 +196,10 @@ def count_roots(
         if w is None:
             continue
         logs = [math.log(v) for v in w.x]
-        duplicate = False
-        for kept in witnesses:
-            kept_logs = [math.log(v) for v in kept.x]
-            if max(abs(a - b) for a, b in zip(logs, kept_logs)) <= separation:
-                duplicate = True
-                break
-        if not duplicate:
+        if all(
+            max(abs(a - math.log(b)) for a, b in zip(logs, kept.x)) > SEPARATION
+            for kept in witnesses
+        ):
             witnesses.append(w)
     for w in witnesses:
         assert w.residual <= tol and all(v > 0 for v in w.x)

@@ -158,6 +158,12 @@ def decorated_count(
     return len(simplices), simplices
 
 
+def decorated_document(count: int, simplices: Sequence[DecoratedSimplex]) -> dict:
+    """The decorated count and its simplices, as both the `decorated`
+    command and the bound report write them."""
+    return {"count": count, "simplices": [s.to_document() for s in simplices]}
+
+
 def decorated_to_tropical(
     d: DecoratedSimplex,
     A: RationalMatrix,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tropibound.intersection import IntersectionReport, check_shape, lower_bound
+from tropibound.intersection import IntersectionReport, lower_bound
 from tropibound.rational import (
     RationalMatrix,
     first_independent_rows,
@@ -23,6 +23,7 @@ from tropibound.subdivision import (
     DecoratedSimplex,
     SubdivisionError,
     decorated_count,
+    decorated_document,
     decorated_to_tropical,
 )
 
@@ -33,15 +34,25 @@ class SystemError_(ValueError):
 
 @dataclass(frozen=True)
 class VerticalSystem:
-    """C diag(t^h) x^A = 0 with C rational, A integer, h rational."""
+    """C diag(t^h) x^A = 0 with C rational, A integer, h rational.
+
+    Construction is the one place the shapes and the integrality of A are
+    checked; everything downstream takes a validated system.
+    """
 
     C: RationalMatrix
     A: RationalMatrix
     h: tuple[Fraction, ...]
 
     def __post_init__(self):
-        check_shape(self.C, self.A, self.h, SystemError_)
-        object.__setattr__(self, "h", vector(self.h))
+        C, A, h = self.C, self.A, self.h
+        if not (C.cols == A.cols == len(h)):
+            raise SystemError_(
+                f"column mismatch: C has {C.cols} columns, A has {A.cols}, h has {len(h)}"
+            )
+        if not A.is_integer():
+            raise SystemError_("exponent matrix must have integer entries")
+        object.__setattr__(self, "h", vector(h))
 
     @property
     def n(self) -> int:
@@ -128,20 +139,12 @@ class BoundReport:
     method_notes: tuple[str, ...]
 
     def to_document(self) -> dict:
-        doc = {
+        return {
             "certified_bound": self.certified_bound,
             "tropical": self.tropical.to_document(),
+            "decorated": None if self.decorated is None else decorated_document(*self.decorated),
             "method_notes": list(self.method_notes),
         }
-        if self.decorated is None:
-            doc["decorated"] = None
-        else:
-            count, simplices = self.decorated
-            doc["decorated"] = {
-                "count": count,
-                "simplices": [s.to_document() for s in simplices],
-            }
-        return doc
 
 
 class ComparisonViolation(AssertionError):
@@ -159,7 +162,7 @@ def bound(system: VerticalSystem, cross_check: bool = False) -> BoundReport:
     aborts loudly since it would contradict the comparison map.
     """
     notes: list[str] = []
-    tropical = lower_bound(system.C, system.A, system.h, cross_check=cross_check)
+    tropical = lower_bound(system, cross_check=cross_check)
 
     decorated = None
     try:

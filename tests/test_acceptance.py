@@ -15,13 +15,12 @@ from tropibound.intersection import (
     intersect_via_fan,
     intersect_via_vertices,
     lower_bound,
-    validate_inputs,
 )
 from tropibound.matroid import SignedCircuit, initial_circuit, realize_from_kernel
-from tropibound.numeric import count_roots
+from tropibound.numeric import count_roots, instantiate
 from tropibound.rational import RationalMatrix, rank, vector
 from tropibound.subdivision import decorated_count, decorated_to_tropical, full_cells
-from tropibound.systems import assemble_crn, bound
+from tropibound.systems import VerticalSystem, assemble_crn, bound
 
 H_RUN = [0, 0, 0, 0, -1]
 
@@ -93,7 +92,7 @@ def test_criterion_3_bergman_support(running_N):
 
 def test_criterion_4_intersection_golden(running_N, running_A):
     start = time.perf_counter()
-    rep = lower_bound(running_N, running_A, H_RUN)
+    rep = lower_bound(VerticalSystem(running_N, running_A, H_RUN))
     elapsed = time.perf_counter() - start
     ws = {p.w for p in rep.points}
     ok = (
@@ -116,7 +115,7 @@ def test_criterion_5_subdivision_golden(running_N, running_A):
     kernel_ok = count == 1 and simplices[0].kernel_vector == vector([1, 1, 2])
     image = decorated_to_tropical(simplices[0], running_A, H_RUN, matroid=matroid)
     image_ok = image == vector([0, 2, 0, 2, 1])
-    tropical = lower_bound(running_N, running_A, H_RUN)
+    tropical = lower_bound(VerticalSystem(running_N, running_A, H_RUN))
     strict_ok = count < tropical.count
     ok = cells_ok and witness_ok and kernel_ok and image_ok and strict_ok
     report(
@@ -144,15 +143,14 @@ def test_criterion_6_crn_golden(hhk_model):
 def test_criterion_7_oracle_equivalence(running_N, running_A, hhk_model):
     mismatches = 0
     # shipped instances
-    fan = lower_bound(running_N, running_A, H_RUN)
+    fan = lower_bound(VerticalSystem(running_N, running_A, H_RUN))
     M = realize_from_kernel(running_N)
     vx = intersect_via_vertices(M, running_A, H_RUN)
     mismatches += {p.v for p in fan.points} != vx
 
     crn = assemble_crn(hhk_model)
-    d2 = validate_inputs(crn.C, crn.A, crn.h)
     M2 = realize_from_kernel(crn.C)
-    fan2 = intersect_via_fan(M2, crn.A, crn.h, d2)
+    fan2 = intersect_via_fan(M2, crn.A, crn.h)
     start = time.perf_counter()
     vx2 = intersect_via_vertices(M2, crn.A, crn.h)
     elapsed = time.perf_counter() - start
@@ -173,9 +171,8 @@ def test_criterion_7_oracle_equivalence(running_N, running_A, hhk_model):
         if C.is_zero() or rank(A) < n or rank(C) != n:
             continue
         h = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(r)]
-        dd = validate_inputs(C, A, h)
         MM = realize_from_kernel(C)
-        s1 = {p.v for p in intersect_via_fan(MM, A, h, dd).points}
+        s1 = {p.v for p in intersect_via_fan(MM, A, h).points}
         s2 = intersect_via_vertices(MM, A, h)
         mismatches += s1 != s2
         ran += 1
@@ -213,13 +210,13 @@ def test_criterion_8_property_suites(running_N, running_A, hhk_model):
                 break
 
     # shift covariance of the bound under h -> h + A^T u, 50 random u
-    base = lower_bound(running_N, running_A, H_RUN)
+    base = lower_bound(VerticalSystem(running_N, running_A, H_RUN))
     base_vs = {p.v for p in base.points}
     At = running_A.transpose()
     for _ in range(50):
         u = vector([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2)])
         h2 = [a + b for a, b in zip(vector(H_RUN), At.apply(u))]
-        rep = lower_bound(running_N, running_A, h2)
+        rep = lower_bound(VerticalSystem(running_N, running_A, h2))
         if rep.count != base.count or {
             tuple(a + b for a, b in zip(p.v, u)) for p in rep.points
         } != base_vs:
@@ -227,8 +224,6 @@ def test_criterion_8_property_suites(running_N, running_A, hhk_model):
             break
 
     # decorated <= tropical wherever both are computed
-    from tropibound.systems import VerticalSystem
-
     run_report = bound(VerticalSystem(running_N, running_A, tuple(H_RUN)))
     if run_report.decorated is None or run_report.decorated[0] > run_report.tropical.count:
         failures.append("decorated/tropical comparison")
@@ -262,13 +257,13 @@ def test_criterion_8_property_suites(running_N, running_A, hhk_model):
 
 
 def test_criterion_9_numeric_witnesses(running_system, hhk_model):
-    rep = lower_bound(running_system.C, running_system.A, running_system.h)
-    ws = count_roots(running_system, 0.01, rep, tol=1e-9, separation=1e-4)
+    rep = lower_bound(running_system)
+    ws = count_roots(instantiate(running_system, 0.01), rep, tol=1e-9)
     run_ok = len(ws) >= 2 and all(w.residual <= 1e-9 for w in ws)
 
     crn = assemble_crn(hhk_model)
-    rep2 = lower_bound(crn.C, crn.A, crn.h)
-    ws2 = count_roots(crn, 0.01, rep2, tol=1e-9, separation=1e-4)
+    rep2 = lower_bound(crn)
+    ws2 = count_roots(instantiate(crn, 0.01), rep2, tol=1e-9)
     crn_ok = len(ws2) >= 3 and all(w.residual <= 1e-9 for w in ws2)
 
     def separated(wit):

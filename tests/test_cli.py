@@ -150,6 +150,29 @@ def test_internal_error_exit_three(monkeypatch, capsys):
     assert err.startswith("internal error:") and "Traceback" not in err
 
 
+def test_isolation_contradicting_fan_walk_exit_three(monkeypatch, capsys):
+    # the fan walk met no positive-dimensional piece, so every point it
+    # reports must be isolated
+    import tropibound.intersection as mod
+
+    monkeypatch.setattr(mod, "is_isolated", lambda v, OM, A, h: False)
+    code = main(["intersect", str(INPUTS / "running_2x5.json")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_zero_C_refused_before_the_rank_of_A(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "zero.json",
+        {"kind": "vertical_system", "C": [[0, 0, 0]], "A": [[1, 2, 3], [2, 4, 6]], "h": [0, 0, 0]},
+    )
+    assert main(["intersect", path]) == 1
+    assert capsys.readouterr().err == "error: zero matrix realizes no oriented matroid here\n"
+
+
 def test_circuits_command_machine_output(tmp_path, capsys):
     out_path = tmp_path / "out.json"
     code = main(["circuits", str(INPUTS / "running_2x5.json"), "--json", str(out_path)])
@@ -267,6 +290,20 @@ def test_verify_refuses_rank_deficient_before_bounding(monkeypatch, tmp_path, ca
     )
     assert main(["verify", path]) == 1
     assert capsys.readouterr().err == "error: rank(C) = 1 differs from n = 2\n"
+
+
+def test_verify_refuses_overflow_before_bounding(monkeypatch, tmp_path, capsys):
+    import tropibound.cli as cli
+
+    def no_bound(system):
+        raise AssertionError("bound ran before the coefficients were checked")
+
+    monkeypatch.setattr(cli, "bound", no_bound)
+    doc = json.loads((INPUTS / "running_2x5.json").read_text())
+    doc["h"] = ["0", "0", "0", "0", "-400"]
+    assert main(["verify", write(tmp_path, "shifted.json", doc), "--t", "0.01"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: column 5:") and err.endswith("overflows in floating point\n")
 
 
 def test_verify_certified_bound_matches_bound(tmp_path, capsys):

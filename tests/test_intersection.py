@@ -17,6 +17,7 @@ from tropibound.intersection import (
 )
 from tropibound.matroid import OrientedMatroid, realize_from_kernel
 from tropibound.rational import RationalMatrix, rank, solve_affine, vector
+from tropibound.systems import SystemError_, VerticalSystem
 
 H_RUN = [0, 0, 0, 0, -1]
 W_POINT_A = vector([0, 2, 0, 2, 1])
@@ -27,7 +28,7 @@ W_POINT_B = vector([0, -1, -1, -2, -1])
 
 
 def test_validate_running_example(running_N, running_A):
-    d = validate_inputs(running_N, running_A, H_RUN)
+    d = validate_inputs(realize_from_kernel(running_N), running_A)
     assert d.n == 2 and d.ranks_ok and d.lineality_ok and d.ok
 
 
@@ -35,40 +36,70 @@ def test_validate_crn_ranks(hhk_model):
     from tropibound.systems import assemble_crn
 
     vs = assemble_crn(hhk_model)
-    d = validate_inputs(vs.C, vs.A, vs.h)
+    d = validate_inputs(realize_from_kernel(vs.C), vs.A)
     assert d.rank_C == 6 and d.rank_A == 6 and d.ok
-    assert vs.C.rows == 8  # rank comes from elimination, not the row count
+    assert vs.C.rows == 8  # rank comes from the matroid, not the row count
 
 
 def test_validate_rejects_duplicated_exponent_row(running_N):
     A = RationalMatrix.from_rows([[0, 2, 0, 2, 1], [0, 2, 0, 2, 1]])
     with pytest.raises(InputValidationError):
-        validate_inputs(running_N, A, H_RUN)
+        validate_inputs(realize_from_kernel(running_N), A)
 
 
 def test_validate_rejects_fractional_exponents(running_N):
     A = RationalMatrix.from_rows([["1/2", 0, 0, 0, 0], [0, 1, 0, 0, 0]])
-    with pytest.raises(InputValidationError):
-        validate_inputs(running_N, A, H_RUN)
+    with pytest.raises(SystemError_):
+        VerticalSystem(running_N, A, H_RUN)
 
 
 def test_validate_flags_all_ones_in_rowspan():
     C = RationalMatrix.from_rows([[1, -1, 0], [0, 1, -1]])
     A = RationalMatrix.from_rows([[1, 1, 1], [0, 1, 2]])
-    d = validate_inputs(C, A, [0, 0, 0])
+    d = validate_inputs(realize_from_kernel(C), A)
     assert not d.lineality_ok and not d.ok
 
 
+def test_validate_reads_rank_C_off_the_matroid():
+    # rank(C) = r - rank(M) for the kernel realization M, checked against
+    # elimination on C with fractional entries, zero columns, dependent
+    # rows and a trivial kernel
+    rng = random.Random(1231)
+    deficient = zero_cols = full = 0
+    for _ in range(120):
+        r = rng.randint(2, 6)
+        m = rng.randint(1, r + 1)
+        rows = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(r)]
+            for _ in range(m)
+        ]
+        if m > 1 and rng.random() < 0.5:
+            rows[-1] = [Fraction(2, 3) * x - y for x, y in zip(rows[0], rows[(m - 1) // 2])]
+        for j in rng.sample(range(r), rng.randint(0, r - 1)):
+            for row in rows:
+                row[j] = Fraction(0)
+        C = RationalMatrix.from_rows(rows)
+        if C.is_zero():
+            continue
+        A = RationalMatrix.from_rows([[1] + [0] * (r - 1)])
+        rank_C = rank(C)
+        assert validate_inputs(realize_from_kernel(C), A).rank_C == rank_C, rows
+        deficient += rank_C < m
+        zero_cols += any(all(row[j] == 0 for row in rows) for j in range(r))
+        full += rank_C == r
+    assert deficient >= 20 and zero_cols >= 20 and full >= 5
+
+
 def test_validate_mismatched_shapes(running_N, running_A):
-    with pytest.raises(InputValidationError):
-        validate_inputs(running_N, running_A, [0, 0, 0])
+    with pytest.raises(SystemError_):
+        VerticalSystem(running_N, running_A, [0, 0, 0])
 
 
 # --- the 2x5 golden instance -------------------------------------------------
 
 
 def test_lower_bound_running_example(running_N, running_A):
-    report = lower_bound(running_N, running_A, H_RUN)
+    report = lower_bound(VerticalSystem(running_N, running_A, H_RUN))
     assert report.count == 2
     assert report.transverse
     assert {p.w for p in report.points} == {W_POINT_A, W_POINT_B}
@@ -86,7 +117,7 @@ def test_lower_bound_running_example(running_N, running_A):
 
 def test_reported_points_satisfy_membership(running_N, running_A):
     M = realize_from_kernel(running_N)
-    report = lower_bound(running_N, running_A, H_RUN)
+    report = lower_bound(VerticalSystem(running_N, running_A, H_RUN))
     for p in report.points:
         shifted = tuple(a + b for a, b in zip(p.w, vector(H_RUN)))
         assert is_positive_member(shifted, M)
@@ -95,13 +126,13 @@ def test_reported_points_satisfy_membership(running_N, running_A):
 
 def test_empty_positive_fan_gives_zero(running_A):
     C = RationalMatrix.from_rows([[1, 1, 1, 1, 1], [1, 2, 3, 4, 5]])
-    report = lower_bound(C, running_A, H_RUN)
+    report = lower_bound(VerticalSystem(C, running_A, H_RUN))
     assert report.count == 0
     assert report.points == ()
 
 
 def test_lower_bound_cross_check_passes(running_N, running_A):
-    report = lower_bound(running_N, running_A, H_RUN, cross_check=True)
+    report = lower_bound(VerticalSystem(running_N, running_A, H_RUN), cross_check=True)
     assert report.count == 2
 
 
@@ -109,7 +140,7 @@ def test_lower_bound_cross_check_passes(running_N, running_A):
 
 
 def test_zero_shift_reports_honestly(running_N, running_A):
-    report = lower_bound(running_N, running_A, [0, 0, 0, 0, 0])
+    report = lower_bound(VerticalSystem(running_N, running_A, [0, 0, 0, 0, 0]))
     assert report.count == len(report.points)
     # the origin survives as the unique candidate but sits on the lineality
     # line, a boundary cell, so the run must not claim certification
@@ -122,7 +153,7 @@ def test_zero_shift_reports_honestly(running_N, running_A):
 def test_positive_dimensional_intersection_flagged():
     C = RationalMatrix.from_rows([[1, -1, 0, 0]])
     A = RationalMatrix.from_rows([[1, 1, 2, 3]])
-    report = lower_bound(C, A, [0, 0, 0, 0])
+    report = lower_bound(VerticalSystem(C, A, [0, 0, 0, 0]))
     assert report.positive_dimensional
     assert not report.transverse
     assert report.count == 0
@@ -132,7 +163,7 @@ def test_positive_dimensional_intersection_flagged():
 def test_one_signed_pair_literal():
     C = RationalMatrix.from_rows([[1, 1]])
     A = RationalMatrix.from_rows([[1, 0]])
-    rep = lower_bound(C, A, [0, 0])
+    rep = lower_bound(VerticalSystem(C, A, [0, 0]))
     assert rep.count == 0 and rep.points == ()
     assert any("positive fan is empty" in note for note in rep.notes)
 
@@ -168,7 +199,7 @@ def test_crn_points_isolated_and_interior(hhk_model):
 
     vs = assemble_crn(hhk_model)
     M = realize_from_kernel(vs.C)
-    report = lower_bound(vs.C, vs.A, vs.h)
+    report = lower_bound(vs)
     assert report.count == 3
     for p in report.points:
         assert is_isolated(p.v, M, vs.A, vs.h)
@@ -201,7 +232,8 @@ def test_crn_underdetermined_ties_notes(hhk_model):
 def test_free_matroid_report():
     C = RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     # kernel is trivial: every element is a loop, not a free matroid
-    report = lower_bound(C, RationalMatrix.from_rows([[1, 0, 1], [0, 1, 1], [0, 0, 1]]), [0, 0, 0])
+    A3 = RationalMatrix.from_rows([[1, 0, 1], [0, 1, 1], [0, 0, 1]])
+    report = lower_bound(VerticalSystem(C, A3, [0, 0, 0]))
     assert report.count == 0
 
     M = OrientedMatroid(3, [])
@@ -219,7 +251,7 @@ def test_free_matroid_report():
 
 def test_is_isolated_on_golden_points(running_N, running_A):
     M = realize_from_kernel(running_N)
-    report = lower_bound(running_N, running_A, H_RUN)
+    report = lower_bound(VerticalSystem(running_N, running_A, H_RUN))
     for p in report.points:
         assert is_isolated(p.v, M, running_A, H_RUN)
 
@@ -244,7 +276,7 @@ def test_reported_non_isolated_point_carries_verified_direction():
     A = RationalMatrix.from_rows([[-1, 2, -2, -1, -1], [-1, 2, 0, -2, -2]])
     h = [0, -1, 0, 0, 0]
     M = realize_from_kernel(C)
-    rep = intersect_via_fan(M, A, h, validate_inputs(C, A, h))
+    rep = intersect_via_fan(M, A, h)
     assert not rep.transverse
     target = vector([Fraction(1, 5), Fraction(1, 10)])
     point = {p.v: p for p in rep.points}[target]
@@ -269,9 +301,8 @@ def test_tangent_probe_on_random_instances():
     ran = 0
     while ran < 25:
         C, A, h = random_instance(rng)
-        d = validate_inputs(C, A, h)
         M = realize_from_kernel(C)
-        rep = intersect_via_fan(M, A, h, d)
+        rep = intersect_via_fan(M, A, h)
         At = A.transpose()
         hh = vector(h)
         for p in rep.points:
@@ -438,9 +469,8 @@ def test_oracle_equivalence_random_instances():
     rng = random.Random(20260809)
     for _ in range(60):
         C, A, h = random_instance(rng)
-        d = validate_inputs(C, A, h)
         M = realize_from_kernel(C)
-        fan = intersect_via_fan(M, A, h, d)
+        fan = intersect_via_fan(M, A, h)
         assert {p.v for p in fan.points} == intersect_via_vertices(M, A, h)
 
 
@@ -454,19 +484,19 @@ def test_oracle_mismatch_raises(monkeypatch, running_N, running_A):
 
     monkeypatch.setattr(mod, "intersect_via_vertices", broken)
     with pytest.raises(OracleMismatchError):
-        mod.lower_bound(running_N, running_A, H_RUN, cross_check=True)
+        mod.lower_bound(VerticalSystem(running_N, running_A, H_RUN), cross_check=True)
 
 
 def test_shift_covariance(running_N, running_A):
     rng = random.Random(31)
-    base = lower_bound(running_N, running_A, H_RUN)
+    base = lower_bound(VerticalSystem(running_N, running_A, H_RUN))
     base_vs = {p.v for p in base.points}
     At = running_A.transpose()
     for _ in range(10):
         u = vector([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2)])
         shift = At.apply(u)
         h2 = [a + b for a, b in zip(vector(H_RUN), shift)]
-        rep = lower_bound(running_N, running_A, h2)
+        rep = lower_bound(VerticalSystem(running_N, running_A, h2))
         assert rep.count == base.count
         assert {tuple(a + b for a, b in zip(p.v, u)) for p in rep.points} == base_vs
 
@@ -474,7 +504,7 @@ def test_shift_covariance(running_N, running_A):
 def test_report_document_roundtrip(running_N, running_A):
     import json
 
-    report = lower_bound(running_N, running_A, H_RUN)
+    report = lower_bound(VerticalSystem(running_N, running_A, H_RUN))
     doc = report.to_document()
     text = json.dumps(doc, sort_keys=True)
     parsed = json.loads(text)

@@ -97,8 +97,8 @@ def test_newton_rejects_nonpositive_seed(running_system):
 
 
 def test_count_roots_running_example(running_system):
-    report = lower_bound(running_system.C, running_system.A, running_system.h)
-    witnesses = count_roots(running_system, 0.01, report)
+    report = lower_bound(running_system)
+    witnesses = count_roots(instantiate(running_system, 0.01), report)
     assert len(witnesses) >= 2
     logs = [[math.log(v) for v in w.x] for w in witnesses]
     for i in range(len(logs)):
@@ -110,8 +110,8 @@ def test_count_roots_running_example(running_system):
 
 def test_count_roots_crn(hhk_model):
     system = assemble_crn(hhk_model)
-    report = lower_bound(system.C, system.A, system.h)
-    witnesses = count_roots(system, 0.01, report)
+    report = lower_bound(system)
+    witnesses = count_roots(instantiate(system, 0.01), report)
     assert len(witnesses) >= 3
 
 
@@ -122,14 +122,14 @@ def test_count_roots_empty_on_infeasible():
         RationalMatrix.from_rows([[1, 0]]),
         (0, 0),
     )
-    report = lower_bound(system.C, system.A, system.h)
-    assert count_roots(system, 0.01, report, multistarts=8) == []
+    report = lower_bound(system)
+    assert count_roots(instantiate(system, 0.01), report, multistarts=8) == []
 
 
 def test_count_roots_deterministic(running_system):
-    report = lower_bound(running_system.C, running_system.A, running_system.h)
-    a = count_roots(running_system, 0.01, report, seed=5)
-    b = count_roots(running_system, 0.01, report, seed=5)
+    report = lower_bound(running_system)
+    a = count_roots(instantiate(running_system, 0.01), report, seed=5)
+    b = count_roots(instantiate(running_system, 0.01), report, seed=5)
     assert [w.x for w in a] == [w.x for w in b]
 
 
@@ -137,7 +137,7 @@ def test_seeding_schedule_converges_on_shipped_examples(running_system, hhk_mode
     # every interior isolated point: the tropical-seeded run lands by the
     # end of the halving schedule
     for system in (running_system, assemble_crn(hhk_model)):
-        report = lower_bound(system.C, system.A, system.h)
+        report = lower_bound(system)
         for p in report.points:
             assert p.isolated and p.interior
             converged = False
@@ -154,5 +154,5 @@ def test_witness_count_reaches_certified_bound_on_shipped(running_system, hhk_mo
         from tropibound.systems import bound
 
         rep = bound(system)
-        witnesses = count_roots(system, 0.01, rep.tropical)
+        witnesses = count_roots(instantiate(system, 0.01), rep.tropical)
         assert len(witnesses) >= rep.certified_bound

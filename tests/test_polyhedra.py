@@ -6,6 +6,7 @@ from tropibound._polyhedra import (
     feasible_point,
     polyhedron_dimension,
 )
+from tropibound.rational import RationalMatrix, kernel_basis
 
 
 def ineq(coeffs, rhs, strict=False):
@@ -128,3 +129,64 @@ def test_cone_nonzero_point_matches_slice_reference():
         pinned += got is None
         found += got is not None
     assert pinned and found
+
+
+def _two_pass_dimension(dim, equalities, inequalities):
+    """polyhedron_dimension as it was, re-probing the leftover
+    inequalities until a pass folds no new implicit equality."""
+    eqs = list(equalities)
+    ineqs = [(c, r, False) for c, r, _ in inequalities]
+    if feasible_point(dim, eqs, ineqs) is None:
+        return -1, None
+    changed = True
+    while changed:
+        changed = False
+        still = []
+        for i, (coeffs, rhs, _) in enumerate(ineqs):
+            probe = still + ineqs[i + 1 :] + [(coeffs, rhs, True)]
+            if feasible_point(dim, eqs, probe) is None:
+                eqs.append((coeffs, rhs))
+                changed = True
+            else:
+                still.append((coeffs, rhs, False))
+        ineqs = still
+    if eqs:
+        M = RationalMatrix(len(eqs), dim, [c for row, _ in eqs for c in row])
+        d = kernel_basis(M).rows
+    else:
+        d = dim
+    return d, feasible_point(dim, eqs, [(c, r, True) for c, r, _ in ineqs])
+
+
+def test_one_pass_dimension_matches_two_pass():
+    # rows tight at x0 whose positive combination is negated by a closing
+    # row are all implicit equalities; slack rows are not, and a negative
+    # slack can empty the polyhedron
+    rng = random.Random(7117)
+    implicit = empty = 0
+    while implicit < 200:
+        dim = rng.randint(1, 4)
+        x0 = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
+
+        def row():
+            return [rng.randint(-2, 2) for _ in range(dim)]
+
+        def at_x0(a):
+            return sum(c * x for c, x in zip(a, x0))
+
+        eqs = [eq(a, at_x0(a)) for a in (row() for _ in range(rng.randint(0, 1)))]
+        tight = [row() for _ in range(rng.randint(1, 3))]
+        lams = [rng.randint(1, 3) for _ in tight]
+        closing = [-sum(lam * a[j] for lam, a in zip(lams, tight)) for j in range(dim)]
+        ineqs = [ineq(a, at_x0(a)) for a in tight + [closing]]
+        for _ in range(rng.randint(0, 4)):
+            a = row()
+            ineqs.append(ineq(a, at_x0(a) + rng.choice([-1, 1, 2, F(1, 2)])))
+        rng.shuffle(ineqs)
+        got = polyhedron_dimension(dim, eqs, ineqs)
+        assert got == _two_pass_dimension(dim, eqs, ineqs), (dim, eqs, ineqs)
+        if got[0] < 0:
+            empty += 1
+        elif got[0] < polyhedron_dimension(dim, eqs, [])[0]:
+            implicit += 1
+    assert empty >= 10

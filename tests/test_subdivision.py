@@ -220,8 +220,9 @@ def test_decorated_to_tropical_golden(running_N, running_A):
 
 def test_decorated_image_is_reported_point(running_N, running_A):
     from tropibound.intersection import lower_bound
+    from tropibound.systems import VerticalSystem
 
-    report = lower_bound(running_N, running_A, H_RUN)
+    report = lower_bound(VerticalSystem(running_N, running_A, H_RUN))
     _, simplices = decorated_count(running_N, running_A, H_RUN)
     reported = {p.w for p in report.points}
     images = {

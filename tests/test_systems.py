@@ -77,7 +77,7 @@ def test_assemble_crn_zero_totals(hhk_model):
     # the constant column went dead: the rank check must notice
     from tropibound.intersection import validate_inputs
 
-    d = validate_inputs(vs.C, vs.A, vs.h)
+    d = validate_inputs(realize_from_kernel(vs.C), vs.A)
     assert d.rank_C == 6  # W rows still independent; rank survives here
 
 
