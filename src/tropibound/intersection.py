@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from tropibound import _polyhedra
-from tropibound.bergman import FlagCone, is_positive_member, positive_chains
+from tropibound.bergman import is_positive_member, positive_chains
 from tropibound.matroid import (
     Flat,
     FlagOfFlats,
@@ -222,13 +222,12 @@ def tangent_direction(
     def diff(a: int, b: int) -> tuple[Fraction, ...]:
         return tuple(x - y for x, y in zip(At.row(a - 1), At.row(b - 1)))
 
-    # states: (frozenset of equality rows, frozenset of inequality rows)
-    states: set[tuple[frozenset, frozenset]] = {(frozenset(), frozenset())}
-    samples: dict[tuple[frozenset, frozenset], tuple[Fraction, ...]] = {}
+    # each level maps its accepted states (frozenset of equality rows,
+    # frozenset of inequality rows) to a nonzero point of their cone
+    level: dict[tuple[frozenset, frozenset], tuple | None] = {(frozenset(), frozenset()): None}
     for witnesses, arg in tasks:
-        new_states: set[tuple[frozenset, frozenset]] = set()
-        samples = {}
-        for eqs, ineqs in states:
+        accepted: dict[tuple[frozenset, frozenset], tuple | None] = {}
+        for eqs, ineqs in level:
             for i_pos, i_neg in witnesses:
                 e2 = eqs | {_polyhedra._normalize(diff(i_pos, i_neg), Fraction(0))[0]}
                 extra = {
@@ -237,16 +236,15 @@ def tangent_direction(
                     if j != i_pos and j != i_neg
                 }
                 i2 = ineqs | extra
-                if (e2, i2) in new_states:
+                if (e2, i2) in accepted:
                     continue
                 u = _polyhedra.cone_nonzero_point(n, list(e2), list(i2))
                 if u is not None:
-                    new_states.add((e2, i2))
-                    samples[(e2, i2)] = u
-        states = new_states
-        if not states:
+                    accepted[(e2, i2)] = u
+        if not accepted:
             return None
-    return next(iter(samples.values()))
+        level = accepted
+    return next(iter(level.values()))
 
 
 def is_isolated(v: Sequence, OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> bool:
@@ -280,84 +278,137 @@ def _merge(size: int, groups: Iterable[Sequence[int]]) -> list[list[int]]:
     return sorted(classes.values())
 
 
-def _components(OM: OrientedMatroid) -> list[list[int]]:
-    """Connected components of the circuit hypergraph; singletons are
-    elements lying on no circuit."""
-    return _merge(OM.ground_size, OM.circuit_supports)
-
-
 # a positive cell as its ordered, nonempty blocks of element labels
 _Cell = tuple[tuple[int, ...], ...]
-
-
-def _local_cells(OM: OrientedMatroid, comp: list[int]) -> list[_Cell] | None:
-    """Positive cells of the fan restricted to one component, each as its
-    ordered nonempty blocks in global element labels.
-
-    Returns None when the component admits no positive weight at all
-    (some circuit is one-signed), which empties the whole fan.
-    """
-    local_size = len(comp)
-    to_local = {g: i + 1 for i, g in enumerate(comp)}
-    local_circuits = []
-    for c in OM.circuits:
-        if c.support <= set(comp):
-            local_circuits.append(
-                SignedCircuit(
-                    tuple(to_local[e] for e in c.positive),
-                    tuple(to_local[e] for e in c.negative),
-                )
-            )
-    local = OrientedMatroid(local_size, local_circuits)
-    cells = [
-        tuple(
-            tuple(comp[e - 1] for e in block)
-            for block in FlagCone(flag, local_size).blocks()
-            if block
-        )
-        for flag in positive_chains(local)
-    ]
-    return cells if cells else None
-
-
-# one component's positive cells grouped by block partition, as sorted
-# (partition, cells) items
-_Factor = tuple[tuple[frozenset, tuple[_Cell, ...]], ...]
+# one component's positive cells, one group per block partition
+_Factor = tuple[tuple[_Cell, ...], ...]
 
 
 @functools.lru_cache(maxsize=1)
 def _cell_partitions(
     OM: OrientedMatroid,
 ) -> tuple[tuple[_Factor, ...], tuple[int, ...] | None]:
-    """Per component, its positive cells grouped by block partition.
+    """Per circuit-connected component, its positive cells grouped by
+    block partition, the groups in sorted order of their sorted blocks.
 
-    Returns ``(factors, None)``, or ``((), comp)`` for the first component
-    ``comp`` that admits no positive weight.  None of this depends on A
-    or h, so a one-entry memo lets every shift of a scan over one matroid
-    share it; the result is immutable because callers share it.
+    Each cell is read off a chain of ``positive_chains`` on the
+    component's own matroid: the successive differences of the chain's
+    flats, then the complement of the top flat, in global labels.
+    Returns ``(factors, None)``, or ``(((),), comp)`` for the first
+    component ``comp`` that admits no positive weight (some circuit is
+    one-signed), whose empty factor leaves no cell to walk.  None of this
+    depends on A or h, so a one-entry memo lets every shift of a scan
+    over one matroid share it; the result is immutable because callers
+    share it.
     """
     factors = []
-    for comp in _components(OM):
-        cells = _local_cells(OM, comp)
-        if cells is None:
-            return (), tuple(comp)
-        grouped: dict[frozenset, list[_Cell]] = {}
-        for cell in cells:
-            grouped.setdefault(frozenset(map(frozenset, cell)), []).append(cell)
-        items = sorted(grouped.items(), key=lambda item: sorted(sorted(b) for b in item[0]))
-        factors.append(tuple((part, tuple(group)) for part, group in items))
+    for comp in _merge(OM.ground_size, OM.circuit_supports):
+        to_local = {g: i + 1 for i, g in enumerate(comp)}
+        local_circuits = [
+            SignedCircuit(
+                tuple(to_local[e] for e in c.positive),
+                tuple(to_local[e] for e in c.negative),
+            )
+            for c in OM.circuits
+            if c.support <= to_local.keys()
+        ]
+        chains = positive_chains(OrientedMatroid(len(comp), local_circuits))
+        if not chains:
+            return ((),), tuple(comp)
+        grouped: dict[_Cell, list[_Cell]] = {}
+        for flag in chains:
+            blocks = []
+            below: frozenset[int] = frozenset()
+            for f in flag.chain:
+                blocks.append(tuple(comp[e - 1] for e in f.elements if e not in below))
+                below = f.as_set
+            blocks.append(tuple(g for e, g in enumerate(comp, 1) if e not in below))
+            cell = tuple(blocks)
+            grouped.setdefault(tuple(sorted(cell)), []).append(cell)
+        factors.append(tuple(tuple(grouped[key]) for key in sorted(grouped)))
     return tuple(factors), None
 
 
-def _build_report(
-    candidates: dict[tuple[Fraction, ...], tuple[Fraction, ...]],
-    OM: OrientedMatroid,
-    A: RationalMatrix,
-    hh: tuple[Fraction, ...],
-    diagnostics: Diagnostics,
-    positive_dimensional: bool,
-    notes: list[str],
-) -> IntersectionReport:
+def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> IntersectionReport:
+    """Primary enumeration: one tie system per positive cell.
+
+    Circuits never straddle circuit-connected components, so positive
+    cells are products of per-component cells and their tie systems
+    depend only on the induced block partition.  Every intersection point
+    lies in the closed cone of some cell, hence solves some enumerated
+    tie system.  Underdetermined systems are analyzed exactly: empty
+    pieces are discarded, zero-dimensional pieces contribute their point,
+    and higher-dimensional pieces flag the run as non-transverse.
+    """
+    hh = vector(h)
+    diagnostics = validate_inputs(OM, A)
+    n = A.rows
+    At = A.transpose()
+    at_rows = [At.row(i) for i in range(At.rows)]
+
+    @functools.cache
+    def tie(a: int, b: int) -> tuple[tuple[Fraction, ...], Fraction]:
+        """The tie (w + h)_a = (w + h)_b as a row and right-hand side in v."""
+        row = tuple(x - y for x, y in zip(at_rows[a - 1], at_rows[b - 1]))
+        return row, hh[b - 1] - hh[a - 1]
+
+    notes: list[str] = []
+    factors, empty = _cell_partitions(OM)
+    if empty is not None:
+        notes.append(
+            f"component {list(empty)} admits no positive weight; the positive fan is empty"
+        )
+
+    candidates: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
+    pinned = 0
+    positive_cells = 0
+    for groups in itertools.product(*factors):
+        eqs = [tie(block[0], e) for cells in groups for block in cells[0] for e in block[1:]]
+        M = RationalMatrix(len(eqs), n, [x for row, _ in eqs for x in row])
+        solution = solve_affine(M, [rhs for _, rhs in eqs])
+        if solution is None:
+            continue
+        v, kernel = solution
+        if kernel.rows == 0:
+            w = At.apply(v)
+            p = tuple(a + b for a, b in zip(w, hh))
+            if is_positive_member(p, OM):
+                candidates[v] = w
+            continue
+        # Underdetermined ties: examine each product cell of this partition
+        # with its ordering facets.
+        for combo in itertools.product(*groups):
+            ineqs = [
+                (*tie(lower[0], upper[0]), False)
+                for cell in combo
+                for upper, lower in zip(cell, cell[1:])
+            ]
+            dim, vstar = _polyhedra.polyhedron_dimension(n, eqs, ineqs)
+            if dim < 0:
+                continue
+            if dim == 0:
+                # a zero-dimensional piece is one point, so its sample is it
+                wstar = At.apply(vstar)
+                pstar = tuple(a + b for a, b in zip(wstar, hh))
+                if not is_positive_member(pstar, OM):
+                    raise RuntimeError(
+                        "pinned cone point escaped the positive fan; cell"
+                        " bookkeeping is wrong"
+                    )
+                candidates[vstar] = wstar
+                pinned += 1
+            else:
+                positive_cells += 1
+    if pinned:
+        notes.append(
+            f"{pinned} underdetermined tie system(s) pinned to a point by cone facets"
+        )
+    if positive_cells:
+        notes.append(
+            f"{positive_cells} positive cell(s) meet rowspan(A) in positive dimension"
+        )
+
+    positive_dimensional = positive_cells > 0
     points = []
     for v in sorted(candidates):
         w = candidates[v]
@@ -398,93 +449,6 @@ def _build_report(
     )
 
 
-def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> IntersectionReport:
-    """Primary enumeration: one tie system per positive cell.
-
-    Circuits never straddle circuit-connected components, so positive
-    cells are products of per-component cells and their tie systems
-    depend only on the induced block partition.  Every intersection point
-    lies in the closed cone of some cell, hence solves some enumerated
-    tie system.  Underdetermined systems are analyzed exactly: empty
-    pieces are discarded, zero-dimensional pieces contribute their point,
-    and higher-dimensional pieces flag the run as non-transverse.
-    """
-    hh = vector(h)
-    diagnostics = validate_inputs(OM, A)
-    n = A.rows
-    At = A.transpose()
-    at_rows = [At.row(i) for i in range(At.rows)]
-
-    @functools.cache
-    def tie(a: int, b: int) -> tuple[tuple[Fraction, ...], Fraction]:
-        """The tie (w + h)_a = (w + h)_b as a row and right-hand side in v."""
-        row = tuple(x - y for x, y in zip(at_rows[a - 1], at_rows[b - 1]))
-        return row, hh[b - 1] - hh[a - 1]
-
-    notes: list[str] = []
-    factor_partitions, empty = _cell_partitions(OM)
-    if empty is not None:
-        notes.append(
-            f"component {list(empty)} admits no positive weight; the positive fan is empty"
-        )
-        return _build_report({}, OM, A, hh, diagnostics, False, notes)
-
-    candidates: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
-    pinned = 0
-    positive_cells = 0
-    for partition_combo in itertools.product(*factor_partitions):
-        eqs = [
-            tie(block[0], e)
-            for _, cells in partition_combo
-            for block in cells[0]
-            for e in block[1:]
-        ]
-        M = RationalMatrix(len(eqs), n, [x for row, _ in eqs for x in row])
-        solution = solve_affine(M, [rhs for _, rhs in eqs])
-        if solution is None:
-            continue
-        v, kernel = solution
-        if kernel.rows == 0:
-            w = At.apply(v)
-            p = tuple(a + b for a, b in zip(w, hh))
-            if is_positive_member(p, OM):
-                candidates[v] = w
-            continue
-        # Underdetermined ties: examine each product cell of this partition
-        # with its ordering facets.
-        for combo in itertools.product(*(cells for _, cells in partition_combo)):
-            ineqs = [
-                (*tie(lower[0], upper[0]), False)
-                for cell in combo
-                for upper, lower in zip(cell, cell[1:])
-            ]
-            dim, vstar = _polyhedra.polyhedron_dimension(n, eqs, ineqs)
-            if dim < 0:
-                continue
-            if dim == 0:
-                # a zero-dimensional piece is one point, so its sample is it
-                wstar = At.apply(vstar)
-                pstar = tuple(a + b for a, b in zip(wstar, hh))
-                if not is_positive_member(pstar, OM):
-                    raise RuntimeError(
-                        "pinned cone point escaped the positive fan; cell"
-                        " bookkeeping is wrong"
-                    )
-                candidates[vstar] = wstar
-                pinned += 1
-            else:
-                positive_cells += 1
-    if pinned:
-        notes.append(
-            f"{pinned} underdetermined tie system(s) pinned to a point by cone facets"
-        )
-    if positive_cells:
-        notes.append(
-            f"{positive_cells} positive cell(s) meet rowspan(A) in positive dimension"
-        )
-    return _build_report(candidates, OM, A, hh, diagnostics, positive_cells > 0, notes)
-
-
 def intersect_via_vertices(
     OM: OrientedMatroid, A: RationalMatrix, h: Sequence
 ) -> set[tuple[Fraction, ...]]:
@@ -501,7 +465,7 @@ def intersect_via_vertices(
     whole: keeping only opposite-sign ties inside each circuit cut the
     hhk oracle about eightfold but missed 1 of the 5 points at
     h = (7, 8, 3, 3, -1, 8).  The search shares no code path with the
-    fan walk: no cells, chains or polyhedron probes.
+    fan walk: no cells, chains or calls into `_polyhedra`.
 
     A depth-first search visits every independent set of n planes, in
     plane index order.  Each node carries its remaining candidate planes
@@ -528,27 +492,29 @@ def intersect_via_vertices(
     n = A.rows
     At = A.transpose()
 
-    # Integer augmented rows (a . v = b scaled to integers per plane) so
-    # the elimination below runs on plain ints.
+    at_rows = [At.row(i) for i in range(At.rows)]
+    H = lcm(*(x.denominator for x in (*hh, *(y for row in at_rows for y in row))))
+    h_int = [int(x * H) for x in hh]
+    at_int = [[int(x * H) for x in row] for row in at_rows]
+
+    # Integer augmented rows a . v = b of H A^T and H h, divided by their
+    # gcd, so each plane has one primitive form and the elimination below
+    # runs on plain ints.
     hyperplanes: dict[tuple[int, ...], None] = {}
     for sup in OM.circuit_supports:
         for a_idx in range(len(sup)):
             for b_idx in range(a_idx + 1, len(sup)):
                 i, j = sup[a_idx], sup[b_idx]
-                row = tuple(x - y for x, y in zip(At.row(i - 1), At.row(j - 1)))
-                rhs = hh[j - 1] - hh[i - 1]
-                if all(x == 0 for x in row):
+                row = [x - y for x, y in zip(at_int[i - 1], at_int[j - 1])]
+                if not any(row):
                     continue
-                nrow, nrhs = _polyhedra._normalize(row, rhs)
-                aug = tuple(int(x) for x in nrow) + (int(nrhs),)
+                aug = (*row, h_int[j - 1] - h_int[i - 1])
+                g = gcd(*aug)
+                aug = tuple(x // g for x in aug)
                 if tuple(-x for x in aug) in hyperplanes:
                     continue
                 hyperplanes[aug] = None
 
-    at_rows = [At.row(i) for i in range(At.rows)]
-    H = lcm(*(x.denominator for x in (*hh, *(y for row in at_rows for y in row))))
-    h_int = [int(x * H) for x in hh]
-    at_int = [[int(x * H) for x in row] for row in at_rows]
     found: set[tuple[Fraction, ...]] = set()
     seen: set[tuple[tuple[int, ...], int]] = set()
 

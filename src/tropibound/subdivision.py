@@ -19,7 +19,7 @@ from typing import Sequence
 
 from tropibound.bergman import is_positive_member
 from tropibound.matroid import OrientedMatroid
-from tropibound.rational import RationalMatrix, det, rank, solve_affine, vector
+from tropibound.rational import RationalMatrix, det, solve_affine, vector
 
 
 class SubdivisionError(ValueError):
@@ -59,15 +59,6 @@ def _argmin_set(cols, h, v) -> tuple[int, ...]:
     return tuple(j + 1 for j, x in enumerate(vals) if x == m)
 
 
-def _affinely_spans(cols, members: Sequence[int], n: int) -> bool:
-    # columns indexed 1-based; affine span is full iff the homogenized
-    # matrix [alpha_j; 1] has rank n+1
-    M = RationalMatrix.from_rows(
-        [list(cols[j - 1]) + [1] for j in members]
-    ).transpose()
-    return rank(M) == n + 1
-
-
 def full_cells(A: RationalMatrix, h: Sequence) -> list[Cell]:
     """All full-dimensional cells of the regular subdivision of the
     columns of A induced by the lift h.
@@ -75,7 +66,11 @@ def full_cells(A: RationalMatrix, h: Sequence) -> list[Cell]:
     For each (n+1)-subset of columns whose lifted points affinely span a
     non-vertical hyperplane, solve for the support normal (v, 1), take the
     global argmin of (v, 1).(alpha_j, h_j), and keep the argmin set when
-    its columns affinely span.  Cells are deduplicated by member set.
+    it contains the subset.  Those lifted points are affinely independent,
+    so such an argmin set spans; one that misses the subset is either not
+    full-dimensional or a full cell with the same, unique supporting
+    normal, found again from its own subsets.  Cells are deduplicated by
+    member set.
     """
     n, r = A.rows, A.cols
     cols = [A.column(j) for j in range(r)]
@@ -95,9 +90,7 @@ def full_cells(A: RationalMatrix, h: Sequence) -> list[Cell]:
             continue
         v = sol[0][:n]
         members = _argmin_set(cols, hh, v)
-        if members in found:
-            continue
-        if _affinely_spans(cols, members, n):
+        if members not in found and set(subset) <= set(members):
             found[members] = Cell(members, tuple(v))
     return sorted(found.values(), key=lambda c: c.members)
 

@@ -6,7 +6,7 @@ import pytest
 
 from tropibound import _polyhedra
 from tropibound.matroid import realize_from_kernel
-from tropibound.rational import RationalMatrix, rank, vector
+from tropibound.rational import RationalMatrix, rank, solve_affine, vector
 from tropibound.subdivision import (
     Cell,
     SubdivisionError,
@@ -101,6 +101,53 @@ def test_cells_match_brute_force_oracle():
         h = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)]
         got = {c.members for c in full_cells(A, h)}
         assert got == brute_force_full_cells(A, h)
+
+
+def full_cells_spanning_reference(A: RationalMatrix, h) -> list[Cell]:
+    """Reference copy of `full_cells` that keeps an argmin set when its
+    columns affinely span: the homogenized columns have rank n + 1."""
+    n, r = A.rows, A.cols
+    cols = [A.column(j) for j in range(r)]
+    hh = vector(h)
+    found: dict[tuple[int, ...], Cell] = {}
+    for subset in combinations(range(1, r + 1), n + 1):
+        M = RationalMatrix.from_rows([list(cols[j - 1]) + [-1] for j in subset])
+        sol = solve_affine(M, [-hh[j - 1] for j in subset])
+        if sol is None or sol[1].rows != 0:
+            continue
+        v = sol[0][:n]
+        vals = [sum(vi * ci for vi, ci in zip(v, col)) + hj for col, hj in zip(cols, hh)]
+        m = min(vals)
+        members = tuple(j + 1 for j, x in enumerate(vals) if x == m)
+        if members in found:
+            continue
+        homog = RationalMatrix.from_rows([list(cols[j - 1]) + [1] for j in members])
+        if rank(homog) == n + 1:
+            found[members] = Cell(members, tuple(v))
+    return sorted(found.values(), key=lambda c: c.members)
+
+
+def test_full_cells_match_spanning_reference():
+    # keeping an argmin set only when it contains its subset gives the
+    # same cells and witnesses as testing that its columns span; small
+    # integer lifts make zeros and ties common
+    rng = random.Random(16)
+    checked = cells = 0
+    for n in (1, 2, 3):
+        for r in range(n + 1, 8):
+            for _ in range(12):
+                A = RationalMatrix.from_rows(
+                    [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+                )
+                if len(set(A.column(j) for j in range(r))) != r or rank(A) != n:
+                    continue
+                for _ in range(3):
+                    h = [Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2))) for _ in range(r)]
+                    got = full_cells(A, h)
+                    assert got == full_cells_spanning_reference(A, h)
+                    checked += 1
+                    cells += len(got)
+    assert checked > 300 and cells > checked
 
 
 def test_is_triangulation(running_A):

@@ -5,12 +5,17 @@ from pathlib import Path
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def test_traced_functions_exist():
-    # the benchmark's tracer rebinds these names; a rename or deletion in the
-    # package would otherwise only show when a traced run crashes
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_functions_exist():
+    # the benchmark's tracer rebinds these names; a rename or deletion in the
+    # package would otherwise only show when a traced run crashes
+    tracing = load_tracing()
     missing = [
         f"{module_name}.{name}"
         for module_name, names in tracing.GROUPS.values()
@@ -20,3 +25,32 @@ def test_traced_functions_exist():
         )
     ]
     assert tracing.GROUPS and not missing
+
+
+def test_traced_bound_counts(running_system):
+    # a traced cross-checked bound reaches every hooked function and reads
+    # the result shapes its hooks expect; with the scan memos cleared the
+    # counters of the running example are exact
+    from tropibound import intersection, matroid, systems
+
+    tracing = load_tracing()
+    matroid.realize_from_kernel.cache_clear()
+    intersection._cell_partitions.cache_clear()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.run(lambda: systems.bound(running_system, cross_check=True))
+    finally:
+        tracer.uninstall()
+    expected = {
+        "matroid.circuits_count": 6,
+        "bergman.chains_count": 9,
+        "intersection.points_count": 2,
+        "subdivision.cells_count": 4,
+        "subdivision.decorated_count": 1,
+        "intersection.oracle_calls": 1,
+        "intersection.isolation_calls": 2,
+        "systems.bound_calls": 1,
+    }
+    metrics = tracer.per_layer(wall_s=1.0)
+    assert {name: metrics[name] for name in expected} == expected
