@@ -1,44 +1,37 @@
 """Exact feasibility, dimension, and sampling for small rational polyhedra.
 
-Fourier-Motzkin elimination over Fractions with strict/weak inequality
-tracking.  Intended for the desk-scale systems that arise from cone
-pieces and tangent-direction tests (a handful of variables, tens of
-constraints); no attempt at asymptotic cleverness.
+Rows are integer.  An equality is ``(coeffs, rhs)`` meaning
+coeffs . x = rhs; an inequality is ``(coeffs, rhs, strict)`` meaning
+coeffs . x <= rhs, or < if strict.  Callers scale a rational row to
+integers first, so no Fraction is unpacked here.  The equalities are
+eliminated once with the package kernel ``rational._echelon``, and the
+inequalities, rewritten over the solution space, go through
+Fourier-Motzkin elimination on integer rows with strict/weak tracking:
+each combination of two rows stays integer and is divided by the gcd of
+its entries, so every row has one primitive form (Schrijver, *Theory of
+Linear and Integer Programming*, 1986, §12.2).  The sample is
+back-substituted in integers over one common denominator, and only the
+returned point is built of Fractions.  Intended for the desk-scale
+systems that arise from cone pieces and tangent-direction tests (a
+handful of variables, tens of constraints); no attempt at asymptotic
+cleverness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Sequence
 
-from tropibound.rational import RationalMatrix, _echelon, kernel_basis, solve_affine
+from tropibound.rational import _echelon
 
-Row = tuple[Fraction, ...]
+Row = tuple[int, ...]
 
 # An inequality is (coeffs, rhs, strict) meaning coeffs.x <= rhs, or < if strict.
-Inequality = tuple[Row, Fraction, bool]
+Inequality = tuple[Row, int, bool]
 # An equality is (coeffs, rhs).
-Equality = tuple[Row, Fraction]
-
-
-def _normalize(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[Row, Fraction]:
-    """Scale to a canonical integer row (positive leading coefficient kept)."""
-    denoms = [c.denominator for c in coeffs] + [rhs.denominator]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(c * lcm) for c in coeffs] + [int(rhs * lcm)]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1])
-
-
-def _dot(a: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
-    return sum((ai * xi for ai, xi in zip(a, x)), Fraction(0))
+Equality = tuple[Row, int]
 
 
 class _Infeasible(Exception):
@@ -46,15 +39,19 @@ class _Infeasible(Exception):
 
 
 def _clean(ineqs: list[Inequality]) -> list[Inequality]:
-    """Drop tautologies, canonicalize, raise on contradictions, dedupe."""
-    seen: dict[tuple[Row, Fraction], bool] = {}
+    """Drop tautologies, divide by the gcd, raise on contradictions, dedupe."""
+    seen: dict[tuple[Row, int], bool] = {}
     for coeffs, rhs, strict in ineqs:
-        if all(c == 0 for c in coeffs):
+        g = gcd(*coeffs)
+        if not g:
             if rhs < 0 or (strict and rhs == 0):
                 raise _Infeasible
             continue
-        key_row, key_rhs = _normalize(coeffs, rhs)
-        key = (key_row, key_rhs)
+        g = gcd(g, rhs)
+        if g > 1:
+            key = (tuple(c // g for c in coeffs), rhs // g)
+        else:
+            key = (tuple(coeffs), rhs)
         seen[key] = seen.get(key, False) or strict
     return [(row, rhs, strict) for (row, rhs), strict in seen.items()]
 
@@ -92,8 +89,12 @@ def _choose_var(ineqs: list[Inequality], remaining: list[int]) -> int:
     return best
 
 
-def _feasible_ineqs(dim: int, ineqs: list[Inequality]) -> tuple[Fraction, ...] | None:
-    """Fourier-Motzkin feasibility with sample reconstruction."""
+def _feasible_ineqs(dim: int, ineqs: list[Inequality]) -> tuple[list[int], int] | None:
+    """Fourier-Motzkin feasibility with sample reconstruction.
+
+    Returns the sample as integer numerators over one positive common
+    denominator, or None when the system is infeasible.
+    """
     try:
         stages: list[tuple[int, list[Inequality]]] = []
         current = _clean(list(ineqs))
@@ -105,39 +106,48 @@ def _feasible_ineqs(dim: int, ineqs: list[Inequality]) -> tuple[Fraction, ...] |
             remaining.remove(var)
     except _Infeasible:
         return None
-    # Feasible: back-substitute, innermost variable first.
-    sample: list[Fraction] = [Fraction(0)] * dim
+    # Feasible: back-substitute, innermost variable first.  The sample is
+    # nums / den, and each bound is a pair (numerator, positive denominator).
+    nums = [0] * dim
+    den = 1
     for var, constraints in reversed(stages):
-        lo: tuple[Fraction, bool] | None = None
-        hi: tuple[Fraction, bool] | None = None
+        lo: tuple[int, int, bool] | None = None
+        hi: tuple[int, int, bool] | None = None
         for coeffs, rhs, strict in constraints:
             c = coeffs[var]
             if c == 0:
                 continue
-            # variables eliminated earlier no longer occur here; later ones
-            # are already assigned, so one pass over j != var suffices
-            rest = sum(coeffs[j] * sample[j] for j in range(dim) if j != var)
-            bound = (rhs - rest) / c
+            # variables eliminated earlier no longer occur here, and var
+            # itself is still 0; later ones are already assigned
+            bn = rhs * den - sum(map(mul, coeffs, nums))
+            bd = c * den
             if c > 0:
-                if hi is None or bound < hi[0] or (bound == hi[0] and strict):
-                    hi = (bound, strict)
+                if hi is None or bn * hi[1] < hi[0] * bd or (bn * hi[1] == hi[0] * bd and strict):
+                    hi = (bn, bd, strict)
             else:
-                if lo is None or bound > lo[0] or (bound == lo[0] and strict):
-                    lo = (bound, strict)
+                bn, bd = -bn, -bd
+                if lo is None or bn * lo[1] > lo[0] * bd or (bn * lo[1] == lo[0] * bd and strict):
+                    lo = (bn, bd, strict)
         if lo is None and hi is None:
-            value = Fraction(0)
+            vn, vd = 0, 1
         elif lo is None:
-            value = hi[0] - 1 if hi[1] else hi[0]
+            vn, vd = (hi[0] - hi[1], hi[1]) if hi[2] else hi[:2]
         elif hi is None:
-            value = lo[0] + 1 if lo[1] else lo[0]
-        elif lo[0] == hi[0]:
+            vn, vd = (lo[0] + lo[1], lo[1]) if lo[2] else lo[:2]
+        elif lo[0] * hi[1] == hi[0] * lo[1]:
             # FM encodes strict lower-vs-upper combinations, so a pinched
             # interval can only arise with both bounds weak
-            value = lo[0]
+            vn, vd = lo[:2]
         else:
-            value = (lo[0] + hi[0]) / 2
-        sample[var] = value
-    return tuple(sample)
+            vn, vd = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        g = gcd(vn, vd)
+        vn, vd = vn // g, vd // g
+        grow = vd // gcd(den, vd)
+        if grow > 1:
+            nums = [x * grow for x in nums]
+            den *= grow
+        nums[var] = vn * (den // vd)
+    return nums, den
 
 
 def feasible_point(
@@ -145,26 +155,55 @@ def feasible_point(
     equalities: Sequence[Equality],
     inequalities: Sequence[Inequality],
 ) -> tuple[Fraction, ...] | None:
-    """An exact solution of the mixed system, or None if infeasible."""
-    if equalities:
-        M = RationalMatrix(len(equalities), dim, [c for row, _ in equalities for c in row])
-        sol = solve_affine(M, [rhs for _, rhs in equalities])
-        if sol is None:
+    """An exact solution of the mixed system, or None if infeasible.
+
+    One elimination of the augmented equalities gives x = (x0 + sum of
+    s_f k_f) / d over the free columns f, with x0 and the kernel vectors
+    k_f integer (k_f is d times the back-substituted kernel vector).  An
+    inequality a . x <= b then reads sum of s_f (a . k_f) <= d b - a . x0,
+    an integer row in s, and the sample s of those rows gives x.
+    """
+    if not equalities:
+        sample = _feasible_ineqs(dim, list(inequalities))
+        if sample is None:
             return None
-        x0, K = sol
-    else:
-        x0, K = tuple(Fraction(0) for _ in range(dim)), RationalMatrix.identity(dim)
-    kdim = K.rows
+        nums, den = sample
+        return tuple(Fraction(x, den) for x in nums)
+    m, pivots, d, _ = _echelon([(*row, rhs) for row, rhs in equalities], dim + 1)
+    if pivots and pivots[-1] == dim:
+        return None
+    sign = 1 if d > 0 else -1
+    m = [[sign * x for x in row] for row in m[: len(pivots)]]
+    d *= sign
+    x0 = [0] * dim
+    for row, p in zip(m, pivots):
+        x0[p] = row[dim]
+    pivot_set = set(pivots)
+    kernel = []
+    for f in range(dim):
+        if f not in pivot_set:
+            k = [0] * dim
+            k[f] = d
+            for row, p in zip(m, pivots):
+                k[p] = -row[f]
+            kernel.append(k)
     reduced: list[Inequality] = []
     for coeffs, rhs, strict in inequalities:
-        new_coeffs = tuple(_dot(coeffs, K.row(i)) for i in range(kdim))
-        new_rhs = rhs - _dot(coeffs, x0)
-        reduced.append((new_coeffs, new_rhs, strict))
-    s = _feasible_ineqs(kdim, reduced)
-    if s is None:
+        reduced.append(
+            (
+                tuple(sum(map(mul, coeffs, k)) for k in kernel),
+                d * rhs - sum(map(mul, coeffs, x0)),
+                strict,
+            )
+        )
+    sample = _feasible_ineqs(len(kernel), reduced)
+    if sample is None:
         return None
+    nums, den = sample
+    # x = (x0 + sum of (nums_f / den) k_f) / d
     return tuple(
-        x0[j] + sum(s[i] * K[i, j] for i in range(kdim)) for j in range(dim)
+        Fraction(x0[j] * den + sum(s * k[j] for s, k in zip(nums, kernel)), den * d)
+        for j in range(dim)
     )
 
 
@@ -194,11 +233,7 @@ def polyhedron_dimension(
             eqs.append((coeffs, rhs))
         else:
             still.append((coeffs, rhs, False))
-    if eqs:
-        M = RationalMatrix(len(eqs), dim, [c for row, _ in eqs for c in row])
-        d = kernel_basis(M).rows
-    else:
-        d = dim
+    d = dim - len(_echelon([row for row, _ in eqs], dim)[1])
     strict_all = [(c, r, True) for c, r, _ in still]
     sample = feasible_point(dim, eqs, strict_all)
     return d, sample
@@ -219,12 +254,12 @@ def cone_nonzero_point(
     """
     if len(_echelon(equalities, dim)[1]) == dim:
         return None
-    eqs = [(row, Fraction(0)) for row in equalities]
-    ineqs = [(row, Fraction(0), False) for row in inequalities]
+    eqs = [(row, 0) for row in equalities]
+    ineqs = [(row, 0, False) for row in inequalities]
     for i in range(dim):
-        pin = tuple(Fraction(1 if j == i else 0) for j in range(dim))
+        pin = tuple(int(j == i) for j in range(dim))
         for sign in (1, -1):
-            pt = feasible_point(dim, eqs + [(pin, Fraction(sign))], ineqs)
+            pt = feasible_point(dim, eqs + [(pin, sign)], ineqs)
             if pt is not None:
                 return pt
     return None

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import gcd, lcm
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from math import gcd, lcm
+from operator import mul
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from tropibound import _polyhedra
 from tropibound.bergman import is_positive_member, positive_chains
@@ -25,14 +26,13 @@ from tropibound.matroid import (
     FlagOfFlats,
     OrientedMatroid,
     SignedCircuit,
-    initial_circuit,
     realize_from_kernel,
 )
 from tropibound.rational import (
     RationalMatrix,
+    _echelon,
     in_row_span,
     rank,
-    solve_affine,
     vector,
 )
 
@@ -186,6 +186,25 @@ def _is_interior(p: Sequence[Fraction], OM: OrientedMatroid) -> bool:
     return len(_merge(OM.ground_size, argmins)) == OM.rank
 
 
+def _scaled_transpose(A: RationalMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """L, the lcm of A's denominators, and the rows of L A^T as ints."""
+    cols = [A.column(j) for j in range(A.cols)]
+    L = lcm(*(x.denominator for col in cols for x in col))
+    return L, tuple(tuple(x.numerator * (L // x.denominator) for x in col) for col in cols)
+
+
+def _integer_multiple(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """D, the lcm of the denominators of xs, and the ints D x."""
+    D = lcm(*(x.denominator for x in xs))
+    return D, [x.numerator * (D // x.denominator) for x in xs]
+
+
+def _primitive(row: Sequence[int]) -> tuple[int, ...]:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
+
+
 def tangent_direction(
     v: Sequence, OM: OrientedMatroid, A: RationalMatrix, h: Sequence
 ) -> tuple[Fraction, ...] | None:
@@ -196,31 +215,36 @@ def tangent_direction(
     of A^T u over the circuit's current argmin set still meets both
     signs.  That is a finite union of polyhedral cones indexed by
     per-circuit witness pairs; each surviving cone is probed exactly for
-    a nonzero point.
+    a nonzero point.  The argmins are read off the integer multiple
+    L V H (A^T v + h), with L, V and H the lcms of the denominators of A,
+    v and h, and the cones are cut out by gcd-primitive integer rows.
     """
     v = vector(v)
     hh = vector(h)
-    At = A.transpose()
-    w = At.apply(v)
-    p = tuple(a + b for a, b in zip(w, hh))
     n = A.rows
+    L, at_int = _scaled_transpose(A)
+    V, v_int = _integer_multiple(v)
+    H, h_int = _integer_multiple(hh)
+    p = [H * sum(map(mul, row, v_int)) + L * V * x for row, x in zip(at_int, h_int)]
 
     tasks: list[tuple[list[tuple[int, int]], tuple[int, ...]]] = []
     for c in OM.circuits:
         if c.negated() < c:
             continue
-        ic = initial_circuit(p, c)
-        if not ic.positive or not ic.negative:
+        m = min(p[e - 1] for e in c.positive + c.negative)
+        pos = [e for e in c.positive if p[e - 1] == m]
+        neg = [e for e in c.negative if p[e - 1] == m]
+        if not pos or not neg:
             raise ValueError("point is not in the positive fan; isolation is undefined")
-        witnesses = [(i, j) for i in ic.positive for j in ic.negative]
-        tasks.append((witnesses, tuple(sorted(ic.support))))
+        tasks.append(([(i, j) for i in pos for j in neg], tuple(sorted(pos + neg))))
     tasks.sort(key=lambda t: (len(t[0]), len(t[1])))
     if not tasks:
         # no circuits: the fan is everything and every direction stays in
         return tuple(Fraction(1 if i == 0 else 0) for i in range(n)) if n else None
 
-    def diff(a: int, b: int) -> tuple[Fraction, ...]:
-        return tuple(x - y for x, y in zip(At.row(a - 1), At.row(b - 1)))
+    @functools.cache
+    def diff(a: int, b: int) -> tuple[int, ...]:
+        return _primitive([x - y for x, y in zip(at_int[a - 1], at_int[b - 1])])
 
     # each level maps its accepted states (frozenset of equality rows,
     # frozenset of inequality rows) to a nonzero point of their cone
@@ -229,13 +253,8 @@ def tangent_direction(
         accepted: dict[tuple[frozenset, frozenset], tuple | None] = {}
         for eqs, ineqs in level:
             for i_pos, i_neg in witnesses:
-                e2 = eqs | {_polyhedra._normalize(diff(i_pos, i_neg), Fraction(0))[0]}
-                extra = {
-                    _polyhedra._normalize(diff(i_pos, j), Fraction(0))[0]
-                    for j in arg
-                    if j != i_pos and j != i_neg
-                }
-                i2 = ineqs | extra
+                e2 = eqs | {diff(i_pos, i_neg)}
+                i2 = ineqs | {diff(i_pos, j) for j in arg if j != i_pos and j != i_neg}
                 if (e2, i2) in accepted:
                     continue
                 u = _polyhedra.cone_nonzero_point(n, list(e2), list(i2))
@@ -284,7 +303,6 @@ _Cell = tuple[tuple[int, ...], ...]
 _Factor = tuple[tuple[_Cell, ...], ...]
 
 
-@functools.lru_cache(maxsize=1)
 def _cell_partitions(
     OM: OrientedMatroid,
 ) -> tuple[tuple[_Factor, ...], tuple[int, ...] | None]:
@@ -296,10 +314,7 @@ def _cell_partitions(
     flats, then the complement of the top flat, in global labels.
     Returns ``(factors, None)``, or ``(((),), comp)`` for the first
     component ``comp`` that admits no positive weight (some circuit is
-    one-signed), whose empty factor leaves no cell to walk.  None of this
-    depends on A or h, so a one-entry memo lets every shift of a scan
-    over one matroid share it; the result is immutable because callers
-    share it.
+    one-signed), whose empty factor leaves no cell to walk.
     """
     factors = []
     for comp in _merge(OM.ground_size, OM.circuit_supports):
@@ -329,6 +344,76 @@ def _cell_partitions(
     return tuple(factors), None
 
 
+class _TieTransform(NamedTuple):
+    """The elimination [M | I] -> [T M | T] of an integer matrix M.
+
+    The rows T_i in ``solve`` give d times the reduced echelon form of M,
+    with pivots ``pivots``; those in ``check`` give zero rows.  So Mv = b
+    is consistent iff T_i . b = 0 for every check row, and then its
+    particular solution has v[pivots[i]] = (T_i . b) / d, zero elsewhere.
+    """
+
+    pivots: tuple[int, ...]
+    d: int  # positive
+    solve: tuple[tuple[int, ...], ...]
+    check: tuple[tuple[int, ...], ...]
+
+
+def _tie_transform(M: Sequence[Sequence[int]], n: int) -> _TieTransform:
+    """Eliminate [M | I] once, pivoting in the n columns of M only."""
+    k = len(M)
+    m, pivots, d, _ = _echelon(
+        [(*row, *(int(i == j) for j in range(k))) for i, row in enumerate(M)], n
+    )
+    sign = 1 if d > 0 else -1
+    T = [tuple(sign * x for x in row[n:]) for row in m]
+    rank = len(pivots)
+    return _TieTransform(tuple(pivots), sign * d, tuple(T[:rank]), tuple(T[rank:]))
+
+
+def _particular(t: _TieTransform, b: Sequence[int]) -> list[int] | None:
+    """Numerators over t.d of the pivot entries of the particular solution
+    of Mv = b, or None when Mv = b is inconsistent."""
+    if any(sum(map(mul, row, b)) for row in t.check):
+        return None
+    return [sum(map(mul, row, b)) for row in t.solve]
+
+
+class _FanPlan(NamedTuple):
+    """Everything the fan walk needs that depends only on (OM, A)."""
+
+    diagnostics: Diagnostics
+    empty: tuple[int, ...] | None  # a component admitting no positive weight
+    scale: int  # L, the lcm of A's denominators
+    at_int: tuple[tuple[int, ...], ...]  # the rows of L A^T
+    # per partition combination: its cell groups, its tie pairs (a, b) as
+    # 0-based elements, and the transform of their tie matrix
+    systems: tuple[tuple[tuple, tuple[tuple[int, int], ...], _TieTransform], ...]
+
+
+@functools.lru_cache(maxsize=1)
+def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
+    """Validate (OM, A), walk the positive cells, and eliminate the tie
+    matrix of each partition combination.
+
+    The tie (w + h)_a = (w + h)_b reads (L A^T)_a . v - (L A^T)_b . v =
+    L (h_b - h_a): only its right-hand side depends on h, so a one-entry
+    memo lets every shift of a scan over one matroid and one A share the
+    plan; the result is immutable because callers share it.
+    """
+    diagnostics = validate_inputs(OM, A)
+    factors, empty = _cell_partitions(OM)
+    L, at_int = _scaled_transpose(A)
+    systems = []
+    for groups in itertools.product(*factors):
+        pairs = tuple(
+            (block[0] - 1, e - 1) for cells in groups for block in cells[0] for e in block[1:]
+        )
+        M = [[x - y for x, y in zip(at_int[a], at_int[b])] for a, b in pairs]
+        systems.append((groups, pairs, _tie_transform(M, A.rows)))
+    return _FanPlan(diagnostics, empty, L, at_int, tuple(systems))
+
+
 def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> IntersectionReport:
     """Primary enumeration: one tie system per positive cell.
 
@@ -339,47 +424,66 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     tie system.  Underdetermined systems are analyzed exactly: empty
     pieces are discarded, zero-dimensional pieces contribute their point,
     and higher-dimensional pieces flag the run as non-transverse.
+
+    The tie matrices are eliminated once per (OM, A) in ``_fan_plan``.
+    Per call, h is scaled to integers by the lcm H of its denominators,
+    and each tie system's right-hand side b is read off the integer
+    shifts; with L the lcm of A's denominators, a consistent system
+    M v = (L / H) b of full rank has the unique solution
+    v = L (T b) / (d H).  Its image A^T v + h is tested for positive
+    membership in integers, on the positive multiple d H (A^T v + h), and
+    Fractions are built only for accepted points.
     """
     hh = vector(h)
-    diagnostics = validate_inputs(OM, A)
+    plan = _fan_plan(OM, A)
     n = A.rows
-    At = A.transpose()
-    at_rows = [At.row(i) for i in range(At.rows)]
+    L, at_int = plan.scale, plan.at_int
+    H, h_int = _integer_multiple(hh)
 
     @functools.cache
-    def tie(a: int, b: int) -> tuple[tuple[Fraction, ...], Fraction]:
-        """The tie (w + h)_a = (w + h)_b as a row and right-hand side in v."""
-        row = tuple(x - y for x, y in zip(at_rows[a - 1], at_rows[b - 1]))
-        return row, hh[b - 1] - hh[a - 1]
+    def tie(a: int, b: int) -> tuple[tuple[int, ...], int]:
+        """The tie (w + h)_a = (w + h)_b of 0-based elements as a
+        gcd-primitive integer row and right-hand side in v."""
+        row = _primitive(
+            [H * (x - y) for x, y in zip(at_int[a], at_int[b])] + [L * (h_int[b] - h_int[a])]
+        )
+        return row[:-1], row[-1]
 
     notes: list[str] = []
-    factors, empty = _cell_partitions(OM)
-    if empty is not None:
+    if plan.empty is not None:
         notes.append(
-            f"component {list(empty)} admits no positive weight; the positive fan is empty"
+            f"component {list(plan.empty)} admits no positive weight; the positive fan is empty"
         )
 
     candidates: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
+    seen: set[tuple[tuple[int, ...], int]] = set()
     pinned = 0
     positive_cells = 0
-    for groups in itertools.product(*factors):
-        eqs = [tie(block[0], e) for cells in groups for block in cells[0] for e in block[1:]]
-        M = RationalMatrix(len(eqs), n, [x for row, _ in eqs for x in row])
-        solution = solve_affine(M, [rhs for _, rhs in eqs])
-        if solution is None:
+    for groups, pairs, t in plan.systems:
+        x = _particular(t, [h_int[b] - h_int[a] for a, b in pairs])
+        if x is None:
             continue
-        v, kernel = solution
-        if kernel.rows == 0:
-            w = At.apply(v)
-            p = tuple(a + b for a, b in zip(w, hh))
-            if is_positive_member(p, OM):
-                candidates[v] = w
+        if len(x) == n:
+            # v = L x / (d H); many cells share a point, so each v, keyed
+            # by x / d in lowest terms, is tested once
+            d = t.d
+            g = gcd(d, *x)
+            key = (tuple(xi // g for xi in x), d // g)
+            if key in seen:
+                continue
+            seen.add(key)
+            aw = [sum(map(mul, row, x)) for row in at_int]
+            if is_positive_member([a + d * hj for a, hj in zip(aw, h_int)], OM):
+                den = d * H
+                v = tuple(Fraction(L * xi, den) for xi in x)
+                candidates[v] = tuple(Fraction(a, den) for a in aw)
             continue
         # Underdetermined ties: examine each product cell of this partition
         # with its ordering facets.
+        eqs = [tie(a, b) for a, b in pairs]
         for combo in itertools.product(*groups):
             ineqs = [
-                (*tie(lower[0], upper[0]), False)
+                (*tie(lower[0] - 1, upper[0] - 1), False)
                 for cell in combo
                 for upper, lower in zip(cell, cell[1:])
             ]
@@ -388,7 +492,7 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
                 continue
             if dim == 0:
                 # a zero-dimensional piece is one point, so its sample is it
-                wstar = At.apply(vstar)
+                wstar = tuple(sum(map(mul, row, vstar)) / L for row in at_int)
                 pstar = tuple(a + b for a, b in zip(wstar, hh))
                 if not is_positive_member(pstar, OM):
                     raise RuntimeError(
@@ -408,6 +512,7 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
             f"{positive_cells} positive cell(s) meet rowspan(A) in positive dimension"
         )
 
+    diagnostics = plan.diagnostics
     positive_dimensional = positive_cells > 0
     points = []
     for v in sorted(candidates):
@@ -508,9 +613,7 @@ def intersect_via_vertices(
                 row = [x - y for x, y in zip(at_int[i - 1], at_int[j - 1])]
                 if not any(row):
                     continue
-                aug = (*row, h_int[j - 1] - h_int[i - 1])
-                g = gcd(*aug)
-                aug = tuple(x // g for x in aug)
+                aug = _primitive((*row, h_int[j - 1] - h_int[i - 1]))
                 if tuple(-x for x in aug) in hyperplanes:
                     continue
                 hyperplanes[aug] = None

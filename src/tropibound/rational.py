@@ -112,9 +112,7 @@ class RationalMatrix:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         vv = vector(v)
-        return tuple(
-            sum(self.row(i)[k] * vv[k] for k in range(self.cols)) for i in range(self.rows)
-        )
+        return tuple(sum(a * x for a, x in zip(self.row(i), vv)) for i in range(self.rows))
 
     def submatrix_columns(self, cols: Sequence[int]) -> "RationalMatrix":
         return RationalMatrix(

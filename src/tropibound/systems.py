@@ -10,6 +10,7 @@ the conservation rows and totals next to the stoichiometric block.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,14 @@ from tropibound.subdivision import (
 
 class SystemError_(ValueError):
     pass
+
+
+@functools.lru_cache(maxsize=1)
+def _independent_rows(C: RationalMatrix) -> tuple[int, ...]:
+    """The first independent rows of C.  A one-entry memo: CLI ``verify``
+    reduces C for the Newton witnesses and again for the decorated count,
+    and every draw of a rate scan shares its C."""
+    return tuple(first_independent_rows(C))
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,7 @@ class VerticalSystem:
         witnesses both need, exists only when rank(C) = n; otherwise
         SystemError_ is raised.
         """
-        rows = first_independent_rows(self.C)
+        rows = _independent_rows(self.C)
         if len(rows) != self.n:
             raise SystemError_(f"rank(C) = {len(rows)} differs from n = {self.n}")
         return self.C.submatrix_rows(rows)

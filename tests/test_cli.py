@@ -259,6 +259,24 @@ def test_verify_command(capsys):
     assert len(doc["witnesses"]) >= 2
 
 
+def test_verify_reduces_C_once(monkeypatch, capsys):
+    # the Newton witnesses and the decorated count both need the square
+    # system; C is reduced to its independent rows once for both
+    from tropibound import rational, systems
+
+    calls = []
+
+    def counted(C):
+        calls.append(C)
+        return rational.first_independent_rows(C)
+
+    monkeypatch.setattr(systems, "first_independent_rows", counted)
+    systems._independent_rows.cache_clear()
+    assert main(["verify", str(INPUTS / "hhk_crn.json")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_verify_refuses_t_before_bounding(monkeypatch, capsys):
     import tropibound.cli as cli
 

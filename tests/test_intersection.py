@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from tropibound import _polyhedra
 from tropibound.bergman import is_positive_member
 from tropibound.intersection import (
     InputValidationError,
     OracleMismatchError,
+    _particular,
+    _tie_transform,
     intersect_via_fan,
     intersect_via_vertices,
     is_isolated,
@@ -134,6 +136,52 @@ def test_empty_positive_fan_gives_zero(running_A):
 def test_lower_bound_cross_check_passes(running_N, running_A):
     report = lower_bound(VerticalSystem(running_N, running_A, H_RUN), cross_check=True)
     assert report.count == 2
+
+
+# --- tie systems -------------------------------------------------------------
+
+
+def test_tie_transform_matches_solve_affine():
+    # the fan walk eliminates [M | I] once per tie matrix M and applies the
+    # transform to each right-hand side; consistency, the particular
+    # solution and the kernel dimension must be those of solve_affine, also
+    # when zero, repeated or dependent rows make rank(M) < rows(M) and leave
+    # rows of the identity block behind the pivots
+    rng = random.Random(1313)
+    short = consistent = inconsistent = 0
+    for _ in range(300):
+        k, n = rng.randint(1, 8), rng.randint(1, 6)
+        M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        if rng.random() < 0.3:
+            M[rng.randrange(k)] = [0] * n
+        if rng.random() < 0.3:
+            M[rng.randrange(k)] = list(M[rng.randrange(k)])
+        if k > 2 and rng.random() < 0.3:
+            M[-1] = [a - 2 * b for a, b in zip(M[0], M[1])]
+        transform = _tie_transform(M, n)
+        short += len(transform.pivots) < k
+        for _ in range(4):
+            den = rng.choice([1, 1, 2, 3, 6])
+            if rng.random() < 0.5:
+                v0 = [Fraction(rng.randint(-5, 5), den) for _ in range(n)]
+                b = [sum((a * x for a, x in zip(row, v0)), Fraction(0)) for row in M]
+            else:
+                b = [Fraction(rng.randint(-6, 6), den) for _ in range(k)]
+            # the fan walk scales h, and so b, to integers by its lcm H
+            H = lcm(*(x.denominator for x in b))
+            x = _particular(transform, [int(y * H) for y in b])
+            want = solve_affine(RationalMatrix.from_rows(M), b)
+            assert (x is None) == (want is None), (M, b)
+            if want is None:
+                inconsistent += 1
+                continue
+            consistent += 1
+            v = [Fraction(0)] * n
+            for p, xi in zip(transform.pivots, x):
+                v[p] = Fraction(xi, transform.d * H)
+            assert tuple(v) == want[0], (M, b)
+            assert n - len(transform.pivots) == want[1].rows
+    assert short > 100 and consistent > 500 and inconsistent > 300
 
 
 # --- degenerate shifts -------------------------------------------------------
@@ -350,8 +398,10 @@ def _reference_vertices(OM, A, h):
                 rhs = hh[j - 1] - hh[i - 1]
                 if all(x == 0 for x in row):
                     continue
-                nrow, nrhs = _polyhedra._normalize(row, rhs)
-                aug = tuple(int(x) for x in nrow) + (int(nrhs),)
+                den = lcm(*(x.denominator for x in (*row, rhs)))
+                aug = tuple(int(x * den) for x in (*row, rhs))
+                g = gcd(*aug)
+                aug = tuple(x // g for x in aug)
                 if tuple(-x for x in aug) in hyperplanes:
                     continue
                 hyperplanes[aug] = None
@@ -359,7 +409,6 @@ def _reference_vertices(OM, A, h):
 
     found: set[tuple[Fraction, ...]] = set()
     solved: set[tuple[Fraction, ...]] = set()
-    from math import gcd
 
     def back_substitute(basis: list) -> tuple[Fraction, ...]:
         # integer arithmetic over one running denominator, reduced once

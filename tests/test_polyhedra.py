@@ -1,20 +1,23 @@
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 from tropibound._polyhedra import (
     cone_nonzero_point,
     feasible_point,
     polyhedron_dimension,
 )
-from tropibound.rational import RationalMatrix, kernel_basis
-
-
-def ineq(coeffs, rhs, strict=False):
-    return (tuple(F(c) for c in coeffs), F(rhs), strict)
+from tropibound.rational import RationalMatrix, kernel_basis, rank, solve_affine
 
 
 def eq(coeffs, rhs):
-    return (tuple(F(c) for c in coeffs), F(rhs))
+    """The row coeffs . x = rhs scaled to integers, as the module takes it."""
+    den = lcm(*(F(x).denominator for x in (*coeffs, rhs)))
+    return tuple(int(F(c) * den) for c in coeffs), int(F(rhs) * den)
+
+
+def ineq(coeffs, rhs, strict=False):
+    return (*eq(coeffs, rhs), strict)
 
 
 def satisfies(point, eqs, ineqs):
@@ -78,10 +81,10 @@ def test_implicit_equality_detected():
 
 
 def test_cone_nonzero_points_found_and_absent():
-    assert cone_nonzero_point(2, [(F(1), F(-1))], [(F(1), F(0))]) is not None
-    assert cone_nonzero_point(2, [(F(1), F(0)), (F(0), F(1))], []) is None
+    assert cone_nonzero_point(2, [(1, -1)], [(1, 0)]) is not None
+    assert cone_nonzero_point(2, [(1, 0), (0, 1)], []) is None
     # pointed cone with interior: x <= 0, y <= 0
-    pt = cone_nonzero_point(2, [], [(F(1), F(0)), (F(0), F(1))])
+    pt = cone_nonzero_point(2, [], [(1, 0), (0, 1)])
     assert pt is not None and any(x != 0 for x in pt)
 
 
@@ -91,12 +94,12 @@ def test_zero_dimensional_space():
 
 def slice_reference(dim, equalities, inequalities):
     """The 2*dim slice probes alone, without the rank exit."""
-    eqs = [(row, F(0)) for row in equalities]
-    ineqs = [(row, F(0), False) for row in inequalities]
+    eqs = [(row, 0) for row in equalities]
+    ineqs = [(row, 0, False) for row in inequalities]
     for i in range(dim):
-        pin = tuple(F(1 if j == i else 0) for j in range(dim))
+        pin = tuple(int(j == i) for j in range(dim))
         for sign in (1, -1):
-            pt = feasible_point(dim, eqs + [(pin, F(sign))], ineqs)
+            pt = feasible_point(dim, eqs + [(pin, sign)], ineqs)
             if pt is not None:
                 return pt
     return None
@@ -104,15 +107,15 @@ def slice_reference(dim, equalities, inequalities):
 
 def test_cone_pinned_by_full_rank_equalities():
     # two independent equalities in R^2 leave only the origin, whatever G says
-    eqs = [(F(1), F(2)), (F(3), F(-1))]
-    assert cone_nonzero_point(2, eqs, [(F(-1), F(0)), (F(1), F(1))]) is None
+    eqs = [(1, 2), (3, -1)]
+    assert cone_nonzero_point(2, eqs, [(-1, 0), (1, 1)]) is None
     # four rows of rank 3 in R^3, the third the sum of the first two
-    eqs3 = [(F(1), F(0), F(1)), (F(0), F(1), F(1)), (F(1), F(1), F(2)), (F(1), F(-1), F(1))]
-    assert cone_nonzero_point(3, eqs3, [(F(0), F(0), F(1))]) is None
+    eqs3 = [(1, 0, 1), (0, 1, 1), (1, 1, 2), (1, -1, 1)]
+    assert cone_nonzero_point(3, eqs3, [(0, 0, 1)]) is None
 
 
 def random_rows(rng, count, dim):
-    return [tuple(F(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(count)]
+    return [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(count)]
 
 
 def test_cone_nonzero_point_matches_slice_reference():
@@ -190,3 +193,178 @@ def test_one_pass_dimension_matches_two_pass():
         elif got[0] < polyhedron_dimension(dim, eqs, [])[0]:
             implicit += 1
     assert empty >= 10
+
+
+# The Fraction implementation the integer one replaced, kept as a
+# reference: rows are scaled to primitive integer rows of Fractions,
+# equalities go through solve_affine and the sample is back-substituted
+# in Fractions.
+
+
+def _ref_normalize(coeffs, rhs):
+    den = lcm(*(c.denominator for c in (*coeffs, rhs)))
+    ints = [int(c * den) for c in (*coeffs, rhs)]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [x // g for x in ints]
+    return tuple(F(x) for x in ints[:-1]), F(ints[-1])
+
+
+def _ref_clean(ineqs):
+    seen = {}
+    for coeffs, rhs, strict in ineqs:
+        if all(c == 0 for c in coeffs):
+            if rhs < 0 or (strict and rhs == 0):
+                raise ValueError("infeasible")
+            continue
+        key = _ref_normalize(coeffs, rhs)
+        seen[key] = seen.get(key, False) or strict
+    return [(row, rhs, strict) for (row, rhs), strict in seen.items()]
+
+
+def _ref_eliminate(ineqs, var):
+    lowers, uppers, passthrough = [], [], []
+    for coeffs, rhs, strict in ineqs:
+        c = coeffs[var]
+        if c == 0:
+            passthrough.append((coeffs, rhs, strict))
+        else:
+            (uppers if c > 0 else lowers).append((coeffs, rhs, strict, c))
+    for lc, lr, ls, la in lowers:
+        for uc, ur, us, ua in uppers:
+            coeffs = tuple(ua * l - la * u for l, u in zip(lc, uc))
+            passthrough.append((coeffs, ua * lr - la * ur, ls or us))
+    return _ref_clean(passthrough)
+
+
+def _ref_choose_var(ineqs, remaining):
+    best, best_cost = remaining[-1], None
+    for v in remaining:
+        lo = sum(1 for c, _, _ in ineqs if c[v] < 0)
+        hi = sum(1 for c, _, _ in ineqs if c[v] > 0)
+        cost = lo * hi - lo - hi
+        if best_cost is None or cost < best_cost:
+            best, best_cost = v, cost
+    return best
+
+
+def _ref_feasible_ineqs(dim, ineqs):
+    try:
+        stages = []
+        current = _ref_clean(list(ineqs))
+        remaining = list(range(dim))
+        while remaining:
+            var = _ref_choose_var(current, remaining)
+            stages.append((var, current))
+            current = _ref_eliminate(current, var)
+            remaining.remove(var)
+    except ValueError:
+        return None
+    sample = [F(0)] * dim
+    for var, constraints in reversed(stages):
+        lo = hi = None
+        for coeffs, rhs, strict in constraints:
+            c = coeffs[var]
+            if c == 0:
+                continue
+            rest = sum((coeffs[j] * sample[j] for j in range(dim) if j != var), F(0))
+            bound = (rhs - rest) / c
+            if c > 0:
+                if hi is None or bound < hi[0] or (bound == hi[0] and strict):
+                    hi = (bound, strict)
+            elif lo is None or bound > lo[0] or (bound == lo[0] and strict):
+                lo = (bound, strict)
+        if lo is None and hi is None:
+            value = F(0)
+        elif lo is None:
+            value = hi[0] - 1 if hi[1] else hi[0]
+        elif hi is None:
+            value = lo[0] + 1 if lo[1] else lo[0]
+        elif lo[0] == hi[0]:
+            value = lo[0]
+        else:
+            value = (lo[0] + hi[0]) / 2
+        sample[var] = value
+    return tuple(sample)
+
+
+def _ref_feasible_point(dim, equalities, inequalities):
+    if equalities:
+        M = RationalMatrix(len(equalities), dim, [c for row, _ in equalities for c in row])
+        sol = solve_affine(M, [rhs for _, rhs in equalities])
+        if sol is None:
+            return None
+        x0, K = sol
+    else:
+        x0, K = tuple(F(0) for _ in range(dim)), RationalMatrix.identity(dim)
+    reduced = [
+        (
+            tuple(sum(a * k for a, k in zip(coeffs, K.row(i))) for i in range(K.rows)),
+            rhs - sum(a * x for a, x in zip(coeffs, x0)),
+            strict,
+        )
+        for coeffs, rhs, strict in inequalities
+    ]
+    s = _ref_feasible_ineqs(K.rows, reduced)
+    if s is None:
+        return None
+    return tuple(x0[j] + sum(s[i] * K[i, j] for i in range(K.rows)) for j in range(dim))
+
+
+def _ref_dimension(dim, equalities, inequalities):
+    eqs = list(equalities)
+    ineqs = [(c, r, False) for c, r, _ in inequalities]
+    if _ref_feasible_point(dim, eqs, ineqs) is None:
+        return -1, None
+    still = []
+    for i, (coeffs, rhs, _) in enumerate(ineqs):
+        if _ref_feasible_point(dim, eqs, still + ineqs[i + 1 :] + [(coeffs, rhs, True)]) is None:
+            eqs.append((coeffs, rhs))
+        else:
+            still.append((coeffs, rhs, False))
+    M = RationalMatrix(len(eqs), dim, [c for row, _ in eqs for c in row]) if eqs else None
+    d = kernel_basis(M).rows if eqs else dim
+    return d, _ref_feasible_point(dim, eqs, [(c, r, True) for c, r, _ in still])
+
+
+def test_integer_rows_give_exact_fraction_points():
+    # with one free direction left after the equalities, every bound of the
+    # back-substitution comes from a row with no other variable: the sample
+    # must stay exact, satisfy the input, and agree with the Fraction
+    # implementation on the verdict, the dimension and the point itself
+    rng = random.Random(4242)
+    feasible = empty = 0
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        x0 = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
+        rows = []
+        while len(rows) < dim - 1:
+            row = [rng.randint(-2, 2) for _ in range(dim)]
+            if rank(RationalMatrix.from_rows(rows + [row])) == len(rows) + 1:
+                rows.append(row)
+        ref_eqs = [
+            (tuple(F(c) for c in row), sum((c * x for c, x in zip(row, x0)), F(0)))
+            for row in rows
+        ]
+        ref_ineqs = [
+            (
+                tuple(F(rng.randint(-3, 3)) for _ in range(dim)),
+                F(rng.randint(-6, 6), rng.randint(1, 4)),
+                rng.random() < 0.5,
+            )
+            for _ in range(rng.randint(1, 5))
+        ]
+        eqs = [eq(c, r) for c, r in ref_eqs]
+        ineqs = [ineq(c, r, strict) for c, r, strict in ref_ineqs]
+        pt = feasible_point(dim, eqs, ineqs)
+        assert pt == _ref_feasible_point(dim, ref_eqs, ref_ineqs)
+        if pt is None:
+            empty += 1
+        else:
+            feasible += 1
+            assert all(type(x) is F for x in pt)
+            assert satisfies(pt, eqs, ineqs)
+        got = polyhedron_dimension(dim, eqs, ineqs)
+        assert got == _ref_dimension(dim, ref_eqs, ref_ineqs)
+        assert got[1] is None or all(type(x) is F for x in got[1])
+    assert feasible > 100 and empty > 50

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -20,6 +21,12 @@ from tropibound.subdivision import (
 H_RUN = [0, 0, 0, 0, -1]
 
 
+def integer_row(coeffs, rhs):
+    """coeffs . x = rhs scaled to the integer row `_polyhedra` takes."""
+    den = lcm(*(x.denominator for x in (*coeffs, rhs)))
+    return tuple(int(x * den) for x in coeffs), int(rhs * den)
+
+
 def brute_force_full_cells(A: RationalMatrix, h) -> set[tuple[int, ...]]:
     """Independent oracle: S is a cell iff some v achieves equality of the
     lifted product on S and strict inequality off S; full-dimensional iff
@@ -36,10 +43,10 @@ def brute_force_full_cells(A: RationalMatrix, h) -> set[tuple[int, ...]]:
                 continue
             # unknowns (v, c): on S equality alpha_j . v + h_j = c, off S strict >
             eqs = [
-                (tuple(cols[j - 1]) + (Fraction(-1),), -hh[j - 1]) for j in S
+                integer_row((*cols[j - 1], Fraction(-1)), -hh[j - 1]) for j in S
             ]
             ineqs = [
-                (tuple(-x for x in cols[j - 1]) + (Fraction(1),), hh[j - 1], True)
+                (*integer_row((*(-x for x in cols[j - 1]), Fraction(1)), hh[j - 1]), True)
                 for j in range(1, r + 1)
                 if j not in S
             ]

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropibound.intersection import _cell_partitions
+from tropibound import systems as systems_module
+from tropibound.intersection import _fan_plan
 from tropibound.matroid import realize_from_kernel
-from tropibound.rational import RationalMatrix, kernel_basis, rank, vector
+from tropibound.rational import RationalMatrix, first_independent_rows, kernel_basis, rank, vector
 from tropibound.systems import (
     ComparisonViolation,
     CRNModel,
@@ -128,26 +129,41 @@ def test_bound_rank_deficient_skips_decorated():
 
 def test_rate_scan_documents_ignore_memo_state(hhk_model, running_system):
     # 24 draws of the hhk rate exponents share C and so one matroid; the
-    # one-entry memos on the matroid and the cell partitions must give the
-    # same documents warm (forward, reversed) as evicted by another system
+    # one-entry memos on the matroid and the fan plan must give the same
+    # documents warm (forward, reversed) as evicted by another system
     rng = random.Random(5)
     systems = [
         assemble_crn(dataclasses.replace(hhk_model, h=tuple(rng.randint(-8, 8) for _ in range(6))))
         for _ in range(24)
     ]
     realize_from_kernel.cache_clear()
-    _cell_partitions.cache_clear()
+    _fan_plan.cache_clear()
     forward = [bound(s).to_document() for s in systems]
     assert realize_from_kernel.cache_info().hits == 23
-    assert _cell_partitions.cache_info().hits == 23
+    assert _fan_plan.cache_info().hits == 23
     backward = [bound(s).to_document() for s in reversed(systems)][::-1]
     evicted = []
     for s in systems:
         bound(running_system)
         evicted.append(bound(s).to_document())
-    assert realize_from_kernel.cache_info().maxsize == _cell_partitions.cache_info().maxsize == 1
+    assert realize_from_kernel.cache_info().maxsize == _fan_plan.cache_info().maxsize == 1
     assert forward == backward == evicted
     assert len({str(doc) for doc in forward}) > 1
+
+
+def test_rate_scan_reduces_C_once(hhk_model, monkeypatch):
+    # three draws share C, so C is reduced to its independent rows once
+    calls = []
+
+    def counted(C):
+        calls.append(C)
+        return first_independent_rows(C)
+
+    monkeypatch.setattr(systems_module, "first_independent_rows", counted)
+    systems_module._independent_rows.cache_clear()
+    for h in [(7, -6, -2, -3, -3, 3), (7, 8, 3, 3, -1, 8), (-4, 2, 6, -8, 1, -3)]:
+        bound(assemble_crn(dataclasses.replace(hhk_model, h=h)))
+    assert len(calls) == 1
 
 
 def test_bound_empty_fan(running_A):
