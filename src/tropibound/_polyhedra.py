@@ -2,19 +2,19 @@
 
 Rows are integer.  An equality is ``(coeffs, rhs)`` meaning
 coeffs . x = rhs; an inequality is ``(coeffs, rhs, strict)`` meaning
-coeffs . x <= rhs, or < if strict.  Callers scale a rational row to
-integers first, so no Fraction is unpacked here.  The equalities are
-eliminated once with the package kernel ``rational._echelon``, and the
-inequalities, rewritten over the solution space, go through
-Fourier-Motzkin elimination on integer rows with strict/weak tracking:
-each combination of two rows stays integer and is divided by the gcd of
-its entries, so every row has one primitive form (Schrijver, *Theory of
-Linear and Integer Programming*, 1986, §12.2).  The sample is
-back-substituted in integers over one common denominator, and only the
-returned point is built of Fractions.  Intended for the desk-scale
-systems that arise from cone pieces and tangent-direction tests (a
-handful of variables, tens of constraints); no attempt at asymptotic
-cleverness.
+coeffs . x <= rhs, or < if strict.  Callers make their rows integer with
+the helpers of ``rational``, so no Fraction is unpacked here.  The
+equalities are eliminated once with ``rational._echelon`` and their
+solutions read off with ``rational._solution``; the inequalities,
+rewritten over the solution space, go through Fourier-Motzkin
+elimination on integer rows with strict/weak tracking: each combination
+of two rows stays integer and is made ``rational.primitive``, so every
+row has one primitive form (Schrijver, *Theory of Linear and Integer
+Programming*, 1986, §12.2).  The sample is back-substituted in integers
+over one common denominator, and only the returned point is built of
+Fractions.  Intended for the desk-scale systems that arise from cone
+pieces and tangent-direction tests (a handful of variables, tens of
+constraints); no attempt at asymptotic cleverness.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from tropibound.rational import _echelon
+from tropibound.rational import _echelon, _solution, primitive
 
 Row = tuple[int, ...]
 
@@ -39,19 +39,15 @@ class _Infeasible(Exception):
 
 
 def _clean(ineqs: list[Inequality]) -> list[Inequality]:
-    """Drop tautologies, divide by the gcd, raise on contradictions, dedupe."""
+    """Drop tautologies, make rows primitive, raise on contradictions, dedupe."""
     seen: dict[tuple[Row, int], bool] = {}
     for coeffs, rhs, strict in ineqs:
-        g = gcd(*coeffs)
-        if not g:
+        if not any(coeffs):
             if rhs < 0 or (strict and rhs == 0):
                 raise _Infeasible
             continue
-        g = gcd(g, rhs)
-        if g > 1:
-            key = (tuple(c // g for c in coeffs), rhs // g)
-        else:
-            key = (tuple(coeffs), rhs)
+        row = primitive((*coeffs, rhs))
+        key = (row[:-1], row[-1])
         seen[key] = seen.get(key, False) or strict
     return [(row, rhs, strict) for (row, rhs), strict in seen.items()]
 
@@ -157,36 +153,16 @@ def feasible_point(
 ) -> tuple[Fraction, ...] | None:
     """An exact solution of the mixed system, or None if infeasible.
 
-    One elimination of the augmented equalities gives x = (x0 + sum of
-    s_f k_f) / d over the free columns f, with x0 and the kernel vectors
-    k_f integer (k_f is d times the back-substituted kernel vector).  An
+    One elimination of the augmented equalities gives, through
+    ``rational._solution``, x = (x0 + sum of s_f k_f) / d over the free
+    columns f, with x0 and the kernel vectors k_f integer and d > 0.  An
     inequality a . x <= b then reads sum of s_f (a . k_f) <= d b - a . x0,
     an integer row in s, and the sample s of those rows gives x.
     """
-    if not equalities:
-        sample = _feasible_ineqs(dim, list(inequalities))
-        if sample is None:
-            return None
-        nums, den = sample
-        return tuple(Fraction(x, den) for x in nums)
     m, pivots, d, _ = _echelon([(*row, rhs) for row, rhs in equalities], dim + 1)
     if pivots and pivots[-1] == dim:
         return None
-    sign = 1 if d > 0 else -1
-    m = [[sign * x for x in row] for row in m[: len(pivots)]]
-    d *= sign
-    x0 = [0] * dim
-    for row, p in zip(m, pivots):
-        x0[p] = row[dim]
-    pivot_set = set(pivots)
-    kernel = []
-    for f in range(dim):
-        if f not in pivot_set:
-            k = [0] * dim
-            k[f] = d
-            for row, p in zip(m, pivots):
-                k[p] = -row[f]
-            kernel.append(k)
+    x0, kernel = _solution(m, pivots, d, dim)
     reduced: list[Inequality] = []
     for coeffs, rhs, strict in inequalities:
         reduced.append(

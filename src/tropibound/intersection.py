@@ -15,7 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -32,6 +32,9 @@ from tropibound.rational import (
     RationalMatrix,
     _echelon,
     in_row_span,
+    integer_columns,
+    integer_multiple,
+    primitive,
     rank,
     vector,
 )
@@ -186,25 +189,6 @@ def _is_interior(p: Sequence[Fraction], OM: OrientedMatroid) -> bool:
     return len(_merge(OM.ground_size, argmins)) == OM.rank
 
 
-def _scaled_transpose(A: RationalMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """L, the lcm of A's denominators, and the rows of L A^T as ints."""
-    cols = [A.column(j) for j in range(A.cols)]
-    L = lcm(*(x.denominator for col in cols for x in col))
-    return L, tuple(tuple(x.numerator * (L // x.denominator) for x in col) for col in cols)
-
-
-def _integer_multiple(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """D, the lcm of the denominators of xs, and the ints D x."""
-    D = lcm(*(x.denominator for x in xs))
-    return D, [x.numerator * (D // x.denominator) for x in xs]
-
-
-def _primitive(row: Sequence[int]) -> tuple[int, ...]:
-    """An integer row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return tuple(x // g for x in row) if g > 1 else tuple(row)
-
-
 def tangent_direction(
     v: Sequence, OM: OrientedMatroid, A: RationalMatrix, h: Sequence
 ) -> tuple[Fraction, ...] | None:
@@ -215,17 +199,15 @@ def tangent_direction(
     of A^T u over the circuit's current argmin set still meets both
     signs.  That is a finite union of polyhedral cones indexed by
     per-circuit witness pairs; each surviving cone is probed exactly for
-    a nonzero point.  The argmins are read off the integer multiple
-    L V H (A^T v + h), with L, V and H the lcms of the denominators of A,
-    v and h, and the cones are cut out by gcd-primitive integer rows.
+    a nonzero point.  A must be integer.  The argmins are read off the
+    integer multiple V H (A^T v + h), with (V, V v) and (H, H h) from
+    ``integer_multiple``, and the cones are cut out by ``primitive`` rows.
     """
-    v = vector(v)
-    hh = vector(h)
+    at_int = integer_columns(A)
     n = A.rows
-    L, at_int = _scaled_transpose(A)
-    V, v_int = _integer_multiple(v)
-    H, h_int = _integer_multiple(hh)
-    p = [H * sum(map(mul, row, v_int)) + L * V * x for row, x in zip(at_int, h_int)]
+    V, v_int = integer_multiple(vector(v))
+    H, h_int = integer_multiple(vector(h))
+    p = [H * sum(map(mul, row, v_int)) + V * x for row, x in zip(at_int, h_int)]
 
     tasks: list[tuple[list[tuple[int, int]], tuple[int, ...]]] = []
     for c in OM.circuits:
@@ -244,7 +226,7 @@ def tangent_direction(
 
     @functools.cache
     def diff(a: int, b: int) -> tuple[int, ...]:
-        return _primitive([x - y for x, y in zip(at_int[a - 1], at_int[b - 1])])
+        return primitive([x - y for x, y in zip(at_int[a - 1], at_int[b - 1])])
 
     # each level maps its accepted states (frozenset of equality rows,
     # frozenset of inequality rows) to a nonzero point of their cone
@@ -354,7 +336,7 @@ class _TieTransform(NamedTuple):
     """
 
     pivots: tuple[int, ...]
-    d: int  # positive
+    d: int  # positive, as _echelon returns it
     solve: tuple[tuple[int, ...], ...]
     check: tuple[tuple[int, ...], ...]
 
@@ -365,10 +347,9 @@ def _tie_transform(M: Sequence[Sequence[int]], n: int) -> _TieTransform:
     m, pivots, d, _ = _echelon(
         [(*row, *(int(i == j) for j in range(k))) for i, row in enumerate(M)], n
     )
-    sign = 1 if d > 0 else -1
-    T = [tuple(sign * x for x in row[n:]) for row in m]
+    T = [tuple(row[n:]) for row in m]
     rank = len(pivots)
-    return _TieTransform(tuple(pivots), sign * d, tuple(T[:rank]), tuple(T[rank:]))
+    return _TieTransform(tuple(pivots), d, tuple(T[:rank]), tuple(T[rank:]))
 
 
 def _particular(t: _TieTransform, b: Sequence[int]) -> list[int] | None:
@@ -384,8 +365,7 @@ class _FanPlan(NamedTuple):
 
     diagnostics: Diagnostics
     empty: tuple[int, ...] | None  # a component admitting no positive weight
-    scale: int  # L, the lcm of A's denominators
-    at_int: tuple[tuple[int, ...], ...]  # the rows of L A^T
+    at_int: tuple[tuple[int, ...], ...]  # the rows of A^T
     # per partition combination: its cell groups, its tie pairs (a, b) as
     # 0-based elements, and the transform of their tie matrix
     systems: tuple[tuple[tuple, tuple[tuple[int, int], ...], _TieTransform], ...]
@@ -396,14 +376,16 @@ def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
     """Validate (OM, A), walk the positive cells, and eliminate the tie
     matrix of each partition combination.
 
-    The tie (w + h)_a = (w + h)_b reads (L A^T)_a . v - (L A^T)_b . v =
-    L (h_b - h_a): only its right-hand side depends on h, so a one-entry
-    memo lets every shift of a scan over one matroid and one A share the
-    plan; the result is immutable because callers share it.
+    A is read through ``integer_columns``, so a non-integer A raises
+    ValueError.  The tie (w + h)_a = (w + h)_b reads
+    (A^T_a - A^T_b) . v = h_b - h_a: only its right-hand side depends on
+    h, so a one-entry memo lets every shift of a scan over one matroid
+    and one A share the plan; the result is immutable because callers
+    share it.
     """
     diagnostics = validate_inputs(OM, A)
+    at_int = integer_columns(A)
     factors, empty = _cell_partitions(OM)
-    L, at_int = _scaled_transpose(A)
     systems = []
     for groups in itertools.product(*factors):
         pairs = tuple(
@@ -411,7 +393,7 @@ def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
         )
         M = [[x - y for x, y in zip(at_int[a], at_int[b])] for a, b in pairs]
         systems.append((groups, pairs, _tie_transform(M, A.rows)))
-    return _FanPlan(diagnostics, empty, L, at_int, tuple(systems))
+    return _FanPlan(diagnostics, empty, at_int, tuple(systems))
 
 
 def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> IntersectionReport:
@@ -425,28 +407,25 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     pieces are discarded, zero-dimensional pieces contribute their point,
     and higher-dimensional pieces flag the run as non-transverse.
 
-    The tie matrices are eliminated once per (OM, A) in ``_fan_plan``.
-    Per call, h is scaled to integers by the lcm H of its denominators,
-    and each tie system's right-hand side b is read off the integer
-    shifts; with L the lcm of A's denominators, a consistent system
-    M v = (L / H) b of full rank has the unique solution
-    v = L (T b) / (d H).  Its image A^T v + h is tested for positive
+    The tie matrices of the integer A are eliminated once per (OM, A) in
+    ``_fan_plan``.  Per call, ``integer_multiple`` gives H and the ints
+    H h, and each tie system's right-hand side b is read off them; a
+    consistent system M v = b / H of full rank has the unique solution
+    v = (T b) / (d H).  Its image A^T v + h is tested for positive
     membership in integers, on the positive multiple d H (A^T v + h), and
     Fractions are built only for accepted points.
     """
     hh = vector(h)
     plan = _fan_plan(OM, A)
     n = A.rows
-    L, at_int = plan.scale, plan.at_int
-    H, h_int = _integer_multiple(hh)
+    at_int = plan.at_int
+    H, h_int = integer_multiple(hh)
 
     @functools.cache
     def tie(a: int, b: int) -> tuple[tuple[int, ...], int]:
         """The tie (w + h)_a = (w + h)_b of 0-based elements as a
         gcd-primitive integer row and right-hand side in v."""
-        row = _primitive(
-            [H * (x - y) for x, y in zip(at_int[a], at_int[b])] + [L * (h_int[b] - h_int[a])]
-        )
+        row = primitive([H * (x - y) for x, y in zip(at_int[a], at_int[b])] + [h_int[b] - h_int[a]])
         return row[:-1], row[-1]
 
     notes: list[str] = []
@@ -464,7 +443,7 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
         if x is None:
             continue
         if len(x) == n:
-            # v = L x / (d H); many cells share a point, so each v, keyed
+            # v = x / (d H); many cells share a point, so each v, keyed
             # by x / d in lowest terms, is tested once
             d = t.d
             g = gcd(d, *x)
@@ -475,7 +454,7 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
             aw = [sum(map(mul, row, x)) for row in at_int]
             if is_positive_member([a + d * hj for a, hj in zip(aw, h_int)], OM):
                 den = d * H
-                v = tuple(Fraction(L * xi, den) for xi in x)
+                v = tuple(Fraction(xi, den) for xi in x)
                 candidates[v] = tuple(Fraction(a, den) for a in aw)
             continue
         # Underdetermined ties: examine each product cell of this partition
@@ -492,7 +471,7 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
                 continue
             if dim == 0:
                 # a zero-dimensional piece is one point, so its sample is it
-                wstar = tuple(sum(map(mul, row, vstar)) / L for row in at_int)
+                wstar = tuple(sum(map(mul, row, vstar)) for row in at_int)
                 pstar = tuple(a + b for a, b in zip(wstar, hh))
                 if not is_positive_member(pstar, OM):
                     raise RuntimeError(
@@ -583,24 +562,20 @@ def intersect_via_vertices(
     is a line and every remaining candidate r meets it at
     v_c = r[n] / r[c].  Vertices are keyed by their gcd-normalized
     integer numerators and positive denominator, and each new one is
-    tested once, in integers: with H the lcm of the denominators of h
-    and A, H * d * (A^T v + h) = A^T (H num) + (H h) d is a positive
-    multiple of A^T v + h, so every circuit has the same argmin and the
-    verdict is exact.  Fractions are built only for accepted vertices.
+    tested once, in integers: A is read through ``integer_columns`` and
+    (H, H h) come from ``integer_multiple``, so
+    H * d * (A^T v + h) = (H A^T) num + (H h) d is a positive multiple of
+    A^T v + h, every circuit has the same argmin and the verdict is
+    exact.  Fractions are built only for accepted vertices.
     On hhk this takes about 4 s (2 shared x86_64 cores, Python 3.11).
 
     Only the v set is returned, with no isolation, interiority or level
     flags: that set is all ``lower_bound`` and acceptance criterion 7
     compare.  A matroid with no circuits has no planes and so no vertices.
     """
-    hh = vector(h)
     n = A.rows
-    At = A.transpose()
-
-    at_rows = [At.row(i) for i in range(At.rows)]
-    H = lcm(*(x.denominator for x in (*hh, *(y for row in at_rows for y in row))))
-    h_int = [int(x * H) for x in hh]
-    at_int = [[int(x * H) for x in row] for row in at_rows]
+    H, h_int = integer_multiple(vector(h))
+    at_int = [[H * x for x in col] for col in integer_columns(A)]
 
     # Integer augmented rows a . v = b of H A^T and H h, divided by their
     # gcd, so each plane has one primitive form and the elimination below
@@ -613,7 +588,7 @@ def intersect_via_vertices(
                 row = [x - y for x, y in zip(at_int[i - 1], at_int[j - 1])]
                 if not any(row):
                     continue
-                aug = _primitive((*row, h_int[j - 1] - h_int[i - 1]))
+                aug = primitive((*row, h_int[j - 1] - h_int[i - 1]))
                 if tuple(-x for x in aug) in hyperplanes:
                     continue
                 hyperplanes[aug] = None

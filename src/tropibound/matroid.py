@@ -12,10 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
 from typing import Iterable, Sequence
 
-from tropibound.rational import RationalMatrix, _echelon, kernel_basis, rank, to_rational
+from tropibound.rational import (
+    RationalMatrix,
+    _echelon,
+    integer_multiple,
+    kernel_basis,
+    rank,
+    to_rational,
+)
 
 
 class MatroidError(ValueError):
@@ -181,19 +187,15 @@ def circuits_via_subsets(G: RationalMatrix) -> list[SignedCircuit]:
     dependent subset carries a unique linear relation up to scale, whose
     sign pattern is the circuit.  Both orientations are returned.
 
-    Each row of G is scaled to integers once, which leaves every column
-    slice's kernel unchanged, so the slices eliminate on plain ints.  The
-    relation of a slice with one free column f is v[f] = 1 and
-    v[p] = -m[p][f] / d on the pivot rows, whose signs are those of
-    -m[p][f] * d.
+    Each row of G is scaled to integers once by ``integer_multiple``,
+    which leaves every column slice's kernel unchanged, so the slices
+    eliminate on plain ints.  The relation of a slice with one free
+    column f is v[f] = 1 and v[p] = -m[p][f] / d on the pivot rows, with
+    d > 0, so its signs are those of -m[p][f].
     """
     r = G.cols
     g_rank = rank(G)
-    ints = []
-    for i in range(G.rows):
-        row = G.row(i)
-        den = lcm(*(x.denominator for x in row))
-        ints.append([x.numerator * (den // x.denominator) for x in row])
+    ints = [integer_multiple(G.row(i))[1] for i in range(G.rows)]
     circuits: list[SignedCircuit] = []
     # masks of the scanned dependent subsets; every smaller subset has been
     # scanned, so cols strictly contains a circuit iff one of its
@@ -206,13 +208,13 @@ def circuits_via_subsets(G: RationalMatrix) -> list[SignedCircuit]:
             if any(colmask - b in dependent for b in colbits):
                 dependent.add(colmask)
                 continue
-            m, pivots, d, _ = _echelon([[row[j] for j in cols] for row in ints], size)
+            m, pivots, _, _ = _echelon([[row[j] for j in cols] for row in ints], size)
             if len(pivots) != size - 1:
                 continue
             (free,) = set(range(size)).difference(pivots)
             lam = [1] * size
             for row, p in zip(m, pivots):
-                lam[p] = -row[free] * d
+                lam[p] = -row[free]
             if 0 in lam:
                 continue
             pos = tuple(cols[i] + 1 for i, x in enumerate(lam) if x > 0)

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from tropibound.intersection import IntersectionReport
+from tropibound.rational import integer_columns
 from tropibound.systems import VerticalSystem
 
 # max-norm distance in log coordinates at which two Newton roots count as one
@@ -99,9 +100,7 @@ def instantiate(system: VerticalSystem, t: float) -> InstantiatedSystem:
                     f" {problem} in floating point"
                 )
             coeffs[i, j] = value
-    exps = np.array(
-        [[int(system.A[i, j]) for i in range(n)] for j in range(r)], dtype=float
-    )
+    exps = np.array(integer_columns(system.A), dtype=float)
     return InstantiatedSystem(n=n, coefficients=coeffs, exponents=exps, t=t)
 
 
@@ -177,13 +176,18 @@ def count_roots(
     intersection point plus random log-uniform multistarts.
 
     Roots are deduplicated at max-norm log-distance SEPARATION; tropical
-    seeds run first so deterministic ties resolve toward them.  The
-    result is an empirical witness list, not a certificate.
+    seeds run first so deterministic ties resolve toward them, and one
+    whose t^v overflows or rounds to 0 as a float is skipped, since no
+    float witness lies there.  The result is an empirical witness list.
     """
     seeds: list[tuple[str, list[float]]] = []
     for p in report.points:
-        label = "tropical v=(" + ",".join(str(x) for x in p.v) + ")"
-        seeds.append((label, tropical_seed(F.t, p.v)))
+        try:
+            x0 = tropical_seed(F.t, p.v)
+        except OverflowError:
+            continue
+        if all(0.0 < x < math.inf for x in x0):
+            seeds.append(("tropical v=(" + ",".join(str(x) for x in p.v) + ")", x0))
     rng = random.Random(seed)
     span = 1.5 * abs(math.log(F.t))
     for k in range(multistarts):

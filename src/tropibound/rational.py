@@ -4,13 +4,16 @@ Scalars are ``fractions.Fraction`` (always in lowest terms, positive
 denominator), so every operation in this module is exact.  Matrices are
 immutable values; operations return fresh objects.
 
-Every elimination runs through one kernel, ``_echelon``: each row is
-scaled to integers once, then fraction-free Gauss-Jordan elimination
-with a single running pivot (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-1968) works on plain ints.  Reduced echelon forms, ranks, kernels,
-affine solutions, determinants and independent row sets are all read
-off its result; Fractions are built only for the values returned.
+This is the one module that turns rationals into integers, through
+``integer_multiple``, ``primitive`` and ``integer_columns``.  Every
+elimination runs through one kernel, ``_echelon``: fraction-free
+Gauss-Jordan elimination of integer rows with a single running pivot
+(Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 22, 1968), which rational rows enter
+through ``integer_multiple``.  Reduced echelon forms, ranks, kernels,
+affine solutions, determinants and independent row sets are read off
+its result, solutions through ``_solution``; Fractions are built only
+for the values returned.
 
 No floating point enters this module.
 """
@@ -18,15 +21,12 @@ No floating point enters this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
 
 RationalVector = tuple[Fraction, ...]
 
 Scalar = Union[int, str, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def to_rational(x: Scalar) -> Fraction:
@@ -47,9 +47,11 @@ def vector(entries: Iterable[Scalar]) -> RationalVector:
 
 
 class RationalMatrix:
-    """Immutable dense matrix of rationals, stored row-major."""
+    """Immutable dense matrix of rationals, stored row-major.  The hash is
+    computed once, on first use, and kept: one-entry memos keyed on a
+    matrix look it up on every call, while most matrices are never hashed."""
 
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ("rows", "cols", "_entries", "_hash")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
         ent = tuple(to_rational(x) for x in entries)
@@ -58,6 +60,7 @@ class RationalMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_entries", ent)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
@@ -141,37 +144,58 @@ class RationalMatrix:
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._entries))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.rows, self.cols, self._entries)))
+        return self._hash
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
 
-def _echelon(
-    rows: Iterable[Sequence[Fraction]], ncols: int
-) -> tuple[list[list[int]], list[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination; the one elimination kernel.
+def integer_multiple(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """D, the lcm of the denominators of xs, and the ints D x."""
+    D = lcm(*(x.denominator for x in xs))
+    if D == 1:
+        return 1, [x.numerator for x in xs]
+    return D, [x.numerator * (D // x.denominator) for x in xs]
 
-    Returns ``(m, pivots, d, scale)``.  Each pivot is the first nonzero
-    entry of its column among the rows not yet used, columns taken left
-    to right.  The first ``len(pivots)`` integer rows of ``m`` divided by
-    ``d`` are the reduced row echelon form; the remaining rows are zero.
-    ``scale`` is the product of the integer row scales, negated once per
-    row swap, so a square matrix of full rank has determinant d / scale.
+
+def primitive(row: Sequence[int]) -> tuple[int, ...]:
+    """An integer row divided by the gcd of its entries; a zero row as it is."""
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
+
+
+def integer_columns(M: RationalMatrix) -> tuple[tuple[int, ...], ...]:
+    """The columns of an integer matrix as ints; ValueError on any other entry."""
+    if not M.is_integer():
+        raise ValueError("exponent matrix must have integer entries")
+    return tuple(tuple(x.numerator for x in M.column(j)) for j in range(M.cols))
+
+
+def _integer_rows(M: RationalMatrix) -> list[list[int]]:
+    """The rows of M through ``integer_multiple``: same row space and kernel."""
+    return [integer_multiple(M.row(i))[1] for i in range(M.rows)]
+
+
+def _echelon(
+    rows: Iterable[Sequence[int]], ncols: int
+) -> tuple[list[Sequence[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows; the one
+    elimination kernel.
+
+    Returns ``(m, pivots, d, sign)`` with d > 0.  Each pivot is the first
+    nonzero entry of its column among the rows not yet used, columns
+    taken left to right.  The first ``len(pivots)`` rows of ``m`` divided
+    by ``d`` are the reduced row echelon form; the remaining rows are
+    zero in the first ``ncols`` columns.  A square matrix of full rank
+    has determinant ``sign * d``.
     """
-    m: list[list[int]] = []
-    scale = 1
-    for row in rows:
-        den = lcm(*[x.denominator for x in row])
-        if den == 1:
-            m.append([x.numerator for x in row])
-        else:
-            m.append([x.numerator * (den // x.denominator) for x in row])
-            scale *= den
+    m = list(rows)
     nrows = len(m)
     pivots: list[int] = []
-    d = 1
+    d = sign = 1
     pr = 0
     for pc in range(ncols):
         if pr == nrows:
@@ -183,7 +207,7 @@ def _echelon(
             continue
         if i != pr:
             m[pr], m[i] = m[i], m[pr]
-            scale = -scale
+            sign = -sign
         prow = m[pr]
         p = prow[pc]
         # Sylvester's identity makes every division below exact
@@ -198,33 +222,54 @@ def _echelon(
         d = p
         pivots.append(pc)
         pr += 1
-    return m, pivots, d, scale
+    if d < 0:
+        m = [[-x for x in row] for row in m]
+        d, sign = -d, -sign
+    return m, pivots, d, sign
 
 
-def _kernel(m: list[list[int]], pivots: list[int], d: int, ncols: int) -> RationalMatrix:
-    """Kernel basis of the first ncols columns, read off an elimination:
-    one back-substituted vector per free column."""
+def _solution(
+    m: Sequence[Sequence[int]], pivots: Sequence[int], d: int, ncols: int
+) -> tuple[list[int], list[list[int]]]:
+    """The solutions of Mx = b, read off an elimination of [M | b] with
+    M's ncols columns: x = (x0 + sum of s_f k_f) / d over the free
+    columns f, with x0 zero off the pivots and k_f d times the
+    back-substituted kernel vector (k_f[f] = d), all integer."""
+    x0 = [0] * ncols
+    for row, p in zip(m, pivots):
+        x0[p] = row[ncols]
     pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    entries: list[Fraction] = []
-    for f in free:
-        v = [_ZERO] * ncols
-        v[f] = _ONE
-        for row, p in zip(m, pivots):
-            if row[f]:
-                v[p] = Fraction(-row[f], d)
-        entries.extend(v)
-    return RationalMatrix(len(free), ncols, entries)
+    kernel = []
+    for f in range(ncols):
+        if f not in pivot_set:
+            k = [0] * ncols
+            k[f] = d
+            for row, p in zip(m, pivots):
+                k[p] = -row[f]
+            kernel.append(k)
+    return x0, kernel
+
+
+def _solve(M: RationalMatrix, b: Sequence) -> tuple[RationalVector, RationalMatrix] | None:
+    """``solve_affine`` for a right-hand side of rationals or ints."""
+    rows = [integer_multiple((*M.row(i), b[i]))[1] for i in range(M.rows)]
+    m, pivots, d, _ = _echelon(rows, M.cols + 1)
+    if pivots and pivots[-1] == M.cols:
+        return None
+    x0, kernel = _solution(m, pivots, d, M.cols)
+    return tuple(Fraction(x, d) for x in x0), RationalMatrix(
+        len(kernel), M.cols, [Fraction(x, d) for k in kernel for x in k]
+    )
 
 
 def rref(M: RationalMatrix) -> tuple[RationalMatrix, list[int]]:
     """Reduced row echelon form and the pivot columns, in order."""
-    m, pivots, d, _ = _echelon(M.row_list(), M.cols)
+    m, pivots, d, _ = _echelon(_integer_rows(M), M.cols)
     return RationalMatrix(M.rows, M.cols, [Fraction(x, d) for row in m for x in row]), pivots
 
 
 def rank(M: RationalMatrix) -> int:
-    return len(_echelon(M.row_list(), M.cols)[1])
+    return len(_echelon(_integer_rows(M), M.cols)[1])
 
 
 def kernel_basis(M: RationalMatrix) -> RationalMatrix:
@@ -233,8 +278,7 @@ def kernel_basis(M: RationalMatrix) -> RationalMatrix:
     Row count is cols(M) - rank(M): each free column of the reduced
     echelon form contributes the standard back-substituted vector.
     """
-    m, pivots, d, _ = _echelon(M.row_list(), M.cols)
-    return _kernel(m, pivots, d, M.cols)
+    return _solve(M, [0] * M.rows)[1]
 
 
 def solve_affine(
@@ -248,23 +292,19 @@ def solve_affine(
     """
     if len(b) != M.rows:
         raise ValueError("right-hand side length mismatch")
-    bb = vector(b)
-    m, pivots, d, _ = _echelon([(*M.row(i), bb[i]) for i in range(M.rows)], M.cols + 1)
-    if pivots and pivots[-1] == M.cols:
-        return None
-    particular = [_ZERO] * M.cols
-    for row, p in zip(m, pivots):
-        if row[-1]:
-            particular[p] = Fraction(row[-1], d)
-    return tuple(particular), _kernel(m, pivots, d, M.cols)
+    return _solve(M, vector(b))
 
 
 def det(M: RationalMatrix) -> Fraction:
-    """Exact determinant, from the last fraction-free pivot."""
+    """Exact determinant: the signed last fraction-free pivot of the
+    integer rows, over the product of their scales."""
     if M.rows != M.cols:
         raise ValueError("determinant requires a square matrix")
-    _, pivots, d, scale = _echelon(M.row_list(), M.cols)
-    return Fraction(d, scale) if len(pivots) == M.rows else _ZERO
+    scaled = [integer_multiple(M.row(i)) for i in range(M.rows)]
+    _, pivots, d, sign = _echelon([row for _, row in scaled], M.cols)
+    if len(pivots) < M.rows:
+        return Fraction(0)
+    return Fraction(sign * d, prod(D for D, _ in scaled))
 
 
 def row_space_equal(A: RationalMatrix, B: RationalMatrix) -> bool:
@@ -272,8 +312,8 @@ def row_space_equal(A: RationalMatrix, B: RationalMatrix) -> bool:
     reduced row echelon form up to zero rows."""
     if A.cols != B.cols:
         return False
-    ma, pa, da, _ = _echelon(A.row_list(), A.cols)
-    mb, pb, db, _ = _echelon(B.row_list(), B.cols)
+    ma, pa, da, _ = _echelon(_integer_rows(A), A.cols)
+    mb, pb, db, _ = _echelon(_integer_rows(B), B.cols)
     return pa == pb and all(
         x * db == y * da for ra, rb in zip(ma, mb) for x, y in zip(ra, rb)
     )
@@ -282,7 +322,7 @@ def row_space_equal(A: RationalMatrix, B: RationalMatrix) -> bool:
 def first_independent_rows(M: RationalMatrix) -> list[int]:
     """Indices of the lexicographically first maximal independent row set:
     the pivot columns of the transpose."""
-    return _echelon([M.column(j) for j in range(M.cols)], M.rows)[1]
+    return _echelon([integer_multiple(M.column(j))[1] for j in range(M.cols)], M.rows)[1]
 
 
 def in_row_span(M: RationalMatrix, v: Sequence[Scalar]) -> bool:

@@ -135,6 +135,26 @@ def test_verify_large_shift_exit_one(tmp_path, capsys):
     assert err.startswith("error: column 5:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "A, h, bound",
+    [
+        # t^v overflows a float
+        ([[0, 1, -1]], [-150, 150, 0], 1),
+        # t^v rounds to 0.0
+        ([[0, 1, 2]], [150, -150, 0], 2),
+    ],
+)
+def test_verify_skips_unrepresentable_tropical_seeds(tmp_path, capsys, A, h, bound):
+    doc = {"kind": "vertical_system", "C": [[1, -1, 1]], "A": A, "h": h}
+    code = main(["verify", write(tmp_path, "far.json", doc), "--json", "-"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in err and "error" not in err
+    result = json.loads(out)
+    assert result["certified_bound"] == bound
+    assert not any(w["seed_origin"].startswith("tropical") for w in result["witnesses"])
+
+
 def test_internal_error_exit_three(monkeypatch, capsys):
     import tropibound.intersection as mod
 

@@ -55,6 +55,19 @@ def test_validate_rejects_fractional_exponents(running_N):
         VerticalSystem(running_N, A, H_RUN)
 
 
+def test_non_integer_exponents_refused_by_every_entry_point(running_N):
+    # the fan walk, the isolation test and the oracle read A as integers
+    # and refuse a fractional entry instead of scaling or truncating it
+    A = RationalMatrix.from_rows([["1/2", 0, 0, 0, 0], [0, 1, 0, 0, 0]])
+    M = realize_from_kernel(running_N)
+    with pytest.raises(ValueError, match="integer entries"):
+        intersect_via_fan(M, A, H_RUN)
+    with pytest.raises(ValueError, match="integer entries"):
+        tangent_direction((0, 0), M, A, H_RUN)
+    with pytest.raises(ValueError, match="integer entries"):
+        intersect_via_vertices(M, A, H_RUN)
+
+
 def test_validate_flags_all_ones_in_rowspan():
     C = RationalMatrix.from_rows([[1, -1, 0], [0, 1, -1]])
     A = RationalMatrix.from_rows([[1, 1, 1], [0, 1, 2]])

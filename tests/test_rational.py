@@ -1,15 +1,22 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropibound.rational import (
     RationalMatrix,
     det,
     first_independent_rows,
     in_row_span,
+    integer_multiple,
     kernel_basis,
+    primitive,
     rank,
     row_space_equal,
     rref,
@@ -17,6 +24,8 @@ from tropibound.rational import (
     to_rational,
     vector,
 )
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tropibound"
 
 
 def random_matrix(rng, rows, cols, denom=3, span=4):
@@ -226,6 +235,12 @@ def test_det_random_against_cofactor():
     cases += [dependent_matrix(rng, 4, 4) for _ in range(3)]
     cases += [random_matrix(rng, n, n, denom=7, span=9) for n in (1, 2, 3, 4)]
     cases += [RationalMatrix.from_rows([]), RationalMatrix.from_rows([[0, 1], [0, 2]])]
+    # negative last pivots, with and without a row swap
+    cases += [
+        RationalMatrix.from_rows([[0, 1], [1, 0]]),
+        RationalMatrix.from_rows([[-3]]),
+        RationalMatrix.from_rows([[2, 1, 0], [1, 1, 1], [0, 1, -5]]),
+    ]
     for M in cases:
         assert det(M) == det_cofactor(M)
     assert det(RationalMatrix.from_rows([])) == 1
@@ -270,3 +285,46 @@ def test_in_row_span():
     M = RationalMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
     assert in_row_span(M, [1, 1, 2])
     assert not in_row_span(M, [0, 0, 1])
+
+
+# --- integer scaling -----------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.fractions(max_denominator=60), max_size=6),
+    st.lists(st.integers(-60, 60), max_size=6),
+)
+def test_integer_multiple_and_primitive(xs, ints):
+    D, scaled = integer_multiple(xs)
+    assert D == lcm(*(x.denominator for x in xs))
+    assert all(type(k) is int for k in scaled)
+    assert scaled == [D * x for x in xs]
+    for row in (scaled, ints, [0] * len(ints)):
+        prim = primitive(row)
+        if not any(row):
+            assert prim == tuple(row)
+            continue
+        # a positive multiple of row with gcd 1
+        c = next(Fraction(p, x) for p, x in zip(prim, row) if x)
+        assert c > 0 and list(prim) == [c * x for x in row]
+        assert gcd(*prim) == 1
+
+
+def test_only_rational_turns_rationals_into_integers():
+    # every other module scales through integer_multiple, primitive and
+    # integer_columns instead of unpacking Fractions or taking lcms
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "rational.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
+                offences.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+            elif isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "lcm":
+                    offences.append(f"{path.name}:{node.lineno} calls lcm")
+    assert len(list(PACKAGE.glob("*.py"))) > 1
+    assert offences == []
