@@ -192,6 +192,12 @@ def positive_chains(OM: OrientedMatroid) -> list[FlagOfFlats]:
     ``_positive_flats``), so the returned closed cones cover the whole
     positive fan.  The empty chain (lineality-only cone) is returned when
     no circuit is one-signed and no flat extends it.
+
+    The fan walk does not list these chains: it reads block partitions
+    off the positive flats (``intersection._cell_partitions``).  The
+    remaining users are the tests, where the chains are the reference for
+    that recursion and cover the positive fan, and ``bench/tracing.py``,
+    which wraps this function by name.
     """
     positive = _positive_flats(OM)
     proper = sorted(

@@ -2,9 +2,10 @@
 intersected with the row span of an integer exponent matrix.
 
 Two structurally different complete enumerations are provided: the primary
-one walks positive cones of the fine fan (componentwise, since circuits
-never straddle connected components) and solves each cone's tie system;
-the oracle enumerates vertices of the tie-hyperplane arrangement.
+one solves one tie system per distinct block partition of the positive
+cells (componentwise, since circuits never straddle connected components),
+listing the cells themselves only where a system is underdetermined; the
+oracle enumerates vertices of the tie-hyperplane arrangement.
 Per-point transversality is certified by an exact tangent-direction test,
 never by genericity arguments.
 """
@@ -20,12 +21,14 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from tropibound import _polyhedra
-from tropibound.bergman import is_positive_member, positive_chains
+from tropibound.bergman import _positive_flats, is_positive_member
 from tropibound.matroid import (
     Flat,
     FlagOfFlats,
     OrientedMatroid,
     SignedCircuit,
+    _elements,
+    _mask,
     realize_from_kernel,
 )
 from tropibound.rational import (
@@ -281,24 +284,44 @@ def _merge(size: int, groups: Iterable[Sequence[int]]) -> list[list[int]]:
 
 # a positive cell as its ordered, nonempty blocks of element labels
 _Cell = tuple[tuple[int, ...], ...]
-# one component's positive cells, one group per block partition
-_Factor = tuple[tuple[_Cell, ...], ...]
+
+
+class _Component(NamedTuple):
+    """One circuit-connected component's positive fan, flat by flat.
+
+    Flats are bitmasks of global labels (element e is bit e - 1).
+    ``above`` maps the empty flat 0 and each positive proper flat to the
+    positive proper flats strictly containing it; ``partitions`` are the
+    distinct block partitions of the component's positive cells, each as
+    sorted blocks, in sorted order.
+    """
+
+    above: dict[int, tuple[int, ...]]
+    partitions: tuple[_Cell, ...]
 
 
 def _cell_partitions(
     OM: OrientedMatroid,
-) -> tuple[tuple[_Factor, ...], tuple[int, ...] | None]:
-    """Per circuit-connected component, its positive cells grouped by
-    block partition, the groups in sorted order of their sorted blocks.
+) -> tuple[tuple[_Component, ...], tuple[int, ...] | None]:
+    """Per circuit-connected component, the block partitions of its
+    positive cells, found by a recursion over its positive proper flats
+    memoized by flat.
 
-    Each cell is read off a chain of ``positive_chains`` on the
-    component's own matroid: the successive differences of the chain's
-    flats, then the complement of the top flat, in global labels.
-    Returns ``(factors, None)``, or ``(((),), comp)`` for the first
-    component ``comp`` that admits no positive weight (some circuit is
-    one-signed), whose empty factor leaves no cell to walk.
+    A positive cell is the cone of an upward-maximal chain F_1 < ... < F_k
+    of positive proper flats (Ardila-Klivans-Williams, arXiv
+    math/0406116; see ``_positive_flats``), with blocks F_1, F_2 - F_1,
+    ..., E - F_k.  So the partitions of the chains starting above a flat
+    F are parts(F) = {E - F} when no positive proper flat lies above F,
+    and otherwise the union over positive proper G > F of
+    {G - F} + parts(G).  Each parts(F) is built once, larger flats
+    first; the component's partitions are parts of the empty flat, which
+    is {E} when it has no positive proper flat.  Each component is
+    walked on its own matroid.  Returns ``(components, None)``, or
+    ``((), comp)`` for the first component ``comp`` that admits no
+    positive weight (some circuit is one-signed).
     """
-    factors = []
+    elements = functools.cache(lambda mask: _elements(mask, OM))
+    components = []
     for comp in _merge(OM.ground_size, OM.circuit_supports):
         to_local = {g: i + 1 for i, g in enumerate(comp)}
         local_circuits = [
@@ -309,21 +332,47 @@ def _cell_partitions(
             for c in OM.circuits
             if c.support <= to_local.keys()
         ]
-        chains = positive_chains(OrientedMatroid(len(comp), local_circuits))
-        if not chains:
-            return ((),), tuple(comp)
-        grouped: dict[_Cell, list[_Cell]] = {}
-        for flag in chains:
-            blocks = []
-            below: frozenset[int] = frozenset()
-            for f in flag.chain:
-                blocks.append(tuple(comp[e - 1] for e in f.elements if e not in below))
-                below = f.as_set
-            blocks.append(tuple(g for e, g in enumerate(comp, 1) if e not in below))
-            cell = tuple(blocks)
-            grouped.setdefault(tuple(sorted(cell)), []).append(cell)
-        factors.append(tuple(tuple(grouped[key]) for key in sorted(grouped)))
-    return tuple(factors), None
+        local = OrientedMatroid(len(comp), local_circuits)
+        positive = _positive_flats(local)
+        if not positive:
+            return (), tuple(comp)
+        proper = [
+            _mask(comp[e - 1] for e in f.elements) for f in positive if 0 < f.rank < local.rank
+        ]
+        above = {F: tuple(G for G in proper if G != F and G & F == F) for F in [0, *proper]}
+        top = _mask(comp)
+        # a flat strictly above F has more elements, so larger flats go first
+        parts: dict[int, set[frozenset[int]]] = {}
+        for F in sorted(above, key=int.bit_count, reverse=True):
+            parts[F] = (
+                {p | {G & ~F} for G in above[F] for p in parts[G]}
+                if above[F]
+                else {frozenset((top & ~F,))}
+            )
+        partitions = sorted(tuple(sorted(map(elements, p))) for p in parts[0])
+        components.append(_Component(above, tuple(partitions)))
+    return tuple(components), None
+
+
+def _fine_cells(above: dict[int, tuple[int, ...]], partition: _Cell) -> tuple[_Cell, ...]:
+    """The positive cells with the block partition ``partition``: the
+    orderings of its blocks in which every proper prefix union is a
+    positive proper flat (a key of ``above``) and the last one has no
+    positive proper flat above it."""
+    cells: list[_Cell] = []
+
+    def walk(F: int, order: tuple[tuple[int, ...], ...], rest: list[tuple[int, ...]]) -> None:
+        if len(rest) == 1:
+            if not above[F]:
+                cells.append((*order, rest[0]))
+            return
+        for i, block in enumerate(rest):
+            G = F | _mask(block)
+            if G in above:
+                walk(G, (*order, block), rest[:i] + rest[i + 1 :])
+
+    walk(0, (), list(partition))
+    return tuple(cells)
 
 
 class _TieTransform(NamedTuple):
@@ -366,54 +415,72 @@ class _FanPlan(NamedTuple):
     diagnostics: Diagnostics
     empty: tuple[int, ...] | None  # a component admitting no positive weight
     at_int: tuple[tuple[int, ...], ...]  # the rows of A^T
-    # per partition combination: its cell groups, its tie pairs (a, b) as
-    # 0-based elements, and the transform of their tie matrix
-    systems: tuple[tuple[tuple, tuple[tuple[int, int], ...], _TieTransform], ...]
+    # per partition combination: its tie pairs (a, b) as 0-based elements,
+    # the transform of their tie matrix and, when that matrix has rank
+    # below n, each component's positive cells with its partition
+    systems: tuple[
+        tuple[tuple[tuple[int, int], ...], _TieTransform, tuple[tuple[_Cell, ...], ...] | None],
+        ...,
+    ]
 
 
 @functools.lru_cache(maxsize=1)
 def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
-    """Validate (OM, A), walk the positive cells, and eliminate the tie
-    matrix of each partition combination.
+    """Validate (OM, A), find each component's block partitions, and
+    eliminate the tie matrix of each partition combination.
 
     A is read through ``integer_columns``, so a non-integer A raises
     ValueError.  The tie (w + h)_a = (w + h)_b reads
     (A^T_a - A^T_b) . v = h_b - h_a: only its right-hand side depends on
     h, so a one-entry memo lets every shift of a scan over one matroid
     and one A share the plan; the result is immutable because callers
-    share it.
+    share it.  The positive cells of a combination are listed only when
+    its tie matrix has rank below n, since only an underdetermined
+    system needs their ordering facets; each component partition's cells
+    are listed once.
     """
     diagnostics = validate_inputs(OM, A)
     at_int = integer_columns(A)
-    factors, empty = _cell_partitions(OM)
+    n = A.rows
+    components, empty = _cell_partitions(OM)
+    cells = functools.cache(lambda i, partition: _fine_cells(components[i].above, partition))
     systems = []
-    for groups in itertools.product(*factors):
-        pairs = tuple(
-            (block[0] - 1, e - 1) for cells in groups for block in cells[0] for e in block[1:]
-        )
-        M = [[x - y for x, y in zip(at_int[a], at_int[b])] for a, b in pairs]
-        systems.append((groups, pairs, _tie_transform(M, A.rows)))
+    # an empty fan has no cells; product() of no factors would yield one
+    if empty is None:
+        for combo in itertools.product(*(c.partitions for c in components)):
+            pairs = tuple(
+                (block[0] - 1, e - 1) for blocks in combo for block in blocks for e in block[1:]
+            )
+            M = [[x - y for x, y in zip(at_int[a], at_int[b])] for a, b in pairs]
+            t = _tie_transform(M, n)
+            groups = None
+            if len(t.pivots) < n:
+                groups = tuple(cells(i, partition) for i, partition in enumerate(combo))
+            systems.append((pairs, t, groups))
     return _FanPlan(diagnostics, empty, at_int, tuple(systems))
 
 
 def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> IntersectionReport:
-    """Primary enumeration: one tie system per positive cell.
+    """Primary enumeration: one tie system per distinct block partition
+    of the positive cells.
 
     Circuits never straddle circuit-connected components, so positive
     cells are products of per-component cells and their tie systems
     depend only on the induced block partition.  Every intersection point
     lies in the closed cone of some cell, hence solves some enumerated
-    tie system.  Underdetermined systems are analyzed exactly: empty
-    pieces are discarded, zero-dimensional pieces contribute their point,
-    and higher-dimensional pieces flag the run as non-transverse.
+    tie system.  Underdetermined systems are analyzed exactly, cell by
+    cell with the cell's ordering facets: empty pieces are discarded,
+    zero-dimensional pieces contribute their point, and
+    higher-dimensional pieces flag the run as non-transverse.
 
-    The tie matrices of the integer A are eliminated once per (OM, A) in
-    ``_fan_plan``.  Per call, ``integer_multiple`` gives H and the ints
-    H h, and each tie system's right-hand side b is read off them; a
-    consistent system M v = b / H of full rank has the unique solution
-    v = (T b) / (d H).  Its image A^T v + h is tested for positive
-    membership in integers, on the positive multiple d H (A^T v + h), and
-    Fractions are built only for accepted points.
+    The partitions and the tie matrices of the integer A are found and
+    eliminated once per (OM, A) in ``_fan_plan``.  Per call,
+    ``integer_multiple`` gives H and the ints H h, and each tie system's
+    right-hand side b is read off them; a consistent system M v = b / H
+    of full rank has the unique solution v = (T b) / (d H).  Its image
+    A^T v + h is tested for positive membership in integers, on the
+    positive multiple d H (A^T v + h), and Fractions are built only for
+    accepted points.
     """
     hh = vector(h)
     plan = _fan_plan(OM, A)
@@ -438,7 +505,7 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     seen: set[tuple[tuple[int, ...], int]] = set()
     pinned = 0
     positive_cells = 0
-    for groups, pairs, t in plan.systems:
+    for pairs, t, groups in plan.systems:
         x = _particular(t, [h_int[b] - h_int[a] for a, b in pairs])
         if x is None:
             continue
@@ -457,8 +524,8 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
                 v = tuple(Fraction(xi, den) for xi in x)
                 candidates[v] = tuple(Fraction(a, den) for a in aw)
             continue
-        # Underdetermined ties: examine each product cell of this partition
-        # with its ordering facets.
+        # Underdetermined ties: examine each product cell of this
+        # combination with its ordering facets.
         eqs = [tie(a, b) for a, b in pairs]
         for combo in itertools.product(*groups):
             ineqs = [

@@ -58,8 +58,13 @@ class InstantiatedSystem:
         return values, m, residual
 
     def jacobian_log(self, m: np.ndarray) -> np.ndarray:
-        """d/dy of the system at x = exp(y), given monomial values m."""
-        return self.coefficients @ (m[:, None] * self.exponents)
+        """d/dy of the system at x = exp(y), given monomial values m.
+
+        Overflow gives non-finite entries, not warnings, as in
+        ``evaluate_log``; ``newton`` then finds no finite step.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.coefficients @ (m[:, None] * self.exponents)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,20 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tropibound.bergman import is_positive_member
+from tropibound.bergman import is_positive_member, positive_chains
 from tropibound.intersection import (
     InputValidationError,
     OracleMismatchError,
+    _cell_partitions,
+    _fan_plan,
+    _fine_cells,
+    _merge,
     _particular,
     _tie_transform,
     intersect_via_fan,
@@ -17,7 +24,7 @@ from tropibound.intersection import (
     tangent_direction,
     validate_inputs,
 )
-from tropibound.matroid import OrientedMatroid, realize_from_kernel
+from tropibound.matroid import OrientedMatroid, SignedCircuit, realize_from_kernel
 from tropibound.rational import RationalMatrix, rank, solve_affine, vector
 from tropibound.systems import SystemError_, VerticalSystem
 
@@ -195,6 +202,138 @@ def test_tie_transform_matches_solve_affine():
             assert tuple(v) == want[0], (M, b)
             assert n - len(transform.pivots) == want[1].rows
     assert short > 100 and consistent > 500 and inconsistent > 300
+
+
+# --- block partitions ----------------------------------------------------------
+
+
+def _chain_partitions(OM):
+    """Reference: per circuit-connected component, every chain of
+    ``positive_chains`` on the component's matroid read as a cell and
+    grouped by its sorted blocks; ``(None, comp)`` for the first component
+    with a one-signed circuit."""
+    groups = []
+    for comp in _merge(OM.ground_size, OM.circuit_supports):
+        to_local = {g: i + 1 for i, g in enumerate(comp)}
+        local = OrientedMatroid(
+            len(comp),
+            [
+                SignedCircuit(
+                    tuple(to_local[e] for e in c.positive),
+                    tuple(to_local[e] for e in c.negative),
+                )
+                for c in OM.circuits
+                if c.support <= to_local.keys()
+            ],
+        )
+        chains = positive_chains(local)
+        if not chains:
+            return None, tuple(comp)
+        grouped = {}
+        for flag in chains:
+            blocks, below = [], frozenset()
+            for f in flag.chain:
+                blocks.append(tuple(comp[e - 1] for e in f.elements if e not in below))
+                below = f.as_set
+            blocks.append(tuple(g for e, g in enumerate(comp, 1) if e not in below))
+            grouped.setdefault(tuple(sorted(blocks)), []).append(tuple(blocks))
+        groups.append(grouped)
+    return groups, None
+
+
+def check_partitions_against_chains(OM, A=None):
+    """The flat recursion gives each component the sorted partitions of
+    the chain reference.  Without A every partition's cells match the
+    chains' as a multiset; with A the fan plan lists cells exactly for the
+    underdetermined combinations, and those match."""
+    ref, ref_empty = _chain_partitions(OM)
+    components, empty = _cell_partitions(OM)
+    assert empty == ref_empty
+    if empty is not None:
+        assert components == ()
+        if A is not None:
+            assert _fan_plan(OM, A).systems == ()
+        return
+    assert [c.partitions for c in components] == [tuple(sorted(g)) for g in ref]
+    if A is None:
+        for c, grouped in zip(components, ref):
+            for p in c.partitions:
+                assert sorted(_fine_cells(c.above, p)) == sorted(grouped[p])
+        return
+    plan = _fan_plan(OM, A)
+    combos = list(itertools.product(*(c.partitions for c in components)))
+    assert len(plan.systems) == len(combos)
+    for combo, (_, t, cells) in zip(combos, plan.systems):
+        assert (cells is None) == (len(t.pivots) == A.rows)
+        if cells is not None:
+            assert [sorted(c) for c in cells] == [sorted(g[p]) for g, p in zip(ref, combo)]
+
+
+@pytest.mark.parametrize(
+    "OM",
+    [
+        OrientedMatroid(4, [SignedCircuit((1, 2, 3), ())]),
+        OrientedMatroid(5, [SignedCircuit((1, 2), (3,)), SignedCircuit((4, 5), ())]),
+        OrientedMatroid(4, []),
+        OrientedMatroid(6, [SignedCircuit((1, 2, 3), (4, 5, 6))]),
+        OrientedMatroid(8, [SignedCircuit((1, 2, 3), (4, 5, 6, 7, 8))]),
+        OrientedMatroid(6, [SignedCircuit((1, 4), (2,)), SignedCircuit((3, 6), (5,))]),
+    ],
+    ids=["one-signed", "one-signed-beside-mixed", "free", "mixed-3-3", "mixed-3-5", "two-components"],
+)
+def test_partitions_match_positive_chains(OM):
+    check_partitions_against_chains(OM)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_partitions_match_positive_chains_random(data):
+    r = data.draw(st.integers(1, 7), label="r")
+    C_rows = data.draw(
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=r, max_size=r), min_size=1, max_size=r
+        ).filter(lambda rows: any(any(row) for row in rows)),
+        label="C",
+    )
+    check_partitions_against_chains(realize_from_kernel(RationalMatrix.from_rows(C_rows)))
+
+
+def test_fan_plan_cells_match_positive_chains(hhk_model):
+    # the 200 systems of acceptance criterion 7, then hhk
+    from tropibound.systems import assemble_crn
+
+    rng = random.Random(20260809)
+    underdetermined = 0
+    for _ in range(200):
+        C, A, _ = random_instance(rng)
+        OM = realize_from_kernel(C)
+        check_partitions_against_chains(OM, A)
+        underdetermined += any(cells is not None for *_, cells in _fan_plan(OM, A).systems)
+    assert underdetermined >= 20
+    vs = assemble_crn(hhk_model)
+    check_partitions_against_chains(realize_from_kernel(vs.C), vs.A)
+
+
+def test_fan_walk_lists_no_positive_chain(monkeypatch):
+    # one circuit of 3 positive and 5 negative elements has 70,245
+    # positive chains but 2,265 block partitions; the fan walk reads the
+    # partitions off the flats and never lists a chain
+    import tropibound.bergman
+    import tropibound.intersection
+
+    def refuse(OM):
+        raise AssertionError("the fan walk listed positive chains")
+
+    # also where an import would have bound the name
+    for module in (tropibound.bergman, tropibound.intersection):
+        monkeypatch.setattr(module, "positive_chains", refuse, raising=False)
+    _fan_plan.cache_clear()
+    C = RationalMatrix.from_rows([[1, 2, 1, -1, -3, -1, -2, -1]])
+    A = RationalMatrix.from_rows([[0, 1, 3, 2, -1, 1, 2, 0]])
+    report = lower_bound(VerticalSystem(C, A, (0, 1, -2, 3, 0, 2, -1, 1)), cross_check=True)
+    components, empty = _cell_partitions(report.matroid)
+    assert empty is None and len(components[0].partitions) == 2265
+    assert report.count == 1 and report.transverse
 
 
 # --- degenerate shifts -------------------------------------------------------

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from tropibound.intersection import lower_bound
 from tropibound.numeric import (
+    InstantiatedSystem,
     InstantiationError,
     count_roots,
     instantiate,
@@ -88,6 +90,22 @@ def test_newton_far_seed_gives_none(running_system):
     # hopeless seed: gradient pushes it nowhere useful within the budget
     F = instantiate(running_system, 0.01)
     assert newton(F, [1e12, 1e12], tol=1e-9, max_iter=4) is None
+
+
+def test_newton_non_finite_jacobian_gives_none():
+    # at x = 1e200 the monomials x^2 and x^3 overflow, so the Jacobian
+    # -2 x^2 + 3 x^3 reads inf - inf; Newton ends without a witness and,
+    # with RuntimeWarnings as errors, without a floating-point warning
+    F = InstantiatedSystem(
+        n=1,
+        coefficients=np.array([[1.0, -1.0, 1.0]]),
+        exponents=np.array([[0.0], [2.0], [3.0]]),
+        t=0.5,
+    )
+    _, m, residual = F.evaluate_log(np.log([1e200]))
+    assert residual == math.inf
+    assert not np.all(np.isfinite(F.jacobian_log(m)))
+    assert newton(F, [1e200]) is None
 
 
 def test_newton_rejects_nonpositive_seed(running_system):

@@ -31,7 +31,8 @@ def test_traced_functions_exist():
 def test_traced_bound_counts(running_system):
     # a traced cross-checked bound reaches every hooked function and reads
     # the result shapes its hooks expect; with the scan memos (the matroid
-    # and the fan plan) cleared the counters of the running example are exact
+    # and the fan plan) cleared the counters of the running example are
+    # exact, and the fan walk lists no positive chain
     from tropibound import intersection, matroid, systems
 
     tracing = load_tracing()
@@ -45,7 +46,7 @@ def test_traced_bound_counts(running_system):
         tracer.uninstall()
     expected = {
         "matroid.circuits_count": 6,
-        "bergman.chains_count": 9,
+        "bergman.chains_count": 0,
         "intersection.points_count": 2,
         "subdivision.cells_count": 4,
         "subdivision.decorated_count": 1,
