@@ -9,17 +9,16 @@ stored.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from tropibound.rational import (
     RationalMatrix,
-    _echelon,
     integer_multiple,
     kernel_basis,
-    rank,
+    primitive,
     to_rational,
 )
 
@@ -114,9 +113,20 @@ class OrientedMatroid:
             closed.add(c)
             closed.add(c.negated())
         supports = sorted({c.support for c in closed}, key=lambda s: (len(s), sorted(s)))
-        for a, b in combinations(supports, 2):
-            if a < b:
-                raise MatroidError(f"circuit supports are nested: {set(a)} < {set(b)}")
+        # bit i of holders[e] is set when support i holds e; the AND over a
+        # support's elements marks every support containing it
+        holders = [0] * (ground_size + 1)
+        for i, s in enumerate(supports):
+            for e in s:
+                holders[e] |= 1 << i
+        for i, s in enumerate(supports):
+            above = -1
+            for e in s:
+                above &= holders[e]
+            above &= ~(1 << i)
+            if above:
+                b = supports[(above & -above).bit_length() - 1]
+                raise MatroidError(f"circuit supports are nested: {set(s)} < {set(b)}")
         object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "circuits", tuple(sorted(closed)))
         object.__setattr__(self, "_supports", tuple(tuple(sorted(s)) for s in supports))
@@ -181,48 +191,69 @@ class OrientedMatroid:
 
 
 def circuits_via_subsets(G: RationalMatrix) -> list[SignedCircuit]:
-    """Signed circuits of the column matroid of G.
+    """Signed circuits of the column matroid of G, both orientations.
 
-    Scans column subsets of size at most rank(G)+1; an inclusion-minimal
-    dependent subset carries a unique linear relation up to scale, whose
-    sign pattern is the circuit.  Both orientations are returned.
+    A depth-first search visits every independent set I of columns, each
+    built in index order.  It rests on one fact (Oxley, *Matroid Theory*,
+    ch. 1): if I is independent and I + j is dependent, then I + j holds
+    exactly one circuit, because a relation on I + j is unique up to
+    scale once I carries none.  That circuit is I + j itself iff the relation has no
+    zero coefficient, and its signs are the circuit's.  Every circuit C
+    is found once, at I = C - max(C): a subset of an independent set is
+    independent, so the search reaches I.
 
-    Each row of G is scaled to integers once by ``integer_multiple``,
-    which leaves every column slice's kernel unchanged, so the slices
-    eliminate on plain ints.  The relation of a slice with one free
-    column f is v[f] = 1 and v[p] = -m[p][f] / d on the pivot rows, with
-    d > 0, so its signs are those of -m[p][f].
+    Each node carries the later candidate columns, every one already
+    reduced against the node's columns: an integer row of its residual
+    on the rows not yet pivoted, then its coefficients on the node's
+    columns, then its own.  Choosing a candidate as pivot reduces the
+    later ones against that one column, dropping the pivot row, and
+    ``primitive`` keeps the rows small.  A candidate reduced to zero
+    carries I + j's relation and is dropped, since a dependent set is
+    never extended.  Each row of G is scaled to integers once by
+    ``integer_multiple``, which leaves the column relations unchanged.
     """
-    r = G.cols
-    g_rank = rank(G)
     ints = [integer_multiple(G.row(i))[1] for i in range(G.rows)]
     circuits: list[SignedCircuit] = []
-    # masks of the scanned dependent subsets; every smaller subset has been
-    # scanned, so cols strictly contains a circuit iff one of its
-    # one-smaller subsets is in here
-    dependent: set[int] = set()
-    bits = [1 << j for j in range(r)]
-    for size in range(1, min(r, g_rank + 1) + 1):
-        for cols, colbits in zip(combinations(range(r), size), combinations(bits, size)):
-            colmask = sum(colbits)
-            if any(colmask - b in dependent for b in colbits):
-                dependent.add(colmask)
-                continue
-            m, pivots, _, _ = _echelon([[row[j] for j in cols] for row in ints], size)
-            if len(pivots) != size - 1:
-                continue
-            (free,) = set(range(size)).difference(pivots)
-            lam = [1] * size
-            for row, p in zip(m, pivots):
-                lam[p] = -row[free]
-            if 0 in lam:
-                continue
-            pos = tuple(cols[i] + 1 for i, x in enumerate(lam) if x > 0)
-            neg = tuple(cols[i] + 1 for i, x in enumerate(lam) if x < 0)
+
+    def relation(cols: tuple[int, ...], row: Sequence[int]) -> None:
+        lam = row[len(row) - len(cols) :]
+        if 0 not in lam:
+            pos = tuple(j + 1 for j, x in zip(cols, lam) if x > 0)
+            neg = tuple(j + 1 for j, x in zip(cols, lam) if x < 0)
             c = SignedCircuit(pos, neg)
             circuits.extend([c, c.negated()])
-            dependent.add(colmask)
-    return sorted(set(circuits))
+
+    def walk(path: tuple[int, ...], cands: list, live: int) -> None:
+        # cands: (column, residual on `live` rows + coefficients on path + own)
+        for k, (p, prow) in enumerate(cands):
+            t = next(i for i in range(live) if prow[i])
+            a = prow[t]
+            below = (*path, p)
+            child = []
+            for q, qrow in cands[k + 1 :]:
+                b = qrow[t]
+                if not b:
+                    child.append((q, (*qrow[:t], *qrow[t + 1 : -1], 0, qrow[-1])))
+                    continue
+                row = [a * x - b * y for x, y in zip(qrow[:-1], prow[:-1])]
+                del row[t]
+                row = primitive((*row, -b * prow[-1], a * qrow[-1]))
+                if any(row[: live - 1]):
+                    child.append((q, row))
+                else:
+                    relation((*below, q), row)
+            if child:
+                walk(below, child, live - 1)
+
+    roots = []
+    for j in range(G.cols):
+        row = (*(x[j] for x in ints), 1)
+        if any(row[:-1]):
+            roots.append((j, row))
+        else:
+            relation((j,), row)
+    walk((), roots, G.rows)
+    return sorted(circuits)
 
 
 @lru_cache(maxsize=1)
@@ -263,13 +294,16 @@ def _elements(mask: int, M: OrientedMatroid) -> tuple[int, ...]:
     return tuple(e for e in M.ground_set if mask >> (e - 1) & 1)
 
 
-def _close(mask: int, M: OrientedMatroid) -> int:
+def _close(mask: int, masks: Sequence[int]) -> int:
     """Add every e that is the only element of some circuit support outside.
 
     One pass suffices: e lies in the closure of S iff some circuit C has
-    C - e inside S, and the closure of a closure adds nothing.
+    C - e inside S, and the closure of a closure adds nothing.  Only the
+    circuits with at most rank(S) + 1 elements matter, because such a
+    C - e is independent and inside S; ``all_flats`` passes that prefix
+    of the size-sorted ``OrientedMatroid._masks``.
     """
-    for c in M._masks:
+    for c in masks:
         outside = c & ~mask
         if outside and not outside & (outside - 1):
             mask |= outside
@@ -282,12 +316,31 @@ def all_flats(M: OrientedMatroid) -> tuple[Flat, ...]:
 
     Walks the lattice upward one rank at a time: the flats covering a
     rank-k flat F are the closures of F + {e} over e outside F, and each
-    has rank k+1.
+    has rank k+1, so each is closed with the circuits of at most k+2
+    elements (see ``_close``).  The covers of F partition E - F (Oxley,
+    *Matroid Theory*, 1.4): e outside F lies in cl(F + e), and if it
+    also lies in a cover cl(F + f), then cl(F + e) is a rank-(k+1) flat
+    inside that rank-(k+1) flat and so equal to it.  So an e absorbed by
+    a cover already found for F is skipped, and each cover of F is
+    closed once.
     """
-    r = range(M.ground_size)
-    levels = [{_close(0, M)}]
+    sizes = [c.bit_count() for c in M._masks]
+
+    def small(k: int) -> Sequence[int]:
+        return M._masks[: bisect_right(sizes, k + 1)]
+
+    everything = (1 << M.ground_size) - 1
+    levels = [{_close(0, small(0))}]
     while levels[-1]:
-        levels.append({_close(F | 1 << e, M) for F in levels[-1] for e in r if not F >> e & 1})
+        masks = small(len(levels))
+        covers: set[int] = set()
+        for F in levels[-1]:
+            rest = everything & ~F
+            while rest:
+                cover = _close(F | rest & -rest, masks)
+                covers.add(cover)
+                rest &= ~cover
+        levels.append(covers)
     flats = (Flat(_elements(F, M), k) for k, level in enumerate(levels) for F in level)
     return tuple(sorted(flats, key=lambda f: (f.rank, f.elements)))
 

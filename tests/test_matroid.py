@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropibound import matroid
 from tropibound.matroid import (
     Flat,
     FlagOfFlats,
@@ -19,7 +20,7 @@ from tropibound.matroid import (
     maximal_flags,
     realize_from_kernel,
 )
-from tropibound.rational import RationalMatrix, kernel_basis, rank
+from tropibound.rational import RationalMatrix, _echelon, integer_multiple, kernel_basis, rank
 
 RUNNING_CIRCUITS = {
     SignedCircuit((3,), (1, 2)),
@@ -158,6 +159,74 @@ def test_circuits_via_subsets_fractional_rows():
         assert set(circuits_via_subsets(G)) == circuits_by_kernel_basis(G)
 
 
+def circuits_by_integer_scan(G: RationalMatrix) -> list[SignedCircuit]:
+    """Reference: the integer subset scan that the depth-first search replaced.
+
+    Scans column subsets of size at most rank(G)+1, skipping any that
+    strictly contain a scanned dependent subset, and reads the unique
+    relation of a slice with one free column off its echelon form.
+    """
+    r = G.cols
+    g_rank = rank(G)
+    ints = [integer_multiple(G.row(i))[1] for i in range(G.rows)]
+    circuits: list[SignedCircuit] = []
+    dependent: set[int] = set()
+    bits = [1 << j for j in range(r)]
+    for size in range(1, min(r, g_rank + 1) + 1):
+        for cols, colbits in zip(combinations(range(r), size), combinations(bits, size)):
+            colmask = sum(colbits)
+            if any(colmask - b in dependent for b in colbits):
+                dependent.add(colmask)
+                continue
+            m, pivots, _, _ = _echelon([[row[j] for j in cols] for row in ints], size)
+            if len(pivots) != size - 1:
+                continue
+            (free,) = set(range(size)).difference(pivots)
+            lam = [1] * size
+            for row, p in zip(m, pivots):
+                lam[p] = -row[free]
+            if 0 in lam:
+                continue
+            pos = tuple(cols[i] + 1 for i, x in enumerate(lam) if x > 0)
+            neg = tuple(cols[i] + 1 for i, x in enumerate(lam) if x < 0)
+            c = SignedCircuit(pos, neg)
+            circuits.extend([c, c.negated()])
+            dependent.add(colmask)
+    return sorted(set(circuits))
+
+
+@st.composite
+def awkward_matrices(draw):
+    """Rational G with zero, parallel and scaled columns, fractional
+    entries and, sometimes, a row that is a combination of the others."""
+    nrows = draw(st.integers(1, 4), label="rows")
+    ncols = draw(st.integers(1, 7), label="cols")
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    columns = []
+    for j in range(ncols):
+        kind = draw(st.sampled_from(["free", "zero", "copy"] if j else ["free", "zero"]))
+        if kind == "free":
+            columns.append(draw(st.lists(entry, min_size=nrows, max_size=nrows)))
+        elif kind == "zero":
+            columns.append([Fraction(0)] * nrows)
+        else:
+            source = columns[draw(st.integers(0, j - 1))]
+            scale = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2)]))
+            columns.append([x * scale for x in source])
+    rows = [[col[i] for col in columns] for i in range(nrows)]
+    if nrows > 1 and draw(st.booleans(), label="deficient"):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return RationalMatrix.from_rows(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(awkward_matrices())
+def test_circuit_search_matches_integer_subset_scan(G):
+    # same circuits, both orientations, in the same order
+    assert circuits_via_subsets(G) == circuits_by_integer_scan(G)
+
+
 def test_initial_circuit_golden(running_N):
     M = realize_from_kernel(running_N)
     w = (0, 2, 0, 2, 0)
@@ -231,6 +300,104 @@ def test_flats_match_exhaustive_closure_oracle():
                 if all(col_rank(S + (e,)) > k for e in range(1, 6) if e not in S):
                     expected[frozenset(S)] = k
         assert {f.as_set: f.rank for f in all_flats(M)} == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_flats_match_rank_oracle_with_loops_coloops_and_parallels(data):
+    r = data.draw(st.integers(2, 6), label="r")
+    rows = data.draw(
+        st.lists(st.lists(st.integers(-2, 2), min_size=r, max_size=r), max_size=2), label="C"
+    )
+    # a unit row makes a loop, a two-entry row a parallel pair, and a zero
+    # column of C a coloop
+    for e in data.draw(st.lists(st.integers(0, r - 1), max_size=2), label="loops"):
+        rows.append([int(j == e) for j in range(r)])
+    for e, f in data.draw(
+        st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, r - 1)), max_size=2),
+        label="parallels",
+    ):
+        if e != f:
+            rows.append([1 if j == e else -2 if j == f else 0 for j in range(r)])
+    coloops = data.draw(st.sets(st.integers(0, r - 1), max_size=r - 1), label="coloops")
+    rows = [[0 if j in coloops else x for j, x in enumerate(row)] for row in rows]
+    if not any(any(row) for row in rows):
+        rows.append([int(j not in coloops) for j in range(r)])
+    C = RationalMatrix.from_rows(rows)
+
+    # ker(C) realizes the dual of the column matroid of C
+    rank_C = rank(C)
+
+    def rank_M(S):
+        rest = [j for j in range(r) if j + 1 not in S]
+        return len(S) - rank_C + (rank(C.submatrix_columns(rest)) if rest else 0)
+
+    expected = {}
+    for size in range(r + 1):
+        for S in combinations(range(1, r + 1), size):
+            k = rank_M(S)
+            if all(rank_M(S + (e,)) > k for e in range(1, r + 1) if e not in S):
+                expected[frozenset(S)] = k
+    assert {f.as_set: f.rank for f in all_flats(realize_from_kernel(C))} == expected
+
+
+def test_flats_close_each_cover_once_per_flat(running_N, monkeypatch):
+    # the covers of F partition E - F, so the upward walk closes each cover
+    # of each flat exactly once, after the one closure of the empty set
+    calls = []
+    real_close = matroid._close
+
+    def counting_close(mask, masks):
+        calls.append(mask)
+        return real_close(mask, masks)
+
+    monkeypatch.setattr(matroid, "_close", counting_close)
+    generic = RationalMatrix.from_rows(
+        [[3, -1, 4, 1, -5, 9, 2, -6], [5, 3, -5, 8, 9, -7, 9, 3], [2, 3, 8, -4, 6, 2, -6, 4]]
+    )
+    loopy = RationalMatrix.from_rows([[1, 0, 0, 0, 0], [0, 1, -2, 0, 0], [0, 0, 0, 1, 1]])
+    for M in (
+        realize_from_kernel(running_N),
+        realize_from_kernel(generic),
+        realize_from_kernel(loopy),
+        OrientedMatroid(4, []),
+    ):
+        calls.clear()
+        flats = all_flats.__wrapped__(M)
+        covers = sum(
+            1 for F in flats for G in flats if G.rank == F.rank + 1 and F.as_set < G.as_set
+        )
+        assert len(calls) == covers + 1
+
+
+def nested_by_pairs(supports: list[frozenset[int]]) -> str | None:
+    """Reference: the first strictly nested pair, comparing every pair."""
+    for a, b in combinations(supports, 2):
+        if a < b:
+            return f"circuit supports are nested: {set(a)} < {set(b)}"
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_nested_support_check_matches_pairwise_reference(data):
+    r = data.draw(st.integers(1, 6), label="r")
+    signs = st.lists(st.sampled_from([0, 1, -1]), min_size=r, max_size=r).filter(any)
+    circuits = [
+        SignedCircuit(
+            tuple(e + 1 for e, x in enumerate(s) if x > 0),
+            tuple(e + 1 for e, x in enumerate(s) if x < 0),
+        )
+        for s in data.draw(st.lists(signs, max_size=8), label="circuits")
+    ]
+    supports = sorted({c.support for c in circuits}, key=lambda s: (len(s), sorted(s)))
+    message = nested_by_pairs(supports)
+    if message is None:
+        OrientedMatroid(r, circuits)
+    else:
+        with pytest.raises(MatroidError) as raised:
+            OrientedMatroid(r, circuits)
+        assert str(raised.value) == message
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
