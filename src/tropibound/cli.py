@@ -44,7 +44,7 @@ def _fraction(value, path: str) -> Fraction:
         raise CliInputError(f"{path}: malformed fraction {value!r} ({exc})") from None
 
 
-def _matrix(rows, path: str, integer: bool = False) -> RationalMatrix:
+def _matrix(rows, path: str) -> RationalMatrix:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise CliInputError(f"{path}: expected a non-empty list of rows")
     width = len(rows[0])
@@ -53,10 +53,7 @@ def _matrix(rows, path: str, integer: bool = False) -> RationalMatrix:
         if len(row) != width:
             raise CliInputError(f"{path}[{i}]: ragged row (expected {width} entries)")
         parsed.append([_fraction(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
-    M = RationalMatrix.from_rows(parsed)
-    if integer and not M.is_integer():
-        raise CliInputError(f"{path}: entries must be integers")
-    return M
+    return RationalMatrix.from_rows(parsed)
 
 
 def _vector(values, path: str) -> list[Fraction]:
@@ -68,7 +65,9 @@ def _vector(values, path: str) -> list[Fraction]:
 def parse_input(path: str):
     """Parse a structured input document into the object its kind names.
 
-    Returns a RationalMatrix, VerticalSystem, or CRNModel.
+    Returns a RationalMatrix, VerticalSystem, CRNModel, or, for a coarse
+    fan, a dict of its rays and cones.  The system constructors check
+    shapes and the integrality of A and B.
     """
     try:
         with open(path) as fh:
@@ -85,13 +84,13 @@ def parse_input(path: str):
             return _matrix(doc.get("matrix"), "matrix")
         if kind == "vertical_system":
             C = _matrix(doc.get("C"), "C")
-            A = _matrix(doc.get("A"), "A", integer=True)
+            A = _matrix(doc.get("A"), "A")
             h = _vector(doc.get("h"), "h")
             return VerticalSystem(C, A, tuple(h))
         if kind == "crn":
             return CRNModel(
                 N_stoich=_matrix(doc.get("N"), "N"),
-                B=_matrix(doc.get("B"), "B", integer=True),
+                B=_matrix(doc.get("B"), "B"),
                 W=_matrix(doc.get("W"), "W"),
                 T=tuple(_vector(doc.get("T"), "T")),
                 h=tuple(_vector(doc.get("h"), "h")),
@@ -111,209 +110,223 @@ def parse_input(path: str):
     raise CliInputError(f"{path}: unknown kind {kind!r}")
 
 
-def _expect(obj, cls, command: str):
-    if not isinstance(obj, cls):
-        raise CliInputError(
-            f"command '{command}' needs a {getattr(cls, '__name__', cls)} document,"
-            f" got {type(obj).__name__}"
-        )
-    return obj
-
-
 def _emit(doc: dict, args, human_lines: list[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Print the report, or with --json - the document instead.
+
+    A --json PATH is written before anything is printed, so a PATH that
+    cannot be written exits 1 with stdout empty.
+    """
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n" if args.json else ""
     if args.json == "-":
         sys.stdout.write(text)
         return
-    for line in human_lines:
-        print(line)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(text)
-        print(f"machine-readable report written to {args.json}")
+        human_lines.append(f"machine-readable report written to {args.json}")
+    for line in human_lines:
+        print(line)
 
 
 def _fmt_vec(v) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 
 
-def _require_system(obj, command):
+# --- input kinds: each turns a parsed document into what its commands take
+
+
+def _matroid(obj, command):
+    """The oriented matroid of a matrix, or of a system's C."""
+    if isinstance(obj, CRNModel):
+        obj = assemble_crn(obj)
+    if isinstance(obj, VerticalSystem):
+        obj = obj.C
+    if not isinstance(obj, RationalMatrix):
+        raise CliInputError(
+            f"command '{command}' needs a matrix, vertical_system, or crn document"
+        )
+    return realize_from_kernel(obj)
+
+
+def _system(obj, command) -> VerticalSystem:
+    """A vertical system; a reaction network is assembled into one."""
     if isinstance(obj, CRNModel):
         return assemble_crn(obj)
-    return _expect(obj, VerticalSystem, command)
+    if not isinstance(obj, VerticalSystem):
+        raise CliInputError(
+            f"command '{command}' needs a VerticalSystem document, got {type(obj).__name__}"
+        )
+    return obj
 
 
-def _require_matrix(obj, command) -> RationalMatrix:
-    """Matrix commands also accept system documents, using their C."""
-    if isinstance(obj, RationalMatrix):
-        return obj
-    if isinstance(obj, VerticalSystem):
-        return obj.C
-    if isinstance(obj, CRNModel):
-        return assemble_crn(obj).C
-    raise CliInputError(
-        f"command '{command}' needs a matrix, vertical_system, or crn document"
-    )
+def _crn(obj, command) -> VerticalSystem:
+    """The system of a reaction network; no other document is accepted."""
+    if not isinstance(obj, CRNModel):
+        raise CliInputError(
+            f"command '{command}' needs a CRNModel document, got {type(obj).__name__}"
+        )
+    return assemble_crn(obj)
+
+
+# --- handlers: each returns (document, human lines, exit code)
+
+
+def _circuits(M, args):
+    lines = [f"oriented matroid on {{1..{M.ground_size}}}, rank {M.rank}"]
+    lines += [f"  circuit {c!r}" for c in M.circuits]
+    return {"kind": "matroid", **M.to_document()}, lines, 0
+
+
+def _flats(M, args):
+    by_rank = M.to_document()["flats_by_rank"]
+    doc = {"kind": "flats", "ground_size": M.ground_size, "flats_by_rank": by_rank}
+    lines = [f"flats of the rank-{M.rank} matroid, by rank:"]
+    lines += [f"  rank {k}: {[set(f) or '{}' for f in flats]}" for k, flats in by_rank.items()]
+    return doc, lines, 0
+
+
+def _bergman(M, args):
+    cones = fine_fan(M)
+    doc = {
+        "kind": "fan",
+        "ground_size": M.ground_size,
+        "cones": [c.to_document() for c in cones],
+    }
+    return _coarse_compare(M, args, doc, [f"fine fan: {len(cones)} maximal cones"])
+
+
+def _positive_bergman(M, args):
+    pf = positive_fan(M)
+    doc = {"kind": "positive_fan", **pf.to_document()}
+    lines = [f"positive fan: {len(pf.cones)} of {len(maximal_flags(M))} maximal cones"]
+    return _coarse_compare(M, args, doc, lines)
+
+
+def _coarse_compare(M, args, doc, lines):
+    """A fan report, with the --coarse-compare diagnostics when asked for."""
+    if args.coarse_compare:
+        coarse = parse_input(args.coarse_compare)
+        if not isinstance(coarse, dict):
+            raise CliInputError("--coarse-compare needs a coarse_fan document")
+        for i, ray in enumerate(coarse["rays"]):
+            if len(ray) != M.ground_size:
+                raise CliInputError(
+                    f"{args.coarse_compare}: rays[{i}]: expected {M.ground_size}"
+                    f" entries, got {len(ray)}"
+                )
+        cmp_doc = compare_with_coarse(M, coarse["rays"], coarse["cones"])
+        doc["coarse_comparison"] = cmp_doc
+        lines.append("coarse comparison:")
+        for c in cmp_doc["cones"]:
+            lines.append(
+                f"  cone{tuple(c['ray_indices'])}: member={c['member']}"
+                f" positive={c['positive_member']}"
+            )
+    return doc, lines, 0
+
+
+def _intersect(system, args):
+    report = lower_bound(system, cross_check=args.cross_check)
+    lines = [
+        f"intersection count: {report.count}"
+        + (" (certified transverse)" if report.transverse else " (NOT certified)")
+    ]
+    for p in report.points:
+        lines.append(
+            f"  v = {_fmt_vec(p.v)}   w = {_fmt_vec(p.w)}"
+            f"   isolated={p.isolated} interior={p.interior}"
+        )
+    lines += [f"  note: {note}" for note in report.notes]
+    doc = {"kind": "intersection_report", **report.to_document()}
+    return doc, lines, 0 if report.transverse else 2
+
+
+def _subdivision(system, args):
+    cells = full_cells(system.A, system.h)
+    doc = {
+        "kind": "subdivision",
+        "cells": [c.to_document() for c in cells],
+        "is_triangulation": is_triangulation(cells, system.n),
+    }
+    lines = [f"regular subdivision: {len(cells)} full-dimensional cells"]
+    for c in cells:
+        lines.append(f"  cell {set(c.members)}  witness v = {_fmt_vec(c.witness)}")
+    return doc, lines, 0
+
+
+def _decorated(system, args):
+    count, simplices = decorated_count(system.reduced_coefficients(), system.A, system.h)
+    doc = {"kind": "decorated", **decorated_document(count, simplices)}
+    lines = [f"positively decorated simplices: {count}"]
+    for s in simplices:
+        lines.append(f"  cell {set(s.cell.members)}  kernel {_fmt_vec(s.kernel_vector)}")
+    return doc, lines, 0
+
+
+def _bound(system, args):
+    report = bound(system, cross_check=args.cross_check)
+    lines = [
+        f"certified lower bound on positive real roots: {report.certified_bound}",
+        f"  tropical count: {report.tropical.count}"
+        + (" (transverse)" if report.tropical.transverse else " (not certified)"),
+    ]
+    if report.decorated is not None:
+        lines.append(f"  decorated-simplex count: {report.decorated[0]}")
+    lines += [f"  note: {note}" for note in report.method_notes]
+    doc = {"kind": "bound_report", **report.to_document()}
+    return doc, lines, 0 if report.tropical.transverse else 2
+
+
+def _verify(system, args):
+    F = instantiate(system, args.t)  # refuses bad input before bounding
+    report = bound(system)
+    witnesses = count_roots(F, report.tropical, seed=args.seed)
+    doc = {
+        "kind": "witnesses",
+        "t": args.t,
+        "empirical": True,
+        "certified_bound": report.certified_bound,
+        "witnesses": [
+            {
+                "x": list(w.x),
+                "residual": w.residual,
+                "jacobian_ok": w.jacobian_condition_flag,
+                "seed_origin": w.seed_origin,
+            }
+            for w in witnesses
+        ],
+    }
+    lines = [
+        f"empirical witnesses at t = {args.t}: {len(witnesses)} distinct positive"
+        f" roots (certified bound {report.certified_bound}); heuristic, not a certificate"
+    ]
+    for w in witnesses:
+        approx = ", ".join(f"{v:.6g}" for v in w.x)
+        lines.append(f"  x ~ ({approx})  residual {w.residual:.2e}  from {w.seed_origin}")
+    return doc, lines, 0 if len(witnesses) >= report.certified_bound else 2
+
+
+# command -> (input kind, handler).  Handlers reach the pipeline through
+# this module's globals, so rebinding one of them reaches every command.
+COMMANDS = {
+    "circuits": (_matroid, _circuits),
+    "flats": (_matroid, _flats),
+    "bergman": (_matroid, _bergman),
+    "positive-bergman": (_matroid, _positive_bergman),
+    "intersect": (_system, _intersect),
+    "subdivision": (_system, _subdivision),
+    "decorated": (_system, _decorated),
+    "bound": (_system, _bound),
+    "crn": (_crn, _bound),
+    "verify": (_system, _verify),
+}
 
 
 def run(args) -> int:
-    obj = parse_input(args.input)
-    cmd = args.command
-
-    if cmd == "circuits":
-        M = realize_from_kernel(_require_matrix(obj, cmd))
-        doc = M.to_document()
-        lines = [f"oriented matroid on {{1..{M.ground_size}}}, rank {M.rank}"]
-        lines += [f"  circuit {c!r}" for c in M.circuits]
-        _emit({"kind": "matroid", **doc}, args, lines)
-        return 0
-
-    if cmd == "flats":
-        M = realize_from_kernel(_require_matrix(obj, cmd))
-        by_rank = M.to_document()["flats_by_rank"]
-        doc = {"kind": "flats", "ground_size": M.ground_size, "flats_by_rank": by_rank}
-        lines = [f"flats of the rank-{M.rank} matroid, by rank:"]
-        for k, flats in by_rank.items():
-            lines.append(f"  rank {k}: {[set(f) or '{}' for f in flats]}")
-        _emit(doc, args, lines)
-        return 0
-
-    if cmd in ("bergman", "positive-bergman"):
-        M = realize_from_kernel(_require_matrix(obj, cmd))
-        if cmd == "bergman":
-            cones = fine_fan(M)
-            doc = {
-                "kind": "fan",
-                "ground_size": M.ground_size,
-                "cones": [c.to_document() for c in cones],
-            }
-            lines = [f"fine fan: {len(cones)} maximal cones"]
-        else:
-            pf = positive_fan(M)
-            doc = {"kind": "positive_fan", **pf.to_document()}
-            lines = [f"positive fan: {len(pf.cones)} of {len(maximal_flags(M))} maximal cones"]
-        if args.coarse_compare:
-            coarse = parse_input(args.coarse_compare)
-            if not isinstance(coarse, dict):
-                raise CliInputError("--coarse-compare needs a coarse_fan document")
-            for i, ray in enumerate(coarse["rays"]):
-                if len(ray) != M.ground_size:
-                    raise CliInputError(
-                        f"{args.coarse_compare}: rays[{i}]: expected {M.ground_size}"
-                        f" entries, got {len(ray)}"
-                    )
-            cmp_doc = compare_with_coarse(M, coarse["rays"], coarse["cones"])
-            doc["coarse_comparison"] = cmp_doc
-            lines.append("coarse comparison:")
-            for c in cmp_doc["cones"]:
-                lines.append(
-                    f"  cone{tuple(c['ray_indices'])}: member={c['member']}"
-                    f" positive={c['positive_member']}"
-                )
-        _emit(doc, args, lines)
-        return 0
-
-    if cmd == "intersect":
-        system = _require_system(obj, cmd)
-        report = lower_bound(system, cross_check=args.cross_check)
-        doc = {"kind": "intersection_report", **report.to_document()}
-        lines = [
-            f"intersection count: {report.count}"
-            + (" (certified transverse)" if report.transverse else " (NOT certified)")
-        ]
-        for p in report.points:
-            lines.append(
-                f"  v = {_fmt_vec(p.v)}   w = {_fmt_vec(p.w)}"
-                f"   isolated={p.isolated} interior={p.interior}"
-            )
-        lines += [f"  note: {note}" for note in report.notes]
-        _emit(doc, args, lines)
-        return 0 if report.transverse else 2
-
-    if cmd == "subdivision":
-        system = _require_system(obj, cmd)
-        cells = full_cells(system.A, system.h)
-        doc = {
-            "kind": "subdivision",
-            "cells": [c.to_document() for c in cells],
-            "is_triangulation": is_triangulation(cells, system.n),
-        }
-        lines = [f"regular subdivision: {len(cells)} full-dimensional cells"]
-        for c in cells:
-            lines.append(f"  cell {set(c.members)}  witness v = {_fmt_vec(c.witness)}")
-        _emit(doc, args, lines)
-        return 0
-
-    if cmd == "decorated":
-        system = _require_system(obj, cmd)
-        count, simplices = decorated_count(system.reduced_coefficients(), system.A, system.h)
-        doc = {"kind": "decorated", **decorated_document(count, simplices)}
-        lines = [f"positively decorated simplices: {count}"]
-        for s in simplices:
-            lines.append(
-                f"  cell {set(s.cell.members)}  kernel {_fmt_vec(s.kernel_vector)}"
-            )
-        _emit(doc, args, lines)
-        return 0
-
-    if cmd in ("bound", "crn"):
-        if cmd == "crn":
-            model = _expect(obj, CRNModel, cmd)
-            system = assemble_crn(model)
-        else:
-            system = _require_system(obj, cmd)
-        report = bound(system, cross_check=args.cross_check)
-        doc = {"kind": "bound_report", **report.to_document()}
-        lines = [f"certified lower bound on positive real roots: {report.certified_bound}"]
-        lines.append(
-            f"  tropical count: {report.tropical.count}"
-            + (" (transverse)" if report.tropical.transverse else " (not certified)")
-        )
-        if report.decorated is not None:
-            lines.append(f"  decorated-simplex count: {report.decorated[0]}")
-        lines += [f"  note: {note}" for note in report.method_notes]
-        _emit(doc, args, lines)
-        return 0 if report.tropical.transverse else 2
-
-    if cmd == "verify":
-        system = _require_system(obj, cmd)
-        F = instantiate(system, args.t)  # refuses bad input before bounding
-        report = bound(system)
-        witnesses = count_roots(
-            F,
-            report.tropical,
-            tol=args.tol,
-            multistarts=args.multistarts,
-            seed=args.seed,
-        )
-        doc = {
-            "kind": "witnesses",
-            "t": args.t,
-            "empirical": True,
-            "certified_bound": report.certified_bound,
-            "witnesses": [
-                {
-                    "x": list(w.x),
-                    "residual": w.residual,
-                    "jacobian_ok": w.jacobian_condition_flag,
-                    "seed_origin": w.seed_origin,
-                }
-                for w in witnesses
-            ],
-        }
-        lines = [
-            f"empirical witnesses at t = {args.t}: {len(witnesses)} distinct positive"
-            f" roots (certified bound {report.certified_bound}); heuristic, not a certificate"
-        ]
-        for w in witnesses:
-            approx = ", ".join(f"{v:.6g}" for v in w.x)
-            lines.append(
-                f"  x ~ ({approx})  residual {w.residual:.2e}  from {w.seed_origin}"
-            )
-        _emit(doc, args, lines)
-        return 0 if len(witnesses) >= report.certified_bound else 2
-
-    raise CliInputError(f"unknown command {cmd!r}")
+    coerce, handler = COMMANDS[args.command]
+    doc, lines, code = handler(coerce(parse_input(args.input), args.command), args)
+    _emit(doc, args, lines)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,28 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
             " parametrized polynomial systems"
         ),
     )
-    parser.add_argument(
-        "command",
-        choices=[
-            "circuits",
-            "flats",
-            "bergman",
-            "positive-bergman",
-            "intersect",
-            "subdivision",
-            "decorated",
-            "bound",
-            "crn",
-            "verify",
-        ],
-    )
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("input", help="path to a JSON input document")
     parser.add_argument("--json", metavar="PATH", help="write machine-readable JSON ('-' for stdout only)")
     parser.add_argument("--cross-check", action="store_true", help="also run the vertex oracle and compare")
     parser.add_argument("--coarse-compare", metavar="PATH", help="coarse fan document to diff against (bergman commands)")
     parser.add_argument("--t", type=float, default=0.01, help="parameter value for verify")
-    parser.add_argument("--tol", type=float, default=1e-9, help="residual tolerance for verify")
-    parser.add_argument("--multistarts", type=int, default=16, help="random Newton seeds for verify")
     parser.add_argument("--seed", type=int, default=0, help="pseudorandom seed for verify")
     return parser
 

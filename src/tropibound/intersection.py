@@ -634,7 +634,6 @@ def intersect_via_vertices(
     H * d * (A^T v + h) = (H A^T) num + (H h) d is a positive multiple of
     A^T v + h, every circuit has the same argmin and the verdict is
     exact.  Fractions are built only for accepted vertices.
-    On hhk this takes about 4 s (2 shared x86_64 cores, Python 3.11).
 
     Only the v set is returned, with no isolation, interiority or level
     flags: that set is all ``lower_bound`` and acceptance criterion 7

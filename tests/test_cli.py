@@ -450,3 +450,81 @@ def test_shipped_documents_golden(capsys, name, command):
     else:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# sha256 of the stdout and of the stderr of each command without --json on
+# the shipped inputs; flags name other shipped inputs by their stem.
+# `verify` is left out: its floats depend on numpy.
+HUMAN_GOLDEN = {
+    ("running_2x5", "circuits"): ("70a360543541101d1a118448d129cd62ff327eba56099392c908d6a0aff2ccf8", EMPTY),
+    ("running_2x5", "flats"): ("afe1e7e3a4789dc55068fa30496661462d168f72cb85d9e97f60202ba75eb6ed", EMPTY),
+    ("running_2x5", "bergman"): ("80f82f7858f62284c265125361422868e0df04c250637a398b2e6a438b4bf847", EMPTY),
+    ("running_2x5", "positive-bergman"): ("0c41c1e94e67dafe0e13e7e363d3556331cd0251c75ddfbc1fae934c2390d674", EMPTY),
+    ("running_2x5", "intersect"): ("6bffd3e63d5b5812bc5baf775d25e48108a9426a1d84c002783797c511765a21", EMPTY),
+    ("running_2x5", "subdivision"): ("d0e905fe9120470eb813c2ba64aef23a240a8325c04f4b7fb8ac01b7c3feb7af", EMPTY),
+    ("running_2x5", "decorated"): ("326f6377b0e555d421979f07a5643f52f38533bb3517c93bf38e2805808dc5ba", EMPTY),
+    ("running_2x5", "bound"): ("f6740351e03bfb26594d81a3d344914a0f6d202c8121f87cf1e3e8fafb2276e3", EMPTY),
+    ("running_2x5", "crn"): (EMPTY, "fa6c0d6a1a695555e24e31a18b26858e32f0133144c9a6a22526cfc962172ed2"),
+    ("hhk_crn", "circuits"): ("5c31aa369bc2be35926b1b25d9160d58a8aeee4fa8c92699e8703c5666f29bbd", EMPTY),
+    ("hhk_crn", "flats"): ("9ab90f0f56b50e6dfdc4151acaab31cfb1d5bb864a5a80e67174a8fa3b23d981", EMPTY),
+    ("hhk_crn", "bergman"): ("5f1f237b0698d90aeac30a6ba2118f0050a7c84e940b5ea20f6de1978e6890b6", EMPTY),
+    ("hhk_crn", "positive-bergman"): ("c7e6e1d3154ebbd434d942db8bf8656aad76cdefa1b53ed9776f5757af3254ab", EMPTY),
+    ("hhk_crn", "intersect"): ("56eb77b2b12e551343d0eb33759171e8a984e41ed757caa8ff8278b28e6e7555", EMPTY),
+    ("hhk_crn", "subdivision"): (EMPTY, "2478e67cc4efbadce772f54530c8b31ab4625501adb6d0283265d3f101cb0f3b"),
+    ("hhk_crn", "decorated"): (EMPTY, "2478e67cc4efbadce772f54530c8b31ab4625501adb6d0283265d3f101cb0f3b"),
+    ("hhk_crn", "bound"): ("2ffa12785be9ec0ef0ed02fdd989be4747c3ad6f822f92f0589ee01010d4032c", EMPTY),
+    ("hhk_crn", "crn"): ("2ffa12785be9ec0ef0ed02fdd989be4747c3ad6f822f92f0589ee01010d4032c", EMPTY),
+    ("running_2x5", "positive-bergman --coarse-compare coarse_fan_2x5"): ("4b8f679b3c99095b85445709b53935043123da8d2812992c2fe2c2e1a70d44be", EMPTY),
+    ("running_2x5", "bound --cross-check"): ("f6740351e03bfb26594d81a3d344914a0f6d202c8121f87cf1e3e8fafb2276e3", EMPTY),
+}
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    list(HUMAN_GOLDEN),
+    ids=[f"{n}-{' '.join(c.split()[:2])}".replace(" --", "-") for n, c in HUMAN_GOLDEN],
+)
+def test_shipped_human_output_golden(capsys, name, command):
+    expected = HUMAN_GOLDEN[name, command]
+    command, *flags = command.split()
+    flags = [f if f.startswith("--") else str(INPUTS / f"{f}.json") for f in flags]
+    main([command, str(INPUTS / f"{name}.json"), *flags])
+    out, err = capsys.readouterr()
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()  # noqa: E731
+    assert (digest(out), digest(err)) == expected
+
+
+def test_unwritable_json_path_prints_no_report(tmp_path, capsys):
+    code = main(["bound", str(INPUTS / "running_2x5.json"), "--json", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("bound", {"kind": "vertical_system", "C": [[1, -1, 1]], "A": [[0, "1/2", 2]], "h": [0, 0, 0]}),
+        (
+            "crn",
+            {
+                "kind": "crn",
+                "N": [[1, -1]],
+                "B": [["3/2", 1]],
+                "W": [[0]],
+                "T": [1],
+                "h": [0, 0],
+            },
+        ),
+    ],
+    ids=["vertical_system-A", "crn-B"],
+)
+def test_non_integer_exponents_exit_one(tmp_path, capsys, command, doc):
+    code = main([command, write(tmp_path, "fractional.json", doc)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "integer" in err and "Traceback" not in err

@@ -1,9 +1,12 @@
 import dataclasses
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
+WORKLOADS = BENCH / "workloads.py"
 
 
 def load_tracing():
@@ -26,6 +29,20 @@ def test_traced_functions_exist():
         )
     ]
     assert tracing.GROUPS and not missing
+
+
+def test_workloads_build(monkeypatch):
+    # the benchmark clears the flats caches and builds its inputs through
+    # package functions; a change that breaks either would otherwise only
+    # show when a benchmark run crashes
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # the module's dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    workloads.clear_caches()
+    sizes = {name: len(build(1).instances) for name, build in workloads.WORKLOADS.items()}
+    assert sizes and all(sizes.values()), sizes
 
 
 def test_traced_bound_counts(running_system):
