@@ -306,24 +306,40 @@ def _verify(system, args):
     return doc, lines, 0 if len(witnesses) >= report.certified_bound else 2
 
 
-# command -> (input kind, handler).  Handlers reach the pipeline through
-# this module's globals, so rebinding one of them reaches every command.
+# command -> (input kind, handler, the flags it takes besides --json).
+# Handlers reach the pipeline through this module's globals, so
+# rebinding one of them reaches every command.
 COMMANDS = {
-    "circuits": (_matroid, _circuits),
-    "flats": (_matroid, _flats),
-    "bergman": (_matroid, _bergman),
-    "positive-bergman": (_matroid, _positive_bergman),
-    "intersect": (_system, _intersect),
-    "subdivision": (_system, _subdivision),
-    "decorated": (_system, _decorated),
-    "bound": (_system, _bound),
-    "crn": (_crn, _bound),
-    "verify": (_system, _verify),
+    "circuits": (_matroid, _circuits, ()),
+    "flats": (_matroid, _flats, ()),
+    "bergman": (_matroid, _bergman, ("coarse_compare",)),
+    "positive-bergman": (_matroid, _positive_bergman, ("coarse_compare",)),
+    "intersect": (_system, _intersect, ("cross_check",)),
+    "subdivision": (_system, _subdivision, ()),
+    "decorated": (_system, _decorated, ()),
+    "bound": (_system, _bound, ("cross_check",)),
+    "crn": (_crn, _bound, ("cross_check",)),
+    "verify": (_system, _verify, ("t", "seed")),
 }
+
+# each command-specific flag and its value when it is not given
+FLAG_DEFAULTS = {"cross_check": False, "coarse_compare": None, "t": 0.01, "seed": 0}
+
+
+def _options(flags) -> str:
+    return ", ".join("--" + f.replace("_", "-") for f in flags)
 
 
 def run(args) -> int:
-    coerce, handler = COMMANDS[args.command]
+    coerce, handler, flags = COMMANDS[args.command]
+    given = vars(args)
+    stray = [f for f in FLAG_DEFAULTS if f in given and f not in flags]
+    if stray:
+        raise CliInputError(
+            f"command '{args.command}' does not take {_options(stray)}"
+            f" (it takes {_options((*flags, 'json'))})"
+        )
+    args = argparse.Namespace(**{**FLAG_DEFAULTS, **given})
     doc, lines, code = handler(coerce(parse_input(args.input), args.command), args)
     _emit(doc, args, lines)
     return code
@@ -340,10 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("input", help="path to a JSON input document")
     parser.add_argument("--json", metavar="PATH", help="write machine-readable JSON ('-' for stdout only)")
-    parser.add_argument("--cross-check", action="store_true", help="also run the vertex oracle and compare")
-    parser.add_argument("--coarse-compare", metavar="PATH", help="coarse fan document to diff against (bergman commands)")
-    parser.add_argument("--t", type=float, default=0.01, help="parameter value for verify")
-    parser.add_argument("--seed", type=int, default=0, help="pseudorandom seed for verify")
+    # the command-specific flags are absent from the namespace unless
+    # given, so run can refuse them on the other commands
+    unset = argparse.SUPPRESS
+    parser.add_argument("--cross-check", action="store_true", default=unset, help="also run the vertex oracle and compare")
+    parser.add_argument("--coarse-compare", metavar="PATH", default=unset, help="coarse fan document to diff against (bergman commands)")
+    parser.add_argument("--t", type=float, default=unset, help="parameter value for verify")
+    parser.add_argument("--seed", type=int, default=unset, help="pseudorandom seed for verify")
     return parser
 
 

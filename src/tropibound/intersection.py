@@ -192,6 +192,46 @@ def _is_interior(p: Sequence[Fraction], OM: OrientedMatroid) -> bool:
     return len(_merge(OM.ground_size, argmins)) == OM.rank
 
 
+def _restrict_kernel(basis: Sequence[Sequence[int]], row: Sequence[int]) -> list[tuple[int, ...]]:
+    """A basis of primitive integer rows for the vectors of span(basis)
+    orthogonal to row.
+
+    With s_i = row . k_i and a pivot p with s_p != 0, the rows
+    s_p k_i - s_i k_p for i != p are orthogonal to row, independent
+    because the k_i are, and one fewer than the k_i: so they span the
+    restriction exactly.  When every s_i is 0 the basis is kept whole.
+    """
+    dots = [sum(map(mul, row, k)) for k in basis]
+    p = next((i for i, s in enumerate(dots) if s), None)
+    if p is None:
+        return list(basis)
+    sp, kp = dots[p], basis[p]
+    return [
+        primitive([sp * a - s * b for a, b in zip(k, kp)])
+        for i, (k, s) in enumerate(zip(basis, dots))
+        if i != p
+    ]
+
+
+def _cone_point(
+    n: int,
+    kernel: list[tuple[int, ...]],
+    eqs: Iterable[tuple[int, ...]],
+    ineqs: Iterable[tuple[int, ...]],
+) -> tuple[int, ...] | None:
+    """A nonzero integer point of {u in R^n : Eu = 0, Gu <= 0}, or None
+    when the cone is the origin alone; kernel is a nonempty basis of the
+    kernel of E.  A vector left after restricting it by every row of G
+    is a lineality vector, and only when none is left is the cone probed.
+    """
+    for g in ineqs:
+        kernel = _restrict_kernel(kernel, g)
+        if not kernel:
+            found = _polyhedra.cone_nonzero_point(n, list(eqs), list(ineqs))
+            return None if found is None else tuple(integer_multiple(found)[1])
+    return kernel[0]
+
+
 def tangent_direction(
     v: Sequence, OM: OrientedMatroid, A: RationalMatrix, h: Sequence
 ) -> tuple[Fraction, ...] | None:
@@ -200,11 +240,27 @@ def tangent_direction(
 
     To first order the fan condition reads: for every circuit, the argmin
     of A^T u over the circuit's current argmin set still meets both
-    signs.  That is a finite union of polyhedral cones indexed by
-    per-circuit witness pairs; each surviving cone is probed exactly for
-    a nonzero point.  A must be integer.  The argmins are read off the
-    integer multiple V H (A^T v + h), with (V, V v) and (H, H h) from
+    signs.  That is a finite union of polyhedral cones {Eu = 0, Gu <= 0}
+    indexed by per-circuit witness pairs, built one circuit per level;
+    the direction exists iff some cone of the last level has a nonzero
+    point.  A must be integer.  The argmins are read off the integer
+    multiple V H (A^T v + h), with (V, V v) and (H, H h) from
     ``integer_multiple``, and the cones are cut out by ``primitive`` rows.
+
+    Each accepted state carries a nonzero integer point of its cone and a
+    basis of primitive integer rows for the kernel of its E.  A child
+    adds one equality row and some inequality rows, so its cone is the
+    parent's cone cut by the new rows, and it is decided by the first of
+    four exact steps that settles it:
+
+    1. the parent's kernel restricted by the new equality row is the
+       child's kernel (``_restrict_kernel``); when it is zero, Eu = 0
+       pins u to the origin and the child is refuted;
+    2. the parent's point lies in the parent's cone, so when it meets
+       the new equality and inequalities it lies in the child's cone;
+    3. a nonzero vector of the kernel of [E; G] has Eu = 0 and Gu = 0,
+       so it lies in {Eu = 0, Gu <= 0};
+    4. otherwise ``_polyhedra.cone_nonzero_point`` decides the cone.
     """
     at_int = integer_columns(A)
     n = A.rows
@@ -232,23 +288,33 @@ def tangent_direction(
         return primitive([x - y for x, y in zip(at_int[a - 1], at_int[b - 1])])
 
     # each level maps its accepted states (frozenset of equality rows,
-    # frozenset of inequality rows) to a nonzero point of their cone
-    level: dict[tuple[frozenset, frozenset], tuple | None] = {(frozenset(), frozenset()): None}
+    # frozenset of inequality rows) to a nonzero integer point of their
+    # cone and a kernel basis of their equality rows; the root cone is
+    # the whole space, and it carries no point
+    identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    level: dict[tuple[frozenset, frozenset], tuple] = {(frozenset(), frozenset()): (None, identity)}
     for witnesses, arg in tasks:
-        accepted: dict[tuple[frozenset, frozenset], tuple | None] = {}
-        for eqs, ineqs in level:
+        accepted: dict[tuple[frozenset, frozenset], tuple] = {}
+        for (eqs, ineqs), (u, kernel) in level.items():
             for i_pos, i_neg in witnesses:
-                e2 = eqs | {diff(i_pos, i_neg)}
-                i2 = ineqs | {diff(i_pos, j) for j in arg if j != i_pos and j != i_neg}
-                if (e2, i2) in accepted:
+                row = diff(i_pos, i_neg)
+                new = {diff(i_pos, j) for j in arg if j != i_pos and j != i_neg}
+                key = (eqs | {row}, ineqs | new)
+                if key in accepted:
                     continue
-                u = _polyhedra.cone_nonzero_point(n, list(e2), list(i2))
-                if u is not None:
-                    accepted[(e2, i2)] = u
+                child = _restrict_kernel(kernel, row)
+                if not child:
+                    continue
+                w = u
+                if w is None or sum(map(mul, row, w)) or any(sum(map(mul, g, w)) > 0 for g in new):
+                    w = _cone_point(n, child, *key)
+                    if w is None:
+                        continue
+                accepted[key] = (w, child)
         if not accepted:
             return None
         level = accepted
-    return next(iter(level.values()))
+    return tuple(Fraction(x) for x in next(iter(level.values()))[0])
 
 
 def is_isolated(v: Sequence, OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> bool:

@@ -106,12 +106,14 @@ class OrientedMatroid:
     def __init__(self, ground_size: int, circuits: Iterable[SignedCircuit]):
         if ground_size < 1:
             raise MatroidError("ground set must be nonempty")
+        ground = frozenset(range(1, ground_size + 1))
         closed: set[SignedCircuit] = set()
         for c in circuits:
-            if not c.support <= set(range(1, ground_size + 1)):
+            if not c.support <= ground:
                 raise MatroidError(f"circuit {c} leaves the ground set [1..{ground_size}]")
-            closed.add(c)
-            closed.add(c.negated())
+            if c not in closed:
+                closed.add(c)
+                closed.add(c.negated())
         supports = sorted({c.support for c in closed}, key=lambda s: (len(s), sorted(s)))
         # bit i of holders[e] is set when support i holds e; the AND over a
         # support's elements marks every support containing it
@@ -128,7 +130,10 @@ class OrientedMatroid:
                 b = supports[(above & -above).bit_length() - 1]
                 raise MatroidError(f"circuit supports are nested: {set(s)} < {set(b)}")
         object.__setattr__(self, "ground_size", ground_size)
-        object.__setattr__(self, "circuits", tuple(sorted(closed)))
+        # the dataclass order, without its generated comparisons
+        object.__setattr__(
+            self, "circuits", tuple(sorted(closed, key=lambda c: (c.positive, c.negative)))
+        )
         object.__setattr__(self, "_supports", tuple(tuple(sorted(s)) for s in supports))
         object.__setattr__(self, "_masks", tuple(_mask(s) for s in supports))
         object.__setattr__(self, "_rank", None)

@@ -528,3 +528,56 @@ def test_non_integer_exponents_exit_one(tmp_path, capsys, command, doc):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "integer" in err and "Traceback" not in err
+
+
+# the flags each command takes besides --json, and a value for each flag
+TAKES = {
+    "circuits": (),
+    "flats": (),
+    "bergman": ("--coarse-compare",),
+    "positive-bergman": ("--coarse-compare",),
+    "intersect": ("--cross-check",),
+    "subdivision": (),
+    "decorated": (),
+    "bound": ("--cross-check",),
+    "crn": ("--cross-check",),
+    "verify": ("--t", "--seed"),
+}
+FLAG_ARGS = {
+    "--coarse-compare": ["--coarse-compare", "x"],
+    "--cross-check": ["--cross-check"],
+    "--t": ["--t", "0.01"],
+    "--seed": ["--seed", "0"],
+}
+REFUSED = [(c, f) for c, takes in TAKES.items() for f in FLAG_ARGS if f not in takes]
+
+
+@pytest.mark.parametrize("command, flag", REFUSED, ids=[f"{c}{f}" for c, f in REFUSED])
+def test_flag_of_another_command_refused(monkeypatch, capsys, command, flag):
+    # refused before the input is read, even at the flag's default value
+    import tropibound.cli as cli
+
+    def unread(path):
+        raise AssertionError("input read")
+
+    monkeypatch.setattr(cli, "parse_input", unread)
+    argv = [command, str(INPUTS / "running_2x5.json"), *FLAG_ARGS[flag], "--json", "-"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"error: command '{command}' does not take {flag}" + (
+        f" (it takes {', '.join((*TAKES[command], '--json'))})\n"
+    )
+
+
+def test_flags_of_the_command_accepted(monkeypatch, capsys):
+    import tropibound.cli as cli
+
+    def stop(path):
+        raise CliInputError("input reached")
+
+    monkeypatch.setattr(cli, "parse_input", stop)
+    for command, takes in TAKES.items():
+        argv = [command, "in.json", *(a for f in takes for a in FLAG_ARGS[f]), "--json", "-"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: input reached\n")

@@ -1,13 +1,17 @@
+import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropibound.bergman import is_positive_member, positive_chains
+from tropibound import _polyhedra
+from tropibound.bergman import is_positive_member, positive_chains, positive_fan
 from tropibound.intersection import (
     InputValidationError,
     OracleMismatchError,
@@ -16,6 +20,7 @@ from tropibound.intersection import (
     _fine_cells,
     _merge,
     _particular,
+    _restrict_kernel,
     _tie_transform,
     intersect_via_fan,
     intersect_via_vertices,
@@ -25,8 +30,18 @@ from tropibound.intersection import (
     validate_inputs,
 )
 from tropibound.matroid import OrientedMatroid, SignedCircuit, realize_from_kernel
-from tropibound.rational import RationalMatrix, rank, solve_affine, vector
-from tropibound.systems import SystemError_, VerticalSystem
+from tropibound.rational import (
+    RationalMatrix,
+    integer_columns,
+    integer_multiple,
+    kernel_basis,
+    primitive,
+    rank,
+    row_space_equal,
+    solve_affine,
+    vector,
+)
+from tropibound.systems import SystemError_, VerticalSystem, assemble_crn
 
 H_RUN = [0, 0, 0, 0, -1]
 W_POINT_A = vector([0, 2, 0, 2, 1])
@@ -526,6 +541,162 @@ def test_tangent_probe_on_random_instances():
                 )
                 assert is_positive_member(shifted, M)
         ran += 1
+
+
+def _reference_tangent_direction(v, OM, A, h):
+    """The isolation search before it carried points and kernels down the
+    levels: every state's cone probed with ``cone_nonzero_point``."""
+    at_int = integer_columns(A)
+    n = A.rows
+    V, v_int = integer_multiple(vector(v))
+    H, h_int = integer_multiple(vector(h))
+    p = [H * sum(map(mul, row, v_int)) + V * x for row, x in zip(at_int, h_int)]
+
+    tasks: list[tuple[list[tuple[int, int]], tuple[int, ...]]] = []
+    for c in OM.circuits:
+        if c.negated() < c:
+            continue
+        m = min(p[e - 1] for e in c.positive + c.negative)
+        pos = [e for e in c.positive if p[e - 1] == m]
+        neg = [e for e in c.negative if p[e - 1] == m]
+        if not pos or not neg:
+            raise ValueError("point is not in the positive fan; isolation is undefined")
+        tasks.append(([(i, j) for i in pos for j in neg], tuple(sorted(pos + neg))))
+    tasks.sort(key=lambda t: (len(t[0]), len(t[1])))
+    if not tasks:
+        # no circuits: the fan is everything and every direction stays in
+        return tuple(Fraction(1 if i == 0 else 0) for i in range(n)) if n else None
+
+    @functools.cache
+    def diff(a: int, b: int) -> tuple[int, ...]:
+        return primitive([x - y for x, y in zip(at_int[a - 1], at_int[b - 1])])
+
+    # each level maps its accepted states (frozenset of equality rows,
+    # frozenset of inequality rows) to a nonzero point of their cone
+    level: dict[tuple[frozenset, frozenset], tuple | None] = {(frozenset(), frozenset()): None}
+    for witnesses, arg in tasks:
+        accepted: dict[tuple[frozenset, frozenset], tuple | None] = {}
+        for eqs, ineqs in level:
+            for i_pos, i_neg in witnesses:
+                e2 = eqs | {diff(i_pos, i_neg)}
+                i2 = ineqs | {diff(i_pos, j) for j in arg if j != i_pos and j != i_neg}
+                if (e2, i2) in accepted:
+                    continue
+                u = _polyhedra.cone_nonzero_point(n, list(e2), list(i2))
+                if u is not None:
+                    accepted[(e2, i2)] = u
+        if not accepted:
+            return None
+        level = accepted
+    return next(iter(level.values()))
+
+
+def _isolation_cases(hhk_model):
+    """(source, OM, A, h, v) for every point of seeded random systems, of
+    the frozen degenerate instance and of hhk rate draws."""
+    rng = random.Random(20261018)
+    systems = [("random", *random_instance(rng)) for _ in range(60)]
+    systems.append(
+        (
+            "degenerate",
+            RationalMatrix.from_rows([[-2, -2, -1, -2, 1], [1, 2, -1, 2, 0]]),
+            RationalMatrix.from_rows([[-1, 2, -2, -1, -1], [-1, 2, 0, -2, -2]]),
+            [0, -1, 0, 0, 0],
+        )
+    )
+    draws = [(7, -6, -2, -3, -3, 3), (7, 8, 3, 3, -1, 8), (-4, 2, 6, -8, 1, -3)]
+    draws += [tuple(rng.randint(-8, 8) for _ in range(6)) for _ in range(5)]
+    for h in draws:
+        vs = assemble_crn(dataclasses.replace(hhk_model, h=h))
+        systems.append(("hhk", vs.C, vs.A, vs.h))
+    for source, C, A, h in systems:
+        OM = realize_from_kernel(C)
+        for p in intersect_via_fan(OM, A, h).points:
+            yield source, OM, A, h, p.v
+
+
+def _assert_direction_stays(w, A, u, OM):
+    """u is nonzero and w + eps A^T u lies in the positive fan at a small
+    exact step."""
+    assert any(u)
+    eps = Fraction(1, 10**7)
+    assert is_positive_member([x + eps * y for x, y in zip(w, A.transpose().apply(u))], OM)
+
+
+def test_isolation_search_matches_per_state_probes(hhk_model):
+    verdicts = []
+    sources = []
+    for source, OM, A, h, v in _isolation_cases(hhk_model):
+        u = tangent_direction(v, OM, A, h)
+        assert (u is None) == (_reference_tangent_direction(v, OM, A, h) is None), (OM, A, h, v)
+        verdicts.append(u is None)
+        sources.append(source)
+        if u is not None:
+            w = [a + Fraction(c) for a, c in zip(A.transpose().apply(v), h)]
+            _assert_direction_stays(w, A, u, OM)
+    # both verdicts occur, on the degenerate point and on a dozen hhk points
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 5
+    assert sources.count("degenerate") >= 1 and sources.count("hhk") >= 12
+
+
+def test_isolation_search_matches_per_state_probes_on_fan_faces():
+    # v at any point of the positive fan, not only at intersection points:
+    # h = w - A^T v for w on a random face of a random positive cone, so
+    # many circuits have large argmin sets, and A has up to four rows, so
+    # the cones have room for directions
+    rng = random.Random(7411)
+    verdicts = []
+    while len(verdicts) < 150:
+        r = rng.randint(3, 7)
+        n = rng.randint(1, min(4, r - 1))
+        C = RationalMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rng.randint(1, r - 1))]
+        )
+        A = RationalMatrix.from_rows([[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)])
+        if C.is_zero() or rank(A) < n:
+            continue
+        OM = realize_from_kernel(C)
+        cones = positive_fan(OM).cones
+        if not cones:
+            continue
+        chain = rng.choice(cones).flag.chain
+        w = [0] * OM.ground_size
+        for f in chain:
+            c = rng.choice([0, 0, 1, 2, 3])
+            for e in f.elements:
+                w[e - 1] += c
+        v = vector([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(A.rows)])
+        h = [x - y for x, y in zip(w, A.transpose().apply(v))]
+        u = tangent_direction(v, OM, A, h)
+        assert (u is None) == (_reference_tangent_direction(v, OM, A, h) is None), (C, A, h, v)
+        verdicts.append(u is None)
+        if u is not None:
+            _assert_direction_stays(w, A, u, OM)
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_restrict_kernel_matches_kernel_basis(data):
+    # folding rows one at a time into the identity basis leaves a basis of
+    # the kernel of all of them, of primitive integer rows
+    n = data.draw(st.integers(1, 6), label="n")
+    entry = st.integers(-4, 4)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6), label="rows")
+    for a, b in data.draw(st.lists(st.tuples(entry, entry), max_size=3), label="combos"):
+        rows.append([0] * n if not rows else [a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for row in rows:
+        basis = _restrict_kernel(basis, row)
+    assert all(gcd(*k) == 1 for k in basis)
+    if not rows:
+        assert len(basis) == n
+        return
+    M = RationalMatrix.from_rows(rows)
+    assert len(basis) == n - rank(M)
+    assert all(sum(map(mul, row, k)) == 0 for row in rows for k in basis)
+    if basis:
+        assert row_space_equal(RationalMatrix.from_rows(basis), kernel_basis(M))
 
 
 # --- oracle equivalence and properties ------------------------------------------

@@ -400,6 +400,46 @@ def test_nested_support_check_matches_pairwise_reference(data):
         assert str(raised.value) == message
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_negation_closure_keeps_dataclass_order(data):
+    # circuits supplied in one or both orientations, repeated or not, close
+    # to the same sorted tuple as sorting the closed set by the dataclass
+    # order
+    r = data.draw(st.integers(1, 6), label="r")
+    signs = st.lists(st.sampled_from([0, 1, -1]), min_size=r, max_size=r).filter(any)
+    circuits = []
+    for s, both in data.draw(st.lists(st.tuples(signs, st.booleans()), max_size=6), label="c"):
+        c = SignedCircuit(
+            tuple(e + 1 for e, x in enumerate(s) if x > 0),
+            tuple(e + 1 for e, x in enumerate(s) if x < 0),
+        )
+        circuits += [c, c.negated()] if both else [c]
+    supports = sorted({c.support for c in circuits}, key=lambda s: (len(s), sorted(s)))
+    if nested_by_pairs(supports) is not None:
+        return
+    reference = tuple(sorted(set(circuits) | {c.negated() for c in circuits}))
+    assert OrientedMatroid(r, circuits).circuits == reference
+
+
+def test_negation_built_once_per_new_circuit(running_N, monkeypatch):
+    given_circuits = realize_from_kernel(running_N).circuits
+    calls = []
+    real = SignedCircuit.negated
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(SignedCircuit, "negated", counting)
+    assert OrientedMatroid(5, given_circuits).circuits == given_circuits
+    assert len(calls) == len(given_circuits) // 2
+    # a circuit leaving the ground set is refused even after its negation
+    bad = SignedCircuit((6,), (1,))
+    with pytest.raises(MatroidError, match="leaves the ground set"):
+        OrientedMatroid(5, [*given_circuits, bad.negated(), bad])
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_column_permutation_relabels_circuits_and_flats(data):

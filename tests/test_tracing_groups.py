@@ -99,12 +99,13 @@ def test_traced_scan_reuses_eliminations(hhk_model):
         tracer.uninstall()
     assert after[0] == after[1] == after[2]
     # the fan walk's counters on these draws before its tie systems were
-    # eliminated once per (matroid, A), pinned
+    # eliminated once per (matroid, A), pinned, with the cone probes left
+    # when the isolation test carries each state's point and kernel
     expected = {
         "intersection.points_count": 9,
-        "polyhedra.feasible_point_calls": 274,
+        "polyhedra.feasible_point_calls": 122,
         "polyhedra.dimension_calls": 48,
-        "polyhedra.cone_probe_calls": 150,
+        "polyhedra.cone_probe_calls": 4,
     }
     metrics = tracer.per_layer(wall_s=1.0)
     assert {name: metrics[name] for name in expected} == expected
