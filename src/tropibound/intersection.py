@@ -270,7 +270,7 @@ def tangent_direction(
 
     tasks: list[tuple[list[tuple[int, int]], tuple[int, ...]]] = []
     for c in OM.circuits:
-        if c.negated() < c:
+        if c.negative < c.positive:
             continue
         m = min(p[e - 1] for e in c.positive + c.negative)
         pos = [e for e in c.positive if p[e - 1] == m]

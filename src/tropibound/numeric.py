@@ -23,6 +23,9 @@ from tropibound.systems import VerticalSystem
 
 # max-norm distance in log coordinates at which two Newton roots count as one
 SEPARATION = 1e-4
+# scaled residual a Newton root must reach, and random starts per count
+TOL = 1e-9
+MULTISTARTS = 16
 
 
 class InstantiationError(ValueError):
@@ -112,7 +115,7 @@ def instantiate(system: VerticalSystem, t: float) -> InstantiatedSystem:
 def newton(
     F: InstantiatedSystem,
     x0: Sequence[float],
-    tol: float = 1e-9,
+    tol: float = TOL,
     max_iter: int = 100,
     seed_origin: str = "manual",
 ) -> RootWitness | None:
@@ -173,12 +176,11 @@ def tropical_seed(t: float, v: Sequence) -> list[float]:
 def count_roots(
     F: InstantiatedSystem,
     report: IntersectionReport,
-    tol: float = 1e-9,
-    multistarts: int = 16,
     seed: int = 0,
 ) -> list[RootWitness]:
     """Verified-distinct positive roots of F: one Newton run per
-    intersection point plus random log-uniform multistarts.
+    intersection point plus MULTISTARTS random log-uniform starts, each
+    run to residual TOL.
 
     Roots are deduplicated at max-norm log-distance SEPARATION; tropical
     seeds run first so deterministic ties resolve toward them, and one
@@ -195,13 +197,13 @@ def count_roots(
             seeds.append(("tropical v=(" + ",".join(str(x) for x in p.v) + ")", x0))
     rng = random.Random(seed)
     span = 1.5 * abs(math.log(F.t))
-    for k in range(multistarts):
+    for k in range(MULTISTARTS):
         y0 = [rng.uniform(-span, span) for _ in range(F.n)]
         seeds.append((f"random#{k}", [math.exp(c) for c in y0]))
 
     witnesses: list[RootWitness] = []
     for origin, x0 in seeds:
-        w = newton(F, x0, tol=tol, seed_origin=origin)
+        w = newton(F, x0, seed_origin=origin)
         if w is None:
             continue
         logs = [math.log(v) for v in w.x]
@@ -211,5 +213,5 @@ def count_roots(
         ):
             witnesses.append(w)
     for w in witnesses:
-        assert w.residual <= tol and all(v > 0 for v in w.x)
+        assert w.residual <= TOL and all(v > 0 for v in w.x)
     return witnesses

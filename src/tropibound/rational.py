@@ -15,6 +15,13 @@ affine solutions, determinants and independent row sets are read off
 its result, solutions through ``_solution``; Fractions are built only
 for the values returned.
 
+The pipeline layers (the fan walk, the isolation test, the polyhedron
+probes and the subdivision) call ``_echelon`` and ``_solution`` on
+their own integer rows.  ``solve_affine``, ``det``, ``rref`` and
+``row_space_equal`` are the Fraction forms, kept for
+``validate_inputs`` (through ``in_row_span``), the tests and the
+benchmark's tracer.
+
 No floating point enters this module.
 """
 

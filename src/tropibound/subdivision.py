@@ -15,11 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
+from operator import mul
 from typing import Sequence
 
 from tropibound.bergman import is_positive_member
 from tropibound.matroid import OrientedMatroid
-from tropibound.rational import RationalMatrix, det, solve_affine, vector
+from tropibound.rational import (
+    RationalMatrix,
+    _echelon,
+    _solution,
+    integer_columns,
+    integer_multiple,
+    vector,
+)
 
 
 class SubdivisionError(ValueError):
@@ -28,14 +37,12 @@ class SubdivisionError(ValueError):
 
 @dataclass(frozen=True)
 class Cell:
-    """A full-dimensional cell: 1-based column indices plus the witness v
-    whose lift normal (v, 1) supports the cell's lower face."""
+    """A full-dimensional cell: 1-based column indices in increasing
+    order plus the witness v whose lift normal (v, 1) supports the cell's
+    lower face."""
 
     members: tuple[int, ...]
     witness: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
 
     def to_document(self) -> dict:
         return {"members": list(self.members), "witness": [str(x) for x in self.witness]}
@@ -53,12 +60,6 @@ class DecoratedSimplex:
         }
 
 
-def _argmin_set(cols, h, v) -> tuple[int, ...]:
-    vals = [sum(vi * ci for vi, ci in zip(v, col)) + hj for col, hj in zip(cols, h)]
-    m = min(vals)
-    return tuple(j + 1 for j, x in enumerate(vals) if x == m)
-
-
 def full_cells(A: RationalMatrix, h: Sequence) -> list[Cell]:
     """All full-dimensional cells of the regular subdivision of the
     columns of A induced by the lift h.
@@ -66,32 +67,39 @@ def full_cells(A: RationalMatrix, h: Sequence) -> list[Cell]:
     For each (n+1)-subset of columns whose lifted points affinely span a
     non-vertical hyperplane, solve for the support normal (v, 1), take the
     global argmin of (v, 1).(alpha_j, h_j), and keep the argmin set when
-    it contains the subset.  Those lifted points are affinely independent,
-    so such an argmin set spans; one that misses the subset is either not
-    full-dimensional or a full cell with the same, unique supporting
-    normal, found again from its own subsets.  Cells are deduplicated by
-    member set.
+    it contains the subset, that is, when no lifted column lies strictly
+    below the subset's hyperplane.  Those lifted points are affinely
+    independent, so such an argmin set spans; one that misses the subset
+    is either not full-dimensional or a full cell with the same, unique
+    supporting normal, found again from its own subsets.  Cells are
+    deduplicated by member set.
+
+    A must be integer.  With (H, H h) from ``integer_multiple``, each
+    subset runs one ``_echelon`` of its rows (alpha_j, -1 | -H h_j) in
+    the unknowns H (v, c); the subset spans exactly when all n + 1
+    columns are pivots, and then H (v, c) = (x, y) / d.  The argmin is
+    taken over the integers alpha_j . x + d H h_j, a positive multiple
+    of alpha_j . v + h_j, which equal y on the subset; Fractions are
+    built only for a kept witness.
     """
     n, r = A.rows, A.cols
-    cols = [A.column(j) for j in range(r)]
-    hh = vector(h)
+    cols = integer_columns(A)
     if len(set(cols)) != r:
         raise SubdivisionError("exponent matrix has repeated columns")
-    if len(hh) != r:
+    if len(h) != r:
         raise SubdivisionError("lift length mismatch")
+    H, hh = integer_multiple(vector(h))
+    rows = [(*col, -1, -hj) for col, hj in zip(cols, hh)]
     found: dict[tuple[int, ...], Cell] = {}
-    for subset in combinations(range(1, r + 1), n + 1):
-        # unknowns (v, c): alpha_j . v - c = -h_j
-        M = RationalMatrix.from_rows(
-            [list(cols[j - 1]) + [-1] for j in subset]
-        )
-        sol = solve_affine(M, [-hh[j - 1] for j in subset])
-        if sol is None or sol[1].rows != 0:
+    for subset in combinations(rows, n + 1):
+        m, pivots, d, _ = _echelon(subset, n + 1)
+        if len(pivots) <= n:
             continue
-        v = sol[0][:n]
-        members = _argmin_set(cols, hh, v)
-        if members not in found and set(subset) <= set(members):
-            found[members] = Cell(members, tuple(v))
+        *x, y = (row[n + 1] for row in m)
+        vals = [sum(map(mul, col, x)) + d * hj for col, hj in zip(cols, hh)]
+        members = tuple(j + 1 for j, val in enumerate(vals) if val == y)
+        if min(vals) == y and members not in found:
+            found[members] = Cell(members, tuple(Fraction(xi, d * H) for xi in x))
     return sorted(found.values(), key=lambda c: c.members)
 
 
@@ -108,22 +116,26 @@ def positively_decorated(N: RationalMatrix, cell: Cell) -> DecoratedSimplex | No
     has full rank; the cell is decorated iff all entries carry one strict
     sign.  Returns the decoration with the kernel vector normalized
     positive, or None.
+
+    One ``_echelon`` of the rows of N_Delta, each scaled to integers by
+    its D_i from ``integer_multiple``, gives at rank n the single kernel
+    vector k of ``_solution``.  It is +-(prod D_i) lambda, and its free
+    entry is d > 0, so lambda is one-signed exactly when k is positive,
+    and then |lambda| = k / prod D_i.  Rank below n is never decorated:
+    the first kernel vector is zero at every other free column.
     """
     n = N.rows
     if len(cell.members) != n + 1:
         raise SubdivisionError(
             f"decoration needs an {n + 1}-member cell, got {len(cell.members)}"
         )
-    sub = N.submatrix_columns([j - 1 for j in cell.members])
-    lam = []
-    for k in range(n + 1):
-        minor = sub.submatrix_columns([c for c in range(n + 1) if c != k])
-        lam.append((-1) ** k * det(minor))
-    if all(x > 0 for x in lam):
-        return DecoratedSimplex(cell, tuple(lam))
-    if all(x < 0 for x in lam):
-        return DecoratedSimplex(cell, tuple(-x for x in lam))
-    return None
+    scaled = [integer_multiple([N[i, j - 1] for j in cell.members]) for i in range(n)]
+    m, pivots, d, _ = _echelon([(*row, 0) for _, row in scaled], n + 1)
+    k = _solution(m, pivots, d, n + 1)[1][0]
+    if not all(x > 0 for x in k):
+        return None
+    D = prod(D for D, _ in scaled)
+    return DecoratedSimplex(cell, tuple(Fraction(x, D) for x in k))
 
 
 def decorated_count(
@@ -170,7 +182,7 @@ def decorated_to_tropical(
     matroid; a failure would falsify the comparison map's injectivity on
     this instance and raises immediately.
     """
-    w = A.transpose().apply(d.cell.witness)
+    w = tuple(sum(map(mul, col, d.cell.witness)) for col in integer_columns(A))
     p = tuple(a + b for a, b in zip(w, vector(h)))
     if not is_positive_member(p, matroid):
         raise AssertionError(

@@ -258,12 +258,12 @@ def test_criterion_8_property_suites(running_N, running_A, hhk_model):
 
 def test_criterion_9_numeric_witnesses(running_system, hhk_model):
     rep = lower_bound(running_system)
-    ws = count_roots(instantiate(running_system, 0.01), rep, tol=1e-9)
+    ws = count_roots(instantiate(running_system, 0.01), rep)
     run_ok = len(ws) >= 2 and all(w.residual <= 1e-9 for w in ws)
 
     crn = assemble_crn(hhk_model)
     rep2 = lower_bound(crn)
-    ws2 = count_roots(instantiate(crn, 0.01), rep2, tol=1e-9)
+    ws2 = count_roots(instantiate(crn, 0.01), rep2)
     crn_ok = len(ws2) >= 3 and all(w.residual <= 1e-9 for w in ws2)
 
     def separated(wit):

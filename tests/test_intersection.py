@@ -41,6 +41,7 @@ from tropibound.rational import (
     solve_affine,
     vector,
 )
+from tropibound.subdivision import decorated_count, full_cells
 from tropibound.systems import SystemError_, VerticalSystem, assemble_crn
 
 H_RUN = [0, 0, 0, 0, -1]
@@ -78,9 +79,11 @@ def test_validate_rejects_fractional_exponents(running_N):
 
 
 def test_non_integer_exponents_refused_by_every_entry_point(running_N):
-    # the fan walk, the isolation test and the oracle read A as integers
-    # and refuse a fractional entry instead of scaling or truncating it
-    A = RationalMatrix.from_rows([["1/2", 0, 0, 0, 0], [0, 1, 0, 0, 0]])
+    # the fan walk, the isolation test, the oracle and the subdivision read
+    # A as integers and refuse a fractional entry instead of scaling or
+    # truncating it; A's columns are distinct, so the subdivision's
+    # repeated-column refusal cannot fire first
+    A = RationalMatrix.from_rows([["1/2", 2, 0, 2, 1], [0, 0, 2, 2, 1]])
     M = realize_from_kernel(running_N)
     with pytest.raises(ValueError, match="integer entries"):
         intersect_via_fan(M, A, H_RUN)
@@ -88,6 +91,10 @@ def test_non_integer_exponents_refused_by_every_entry_point(running_N):
         tangent_direction((0, 0), M, A, H_RUN)
     with pytest.raises(ValueError, match="integer entries"):
         intersect_via_vertices(M, A, H_RUN)
+    with pytest.raises(ValueError, match="integer entries"):
+        full_cells(A, H_RUN)
+    with pytest.raises(ValueError, match="integer entries"):
+        decorated_count(running_N, A, H_RUN)
 
 
 def test_validate_flags_all_ones_in_rowspan():

@@ -141,7 +141,7 @@ def test_count_roots_empty_on_infeasible():
         (0, 0),
     )
     report = lower_bound(system)
-    assert count_roots(instantiate(system, 0.01), report, multistarts=8) == []
+    assert count_roots(instantiate(system, 0.01), report) == []
 
 
 def test_count_roots_deterministic(running_system):

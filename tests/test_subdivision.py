@@ -7,7 +7,7 @@ import pytest
 
 from tropibound import _polyhedra
 from tropibound.matroid import realize_from_kernel
-from tropibound.rational import RationalMatrix, rank, solve_affine, vector
+from tropibound.rational import RationalMatrix, det, rank, solve_affine, vector
 from tropibound.subdivision import (
     Cell,
     SubdivisionError,
@@ -196,6 +196,84 @@ def test_decoration_telescoping_chain():
     cell = Cell((1, 2, 3), vector([0, 0]))
     d = positively_decorated(N, cell)
     assert d is not None and d.kernel_vector == vector([1, 1, 1])
+
+
+def decorated_cofactor_reference(N: RationalMatrix, cell: Cell):
+    """Reference copy of the signed-cofactor decoration test: n + 1
+    minors of N_Delta, each through `det`."""
+    n = N.rows
+    sub = N.submatrix_columns([j - 1 for j in cell.members])
+    lam = []
+    for k in range(n + 1):
+        minor = sub.submatrix_columns([c for c in range(n + 1) if c != k])
+        lam.append((-1) ** k * det(minor))
+    if all(x > 0 for x in lam):
+        return tuple(lam)
+    if all(x < 0 for x in lam):
+        return tuple(-x for x in lam)
+    return None
+
+
+def awkward_decoration_cases(seed, count):
+    """Seeded (N, cell) pairs: rational N with unlike denominators, zero
+    columns and, a quarter of the time, a row that is a multiple of
+    another, so that N_Delta is often rank-deficient."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        r = rng.randint(n + 1, n + 3)
+        rows = [
+            [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5, 7))) for _ in range(r)]
+            for _ in range(n)
+        ]
+        for j in range(r):
+            if rng.random() < 0.1:
+                for row in rows:
+                    row[j] = Fraction(0)
+        if n > 1 and rng.random() < 0.25:
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            rows[-1] = [c * x for x in rows[0]]
+        members = tuple(sorted(rng.sample(range(1, r + 1), n + 1)))
+        yield RationalMatrix.from_rows(rows), Cell(members, (Fraction(0),) * n)
+
+
+def test_decoration_matches_cofactor_reference():
+    # one elimination's kernel vector decides decoration exactly as the
+    # n + 1 signed cofactors do, and gives their absolute values
+    decorated = deficient = 0
+    for N, cell in awkward_decoration_cases(19, 1500):
+        expected = decorated_cofactor_reference(N, cell)
+        got = positively_decorated(N, cell)
+        if expected is None:
+            assert got is None
+        else:
+            assert got is not None and got.kernel_vector == expected
+            decorated += 1
+        idx = [j - 1 for j in cell.members]
+        deficient += rank(N.submatrix_columns(idx)) < N.rows
+    assert decorated > 150 and deficient > 250
+
+
+def test_decoration_invariant_under_row_operations():
+    # T N has the same kernel as N for invertible T, and its maximal
+    # minors are det T times those of N
+    rng = random.Random(20)
+    decorated = 0
+    for N, cell in awkward_decoration_cases(21, 1000):
+        n = N.rows
+        while True:
+            T = RationalMatrix.from_rows(
+                [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            )
+            if det(T) != 0:
+                break
+        d = positively_decorated(N, cell)
+        dt = positively_decorated(T.matmul(N), cell)
+        assert (d is None) == (dt is None)
+        if d is not None:
+            assert dt.kernel_vector == tuple(abs(det(T)) * x for x in d.kernel_vector)
+            decorated += 1
+    assert decorated > 75
 
 
 def test_decorated_count_running_example(running_N, running_A):
