@@ -6,7 +6,7 @@ positive subfan when every circuit's argmin meets both the positive and
 the negative part.  Fine cones are spanned by indicator vectors of flats
 along a chain, plus the all-ones lineality line; small flats carry the
 largest weights.  Whether a whole cone is positive is decided flat by
-flat (``_positive_flats``); the weight predicates serve single vectors.
+flat (``_is_positive_flat``); the weight predicates serve single vectors.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from tropibound.matroid import (
     Flat,
     FlagOfFlats,
     OrientedMatroid,
+    _mask,
     all_flats,
     maximal_flags,
 )
@@ -152,34 +153,35 @@ class PositiveFan:
         }
 
 
-def _positive_flats(OM: OrientedMatroid) -> set[Flat]:
-    """Flats F such that every signed circuit not inside F meets both signs
-    outside F; none at all when some circuit is one-signed.
+def _is_positive_flat(F: int, signs: Sequence[tuple[int, int]]) -> bool:
+    """Whether every circuit, given as bitmasks (positive part, negative
+    part), either lies inside the flat bitmask F or meets both signs
+    outside it.  The empty flat 0 passes iff no circuit is one-signed.
 
     On the relative interior of a chain's cone the argmin of a circuit S
     is S minus the largest chain flat not containing S, so the cone is
     positive iff the empty flat and each flat of the chain are (the flag
     description of Ardila-Klivans-Williams, arXiv math/0406116).
     """
-    if not all(c.positive and c.negative for c in OM.circuits):
+    return all(bool(p & ~F) == bool(n & ~F) for p, n in signs)
+
+
+def _positive_flats(OM: OrientedMatroid) -> set[Flat]:
+    """The flats passing ``_is_positive_flat``; none at all when the empty
+    flat fails, that is when some circuit is one-signed."""
+    signs = [(_mask(c.positive), _mask(c.negative)) for c in OM.circuits]
+    if not _is_positive_flat(0, signs):
         return set()
-    return {
-        f
-        for f in all_flats(OM)
-        if all(
-            c.support <= f.as_set
-            or not (f.as_set.issuperset(c.positive) or f.as_set.issuperset(c.negative))
-            for c in OM.circuits
-        )
-    }
+    return {f for f in all_flats(OM) if _is_positive_flat(_mask(f.elements), signs)}
 
 
 def positive_fan(OM: OrientedMatroid) -> PositiveFan:
-    """Filter the fine fan's maximal cones by the positivity of their flats
-    (see ``_positive_flats``)."""
+    """The fine fan's maximal cones whose flats are all positive (see
+    ``_is_positive_flat``); a cone is built only for a kept flag."""
     positive = _positive_flats(OM)
     # an empty set means a one-signed circuit, which the empty chain fails too
-    kept = [c for c in fine_fan(OM) if positive and positive.issuperset(c.flag.chain)]
+    flags = maximal_flags(OM) if positive else ()
+    kept = [FlagCone(f, OM.ground_size) for f in flags if positive.issuperset(f.chain)]
     return PositiveFan(tuple(kept), OM)
 
 
@@ -189,7 +191,7 @@ def positive_chains(OM: OrientedMatroid) -> list[FlagOfFlats]:
     extension over the positive flats.
 
     A chain's cone is positive iff each of its flats is (see
-    ``_positive_flats``), so the returned closed cones cover the whole
+    ``_is_positive_flat``), so the returned closed cones cover the whole
     positive fan.  The empty chain (lineality-only cone) is returned when
     no circuit is one-signed and no flat extends it.
 

@@ -21,24 +21,22 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from tropibound import _polyhedra
-from tropibound.bergman import _positive_flats, is_positive_member
+from tropibound.bergman import _is_positive_flat, is_positive_member
 from tropibound.matroid import (
     Flat,
     FlagOfFlats,
     OrientedMatroid,
-    SignedCircuit,
     _elements,
+    _flat_levels,
     _mask,
     realize_from_kernel,
 )
 from tropibound.rational import (
     RationalMatrix,
     _echelon,
-    in_row_span,
     integer_columns,
     integer_multiple,
     primitive,
-    rank,
     vector,
 )
 
@@ -76,10 +74,15 @@ def validate_inputs(OM: OrientedMatroid, A: RationalMatrix) -> Diagnostics:
     not injective and no bound can be stated.  Everything else is
     reported in the diagnostics and degrades certification, not
     computation.  rank(C) is read off the kernel realization OM of C as
-    r - rank(OM), so C is never eliminated here.
+    r - rank(OM), so C is never eliminated here.  A is eliminated once,
+    as the rows (A^T_j, 1) over its columns j: rank(A) is the number of
+    pivots among the first n columns, and the all-ones vector lies in
+    rowspan(A) iff the last column has no pivot.
     """
     n, r = A.rows, A.cols
-    rank_A = rank(A)
+    rows = [integer_multiple((*A.column(j), 1))[1] for j in range(r)]
+    pivots = _echelon(rows, n + 1)[1]
+    rank_A = sum(p < n for p in pivots)
     if rank_A < n:
         raise InputValidationError(
             f"exponent matrix has rank {rank_A} < {n} rows; parametrization is not injective"
@@ -91,7 +94,7 @@ def validate_inputs(OM: OrientedMatroid, A: RationalMatrix) -> Diagnostics:
         messages.append(
             f"rank(C) = {rank_C} differs from n = {n}; the root-count bound does not apply"
         )
-    ones_in = in_row_span(A, [1] * r)
+    ones_in = n not in pivots
     if ones_in:
         messages.append(
             "the all-ones vector lies in rowspan(A); every solution translates along a line"
@@ -375,38 +378,32 @@ def _cell_partitions(
 
     A positive cell is the cone of an upward-maximal chain F_1 < ... < F_k
     of positive proper flats (Ardila-Klivans-Williams, arXiv
-    math/0406116; see ``_positive_flats``), with blocks F_1, F_2 - F_1,
+    math/0406116; see ``_is_positive_flat``), with blocks F_1, F_2 - F_1,
     ..., E - F_k.  So the partitions of the chains starting above a flat
     F are parts(F) = {E - F} when no positive proper flat lies above F,
     and otherwise the union over positive proper G > F of
     {G - F} + parts(G).  Each parts(F) is built once, larger flats
     first; the component's partitions are parts of the empty flat, which
-    is {E} when it has no positive proper flat.  Each component is
-    walked on its own matroid.  Returns ``(components, None)``, or
-    ``((), comp)`` for the first component ``comp`` that admits no
-    positive weight (some circuit is one-signed).
+    is {E} when it has no positive proper flat.  A component's flats are
+    the bitmasks of global labels that ``_flat_levels`` finds from the
+    circuit supports inside it, and its positive flats those that pass
+    ``_is_positive_flat`` with the circuits inside it.  Returns
+    ``(components, None)``, or ``((), comp)`` for the first component
+    ``comp`` that admits no positive weight: there the empty flat fails,
+    because some circuit is one-signed.
     """
     elements = functools.cache(lambda mask: _elements(mask, OM))
+    signs = [(_mask(c.positive), _mask(c.negative)) for c in OM.circuits]
     components = []
     for comp in _merge(OM.ground_size, OM.circuit_supports):
-        to_local = {g: i + 1 for i, g in enumerate(comp)}
-        local_circuits = [
-            SignedCircuit(
-                tuple(to_local[e] for e in c.positive),
-                tuple(to_local[e] for e in c.negative),
-            )
-            for c in OM.circuits
-            if c.support <= to_local.keys()
-        ]
-        local = OrientedMatroid(len(comp), local_circuits)
-        positive = _positive_flats(local)
-        if not positive:
-            return (), tuple(comp)
-        proper = [
-            _mask(comp[e - 1] for e in f.elements) for f in positive if 0 < f.rank < local.rank
-        ]
-        above = {F: tuple(G for G in proper if G != F and G & F == F) for F in [0, *proper]}
         top = _mask(comp)
+        inside = [(p, q) for p, q in signs if not (p | q) & ~top]
+        if not _is_positive_flat(0, inside):
+            return (), tuple(comp)
+        levels = _flat_levels(top, [c for c in OM._masks if not c & ~top])
+        # the proper flats have ranks 1 to rank - 1, the levels between the ends
+        proper = [F for level in levels[1:-1] for F in level if _is_positive_flat(F, inside)]
+        above = {F: tuple(G for G in proper if G != F and G & F == F) for F in [0, *proper]}
         # a flat strictly above F has more elements, so larger flats go first
         parts: dict[int, set[frozenset[int]]] = {}
         for F in sorted(above, key=int.bit_count, reverse=True):
@@ -441,38 +438,34 @@ def _fine_cells(above: dict[int, tuple[int, ...]], partition: _Cell) -> tuple[_C
     return tuple(cells)
 
 
-class _TieTransform(NamedTuple):
-    """The elimination [M | I] -> [T M | T] of an integer matrix M.
+def _tie_system(
+    at_int: Sequence[Sequence[int]], pairs: Iterable[tuple[int, int]], n: int
+) -> tuple[int, tuple, tuple, tuple]:
+    """Eliminate the ties (w + h)_a = (w + h)_b of 0-based element pairs
+    once, with h left symbolic.
 
-    The rows T_i in ``solve`` give d times the reduced echelon form of M,
-    with pivots ``pivots``; those in ``check`` give zero rows.  So Mv = b
-    is consistent iff T_i . b = 0 for every check row, and then its
-    particular solution has v[pivots[i]] = (T_i . b) / d, zero elsewhere.
+    The tie reads (A^T_a - A^T_b) . v = (e_b - e_a) . h, one row
+    (A^T_a - A^T_b | e_b - e_a), and ``_echelon`` pivots in the n
+    v-columns only.  Returns ``(d, v_rows, h_rows, check)``: the pivot
+    rows split into their v-part, d times the reduced echelon form, and
+    their h-part, then the h-parts of the other rows, whose v-parts are
+    zero.  So at an h with integer multiple (H, H h) the ties are
+    consistent iff every check row . (H h) is 0, and then they are
+    equivalent to the equalities (H v_row) . v = h_row . (H h).
     """
-
-    pivots: tuple[int, ...]
-    d: int  # positive, as _echelon returns it
-    solve: tuple[tuple[int, ...], ...]
-    check: tuple[tuple[int, ...], ...]
-
-
-def _tie_transform(M: Sequence[Sequence[int]], n: int) -> _TieTransform:
-    """Eliminate [M | I] once, pivoting in the n columns of M only."""
-    k = len(M)
-    m, pivots, d, _ = _echelon(
-        [(*row, *(int(i == j) for j in range(k))) for i, row in enumerate(M)], n
+    rows = []
+    for a, b in pairs:
+        h_part = [0] * len(at_int)
+        h_part[a], h_part[b] = -1, 1
+        rows.append([x - y for x, y in zip(at_int[a], at_int[b])] + h_part)
+    m, pivots, d, _ = _echelon(rows, n)
+    solved, rest = m[: len(pivots)], m[len(pivots) :]
+    return (
+        d,
+        tuple(tuple(row[:n]) for row in solved),
+        tuple(tuple(row[n:]) for row in solved),
+        tuple(tuple(row[n:]) for row in rest),
     )
-    T = [tuple(row[n:]) for row in m]
-    rank = len(pivots)
-    return _TieTransform(tuple(pivots), d, tuple(T[:rank]), tuple(T[rank:]))
-
-
-def _particular(t: _TieTransform, b: Sequence[int]) -> list[int] | None:
-    """Numerators over t.d of the pivot entries of the particular solution
-    of Mv = b, or None when Mv = b is inconsistent."""
-    if any(sum(map(mul, row, b)) for row in t.check):
-        return None
-    return [sum(map(mul, row, b)) for row in t.solve]
 
 
 class _FanPlan(NamedTuple):
@@ -481,29 +474,26 @@ class _FanPlan(NamedTuple):
     diagnostics: Diagnostics
     empty: tuple[int, ...] | None  # a component admitting no positive weight
     at_int: tuple[tuple[int, ...], ...]  # the rows of A^T
-    # per partition combination: its tie pairs (a, b) as 0-based elements,
-    # the transform of their tie matrix and, when that matrix has rank
-    # below n, each component's positive cells with its partition
-    systems: tuple[
-        tuple[tuple[tuple[int, int], ...], _TieTransform, tuple[tuple[_Cell, ...], ...] | None],
-        ...,
-    ]
+    # per partition combination: the ``_tie_system`` of its ties and, when
+    # their rank is below n, each component's positive cells with its
+    # partition
+    systems: tuple[tuple[int, tuple, tuple, tuple, tuple[tuple[_Cell, ...], ...] | None], ...]
 
 
 @functools.lru_cache(maxsize=1)
 def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
     """Validate (OM, A), find each component's block partitions, and
-    eliminate the tie matrix of each partition combination.
+    eliminate the ties of each partition combination.
 
     A is read through ``integer_columns``, so a non-integer A raises
-    ValueError.  The tie (w + h)_a = (w + h)_b reads
-    (A^T_a - A^T_b) . v = h_b - h_a: only its right-hand side depends on
-    h, so a one-entry memo lets every shift of a scan over one matroid
-    and one A share the plan; the result is immutable because callers
-    share it.  The positive cells of a combination are listed only when
-    its tie matrix has rank below n, since only an underdetermined
-    system needs their ordering facets; each component partition's cells
-    are listed once.
+    ValueError.  The ties of a combination tie each block's first element
+    to each of its other elements, and ``_tie_system`` eliminates them
+    with h left symbolic: so a one-entry memo lets every shift of a scan
+    over one matroid and one A share the plan; the result is immutable
+    because callers share it.  The positive cells of a combination are
+    listed only when its ties have rank below n, since only an
+    underdetermined system needs their ordering facets; each component
+    partition's cells are listed once.
     """
     diagnostics = validate_inputs(OM, A)
     at_int = integer_columns(A)
@@ -514,15 +504,12 @@ def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
     # an empty fan has no cells; product() of no factors would yield one
     if empty is None:
         for combo in itertools.product(*(c.partitions for c in components)):
-            pairs = tuple(
-                (block[0] - 1, e - 1) for blocks in combo for block in blocks for e in block[1:]
-            )
-            M = [[x - y for x, y in zip(at_int[a], at_int[b])] for a, b in pairs]
-            t = _tie_transform(M, n)
+            pairs = [(block[0] - 1, e - 1) for blocks in combo for block in blocks for e in block[1:]]
+            ties = _tie_system(at_int, pairs, n)
             groups = None
-            if len(t.pivots) < n:
+            if len(ties[1]) < n:
                 groups = tuple(cells(i, partition) for i, partition in enumerate(combo))
-            systems.append((pairs, t, groups))
+            systems.append((*ties, groups))
     return _FanPlan(diagnostics, empty, at_int, tuple(systems))
 
 
@@ -539,14 +526,16 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     zero-dimensional pieces contribute their point, and
     higher-dimensional pieces flag the run as non-transverse.
 
-    The partitions and the tie matrices of the integer A are found and
-    eliminated once per (OM, A) in ``_fan_plan``.  Per call,
-    ``integer_multiple`` gives H and the ints H h, and each tie system's
-    right-hand side b is read off them; a consistent system M v = b / H
-    of full rank has the unique solution v = (T b) / (d H).  Its image
-    A^T v + h is tested for positive membership in integers, on the
-    positive multiple d H (A^T v + h), and Fractions are built only for
-    accepted points.
+    The partitions are found, and the ties of the integer A eliminated
+    with h left symbolic, once per (OM, A) in ``_fan_plan``.  Per call,
+    ``integer_multiple`` gives H and the ints H h, and a system is
+    evaluated at them: it is consistent iff each check row . (H h) is 0,
+    and then x_i = h_row_i . (H h).  A system of full rank has the
+    unique solution v = x / (d H); its image A^T v + h is tested for
+    positive membership in integers, on the positive multiple
+    d H (A^T v + h), and Fractions are built only for accepted points.
+    An underdetermined system hands ``_polyhedra`` its equalities
+    (H v_row_i) . v = x_i already reduced.
     """
     hh = vector(h)
     plan = _fan_plan(OM, A)
@@ -556,8 +545,8 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
 
     @functools.cache
     def tie(a: int, b: int) -> tuple[tuple[int, ...], int]:
-        """The tie (w + h)_a = (w + h)_b of 0-based elements as a
-        gcd-primitive integer row and right-hand side in v."""
+        """The ordering facet (w + h)_a <= (w + h)_b of 0-based elements
+        as a gcd-primitive integer row and right-hand side in v."""
         row = primitive([H * (x - y) for x, y in zip(at_int[a], at_int[b])] + [h_int[b] - h_int[a]])
         return row[:-1], row[-1]
 
@@ -571,14 +560,13 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     seen: set[tuple[tuple[int, ...], int]] = set()
     pinned = 0
     positive_cells = 0
-    for pairs, t, groups in plan.systems:
-        x = _particular(t, [h_int[b] - h_int[a] for a, b in pairs])
-        if x is None:
+    for d, v_rows, h_rows, check, groups in plan.systems:
+        if any(sum(map(mul, row, h_int)) for row in check):
             continue
+        x = [sum(map(mul, row, h_int)) for row in h_rows]
         if len(x) == n:
             # v = x / (d H); many cells share a point, so each v, keyed
             # by x / d in lowest terms, is tested once
-            d = t.d
             g = gcd(d, *x)
             key = (tuple(xi // g for xi in x), d // g)
             if key in seen:
@@ -592,7 +580,7 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
             continue
         # Underdetermined ties: examine each product cell of this
         # combination with its ordering facets.
-        eqs = [tie(a, b) for a, b in pairs]
+        eqs = [(tuple(H * c for c in row), xi) for row, xi in zip(v_rows, x)]
         for combo in itertools.product(*groups):
             ineqs = [
                 (*tie(lower[0] - 1, upper[0] - 1), False)

@@ -305,8 +305,8 @@ def _close(mask: int, masks: Sequence[int]) -> int:
     One pass suffices: e lies in the closure of S iff some circuit C has
     C - e inside S, and the closure of a closure adds nothing.  Only the
     circuits with at most rank(S) + 1 elements matter, because such a
-    C - e is independent and inside S; ``all_flats`` passes that prefix
-    of the size-sorted ``OrientedMatroid._masks``.
+    C - e is independent and inside S; ``_flat_levels`` passes that prefix
+    of the size-sorted circuit supports.
     """
     for c in masks:
         outside = c & ~mask
@@ -315,9 +315,9 @@ def _close(mask: int, masks: Sequence[int]) -> int:
     return mask
 
 
-@lru_cache(maxsize=64)
-def all_flats(M: OrientedMatroid) -> tuple[Flat, ...]:
-    """Every flat of the underlying matroid, graded by rank.
+def _flat_levels(ground: int, masks: Sequence[int]) -> list[set[int]]:
+    """The flats of the matroid on the bitmask ``ground`` whose circuit
+    supports are ``masks``, sorted by size, as one set of bitmasks per rank.
 
     Walks the lattice upward one rank at a time: the flats covering a
     rank-k flat F are the closures of F + {e} over e outside F, and each
@@ -327,25 +327,33 @@ def all_flats(M: OrientedMatroid) -> tuple[Flat, ...]:
     also lies in a cover cl(F + f), then cl(F + e) is a rank-(k+1) flat
     inside that rank-(k+1) flat and so equal to it.  So an e absorbed by
     a cover already found for F is skipped, and each cover of F is
-    closed once.
+    closed once.  The last level is {ground}.
     """
-    sizes = [c.bit_count() for c in M._masks]
+    sizes = [c.bit_count() for c in masks]
 
     def small(k: int) -> Sequence[int]:
-        return M._masks[: bisect_right(sizes, k + 1)]
+        return masks[: bisect_right(sizes, k + 1)]
 
-    everything = (1 << M.ground_size) - 1
     levels = [{_close(0, small(0))}]
     while levels[-1]:
-        masks = small(len(levels))
+        closing = small(len(levels))
         covers: set[int] = set()
         for F in levels[-1]:
-            rest = everything & ~F
+            rest = ground & ~F
             while rest:
-                cover = _close(F | rest & -rest, masks)
+                cover = _close(F | rest & -rest, closing)
                 covers.add(cover)
                 rest &= ~cover
         levels.append(covers)
+    levels.pop()
+    return levels
+
+
+@lru_cache(maxsize=64)
+def all_flats(M: OrientedMatroid) -> tuple[Flat, ...]:
+    """Every flat of the underlying matroid, graded by rank (see
+    ``_flat_levels``)."""
+    levels = _flat_levels((1 << M.ground_size) - 1, M._masks)
     flats = (Flat(_elements(F, M), k) for k, level in enumerate(levels) for F in level)
     return tuple(sorted(flats, key=lambda f: (f.rank, f.elements)))
 

@@ -16,11 +16,10 @@ its result, solutions through ``_solution``; Fractions are built only
 for the values returned.
 
 The pipeline layers (the fan walk, the isolation test, the polyhedron
-probes and the subdivision) call ``_echelon`` and ``_solution`` on
-their own integer rows.  ``solve_affine``, ``det``, ``rref`` and
-``row_space_equal`` are the Fraction forms, kept for
-``validate_inputs`` (through ``in_row_span``), the tests and the
-benchmark's tracer.
+probes, the subdivision and ``validate_inputs``) call ``_echelon`` and
+``_solution`` on their own integer rows.  ``solve_affine``, ``det``,
+``rref``, ``rank``, ``row_space_equal`` and ``in_row_span`` are the
+Fraction forms, kept for the tests and the benchmark's tracer.
 
 No floating point enters this module.
 """

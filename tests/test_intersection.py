@@ -7,11 +7,11 @@ from math import gcd, lcm
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropibound import _polyhedra
-from tropibound.bergman import is_positive_member, positive_chains, positive_fan
+from tropibound.bergman import _is_positive_flat, is_positive_member, positive_chains, positive_fan
 from tropibound.intersection import (
     InputValidationError,
     OracleMismatchError,
@@ -19,9 +19,8 @@ from tropibound.intersection import (
     _fan_plan,
     _fine_cells,
     _merge,
-    _particular,
     _restrict_kernel,
-    _tie_transform,
+    _tie_system,
     intersect_via_fan,
     intersect_via_vertices,
     is_isolated,
@@ -29,7 +28,14 @@ from tropibound.intersection import (
     tangent_direction,
     validate_inputs,
 )
-from tropibound.matroid import OrientedMatroid, SignedCircuit, realize_from_kernel
+from tropibound.matroid import (
+    OrientedMatroid,
+    SignedCircuit,
+    _flat_levels,
+    _mask,
+    all_flats,
+    realize_from_kernel,
+)
 from tropibound.rational import (
     RationalMatrix,
     integer_columns,
@@ -183,47 +189,57 @@ def test_lower_bound_cross_check_passes(running_N, running_A):
 # --- tie systems -------------------------------------------------------------
 
 
-def test_tie_transform_matches_solve_affine():
-    # the fan walk eliminates [M | I] once per tie matrix M and applies the
-    # transform to each right-hand side; consistency, the particular
-    # solution and the kernel dimension must be those of solve_affine, also
-    # when zero, repeated or dependent rows make rank(M) < rows(M) and leave
-    # rows of the identity block behind the pivots
+def test_tie_system_matches_solve_affine():
+    # the fan plan eliminates the ties of each block partition once, with h
+    # symbolic, and evaluates them at each H h; consistency, the particular
+    # solution and the kernel dimension must be those of solve_affine on the
+    # tie matrix, also when zero, repeated or dependent differences of A's
+    # columns make the ties dependent, and when fractional h makes H > 1
     rng = random.Random(1313)
-    short = consistent = inconsistent = 0
+    short = consistent = inconsistent = scaled = 0
     for _ in range(300):
-        k, n = rng.randint(1, 8), rng.randint(1, 6)
-        M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        r, n = rng.randint(2, 8), rng.randint(1, 5)
+        at_int = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
         if rng.random() < 0.3:
-            M[rng.randrange(k)] = [0] * n
+            at_int[rng.randrange(r)] = [0] * n
         if rng.random() < 0.3:
-            M[rng.randrange(k)] = list(M[rng.randrange(k)])
-        if k > 2 and rng.random() < 0.3:
-            M[-1] = [a - 2 * b for a, b in zip(M[0], M[1])]
-        transform = _tie_transform(M, n)
-        short += len(transform.pivots) < k
+            at_int[rng.randrange(r)] = list(at_int[rng.randrange(r)])
+        if r > 2 and rng.random() < 0.3:
+            at_int[-1] = [2 * b - a for a, b in zip(at_int[0], at_int[1])]
+        label = [rng.randrange(rng.randint(1, r)) for _ in range(r)]
+        blocks = [[e for e in range(r) if label[e] == k] for k in sorted(set(label))]
+        pairs = [(block[0], e) for block in blocks for e in block[1:]]
+        if not pairs:
+            continue
+        d, v_rows, h_rows, check = _tie_system(at_int, pairs, n)
+        M = [[x - y for x, y in zip(at_int[a], at_int[b])] for a, b in pairs]
+        short += len(v_rows) < len(pairs)
         for _ in range(4):
-            den = rng.choice([1, 1, 2, 3, 6])
+            den = rng.choice([1, 2, 3, 6])
             if rng.random() < 0.5:
+                # w + h is constant on each block at this h
                 v0 = [Fraction(rng.randint(-5, 5), den) for _ in range(n)]
-                b = [sum((a * x for a, x in zip(row, v0)), Fraction(0)) for row in M]
+                t = [Fraction(rng.randint(-4, 4), den) for _ in range(r)]
+                h = [t[label[e]] - sum(map(mul, at_int[e], v0)) for e in range(r)]
             else:
-                b = [Fraction(rng.randint(-6, 6), den) for _ in range(k)]
-            # the fan walk scales h, and so b, to integers by its lcm H
-            H = lcm(*(x.denominator for x in b))
-            x = _particular(transform, [int(y * H) for y in b])
-            want = solve_affine(RationalMatrix.from_rows(M), b)
-            assert (x is None) == (want is None), (M, b)
+                h = [Fraction(rng.randint(-6, 6), den) for _ in range(r)]
+            H, h_int = integer_multiple(h)
+            scaled += H > 1
+            want = solve_affine(RationalMatrix.from_rows(M), [h[b] - h[a] for a, b in pairs])
+            ok = not any(sum(map(mul, row, h_int)) for row in check)
+            assert ok == (want is not None), (at_int, pairs, h)
             if want is None:
                 inconsistent += 1
                 continue
             consistent += 1
             v = [Fraction(0)] * n
-            for p, xi in zip(transform.pivots, x):
-                v[p] = Fraction(xi, transform.d * H)
-            assert tuple(v) == want[0], (M, b)
-            assert n - len(transform.pivots) == want[1].rows
-    assert short > 100 and consistent > 500 and inconsistent > 300
+            for row, hr in zip(v_rows, h_rows):
+                pivot = next(j for j, c in enumerate(row) if c)
+                assert row[pivot] == d
+                v[pivot] = Fraction(sum(map(mul, hr, h_int)), d * H)
+            assert tuple(v) == want[0], (at_int, pairs, h)
+            assert n - len(v_rows) == want[1].rows
+    assert short > 60 and consistent > 600 and inconsistent > 100 and scaled > 500
 
 
 # --- block partitions ----------------------------------------------------------
@@ -285,8 +301,8 @@ def check_partitions_against_chains(OM, A=None):
     plan = _fan_plan(OM, A)
     combos = list(itertools.product(*(c.partitions for c in components)))
     assert len(plan.systems) == len(combos)
-    for combo, (_, t, cells) in zip(combos, plan.systems):
-        assert (cells is None) == (len(t.pivots) == A.rows)
+    for combo, (_, v_rows, *_, cells) in zip(combos, plan.systems):
+        assert (cells is None) == (len(v_rows) == A.rows)
         if cells is not None:
             assert [sorted(c) for c in cells] == [sorted(g[p]) for g, p in zip(ref, combo)]
 
@@ -356,6 +372,130 @@ def test_fan_walk_lists_no_positive_chain(monkeypatch):
     components, empty = _cell_partitions(report.matroid)
     assert empty is None and len(components[0].partitions) == 2265
     assert report.count == 1 and report.transverse
+
+
+def check_component_flats(OM):
+    """Each component's flats from ``_flat_levels`` on global labels are
+    those of the component's circuits relabelled into a matroid of its
+    own, level by level, and ``_is_positive_flat`` keeps exactly the flats
+    that the frozenset rule keeps, on every component and on OM itself."""
+
+    def frozenset_rule(f, M):
+        return all(
+            c.support <= f.as_set
+            or not (f.as_set.issuperset(c.positive) or f.as_set.issuperset(c.negative))
+            for c in M.circuits
+        )
+
+    signs = [(_mask(c.positive), _mask(c.negative)) for c in OM.circuits]
+    for f in all_flats(OM):
+        assert _is_positive_flat(_mask(f.elements), signs) == frozenset_rule(f, OM)
+    assert _is_positive_flat(0, signs) == all(c.positive and c.negative for c in OM.circuits)
+    for comp in _merge(OM.ground_size, OM.circuit_supports):
+        to_local = {g: i + 1 for i, g in enumerate(comp)}
+        local_circuits = [
+            SignedCircuit(
+                tuple(to_local[e] for e in c.positive),
+                tuple(to_local[e] for e in c.negative),
+            )
+            for c in OM.circuits
+            if c.support <= to_local.keys()
+        ]
+        local = OrientedMatroid(len(comp), local_circuits)
+        top = _mask(comp)
+        levels = _flat_levels(top, [_mask(s) for s in OM.circuit_supports if set(s) <= set(comp)])
+        want = [set() for _ in range(local.rank + 1)]
+        for f in all_flats(local):
+            want[f.rank].add(_mask(comp[e - 1] for e in f.elements))
+        assert levels == want, comp
+        inside = [(p, q) for p, q in signs if not (p | q) & ~top]
+        assert _is_positive_flat(0, inside) == all(c.positive and c.negative for c in local.circuits)
+        for f in all_flats(local):
+            F = _mask(comp[e - 1] for e in f.elements)
+            assert _is_positive_flat(F, inside) == frozenset_rule(f, local), (comp, f)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_component_flats_match_local_matroids(data):
+    # loops (a unit row of C), coloops (a zero column), and parallel or
+    # scaled columns, beside whatever the random rows give
+    r = data.draw(st.integers(2, 7), label="r")
+    rows = data.draw(
+        st.lists(st.lists(st.integers(-2, 2), min_size=r, max_size=r), min_size=1, max_size=r - 1),
+        label="C",
+    )
+    index = st.integers(0, r - 1)
+    cols = [list(c) for c in zip(*rows)]
+    if data.draw(st.booleans(), label="coloop"):
+        cols[data.draw(index, label="zero column")] = [0] * len(rows)
+    if data.draw(st.booleans(), label="parallel"):
+        i, j = data.draw(index, label="copied"), data.draw(index, label="copy")
+        k = data.draw(st.sampled_from([1, -1, 2, -3]), label="scale")
+        cols[j] = [k * x for x in cols[i]]
+    rows = [list(row) for row in zip(*cols)]
+    if data.draw(st.booleans(), label="loop"):
+        e = data.draw(index, label="loop element")
+        rows.append([int(j == e) for j in range(r)])
+    assume(any(any(row) for row in rows))
+    check_component_flats(realize_from_kernel(RationalMatrix.from_rows(rows)))
+
+
+def test_component_flats_match_local_matroids_hhk(hhk_model):
+    check_component_flats(realize_from_kernel(assemble_crn(hhk_model).C))
+
+
+def integer_rows(rows, cols, lo, hi):
+    return st.lists(
+        st.lists(st.integers(lo, hi), min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    ).map(RationalMatrix.from_rows)
+
+
+def check_scaling_h(C, A, h, k):
+    """The positive fan is a cone and rowspan(A) is linear, so the shift
+    k h for a rational k > 0 scales every v and w by k and changes nothing
+    else; the second call evaluates the warm plan at a new H h."""
+    report = lower_bound(VerticalSystem(C, A, tuple(h)))
+    hits = _fan_plan.cache_info().hits
+    scaled = lower_bound(VerticalSystem(C, A, tuple(k * x for x in h)))
+    assert _fan_plan.cache_info().hits == hits + 1
+    assert [p.v for p in scaled.points] == [tuple(k * x for x in p.v) for p in report.points]
+    assert [p.w for p in scaled.points] == [tuple(k * x for x in p.w) for p in report.points]
+    docs = [report.to_document(), scaled.to_document()]
+    for doc in docs:
+        for point in doc["points"]:
+            del point["v"], point["w"]
+    assert docs[0] == docs[1]
+    return report
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_scaling_h_scales_every_point(data):
+    # k has a denominator, so H changes
+    r = data.draw(st.integers(3, 6), label="r")
+    n = data.draw(st.integers(1, 2), label="n")
+    C = data.draw(integer_rows(n, r, -3, 3), label="C")
+    A = data.draw(integer_rows(n, r, -3, 3), label="A")
+    assume(not C.is_zero() and rank(A) == n)
+    h = data.draw(st.lists(st.integers(-6, 6), min_size=r, max_size=r), label="h")
+    k = data.draw(
+        st.tuples(st.integers(1, 7), st.integers(2, 5))
+        .map(lambda t: Fraction(*t))
+        .filter(lambda k: k.denominator > 1),
+        label="k",
+    )
+    check_scaling_h(C, A, h, k)
+
+
+def test_scaling_h_scales_pinned_points(hhk_model):
+    # at this shift five underdetermined hhk tie systems are pinned by
+    # their cone facets, so the equalities handed to _polyhedra carry H
+    vs = assemble_crn(dataclasses.replace(hhk_model, h=(7, 8, 3, 3, -1, 8)))
+    report = check_scaling_h(vs.C, vs.A, vs.h, Fraction(5, 3))
+    assert report.notes[0] == "5 underdetermined tie system(s) pinned to a point by cone facets"
 
 
 # --- degenerate shifts -------------------------------------------------------
