@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import mul, or_
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from tropibound import _polyhedra
@@ -666,13 +666,10 @@ def intersect_via_vertices(
     circuit supports, so it is a vertex here.  That argument does not
     cover a point pinned on a cell boundary by the cell's facets; the
     oracle finding those rests on its agreement with the fan walk
-    (acceptance criterion 7), not on a proof.  The plane set is kept
-    whole: keeping only opposite-sign ties inside each circuit cut the
-    hhk oracle about eightfold but missed 1 of the 5 points at
-    h = (7, 8, 3, 3, -1, 8).  The search shares no code path with the
-    fan walk: no cells, chains or calls into `_polyhedra`.
+    (acceptance criterion 7), not on a proof.  The search shares no code
+    path with the fan walk: no cells, chains or calls into `_polyhedra`.
 
-    A depth-first search visits every independent set of n planes, in
+    A depth-first search visits the independent sets of n planes, in
     plane index order.  Each node carries its remaining candidate planes
     as integer rows already reduced against the planes chosen above it;
     choosing a pivot row reduces the child's candidates against that one
@@ -689,6 +686,27 @@ def intersect_via_vertices(
     A^T v + h, every circuit has the same argmin and the verdict is
     exact.  Fractions are built only for accepted vertices.
 
+    The search is pruned by circuit coverage.  A point in the positive
+    fan has, for every signed circuit, a positive and a negative element
+    tied at the circuit's argmin, so it lies on the plane of one
+    opposite-sign pair of every circuit, or that pair is tied
+    identically (equal columns of A and equal h).  Each circuit gets a
+    bitmask of its opposite-sign planes; a circuit with an identically
+    tied pair is exempt, and a pair whose row vanishes but whose sides
+    differ is never tied and adds no bit.  Each node also holds its
+    chosen planes and the candidates dropped with a zero right-hand
+    side, which contain its flat.  A child is cut when some mask misses
+    all of those and all of the child's remaining candidates; an empty
+    mask means no vertex at all.  This loses no valid vertex p: on the
+    path that chooses, in index order, the first basis of the planes
+    through p, every plane through p is chosen, contains the flat (a
+    skipped one depends on the chosen planes) or is still a candidate,
+    so that path is never cut.  The prune keeps every plane as a
+    candidate and cuts only subtrees.  Dropping planes instead, keeping
+    only the opposite-sign ties inside each circuit, cut the hhk oracle
+    about eightfold but missed 1 of the 5 points at
+    h = (7, 8, 3, 3, -1, 8), whose planes need a same-sign tie to pin it.
+
     Only the v set is returned, with no isolation, interiority or level
     flags: that set is all ``lower_bound`` and acceptance criterion 7
     compare.  A matroid with no circuits has no planes and so no vertices.
@@ -697,30 +715,36 @@ def intersect_via_vertices(
     H, h_int = integer_multiple(vector(h))
     at_int = [[H * x for x in col] for col in integer_columns(A)]
 
-    # Integer augmented rows a . v = b of H A^T and H h, divided by their
-    # gcd, so each plane has one primitive form and the elimination below
-    # runs on plain ints.
-    hyperplanes: dict[tuple[int, ...], None] = {}
+    def tie(i: int, j: int) -> tuple[int, ...]:
+        # w_i = w_j as an integer augmented row a . v = b of H A^T and H h,
+        # divided by its gcd, so each plane has one primitive form and the
+        # elimination below runs on plain ints
+        row = [x - y for x, y in zip(at_int[i - 1], at_int[j - 1])]
+        return primitive((*row, h_int[j - 1] - h_int[i - 1]))
+
+    planes: list[tuple[int, ...]] = []
+    bit: dict[tuple[int, ...], int] = {}  # either sign of a plane -> its bit
     for sup in OM.circuit_supports:
-        for a_idx in range(len(sup)):
-            for b_idx in range(a_idx + 1, len(sup)):
-                i, j = sup[a_idx], sup[b_idx]
-                row = [x - y for x, y in zip(at_int[i - 1], at_int[j - 1])]
-                if not any(row):
-                    continue
-                aug = primitive((*row, h_int[j - 1] - h_int[i - 1]))
-                if tuple(-x for x in aug) in hyperplanes:
-                    continue
-                hyperplanes[aug] = None
+        for i, j in itertools.combinations(sup, 2):
+            aug = tie(i, j)
+            if any(aug[:n]) and aug not in bit:
+                bit[aug] = bit[tuple(-x for x in aug)] = 1 << len(planes)
+                planes.append(aug)
+
+    masks = set()
+    for c in OM.circuits:
+        ties = [tie(i, j) for i in c.positive for j in c.negative]
+        if (0,) * (n + 1) not in ties:
+            masks.add(functools.reduce(or_, (bit[t] for t in ties if any(t[:n])), 0))
 
     found: set[tuple[Fraction, ...]] = set()
     seen: set[tuple[tuple[int, ...], int]] = set()
 
-    def walk(cands: list, u: list[int], free: dict[int, list[int]], d: int) -> None:
+    def walk(cands: list, u: list[int], free: dict[int, list[int]], d: int, held: int) -> None:
         # the node's flat: v = (u + sum over free columns c of v_c * free[c]) / d
         if len(free) == 1:
             ((c, q),) = free.items()
-            for r in cands:
+            for _, r in cands:
                 # r meets the line at v_c = r[n] / r[c]
                 rc, rn = r[c], r[n]
                 den = d * rc
@@ -743,20 +767,28 @@ def intersect_via_vertices(
                     found.add(tuple(Fraction(x, den) for x in num))
             return
         for k in range(len(cands) - len(free) + 1):
-            r = cands[k]
+            mark, r = cands[k]
             col = next(j for j, x in enumerate(r) if x)
             pv, rn = r[col], r[n]
             child = []
-            for s in cands[k + 1 :]:
+            child_held = held | mark
+            reach = 0
+            for t, s in cands[k + 1 :]:
                 f = s[col]
                 if f:
                     s = [pv * a - f * b for a, b in zip(s, r)]
                     if not any(s[:n]):
+                        if not s[n]:
+                            child_held |= t  # the plane contains the child's flat
                         continue
                     g = gcd(*s)
                     if g > 1:
                         s = [x // g for x in s]
-                child.append(s)
+                child.append((t, s))
+                reach |= t
+            reach |= child_held
+            if not all(m & reach for m in masks):
+                continue
             # substitute v_col = (r[n] - sum of r[c] * v_c) / r[col]
             qp = free[col]
             walk(
@@ -768,9 +800,17 @@ def intersect_via_vertices(
                     if c != col
                 },
                 d * pv,
+                child_held,
             )
 
-    walk(list(hyperplanes), [0] * n, {c: [int(j == c) for j in range(n)] for c in range(n)}, 1)
+    if all(masks):
+        walk(
+            [(bit[p], p) for p in planes],
+            [0] * n,
+            {c: [int(j == c) for j in range(n)] for c in range(n)},
+            1,
+            0,
+        )
     return found
 
 

@@ -432,6 +432,9 @@ CLI_GOLDEN = {
     ("hhk_crn", "crn"): "457e6c98915f84aa984a5a943abeee9236b2907a51024332f79ff4ec676544a5",
     ("running_2x5", "intersect --cross-check"): "6f591e6c541aa9db37a395f70ef9a05dc84ac13dd55584d51c04bbe062e85297",
     ("running_2x5", "bound --cross-check"): "e71040efe76520a4873a1ffd280df21801b68198ee3ec08a216cdb0941f4d975",
+    ("hhk_crn", "intersect --cross-check"): "0b2bc0b7b703a080c08b21938b3ba40a8113a8846e3276a9548f6268dcb8955e",
+    ("hhk_crn", "bound --cross-check"): "457e6c98915f84aa984a5a943abeee9236b2907a51024332f79ff4ec676544a5",
+    ("hhk_crn", "crn --cross-check"): "457e6c98915f84aa984a5a943abeee9236b2907a51024332f79ff4ec676544a5",
 }
 
 

@@ -1,10 +1,13 @@
 import dataclasses
 import functools
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -51,6 +54,7 @@ from tropibound.subdivision import decorated_count, full_cells
 from tropibound.systems import SystemError_, VerticalSystem, assemble_crn
 
 H_RUN = [0, 0, 0, 0, -1]
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 W_POINT_A = vector([0, 2, 0, 2, 1])
 W_POINT_B = vector([0, -1, -1, -2, -1])
 
@@ -991,6 +995,44 @@ def test_oracle_equivalence_random_instances():
         M = realize_from_kernel(C)
         fan = intersect_via_fan(M, A, h)
         assert {p.v for p in fan.points} == intersect_via_vertices(M, A, h)
+
+
+def test_pruned_oracle_matches_reference():
+    # the circuit-coverage prune cuts subtrees of the oracle's search, never
+    # planes, so it finds every point the unpruned reference finds; with
+    # integer h in [-2, 2] many pairs tie identically, and systems 388 and
+    # 715 of the second loop lose points unless such a circuit is exempt
+    nonempty = 0
+    rng = random.Random(2408)
+    for i in range(1000):
+        C, A, h = _differential_case(rng, i)
+        M = realize_from_kernel(C)
+        got = intersect_via_vertices(M, A, h)
+        assert got == _reference_vertices(M, A, h), (C, A, h)
+        nonempty += bool(got)
+    rng = random.Random(77)
+    for _ in range(800):
+        C, A, _ = random_instance(rng)
+        h = [rng.randint(-2, 2) for _ in range(A.cols)]
+        M = realize_from_kernel(C)
+        got = intersect_via_vertices(M, A, h)
+        assert got == _reference_vertices(M, A, h), (C, A, h)
+        nonempty += bool(got)
+    assert nonempty >= 400
+
+
+def test_pruned_oracle_on_hhk_reference_draws(monkeypatch, hhk_model):
+    # the 24 rate draws of the crn_scan benchmark; the unpruned reference
+    # needs minutes for them, so the fan walk is the reference here
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for h in workloads.crn_base_draws():
+        vs = assemble_crn(dataclasses.replace(hhk_model, h=h))
+        M = realize_from_kernel(vs.C)
+        fan = {p.v for p in intersect_via_fan(M, vs.A, vs.h).points}
+        assert intersect_via_vertices(M, vs.A, vs.h) == fan, h
 
 
 def test_oracle_mismatch_raises(monkeypatch, running_N, running_A):
