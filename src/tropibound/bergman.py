@@ -18,6 +18,7 @@ from tropibound.matroid import (
     Flat,
     FlagOfFlats,
     OrientedMatroid,
+    _full_chains,
     _mask,
     all_flats,
     maximal_flags,
@@ -114,7 +115,7 @@ class FlagCone:
 
     def to_document(self) -> dict:
         return {
-            "flats": [list(f.elements) for f in self.flag.chain],
+            "flats": [f.elements for f in self.flag.chain],
             "sample": [str(x) for x in sample_relative_interior(self)],
         }
 
@@ -146,10 +147,11 @@ class PositiveFan:
         return not self.matroid.circuits
 
     def to_document(self) -> dict:
+        """The document, its cones rendered one at a time as it is written."""
         return {
             "ground_size": self.matroid.ground_size,
             "free_matroid": self.free_matroid,
-            "cones": [{**c.to_document(), "dimension": c.dimension} for c in self.cones],
+            "cones": ({**c.to_document(), "dimension": c.dimension} for c in self.cones),
         }
 
 
@@ -166,23 +168,24 @@ def _is_positive_flat(F: int, signs: Sequence[tuple[int, int]]) -> bool:
     return all(bool(p & ~F) == bool(n & ~F) for p, n in signs)
 
 
-def _positive_flats(OM: OrientedMatroid) -> set[Flat]:
-    """The flats passing ``_is_positive_flat``; none at all when the empty
-    flat fails, that is when some circuit is one-signed."""
+def _positive_flats(OM: OrientedMatroid) -> list[Flat]:
+    """The flats passing ``_is_positive_flat``, in ``all_flats`` order;
+    none at all when the empty flat fails, that is when some circuit is
+    one-signed."""
     signs = [(_mask(c.positive), _mask(c.negative)) for c in OM.circuits]
     if not _is_positive_flat(0, signs):
-        return set()
-    return {f for f in all_flats(OM) if _is_positive_flat(_mask(f.elements), signs)}
+        return []
+    return [f for f in all_flats(OM) if _is_positive_flat(_mask(f.elements), signs)]
 
 
 def positive_fan(OM: OrientedMatroid) -> PositiveFan:
     """The fine fan's maximal cones whose flats are all positive (see
-    ``_is_positive_flat``); a cone is built only for a kept flag."""
+    ``_is_positive_flat``), in the order of ``fine_fan``: the full-length
+    chains of positive flats, walked directly."""
     positive = _positive_flats(OM)
-    # an empty set means a one-signed circuit, which the empty chain fails too
-    flags = maximal_flags(OM) if positive else ()
-    kept = [FlagCone(f, OM.ground_size) for f in flags if positive.issuperset(f.chain)]
-    return PositiveFan(tuple(kept), OM)
+    # no positive flats means a one-signed circuit, which the empty chain fails too
+    flags = _full_chains(positive, OM.rank) if positive else ()
+    return PositiveFan(tuple(FlagCone(f, OM.ground_size) for f in flags), OM)
 
 
 def positive_chains(OM: OrientedMatroid) -> list[FlagOfFlats]:

@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from tropibound.bergman import compare_with_coarse, fine_fan, positive_fan
 from tropibound.intersection import lower_bound
-from tropibound.matroid import MatroidError, maximal_flags, realize_from_kernel
+from tropibound.matroid import MatroidError, maximal_flag_count, realize_from_kernel
 from tropibound.numeric import count_roots, instantiate
 from tropibound.rational import RationalMatrix, to_rational
 from tropibound.subdivision import (
@@ -110,19 +112,113 @@ def parse_input(path: str):
     raise CliInputError(f"{path}: unknown kind {kind!r}")
 
 
+# iterator items rendered between two writes of write_json
+_BATCH = 4096
+# the element types of a list or tuple that write_json joins in one step
+_JOINABLE = ({str}, {int})
+
+
+def _float(x: float) -> str:
+    """A float as json writes it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def write_json(doc, stream) -> None:
+    """Write ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` to stream,
+    byte for byte, without building the whole text.
+
+    An iterator is written as an array, its items rendered and written
+    ``_BATCH`` at a time, so a document can hand its cones over lazily.
+    A list or tuple holding only str or only int values is joined in one
+    step, and such a tuple is rendered once per depth, memoized by its
+    value: not by ``id()``, which a freed tuple passes on.  A key that is
+    not a str raises TypeError, as does a value json cannot encode.
+    """
+    out: list[str] = []
+    memo: dict[tuple, str] = {}
+
+    def flush():
+        stream.write("".join(out))
+        out.clear()
+
+    def array(items, depth: int, batch: bool = False):
+        inner = "\n" + "  " * (depth + 1)
+        n = 0
+        for x in items:
+            out.append("," + inner if n else "[" + inner)
+            put(x, depth + 1)
+            n += 1
+            if batch and not n % _BATCH:
+                flush()
+        out.append("\n" + "  " * depth + "]" if n else "[]")
+
+    def joined(items, depth: int) -> str:
+        inner = "\n" + "  " * (depth + 1)
+        text = map(_quote if type(items[0]) is str else int.__repr__, items)
+        return "[" + inner + ("," + inner).join(text) + "\n" + "  " * depth + "]"
+
+    def put(o, depth: int):
+        # no value is both a container and a scalar, so containers go first
+        if isinstance(o, dict):
+            for key in o:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+            inner = "\n" + "  " * (depth + 1)
+            for n, (key, value) in enumerate(sorted(o.items())):
+                out.append(("," if n else "{") + inner + _quote(key) + ": ")
+                put(value, depth + 1)
+            out.append("\n" + "  " * depth + "}" if o else "{}")
+        elif isinstance(o, (list, tuple)):
+            # types before values: (True,) == (1,) but renders differently
+            if set(map(type, o)) not in _JOINABLE:
+                array(o, depth)
+            elif isinstance(o, list):
+                out.append(joined(o, depth))
+            else:
+                text = memo.get((depth, o))
+                if text is None:
+                    text = memo[depth, o] = joined(o, depth)
+                out.append(text)
+        elif isinstance(o, str):
+            out.append(_quote(o))
+        elif o is None:
+            out.append("null")
+        elif o is True:
+            out.append("true")
+        elif o is False:
+            out.append("false")
+        elif isinstance(o, int):
+            out.append(int.__repr__(o))
+        elif isinstance(o, float):
+            out.append(_float(o))
+        elif isinstance(o, Iterator):
+            array(o, depth, batch=True)
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    put(doc, 0)
+    out.append("\n")
+    flush()
+
+
 def _emit(doc: dict, args, human_lines: list[str]) -> None:
     """Print the report, or with --json - the document instead.
 
-    A --json PATH is written before anything is printed, so a PATH that
+    A --json PATH is opened before anything is printed, so a PATH that
     cannot be written exits 1 with stdout empty.
     """
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n" if args.json else ""
     if args.json == "-":
-        sys.stdout.write(text)
+        write_json(doc, sys.stdout)
         return
     if args.json:
         with open(args.json, "w") as fh:
-            fh.write(text)
+            write_json(doc, fh)
         human_lines.append(f"machine-readable report written to {args.json}")
     for line in human_lines:
         print(line)
@@ -190,7 +286,7 @@ def _bergman(M, args):
     doc = {
         "kind": "fan",
         "ground_size": M.ground_size,
-        "cones": [c.to_document() for c in cones],
+        "cones": (c.to_document() for c in cones),
     }
     return _coarse_compare(M, args, doc, [f"fine fan: {len(cones)} maximal cones"])
 
@@ -198,7 +294,7 @@ def _bergman(M, args):
 def _positive_bergman(M, args):
     pf = positive_fan(M)
     doc = {"kind": "positive_fan", **pf.to_document()}
-    lines = [f"positive fan: {len(pf.cones)} of {len(maximal_flags(M))} maximal cones"]
+    lines = [f"positive fan: {len(pf.cones)} of {maximal_flag_count(M)} maximal cones"]
     return _coarse_compare(M, args, doc, lines)
 
 

@@ -358,23 +358,25 @@ def all_flats(M: OrientedMatroid) -> tuple[Flat, ...]:
     return tuple(sorted(flats, key=lambda f: (f.rank, f.elements)))
 
 
-@lru_cache(maxsize=64)
-def maximal_flags(M: OrientedMatroid) -> tuple[FlagOfFlats, ...]:
-    """All chains of proper nonempty flats of ranks 1, 2, ..., rank(M)-1."""
-    flats = all_flats(M)
-    top_rank = M.rank
+def _full_chains(flats: Iterable[Flat], top_rank: int) -> list[FlagOfFlats]:
+    """The chains F1 < F2 < ... of the given flats with ranks 1, 2, ...,
+    top_rank - 1, depth first in the given order; the empty chain alone
+    when top_rank <= 1.
+
+    With ``flats`` in ``all_flats`` order, leaving some flats out leaves
+    the remaining chains in the same order: ``positive_fan`` passes the
+    positive flats and gets the positive maximal flags in the order of
+    ``maximal_flags``.
+    """
     by_rank: dict[int, list[Flat]] = {}
     for f in flats:
-        if f.elements and f.rank < top_rank and f.rank >= 1:
+        if 1 <= f.rank < top_rank:
             by_rank.setdefault(f.rank, []).append(f)
-    if top_rank <= 1:
-        return (FlagOfFlats(()),)
-
     out: list[FlagOfFlats] = []
 
     def extend(prefix: list[Flat]):
         depth = len(prefix) + 1
-        if depth > top_rank - 1:
+        if depth >= top_rank:
             out.append(FlagOfFlats(tuple(prefix)))
             return
         for f in by_rank.get(depth, []):
@@ -382,4 +384,28 @@ def maximal_flags(M: OrientedMatroid) -> tuple[FlagOfFlats, ...]:
                 extend(prefix + [f])
 
     extend([])
-    return tuple(out)
+    return out
+
+
+@lru_cache(maxsize=64)
+def maximal_flags(M: OrientedMatroid) -> tuple[FlagOfFlats, ...]:
+    """All chains of proper nonempty flats of ranks 1, 2, ..., rank(M)-1."""
+    return tuple(_full_chains(all_flats(M), M.rank))
+
+
+def maximal_flag_count(M: OrientedMatroid) -> int:
+    """``len(maximal_flags(M))`` without listing the flags.
+
+    Counts the chains ending at each flat one rank at a time: a rank-k
+    flat ends as many chains as the rank-(k-1) flats inside it end
+    together.
+    """
+    if M.rank <= 1:
+        return 1
+    levels: dict[int, list[int]] = {}
+    for f in all_flats(M):
+        levels.setdefault(f.rank, []).append(_mask(f.elements))
+    ends = dict.fromkeys(levels[1], 1)
+    for k in range(2, M.rank):
+        ends = {G: sum(n for F, n in ends.items() if not F & ~G) for G in levels[k]}
+    return sum(ends.values())

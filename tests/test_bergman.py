@@ -21,6 +21,8 @@ from tropibound.matroid import (
     OrientedMatroid,
     SignedCircuit,
     all_flats,
+    maximal_flag_count,
+    maximal_flags,
     realize_from_kernel,
 )
 from tropibound.rational import RationalMatrix
@@ -262,6 +264,7 @@ def reference_positive_chains(OM):
 
 def check_positive_flats_against_samples(OM):
     assert positive_chains(OM) == reference_positive_chains(OM)
+    assert maximal_flag_count(OM) == len(maximal_flags(OM))
     assert positive_fan(OM).cones == tuple(
         cone
         for cone in fine_fan(OM)

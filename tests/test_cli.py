@@ -1,12 +1,18 @@
 import hashlib
+import io
 import json
 import os
 import re
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tropibound.cli import CliInputError, main, parse_input
+from tropibound.cli import CliInputError, main, parse_input, write_json
 from tropibound.rational import RationalMatrix
 from tropibound.systems import CRNModel, VerticalSystem
 
@@ -439,20 +445,31 @@ CLI_GOLDEN = {
 
 
 @pytest.mark.parametrize(
-    "name, command",
-    list(CLI_GOLDEN),
-    ids=[f"{n}-{c}".replace(" --", "-") for n, c in CLI_GOLDEN],
+    "name, command, to_file",
+    [(n, c, to_file) for to_file in (False, True) for n, c in CLI_GOLDEN],
+    ids=[
+        f"{n}-{c}".replace(" --", "-") + ("-to-file" if to_file else "")
+        for to_file in (False, True)
+        for n, c in CLI_GOLDEN
+    ],
 )
-def test_shipped_documents_golden(capsys, name, command):
+def test_shipped_documents_golden(tmp_path, capsys, name, command, to_file):
+    # the same digests pin `--json -` and `--json PATH`
     expected = CLI_GOLDEN[name, command]
     command, *flags = command.split()
-    code = main([command, str(INPUTS / f"{name}.json"), *flags, "--json", "-"])
+    path = tmp_path / "doc.json"
+    target = str(path) if to_file else "-"
+    code = main([command, str(INPUTS / f"{name}.json"), *flags, "--json", target])
     out = capsys.readouterr().out
     if expected is None:
         assert code == 1 and out == ""
-    else:
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == expected
+        assert not path.exists()
+        return
+    assert code == 0
+    if to_file:
+        assert out.endswith(f"machine-readable report written to {path}\n")
+        out = path.read_text()
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -505,6 +522,128 @@ def test_unwritable_json_path_prints_no_report(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# --- the JSON writer ------------------------------------------------------------
+
+
+class Lazy(list):
+    """An array that write_json is handed as a generator."""
+
+
+def as_written(doc):
+    if isinstance(doc, Lazy):
+        return (as_written(x) for x in doc)
+    if isinstance(doc, dict):
+        return {k: as_written(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(as_written(x) for x in doc)
+    return doc
+
+
+def as_reference(doc):
+    if isinstance(doc, dict):
+        return {k: as_reference(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        kind = list if isinstance(doc, Lazy) else type(doc)
+        return kind(as_reference(x) for x in doc)
+    return doc
+
+
+def written(doc) -> str:
+    stream = io.StringIO()
+    write_json(doc, stream)
+    return stream.getvalue()
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**300), 2**300),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300, 5e-324]),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x7F)),
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS
+    | st.lists(st.integers(-5, 5), max_size=4).map(tuple)
+    | st.lists(st.sampled_from(["a", "é", "\n"]), max_size=3).map(tuple)
+    | st.sampled_from([(1, 2), (True, 2), (1.0, 2), (1, True), ("1", "2")]),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.lists(kids, max_size=4).map(Lazy),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(JSON_DOCS)
+def test_write_json_matches_json_dumps(doc):
+    expected = json.dumps(as_reference(doc), indent=2, sort_keys=True) + "\n"
+    assert written(as_written(doc)) == expected
+    # the same tuple values again, at other depths, after the memo has them
+    twice = [doc, {"again": [doc]}]
+    assert written(as_written(twice)) == json.dumps(
+        as_reference(twice), indent=2, sort_keys=True
+    ) + "\n"
+
+
+def test_write_json_streams_an_iterator_in_batches():
+    class Writes(io.StringIO):
+        count = 0
+
+        def write(self, text):
+            self.count += 1
+            return super().write(text)
+
+    stream = Writes()
+    write_json({"cones": ({"n": i, "flats": [(1, 2), (i,)]} for i in range(10_000))}, stream)
+    reference = {"cones": [{"n": i, "flats": [(1, 2), (i,)]} for i in range(10_000)]}
+    assert stream.getvalue() == json.dumps(reference, indent=2, sort_keys=True) + "\n"
+    assert stream.count > 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"x": Fraction(1, 2)}, [Fraction(1)], {1: "a"}, {"a": 1, None: 2}, {(1,): 2}, {1, 2}],
+    ids=["fraction-value", "fraction-item", "int-key", "none-key", "tuple-key", "set"],
+)
+def test_write_json_refuses_what_json_cannot_key_or_encode(doc):
+    with pytest.raises(TypeError):
+        write_json(doc, io.StringIO())
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+@pytest.mark.parametrize("command", ["bergman", "positive-bergman"])
+def test_fan_documents_stream_in_small_memory(command):
+    # A fresh process reports the peak of its own address space, VmHWM.
+    # Its ru_maxrss would not do: Linux carries the peak of the process
+    # that forked it, here this test run, across exec.
+    script = (
+        "import sys\n"
+        "from tropibound.cli import main\n"
+        f"code = main([{command!r}, {str(INPUTS / 'hhk_crn.json')!r}, '--json', '-'])\n"
+        "peak = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+        "print(code, *peak, file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(INPUTS.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    code, peak_kb = map(int, done.stderr.split()[-2:])
+    assert code == 0
+    assert peak_kb < 60 * 1024
 
 
 @pytest.mark.parametrize(

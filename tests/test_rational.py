@@ -328,3 +328,22 @@ def test_only_rational_turns_rationals_into_integers():
                     offences.append(f"{path.name}:{node.lineno} calls lcm")
     assert len(list(PACKAGE.glob("*.py"))) > 1
     assert offences == []
+
+
+def test_only_the_cli_writer_serializes_json():
+    # documents reach their bytes through cli.write_json alone
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                for alias in node.names:
+                    if alias.name in ("dump", "dumps"):
+                        offences.append(f"{path.name}:{node.lineno} imports json.{alias.name}")
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("dump", "dumps")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            ):
+                offences.append(f"{path.name}:{node.lineno} uses json.{node.attr}")
+    assert offences == []
