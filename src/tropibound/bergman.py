@@ -136,25 +136,6 @@ def fine_fan(M: OrientedMatroid) -> list[FlagCone]:
     return [FlagCone(flag, M.ground_size) for flag in maximal_flags(M)]
 
 
-@dataclass(frozen=True)
-class PositiveFan:
-    cones: tuple[FlagCone, ...]
-    matroid: OrientedMatroid
-
-    @property
-    def free_matroid(self) -> bool:
-        """No circuits: the fan is all of R^r."""
-        return not self.matroid.circuits
-
-    def to_document(self) -> dict:
-        """The document, its cones rendered one at a time as it is written."""
-        return {
-            "ground_size": self.matroid.ground_size,
-            "free_matroid": self.free_matroid,
-            "cones": ({**c.to_document(), "dimension": c.dimension} for c in self.cones),
-        }
-
-
 def _is_positive_flat(F: int, signs: Sequence[tuple[int, int]]) -> bool:
     """Whether every circuit, given as bitmasks (positive part, negative
     part), either lies inside the flat bitmask F or meets both signs
@@ -178,14 +159,14 @@ def _positive_flats(OM: OrientedMatroid) -> list[Flat]:
     return [f for f in all_flats(OM) if _is_positive_flat(_mask(f.elements), signs)]
 
 
-def positive_fan(OM: OrientedMatroid) -> PositiveFan:
+def positive_fan(OM: OrientedMatroid) -> tuple[FlagCone, ...]:
     """The fine fan's maximal cones whose flats are all positive (see
     ``_is_positive_flat``), in the order of ``fine_fan``: the full-length
     chains of positive flats, walked directly."""
     positive = _positive_flats(OM)
     # no positive flats means a one-signed circuit, which the empty chain fails too
     flags = _full_chains(positive, OM.rank) if positive else ()
-    return PositiveFan(tuple(FlagCone(f, OM.ground_size) for f in flags), OM)
+    return tuple(FlagCone(f, OM.ground_size) for f in flags)
 
 
 def positive_chains(OM: OrientedMatroid) -> list[FlagOfFlats]:

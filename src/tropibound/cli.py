@@ -35,6 +35,14 @@ class CliInputError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise CliInputError, so they exit 1 through ``main``:
+    argparse's own exit code 2 means "computed but not certified" here."""
+
+    def error(self, message):
+        raise CliInputError(message)
+
+
 def _fraction(value, path: str) -> Fraction:
     try:
         return to_rational(value)
@@ -211,12 +219,12 @@ def _emit(doc: dict, args, human_lines: list[str]) -> None:
     """Print the report, or with --json - the document instead.
 
     A --json PATH is opened before anything is printed, so a PATH that
-    cannot be written exits 1 with stdout empty.
+    cannot be written, the empty one included, exits 1 with stdout empty.
     """
     if args.json == "-":
         write_json(doc, sys.stdout)
         return
-    if args.json:
+    if args.json is not None:
         with open(args.json, "w") as fh:
             write_json(doc, fh)
         human_lines.append(f"machine-readable report written to {args.json}")
@@ -292,9 +300,15 @@ def _bergman(M, args):
 
 
 def _positive_bergman(M, args):
-    pf = positive_fan(M)
-    doc = {"kind": "positive_fan", **pf.to_document()}
-    lines = [f"positive fan: {len(pf.cones)} of {maximal_flag_count(M)} maximal cones"]
+    cones = positive_fan(M)
+    doc = {
+        "kind": "positive_fan",
+        "ground_size": M.ground_size,
+        # no circuits: the fan is all of R^r
+        "free_matroid": not M.circuits,
+        "cones": ({**c.to_document(), "dimension": c.dimension} for c in cones),
+    }
+    lines = [f"positive fan: {len(cones)} of {maximal_flag_count(M)} maximal cones"]
     return _coarse_compare(M, args, doc, lines)
 
 
@@ -442,7 +456,7 @@ def run(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tropibound",
         description=(
             "Exact lower bounds on positive real roots of vertically"
@@ -463,9 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return run(args)
+        return run(build_parser().parse_args(argv))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

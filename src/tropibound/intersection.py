@@ -23,8 +23,6 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 from tropibound import _polyhedra
 from tropibound.bergman import _is_positive_flat, is_positive_member
 from tropibound.matroid import (
-    Flat,
-    FlagOfFlats,
     OrientedMatroid,
     _elements,
     _flat_levels,
@@ -115,7 +113,9 @@ class IntersectionPoint:
     """One point of the shifted positive fan meeting rowspan(A).
 
     w = A^T v exactly, and w + h passes the positive-membership test.
-    ``interior`` records whether w + h sits in the relative interior of a
+    ``supporting_flag`` is the chain of upper level sets of w + h as
+    element tuples, smallest first, each one a flat.  ``interior``
+    records whether w + h sits in the relative interior of a
     full-dimensional cell of the coarse structure (the locus where the
     initial circuits stay constant); ``isolated`` records that no nonzero
     tangent direction inside rowspan(A) stays in the fan.
@@ -123,7 +123,7 @@ class IntersectionPoint:
 
     v: tuple[Fraction, ...]
     w: tuple[Fraction, ...]
-    supporting_flag: FlagOfFlats
+    supporting_flag: tuple[tuple[int, ...], ...]
     isolated: bool
     interior: bool
 
@@ -160,7 +160,7 @@ class IntersectionReport:
                 {
                     "v": [str(x) for x in p.v],
                     "w": [str(x) for x in p.w],
-                    "flag": [list(f.elements) for f in p.supporting_flag.chain],
+                    "flag": [list(f) for f in p.supporting_flag],
                     "isolated": p.isolated,
                     "interior": p.interior,
                 }
@@ -170,18 +170,20 @@ class IntersectionReport:
         }
 
 
-def _level_flag(p: Sequence[Fraction], OM: OrientedMatroid) -> FlagOfFlats:
-    """The chain of upper level sets of p, which are flats for fan members."""
-    r = OM.ground_size
+def _level_flag(p: Sequence) -> tuple[tuple[int, ...], ...]:
+    """The proper upper level sets of p as element tuples, smallest first.
+
+    For p in the positive fan they are flats: p lies in the closed cone
+    of a chain of positive flats (Ardila-Klivans-Williams, see
+    ``_is_positive_flat``), and each proper upper level set of a point
+    of that cone is one of the chain's flats.  A positive multiple of p
+    plus a constant has the same level sets.
+    """
     values = sorted(set(p), reverse=True)
-    chain = []
-    for cut in values[:-1]:
-        members = tuple(e for e in range(1, r + 1) if p[e - 1] >= cut)
-        chain.append(Flat(members, OM.rank_of(members)))
-    return FlagOfFlats(tuple(chain))
+    return tuple(tuple(e for e, x in enumerate(p, 1) if x >= cut) for cut in values[:-1])
 
 
-def _is_interior(p: Sequence[Fraction], OM: OrientedMatroid) -> bool:
+def _is_interior(p: Sequence, OM: OrientedMatroid) -> bool:
     """Whether p lies in a full-dimensional cell of the coarse structure.
 
     The tangent space of the constant-initial-circuits locus at p is cut
@@ -533,9 +535,12 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     and then x_i = h_row_i . (H h).  A system of full rank has the
     unique solution v = x / (d H); its image A^T v + h is tested for
     positive membership in integers, on the positive multiple
-    d H (A^T v + h), and Fractions are built only for accepted points.
-    An underdetermined system hands ``_polyhedra`` its equalities
-    (H v_row_i) . v = x_i already reduced.
+    p = d H (A^T v + h), and Fractions are built only for accepted
+    points.  An underdetermined system hands ``_polyhedra`` its
+    equalities (H v_row_i) . v = x_i already reduced, and a point it
+    pins gets p from ``integer_multiple`` of its image.  Each point's
+    level flag and interiority are read off p: a positive multiple has
+    the same level sets and the same argmins.
     """
     hh = vector(h)
     plan = _fan_plan(OM, A)
@@ -556,7 +561,8 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
             f"component {list(plan.empty)} admits no positive weight; the positive fan is empty"
         )
 
-    candidates: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
+    # v -> (w, an integer positive multiple p of w + h)
+    candidates: dict[tuple[Fraction, ...], tuple[tuple[Fraction, ...], list[int]]] = {}
     seen: set[tuple[tuple[int, ...], int]] = set()
     pinned = 0
     positive_cells = 0
@@ -573,10 +579,11 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
                 continue
             seen.add(key)
             aw = [sum(map(mul, row, x)) for row in at_int]
-            if is_positive_member([a + d * hj for a, hj in zip(aw, h_int)], OM):
+            p = [a + d * hj for a, hj in zip(aw, h_int)]
+            if is_positive_member(p, OM):
                 den = d * H
                 v = tuple(Fraction(xi, den) for xi in x)
-                candidates[v] = tuple(Fraction(a, den) for a in aw)
+                candidates[v] = (tuple(Fraction(a, den) for a in aw), p)
             continue
         # Underdetermined ties: examine each product cell of this
         # combination with its ordering facets.
@@ -593,13 +600,13 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
             if dim == 0:
                 # a zero-dimensional piece is one point, so its sample is it
                 wstar = tuple(sum(map(mul, row, vstar)) for row in at_int)
-                pstar = tuple(a + b for a, b in zip(wstar, hh))
-                if not is_positive_member(pstar, OM):
+                p = integer_multiple([a + b for a, b in zip(wstar, hh)])[1]
+                if not is_positive_member(p, OM):
                     raise RuntimeError(
                         "pinned cone point escaped the positive fan; cell"
                         " bookkeeping is wrong"
                     )
-                candidates[vstar] = wstar
+                candidates[vstar] = (wstar, p)
                 pinned += 1
             else:
                 positive_cells += 1
@@ -616,8 +623,7 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     positive_dimensional = positive_cells > 0
     points = []
     for v in sorted(candidates):
-        w = candidates[v]
-        p = tuple(a + b for a, b in zip(w, hh))
+        w, p = candidates[v]
         isolated = is_isolated(v, OM, A, hh)
         if not isolated and not positive_dimensional:
             # a tangent direction would put a segment into the closed piece
@@ -630,7 +636,7 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
             IntersectionPoint(
                 v=v,
                 w=w,
-                supporting_flag=_level_flag(p, OM),
+                supporting_flag=_level_flag(p),
                 isolated=isolated,
                 interior=_is_interior(p, OM),
             )

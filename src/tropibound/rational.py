@@ -19,7 +19,10 @@ The pipeline layers (the fan walk, the isolation test, the polyhedron
 probes, the subdivision and ``validate_inputs``) call ``_echelon`` and
 ``_solution`` on their own integer rows.  ``solve_affine``, ``det``,
 ``rref``, ``rank``, ``row_space_equal`` and ``in_row_span`` are the
-Fraction forms, kept for the tests and the benchmark's tracer.
+Fraction forms.  No pipeline layer calls them, but they stay because
+the benchmark needs them: ``bench/tracing.py`` wraps them by name, and
+``bench/workloads.py`` ``criterion7_family`` draws its systems through
+``rank``.  The tests use them as references as well.
 
 No floating point enters this module.
 """

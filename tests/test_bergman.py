@@ -1,3 +1,4 @@
+import argparse
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from tropibound.bergman import (
     positive_fan,
     sample_relative_interior,
 )
+from tropibound.cli import _positive_bergman
 from tropibound.matroid import (
     Flat,
     FlagOfFlats,
@@ -188,9 +190,9 @@ def test_cone_contains_strict_flags_boundary():
 
 
 def test_positive_fan_running_example(M):
-    pf = positive_fan(M)
-    assert len(pf.cones) == 6
-    chains = {tuple(f.as_set for f in c.flag.chain) for c in pf.cones}
+    cones = positive_fan(M)
+    assert len(cones) == 6
+    chains = {tuple(f.as_set for f in c.flag.chain) for c in cones}
     assert chains == {
         (frozenset({1}), frozenset({1, 2, 3})),
         (frozenset({1}), frozenset({1, 4, 5})),
@@ -202,24 +204,32 @@ def test_positive_fan_running_example(M):
 
 
 def test_positive_fan_support_matches_coarse_verdicts(M):
-    pf = positive_fan(M)
+    cones = positive_fan(M)
     for k in range(1, 6):
-        assert any(c.contains(cone_sample(k)) for c in pf.cones)
+        assert any(c.contains(cone_sample(k)) for c in cones)
     for k in range(6, 11):
-        assert not any(c.contains(cone_sample(k)) for c in pf.cones)
+        assert not any(c.contains(cone_sample(k)) for c in cones)
+
+
+def positive_fan_document(OM):
+    """The CLI's positive_fan document of OM, its cones materialised."""
+    doc, _, _ = _positive_bergman(OM, argparse.Namespace(coarse_compare=None))
+    return {**doc, "cones": list(doc["cones"])}
 
 
 def test_positive_fan_empty_for_one_signed_circuit():
     M2 = realize_from_kernel(RationalMatrix.from_rows([[1, 1]]))
-    pf = positive_fan(M2)
-    assert pf.cones == ()
-    assert not pf.free_matroid
+    assert positive_fan(M2) == ()
+    doc = positive_fan_document(M2)
+    assert doc["cones"] == [] and not doc["free_matroid"]
 
 
 def test_positive_fan_free_matroid_flag():
-    M2 = OrientedMatroid(3, [])
-    pf = positive_fan(M2)
-    assert pf.free_matroid
+    # no CLI input realizes a free matroid, so the handler gets one directly
+    doc = positive_fan_document(OrientedMatroid(3, []))
+    assert doc["kind"] == "positive_fan" and doc["free_matroid"]
+    # every maximal chain of the free matroid on 3 elements is positive
+    assert doc["ground_size"] == 3 and len(doc["cones"]) == 6
 
 
 def test_positive_fan_two_sided_random_oracle():
@@ -235,7 +245,7 @@ def test_positive_fan_two_sided_random_oracle():
 
 def test_positive_chains_cover_positive_fan_cones(M):
     chains = {tuple(f.as_set for f in fl.chain) for fl in positive_chains(M)}
-    for cone in positive_fan(M).cones:
+    for cone in positive_fan(M):
         assert tuple(f.as_set for f in cone.flag.chain) in chains
 
 
@@ -265,7 +275,7 @@ def reference_positive_chains(OM):
 def check_positive_flats_against_samples(OM):
     assert positive_chains(OM) == reference_positive_chains(OM)
     assert maximal_flag_count(OM) == len(maximal_flags(OM))
-    assert positive_fan(OM).cones == tuple(
+    assert positive_fan(OM) == tuple(
         cone
         for cone in fine_fan(OM)
         if is_positive_member(sample_relative_interior(cone), OM)

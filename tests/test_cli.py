@@ -517,11 +517,38 @@ def test_shipped_human_output_golden(capsys, name, command):
 
 
 def test_unwritable_json_path_prints_no_report(tmp_path, capsys):
-    code = main(["bound", str(INPUTS / "running_2x5.json"), "--json", str(tmp_path)])
+    # a directory, and the empty path, which is not "no --json"
+    for path in (str(tmp_path), ""):
+        code = main(["bound", str(INPUTS / "running_2x5.json"), "--json", path])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+USAGE_ERRORS = {
+    "unknown-flag": ["bound", str(INPUTS / "running_2x5.json"), "--bogus"],
+    "unknown-command": ["bogus", str(INPUTS / "running_2x5.json")],
+    "malformed-t": ["verify", str(INPUTS / "running_2x5.json"), "--t", "x"],
+    "malformed-seed": ["verify", str(INPUTS / "running_2x5.json"), "--seed", "1.5"],
+    "missing-input": ["bound"],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_error_exit_one(capsys, argv):
+    # exit 2 means "computed but not certified", so argparse may not use it
+    code = main(argv)
     out, err = capsys.readouterr()
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_exit_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tropibound")
 
 
 # --- the JSON writer ------------------------------------------------------------

@@ -21,6 +21,8 @@ from tropibound.intersection import (
     _cell_partitions,
     _fan_plan,
     _fine_cells,
+    _is_interior,
+    _level_flag,
     _merge,
     _restrict_kernel,
     _tie_system,
@@ -807,7 +809,7 @@ def test_isolation_search_matches_per_state_probes_on_fan_faces():
         if C.is_zero() or rank(A) < n:
             continue
         OM = realize_from_kernel(C)
-        cones = positive_fan(OM).cones
+        cones = positive_fan(OM)
         if not cones:
             continue
         chain = rng.choice(cones).flag.chain
@@ -1033,6 +1035,49 @@ def test_pruned_oracle_on_hhk_reference_draws(monkeypatch, hhk_model):
         M = realize_from_kernel(vs.C)
         fan = {p.v for p in intersect_via_fan(M, vs.A, vs.h).points}
         assert intersect_via_vertices(M, vs.A, vs.h) == fan, h
+
+
+def test_point_flags_are_flats(monkeypatch, hhk_model):
+    # each level set of a fan point is a flat of a positive chain; checked
+    # on the 24 crn_scan draws, the hhk shift whose points are pinned by
+    # cone facets, and random systems
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    systems = []
+    for h in [*workloads.crn_base_draws(), (7, 8, 3, 3, -1, 8)]:
+        vs = assemble_crn(dataclasses.replace(hhk_model, h=h))
+        systems.append((vs.C, vs.A, vs.h))
+    rng = random.Random(6029)
+    systems += [random_instance(rng) for _ in range(300)]
+    levels = 0
+    for C, A, h in systems:
+        OM = realize_from_kernel(C)
+        flats = {f.as_set for f in all_flats(OM)}
+        for point in intersect_via_fan(OM, A, h).points:
+            flag = [frozenset(level) for level in point.supporting_flag]
+            assert all(a < b for a, b in zip(flag, flag[1:])), (C, A, h, point.v)
+            assert all(level in flats for level in flag), (C, A, h, point.v)
+            levels += len(flag)
+    assert levels >= 300
+
+
+def test_level_flag_and_interiority_ignore_scale_and_shift():
+    # the fan walk reads both off an integer positive multiple of w + h
+    rng = random.Random(4477)
+    verdicts = set()
+    for _ in range(400):
+        C, _, _ = random_instance(rng)
+        OM = realize_from_kernel(C)
+        p = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(OM.ground_size)]
+        flag, interior = _level_flag(p), _is_interior(p, OM)
+        p_int = integer_multiple(p)[1]
+        c, t = rng.randint(1, 5), rng.randint(-5, 5)
+        for q in (p_int, [c * x + t for x in p_int]):
+            assert (_level_flag(q), _is_interior(q, OM)) == (flag, interior), (C, p, c, t)
+        verdicts.add(interior)
+    assert verdicts == {False, True}
 
 
 def test_oracle_mismatch_raises(monkeypatch, running_N, running_A):
