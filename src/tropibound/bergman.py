@@ -5,18 +5,17 @@ minimum over every circuit support is attained at least twice, and to the
 positive subfan when every circuit's argmin meets both the positive and
 the negative part.  Fine cones are spanned by indicator vectors of flats
 along a chain, plus the all-ones lineality line; small flats carry the
-largest weights.  Whether a whole cone is positive is decided flat by
-flat (``_is_positive_flat``); the weight predicates serve single vectors.
+largest weights, and a cone is the tuple of its chain's flats.  Whether
+a whole cone is positive is decided flat by flat (``_is_positive_flat``);
+the weight predicates serve single vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from tropibound.matroid import (
     Flat,
-    FlagOfFlats,
     OrientedMatroid,
     _full_chains,
     _mask,
@@ -65,75 +64,21 @@ def is_positive_member(w: Sequence, OM: OrientedMatroid) -> bool:
     return all(_argmin_two_signed(ww, c.positive, c.negative) for c in OM.circuits)
 
 
-@dataclass(frozen=True)
-class FlagCone:
-    """Cone over a chain of flats: nonnegative spans of the flats'
-    indicator vectors plus the all-ones lineality line."""
-
-    flag: FlagOfFlats
-    ground_size: int
-
-    @property
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(1 if e in f.as_set else 0 for e in range(1, self.ground_size + 1))
-            for f in self.flag.chain
-        )
-
-    @property
-    def dimension(self) -> int:
-        return len(self.flag) + 1
-
-    def blocks(self) -> list[tuple[int, ...]]:
-        """Partition of {1..r} by the chain: F1, F2-F1, ..., complement."""
-        out: list[tuple[int, ...]] = []
-        prev: frozenset[int] = frozenset()
-        for f in self.flag.chain:
-            out.append(tuple(sorted(f.as_set - prev)))
-            prev = f.as_set
-        out.append(tuple(sorted(set(range(1, self.ground_size + 1)) - prev)))
-        return out
-
-    def contains(self, w: Sequence, strict: bool = False) -> bool:
-        """Exact membership of w in the closed cone.
-
-        Equivalent to: w constant on each block and block values weakly
-        decreasing along the chain.  With strict=True, membership in the
-        relative interior (strictly decreasing block values).
-        """
-        ww = _coerce(w)
-        values = []
-        for block in self.blocks():
-            vals = {ww[e - 1] for e in block}
-            if len(vals) != 1:
-                return False
-            values.append(next(iter(vals)))
-        for a, b in zip(values, values[1:]):
-            if a < b or (strict and a == b):
-                return False
-        return True
-
-    def to_document(self) -> dict:
-        return {
-            "flats": [f.elements for f in self.flag.chain],
-            "sample": [str(x) for x in sample_relative_interior(self)],
-        }
-
-
-def sample_relative_interior(cone: FlagCone) -> tuple[int, ...]:
-    """Sum of the flag's indicator vectors, counted per element as the
+def sample_relative_interior(chain: Sequence[Flat], ground_size: int) -> tuple[int, ...]:
+    """Sum of the chain's indicator vectors, counted per element as the
     number of chain flats containing it: a canonical relative-interior
-    point with zero lineality part."""
-    acc = [0] * cone.ground_size
-    for f in cone.flag.chain:
+    point of the chain's cone with zero lineality part."""
+    acc = [0] * ground_size
+    for f in chain:
         for e in f.elements:
             acc[e - 1] += 1
     return tuple(acc)
 
 
-def fine_fan(M: OrientedMatroid) -> list[FlagCone]:
-    """One maximal cone per maximal flag of flats."""
-    return [FlagCone(flag, M.ground_size) for flag in maximal_flags(M)]
+def fine_fan(M: OrientedMatroid) -> tuple[tuple[Flat, ...], ...]:
+    """One maximal cone per maximal flag of flats, each cone the tuple of
+    its chain's flats."""
+    return maximal_flags(M)
 
 
 def _is_positive_flat(F: int, signs: Sequence[tuple[int, int]]) -> bool:
@@ -159,17 +104,16 @@ def _positive_flats(OM: OrientedMatroid) -> list[Flat]:
     return [f for f in all_flats(OM) if _is_positive_flat(_mask(f.elements), signs)]
 
 
-def positive_fan(OM: OrientedMatroid) -> tuple[FlagCone, ...]:
+def positive_fan(OM: OrientedMatroid) -> tuple[tuple[Flat, ...], ...]:
     """The fine fan's maximal cones whose flats are all positive (see
     ``_is_positive_flat``), in the order of ``fine_fan``: the full-length
     chains of positive flats, walked directly."""
     positive = _positive_flats(OM)
     # no positive flats means a one-signed circuit, which the empty chain fails too
-    flags = _full_chains(positive, OM.rank) if positive else ()
-    return tuple(FlagCone(f, OM.ground_size) for f in flags)
+    return tuple(_full_chains(positive, OM.rank)) if positive else ()
 
 
-def positive_chains(OM: OrientedMatroid) -> list[FlagOfFlats]:
+def positive_chains(OM: OrientedMatroid) -> list[tuple[Flat, ...]]:
     """Chains of proper nonempty flats whose cone lies in the positive fan
     and that have no positive upward extension, found by depth-first
     extension over the positive flats.
@@ -189,21 +133,21 @@ def positive_chains(OM: OrientedMatroid) -> list[FlagOfFlats]:
     proper = sorted(
         (f for f in positive if 0 < f.rank < OM.rank), key=lambda f: (f.rank, f.elements)
     )
-    out: list[FlagOfFlats] = []
+    out: list[tuple[Flat, ...]] = []
 
-    def extend(chain: list[Flat], start: int):
+    def extend(chain: tuple[Flat, ...], start: int):
         extended = False
         for idx in range(start, len(proper)):
             f = proper[idx]
             if chain and not (chain[-1].as_set < f.as_set):
                 continue
             extended = True
-            extend(chain + [f], idx + 1)
+            extend((*chain, f), idx + 1)
         if not extended:
-            out.append(FlagOfFlats(tuple(chain)))
+            out.append(chain)
 
     if positive:
-        extend([], 0)
+        extend((), 0)
     return out
 
 

@@ -17,7 +17,12 @@ from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from tropibound.bergman import compare_with_coarse, fine_fan, positive_fan
+from tropibound.bergman import (
+    compare_with_coarse,
+    fine_fan,
+    positive_fan,
+    sample_relative_interior,
+)
 from tropibound.intersection import lower_bound
 from tropibound.matroid import MatroidError, maximal_flag_count, realize_from_kernel
 from tropibound.numeric import count_roots, instantiate
@@ -289,12 +294,18 @@ def _flats(M, args):
     return doc, lines, 0
 
 
+def _cone(chain, ground_size: int) -> dict:
+    """The document of the cone over a chain of flats."""
+    sample = sample_relative_interior(chain, ground_size)
+    return {"flats": [f.elements for f in chain], "sample": [str(x) for x in sample]}
+
+
 def _bergman(M, args):
     cones = fine_fan(M)
     doc = {
         "kind": "fan",
         "ground_size": M.ground_size,
-        "cones": (c.to_document() for c in cones),
+        "cones": (_cone(c, M.ground_size) for c in cones),
     }
     return _coarse_compare(M, args, doc, [f"fine fan: {len(cones)} maximal cones"])
 
@@ -306,7 +317,7 @@ def _positive_bergman(M, args):
         "ground_size": M.ground_size,
         # no circuits: the fan is all of R^r
         "free_matroid": not M.circuits,
-        "cones": ({**c.to_document(), "dimension": c.dimension} for c in cones),
+        "cones": ({**_cone(c, M.ground_size), "dimension": len(c) + 1} for c in cones),
     }
     lines = [f"positive fan: {len(cones)} of {maximal_flag_count(M)} maximal cones"]
     return _coarse_compare(M, args, doc, lines)

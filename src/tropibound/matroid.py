@@ -73,27 +73,6 @@ class Flat:
         return f"Flat({set(self.elements) or '{}'}, rank={self.rank})"
 
 
-@dataclass(frozen=True)
-class FlagOfFlats:
-    """A strictly increasing chain of proper nonempty flats.
-
-    The empty chain is allowed; it indexes the lineality-only cone.
-    """
-
-    chain: tuple[Flat, ...]
-
-    def __post_init__(self):
-        for a, b in zip(self.chain, self.chain[1:]):
-            if not a.as_set < b.as_set:
-                raise MatroidError(f"chain is not strictly increasing: {a} !< {b}")
-
-    def __len__(self) -> int:
-        return len(self.chain)
-
-    def __repr__(self) -> str:
-        return "Flag(" + " < ".join(str(set(f.elements)) for f in self.chain) + ")"
-
-
 class OrientedMatroid:
     """Signed-circuit presentation of an oriented matroid on {1..r}.
 
@@ -358,10 +337,11 @@ def all_flats(M: OrientedMatroid) -> tuple[Flat, ...]:
     return tuple(sorted(flats, key=lambda f: (f.rank, f.elements)))
 
 
-def _full_chains(flats: Iterable[Flat], top_rank: int) -> list[FlagOfFlats]:
+def _full_chains(flats: Iterable[Flat], top_rank: int) -> list[tuple[Flat, ...]]:
     """The chains F1 < F2 < ... of the given flats with ranks 1, 2, ...,
     top_rank - 1, depth first in the given order; the empty chain alone
-    when top_rank <= 1.
+    when top_rank <= 1.  A chain is only ever extended by a strictly
+    larger flat, so every chain strictly increases.
 
     With ``flats`` in ``all_flats`` order, leaving some flats out leaves
     the remaining chains in the same order: ``positive_fan`` passes the
@@ -372,24 +352,26 @@ def _full_chains(flats: Iterable[Flat], top_rank: int) -> list[FlagOfFlats]:
     for f in flats:
         if 1 <= f.rank < top_rank:
             by_rank.setdefault(f.rank, []).append(f)
-    out: list[FlagOfFlats] = []
+    out: list[tuple[Flat, ...]] = []
 
-    def extend(prefix: list[Flat]):
+    def extend(prefix: tuple[Flat, ...]):
         depth = len(prefix) + 1
         if depth >= top_rank:
-            out.append(FlagOfFlats(tuple(prefix)))
+            out.append(prefix)
             return
         for f in by_rank.get(depth, []):
             if not prefix or prefix[-1].as_set < f.as_set:
-                extend(prefix + [f])
+                extend((*prefix, f))
 
-    extend([])
+    extend(())
     return out
 
 
 @lru_cache(maxsize=64)
-def maximal_flags(M: OrientedMatroid) -> tuple[FlagOfFlats, ...]:
-    """All chains of proper nonempty flats of ranks 1, 2, ..., rank(M)-1."""
+def maximal_flags(M: OrientedMatroid) -> tuple[tuple[Flat, ...], ...]:
+    """All chains of proper nonempty flats of ranks 1, 2, ..., rank(M)-1,
+    each the tuple of its flats; the empty chain, which indexes the
+    lineality-only cone, alone when rank(M) <= 1."""
     return tuple(_full_chains(all_flats(M), M.rank))
 
 

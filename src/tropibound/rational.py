@@ -29,6 +29,7 @@ No floating point enters this module.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
@@ -39,7 +40,13 @@ Scalar = Union[int, str, Fraction]
 
 
 def to_rational(x: Scalar) -> Fraction:
-    """Coerce ints, fraction strings like ``"-3/7"``, and Fractions."""
+    """Coerce ints, fraction strings like ``"-3/7"``, and Fractions.
+
+    A string is an optional sign, ASCII digits and an optional ``/`` and
+    digits, after stripping whitespace and reading U+2212 as a minus.  A
+    decimal or exponent string raises ValueError before ``Fraction`` sees
+    it, so ``"1e100000000"`` never becomes a 10**8-digit integer.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -47,7 +54,10 @@ def to_rational(x: Scalar) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip().replace("−", "-"))
+        s = x.strip().replace("−", "-")
+        if not re.fullmatch(r"[-+]?[0-9]+(/[0-9]+)?", s):
+            raise ValueError(f"not an integer or fraction string: {x!r}")
+        return Fraction(s)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 

@@ -1,0 +1,48 @@
+"""Reference geometry of a fine fan cone, for the tests.
+
+A cone is the tuple of its chain's flats: the nonnegative span of the
+flats' indicator vectors plus the all-ones lineality line, on the ground
+set {1..ground_size}.
+"""
+
+from typing import Sequence
+
+from tropibound.bergman import _coerce
+
+
+def generators(chain, ground_size: int) -> tuple[tuple[int, ...], ...]:
+    """The indicator vectors of the chain's flats."""
+    return tuple(
+        tuple(1 if e in f.as_set else 0 for e in range(1, ground_size + 1)) for f in chain
+    )
+
+
+def blocks(chain, ground_size: int) -> list[tuple[int, ...]]:
+    """Partition of {1..ground_size} by the chain: F1, F2-F1, ..., complement."""
+    out: list[tuple[int, ...]] = []
+    prev: frozenset[int] = frozenset()
+    for f in chain:
+        out.append(tuple(sorted(f.as_set - prev)))
+        prev = f.as_set
+    out.append(tuple(sorted(set(range(1, ground_size + 1)) - prev)))
+    return out
+
+
+def contains(chain, ground_size: int, w: Sequence, strict: bool = False) -> bool:
+    """Exact membership of w in the closed cone.
+
+    Equivalent to: w constant on each block and block values weakly
+    decreasing along the chain.  With strict=True, membership in the
+    relative interior (strictly decreasing block values).
+    """
+    ww = _coerce(w)
+    values = []
+    for block in blocks(chain, ground_size):
+        vals = {ww[e - 1] for e in block}
+        if len(vals) != 1:
+            return False
+        values.append(next(iter(vals)))
+    for a, b in zip(values, values[1:]):
+        if a < b or (strict and a == b):
+            return False
+    return True

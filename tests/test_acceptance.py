@@ -10,7 +10,8 @@ import random
 import time
 from fractions import Fraction
 
-from tropibound.bergman import FlagCone, fine_fan, is_member, is_positive_member, positive_chains
+from fan_reference import contains, generators
+from tropibound.bergman import fine_fan, is_member, is_positive_member, positive_chains
 from tropibound.intersection import (
     intersect_via_fan,
     intersect_via_vertices,
@@ -230,22 +231,23 @@ def test_criterion_8_property_suites(running_N, running_A, hhk_model):
 
     # fine-fan soundness and completeness sampling
     M = realize_from_kernel(running_N)
-    cones = [FlagCone(fl, 5) for fl in positive_chains(M)]
+    cones = positive_chains(M)
     maximal = fine_fan(M)
     for _ in range(1000):
         w = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(5))
-        if is_member(w, M) != any(c.contains(w) for c in maximal):
+        if is_member(w, M) != any(contains(c, 5, w) for c in maximal):
             failures.append("fine-fan membership sampling")
             break
-        if is_positive_member(w, M) != any(c.contains(w) for c in cones):
+        if is_positive_member(w, M) != any(contains(c, 5, w) for c in cones):
             failures.append("positive fan sampling")
             break
     for cone in maximal:
         for _ in range(25):
-            lams = [Fraction(rng.randint(0, 5), rng.randint(1, 2)) for _ in cone.generators]
+            gens = generators(cone, 5)
+            lams = [Fraction(rng.randint(0, 5), rng.randint(1, 2)) for _ in gens]
             mu = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
             w = [mu] * 5
-            for lam, gen in zip(lams, cone.generators):
+            for lam, gen in zip(lams, gens):
                 w = [a + lam * g for a, g in zip(w, gen)]
             if not is_member(w, M):
                 failures.append("fine-fan soundness")

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fan_reference import contains, generators
 from tropibound.bergman import (
-    FlagCone,
     compare_with_coarse,
     fine_fan,
     is_member,
@@ -19,7 +19,6 @@ from tropibound.bergman import (
 from tropibound.cli import _positive_bergman
 from tropibound.matroid import (
     Flat,
-    FlagOfFlats,
     OrientedMatroid,
     SignedCircuit,
     all_flats,
@@ -28,6 +27,7 @@ from tropibound.matroid import (
     realize_from_kernel,
 )
 from tropibound.rational import RationalMatrix
+from tropibound.systems import assemble_crn
 
 RAYS = {
     1: (0, 1, 0, 0, 0),
@@ -123,21 +123,19 @@ def test_fine_fan_has_fourteen_cones(M):
 def test_rays_lie_in_fine_fan_support(M):
     cones = fine_fan(M)
     for ray in RAYS.values():
-        assert any(c.contains(ray) for c in cones)
+        assert any(contains(c, 5, ray) for c in cones)
 
 
 def test_sample_relative_interior_examples(M):
     f1 = Flat((2,), 1)
     f2 = Flat((1, 2, 3), 2)
-    cone = FlagCone(FlagOfFlats((f1, f2)), 5)
-    assert sample_relative_interior(cone) == (1, 2, 1, 0, 0)
-    single = FlagCone(FlagOfFlats((Flat((4,), 1),)), 5)
-    assert sample_relative_interior(single) == (0, 0, 0, 1, 0)
+    assert sample_relative_interior((f1, f2), 5) == (1, 2, 1, 0, 0)
+    assert sample_relative_interior((Flat((4,), 1),), 5) == (0, 0, 0, 1, 0)
 
 
 def test_samples_are_members(M):
     for cone in fine_fan(M):
-        assert is_member(sample_relative_interior(cone), M)
+        assert is_member(sample_relative_interior(cone, 5), M)
 
 
 def test_free_matroid_fan_covers_everything():
@@ -147,17 +145,18 @@ def test_free_matroid_fan_covers_everything():
     for _ in range(50):
         w = tuple(rng.randint(-4, 4) for _ in range(3))
         assert is_member(w, M2)
-        assert any(c.contains(w) for c in cones)
+        assert any(contains(c, 3, w) for c in cones)
 
 
 def test_fine_fan_soundness_random_combinations(M):
     rng = random.Random(2)
     for cone in fine_fan(M):
         for _ in range(30):
-            lams = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in cone.generators]
+            gens = generators(cone, 5)
+            lams = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in gens]
             mu = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
             w = [mu] * 5
-            for lam, gen in zip(lams, cone.generators):
+            for lam, gen in zip(lams, gens):
                 w = [a + lam * g for a, g in zip(w, gen)]
             assert is_member(w, M)
 
@@ -171,7 +170,7 @@ def test_fine_fan_completeness_sampled(running_N):
     for _ in range(1000):
         w = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(5))
         member = is_member(w, M)
-        in_cone = any(c.contains(w) for c in cones)
+        in_cone = any(contains(c, 5, w) for c in cones)
         assert member == in_cone
         hits += member
     assert hits  # the sampling really exercised the fan
@@ -180,10 +179,9 @@ def test_fine_fan_completeness_sampled(running_N):
 def test_cone_contains_strict_flags_boundary():
     f1 = Flat((2,), 1)
     f2 = Flat((2, 4), 2)
-    cone = FlagCone(FlagOfFlats((f1, f2)), 5)
-    assert cone.contains((0, 2, 0, 2, 0))
-    assert not cone.contains((0, 2, 0, 2, 0), strict=True)
-    assert cone.contains((0, 3, 0, 2, 0), strict=True)
+    assert contains((f1, f2), 5, (0, 2, 0, 2, 0))
+    assert not contains((f1, f2), 5, (0, 2, 0, 2, 0), strict=True)
+    assert contains((f1, f2), 5, (0, 3, 0, 2, 0), strict=True)
 
 
 # --- positive fan ----------------------------------------------------------
@@ -192,7 +190,7 @@ def test_cone_contains_strict_flags_boundary():
 def test_positive_fan_running_example(M):
     cones = positive_fan(M)
     assert len(cones) == 6
-    chains = {tuple(f.as_set for f in c.flag.chain) for c in cones}
+    chains = {tuple(f.as_set for f in c) for c in cones}
     assert chains == {
         (frozenset({1}), frozenset({1, 2, 3})),
         (frozenset({1}), frozenset({1, 4, 5})),
@@ -206,9 +204,9 @@ def test_positive_fan_running_example(M):
 def test_positive_fan_support_matches_coarse_verdicts(M):
     cones = positive_fan(M)
     for k in range(1, 6):
-        assert any(c.contains(cone_sample(k)) for c in cones)
+        assert any(contains(c, 5, cone_sample(k)) for c in cones)
     for k in range(6, 11):
-        assert not any(c.contains(cone_sample(k)) for c in cones)
+        assert not any(contains(c, 5, cone_sample(k)) for c in cones)
 
 
 def positive_fan_document(OM):
@@ -237,16 +235,15 @@ def test_positive_fan_two_sided_random_oracle():
     C = RationalMatrix.from_rows([[rng.randint(-3, 3) for _ in range(5)] for _ in range(2)])
     M2 = realize_from_kernel(C)
     chains = positive_chains(M2)
-    cones = [FlagCone(fl, 5) for fl in chains]
     for _ in range(1000):
         w = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(5))
-        assert is_positive_member(w, M2) == any(c.contains(w) for c in cones)
+        assert is_positive_member(w, M2) == any(contains(c, 5, w) for c in chains)
 
 
 def test_positive_chains_cover_positive_fan_cones(M):
-    chains = {tuple(f.as_set for f in fl.chain) for fl in positive_chains(M)}
+    chains = {tuple(f.as_set for f in chain) for chain in positive_chains(M)}
     for cone in positive_fan(M):
-        assert tuple(f.as_set for f in cone.flag.chain) in chains
+        assert tuple(f.as_set for f in cone) in chains
 
 
 def reference_positive_chains(OM):
@@ -256,15 +253,14 @@ def reference_positive_chains(OM):
     proper = [f for f in all_flats(OM) if 0 < f.rank < OM.rank]
 
     def positive(chain):
-        cone = FlagCone(FlagOfFlats(tuple(chain)), OM.ground_size)
-        return is_positive_member(sample_relative_interior(cone), OM)
+        return is_positive_member(sample_relative_interior(chain, OM.ground_size), OM)
 
     out = []
 
     def walk(chain):
         above = [f for f in proper if not chain or chain[-1].as_set < f.as_set]
         if positive(chain) and not any(positive(chain + [f]) for f in above):
-            out.append(FlagOfFlats(tuple(chain)))
+            out.append(tuple(chain))
         for f in above:
             walk(chain + [f])
 
@@ -278,7 +274,7 @@ def check_positive_flats_against_samples(OM):
     assert positive_fan(OM) == tuple(
         cone
         for cone in fine_fan(OM)
-        if is_positive_member(sample_relative_interior(cone), OM)
+        if is_positive_member(sample_relative_interior(cone, OM.ground_size), OM)
     )
 
 
@@ -308,6 +304,44 @@ def test_positive_chains_match_sample_reference_random(data):
         label="C",
     )
     check_positive_flats_against_samples(realize_from_kernel(RationalMatrix.from_rows(C_rows)))
+
+
+def check_chains_strictly_increase(OM):
+    """Every chain strictly increases; the maximal flags and the positive
+    fan's chains have ranks 1, ..., rank - 1, and ``positive_chains``
+    holds only proper nonempty flats."""
+    full = (*maximal_flags(OM), *positive_fan(OM))
+    for chain in (*full, *positive_chains(OM)):
+        assert all(a.as_set < b.as_set for a, b in zip(chain, chain[1:])), chain
+        assert all(0 < f.rank < OM.rank for f in chain), chain
+    for chain in full:
+        assert [f.rank for f in chain] == list(range(1, OM.rank)), chain
+
+
+def test_chains_strictly_increase(running_N, hhk_model):
+    loops = OrientedMatroid(2, [SignedCircuit((1,), ()), SignedCircuit((2,), ())])
+    rank_one = realize_from_kernel(RationalMatrix.from_rows([[1, -1]]))
+    assert (loops.rank, rank_one.rank) == (0, 1)
+    for OM in (
+        realize_from_kernel(running_N),
+        realize_from_kernel(assemble_crn(hhk_model).C),
+        OrientedMatroid(4, []),
+        loops,
+        rank_one,
+    ):
+        check_chains_strictly_increase(OM)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_chains_strictly_increase_random(data):
+    r = data.draw(st.integers(1, 6), label="r")
+    row = st.lists(st.integers(-2, 2), min_size=r, max_size=r)
+    C_rows = data.draw(
+        st.lists(row, min_size=1, max_size=r).filter(lambda rows: any(map(any, rows))),
+        label="C",
+    )
+    check_chains_strictly_increase(realize_from_kernel(RationalMatrix.from_rows(C_rows)))
 
 
 # --- invariance properties ---------------------------------------------------

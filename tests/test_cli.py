@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,9 +54,24 @@ def test_parse_malformed_fraction(tmp_path):
 
 
 def test_parse_rejects_decimals(tmp_path):
-    path = write(tmp_path, "dec.json", {"kind": "matrix", "matrix": [[0.5]]})
-    with pytest.raises(CliInputError):
-        parse_input(path)
+    # an exponent string is refused before Fraction makes it a huge integer
+    for value in (0.5, "0.5", "0.0", "-1e0", "-1e5000", "1e100000000"):
+        path = write(tmp_path, "dec.json", {"kind": "matrix", "matrix": [[value]]})
+        start = time.perf_counter()
+        with pytest.raises(CliInputError, match=r"matrix\[0\]\[0\]"):
+            parse_input(path)
+        assert time.perf_counter() - start < 1, value
+
+
+def test_bound_refuses_decimal_and_exponent_shifts(tmp_path, capsys):
+    doc = json.loads((INPUTS / "running_2x5.json").read_text())
+    for value in ("1e100000000", "0.5", "-1e0"):
+        doc["h"][4] = value
+        start = time.perf_counter()
+        assert main(["bound", write(tmp_path, "shift.json", doc)]) == 1
+        assert time.perf_counter() - start < 1, value
+        err = capsys.readouterr().err
+        assert err.startswith("error: h[4]: ") and err.count("\n") == 1, err
 
 
 def test_parse_ragged_matrix(tmp_path):

@@ -276,7 +276,7 @@ def _chain_partitions(OM):
         grouped = {}
         for flag in chains:
             blocks, below = [], frozenset()
-            for f in flag.chain:
+            for f in flag:
                 blocks.append(tuple(comp[e - 1] for e in f.elements if e not in below))
                 below = f.as_set
             blocks.append(tuple(g for e, g in enumerate(comp, 1) if e not in below))
@@ -812,7 +812,7 @@ def test_isolation_search_matches_per_state_probes_on_fan_faces():
         cones = positive_fan(OM)
         if not cones:
             continue
-        chain = rng.choice(cones).flag.chain
+        chain = rng.choice(cones)
         w = [0] * OM.ground_size
         for f in chain:
             c = rng.choice([0, 0, 1, 2, 3])

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from tropibound import matroid
 from tropibound.matroid import (
-    Flat,
-    FlagOfFlats,
     MatroidError,
     OrientedMatroid,
     SignedCircuit,
@@ -477,17 +475,17 @@ def test_maximal_flags_running_example(running_N):
     M = realize_from_kernel(running_N)
     flags = maximal_flags(M)
     assert len(flags) == 14
-    chains = {tuple(f.as_set for f in flag.chain) for flag in flags}
+    chains = {tuple(f.as_set for f in flag) for flag in flags}
     assert (frozenset({2}), frozenset({1, 2, 3})) in chains
     assert (frozenset({2}), frozenset({2, 4})) in chains
     for flag in flags:
-        assert [f.rank for f in flag.chain] == [1, 2]
+        assert [f.rank for f in flag] == [1, 2]
 
 
 def test_maximal_flags_free_matroid_two_elements():
     M = OrientedMatroid(2, [])
     flags = maximal_flags(M)
-    assert {tuple(f.as_set for f in flag.chain) for flag in flags} == {
+    assert {tuple(f.as_set for f in flag) for flag in flags} == {
         (frozenset({1}),),
         (frozenset({2}),),
     }
@@ -496,14 +494,7 @@ def test_maximal_flags_free_matroid_two_elements():
 def test_maximal_flags_rank_one():
     M = realize_from_kernel(RationalMatrix.from_rows([[1, -1]]))
     assert M.rank == 1
-    assert maximal_flags(M) == (FlagOfFlats(()),)
-
-
-def test_flag_validation_rejects_non_nested():
-    a = Flat((1,), 1)
-    b = Flat((2, 3), 2)
-    with pytest.raises(MatroidError):
-        FlagOfFlats((a, b))
+    assert maximal_flags(M) == ((),)
 
 
 # --- structural invariants -------------------------------------------------

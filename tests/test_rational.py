@@ -260,6 +260,10 @@ def test_det_multiplicative():
 def test_to_rational_rejects_float():
     with pytest.raises(TypeError):
         to_rational(0.5)
+    for text in ("0.5", "0.0", "-1e0", "-1e5000", "1e100000000", "1_000", "1 /2"):
+        with pytest.raises(ValueError):
+            to_rational(text)
+    assert [to_rational(t) for t in (" +3 ", "−3/6", "007")] == [3, Fraction(-1, 2), 7]
 
 
 def test_matrix_is_immutable(running_N):
