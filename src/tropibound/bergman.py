@@ -64,17 +64,6 @@ def is_positive_member(w: Sequence, OM: OrientedMatroid) -> bool:
     return all(_argmin_two_signed(ww, c.positive, c.negative) for c in OM.circuits)
 
 
-def sample_relative_interior(chain: Sequence[Flat], ground_size: int) -> tuple[int, ...]:
-    """Sum of the chain's indicator vectors, counted per element as the
-    number of chain flats containing it: a canonical relative-interior
-    point of the chain's cone with zero lineality part."""
-    acc = [0] * ground_size
-    for f in chain:
-        for e in f.elements:
-            acc[e - 1] += 1
-    return tuple(acc)
-
-
 def fine_fan(M: OrientedMatroid) -> tuple[tuple[Flat, ...], ...]:
     """One maximal cone per maximal flag of flats, each cone the tuple of
     its chain's flats."""

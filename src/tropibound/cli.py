@@ -17,12 +17,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from tropibound.bergman import (
-    compare_with_coarse,
-    fine_fan,
-    positive_fan,
-    sample_relative_interior,
-)
+from tropibound.bergman import compare_with_coarse, fine_fan, positive_fan
 from tropibound.intersection import lower_bound
 from tropibound.matroid import MatroidError, maximal_flag_count, realize_from_kernel
 from tropibound.numeric import count_roots, instantiate
@@ -51,12 +46,12 @@ class _Parser(argparse.ArgumentParser):
 def _fraction(value, path: str) -> Fraction:
     try:
         return to_rational(value)
-    except TypeError:
+    except ZeroDivisionError:
+        raise CliInputError(f"{path}: zero denominator in {value!r}") from None
+    except (TypeError, ValueError):
         raise CliInputError(
             f"{path}: expected an integer or fraction string, got {value!r}"
         ) from None
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliInputError(f"{path}: malformed fraction {value!r} ({exc})") from None
 
 
 def _matrix(rows, path: str) -> RationalMatrix:
@@ -131,6 +126,12 @@ _BATCH = 4096
 _JOINABLE = ({str}, {int})
 
 
+class _Rendered(str):
+    """Text that write_json writes as it stands: a document item that was
+    rendered in advance, for the depth where the document holds it.
+    Nothing parsed from input is of this type."""
+
+
 def _float(x: float) -> str:
     """A float as json writes it, NaN and the infinities included."""
     if x != x:
@@ -142,12 +143,22 @@ def _float(x: float) -> str:
     return float.__repr__(x)
 
 
+def _joined(texts, depth: int) -> str:
+    """The array at ``depth`` of scalars already rendered as ``texts``.
+    No scalar renders as empty text, so an empty join is an empty array."""
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join(texts)
+    return "[" + inner + body + "\n" + "  " * depth + "]" if body else "[]"
+
+
 def write_json(doc, stream) -> None:
     """Write ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` to stream,
     byte for byte, without building the whole text.
 
     An iterator is written as an array, its items rendered and written
     ``_BATCH`` at a time, so a document can hand its cones over lazily.
+    A ``_Rendered`` string is written as it stands, not quoted: the fan
+    documents hand over each cone as its finished text (see ``_cones``).
     A list or tuple holding only str or only int values is joined in one
     step, and such a tuple is rendered once per depth, memoized by its
     value: not by ``id()``, which a freed tuple passes on.  A key that is
@@ -172,9 +183,7 @@ def write_json(doc, stream) -> None:
         out.append("\n" + "  " * depth + "]" if n else "[]")
 
     def joined(items, depth: int) -> str:
-        inner = "\n" + "  " * (depth + 1)
-        text = map(_quote if type(items[0]) is str else int.__repr__, items)
-        return "[" + inner + ("," + inner).join(text) + "\n" + "  " * depth + "]"
+        return _joined(map(_quote if type(items[0]) is str else int.__repr__, items), depth)
 
     def put(o, depth: int):
         # no value is both a container and a scalar, so containers go first
@@ -199,7 +208,7 @@ def write_json(doc, stream) -> None:
                     text = memo[depth, o] = joined(o, depth)
                 out.append(text)
         elif isinstance(o, str):
-            out.append(_quote(o))
+            out.append(o if type(o) is _Rendered else _quote(o))
         elif o is None:
             out.append("null")
         elif o is True:
@@ -294,10 +303,48 @@ def _flats(M, args):
     return doc, lines, 0
 
 
-def _cone(chain, ground_size: int) -> dict:
-    """The document of the cone over a chain of flats."""
-    sample = sample_relative_interior(chain, ground_size)
-    return {"flats": [f.elements for f in chain], "sample": [str(x) for x in sample]}
+def _cones(chains, ground_size: int, dimension: bool) -> Iterator[_Rendered]:
+    """The cones over ``chains`` as ``write_json`` renders them at depth
+    2, where the fan documents hold them: each the text of
+    ``{"dimension": len(chain) + 1 (only with dimension), "flats": the
+    flats' elements, "sample": the chain's sample as count strings}``.
+
+    The sample counts, per element, the chain's flats that contain it: a
+    canonical relative-interior point of the cone with zero lineality
+    part.  The counts of each prefix of the last chain are kept on a
+    stack, so a chain adds only the flats past the prefix it shares, by
+    identity, with the chain before it; in any order of the chains.
+    """
+    d2, d3 = "\n" + "  " * 2, "\n" + "  " * 3
+    flat_texts: dict[int, str] = {}  # by id(): the chains hold every flat alive
+    quoted: list[str] = []  # the text of each count, built once
+    counts = [[0] * ground_size]  # counts[k]: the sample of the chain's first k flats
+    texts: list[str] = []  # texts[k]: the text of the chain's flat k
+    last = ()
+    for chain in chains:
+        shared = 0
+        for f, g in zip(last, chain):
+            if f is not g:
+                break
+            shared += 1
+        del counts[shared + 1 :], texts[shared:]
+        for f in chain[shared:]:
+            sample = counts[-1].copy()
+            for e in f.elements:
+                sample[e - 1] += 1
+            counts.append(sample)
+            text = flat_texts.get(id(f))
+            if text is None:
+                text = flat_texts[id(f)] = _joined(map(int.__repr__, f.elements), 4)
+            texts.append(text)
+        last = chain
+        while len(quoted) <= len(chain):
+            quoted.append(_quote(str(len(quoted))))
+        head = f"{{{d3}\"dimension\": {len(chain) + 1}," if dimension else "{"
+        yield _Rendered(
+            f"{head}{d3}\"flats\": {_joined(texts, 3)},"
+            f"{d3}\"sample\": {_joined(map(quoted.__getitem__, counts[-1]), 3)}{d2}}}"
+        )
 
 
 def _bergman(M, args):
@@ -305,7 +352,7 @@ def _bergman(M, args):
     doc = {
         "kind": "fan",
         "ground_size": M.ground_size,
-        "cones": (_cone(c, M.ground_size) for c in cones),
+        "cones": _cones(cones, M.ground_size, dimension=False),
     }
     return _coarse_compare(M, args, doc, [f"fine fan: {len(cones)} maximal cones"])
 
@@ -317,7 +364,7 @@ def _positive_bergman(M, args):
         "ground_size": M.ground_size,
         # no circuits: the fan is all of R^r
         "free_matroid": not M.circuits,
-        "cones": ({**_cone(c, M.ground_size), "dimension": len(c) + 1} for c in cones),
+        "cones": _cones(cones, M.ground_size, dimension=True),
     }
     lines = [f"positive fan: {len(cones)} of {maximal_flag_count(M)} maximal cones"]
     return _coarse_compare(M, args, doc, lines)

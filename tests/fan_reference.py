@@ -8,6 +8,7 @@ set {1..ground_size}.
 from typing import Sequence
 
 from tropibound.bergman import _coerce
+from tropibound.matroid import Flat
 
 
 def generators(chain, ground_size: int) -> tuple[tuple[int, ...], ...]:
@@ -46,3 +47,14 @@ def contains(chain, ground_size: int, w: Sequence, strict: bool = False) -> bool
         if a < b or (strict and a == b):
             return False
     return True
+
+
+def sample_relative_interior(chain: Sequence[Flat], ground_size: int) -> tuple[int, ...]:
+    """Sum of the chain's indicator vectors, counted per element as the
+    number of chain flats containing it: a canonical relative-interior
+    point of the chain's cone with zero lineality part."""
+    acc = [0] * ground_size
+    for f in chain:
+        for e in f.elements:
+            acc[e - 1] += 1
+    return tuple(acc)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fan_reference import contains, generators
+from fan_reference import contains, generators, sample_relative_interior
 from tropibound.bergman import (
     compare_with_coarse,
     fine_fan,
@@ -14,7 +14,6 @@ from tropibound.bergman import (
     is_positive_member,
     positive_chains,
     positive_fan,
-    sample_relative_interior,
 )
 from tropibound.cli import _positive_bergman
 from tropibound.matroid import (

@@ -1,19 +1,25 @@
+import argparse
 import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fan_reference import sample_relative_interior
+from tropibound import cli
 from tropibound.cli import CliInputError, main, parse_input, write_json
+from tropibound.matroid import OrientedMatroid, realize_from_kernel
 from tropibound.rational import RationalMatrix
 from tropibound.systems import CRNModel, VerticalSystem
 
@@ -55,12 +61,15 @@ def test_parse_malformed_fraction(tmp_path):
 
 def test_parse_rejects_decimals(tmp_path):
     # an exponent string is refused before Fraction makes it a huge integer
-    for value in (0.5, "0.5", "0.0", "-1e0", "-1e5000", "1e100000000"):
+    for value in (0.5, "0.5", "0.0", "-1e0", "-1e5000", "1e100000000", "1/0"):
         path = write(tmp_path, "dec.json", {"kind": "matrix", "matrix": [[value]]})
         start = time.perf_counter()
-        with pytest.raises(CliInputError, match=r"matrix\[0\]\[0\]"):
+        with pytest.raises(CliInputError, match=r"matrix\[0\]\[0\]") as exc:
             parse_input(path)
         assert time.perf_counter() - start < 1, value
+        # one clause, which names the refused entry once
+        assert str(exc.value).count(str(value)) == 1, exc.value
+        assert ("zero denominator" in str(exc.value)) == (value == "1/0"), exc.value
 
 
 def test_bound_refuses_decimal_and_exponent_shifts(tmp_path, capsys):
@@ -687,6 +696,67 @@ def test_fan_documents_stream_in_small_memory(command):
     code, peak_kb = map(int, done.stderr.split()[-2:])
     assert code == 0
     assert peak_kb < 60 * 1024
+
+
+def reference_fan_text(M, command: str, chains) -> str:
+    """The fan document of M over chains, built as dicts and rendered by json."""
+    positive = command == "positive-bergman"
+    cones = []
+    for chain in chains:
+        sample = sample_relative_interior(chain, M.ground_size)
+        cone = {"flats": [f.elements for f in chain], "sample": [str(x) for x in sample]}
+        if positive:
+            cone["dimension"] = len(chain) + 1
+        cones.append(cone)
+    doc = {"kind": "fan", "ground_size": M.ground_size, "cones": cones}
+    if positive:
+        doc.update(kind="positive_fan", free_matroid=not M.circuits)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def assert_fan_documents_match(M, rng):
+    # the chains as the pipeline lists them, then shuffled, so that the
+    # renderer's prefix stack is reset between unrelated chains
+    for command, fan in (("bergman", "fine_fan"), ("positive-bergman", "positive_fan")):
+        _, handler, _ = cli.COMMANDS[command]
+        chains = getattr(cli, fan)(M)
+        for order in (chains, tuple(rng.sample(chains, len(chains)))):
+            with mock.patch.object(cli, fan, lambda M, order=order: order):
+                doc, _, _ = handler(M, argparse.Namespace(coarse_compare=None))
+            assert written(doc) == reference_fan_text(M, command, order), (command, order)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        OrientedMatroid(3, []),
+        realize_from_kernel(RationalMatrix.from_rows([[1, 1]])),
+        realize_from_kernel(RationalMatrix.from_rows([[1, -1]])),
+        realize_from_kernel(RationalMatrix.from_rows([[-3, 1, -1, -2, 2], [-1, 1, -1, -1, 1]])),
+    ],
+    ids=["free", "one-signed-circuit", "rank-1", "running"],
+)
+def test_fan_documents_match_dict_rendering(M):
+    assert_fan_documents_match(M, random.Random(0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda rows: st.integers(rows + 1, 6).flatmap(
+            lambda cols: st.lists(
+                st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_fan_documents_match_dict_rendering_random(rows, rng):
+    C = RationalMatrix.from_rows(rows)
+    assume(not C.is_zero())
+    assert_fan_documents_match(realize_from_kernel(C), rng)
 
 
 @pytest.mark.parametrize(
