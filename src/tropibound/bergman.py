@@ -96,10 +96,10 @@ def _positive_flats(OM: OrientedMatroid) -> list[Flat]:
 def positive_fan(OM: OrientedMatroid) -> tuple[tuple[Flat, ...], ...]:
     """The fine fan's maximal cones whose flats are all positive (see
     ``_is_positive_flat``), in the order of ``fine_fan``: the full-length
-    chains of positive flats, walked directly."""
-    positive = _positive_flats(OM)
-    # no positive flats means a one-signed circuit, which the empty chain fails too
-    return tuple(_full_chains(positive, OM.rank)) if positive else ()
+    chains of positive flats, walked directly.  No flat is positive, the
+    empty one included, when some circuit is one-signed, and then no
+    chain is either."""
+    return tuple(_full_chains(_positive_flats(OM), OM.rank))
 
 
 def positive_chains(OM: OrientedMatroid) -> list[tuple[Flat, ...]]:

@@ -16,10 +16,18 @@ import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from operator import add
 
-from tropibound.bergman import compare_with_coarse, fine_fan, positive_fan
+from tropibound.bergman import _positive_flats, compare_with_coarse
 from tropibound.intersection import lower_bound
-from tropibound.matroid import MatroidError, maximal_flag_count, realize_from_kernel
+from tropibound.matroid import (
+    MatroidError,
+    _chain_count,
+    _covers,
+    all_flats,
+    maximal_flag_count,
+    realize_from_kernel,
+)
 from tropibound.numeric import count_roots, instantiate
 from tropibound.rational import RationalMatrix, to_rational
 from tropibound.subdivision import (
@@ -303,70 +311,76 @@ def _flats(M, args):
     return doc, lines, 0
 
 
-def _cones(chains, ground_size: int, dimension: bool) -> Iterator[_Rendered]:
-    """The cones over ``chains`` as ``write_json`` renders them at depth
-    2, where the fan documents hold them: each the text of
-    ``{"dimension": len(chain) + 1 (only with dimension), "flats": the
-    flats' elements, "sample": the chain's sample as count strings}``.
+def _cones(flats, M, dimension: bool) -> Iterator[_Rendered]:
+    """The cones over the maximal flags of ``flats`` (all of M's, or the
+    positive ones) as ``write_json`` renders them at depth 2, where the
+    fan documents hold them: each the text of ``{"dimension": len(chain)
+    + 1 (only with dimension), "flats": the flats' elements, "sample":
+    the chain's sample as count strings}``.
 
-    The sample counts, per element, the chain's flats that contain it: a
-    canonical relative-interior point of the cone with zero lineality
-    part.  The counts of each prefix of the last chain are kept on a
-    stack, so a chain adds only the flats past the prefix it shares, by
-    identity, with the chain before it; in any order of the chains.
+    In a geometric lattice every maximal chain steps through covers, so
+    a depth-first walk over the covers of the flats (``_covers``) from
+    the rank-0 flat reaches exactly the maximal flags, in ``all_flats``
+    order, and renders each cone at its leaf.  The walk carries down
+    each depth's sample, which counts per element the chain's flats that
+    contain it: a canonical relative-interior point of the cone with
+    zero lineality part.  It carries the text of the flats so far too.
+    When the rank is at most 1 the empty chain is the one leaf, at the
+    rank-0 flat.
     """
-    d2, d3 = "\n" + "  " * 2, "\n" + "  " * 3
-    flat_texts: dict[int, str] = {}  # by id(): the chains hold every flat alive
-    quoted: list[str] = []  # the text of each count, built once
-    counts = [[0] * ground_size]  # counts[k]: the sample of the chain's first k flats
-    texts: list[str] = []  # texts[k]: the text of the chain's flat k
-    last = ()
-    for chain in chains:
-        shared = 0
-        for f, g in zip(last, chain):
-            if f is not g:
-                break
-            shared += 1
-        del counts[shared + 1 :], texts[shared:]
-        for f in chain[shared:]:
-            sample = counts[-1].copy()
-            for e in f.elements:
-                sample[e - 1] += 1
-            counts.append(sample)
-            text = flat_texts.get(id(f))
-            if text is None:
-                text = flat_texts[id(f)] = _joined(map(int.__repr__, f.elements), 4)
-            texts.append(text)
-        last = chain
-        while len(quoted) <= len(chain):
-            quoted.append(_quote(str(len(quoted))))
-        head = f"{{{d3}\"dimension\": {len(chain) + 1}," if dimension else "{"
-        yield _Rendered(
-            f"{head}{d3}\"flats\": {_joined(texts, 3)},"
-            f"{d3}\"sample\": {_joined(map(quoted.__getitem__, counts[-1]), 3)}{d2}}}"
-        )
+    levels = _covers(flats, M.rank)
+    top = len(levels) - 1  # the length of every chain
+    d2, d3, d4 = ("\n" + "  " * k for k in (2, 3, 4))
+    head = f"{{{d3}\"dimension\": {top + 1}," if dimension else "{"
+    quoted = [_quote(str(k)) for k in range(top + 1)]
+    sep = "," + d4
+    # per flat: its text as an item of the flats array, with the separator
+    # before it, and its indicator vector
+    texts = [
+        [(sep if k > 1 else d4) + _joined(map(int.__repr__, f.elements), 4) for f, _ in level]
+        for k, level in enumerate(levels)
+    ]
+    ones = [[[int(e in f.as_set) for e in M.ground_set] for f, _ in level] for level in levels]
+    start, mid, end = f"{head}{d3}\"flats\": [", f"{d3}],{d3}\"sample\": [{d4}", f"{d3}]{d2}}}"
+
+    def walk(k: int, above: list[int], sample: list[int], prefix: str):
+        for j in above:
+            grown = map(add, sample, ones[k][j])
+            if k < top:
+                yield from walk(k + 1, levels[k][j][1], [*grown], prefix + texts[k][j])
+            else:
+                counts = sep.join(map(quoted.__getitem__, grown))
+                yield _Rendered(start + prefix + texts[k][j] + mid + counts + end)
+
+    zero = [0] * M.ground_size
+    for _, above in levels[0]:
+        if top:
+            yield from walk(1, above, zero, "")
+        else:
+            counts = sep.join(map(quoted.__getitem__, zero))
+            yield _Rendered(f"{head}{d3}\"flats\": [],{d3}\"sample\": [{d4}{counts}{end}")
 
 
 def _bergman(M, args):
-    cones = fine_fan(M)
     doc = {
         "kind": "fan",
         "ground_size": M.ground_size,
-        "cones": _cones(cones, M.ground_size, dimension=False),
+        "cones": _cones(all_flats(M), M, dimension=False),
     }
-    return _coarse_compare(M, args, doc, [f"fine fan: {len(cones)} maximal cones"])
+    return _coarse_compare(M, args, doc, [f"fine fan: {maximal_flag_count(M)} maximal cones"])
 
 
 def _positive_bergman(M, args):
-    cones = positive_fan(M)
+    flats = _positive_flats(M)
     doc = {
         "kind": "positive_fan",
         "ground_size": M.ground_size,
         # no circuits: the fan is all of R^r
         "free_matroid": not M.circuits,
-        "cones": _cones(cones, M.ground_size, dimension=True),
+        "cones": _cones(flats, M, dimension=True),
     }
-    lines = [f"positive fan: {len(cones)} of {maximal_flag_count(M)} maximal cones"]
+    count = _chain_count(flats, M.rank)
+    lines = [f"positive fan: {count} of {maximal_flag_count(M)} maximal cones"]
     return _coarse_compare(M, args, doc, lines)
 
 

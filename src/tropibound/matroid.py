@@ -337,34 +337,62 @@ def all_flats(M: OrientedMatroid) -> tuple[Flat, ...]:
     return tuple(sorted(flats, key=lambda f: (f.rank, f.elements)))
 
 
+def _covers(flats: Iterable[Flat], top_rank: int) -> list[list[tuple[Flat, list[int]]]]:
+    """The given flats of ranks 0, 1, ..., max(top_rank - 1, 0), one list
+    per rank in the given order, each flat paired with the positions, in
+    the next rank's list, of the flats covering it: G covers F iff F is
+    inside G and rank G = rank F + 1, tested on bitmasks."""
+    levels: list[list[tuple[Flat, list[int]]]] = [[] for _ in range(max(top_rank, 1))]
+    for f in flats:
+        if f.rank < len(levels):
+            levels[f.rank].append((f, []))
+    masks = [[_mask(f.elements) for f, _ in level] for level in levels]
+    for level, lower, upper in zip(levels, masks, masks[1:]):
+        for j, G in enumerate(upper):
+            for (_, above), F in zip(level, lower):
+                if not F & ~G:
+                    above.append(j)
+    return levels
+
+
 def _full_chains(flats: Iterable[Flat], top_rank: int) -> list[tuple[Flat, ...]]:
     """The chains F1 < F2 < ... of the given flats with ranks 1, 2, ...,
-    top_rank - 1, depth first in the given order; the empty chain alone
-    when top_rank <= 1.  A chain is only ever extended by a strictly
-    larger flat, so every chain strictly increases.
+    top_rank - 1 above a given rank-0 flat, depth first in the given
+    order; the empty chain alone when top_rank <= 1 and a rank-0 flat is
+    given, and no chain when none is.
 
-    With ``flats`` in ``all_flats`` order, leaving some flats out leaves
-    the remaining chains in the same order: ``positive_fan`` passes the
+    In a geometric lattice every maximal chain steps through covers, so
+    a depth-first walk over the covers (``_covers``) from the rank-0 flat
+    lists exactly the maximal flags, in ``all_flats`` order when the
+    flats come in that order.  Leaving some flats out leaves the
+    remaining chains in the same order: ``positive_fan`` passes the
     positive flats and gets the positive maximal flags in the order of
     ``maximal_flags``.
     """
-    by_rank: dict[int, list[Flat]] = {}
-    for f in flats:
-        if 1 <= f.rank < top_rank:
-            by_rank.setdefault(f.rank, []).append(f)
+    levels = _covers(flats, top_rank)
     out: list[tuple[Flat, ...]] = []
 
-    def extend(prefix: tuple[Flat, ...]):
-        depth = len(prefix) + 1
-        if depth >= top_rank:
-            out.append(prefix)
-            return
-        for f in by_rank.get(depth, []):
-            if not prefix or prefix[-1].as_set < f.as_set:
-                extend((*prefix, f))
+    def extend(chain: tuple[Flat, ...], k: int, above: list[int]):
+        if k == len(levels):
+            out.append(chain)
+        for j in above:
+            f, up = levels[k][j]
+            extend((*chain, f), k + 1, up)
 
-    extend(())
+    for _, above in levels[0]:
+        extend((), 1, above)
     return out
+
+
+def _chain_count(flats: Iterable[Flat], top_rank: int) -> int:
+    """``len(_full_chains(flats, top_rank))`` without listing the chains:
+    the chains through a flat to the top are as many as those through
+    the flats covering it, summed one rank at a time from the top."""
+    levels = _covers(flats, top_rank)
+    paths = [1] * len(levels[-1])
+    for level in reversed(levels[:-1]):
+        paths = [sum(paths[j] for j in above) for _, above in level]
+    return sum(paths)
 
 
 @lru_cache(maxsize=64)
@@ -376,18 +404,5 @@ def maximal_flags(M: OrientedMatroid) -> tuple[tuple[Flat, ...], ...]:
 
 
 def maximal_flag_count(M: OrientedMatroid) -> int:
-    """``len(maximal_flags(M))`` without listing the flags.
-
-    Counts the chains ending at each flat one rank at a time: a rank-k
-    flat ends as many chains as the rank-(k-1) flats inside it end
-    together.
-    """
-    if M.rank <= 1:
-        return 1
-    levels: dict[int, list[int]] = {}
-    for f in all_flats(M):
-        levels.setdefault(f.rank, []).append(_mask(f.elements))
-    ends = dict.fromkeys(levels[1], 1)
-    for k in range(2, M.rank):
-        ends = {G: sum(n for F, n in ends.items() if not F & ~G) for G in levels[k]}
-    return sum(ends.values())
+    """``len(maximal_flags(M))`` without listing the flags."""
+    return _chain_count(all_flats(M), M.rank)

@@ -66,11 +66,12 @@ def vector(entries: Iterable[Scalar]) -> RationalVector:
 
 
 class RationalMatrix:
-    """Immutable dense matrix of rationals, stored row-major.  The hash is
-    computed once, on first use, and kept: one-entry memos keyed on a
-    matrix look it up on every call, while most matrices are never hashed."""
+    """Immutable dense matrix of rationals, stored row-major.  Equality
+    and the hash read one tuple of ints (``_ints``), built on first use
+    and kept: one-entry memos keyed on a matrix hash and compare it on
+    every call, while most matrices never are."""
 
-    __slots__ = ("rows", "cols", "_entries", "_hash")
+    __slots__ = ("rows", "cols", "_entries", "_key")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
         ent = tuple(to_rational(x) for x in entries)
@@ -79,7 +80,7 @@ class RationalMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_entries", ent)
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
@@ -154,18 +155,21 @@ class RationalMatrix:
     def is_integer(self) -> bool:
         return all(x.denominator == 1 for x in self._entries)
 
+    def _ints(self) -> tuple[int, ...]:
+        """The shape, the numerators, then the denominators.  Entries are
+        in lowest terms with positive denominators, so two matrices are
+        equal iff these tuples are."""
+        if self._key is None:
+            ent = self._entries
+            key = (*(x.numerator for x in ent), *(x.denominator for x in ent))
+            object.__setattr__(self, "_key", (self.rows, self.cols, *key))
+        return self._key
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._entries == other._entries
-        )
+        return isinstance(other, RationalMatrix) and self._ints() == other._ints()
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.rows, self.cols, self._entries)))
-        return self._hash
+        return hash(self._ints())
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))

@@ -5,7 +5,7 @@ flats' indicator vectors plus the all-ones lineality line, on the ground
 set {1..ground_size}.
 """
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from tropibound.bergman import _coerce
 from tropibound.matroid import Flat
@@ -58,3 +58,28 @@ def sample_relative_interior(chain: Sequence[Flat], ground_size: int) -> tuple[i
         for e in f.elements:
             acc[e - 1] += 1
     return tuple(acc)
+
+
+def reference_full_chains(flats: Iterable[Flat], top_rank: int) -> list[tuple[Flat, ...]]:
+    """The chains F1 < F2 < ... of the given flats with ranks 1, 2, ...,
+    top_rank - 1, depth first in the given order, each extension found by
+    scanning every given flat of the next rank; the empty chain alone
+    when top_rank <= 1.  The reference for the cover walk of
+    ``matroid._full_chains``, which also needs a rank-0 flat to start."""
+    by_rank: dict[int, list[Flat]] = {}
+    for f in flats:
+        if 1 <= f.rank < top_rank:
+            by_rank.setdefault(f.rank, []).append(f)
+    out: list[tuple[Flat, ...]] = []
+
+    def extend(prefix: tuple[Flat, ...]):
+        depth = len(prefix) + 1
+        if depth >= top_rank:
+            out.append(prefix)
+            return
+        for f in by_rank.get(depth, []):
+            if not prefix or prefix[-1].as_set < f.as_set:
+                extend((*prefix, f))
+
+    extend(())
+    return out

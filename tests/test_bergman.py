@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fan_reference import contains, generators, sample_relative_interior
+from fan_reference import (
+    contains,
+    generators,
+    reference_full_chains,
+    sample_relative_interior,
+)
 from tropibound.bergman import (
+    _positive_flats,
     compare_with_coarse,
     fine_fan,
     is_member,
@@ -20,6 +26,9 @@ from tropibound.matroid import (
     Flat,
     OrientedMatroid,
     SignedCircuit,
+    _chain_count,
+    _covers,
+    _full_chains,
     all_flats,
     maximal_flag_count,
     maximal_flags,
@@ -341,6 +350,61 @@ def test_chains_strictly_increase_random(data):
         label="C",
     )
     check_chains_strictly_increase(realize_from_kernel(RationalMatrix.from_rows(C_rows)))
+
+
+def check_cover_walk(OM, keep):
+    """The cover walk lists the scanning reference's chains, in order,
+    and ``_chain_count`` counts them: over all flats, over the positive
+    ones, and over the flats that ``keep`` selects besides the rank-0
+    one; no chain at all when no rank-0 flat is given."""
+    flats = all_flats(OM)
+    for given in (flats, _positive_flats(OM), [f for f in flats if f.rank == 0 or keep(f)]):
+        expected = reference_full_chains(given, OM.rank) if given else []
+        assert _full_chains(given, OM.rank) == expected
+        assert _chain_count(given, OM.rank) == len(expected)
+    assert _chain_count(flats, OM.rank) == maximal_flag_count(OM) == len(maximal_flags(OM))
+    assert _chain_count(_positive_flats(OM), OM.rank) == len(positive_fan(OM))
+
+
+@pytest.mark.parametrize(
+    "OM",
+    [
+        OrientedMatroid(4, []),
+        OrientedMatroid(2, [SignedCircuit((1,), ()), SignedCircuit((2,), ())]),
+        realize_from_kernel(RationalMatrix.from_rows([[1, -1]])),
+        realize_from_kernel(RationalMatrix.from_rows([[1, 1]])),
+        OrientedMatroid(4, [SignedCircuit((1, 2, 3), ())]),
+        OrientedMatroid(5, [SignedCircuit((1, 2), (3,)), SignedCircuit((4, 5), ())]),
+    ],
+    ids=["free", "loops", "rank-1", "rank-1-one-signed", "one-signed", "one-signed-beside-mixed"],
+)
+def test_cover_walk_matches_scanning_reference(OM):
+    check_cover_walk(OM, lambda f: f.rank != 1 or 1 not in f.elements)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cover_walk_matches_scanning_reference_random(data):
+    r = data.draw(st.integers(1, 6), label="r")
+    row = st.lists(st.integers(-2, 2), min_size=r, max_size=r)
+    C_rows = data.draw(
+        st.lists(row, min_size=1, max_size=r).filter(lambda rows: any(map(any, rows))),
+        label="C",
+    )
+    OM = realize_from_kernel(RationalMatrix.from_rows(C_rows))
+    kept = data.draw(st.sets(st.sampled_from(all_flats(OM))), label="kept")
+    check_cover_walk(OM, kept.__contains__)
+
+
+def test_hhk_covers_and_cone_counts(hhk_model):
+    OM = realize_from_kernel(assemble_crn(hhk_model).C)
+    levels = _covers(all_flats(OM), OM.rank)
+    edges = [sum(len(above) for _, above in level) for level in levels]
+    # from the empty flat, between ranks 1..6, and none above the top
+    assert edges == [10, 84, 284, 492, 436, 165, 0]
+    assert sum(edges[1:]) == 1461
+    assert maximal_flag_count(OM) == len(maximal_flags(OM)) == 29484
+    assert _chain_count(_positive_flats(OM), OM.rank) == len(positive_fan(OM)) == 8064
 
 
 # --- invariance properties ---------------------------------------------------

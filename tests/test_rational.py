@@ -271,6 +271,27 @@ def test_matrix_is_immutable(running_N):
         running_N.rows = 5
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_matrix_equality_and_hash_follow_shape_and_values(rows, cols, other_cols, data):
+    entries = st.lists(
+        st.fractions(-3, 3, max_denominator=4), min_size=rows * cols, max_size=rows * cols
+    )
+    xs, ys = data.draw(entries, label="xs"), data.draw(entries, label="ys")
+    M = RationalMatrix(rows, cols, xs)
+    # the same values through other input forms: equal, with equal hashes
+    same = RationalMatrix(rows, cols, [f"{x.numerator}/{x.denominator}" for x in xs])
+    assert M == same and hash(M) == hash(same) and M == M
+    # equal exactly when the shape and every value agree, denominators included
+    assert (M == RationalMatrix(rows, cols, ys)) == (xs == ys)
+    halved = RationalMatrix(rows, cols, [x / 2 for x in xs])
+    assert (M == halved) == (not any(xs))
+    if other_cols != cols and rows * other_cols == rows * cols:
+        assert M != RationalMatrix(rows, other_cols, xs)
+    assert M != RationalMatrix(cols, rows, xs) or rows == cols
+    assert M != xs
+
+
 def test_first_independent_rows_skips_dependent():
     M = RationalMatrix.from_rows([[1, 0], [2, 0], [0, 1]])
     assert first_independent_rows(M) == [0, 2]
