@@ -2,10 +2,11 @@
 intersected with the row span of an integer exponent matrix.
 
 Two structurally different complete enumerations are provided: the primary
-one solves one tie system per distinct block partition of the positive
-cells (componentwise, since circuits never straddle connected components),
-listing the cells themselves only where a system is underdetermined; the
-oracle enumerates vertices of the tie-hyperplane arrangement.
+one solves the tie systems of the distinct block partitions of the
+positive cells (componentwise, since circuits never straddle connected
+components), one elimination per set of pivot ties, listing the cells
+themselves only where a system is underdetermined; the oracle enumerates
+vertices of the tie-hyperplane arrangement.
 Per-point transversality is certified by an exact tangent-direction test,
 never by genericity arguments.
 """
@@ -393,11 +394,24 @@ def _cell_partitions(
     ``(components, None)``, or ``((), comp)`` for the first component
     ``comp`` that admits no positive weight: there the empty flat fails,
     because some circuit is one-signed.
+
+    While the recursion runs, a partition is one int: with r the ground
+    size, block B is its bitmask shifted to bit offset r * (lowest
+    element of B - 1).  Blocks are disjoint, so no two share an offset
+    and {G - F} + parts(G) is one integer addition per partition.  Only
+    the partitions of the empty flat are decoded, r bits at a time; the
+    blocks come out ordered by lowest element, so already sorted.
     """
     elements = functools.cache(lambda mask: _elements(mask, OM))
     signs = [(_mask(c.positive), _mask(c.negative)) for c in OM.circuits]
+    r = OM.ground_size
+    full, slots = (1 << r) - 1, range(0, r * r, r)
+
+    def block(B: int) -> int:
+        return B << r * ((B & -B).bit_length() - 1)
+
     components = []
-    for comp in _merge(OM.ground_size, OM.circuit_supports):
+    for comp in _merge(r, OM.circuit_supports):
         top = _mask(comp)
         inside = [(p, q) for p, q in signs if not (p | q) & ~top]
         if not _is_positive_flat(0, inside):
@@ -407,15 +421,15 @@ def _cell_partitions(
         proper = [F for level in levels[1:-1] for F in level if _is_positive_flat(F, inside)]
         above = {F: tuple(G for G in proper if G != F and G & F == F) for F in [0, *proper]}
         # a flat strictly above F has more elements, so larger flats go first
-        parts: dict[int, set[frozenset[int]]] = {}
+        parts: dict[int, set[int]] = {}
         for F in sorted(above, key=int.bit_count, reverse=True):
             parts[F] = (
-                {p | {G & ~F} for G in above[F] for p in parts[G]}
+                {p + b for G in above[F] for b in (block(G & ~F),) for p in parts[G]}
                 if above[F]
-                else {frozenset((top & ~F,))}
+                else {block(top & ~F)}
             )
-        partitions = sorted(tuple(sorted(map(elements, p))) for p in parts[0])
-        components.append(_Component(above, tuple(partitions)))
+        decoded = (tuple(elements(B) for B in (p >> i & full for i in slots) if B) for p in parts[0])
+        components.append(_Component(above, tuple(sorted(decoded))))
     return tuple(components), None
 
 
@@ -476,48 +490,92 @@ class _FanPlan(NamedTuple):
     diagnostics: Diagnostics
     empty: tuple[int, ...] | None  # a component admitting no positive weight
     at_int: tuple[tuple[int, ...], ...]  # the rows of A^T
-    # per partition combination: the ``_tie_system`` of its ties and, when
-    # their rank is below n, each component's positive cells with its
-    # partition
-    systems: tuple[tuple[int, tuple, tuple, tuple, tuple[tuple[_Cell, ...], ...] | None], ...]
+    # per distinct pivot tie set of the full-rank partition combinations,
+    # in order of first appearance: d and the h_rows of its
+    # ``_tie_system``, the distinct nonzero check rows of the other ties,
+    # and per combination the bitmask of its check rows
+    pivoted: tuple[tuple[int, tuple, tuple, frozenset[int]], ...]
+    # per underdetermined combination: the ``_tie_system`` of its ties and
+    # each component's positive cells with its partition
+    underdetermined: tuple[tuple[int, tuple, tuple, tuple, tuple[tuple[_Cell, ...], ...]], ...]
 
 
 @functools.lru_cache(maxsize=1)
 def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
     """Validate (OM, A), find each component's block partitions, and
-    eliminate the ties of each partition combination.
+    eliminate the ties of the partition combinations, sharing one
+    elimination among the combinations with the same pivot ties.
 
     A is read through ``integer_columns``, so a non-integer A raises
     ValueError.  The ties of a combination tie each block's first element
-    to each of its other elements, and ``_tie_system`` eliminates them
-    with h left symbolic: so a one-entry memo lets every shift of a scan
-    over one matroid and one A share the plan; the result is immutable
-    because callers share it.  The positive cells of a combination are
-    listed only when its ties have rank below n, since only an
-    underdetermined system needs their ordering facets; each component
-    partition's cells are listed once.
+    to each of its other elements, and are eliminated with h left
+    symbolic: so a one-entry memo lets every shift of a scan over one
+    matroid and one A share the plan; the result is immutable because
+    callers share it.
+
+    One ``_echelon`` of the n x k transposed differences A^T_a - A^T_b of
+    a combination's k pairs finds its first n pairs with independent
+    differences, its pivot ties, as ``first_independent_rows`` does.
+    When there are n, the ties have full rank and their solution depends
+    on the pivot ties alone: ``_tie_system`` of just those pairs, once
+    per distinct pivot set, gives d and the h_rows with
+    d H v_i = h_row_i . (H h).  Each other pair (a, b) then holds iff
+    its check row c = sum_i (A^T_a - A^T_b)_i h_row_i + d (e_a - e_b)
+    has c . (H h) = 0.  The echelon holds d times the reduced form (its
+    d is the pivot set's: both are |det| of the pivot differences).  Its
+    column of (a, b) writes A^T_a - A^T_b as sum_t lam_t / d times the
+    difference of pivot tie t = (a_t, b_t), and pivot t reads
+    sum_i (A^T_a_t - A^T_b_t)_i h_row_i = d (e_b_t - e_a_t); so
+    c = sum_t lam_t (e_b_t - e_a_t) + d (e_a - e_b), read off without a
+    product.  The nonzero check rows are kept once per pivot set, and
+    each combination becomes the bitmask of its own; so a pivot set is
+    consistent at h iff some mask has no check row that fails there.  A
+    combination of rank below n keeps its full ``_tie_system``, and its
+    positive cells are listed, since only an underdetermined system needs
+    their ordering facets; each component partition's cells are listed
+    once.
     """
     diagnostics = validate_inputs(OM, A)
     at_int = integer_columns(A)
     n = A.rows
     components, empty = _cell_partitions(OM)
     cells = functools.cache(lambda i, partition: _fine_cells(components[i].above, partition))
-    systems = []
+    A_rows = tuple(zip(*at_int))
+    # pivot pairs -> (d, h_rows, pair -> bit of its check row, check rows, masks)
+    pivoted: dict[tuple, tuple[int, tuple, dict, list, set[int]]] = {}
+    underdetermined = []
     # an empty fan has no cells; product() of no factors would yield one
     if empty is None:
         for combo in itertools.product(*(c.partitions for c in components)):
             pairs = [(block[0] - 1, e - 1) for blocks in combo for block in blocks for e in block[1:]]
-            ties = _tie_system(at_int, pairs, n)
-            groups = None
-            if len(ties[1]) < n:
+            diffs = [[Ai[a] - Ai[b] for a, b in pairs] for Ai in A_rows]
+            m, independent = _echelon(diffs, len(pairs))[:2]
+            if len(independent) < n:
                 groups = tuple(cells(i, partition) for i, partition in enumerate(combo))
-            systems.append((*ties, groups))
-    return _FanPlan(diagnostics, empty, at_int, tuple(systems))
+                underdetermined.append((*_tie_system(at_int, pairs, n), groups))
+                continue
+            key = tuple(map(pairs.__getitem__, independent))
+            if key not in pivoted:
+                d, _, h_rows, _ = _tie_system(at_int, key, n)
+                pivoted[key] = (d, h_rows, {}, [], set())
+            d, h_rows, bits, checks, masks = pivoted[key]
+            for j, pair in enumerate(pairs):
+                if pair not in bits:
+                    # c = sum_t lam_t (e_b_t - e_a_t) + d (e_a - e_b) with
+                    # lam_t = m[t][j]: the pair itself enters with -d
+                    c = [0] * A.cols
+                    for (a, b), lam in zip((*key, pair), [*(row[j] for row in m), -d]):
+                        c[a], c[b] = c[a] - lam, c[b] + lam
+                    bits[pair] = 1 << len(checks) if any(c) else 0
+                    checks += [tuple(c)] if any(c) else []
+            masks.add(sum(map(bits.get, pairs)))
+    pivot_sets = tuple((d, h, tuple(c), frozenset(m)) for d, h, _, c, m in pivoted.values())
+    return _FanPlan(diagnostics, empty, at_int, pivot_sets, tuple(underdetermined))
 
 
 def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> IntersectionReport:
-    """Primary enumeration: one tie system per distinct block partition
-    of the positive cells.
+    """Primary enumeration: the tie systems of the distinct block
+    partitions of the positive cells.
 
     Circuits never straddle circuit-connected components, so positive
     cells are products of per-component cells and their tie systems
@@ -529,12 +587,14 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     higher-dimensional pieces flag the run as non-transverse.
 
     The partitions are found, and the ties of the integer A eliminated
-    with h left symbolic, once per (OM, A) in ``_fan_plan``.  Per call,
-    ``integer_multiple`` gives H and the ints H h, and a system is
-    evaluated at them: it is consistent iff each check row . (H h) is 0,
-    and then x_i = h_row_i . (H h).  A system of full rank has the
-    unique solution v = x / (d H); its image A^T v + h is tested for
-    positive membership in integers, on the positive multiple
+    with h left symbolic, once per (OM, A) in ``_fan_plan``; the systems
+    of full rank share one elimination per set of pivot ties.  Per call,
+    ``integer_multiple`` gives H and the ints H h, and the check rows are
+    evaluated at them: a pivot set is consistent iff, for some one of its
+    combinations, each check row . (H h) is 0, an underdetermined system
+    iff all of its own are, and then x_i = h_row_i . (H h).  A pivot set
+    has the unique solution v = x / (d H); its image A^T v + h is tested
+    for positive membership in integers, on the positive multiple
     p = d H (A^T v + h), and Fractions are built only for accepted
     points.  An underdetermined system hands ``_polyhedra`` its
     equalities (H v_row_i) . v = x_i already reduced, and a point it
@@ -566,25 +626,28 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     seen: set[tuple[tuple[int, ...], int]] = set()
     pinned = 0
     positive_cells = 0
-    for d, v_rows, h_rows, check, groups in plan.systems:
+    for d, h_rows, checks, masks in plan.pivoted:
+        failed = sum(1 << i for i, row in enumerate(checks) if sum(map(mul, row, h_int)))
+        if all(mask & failed for mask in masks):
+            continue
+        x = [sum(map(mul, row, h_int)) for row in h_rows]
+        # v = x / (d H); many pivot sets share a point, so each v, keyed
+        # by x / d in lowest terms, is tested once
+        g = gcd(d, *x)
+        key = (tuple(xi // g for xi in x), d // g)
+        if key in seen:
+            continue
+        seen.add(key)
+        aw = [sum(map(mul, row, x)) for row in at_int]
+        p = [a + d * hj for a, hj in zip(aw, h_int)]
+        if is_positive_member(p, OM):
+            den = d * H
+            v = tuple(Fraction(xi, den) for xi in x)
+            candidates[v] = (tuple(Fraction(a, den) for a in aw), p)
+    for d, v_rows, h_rows, check, groups in plan.underdetermined:
         if any(sum(map(mul, row, h_int)) for row in check):
             continue
         x = [sum(map(mul, row, h_int)) for row in h_rows]
-        if len(x) == n:
-            # v = x / (d H); many cells share a point, so each v, keyed
-            # by x / d in lowest terms, is tested once
-            g = gcd(d, *x)
-            key = (tuple(xi // g for xi in x), d // g)
-            if key in seen:
-                continue
-            seen.add(key)
-            aw = [sum(map(mul, row, x)) for row in at_int]
-            p = [a + d * hj for a, hj in zip(aw, h_int)]
-            if is_positive_member(p, OM):
-                den = d * H
-                v = tuple(Fraction(xi, den) for xi in x)
-                candidates[v] = (tuple(Fraction(a, den) for a in aw), p)
-            continue
         # Underdetermined ties: examine each product cell of this
         # combination with its ordering facets.
         eqs = [(tuple(H * c for c in row), xi) for row, xi in zip(v_rows, x)]
@@ -667,12 +730,14 @@ def intersect_via_vertices(
     tie-hyperplane arrangement whose image lies in the positive fan.
 
     The planes are the ties w_i = w_j for every pair i, j sharing a
-    circuit support.  An isolated point in the relative interior of a
-    positive cell is pinned by its argmin ties, all of which live inside
-    circuit supports, so it is a vertex here.  That argument does not
-    cover a point pinned on a cell boundary by the cell's facets; the
-    oracle finding those rests on its agreement with the fan walk
-    (acceptance criterion 7), not on a proof.  The search shares no code
+    circuit support, and every isolated point is a vertex here, on a
+    cell boundary too.  Suppose the planes through an intersection point
+    v had rank below n.  Then some u != 0 keeps every tie among pairs in
+    a common circuit support that holds at v.  A circuit's argmin
+    elements of A^T v + h are tied, so they move together along
+    v + eps u, and for small eps > 0 its other elements stay above them:
+    every circuit keeps its argmin set, so A^T (v + eps u) + h stays in
+    the positive fan and v is not isolated.  The search shares no code
     path with the fan walk: no cells, chains or calls into `_polyhedra`.
 
     A depth-first search visits the independent sets of n planes, in

@@ -60,6 +60,19 @@ class InstantiatedSystem:
         residual = float(np.max(np.abs(values) / scale))
         return values, m, residual
 
+    def residuals_log(self, Y: np.ndarray) -> np.ndarray:
+        """The scaled residual of ``evaluate_log`` at each row of Y, in one
+        batched evaluation; a non-finite value gives inf or nan.
+
+        The batched matrix product may round differently from the one in
+        ``evaluate_log``, so an entry can differ from its residual in the
+        last bits.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = self.coefficients * np.exp(Y @ self.exponents.T)[:, None, :]
+            scale = np.maximum(np.abs(terms).max(axis=2), 1.0)
+            return np.max(np.abs(terms.sum(axis=2)) / scale, axis=1)
+
     def jacobian_log(self, m: np.ndarray) -> np.ndarray:
         """d/dy of the system at x = exp(y), given monomial values m.
 
@@ -121,8 +134,12 @@ def newton(
 ) -> RootWitness | None:
     """Damped Newton on y = log x; positivity holds by construction.
 
-    Success requires the scaled residual to drop below tol within
-    max_iter iterations; None means no convergence, not nonexistence.
+    Each iteration takes the full Newton step if it lowers the scaled
+    residual, and otherwise the first of the steps 2^-1 ... 2^-29 that
+    does, which ``residuals_log`` screens in one batched evaluation; it
+    stops when none does.  Success requires the scaled residual to drop
+    below tol within max_iter iterations; None means no convergence, not
+    nonexistence.
     """
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 <= 0) or not np.all(np.isfinite(x0)):
@@ -140,18 +157,20 @@ def newton(
         if not np.all(np.isfinite(step)):
             return None
         lam = 1.0
-        improved = False
-        while lam > 2.0**-30:
-            y_trial = y + lam * step
-            trial = F.evaluate_log(y_trial)
-            if trial[2] < residual:
-                y = y_trial
-                values, m, residual = trial
-                improved = True
+        trial = F.evaluate_log(y + step)
+        if trial[2] >= residual:
+            # backtrack to the first of the steps 2^-1 ... 2^-29 that lowers
+            # the residual; one batch screens them all, and ``evaluate_log``
+            # confirms the step taken
+            lams = 0.5 ** np.arange(1, 30)
+            for lam in lams[F.residuals_log(y + lams[:, None] * step) < residual]:
+                trial = F.evaluate_log(y + lam * step)
+                if trial[2] < residual:
+                    break
+            else:
                 break
-            lam *= 0.5
-        if not improved:
-            break
+        y = y + lam * step
+        values, m, residual = trial
     if residual >= tol:
         return None
     x = np.exp(y)

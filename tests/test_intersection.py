@@ -43,6 +43,7 @@ from tropibound.matroid import (
 )
 from tropibound.rational import (
     RationalMatrix,
+    first_independent_rows,
     integer_columns,
     integer_multiple,
     kernel_basis,
@@ -248,6 +249,101 @@ def test_tie_system_matches_solve_affine():
     assert short > 60 and consistent > 600 and inconsistent > 100 and scaled > 500
 
 
+def test_pivot_sets_match_solve_affine():
+    # the fan plan eliminates only the pivot ties of each full-rank
+    # partition combination, once per distinct pivot set, and checks the
+    # other ties by check rows; at each H h a pivot set's verdict and v must
+    # be those of solve_affine on the full tie matrices of its combinations,
+    # also when zero, repeated or dependent columns of A make ties
+    # dependent, and when fractional h makes H > 1
+    rng = random.Random(2727)
+    shared = short = consistent = inconsistent = scaled = 0
+    for _ in range(60):
+        r, n = rng.randint(3, 8), rng.randint(1, 3)
+        at_int = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        if rng.random() < 0.3:
+            at_int[rng.randrange(r)] = [0] * n
+        if rng.random() < 0.3:
+            at_int[rng.randrange(r)] = list(at_int[rng.randrange(r)])
+        if rng.random() < 0.3:
+            at_int[-1] = [2 * b - a for a, b in zip(at_int[0], at_int[1])]
+        A = RationalMatrix.from_rows([list(col) for col in zip(*at_int)])
+        C = RationalMatrix.from_rows(
+            [[rng.randint(-2, 2) for _ in range(r)] for _ in range(rng.randint(1, 2))]
+        )
+        if C.is_zero() or rank(A) < n:
+            continue
+        OM = realize_from_kernel(C)
+        components, empty = _cell_partitions(OM)
+        if empty is not None:
+            continue
+        plan = _fan_plan(OM, A)
+        # the combinations of each pivot set, in order of first appearance
+        groups = {}
+        for combo in itertools.product(*(c.partitions for c in components)):
+            pairs, rows = _combination_ties(combo, at_int)
+            key = _pivot_ties(pairs, rows, n)
+            if key is None:
+                short += 1
+            else:
+                groups.setdefault(key, []).append((pairs, rows))
+        assert len(plan.pivoted) == len(groups)
+        shared += sum(len(g) > 1 for g in groups.values())
+        for (d, h_rows, checks, masks), group in zip(plan.pivoted, groups.values()):
+            for _ in range(3):
+                den = rng.choice([1, 2, 3, 6])
+                if rng.random() < 0.5:
+                    # w + h is constant on the blocks of one combination
+                    pairs, _ = rng.choice(group)
+                    label = list(range(r))
+                    for a, b in pairs:
+                        label[b] = label[a]
+                    v0 = [Fraction(rng.randint(-5, 5), den) for _ in range(n)]
+                    t = [Fraction(rng.randint(-4, 4), den) for _ in range(r)]
+                    h = [t[label[e]] - sum(map(mul, at_int[e], v0)) for e in range(r)]
+                else:
+                    h = [Fraction(rng.randint(-6, 6), den) for _ in range(r)]
+                H, h_int = integer_multiple(h)
+                scaled += H > 1
+                wants = [
+                    solve_affine(RationalMatrix.from_rows(rows), [h[b] - h[a] for a, b in pairs])
+                    for pairs, rows in group
+                ]
+                failed = sum(1 << i for i, row in enumerate(checks) if sum(map(mul, row, h_int)))
+                ok = any(not mask & failed for mask in masks)
+                assert ok == any(want is not None for want in wants), (at_int, group, h)
+                if not ok:
+                    inconsistent += 1
+                    continue
+                consistent += 1
+                v = tuple(Fraction(sum(map(mul, row, h_int)), d * H) for row in h_rows)
+                for want in wants:
+                    assert want is None or (want[0] == v and want[1].rows == 0)
+    assert shared > 400 and short > 250 and consistent > 2000 and inconsistent > 400
+    assert scaled > 2000
+
+
+def test_fan_plan_eliminates_once_per_pivot_set(monkeypatch):
+    # 2,265 partition combinations of the one 3-positive, 5-negative
+    # circuit, of which 2,259 have full rank with 24 distinct pivot ties
+    import tropibound.intersection
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _tie_system(*args)
+
+    monkeypatch.setattr(tropibound.intersection, "_tie_system", counted)
+    _fan_plan.cache_clear()
+    C = RationalMatrix.from_rows([[1, 2, 1, -1, -3, -1, -2, -1]])
+    A = RationalMatrix.from_rows([[0, 1, 3, 2, -1, 1, 2, 0]])
+    plan = _fan_plan(realize_from_kernel(C), A)
+    _fan_plan.cache_clear()
+    assert len(plan.pivoted) == 24 and len(plan.underdetermined) == 6
+    assert len(calls) == 30
+
+
 # --- block partitions ----------------------------------------------------------
 
 
@@ -285,18 +381,39 @@ def _chain_partitions(OM):
     return groups, None
 
 
+def _combination_ties(combo, at_int):
+    """The 0-based element pairs a partition combination ties, as the fan
+    plan lists them, and their rows A^T_a - A^T_b."""
+    pairs = [(block[0] - 1, e - 1) for blocks in combo for block in blocks for e in block[1:]]
+    return pairs, [[x - y for x, y in zip(at_int[a], at_int[b])] for a, b in pairs]
+
+
+def _pivot_ties(pairs, rows, n):
+    """The first n pairs with independent rows, or None when the rows have
+    rank below n."""
+    if not pairs:
+        return None if n else ()
+    independent = first_independent_rows(RationalMatrix.from_rows(rows))
+    return tuple(pairs[i] for i in independent) if len(independent) == n else None
+
+
 def check_partitions_against_chains(OM, A=None):
     """The flat recursion gives each component the sorted partitions of
     the chain reference.  Without A every partition's cells match the
-    chains' as a multiset; with A the fan plan lists cells exactly for the
-    underdetermined combinations, and those match."""
+    chains' as a multiset.  With A every combination is either full rank
+    and counted in exactly one pivot set, or underdetermined with cells
+    that match the chains': the pivot sets come in order of first
+    appearance, each one's d and h_rows solve its pivot ties at every
+    unit h (by ``solve_affine``), and each combination's mask marks the
+    check rows of its other ties, d times the tie's residual there."""
     ref, ref_empty = _chain_partitions(OM)
     components, empty = _cell_partitions(OM)
     assert empty == ref_empty
     if empty is not None:
         assert components == ()
         if A is not None:
-            assert _fan_plan(OM, A).systems == ()
+            plan = _fan_plan(OM, A)
+            assert plan.pivoted == plan.underdetermined == ()
         return
     assert [c.partitions for c in components] == [tuple(sorted(g)) for g in ref]
     if A is None:
@@ -305,12 +422,39 @@ def check_partitions_against_chains(OM, A=None):
                 assert sorted(_fine_cells(c.above, p)) == sorted(grouped[p])
         return
     plan = _fan_plan(OM, A)
-    combos = list(itertools.product(*(c.partitions for c in components)))
-    assert len(plan.systems) == len(combos)
-    for combo, (_, v_rows, *_, cells) in zip(combos, plan.systems):
-        assert (cells is None) == (len(v_rows) == A.rows)
-        if cells is not None:
-            assert [sorted(c) for c in cells] == [sorted(g[p]) for g, p in zip(ref, combo)]
+    n, r, at_int = A.rows, A.cols, integer_columns(A)
+    short, masks, solved = [], {}, {}
+    for combo in itertools.product(*(c.partitions for c in components)):
+        pairs, rows = _combination_ties(combo, at_int)
+        key = _pivot_ties(pairs, rows, n)
+        if key is None:
+            short.append(combo)
+            continue
+        if key not in solved:
+            # V[j] solves the pivot ties at h = e_j, the j-th unit vector
+            pivot_rows = RationalMatrix.from_rows([rows[pairs.index(pair)] for pair in key])
+            V = []
+            for j in range(r):
+                sol = solve_affine(pivot_rows, [(b == j) - (a == j) for a, b in key])
+                assert sol is not None and sol[1].rows == 0
+                V.append(sol[0])
+            solved[key] = V
+            masks[key] = set()
+        d, h_rows, checks, _ = plan.pivoted[list(solved).index(key)]
+        V = solved[key]
+        assert h_rows == tuple(tuple(d * V[j][i] for j in range(r)) for i in range(n))
+        mask = 0
+        for (a, b), row in zip(pairs, rows):
+            c = tuple(
+                d * (sum(map(mul, row, V[j])) - (b == j) + (a == j)) for j in range(r)
+            )
+            if any(c):
+                mask |= 1 << checks.index(c)
+        masks[key].add(mask)
+    assert [m for *_, m in plan.pivoted] == [frozenset(m) for m in masks.values()]
+    assert len(plan.underdetermined) == len(short)
+    for combo, (*_, cells) in zip(short, plan.underdetermined):
+        assert [sorted(c) for c in cells] == [sorted(g[p]) for g, p in zip(ref, combo)]
 
 
 @pytest.mark.parametrize(
@@ -352,7 +496,7 @@ def test_fan_plan_cells_match_positive_chains(hhk_model):
         C, A, _ = random_instance(rng)
         OM = realize_from_kernel(C)
         check_partitions_against_chains(OM, A)
-        underdetermined += any(cells is not None for *_, cells in _fan_plan(OM, A).systems)
+        underdetermined += bool(_fan_plan(OM, A).underdetermined)
     assert underdetermined >= 20
     vs = assemble_crn(hhk_model)
     check_partitions_against_chains(realize_from_kernel(vs.C), vs.A)
@@ -592,7 +736,7 @@ def test_crn_underdetermined_ties_notes(hhk_model):
         "5 underdetermined tie system(s) pinned to a point by cone facets",
         "4 positive cell(s) meet rowspan(A) in positive dimension",
     )
-    # the vertex oracle's argument does not cover these boundary-pinned points
+    # the vertex oracle finds these boundary-pinned points too
     oracle = intersect_via_vertices(tropical.matroid, vs.A, vs.h)
     assert oracle == {p.v for p in tropical.points}
 
@@ -1061,6 +1205,42 @@ def test_point_flags_are_flats(monkeypatch, hhk_model):
             assert all(level in flats for level in flag), (C, A, h, point.v)
             levels += len(flag)
     assert levels >= 300
+
+
+def test_isolated_points_are_oracle_vertices(monkeypatch, hhk_model):
+    # the oracle's completeness argument: at an isolated point the ties it
+    # meets among pairs in a common circuit support have rank n, so it is a
+    # vertex of the oracle's arrangement, also on a cell boundary; checked
+    # on the 24 crn_scan draws, the hhk shift whose points are pinned by
+    # cone facets, and the criterion-7 family
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    systems = []
+    for h in [*workloads.crn_base_draws(), (7, 8, 3, 3, -1, 8)]:
+        vs = assemble_crn(dataclasses.replace(hhk_model, h=h))
+        systems.append((vs.C, vs.A, vs.h))
+    for C_rows, A_rows, h in workloads.criterion7_family():
+        systems.append((RationalMatrix.from_rows(C_rows), RationalMatrix.from_rows(A_rows), h))
+    isolated = boundary = 0
+    for C, A, h in systems:
+        OM = realize_from_kernel(C)
+        at_int = integer_columns(A)
+        for point in intersect_via_fan(OM, A, h).points:
+            if not point.isolated:
+                continue
+            p = [w + x for w, x in zip(point.w, vector(h))]
+            rows = [
+                [x - y for x, y in zip(at_int[i - 1], at_int[j - 1])]
+                for sup in OM.circuit_supports
+                for i, j in itertools.combinations(sup, 2)
+                if p[i - 1] == p[j - 1]
+            ]
+            assert rank(RationalMatrix.from_rows(rows)) == A.rows, (C, A, h, point.v)
+            isolated += 1
+            boundary += not point.interior
+    assert isolated >= 100 and boundary >= 5
 
 
 def test_level_flag_and_interiority_ignore_scale_and_shift():

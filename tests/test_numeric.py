@@ -5,8 +5,10 @@ import pytest
 
 from tropibound.intersection import lower_bound
 from tropibound.numeric import (
+    TOL,
     InstantiatedSystem,
     InstantiationError,
+    RootWitness,
     count_roots,
     instantiate,
     newton,
@@ -174,3 +176,84 @@ def test_witness_count_reaches_certified_bound_on_shipped(running_system, hhk_mo
         rep = bound(system)
         witnesses = count_roots(instantiate(system, 0.01), rep.tropical)
         assert len(witnesses) >= rep.certified_bound
+
+
+def _halving_newton(F, x0, tol=TOL, max_iter=100, seed_origin="manual"):
+    """Reference: ``newton`` with its line search as a halving loop that
+    evaluates the steps 1, 2^-1, ..., 2^-29 one at a time."""
+    y = np.log(np.asarray(x0, dtype=float))
+    values, m, residual = F.evaluate_log(y)
+    for _ in range(max_iter):
+        if residual < tol:
+            break
+        J = F.jacobian_log(m)
+        try:
+            step = np.linalg.solve(J, -values)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        lam = 1.0
+        improved = False
+        while lam > 2.0**-30:
+            y_trial = y + lam * step
+            trial = F.evaluate_log(y_trial)
+            if trial[2] < residual:
+                y = y_trial
+                values, m, residual = trial
+                improved = True
+                break
+            lam *= 0.5
+        if not improved:
+            break
+    if residual >= tol:
+        return None
+    x = np.exp(y)
+    if np.any(x <= 0) or not np.all(np.isfinite(x)):
+        return None
+    cond = np.linalg.cond(F.jacobian_log(m))
+    return RootWitness(
+        x=tuple(float(v) for v in x),
+        residual=residual,
+        jacobian_condition_flag=bool(np.isfinite(cond) and cond < 1e12),
+        seed_origin=seed_origin,
+    )
+
+
+def test_batched_line_search_matches_halving_loop(monkeypatch, running_system, hhk_model):
+    # the batched backtracking takes every step the halving loop takes: each
+    # Newton iteration evaluates the Jacobian at the same point, bit for bit,
+    # and so the witness lists agree; seed 978 on the running example has a
+    # start that backtracks over a thousand times
+    import tropibound.numeric
+
+    backtracked = 0
+    residuals_log = InstantiatedSystem.residuals_log
+    jacobian_log = InstantiatedSystem.jacobian_log
+
+    def counted(self, Y):
+        nonlocal backtracked
+        backtracked += 1
+        return residuals_log(self, Y)
+
+    def trajectory(F, report, seed, newton):
+        points = []
+
+        def recorded(self, m):
+            points.append(m.tobytes())
+            return jacobian_log(self, m)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(InstantiatedSystem, "jacobian_log", recorded)
+            patch.setattr(InstantiatedSystem, "residuals_log", counted)
+            patch.setattr(tropibound.numeric, "newton", newton)
+            return repr(count_roots(F, report, seed=seed)), points
+
+    for system in (running_system, assemble_crn(hhk_model)):
+        report = lower_bound(system)
+        for t in (0.1, 0.01, 0.001, 0.0001):
+            F = instantiate(system, t)
+            for seed in (0, 978):
+                want = trajectory(F, report, seed, _halving_newton)
+                assert trajectory(F, report, seed, newton) == want, (system.n, t, seed)
+    assert backtracked > 1000
