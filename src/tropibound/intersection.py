@@ -402,7 +402,7 @@ def _cell_partitions(
     the partitions of the empty flat are decoded, r bits at a time; the
     blocks come out ordered by lowest element, so already sorted.
     """
-    elements = functools.cache(lambda mask: _elements(mask, OM))
+    elements = functools.cache(_elements)
     signs = [(_mask(c.positive), _mask(c.negative)) for c in OM.circuits]
     r = OM.ground_size
     full, slots = (1 << r) - 1, range(0, r * r, r)

@@ -11,20 +11,20 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, lt
 from typing import Iterable, Sequence
 
-from tropibound.rational import (
-    RationalMatrix,
-    integer_multiple,
-    kernel_basis,
-    primitive,
-    to_rational,
-)
+from tropibound.rational import RationalMatrix, integer_multiple, kernel_basis, primitive
 
 
 class MatroidError(ValueError):
     pass
+
+
+def _normalized(t) -> bool:
+    """Whether t is a strictly increasing tuple, which normalizing leaves alone."""
+    return type(t) is tuple and all(map(lt, t, t[1:]))
 
 
 @dataclass(frozen=True, order=True)
@@ -35,12 +35,11 @@ class SignedCircuit:
     negative: tuple[int, ...]
 
     def __post_init__(self):
-        pos = tuple(sorted(set(self.positive)))
-        neg = tuple(sorted(set(self.negative)))
-        if pos != tuple(self.positive) or neg != tuple(self.negative):
-            object.__setattr__(self, "positive", pos)
-            object.__setattr__(self, "negative", neg)
-        if set(pos) & set(neg):
+        if not (_normalized(self.positive) and _normalized(self.negative)):
+            object.__setattr__(self, "positive", tuple(sorted(set(self.positive))))
+            object.__setattr__(self, "negative", tuple(sorted(set(self.negative))))
+        pos, neg = self.positive, self.negative
+        if not set(pos).isdisjoint(neg):
             raise MatroidError(f"positive and negative parts overlap: {pos} / {neg}")
         if not pos and not neg:
             raise MatroidError("empty signed circuit")
@@ -65,9 +64,9 @@ class Flat:
     as_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        as_set = frozenset(self.elements)
-        object.__setattr__(self, "elements", tuple(sorted(as_set)))
-        object.__setattr__(self, "as_set", as_set)
+        if not _normalized(self.elements):
+            object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
+        object.__setattr__(self, "as_set", frozenset(self.elements))
 
     def __repr__(self) -> str:
         return f"Flat({set(self.elements) or '{}'}, rank={self.rank})"
@@ -77,23 +76,32 @@ class OrientedMatroid:
     """Signed-circuit presentation of an oriented matroid on {1..r}.
 
     Closed under negation: for every stored (C+, C-) the pair (C-, C+)
-    is stored too.
+    is stored too.  ``circuit_supports`` holds the deduplicated circuit
+    supports, sorted by (size, elements), and ``_masks`` their bitmasks.
+
+    The constructor works on the circuits' sorted ``(positive,
+    negative)`` tuples: it checks the ground set on the ends of each
+    sorted support and nesting on bitmasks, builds only the negations
+    that are missing, each once through ``negated``, and sorts plain
+    tuples.  So every ``SignedCircuit`` it holds was built, and checked
+    by its constructor, once.
     """
 
-    __slots__ = ("ground_size", "circuits", "_supports", "_masks", "_rank")
+    __slots__ = ("ground_size", "circuits", "circuit_supports", "_masks", "_rank")
 
     def __init__(self, ground_size: int, circuits: Iterable[SignedCircuit]):
         if ground_size < 1:
             raise MatroidError("ground set must be nonempty")
-        ground = frozenset(range(1, ground_size + 1))
-        closed: set[SignedCircuit] = set()
-        for c in circuits:
-            if not c.support <= ground:
+        closed = {(c.positive, c.negative): c for c in circuits}
+        found = set()
+        for (pos, neg), c in list(closed.items()):
+            s = tuple(sorted(pos + neg))
+            if s[0] < 1 or s[-1] > ground_size:
                 raise MatroidError(f"circuit {c} leaves the ground set [1..{ground_size}]")
-            if c not in closed:
-                closed.add(c)
-                closed.add(c.negated())
-        supports = sorted({c.support for c in closed}, key=lambda s: (len(s), sorted(s)))
+            found.add(s)
+            if (neg, pos) not in closed:
+                closed[neg, pos] = c.negated()
+        supports = [s for _, s in sorted((len(s), s) for s in found)]
         # bit i of holders[e] is set when support i holds e; the AND over a
         # support's elements marks every support containing it
         holders = [0] * (ground_size + 1)
@@ -101,29 +109,19 @@ class OrientedMatroid:
             for e in s:
                 holders[e] |= 1 << i
         for i, s in enumerate(supports):
-            above = -1
-            for e in s:
-                above &= holders[e]
-            above &= ~(1 << i)
+            above = reduce(and_, map(holders.__getitem__, s)) & ~(1 << i)
             if above:
                 b = supports[(above & -above).bit_length() - 1]
                 raise MatroidError(f"circuit supports are nested: {set(s)} < {set(b)}")
         object.__setattr__(self, "ground_size", ground_size)
-        # the dataclass order, without its generated comparisons
-        object.__setattr__(
-            self, "circuits", tuple(sorted(closed, key=lambda c: (c.positive, c.negative)))
-        )
-        object.__setattr__(self, "_supports", tuple(tuple(sorted(s)) for s in supports))
-        object.__setattr__(self, "_masks", tuple(_mask(s) for s in supports))
+        # the dataclass order is the order of the (positive, negative) keys
+        object.__setattr__(self, "circuits", tuple(closed[k] for k in sorted(closed)))
+        object.__setattr__(self, "circuit_supports", tuple(supports))
+        object.__setattr__(self, "_masks", tuple(map(_mask, supports)))
         object.__setattr__(self, "_rank", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrientedMatroid is immutable")
-
-    @property
-    def circuit_supports(self) -> tuple[tuple[int, ...], ...]:
-        """Deduplicated circuit supports, sorted by (size, elements)."""
-        return self._supports
 
     @property
     def ground_set(self) -> range:
@@ -152,7 +150,8 @@ class OrientedMatroid:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ground_size, self.circuits))
+        # equal circuits give equal masks, and ints hash faster than dataclasses
+        return hash((self.ground_size, self._masks))
 
     def __repr__(self) -> str:
         return f"OrientedMatroid(r={self.ground_size}, circuits={list(self.circuits)})"
@@ -195,23 +194,28 @@ def circuits_via_subsets(G: RationalMatrix) -> list[SignedCircuit]:
     carries I + j's relation and is dropped, since a dependent set is
     never extended.  Each row of G is scaled to integers once by
     ``integer_multiple``, which leaves the column relations unchanged.
+
+    The search collects each circuit as its sorted ``(positive,
+    negative)`` tuples, in both orientations.  One sort of those plain
+    tuples gives the dataclass order, and each ``SignedCircuit`` is then
+    built once, already in place.
     """
     ints = [integer_multiple(G.row(i))[1] for i in range(G.rows)]
-    circuits: list[SignedCircuit] = []
+    circuits: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def relation(cols: tuple[int, ...], row: Sequence[int]) -> None:
         lam = row[len(row) - len(cols) :]
         if 0 not in lam:
             pos = tuple(j + 1 for j, x in zip(cols, lam) if x > 0)
             neg = tuple(j + 1 for j, x in zip(cols, lam) if x < 0)
-            c = SignedCircuit(pos, neg)
-            circuits.extend([c, c.negated()])
+            circuits.extend(((pos, neg), (neg, pos)))
 
     def walk(path: tuple[int, ...], cands: list, live: int) -> None:
         # cands: (column, residual on `live` rows + coefficients on path + own)
         for k, (p, prow) in enumerate(cands):
-            t = next(i for i in range(live) if prow[i])
-            a = prow[t]
+            # the pivot row is the first with a nonzero entry, most often row 0
+            t = 0 if prow[0] else next(i for i in range(live) if prow[i])
+            a, head, own = prow[t], prow[:-1], prow[-1]
             below = (*path, p)
             child = []
             for q, qrow in cands[k + 1 :]:
@@ -219,12 +223,14 @@ def circuits_via_subsets(G: RationalMatrix) -> list[SignedCircuit]:
                 if not b:
                     child.append((q, (*qrow[:t], *qrow[t + 1 : -1], 0, qrow[-1])))
                     continue
-                row = [a * x - b * y for x, y in zip(qrow[:-1], prow[:-1])]
+                # zip stops at head's end, before q's own coefficient
+                row = [a * x - b * y for x, y in zip(qrow, head)]
                 del row[t]
-                row = primitive((*row, -b * prow[-1], a * qrow[-1]))
+                row += (-b * own, a * qrow[-1])
                 if any(row[: live - 1]):
-                    child.append((q, row))
+                    child.append((q, primitive(row)))
                 else:
+                    # a relation's signs need no common factor removed
                     relation((*below, q), row)
             if child:
                 walk(below, child, live - 1)
@@ -237,7 +243,7 @@ def circuits_via_subsets(G: RationalMatrix) -> list[SignedCircuit]:
         else:
             relation((j,), row)
     walk((), roots, G.rows)
-    return sorted(circuits)
+    return [SignedCircuit(pos, neg) for pos, neg in sorted(circuits)]
 
 
 @lru_cache(maxsize=1)
@@ -258,24 +264,19 @@ def realize_from_kernel(C: RationalMatrix) -> OrientedMatroid:
     return OrientedMatroid(C.cols, circuits_via_subsets(kernel_basis(C)))
 
 
-def initial_circuit(w: Sequence, c: SignedCircuit) -> SignedCircuit:
-    """Restriction of a signed circuit to the argmin of w over its support."""
-    vals = {e: to_rational(w[e - 1]) for e in c.support}
-    m = min(vals.values())
-    arg = {e for e, x in vals.items() if x == m}
-    return SignedCircuit(
-        tuple(e for e in c.positive if e in arg),
-        tuple(e for e in c.negative if e in arg),
-    )
-
-
 def _mask(S: Iterable[int]) -> int:
     """Bitmask of distinct elements: element e is bit e-1."""
     return sum(1 << (e - 1) for e in S)
 
 
-def _elements(mask: int, M: OrientedMatroid) -> tuple[int, ...]:
-    return tuple(e for e in M.ground_set if mask >> (e - 1) & 1)
+def _elements(mask: int) -> tuple[int, ...]:
+    """The elements of a bitmask, increasing: the inverse of ``_mask``.
+    Walks the set bits, lowest first."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length())
+        mask &= mask - 1
+    return tuple(out)
 
 
 def _close(mask: int, masks: Sequence[int]) -> int:
@@ -306,7 +307,10 @@ def _flat_levels(ground: int, masks: Sequence[int]) -> list[set[int]]:
     also lies in a cover cl(F + f), then cl(F + e) is a rank-(k+1) flat
     inside that rank-(k+1) flat and so equal to it.  So an e absorbed by
     a cover already found for F is skipped, and each cover of F is
-    closed once.  The last level is {ground}.
+    closed once.  The last level is {ground}.  The first flat whose
+    cover is ground shows that its rank's flats are the hyperplanes,
+    each covered by ground alone, so the walk stops there without
+    closing the other hyperplanes' covers.
     """
     sizes = [c.bit_count() for c in masks]
 
@@ -314,7 +318,7 @@ def _flat_levels(ground: int, masks: Sequence[int]) -> list[set[int]]:
         return masks[: bisect_right(sizes, k + 1)]
 
     levels = [{_close(0, small(0))}]
-    while levels[-1]:
+    while ground not in levels[-1]:
         closing = small(len(levels))
         covers: set[int] = set()
         for F in levels[-1]:
@@ -323,18 +327,20 @@ def _flat_levels(ground: int, masks: Sequence[int]) -> list[set[int]]:
                 cover = _close(F | rest & -rest, closing)
                 covers.add(cover)
                 rest &= ~cover
+            if cover == ground:
+                break
         levels.append(covers)
-    levels.pop()
     return levels
 
 
 @lru_cache(maxsize=64)
 def all_flats(M: OrientedMatroid) -> tuple[Flat, ...]:
     """Every flat of the underlying matroid, graded by rank (see
-    ``_flat_levels``)."""
+    ``_flat_levels``): sorted as ``(rank, elements)`` tuples, then each
+    ``Flat`` built once."""
     levels = _flat_levels((1 << M.ground_size) - 1, M._masks)
-    flats = (Flat(_elements(F, M), k) for k, level in enumerate(levels) for F in level)
-    return tuple(sorted(flats, key=lambda f: (f.rank, f.elements)))
+    flats = sorted((k, _elements(F)) for k, level in enumerate(levels) for F in level)
+    return tuple(Flat(elements, k) for k, elements in flats)
 
 
 def _covers(flats: Iterable[Flat], top_rank: int) -> list[list[tuple[Flat, list[int]]]]:

@@ -69,9 +69,11 @@ class RationalMatrix:
     """Immutable dense matrix of rationals, stored row-major.  Equality
     and the hash read one tuple of ints (``_ints``), built on first use
     and kept: one-entry memos keyed on a matrix hash and compare it on
-    every call, while most matrices never are."""
+    every call, while most matrices never are.  ``integer_columns`` keeps
+    its result the same way, so every layer that reads an exponent matrix
+    shares one conversion."""
 
-    __slots__ = ("rows", "cols", "_entries", "_key")
+    __slots__ = ("rows", "cols", "_entries", "_key", "_columns")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
         ent = tuple(to_rational(x) for x in entries)
@@ -81,6 +83,7 @@ class RationalMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_entries", ent)
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
@@ -191,10 +194,14 @@ def primitive(row: Sequence[int]) -> tuple[int, ...]:
 
 
 def integer_columns(M: RationalMatrix) -> tuple[tuple[int, ...], ...]:
-    """The columns of an integer matrix as ints; ValueError on any other entry."""
-    if not M.is_integer():
-        raise ValueError("exponent matrix must have integer entries")
-    return tuple(tuple(x.numerator for x in M.column(j)) for j in range(M.cols))
+    """The columns of an integer matrix as ints; ValueError on any other
+    entry.  Built on first use and kept on the matrix."""
+    if M._columns is None:
+        if not M.is_integer():
+            raise ValueError("exponent matrix must have integer entries")
+        columns = tuple(tuple(x.numerator for x in M.column(j)) for j in range(M.cols))
+        object.__setattr__(M, "_columns", columns)
+    return M._columns
 
 
 def _integer_rows(M: RationalMatrix) -> list[list[int]]:

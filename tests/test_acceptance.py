@@ -11,13 +11,14 @@ import time
 from fractions import Fraction
 
 from fan_reference import contains, generators
+from matroid_reference import initial_circuit
 from tropibound.bergman import fine_fan, is_member, is_positive_member, positive_chains
 from tropibound.intersection import (
     intersect_via_fan,
     intersect_via_vertices,
     lower_bound,
 )
-from tropibound.matroid import SignedCircuit, initial_circuit, realize_from_kernel
+from tropibound.matroid import SignedCircuit, realize_from_kernel
 from tropibound.numeric import count_roots, instantiate
 from tropibound.rational import RationalMatrix, rank, vector
 from tropibound.subdivision import decorated_count, decorated_to_tropical, full_cells

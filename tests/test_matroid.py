@@ -7,14 +7,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matroid_reference
+from matroid_reference import initial_circuit
 from tropibound import matroid
 from tropibound.matroid import (
+    Flat,
     MatroidError,
     OrientedMatroid,
     SignedCircuit,
     all_flats,
     circuits_via_subsets,
-    initial_circuit,
     maximal_flags,
     realize_from_kernel,
 )
@@ -62,6 +64,29 @@ def test_signed_circuit_normalizes_and_validates():
         SignedCircuit((1,), (1, 2))
     with pytest.raises(MatroidError):
         SignedCircuit((), ())
+    # lists, duplicates and unsorted input all come out as sorted tuples of
+    # distinct elements, sorted tuples as they are
+    for pos, neg in [
+        ([1, 3], [2]),
+        ([3, 1], (2, 2)),
+        ((1, 3, 3), [2]),
+        ((3, 1, 1, 3), (2,)),
+        ((1, 3), (2,)),
+    ]:
+        c = SignedCircuit(pos, neg)
+        assert (c.positive, c.negative) == ((1, 3), (2,))
+        assert type(c.positive) is tuple and type(c.negative) is tuple
+        assert c == SignedCircuit((1, 3), (2,)) and hash(c) == hash(SignedCircuit((1, 3), (2,)))
+    # an overlap hidden by a duplicate or by a list is still refused
+    for pos, neg in [([2, 1], [1]), ((1, 1), (1,)), ((2, 2), [2, 3]), ([], [])]:
+        with pytest.raises(MatroidError):
+            SignedCircuit(pos, neg)
+    for elements in [[2, 1], (2, 1, 2), [1, 2], (1, 1, 2), (1, 2)]:
+        f = Flat(elements, 1)
+        assert f.elements == (1, 2) and type(f.elements) is tuple
+        assert f.as_set == frozenset({1, 2})
+        assert f == Flat((1, 2), 1) and hash(f) == hash(Flat((1, 2), 1))
+    assert Flat([], 0).elements == ()
 
 
 def test_realize_running_example(running_N):
@@ -225,6 +250,37 @@ def test_circuit_search_matches_integer_subset_scan(G):
     assert circuits_via_subsets(G) == circuits_by_integer_scan(G)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(awkward_matrices(), st.randoms(use_true_random=False))
+def test_matroid_layer_matches_reference_construction(C, rng):
+    # the layer built on masks and sorted tuples gives the same objects, in
+    # the same order, as building, negating and sorting dataclasses
+    if C.is_zero():
+        return
+    G = kernel_basis(C)
+    circuits = circuits_via_subsets(G)
+    assert circuits == matroid_reference.circuits_via_subsets(G)
+    M = realize_from_kernel(C)
+    R = matroid_reference.ReferenceMatroid(C.cols, circuits)
+    assert M.circuits == R.circuits
+    assert M.circuit_supports == R.circuit_supports
+    assert M._masks == R._masks
+    flats = all_flats.__wrapped__(M)
+    assert flats == matroid_reference.all_flats(R)
+    assert [(f.elements, f.as_set) for f in flats] == [
+        (f.elements, f.as_set) for f in matroid_reference.all_flats(R)
+    ]
+    assert M.to_document() == R.to_document()
+    # one orientation of some circuits, both of others, repeats, any order
+    given_circuits = [c for c in circuits if rng.random() < 0.7] + rng.sample(
+        circuits, min(2, len(circuits))
+    )
+    rng.shuffle(given_circuits)
+    assert OrientedMatroid(C.cols, given_circuits).circuits == (
+        matroid_reference.ReferenceMatroid(C.cols, given_circuits).circuits
+    )
+
+
 def test_initial_circuit_golden(running_N):
     M = realize_from_kernel(running_N)
     w = (0, 2, 0, 2, 0)
@@ -341,7 +397,9 @@ def test_flats_match_rank_oracle_with_loops_coloops_and_parallels(data):
 
 def test_flats_close_each_cover_once_per_flat(running_N, monkeypatch):
     # the covers of F partition E - F, so the upward walk closes each cover
-    # of each flat exactly once, after the one closure of the empty set
+    # of each flat below the hyperplanes exactly once, after the one
+    # closure of the empty set; the first hyperplane's one cover is the
+    # ground set, which ends the walk
     calls = []
     real_close = matroid._close
 
@@ -362,10 +420,14 @@ def test_flats_close_each_cover_once_per_flat(running_N, monkeypatch):
     ):
         calls.clear()
         flats = all_flats.__wrapped__(M)
+        top = flats[-1].rank
         covers = sum(
-            1 for F in flats for G in flats if G.rank == F.rank + 1 and F.as_set < G.as_set
+            1
+            for F in flats
+            for G in flats
+            if G.rank == F.rank + 1 < top and F.as_set < G.as_set
         )
-        assert len(calls) == covers + 1
+        assert len(calls) == covers + 1 + (top > 0)
 
 
 def nested_by_pairs(supports: list[frozenset[int]]) -> str | None:
@@ -430,8 +492,17 @@ def test_negation_built_once_per_new_circuit(running_N, monkeypatch):
         return real(self)
 
     monkeypatch.setattr(SignedCircuit, "negated", counting)
+    # closed input needs no negation
     assert OrientedMatroid(5, given_circuits).circuits == given_circuits
-    assert len(calls) == len(given_circuits) // 2
+    assert calls == []
+    # one negation per circuit whose negation is missing, however often it
+    # is given
+    half = [c for c in given_circuits if c.positive < c.negative]
+    assert OrientedMatroid(5, [*half, *half[:2]]).circuits == given_circuits
+    assert sorted(calls) == sorted(half)
+    calls.clear()
+    assert OrientedMatroid(5, [*given_circuits[:3], *half]).circuits == given_circuits
+    assert sorted(calls) == sorted(c for c in half if c.negated() not in given_circuits[:3])
     # a circuit leaving the ground set is refused even after its negation
     bad = SignedCircuit((6,), (1,))
     with pytest.raises(MatroidError, match="leaves the ground set"):
