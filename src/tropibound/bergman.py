@@ -43,9 +43,22 @@ def _min_attained_twice(w: Sequence, support: tuple[int, ...]) -> bool:
     return False
 
 
-def _argmin_two_signed(w: Sequence, positive: tuple[int, ...], negative: tuple[int, ...]) -> bool:
-    m = min(w[e - 1] for e in positive + negative)
-    return any(w[e - 1] == m for e in positive) and any(w[e - 1] == m for e in negative)
+def _level_masks(w: Sequence) -> list[int]:
+    """The elements of w grouped by value, as bitmasks (element e is bit
+    e - 1), in increasing order of value."""
+    levels: dict = {}
+    for bit, x in enumerate(w):
+        levels[x] = levels.get(x, 0) | 1 << bit
+    return [levels[x] for x in sorted(levels)]
+
+
+def _argmin(levels: Sequence[int], support: int) -> int:
+    """The argmin set of a circuit support bitmask: its part in the first
+    of the level masks (``_level_masks``) that meets it."""
+    for level in levels:
+        if level & support:
+            return level & support
+    raise ValueError("the levels do not cover the support")
 
 
 def is_member(w: Sequence, M: OrientedMatroid) -> bool:
@@ -57,11 +70,19 @@ def is_member(w: Sequence, M: OrientedMatroid) -> bool:
 
 
 def is_positive_member(w: Sequence, OM: OrientedMatroid) -> bool:
-    """Whether w lies in the positive Bergman fan of the oriented matroid."""
+    """Whether w lies in the positive Bergman fan of the oriented matroid:
+    whether every circuit's argmin meets both its signs.  Each circuit is
+    read once, up to negation, as its sign bitmasks (P, N), and its
+    argmin is its part in the first level mask of w that meets P | N."""
     ww = _coerce(w)
     if len(ww) != OM.ground_size:
         raise ValueError("weight vector length mismatch")
-    return all(_argmin_two_signed(ww, c.positive, c.negative) for c in OM.circuits)
+    levels = _level_masks(ww)
+    for P, N in OM.sign_masks:
+        m = _argmin(levels, P | N)
+        if not (m & P and m & N):
+            return False
+    return True
 
 
 def fine_fan(M: OrientedMatroid) -> tuple[tuple[Flat, ...], ...]:
@@ -86,8 +107,9 @@ def _is_positive_flat(F: int, signs: Sequence[tuple[int, int]]) -> bool:
 def _positive_flats(OM: OrientedMatroid) -> list[Flat]:
     """The flats passing ``_is_positive_flat``, in ``all_flats`` order;
     none at all when the empty flat fails, that is when some circuit is
-    one-signed."""
-    signs = [(_mask(c.positive), _mask(c.negative)) for c in OM.circuits]
+    one-signed.  The test is symmetric in the two signs, so each circuit
+    is read once, up to negation (``sign_masks``)."""
+    signs = OM.sign_masks
     if not _is_positive_flat(0, signs):
         return []
     return [f for f in all_flats(OM) if _is_positive_flat(_mask(f.elements), signs)]

@@ -11,6 +11,7 @@ decimal approximations, always marked as such.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Iterator
@@ -548,7 +549,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameter and its initial value, in bytes
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 128 * 1024
+
+
+@functools.cache
+def _pin_mmap_threshold() -> None:
+    """Keep glibc's mmap threshold at its initial 128 KiB in this process.
+
+    glibc raises the threshold to the size of each mapped block it frees,
+    up to 32 MiB.  Once one fan document of a large input (23 MB of text
+    for ``bergman`` on hhk) has been freed, blocks of that size come from
+    the heap instead, and whether a freed one can be reused depends on
+    which small blocks were placed beside it since; a process that runs
+    several commands then peaks one whole document higher in some runs
+    than in others.  With the threshold pinned, every block above 128 KiB
+    is mapped on its own and unmapped when freed.  Without glibc's
+    ``mallopt`` this does nothing (musl's ignores the call).
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _pin_mmap_threshold()
     try:
         return run(build_parser().parse_args(argv))
     except (ValueError, OSError) as exc:

@@ -7,8 +7,9 @@ positive cells (componentwise, since circuits never straddle connected
 components), one elimination per set of pivot ties, listing the cells
 themselves only where a system is underdetermined; the oracle enumerates
 vertices of the tie-hyperplane arrangement.
-Per-point transversality is certified by an exact tangent-direction test,
-never by genericity arguments.
+Per-point isolation is certified exactly, never by genericity arguments:
+by one rank test where the point is interior and its star is a linear
+space, and by a tangent-direction search elsewhere.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from operator import mul, or_
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from tropibound import _polyhedra
-from tropibound.bergman import _is_positive_flat, is_positive_member
+from tropibound.bergman import _argmin, _is_positive_flat, _level_masks, is_positive_member
 from tropibound.matroid import (
     OrientedMatroid,
     _elements,
@@ -184,6 +185,24 @@ def _level_flag(p: Sequence) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(e for e, x in enumerate(p, 1) if x >= cut) for cut in values[:-1])
 
 
+def _argmin_classes(p: Sequence, OM: OrientedMatroid) -> tuple[list[int], bool]:
+    """The argmin classes of p, and whether p lies in the positive fan.
+
+    The classes are the partition of the ground set, as bitmasks, that
+    merges every circuit's argmin set of p (``_classes``).  p lies in
+    the positive fan iff every circuit's argmin meets both its signs.
+    Each circuit is read once, up to negation, as its sign bitmasks.
+    """
+    levels = _level_masks(p)
+    argmins = set()
+    positive = True
+    for P, N in OM.sign_masks:
+        m = _argmin(levels, P | N)
+        positive = positive and bool(m & P and m & N)
+        argmins.add(m)
+    return _classes((1 << OM.ground_size) - 1, argmins), positive
+
+
 def _is_interior(p: Sequence, OM: OrientedMatroid) -> bool:
     """Whether p lies in a full-dimensional cell of the coarse structure.
 
@@ -191,11 +210,7 @@ def _is_interior(p: Sequence, OM: OrientedMatroid) -> bool:
     out by tying each circuit's argmin set; merging those sets leaves
     exactly rank(M) parts iff the cell has the fan's full dimension.
     """
-    argmins = []
-    for sup in OM.circuit_supports:
-        m = min(p[e - 1] for e in sup)
-        argmins.append([e for e in sup if p[e - 1] == m])
-    return len(_merge(OM.ground_size, argmins)) == OM.rank
+    return len(_argmin_classes(p, OM)[0]) == OM.rank
 
 
 def _restrict_kernel(basis: Sequence[Sequence[int]], row: Sequence[int]) -> list[tuple[int, ...]]:
@@ -238,6 +253,21 @@ def _cone_point(
     return kernel[0]
 
 
+_OUTSIDE = "point is not in the positive fan; isolation is undefined"
+
+
+def _integer_point(
+    v: Sequence, A: RationalMatrix, h: Sequence
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """The integer columns of A, and the positive integer multiple
+    V H (A^T v + h) of the point, with (V, V v) and (H, H h) from
+    ``integer_multiple``: it has the same argmins as A^T v + h."""
+    at_int = integer_columns(A)
+    V, v_int = integer_multiple(vector(v))
+    H, h_int = integer_multiple(vector(h))
+    return at_int, [H * sum(map(mul, row, v_int)) + V * x for row, x in zip(at_int, h_int)]
+
+
 def tangent_direction(
     v: Sequence, OM: OrientedMatroid, A: RationalMatrix, h: Sequence
 ) -> tuple[Fraction, ...] | None:
@@ -250,8 +280,8 @@ def tangent_direction(
     indexed by per-circuit witness pairs, built one circuit per level;
     the direction exists iff some cone of the last level has a nonzero
     point.  A must be integer.  The argmins are read off the integer
-    multiple V H (A^T v + h), with (V, V v) and (H, H h) from
-    ``integer_multiple``, and the cones are cut out by ``primitive`` rows.
+    multiple of ``_integer_point``, each circuit once, up to negation,
+    and the cones are cut out by ``primitive`` rows.
 
     Each accepted state carries a nonzero integer point of its cone and a
     basis of primitive integer rows for the kernel of its E.  A child
@@ -268,22 +298,17 @@ def tangent_direction(
        so it lies in {Eu = 0, Gu <= 0};
     4. otherwise ``_polyhedra.cone_nonzero_point`` decides the cone.
     """
-    at_int = integer_columns(A)
+    at_int, p = _integer_point(v, A, h)
     n = A.rows
-    V, v_int = integer_multiple(vector(v))
-    H, h_int = integer_multiple(vector(h))
-    p = [H * sum(map(mul, row, v_int)) + V * x for row, x in zip(at_int, h_int)]
+    levels = _level_masks(p)
 
     tasks: list[tuple[list[tuple[int, int]], tuple[int, ...]]] = []
-    for c in OM.circuits:
-        if c.negative < c.positive:
-            continue
-        m = min(p[e - 1] for e in c.positive + c.negative)
-        pos = [e for e in c.positive if p[e - 1] == m]
-        neg = [e for e in c.negative if p[e - 1] == m]
-        if not pos or not neg:
-            raise ValueError("point is not in the positive fan; isolation is undefined")
-        tasks.append(([(i, j) for i in pos for j in neg], tuple(sorted(pos + neg))))
+    for P, N in OM.sign_masks:
+        m = _argmin(levels, P | N)
+        if not (m & P and m & N):
+            raise ValueError(_OUTSIDE)
+        pairs = [(i, j) for i in _elements(m & P) for j in _elements(m & N)]
+        tasks.append((pairs, _elements(m)))
     tasks.sort(key=lambda t: (len(t[0]), len(t[1])))
     if not tasks:
         # no circuits: the fan is everything and every direction stays in
@@ -325,33 +350,70 @@ def tangent_direction(
 
 def is_isolated(v: Sequence, OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> bool:
     """Exact certificate: no nonzero tangent direction inside rowspan(A)
-    stays in the positive fan."""
-    return tangent_direction(v, OM, A, h) is None
+    stays in the positive fan at p = A^T v + h.
+
+    Near p the positive fan is p plus the star of p: the positive
+    Bergman fan of the initial oriented matroid in_p(OM), whose circuits
+    are the minimal initial forms of OM's circuits, each keeping the
+    circuit's signs on its argmin set (Ardila-Klivans-Williams, arXiv
+    math/0406116; Speyer-Williams, arXiv math/0312297).  So p is
+    isolated iff rowspan(A) meets the star only at 0.
+
+    Where p has exactly rank(M) argmin classes (``_argmin_classes``;
+    that is, where p is interior) the star is a linear space and one
+    rank test decides.  Every circuit of in_p(M) lies in one argmin set,
+    so each component of in_p(M) lies in one class.  A point of the
+    positive fan has no singleton argmin, so in_p(M) has no loop, has
+    the rank of M, and so has at most rank(M) components.  With rank(M)
+    classes, the components are the classes and each has rank 1: a
+    parallel class, or a coloop.  The circuits of in_p(OM) are then the
+    pairs inside a class, each meeting both signs because p is in the
+    positive fan, so the star is the linear space of the vectors
+    constant on each class, and p is isolated iff the ties
+    A^T_a - A^T_b of the pairs inside the classes have rank n, one
+    ``_echelon``.  Every other point falls back to the search of
+    ``tangent_direction``.
+
+    ValueError when p is outside the positive fan.
+    """
+    at_int, p = _integer_point(v, A, h)
+    classes, positive = _argmin_classes(p, OM)
+    if not positive:
+        raise ValueError(_OUTSIDE)
+    if len(classes) != OM.rank:
+        return tangent_direction(v, OM, A, h) is None
+    ties = []
+    for c in classes:
+        a, *rest = _elements(c)
+        ties += ([x - y for x, y in zip(at_int[a - 1], at_int[b - 1])] for b in rest)
+    return len(_echelon(ties, A.rows)[1]) == A.rows
 
 
 # ---------------------------------------------------------------------------
 # componentwise cell enumeration
 
 
-def _merge(size: int, groups: Iterable[Sequence[int]]) -> list[list[int]]:
-    """Partition of {1..size} into the classes of the union-find that
-    merges each group, sorted."""
-    parent = list(range(size + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for group in groups:
-        root = find(group[0])
-        for e in group[1:]:
-            parent[find(e)] = root
-    classes: dict[int, list[int]] = {}
-    for e in range(1, size + 1):
-        classes.setdefault(find(e), []).append(e)
-    return sorted(classes.values())
+def _classes(ground: int, groups: Iterable[int]) -> list[int]:
+    """The partition of the bitmask ``ground`` into the classes of the
+    union-find that merges each group bitmask: every class is a bitmask,
+    an element in no group is a class alone, and the classes come in
+    order of their lowest element.  A group absorbs every class it
+    meets, so the classes stay disjoint."""
+    classes: list[int] = []
+    for g in groups:
+        apart = []
+        for c in classes:
+            if c & g:
+                g |= c
+            else:
+                apart.append(c)
+        apart.append(g)
+        classes = apart
+    rest = ground & ~functools.reduce(or_, classes, 0)
+    while rest:
+        classes.append(rest & -rest)
+        rest &= rest - 1
+    return sorted(classes, key=lambda c: c & -c)
 
 
 # a positive cell as its ordered, nonempty blocks of element labels
@@ -403,7 +465,7 @@ def _cell_partitions(
     blocks come out ordered by lowest element, so already sorted.
     """
     elements = functools.cache(_elements)
-    signs = [(_mask(c.positive), _mask(c.negative)) for c in OM.circuits]
+    signs = OM.sign_masks
     r = OM.ground_size
     full, slots = (1 << r) - 1, range(0, r * r, r)
 
@@ -411,11 +473,10 @@ def _cell_partitions(
         return B << r * ((B & -B).bit_length() - 1)
 
     components = []
-    for comp in _merge(r, OM.circuit_supports):
-        top = _mask(comp)
+    for top in _classes(full, OM._masks):
         inside = [(p, q) for p, q in signs if not (p | q) & ~top]
         if not _is_positive_flat(0, inside):
-            return (), tuple(comp)
+            return (), _elements(top)
         levels = _flat_levels(top, [c for c in OM._masks if not c & ~top])
         # the proper flats have ranks 1 to rank - 1, the levels between the ends
         proper = [F for level in levels[1:-1] for F in level if _is_positive_flat(F, inside)]
@@ -803,8 +864,8 @@ def intersect_via_vertices(
                 planes.append(aug)
 
     masks = set()
-    for c in OM.circuits:
-        ties = [tie(i, j) for i in c.positive for j in c.negative]
+    for P, N in OM.sign_masks:
+        ties = [tie(i, j) for i in _elements(P) for j in _elements(N)]
         if (0,) * (n + 1) not in ties:
             masks.add(functools.reduce(or_, (bit[t] for t in ties if any(t[:n])), 0))
 

@@ -77,7 +77,8 @@ class OrientedMatroid:
 
     Closed under negation: for every stored (C+, C-) the pair (C-, C+)
     is stored too.  ``circuit_supports`` holds the deduplicated circuit
-    supports, sorted by (size, elements), and ``_masks`` their bitmasks.
+    supports, sorted by (size, elements), and ``_masks`` their bitmasks;
+    ``sign_masks`` holds each circuit once, up to negation, as bitmasks.
 
     The constructor works on the circuits' sorted ``(positive,
     negative)`` tuples: it checks the ground set on the ends of each
@@ -87,7 +88,7 @@ class OrientedMatroid:
     by its constructor, once.
     """
 
-    __slots__ = ("ground_size", "circuits", "circuit_supports", "_masks", "_rank")
+    __slots__ = ("ground_size", "circuits", "circuit_supports", "_masks", "_rank", "_signs")
 
     def __init__(self, ground_size: int, circuits: Iterable[SignedCircuit]):
         if ground_size < 1:
@@ -119,6 +120,7 @@ class OrientedMatroid:
         object.__setattr__(self, "circuit_supports", tuple(supports))
         object.__setattr__(self, "_masks", tuple(map(_mask, supports)))
         object.__setattr__(self, "_rank", None)
+        object.__setattr__(self, "_signs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrientedMatroid is immutable")
@@ -141,6 +143,21 @@ class OrientedMatroid:
         if self._rank is None:
             object.__setattr__(self, "_rank", self.rank_of(self.ground_set))
         return self._rank
+
+    @property
+    def sign_masks(self) -> tuple[tuple[int, int], ...]:
+        """One ``(positive, negative)`` bitmask pair per circuit up to
+        negation, in ``circuits`` order: the orientation whose positive
+        tuple sorts first.  Built on first use and kept, as ``rank`` is:
+        listing circuits and flats never reads it."""
+        if self._signs is None:
+            signs = tuple(
+                (_mask(c.positive), _mask(c.negative))
+                for c in self.circuits
+                if c.positive < c.negative
+            )
+            object.__setattr__(self, "_signs", signs)
+        return self._signs
 
     def __eq__(self, other) -> bool:
         return (

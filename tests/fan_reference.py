@@ -1,4 +1,5 @@
-"""Reference geometry of a fine fan cone, for the tests.
+"""Reference geometry of a fine fan cone, and reference predicates on
+weight vectors, for the tests.
 
 A cone is the tuple of its chain's flats: the nonnegative span of the
 flats' indicator vectors plus the all-ones lineality line, on the ground
@@ -83,3 +84,40 @@ def reference_full_chains(flats: Iterable[Flat], top_rank: int) -> list[tuple[Fl
 
     extend(())
     return out
+
+
+def _argmin_two_signed(w: Sequence, positive: tuple[int, ...], negative: tuple[int, ...]) -> bool:
+    m = min(w[e - 1] for e in positive + negative)
+    return any(w[e - 1] == m for e in positive) and any(w[e - 1] == m for e in negative)
+
+
+def reference_positive_member(w: Sequence, OM) -> bool:
+    """Positive membership read circuit by circuit, both orientations of
+    each, off the minimum over its support: the reference for the level
+    masks of ``bergman.is_positive_member``."""
+    ww = _coerce(w)
+    if len(ww) != OM.ground_size:
+        raise ValueError("weight vector length mismatch")
+    return all(_argmin_two_signed(ww, c.positive, c.negative) for c in OM.circuits)
+
+
+def reference_merge(size: int, groups: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Partition of {1..size} into the classes of the union-find that
+    merges each group, sorted: the reference for the bitmask classes of
+    ``intersection._classes``."""
+    parent = list(range(size + 1))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for group in groups:
+        root = find(group[0])
+        for e in group[1:]:
+            parent[find(e)] = root
+    classes: dict[int, list[int]] = {}
+    for e in range(1, size + 1):
+        classes.setdefault(find(e), []).append(e)
+    return sorted(classes.values())

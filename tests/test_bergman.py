@@ -10,6 +10,7 @@ from fan_reference import (
     contains,
     generators,
     reference_full_chains,
+    reference_positive_member,
     sample_relative_interior,
 )
 from tropibound.bergman import (
@@ -442,6 +443,47 @@ def test_negation_pair_invariance(running_N):
         w = tuple(rng.randint(-4, 4) for _ in range(5))
         assert is_member(w, M) == is_member(w, flipped)
         assert is_positive_member(w, M) == is_positive_member(w, flipped)
+
+
+# ties between int and Fraction values of one level included
+WEIGHTS = st.sampled_from([-1, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2), Fraction(0)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_positive_member_matches_both_orientation_reference(data):
+    # level masks, one orientation per circuit, against the minimum over
+    # each circuit's support in both orientations; on arbitrary weights
+    # and on points of positive cones, where every circuit is read
+    r = data.draw(st.integers(2, 7), label="r")
+    k = data.draw(st.integers(1, r - 1), label="k")
+    entry = st.integers(-2, 2)
+    rows = data.draw(
+        st.lists(st.lists(entry, min_size=r, max_size=r), min_size=k, max_size=k), label="C"
+    )
+    C = RationalMatrix.from_rows(rows)
+    if C.is_zero():
+        return
+    OM = realize_from_kernel(C)
+    w = data.draw(st.lists(WEIGHTS, min_size=r, max_size=r), label="w")
+    assert is_positive_member(w, OM) == reference_positive_member(w, OM)
+    cones = positive_fan(OM)
+    if cones:
+        chain = data.draw(st.sampled_from(cones), label="cone")
+        shift = data.draw(WEIGHTS, label="shift")
+        face = [shift] * r
+        for f in chain:
+            c = data.draw(st.sampled_from([0, 1, Fraction(1, 3)]), label="coefficient")
+            for e in f.elements:
+                face[e - 1] += c
+        assert is_positive_member(face, OM) and reference_positive_member(face, OM)
+    for check in (is_positive_member, reference_positive_member):
+        with pytest.raises(TypeError):
+            check([*w[:-1], 0.5], OM)
+        with pytest.raises(ValueError):
+            check(w[:-1], OM)
+        with pytest.raises(ValueError):
+            check([*w, 0], OM)
 
 
 def test_compare_with_coarse_document(M):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -695,6 +696,39 @@ def test_fan_documents_stream_in_small_memory(command):
     code, peak_kb = map(int, done.stderr.split()[-2:])
     assert code == 0
     assert peak_kb < 60 * 1024
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc and Linux /proc")
+def test_main_returns_freed_large_blocks_to_the_system():
+    # Freeing a mapped 20 MiB block would raise glibc's mmap threshold, so
+    # the 10 MiB block after it would come from the heap and stay resident
+    # once freed; after main, both are mapped on their own.
+    script = (
+        "import sys\n"
+        "from tropibound.cli import main\n"
+        f"code = main(['circuits', {str(INPUTS / 'running_2x5.json')!r}, '--json', '-'])\n"
+        "def resident():\n"
+        "    return int(open('/proc/self/statm').read().split()[1]) * 4096\n"
+        "big = b'x' * (20 << 20)\n"
+        "del big\n"
+        "before = resident()\n"
+        "block = b'y' * (10 << 20)\n"
+        "del block\n"
+        "print(code, resident() - before, file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(INPUTS.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    code, kept = map(int, done.stderr.split()[-2:])
+    assert code == 0
+    assert kept < 1 << 20
 
 
 def reference_fan_text(M, command: str, chains) -> str:

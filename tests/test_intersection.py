@@ -13,17 +13,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fan_reference import reference_merge
 from tropibound import _polyhedra
 from tropibound.bergman import _is_positive_flat, is_positive_member, positive_chains, positive_fan
 from tropibound.intersection import (
     InputValidationError,
     OracleMismatchError,
     _cell_partitions,
+    _classes,
     _fan_plan,
     _fine_cells,
     _is_interior,
     _level_flag,
-    _merge,
     _restrict_kernel,
     _tie_system,
     intersect_via_fan,
@@ -36,6 +37,7 @@ from tropibound.intersection import (
 from tropibound.matroid import (
     OrientedMatroid,
     SignedCircuit,
+    _elements,
     _flat_levels,
     _mask,
     all_flats,
@@ -347,13 +349,19 @@ def test_fan_plan_eliminates_once_per_pivot_set(monkeypatch):
 # --- block partitions ----------------------------------------------------------
 
 
+def _components(OM):
+    """The circuit-connected components of OM as element tuples, in
+    order of their lowest element."""
+    return [_elements(c) for c in _classes((1 << OM.ground_size) - 1, OM._masks)]
+
+
 def _chain_partitions(OM):
     """Reference: per circuit-connected component, every chain of
     ``positive_chains`` on the component's matroid read as a cell and
     grouped by its sorted blocks; ``(None, comp)`` for the first component
     with a one-signed circuit."""
     groups = []
-    for comp in _merge(OM.ground_size, OM.circuit_supports):
+    for comp in _components(OM):
         to_local = {g: i + 1 for i, g in enumerate(comp)}
         local = OrientedMatroid(
             len(comp),
@@ -541,7 +549,7 @@ def check_component_flats(OM):
     for f in all_flats(OM):
         assert _is_positive_flat(_mask(f.elements), signs) == frozenset_rule(f, OM)
     assert _is_positive_flat(0, signs) == all(c.positive and c.negative for c in OM.circuits)
-    for comp in _merge(OM.ground_size, OM.circuit_supports):
+    for comp in _components(OM):
         to_local = {g: i + 1 for i, g in enumerate(comp)}
         local_circuits = [
             SignedCircuit(
@@ -936,14 +944,13 @@ def test_isolation_search_matches_per_state_probes(hhk_model):
     assert sources.count("degenerate") >= 1 and sources.count("hhk") >= 12
 
 
-def test_isolation_search_matches_per_state_probes_on_fan_faces():
-    # v at any point of the positive fan, not only at intersection points:
-    # h = w - A^T v for w on a random face of a random positive cone, so
-    # many circuits have large argmin sets, and A has up to four rows, so
-    # the cones have room for directions
+def _fan_face_cases(count):
+    """(C, OM, A, h, v, w) for v at any point of the positive fan, not
+    only at intersection points: h = w - A^T v for w on a random face of
+    a random positive cone, so many circuits have large argmin sets, and
+    A has up to four rows, so the cones have room for directions."""
     rng = random.Random(7411)
-    verdicts = []
-    while len(verdicts) < 150:
+    while count:
         r = rng.randint(3, 7)
         n = rng.randint(1, min(4, r - 1))
         C = RationalMatrix.from_rows(
@@ -964,12 +971,49 @@ def test_isolation_search_matches_per_state_probes_on_fan_faces():
                 w[e - 1] += c
         v = vector([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(A.rows)])
         h = [x - y for x, y in zip(w, A.transpose().apply(v))]
+        yield C, OM, A, h, v, w
+        count -= 1
+
+
+def test_isolation_search_matches_per_state_probes_on_fan_faces():
+    verdicts = []
+    for C, OM, A, h, v, w in _fan_face_cases(150):
         u = tangent_direction(v, OM, A, h)
         assert (u is None) == (_reference_tangent_direction(v, OM, A, h) is None), (C, A, h, v)
         verdicts.append(u is None)
         if u is not None:
             _assert_direction_stays(w, A, u, OM)
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
+def test_rank_test_matches_tangent_search(hhk_model):
+    # is_isolated decides interior points by one rank test and the others
+    # by the search; both must give the search's verdict, and both paths
+    # and both verdicts must occur
+    cases = [(OM, A, h, v) for _, OM, A, h, v in _isolation_cases(hhk_model)]
+    cases += [(OM, A, h, v) for _, OM, A, h, v, _ in _fan_face_cases(150)]
+    seen = {}
+    for OM, A, h, v in cases:
+        isolated = is_isolated(v, OM, A, h)
+        assert isolated == (tangent_direction(v, OM, A, h) is None), (OM, A, h, v)
+        interior = _is_interior([x + Fraction(y) for x, y in zip(A.transpose().apply(v), h)], OM)
+        seen[interior, isolated] = seen.get((interior, isolated), 0) + 1
+    assert seen.get((True, True), 0) + seen.get((True, False), 0) >= 100, seen
+    assert seen.get((False, True), 0) + seen.get((False, False), 0) >= 30, seen
+    assert len(seen) == 4, seen
+
+
+def test_classes_match_union_find():
+    # bitmask classes against the element union-find, on random groups
+    # that overlap or not and leave some elements out
+    rng = random.Random(3301)
+    for _ in range(300):
+        r = rng.randint(1, 8)
+        groups = [
+            rng.sample(range(1, r + 1), rng.randint(1, r)) for _ in range(rng.randint(0, 5))
+        ]
+        got = [list(_elements(c)) for c in _classes((1 << r) - 1, map(_mask, groups))]
+        assert got == reference_merge(r, [sorted(g) for g in groups]), groups
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
