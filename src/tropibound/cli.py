@@ -17,7 +17,6 @@ import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from operator import add
 
 from tropibound.bergman import _positive_flats, compare_with_coarse
 from tropibound.intersection import lower_bound
@@ -129,16 +128,19 @@ def parse_input(path: str):
     raise CliInputError(f"{path}: unknown kind {kind!r}")
 
 
-# iterator items rendered between two writes of write_json
+# cones in one item of a fan document's iterator (see _cones)
 _BATCH = 4096
+# the highest rank whose sample counts fit the byte lanes of _cones
+_MAX_FAN_RANK = 256
 # the element types of a list or tuple that write_json joins in one step
 _JOINABLE = ({str}, {int})
 
 
 class _Rendered(str):
-    """Text that write_json writes as it stands: a document item that was
-    rendered in advance, for the depth where the document holds it.
-    Nothing parsed from input is of this type."""
+    """Text that write_json writes as it stands: document items that were
+    rendered in advance, for the depth where the document holds them, as
+    one item of a fan document's iterator is a batch of finished cone
+    text.  Nothing parsed from input is of this type."""
 
 
 def _float(x: float) -> str:
@@ -164,10 +166,11 @@ def write_json(doc, stream) -> None:
     """Write ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` to stream,
     byte for byte, without building the whole text.
 
-    An iterator is written as an array, its items rendered and written
-    ``_BATCH`` at a time, so a document can hand its cones over lazily.
-    A ``_Rendered`` string is written as it stands, not quoted: the fan
-    documents hand over each cone as its finished text (see ``_cones``).
+    An iterator is written as an array, each item written as soon as it
+    is rendered, so a document can hand its cones over lazily and only
+    one item is held at a time.  A ``_Rendered`` string is written as it
+    stands, not quoted: one item of a fan document's iterator is a batch
+    of ``_BATCH`` cones' finished text (see ``_cones``).
     A list or tuple holding only str or only int values is joined in one
     step, and such a tuple is rendered once per depth, memoized by its
     value: not by ``id()``, which a freed tuple passes on.  A key that is
@@ -180,14 +183,14 @@ def write_json(doc, stream) -> None:
         stream.write("".join(out))
         out.clear()
 
-    def array(items, depth: int, batch: bool = False):
+    def array(items, depth: int, lazy: bool = False):
         inner = "\n" + "  " * (depth + 1)
         n = 0
         for x in items:
             out.append("," + inner if n else "[" + inner)
             put(x, depth + 1)
             n += 1
-            if batch and not n % _BATCH:
+            if lazy:
                 flush()
         out.append("\n" + "  " * depth + "]" if n else "[]")
 
@@ -229,7 +232,7 @@ def write_json(doc, stream) -> None:
         elif isinstance(o, float):
             out.append(_float(o))
         elif isinstance(o, Iterator):
-            array(o, depth, batch=True)
+            array(o, depth, lazy=True)
         else:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
@@ -312,75 +315,102 @@ def _flats(M, args):
     return doc, lines, 0
 
 
-def _cones(flats, M, dimension: bool) -> Iterator[_Rendered]:
-    """The cones over the maximal flags of ``flats`` (all of M's, or the
-    positive ones) as ``write_json`` renders them at depth 2, where the
-    fan documents hold them: each the text of ``{"dimension": len(chain)
-    + 1 (only with dimension), "flats": the flats' elements, "sample":
-    the chain's sample as count strings}``.
+def _fan_levels(M, flats) -> list:
+    """The cover levels (``_covers``) of the flats ``flats(M)``, which
+    ``_cones`` walks and ``_chain_count`` counts.  A rank above
+    ``_MAX_FAN_RANK`` is refused before any flat is listed."""
+    if M.rank > _MAX_FAN_RANK:
+        raise CliInputError(
+            f"fan documents need rank at most {_MAX_FAN_RANK}, got rank {M.rank}"
+        )
+    return _covers(flats(M), M.rank)
+
+
+def _cones(levels, ground_size: int, dimension: bool) -> Iterator[_Rendered]:
+    """The cones over the maximal chains of the cover levels ``levels``
+    (``_fan_levels``) as ``write_json`` renders them at depth 2, where
+    the fan documents hold them: each the text of ``{"dimension":
+    len(chain) + 1 (only with dimension), "flats": the flats' elements,
+    "sample": the chain's sample as count strings}``.  One item is a
+    batch: the finished text of ``_BATCH`` cones (fewer in the last),
+    joined by the separator of depth-2 items.
 
     In a geometric lattice every maximal chain steps through covers, so
-    a depth-first walk over the covers of the flats (``_covers``) from
-    the rank-0 flat reaches exactly the maximal flags, in ``all_flats``
-    order, and renders each cone at its leaf.  The walk carries down
-    each depth's sample, which counts per element the chain's flats that
-    contain it: a canonical relative-interior point of the cone with
-    zero lineality part.  It carries the text of the flats so far too.
+    a depth-first walk over the covers from the rank-0 flat reaches
+    exactly the maximal flags, in the order of the given flats.  The
+    walk carries down the text of the flats so far and the chain's
+    sample, which counts per element the chain's flats that contain it:
+    a canonical relative-interior point of the cone with zero lineality
+    part.  The sample is one int with a byte lane per element, element e
+    at byte e - 1, so each step down adds the flat's indicator int.  A
+    count is at most the chain length, rank - 1, so a byte holds every
+    count up to rank 256 (``_MAX_FAN_RANK``).  The walk recurses over the
+    ranks below the top; at the top a plain loop renders each cone.
     When the rank is at most 1 the empty chain is the one leaf, at the
     rank-0 flat.
     """
-    levels = _covers(flats, M.rank)
     top = len(levels) - 1  # the length of every chain
     d2, d3, d4 = ("\n" + "  " * k for k in (2, 3, 4))
     head = f"{{{d3}\"dimension\": {top + 1}," if dimension else "{"
     quoted = [_quote(str(k)) for k in range(top + 1)]
     sep = "," + d4
     # per flat: its text as an item of the flats array, with the separator
-    # before it, and its indicator vector
+    # before it; its indicator in byte lanes; the positions covering it
     texts = [
         [(sep if k > 1 else d4) + _joined(map(int.__repr__, f.elements), 4) for f, _ in level]
         for k, level in enumerate(levels)
     ]
-    ones = [[[int(e in f.as_set) for e in M.ground_set] for f, _ in level] for level in levels]
+    ones = [[sum(256 ** (e - 1) for e in f.elements) for f, _ in level] for level in levels]
+    ups = [[above for _, above in level] for level in levels]
     start, mid, end = f"{head}{d3}\"flats\": [", f"{d3}],{d3}\"sample\": [{d4}", f"{d3}]{d2}}}"
+    between = "," + d2  # between two cones of a batch
+    pending: list[str] = []  # rendered cones not yet in a batch
 
-    def walk(k: int, above: list[int], sample: list[int], prefix: str):
+    def walk(k: int, above: list[int], sample: int, prefix: str):
+        # the chains that go on through levels[k][j], j in above
+        if k < top:
+            for j in above:
+                yield from walk(k + 1, ups[k][j], sample + ones[k][j], prefix + texts[k][j])
+            return
+        lead, leaf_texts, leaf_ones = start + prefix, texts[k], ones[k]
         for j in above:
-            grown = map(add, sample, ones[k][j])
-            if k < top:
-                yield from walk(k + 1, levels[k][j][1], [*grown], prefix + texts[k][j])
-            else:
-                counts = sep.join(map(quoted.__getitem__, grown))
-                yield _Rendered(start + prefix + texts[k][j] + mid + counts + end)
+            lanes = (sample + leaf_ones[j]).to_bytes(ground_size, "little")
+            counts = sep.join(map(quoted.__getitem__, lanes))
+            pending.append("".join((lead, leaf_texts[j], mid, counts, end)))
+        while len(pending) >= _BATCH:
+            yield _Rendered(between.join(pending[:_BATCH]))
+            del pending[:_BATCH]
 
-    zero = [0] * M.ground_size
-    for _, above in levels[0]:
+    for above in ups[0]:
         if top:
-            yield from walk(1, above, zero, "")
+            yield from walk(1, above, 0, "")
         else:
-            counts = sep.join(map(quoted.__getitem__, zero))
-            yield _Rendered(f"{head}{d3}\"flats\": [],{d3}\"sample\": [{d4}{counts}{end}")
+            counts = sep.join([quoted[0]] * ground_size)
+            pending.append(f"{head}{d3}\"flats\": [],{d3}\"sample\": [{d4}{counts}{end}")
+    if pending:
+        yield _Rendered(between.join(pending))
 
 
 def _bergman(M, args):
+    levels = _fan_levels(M, all_flats)
     doc = {
         "kind": "fan",
         "ground_size": M.ground_size,
-        "cones": _cones(all_flats(M), M, dimension=False),
+        "cones": _cones(levels, M.ground_size, dimension=False),
     }
-    return _coarse_compare(M, args, doc, [f"fine fan: {maximal_flag_count(M)} maximal cones"])
+    return _coarse_compare(M, args, doc, [f"fine fan: {_chain_count(levels)} maximal cones"])
 
 
 def _positive_bergman(M, args):
-    flats = _positive_flats(M)
+    levels = _fan_levels(M, _positive_flats)
     doc = {
         "kind": "positive_fan",
         "ground_size": M.ground_size,
         # no circuits: the fan is all of R^r
         "free_matroid": not M.circuits,
-        "cones": _cones(flats, M, dimension=True),
+        "cones": _cones(levels, M.ground_size, dimension=True),
     }
-    count = _chain_count(flats, M.rank)
+    count = _chain_count(levels)
     lines = [f"positive fan: {count} of {maximal_flag_count(M)} maximal cones"]
     return _coarse_compare(M, args, doc, lines)
 

@@ -10,8 +10,8 @@ stored.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce
 from operator import and_, lt
 from typing import Iterable, Sequence
 
@@ -61,12 +61,16 @@ class Flat:
 
     elements: tuple[int, ...]
     rank: int
-    as_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _normalized(self.elements):
             object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
-        object.__setattr__(self, "as_set", frozenset(self.elements))
+
+    @cached_property
+    def as_set(self) -> frozenset[int]:
+        """The elements as a set, built on first read: the walks that make
+        and render flats read only ``elements``."""
+        return frozenset(self.elements)
 
     def __repr__(self) -> str:
         return f"Flat({set(self.elements) or '{}'}, rank={self.rank})"
@@ -407,11 +411,12 @@ def _full_chains(flats: Iterable[Flat], top_rank: int) -> list[tuple[Flat, ...]]
     return out
 
 
-def _chain_count(flats: Iterable[Flat], top_rank: int) -> int:
-    """``len(_full_chains(flats, top_rank))`` without listing the chains:
-    the chains through a flat to the top are as many as those through
-    the flats covering it, summed one rank at a time from the top."""
-    levels = _covers(flats, top_rank)
+def _chain_count(levels: list[list[tuple[Flat, list[int]]]]) -> int:
+    """``len(_full_chains(flats, top_rank))`` without listing the chains,
+    from the levels ``_covers(flats, top_rank)``, so that a caller who
+    walks them too builds them once: the chains through a flat to the
+    top are as many as those through the flats covering it, summed one
+    rank at a time from the top."""
     paths = [1] * len(levels[-1])
     for level in reversed(levels[:-1]):
         paths = [sum(paths[j] for j in above) for _, above in level]
@@ -428,4 +433,4 @@ def maximal_flags(M: OrientedMatroid) -> tuple[tuple[Flat, ...], ...]:
 
 def maximal_flag_count(M: OrientedMatroid) -> int:
     """``len(maximal_flags(M))`` without listing the flags."""
-    return _chain_count(all_flats(M), M.rank)
+    return _chain_count(_covers(all_flats(M), M.rank))

@@ -1,4 +1,6 @@
 import argparse
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -22,7 +24,7 @@ from tropibound.bergman import (
     positive_chains,
     positive_fan,
 )
-from tropibound.cli import _positive_bergman
+from tropibound.cli import _positive_bergman, write_json
 from tropibound.matroid import (
     Flat,
     OrientedMatroid,
@@ -219,9 +221,12 @@ def test_positive_fan_support_matches_coarse_verdicts(M):
 
 
 def positive_fan_document(OM):
-    """The CLI's positive_fan document of OM, its cones materialised."""
+    """The CLI's positive_fan document of OM, written and read back: its
+    iterator hands over batches of rendered cones, not one per cone."""
     doc, _, _ = _positive_bergman(OM, argparse.Namespace(coarse_compare=None))
-    return {**doc, "cones": list(doc["cones"])}
+    stream = io.StringIO()
+    write_json(doc, stream)
+    return json.loads(stream.getvalue())
 
 
 def test_positive_fan_empty_for_one_signed_circuit():
@@ -362,9 +367,10 @@ def check_cover_walk(OM, keep):
     for given in (flats, _positive_flats(OM), [f for f in flats if f.rank == 0 or keep(f)]):
         expected = reference_full_chains(given, OM.rank) if given else []
         assert _full_chains(given, OM.rank) == expected
-        assert _chain_count(given, OM.rank) == len(expected)
-    assert _chain_count(flats, OM.rank) == maximal_flag_count(OM) == len(maximal_flags(OM))
-    assert _chain_count(_positive_flats(OM), OM.rank) == len(positive_fan(OM))
+        assert _chain_count(_covers(given, OM.rank)) == len(expected)
+    fine = _covers(flats, OM.rank)
+    assert _chain_count(fine) == maximal_flag_count(OM) == len(maximal_flags(OM))
+    assert _chain_count(_covers(_positive_flats(OM), OM.rank)) == len(positive_fan(OM))
 
 
 @pytest.mark.parametrize(
@@ -405,7 +411,7 @@ def test_hhk_covers_and_cone_counts(hhk_model):
     assert edges == [10, 84, 284, 492, 436, 165, 0]
     assert sum(edges[1:]) == 1461
     assert maximal_flag_count(OM) == len(maximal_flags(OM)) == 29484
-    assert _chain_count(_positive_flats(OM), OM.rank) == len(positive_fan(OM)) == 8064
+    assert _chain_count(_covers(_positive_flats(OM), OM.rank)) == len(positive_fan(OM)) == 8064
 
 
 # --- invariance properties ---------------------------------------------------

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import platform
+import random
 import re
 import subprocess
 import sys
@@ -16,10 +17,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fan_reference import reference_full_chains, sample_relative_interior
-from tropibound import cli
-from tropibound.bergman import is_positive_member
+from tropibound import cli, matroid
+from tropibound.bergman import is_positive_member, positive_fan
 from tropibound.cli import CliInputError, main, parse_input, write_json
-from tropibound.matroid import OrientedMatroid, all_flats, realize_from_kernel
+from tropibound.matroid import (
+    OrientedMatroid,
+    SignedCircuit,
+    all_flats,
+    maximal_flags,
+    realize_from_kernel,
+)
 from tropibound.rational import RationalMatrix
 from tropibound.systems import CRNModel, VerticalSystem
 
@@ -795,6 +802,111 @@ def test_fan_documents_match_dict_rendering_random(rows):
     C = RationalMatrix.from_rows(rows)
     assume(not C.is_zero())
     assert_fan_documents_match(realize_from_kernel(C))
+
+
+def seeded_kernel_matroid(rng, rows: int, cols: int) -> OrientedMatroid:
+    while True:
+        C = RationalMatrix.from_rows(
+            [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+        )
+        if not C.is_zero():
+            return realize_from_kernel(C)
+
+
+def seeded_fan_cases():
+    rng = random.Random(3011)
+    cases = {
+        "rank-0-loops": OrientedMatroid(2, [SignedCircuit((1,), ()), SignedCircuit((2,), ())]),
+        "rank-1": realize_from_kernel(RationalMatrix.from_rows([[1, -1]])),
+        "one-signed-circuit": realize_from_kernel(RationalMatrix.from_rows([[1, 1]])),
+    }
+    # ground sizes 9 and 10 put the sample past 64 bits
+    for rows, cols in ((1, 4), (2, 5), (3, 6), (5, 9), (7, 10)):
+        cases[f"random-{rows}x{cols}"] = seeded_kernel_matroid(rng, rows, cols)
+    return cases
+
+
+SEEDED_FANS = seeded_fan_cases()
+
+
+@pytest.mark.parametrize("M", SEEDED_FANS.values(), ids=SEEDED_FANS)
+def test_fan_documents_load_as_the_library_fans(M):
+    # the documents read back as the cones of maximal_flags and
+    # positive_fan, each with the reference sample of its chain
+    r = M.ground_size
+    for command, chains in (("bergman", maximal_flags(M)), ("positive-bergman", positive_fan(M))):
+        _, handler, _ = cli.COMMANDS[command]
+        doc, _, _ = handler(M, argparse.Namespace(coarse_compare=None))
+        expected = []
+        for chain in chains:
+            sample = sample_relative_interior(chain, r)
+            cone = {"flats": [list(f.elements) for f in chain], "sample": [str(x) for x in sample]}
+            if command == "positive-bergman":
+                cone["dimension"] = len(chain) + 1
+            expected.append(cone)
+        assert json.loads(written(doc))["cones"] == expected, command
+
+
+def test_seeded_fan_cases_reach_the_edge_cases():
+    ranks = [M.rank for M in SEEDED_FANS.values()]
+    assert min(ranks) == 0 and 1 in ranks and max(ranks) >= 3
+    assert max(M.ground_size for M in SEEDED_FANS.values()) >= 9
+    one_signed = SEEDED_FANS["one-signed-circuit"]
+    assert one_signed.circuits and not positive_fan(one_signed)
+
+
+def test_hhk_fan_reaches_write_json_in_batches():
+    M = cli._matroid(parse_input(str(INPUTS / "hhk_crn.json")), "bergman")
+    doc, _, _ = cli._bergman(M, argparse.Namespace(coarse_compare=None))
+    items = list(doc["cones"])
+    assert len(items) == -(-29484 // cli._BATCH) == 8
+    assert all(type(item) is cli._Rendered for item in items)
+    # each cone holds one "flats" key
+    sizes = [item.count('"flats": ') for item in items]
+    assert sizes == [cli._BATCH] * 7 + [29484 - 7 * cli._BATCH]
+
+
+@pytest.mark.parametrize(
+    "command, walks, line",
+    [
+        ("bergman", 1, "fine fan: 29484 maximal cones"),
+        ("positive-bergman", 2, "positive fan: 8064 of 29484 maximal cones"),
+    ],
+)
+def test_fan_commands_walk_the_covers_once_per_flat_set(
+    monkeypatch, capsys, tmp_path, command, walks, line
+):
+    # the chain count reads the levels the cones walk; only the fine
+    # count of positive-bergman walks the covers of all flats again
+    calls = []
+    covers = matroid._covers
+
+    def counted(*args):
+        calls.append(args)
+        return covers(*args)
+
+    monkeypatch.setattr(cli, "_covers", counted)
+    monkeypatch.setattr(matroid, "_covers", counted)
+    path = tmp_path / "fan.json"
+    assert main([command, str(INPUTS / "hhk_crn.json"), "--json", str(path)]) == 0
+    assert capsys.readouterr().out == f"{line}\nmachine-readable report written to {path}\n"
+    assert len(calls) == walks
+
+
+def test_fan_commands_refuse_rank_above_byte_lanes(monkeypatch, capsys):
+    # a free matroid of rank 257 has a chain of 256 flats, one more than
+    # a byte lane counts; it is refused before any flat is listed
+    def unlisted(M):
+        raise AssertionError("flats listed")
+
+    monkeypatch.setattr(cli, "all_flats", unlisted)
+    monkeypatch.setattr(cli, "_positive_flats", unlisted)
+    monkeypatch.setattr(cli, "realize_from_kernel", lambda C: OrientedMatroid(257, []))
+    for command in ("bergman", "positive-bergman"):
+        assert main([command, str(INPUTS / "running_2x5.json"), "--json", "-"]) == 1
+        refusal = "error: fan documents need rank at most 256, got rank 257\n"
+        assert capsys.readouterr() == ("", refusal)
+    assert len(cli._fan_levels(OrientedMatroid(256, []), lambda M: [])) == 256
 
 
 @pytest.mark.parametrize(
