@@ -2,7 +2,10 @@
 small parameter value and hunt positive roots with damped Newton in log
 coordinates.
 
-This is the only module that touches floating point.  Its outputs are
+This is the only module that touches floating point, and the only one
+that uses numpy, which it imports on first use (in ``instantiate``,
+``newton`` and the ``InstantiatedSystem`` methods) rather than at load,
+so that every command but ``verify`` starts without it.  Its outputs are
 empirical witnesses, never certificates: the underlying guarantee is
 asymptotic in the parameter with no effective threshold, so a witness
 count below the certified bound at one particular t disproves nothing.
@@ -13,13 +16,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from tropibound.intersection import IntersectionReport
 from tropibound.rational import integer_columns
 from tropibound.systems import VerticalSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # max-norm distance in log coordinates at which two Newton roots count as one
 SEPARATION = 1e-4
@@ -50,6 +54,8 @@ class InstantiatedSystem:
         achieved cancellation; an absolute residual would be meaningless
         across the huge coefficient ranges small-t instances produce.
         """
+        import numpy as np
+
         with np.errstate(over="ignore", invalid="ignore"):
             m = np.exp(self.exponents @ y)
             terms = self.coefficients * m
@@ -68,6 +74,8 @@ class InstantiatedSystem:
         ``evaluate_log``, so an entry can differ from its residual in the
         last bits.
         """
+        import numpy as np
+
         with np.errstate(over="ignore", invalid="ignore"):
             terms = self.coefficients * np.exp(Y @ self.exponents.T)[:, None, :]
             scale = np.maximum(np.abs(terms).max(axis=2), 1.0)
@@ -79,6 +87,8 @@ class InstantiatedSystem:
         Overflow gives non-finite entries, not warnings, as in
         ``evaluate_log``; ``newton`` then finds no finite step.
         """
+        import numpy as np
+
         with np.errstate(over="ignore", invalid="ignore"):
             return self.coefficients @ (m[:, None] * self.exponents)
 
@@ -101,6 +111,8 @@ def instantiate(system: VerticalSystem, t: float) -> InstantiatedSystem:
     coefficient that overflows or rounds to 0 as a float is refused,
     naming its column.
     """
+    import numpy as np
+
     if not (0.0 < t < 1.0):
         raise InstantiationError(f"t must lie in (0, 1), got {t}")
     Ct = system.reduced_coefficients()
@@ -141,6 +153,8 @@ def newton(
     below tol within max_iter iterations; None means no convergence, not
     nonexistence.
     """
+    import numpy as np
+
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 <= 0) or not np.all(np.isfinite(x0)):
         raise ValueError("seed must be strictly positive and finite")

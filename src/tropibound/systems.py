@@ -113,6 +113,26 @@ class CRNModel:
         object.__setattr__(self, "h", vector(self.h))
 
 
+@functools.lru_cache(maxsize=1)
+def _crn_matrices(
+    N_stoich: RationalMatrix, B: RationalMatrix, W: RationalMatrix, T: tuple[Fraction, ...]
+) -> tuple[RationalMatrix, RationalMatrix]:
+    """C and A of ``assemble_crn``.  A one-entry memo: the draws of a rate
+    scan share them, so the matrices' own caches (``_ints``,
+    ``integer_columns``) stay warm and the one-entry memos keyed on C or A
+    hit by identity."""
+    ns, rs = N_stoich.rows, N_stoich.cols
+    crows = []
+    for i in range(ns):
+        crows.append(list(N_stoich.row(i)) + [0] * ns + [0])
+    for i in range(W.rows):
+        crows.append([0] * rs + list(W.row(i)) + [-T[i]])
+    arows = []
+    for i in range(ns):
+        arows.append(list(B.row(i)) + [1 if j == i else 0 for j in range(ns)] + [0])
+    return RationalMatrix.from_rows(crows), RationalMatrix.from_rows(arows)
+
+
 def assemble_crn(model: CRNModel) -> VerticalSystem:
     """Stack steady-state and conservation equations into one vertical
     system.
@@ -120,23 +140,10 @@ def assemble_crn(model: CRNModel) -> VerticalSystem:
     C = [[N, 0, 0], [0, W, -T]] pairs the reaction monomials x^B with the
     plain concentrations and a constant column; A = [B | Id | 0]; the rate
     exponents extend by zeros (conservation coefficients do not scale with
-    the parameter).
+    the parameter).  Models that differ only in h share one C and one A.
     """
-    ns, rs = model.N_stoich.rows, model.N_stoich.cols
-    k = model.W.rows
-    crows = []
-    for i in range(ns):
-        crows.append(list(model.N_stoich.row(i)) + [0] * ns + [0])
-    for i in range(k):
-        crows.append([0] * rs + list(model.W.row(i)) + [-model.T[i]])
-    arows = []
-    for i in range(ns):
-        arows.append(
-            list(model.B.row(i)) + [1 if j == i else 0 for j in range(ns)] + [0]
-        )
-    C = RationalMatrix.from_rows(crows)
-    A = RationalMatrix.from_rows(arows)
-    h_full = tuple(model.h) + (Fraction(0),) * (ns + 1)
+    C, A = _crn_matrices(model.N_stoich, model.B, model.W, model.T)
+    h_full = tuple(model.h) + (Fraction(0),) * (model.N_stoich.rows + 1)
     return VerticalSystem(C, A, h_full)
 
 

@@ -738,6 +738,50 @@ def test_main_returns_freed_large_blocks_to_the_system():
     assert kept < 1 << 20
 
 
+def test_only_verify_imports_numpy():
+    # numpy serves the Newton witnesses alone, so a fresh process loads it
+    # at the first `verify`, not at import or for any other command
+    others = [c for c in cli.COMMANDS if c != "verify"]
+    script = (
+        "import sys\n"
+        "from tropibound.cli import main\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+        f"for command in {others!r}:\n"
+        f"    main([command, {str(INPUTS / 'running_2x5.json')!r}, '--json', '-'])\n"
+        "    print(command, 'numpy' in sys.modules, file=sys.stderr)\n"
+        f"code = main(['verify', {str(INPUTS / 'running_2x5.json')!r}, '--json', '-'])\n"
+        "print('verify', code, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(INPUTS.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    lines = [line for line in done.stderr.splitlines() if not line.startswith("error:")]
+    assert lines == ["False", *(f"{c} False" for c in others), "verify 0 True"]
+
+
+def test_verify_document_same_in_a_fresh_process(capsys):
+    # the fresh process imports numpy inside `verify`; the witnesses it
+    # prints are the bytes this process prints with numpy loaded long before
+    argv = ["verify", str(INPUTS / "running_2x5.json"), "--seed", "978", "--json", "-"]
+    env = {**os.environ, "PYTHONPATH": str(INPUTS.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "tropibound.cli", *argv],
+        capture_output=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out.encode()
+
+
 def reference_fan_text(M, command: str, chains) -> str:
     """The fan document of M over chains, built as dicts and rendered by json."""
     positive = command == "positive-bergman"

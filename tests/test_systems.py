@@ -96,6 +96,27 @@ def test_single_species_toy_assembly():
     assert vs.A.row(0) == vector([1, 1, 0])
 
 
+def test_assemble_crn_shares_C_and_A_across_rates(hhk_model):
+    # draws that differ only in h get the same matrix objects, so the
+    # caches on C and A stay warm; another network gets its own
+    first = assemble_crn(hhk_model)
+    second = assemble_crn(dataclasses.replace(hhk_model, h=(7, 8, 3, 3, -1, 8)))
+    assert second.C is first.C and second.A is first.A
+    assert second.h != first.h
+    other = assemble_crn(dataclasses.replace(hhk_model, T=(10, 30)))
+    assert other.C is not first.C and other.A is not first.A
+    m = hhk_model
+    ns, rs = m.N_stoich.rows, m.N_stoich.cols
+    assert other.C == RationalMatrix.from_rows(
+        [list(m.N_stoich.row(i)) + [0] * (ns + 1) for i in range(ns)]
+        + [[0] * rs + list(m.W.row(i)) + [-t] for i, t in enumerate((10, 30))]
+    )
+    assert other.A == RationalMatrix.from_rows(
+        [list(m.B.row(i)) + [int(i == j) for j in range(ns)] + [0] for i in range(ns)]
+    )
+    assert other.C != first.C and other.A == first.A
+
+
 def test_bound_running_example(running_system):
     report = bound(running_system, cross_check=True)
     assert report.certified_bound == 2
