@@ -34,6 +34,7 @@ from tropibound.matroid import (
 from tropibound.rational import (
     RationalMatrix,
     _echelon,
+    _solution,
     integer_columns,
     integer_multiple,
     primitive,
@@ -273,15 +274,25 @@ def tangent_direction(
 ) -> tuple[Fraction, ...] | None:
     """A nonzero direction u with A^T (v + eps u) + h inside the positive
     fan for all small eps > 0, or None when no such direction exists.
+    A must be integer; the search is ``_tangent_search`` on the integer
+    multiple of ``_integer_point``."""
+    u = _tangent_search(*_integer_point(v, A, h), OM, A.rows)
+    return None if u is None else tuple(map(Fraction, u))
+
+
+def _tangent_search(
+    at_int: Sequence[Sequence[int]], p: Sequence[int], OM: OrientedMatroid, n: int
+) -> tuple[int, ...] | None:
+    """A nonzero integer tangent direction at the positive multiple p of
+    A^T v + h, with at_int the integer columns of A, or None.
 
     To first order the fan condition reads: for every circuit, the argmin
     of A^T u over the circuit's current argmin set still meets both
     signs.  That is a finite union of polyhedral cones {Eu = 0, Gu <= 0}
     indexed by per-circuit witness pairs, built one circuit per level;
     the direction exists iff some cone of the last level has a nonzero
-    point.  A must be integer.  The argmins are read off the integer
-    multiple of ``_integer_point``, each circuit once, up to negation,
-    and the cones are cut out by ``primitive`` rows.
+    point.  The argmins are read off p, each circuit once, up to
+    negation, and the cones are cut out by ``primitive`` rows.
 
     Each accepted state carries a nonzero integer point of its cone and a
     basis of primitive integer rows for the kernel of its E.  A child
@@ -298,8 +309,6 @@ def tangent_direction(
        so it lies in {Eu = 0, Gu <= 0};
     4. otherwise ``_polyhedra.cone_nonzero_point`` decides the cone.
     """
-    at_int, p = _integer_point(v, A, h)
-    n = A.rows
     levels = _level_masks(p)
 
     tasks: list[tuple[list[tuple[int, int]], tuple[int, ...]]] = []
@@ -312,7 +321,7 @@ def tangent_direction(
     tasks.sort(key=lambda t: (len(t[0]), len(t[1])))
     if not tasks:
         # no circuits: the fan is everything and every direction stays in
-        return tuple(Fraction(1 if i == 0 else 0) for i in range(n)) if n else None
+        return tuple(int(i == 0) for i in range(n)) if n else None
 
     @functools.cache
     def diff(a: int, b: int) -> tuple[int, ...]:
@@ -345,7 +354,7 @@ def tangent_direction(
         if not accepted:
             return None
         level = accepted
-    return tuple(Fraction(x) for x in next(iter(level.values()))[0])
+    return next(iter(level.values()))[0]
 
 
 def is_isolated(v: Sequence, OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> bool:
@@ -371,8 +380,8 @@ def is_isolated(v: Sequence, OM: OrientedMatroid, A: RationalMatrix, h: Sequence
     positive fan, so the star is the linear space of the vectors
     constant on each class, and p is isolated iff the ties
     A^T_a - A^T_b of the pairs inside the classes have rank n, one
-    ``_echelon``.  Every other point falls back to the search of
-    ``tangent_direction``.
+    ``_echelon``.  Every other point falls back to ``_tangent_search``,
+    handed the integer columns and the multiple p already built here.
 
     ValueError when p is outside the positive fan.
     """
@@ -381,7 +390,7 @@ def is_isolated(v: Sequence, OM: OrientedMatroid, A: RationalMatrix, h: Sequence
     if not positive:
         raise ValueError(_OUTSIDE)
     if len(classes) != OM.rank:
-        return tangent_direction(v, OM, A, h) is None
+        return _tangent_search(at_int, p, OM, A.rows) is None
     ties = []
     for c in classes:
         a, *rest = _elements(c)
@@ -545,6 +554,64 @@ def _tie_system(
     )
 
 
+class _Underdetermined(NamedTuple):
+    """An underdetermined combination's ties, eliminated with h left
+    symbolic, and its cells' ordering facets in the coordinates of the
+    ties' solution space.
+
+    With x_i = h_row_i . (H h), the ties hold at h iff every check row
+    . (H h) is 0, and then their solutions are
+    v = (x0 + sum of t_f k_f) / (d H) over t in R^k, where x0 is x_i at
+    pivot i and 0 elsewhere and the k_f form ``kernel`` (``_solution``).
+    An ordering facet (w + h)_a <= (w + h)_b, times d H, reads
+    row . t <= d ((H h)_b - (H h)_a) - diffs . x, with row the
+    (A^T_a - A^T_b) . k_f and diffs the entries of A^T_a - A^T_b at the
+    pivots; ``facets`` holds (a, b, row, diffs) once per 0-based pair.
+    """
+
+    d: int
+    pivots: tuple[int, ...]
+    kernel: tuple[tuple[int, ...], ...]
+    h_rows: tuple
+    check: tuple
+    facets: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]
+    # each component's positive cells with its partition
+    groups: tuple[tuple[_Cell, ...], ...]
+
+
+def _ordering_pairs(cell: _Cell) -> list[tuple[int, int]]:
+    """The 0-based pairs (a, b) of a cell's ordering facets
+    (w + h)_a <= (w + h)_b: the first elements of each block and of the
+    block before it."""
+    return [(lower[0] - 1, upper[0] - 1) for upper, lower in zip(cell, cell[1:])]
+
+
+def _underdetermined(
+    at_int: Sequence[Sequence[int]],
+    pairs: Sequence[tuple[int, int]],
+    n: int,
+    groups: tuple[tuple[_Cell, ...], ...],
+) -> _Underdetermined:
+    """The plan entry of an underdetermined combination: its ties
+    eliminated once, and each ordering facet of its cells reduced once
+    onto the free coordinates of their solutions."""
+    d, v_rows, h_rows, check = _tie_system(at_int, pairs, n)
+    pivots = tuple(next(j for j, c in enumerate(row) if c) for row in v_rows)
+    # the kernel needs no right-hand side, so a zero column stands in for x
+    kernel = _solution([(*row, 0) for row in v_rows], pivots, d, n)[1]
+    facets = {}
+    for cells in groups:
+        for cell in cells:
+            for a, b in _ordering_pairs(cell):
+                if (a, b) not in facets:
+                    diff = [x - y for x, y in zip(at_int[a], at_int[b])]
+                    row = tuple(sum(map(mul, diff, k)) for k in kernel)
+                    facets[a, b] = (a, b, row, tuple(diff[i] for i in pivots))
+    return _Underdetermined(
+        d, pivots, tuple(map(tuple, kernel)), h_rows, check, tuple(facets.values()), groups
+    )
+
+
 class _FanPlan(NamedTuple):
     """Everything the fan walk needs that depends only on (OM, A)."""
 
@@ -554,11 +621,10 @@ class _FanPlan(NamedTuple):
     # per distinct pivot tie set of the full-rank partition combinations,
     # in order of first appearance: d and the h_rows of its
     # ``_tie_system``, the distinct nonzero check rows of the other ties,
-    # and per combination the bitmask of its check rows
-    pivoted: tuple[tuple[int, tuple, tuple, frozenset[int]], ...]
-    # per underdetermined combination: the ``_tie_system`` of its ties and
-    # each component's positive cells with its partition
-    underdetermined: tuple[tuple[int, tuple, tuple, tuple, tuple[tuple[_Cell, ...], ...]], ...]
+    # per combination the bitmask of its check rows, fewest rows first
+    pivoted: tuple[tuple[int, tuple, tuple, tuple[int, ...]], ...]
+    # per underdetermined combination, its ``_Underdetermined`` entry
+    underdetermined: tuple[_Underdetermined, ...]
 
 
 @functools.lru_cache(maxsize=1)
@@ -589,12 +655,14 @@ def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
     sum_i (A^T_a_t - A^T_b_t)_i h_row_i = d (e_b_t - e_a_t); so
     c = sum_t lam_t (e_b_t - e_a_t) + d (e_a - e_b), read off without a
     product.  The nonzero check rows are kept once per pivot set, and
-    each combination becomes the bitmask of its own; so a pivot set is
-    consistent at h iff some mask has no check row that fails there.  A
-    combination of rank below n keeps its full ``_tie_system``, and its
-    positive cells are listed, since only an underdetermined system needs
-    their ordering facets; each component partition's cells are listed
-    once.
+    each combination becomes the bitmask of its own, kept with the
+    masks of fewer rows first; so a pivot set is consistent at h iff some
+    mask has no check row that fails there (``_consistent``).  A
+    combination of rank below n keeps its full ``_tie_system``, read as
+    the free coordinates of its solutions, and its positive cells are
+    listed with their ordering facets reduced onto those coordinates
+    (``_underdetermined``), since only an underdetermined system needs
+    them; each component partition's cells are listed once.
     """
     diagnostics = validate_inputs(OM, A)
     at_int = integer_columns(A)
@@ -613,7 +681,7 @@ def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
             m, independent = _echelon(diffs, len(pairs))[:2]
             if len(independent) < n:
                 groups = tuple(cells(i, partition) for i, partition in enumerate(combo))
-                underdetermined.append((*_tie_system(at_int, pairs, n), groups))
+                underdetermined.append(_underdetermined(at_int, pairs, n, groups))
                 continue
             key = tuple(map(pairs.__getitem__, independent))
             if key not in pivoted:
@@ -630,8 +698,75 @@ def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
                     bits[pair] = 1 << len(checks) if any(c) else 0
                     checks += [tuple(c)] if any(c) else []
             masks.add(sum(map(bits.get, pairs)))
-    pivot_sets = tuple((d, h, tuple(c), frozenset(m)) for d, h, _, c, m in pivoted.values())
+    pivot_sets = tuple(
+        (d, h, tuple(c), tuple(sorted(m, key=lambda m: (m.bit_count(), m))))
+        for d, h, _, c, m in pivoted.values()
+    )
     return _FanPlan(diagnostics, empty, at_int, pivot_sets, tuple(underdetermined))
+
+
+def _consistent(
+    checks: Sequence[Sequence[int]], masks: Iterable[int], h_int: Sequence[int]
+) -> bool:
+    """Whether some mask has no check row c with c . (H h) != 0.
+
+    The masks are tried in order and each row is evaluated at most once:
+    ``good`` and ``bad`` hold the rows found to hold and to fail, so a
+    mask with a failing row is passed over at once, and the first mask
+    whose rows all hold ends the walk.
+    """
+    good = bad = 0
+    for mask in masks:
+        if mask & bad:
+            continue
+        rest = mask & ~good
+        while rest:
+            low = rest & -rest
+            if sum(map(mul, checks[low.bit_length() - 1], h_int)):
+                bad |= low
+                break
+            good |= low
+            rest ^= low
+        else:
+            return True
+    return False
+
+
+def _probe_cells(
+    system: _Underdetermined, H: int, h_int: Sequence[int]
+) -> list[tuple[int, tuple[Fraction, ...] | None]]:
+    """Per product cell of an underdetermined system, in the order of
+    ``itertools.product`` over its groups, the dimension of the cell's
+    piece at the shift with integer multiple (H, H h) and, when that is
+    0, the piece's point v; no cells when the ties fail there.
+
+    Each cell is probed by ``_polyhedra.polyhedron_dimension`` in the k
+    free coordinates t of the ties' solutions, with the ordering facets
+    of ``_Underdetermined`` as its inequalities and no equalities: each
+    facet's right-hand side is found once per call.  A zero-dimensional
+    piece is one point, so its sample t maps back to the one v.
+    """
+    if any(sum(map(mul, row, h_int)) for row in system.check):
+        return []
+    d, pivots, kernel = system.d, system.pivots, system.kernel
+    x = [sum(map(mul, row, h_int)) for row in system.h_rows]
+    facets = {
+        (a, b): (row, d * (h_int[b] - h_int[a]) - sum(map(mul, diffs, x)), False)
+        for a, b, row, diffs in system.facets
+    }
+    verdicts = []
+    for combo in itertools.product(*system.groups):
+        ineqs = [facets[pair] for cell in combo for pair in _ordering_pairs(cell)]
+        dim, t = _polyhedra.polyhedron_dimension(len(kernel), [], ineqs)
+        v = None
+        if dim == 0:
+            x0 = dict(zip(pivots, x))
+            v = tuple(
+                (x0.get(j, 0) + sum(s * k[j] for s, k in zip(t, kernel))) / (d * H)
+                for j in range(len(kernel[0]))
+            )
+        verdicts.append((dim, v))
+    return verdicts
 
 
 def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> IntersectionReport:
@@ -651,30 +786,26 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     with h left symbolic, once per (OM, A) in ``_fan_plan``; the systems
     of full rank share one elimination per set of pivot ties.  Per call,
     ``integer_multiple`` gives H and the ints H h, and the check rows are
-    evaluated at them: a pivot set is consistent iff, for some one of its
-    combinations, each check row . (H h) is 0, an underdetermined system
-    iff all of its own are, and then x_i = h_row_i . (H h).  A pivot set
-    has the unique solution v = x / (d H); its image A^T v + h is tested
-    for positive membership in integers, on the positive multiple
+    evaluated at them, each at most once: a pivot set is consistent iff,
+    for some one of its combinations, each check row . (H h) is 0 (its
+    masks are walked until one holds), an underdetermined system iff all
+    of its own are, and then x_i = h_row_i . (H h).  A pivot set has the
+    unique solution v = x / (d H); its image A^T v + h is tested for
+    positive membership in integers, on the positive multiple
     p = d H (A^T v + h), and Fractions are built only for accepted
-    points.  An underdetermined system hands ``_polyhedra`` its
-    equalities (H v_row_i) . v = x_i already reduced, and a point it
-    pins gets p from ``integer_multiple`` of its image.  Each point's
-    level flag and interiority are read off p: a positive multiple has
-    the same level sets and the same argmins.
+    points.  An underdetermined system's cells are probed in the k free
+    coordinates of its solutions (``_probe_cells``): the plan reduced
+    each ordering facet onto them, so a call only finds each facet's
+    right-hand side and hands ``_polyhedra`` k variables and no
+    equalities.  A point a cell pins maps back to v and gets p from
+    ``integer_multiple`` of its image.  Each point's level flag and
+    interiority are read off p: a positive multiple has the same level
+    sets and the same argmins.
     """
     hh = vector(h)
     plan = _fan_plan(OM, A)
-    n = A.rows
     at_int = plan.at_int
     H, h_int = integer_multiple(hh)
-
-    @functools.cache
-    def tie(a: int, b: int) -> tuple[tuple[int, ...], int]:
-        """The ordering facet (w + h)_a <= (w + h)_b of 0-based elements
-        as a gcd-primitive integer row and right-hand side in v."""
-        row = primitive([H * (x - y) for x, y in zip(at_int[a], at_int[b])] + [h_int[b] - h_int[a]])
-        return row[:-1], row[-1]
 
     notes: list[str] = []
     if plan.empty is not None:
@@ -688,8 +819,7 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     pinned = 0
     positive_cells = 0
     for d, h_rows, checks, masks in plan.pivoted:
-        failed = sum(1 << i for i, row in enumerate(checks) if sum(map(mul, row, h_int)))
-        if all(mask & failed for mask in masks):
+        if not _consistent(checks, masks, h_int):
             continue
         x = [sum(map(mul, row, h_int)) for row in h_rows]
         # v = x / (d H); many pivot sets share a point, so each v, keyed
@@ -705,24 +835,11 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
             den = d * H
             v = tuple(Fraction(xi, den) for xi in x)
             candidates[v] = (tuple(Fraction(a, den) for a in aw), p)
-    for d, v_rows, h_rows, check, groups in plan.underdetermined:
-        if any(sum(map(mul, row, h_int)) for row in check):
-            continue
-        x = [sum(map(mul, row, h_int)) for row in h_rows]
-        # Underdetermined ties: examine each product cell of this
-        # combination with its ordering facets.
-        eqs = [(tuple(H * c for c in row), xi) for row, xi in zip(v_rows, x)]
-        for combo in itertools.product(*groups):
-            ineqs = [
-                (*tie(lower[0] - 1, upper[0] - 1), False)
-                for cell in combo
-                for upper, lower in zip(cell, cell[1:])
-            ]
-            dim, vstar = _polyhedra.polyhedron_dimension(n, eqs, ineqs)
+    for system in plan.underdetermined:
+        for dim, vstar in _probe_cells(system, H, h_int):
             if dim < 0:
                 continue
             if dim == 0:
-                # a zero-dimensional piece is one point, so its sample is it
                 wstar = tuple(sum(map(mul, row, vstar)) for row in at_int)
                 p = integer_multiple([a + b for a, b in zip(wstar, hh)])[1]
                 if not is_positive_member(p, OM):

@@ -34,11 +34,13 @@ class SystemError_(ValueError):
 
 
 @functools.lru_cache(maxsize=1)
-def _independent_rows(C: RationalMatrix) -> tuple[int, ...]:
-    """The first independent rows of C.  A one-entry memo: CLI ``verify``
-    reduces C for the Newton witnesses and again for the decorated count,
-    and every draw of a rate scan shares its C."""
-    return tuple(first_independent_rows(C))
+def _independent_rows(C: RationalMatrix) -> tuple[tuple[int, ...], RationalMatrix]:
+    """The first independent rows of C, and C restricted to them.  A
+    one-entry memo: CLI ``verify`` reduces C for the Newton witnesses and
+    again for the decorated count, and every draw of a rate scan shares
+    its C, so the draws share one reduced matrix as well."""
+    rows = tuple(first_independent_rows(C))
+    return rows, C.submatrix_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -78,10 +80,10 @@ class VerticalSystem:
         witnesses both need, exists only when rank(C) = n; otherwise
         SystemError_ is raised.
         """
-        rows = _independent_rows(self.C)
+        rows, reduced = _independent_rows(self.C)
         if len(rows) != self.n:
             raise SystemError_(f"rank(C) = {len(rows)} differs from n = {self.n}")
-        return self.C.submatrix_rows(rows)
+        return reduced
 
 
 @dataclass(frozen=True)

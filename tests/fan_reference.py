@@ -6,8 +6,11 @@ flats' indicator vectors plus the all-ones lineality line, on the ground
 set {1..ground_size}.
 """
 
+import itertools
+from fractions import Fraction
 from typing import Iterable, Sequence
 
+from tropibound._polyhedra import polyhedron_dimension
 from tropibound.bergman import _coerce
 from tropibound.matroid import Flat
 
@@ -121,3 +124,37 @@ def reference_merge(size: int, groups: Iterable[Sequence[int]]) -> list[list[int
     for e in range(1, size + 1):
         classes.setdefault(find(e), []).append(e)
     return sorted(classes.values())
+
+
+def reference_probe_cells(
+    at_int: Sequence[Sequence[int]], groups, H: int, h_int: Sequence[int]
+) -> list[tuple[int, tuple[Fraction, ...] | None]]:
+    """Per product cell of an underdetermined fan-plan system, in the
+    order of ``itertools.product`` over its groups (each component's
+    cells, which share one block partition), the dimension of the cell's
+    piece and, when that is 0, its point v.
+
+    Each cell is probed in v-space, as the fan walk once did: its ties
+    (w + h)_a = (w + h)_b as equalities and its ordering facets
+    (w + h)_a <= (w + h)_b as inequalities, times H, go to
+    ``polyhedron_dimension`` over all n coordinates of v.  Ties that fail
+    at h leave every piece empty.  The reference for
+    ``intersection._probe_cells``, which probes in the free coordinates
+    of the ties' solutions.
+    """
+    n = len(at_int[0])
+
+    def tie(a: int, b: int) -> tuple[tuple[int, ...], int]:
+        return tuple(H * (x - y) for x, y in zip(at_int[a], at_int[b])), h_int[b] - h_int[a]
+
+    eqs = [tie(block[0] - 1, e - 1) for cells in groups for block in cells[0] for e in block[1:]]
+    verdicts = []
+    for combo in itertools.product(*groups):
+        ineqs = [
+            (*tie(lower[0] - 1, upper[0] - 1), False)
+            for cell in combo
+            for upper, lower in zip(cell, cell[1:])
+        ]
+        dim, v = polyhedron_dimension(n, eqs, ineqs)
+        verdicts.append((dim, v if dim == 0 else None))
+    return verdicts

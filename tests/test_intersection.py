@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fan_reference import reference_merge
+from fan_reference import reference_merge, reference_probe_cells
 from tropibound import _polyhedra
 from tropibound.bergman import _is_positive_flat, is_positive_member, positive_chains, positive_fan
 from tropibound.intersection import (
@@ -21,10 +21,12 @@ from tropibound.intersection import (
     OracleMismatchError,
     _cell_partitions,
     _classes,
+    _consistent,
     _fan_plan,
     _fine_cells,
     _is_interior,
     _level_flag,
+    _probe_cells,
     _restrict_kernel,
     _tie_system,
     intersect_via_fan,
@@ -346,6 +348,118 @@ def test_fan_plan_eliminates_once_per_pivot_set(monkeypatch):
     assert len(calls) == 30
 
 
+@functools.cache
+def _scan_cases(hhk_model) -> tuple[tuple, ...]:
+    """(OM, A, shifts) for the fan-walk differential tests: the 24 hhk
+    draws of the crn_scan benchmark, each scaled by 1, 2 and 3; the
+    criterion-7 family with its own h; and one system with a circuit of
+    6 elements whose underdetermined ties leave 2 free coordinates.  Each
+    underdetermined system of the family, and each with 2 free
+    coordinates of the last system, also gets a seeded integer h at
+    which w + h is constant on its blocks at some v, so that its ties
+    hold there."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # the module's dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    vs = assemble_crn(hhk_model)
+    hhk = [
+        tuple(k * x for x in vector((*h, 0, 0, 0, 0, 0, 0, 0)))
+        for h in workloads.crn_base_draws()
+        for k in (1, 2, 3)
+    ]
+    cases = [(realize_from_kernel(vs.C), vs.A, hhk)]
+    # (C, A, shifts, the fewest free coordinates of a system to seed)
+    systems = [
+        (RationalMatrix.from_rows(C), RationalMatrix.from_rows(A), [tuple(vector(h))], 1)
+        for C, A, h in workloads.criterion7_family()
+    ]
+    systems.append(
+        (
+            RationalMatrix.from_rows([[1, 2, -1, -1, 1, -2]]),
+            RationalMatrix.from_rows([[1, 0, 0, 1, 2, 0], [0, 1, 0, 1, 1, 1], [0, 0, 1, 1, -1, 2]]),
+            [],
+            2,
+        )
+    )
+    rng = random.Random(3301)
+    for C, A, shifts, free in systems:
+        OM = realize_from_kernel(C)
+        at_int = integer_columns(A)
+        for system in _fan_plan(OM, A).underdetermined:
+            if len(system.kernel) < free:
+                continue
+            blocks = [block for cells in system.groups for block in cells[0]]
+            label = {e - 1: i for i, block in enumerate(blocks) for e in block}
+            v0 = [rng.randint(-3, 3) for _ in range(A.rows)]
+            t = [rng.randint(-4, 4) for _ in range(A.cols)]
+            shifts.append(tuple(t[label[e]] - sum(map(mul, at_int[e], v0)) for e in range(A.cols)))
+        cases.append((OM, A, shifts))
+    return tuple(cases)
+
+
+def test_cell_probes_match_v_space_reference(hhk_model):
+    # the fan walk probes an underdetermined system's cells in the free
+    # coordinates of its ties' solutions, with each ordering facet reduced
+    # once; every cell's dimension, and its point where that is 0, must be
+    # those of the v-space probe it replaced
+    seen = set()
+    for OM, A, shifts in _scan_cases(hhk_model):
+        plan = _fan_plan(OM, A)
+        for h in shifts:
+            H, h_int = integer_multiple(vector(h))
+            for system in plan.underdetermined:
+                got = _probe_cells(system, H, h_int)
+                want = reference_probe_cells(plan.at_int, system.groups, H, h_int)
+                if got:
+                    assert got == want, (OM, A, h)
+                    seen.update((len(system.kernel), dim) for dim, _ in got)
+                else:
+                    assert {dim for dim, _ in want} == {-1}, (OM, A, h)
+    # empty, pinned and positive-dimensional pieces, with 1 and 2 free
+    # coordinates
+    assert seen >= {(1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1), (2, 2)}
+
+
+class _CountedRows(list):
+    """Check rows that record which of them are read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = []
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+def test_lazy_check_rows_match_eager_rule(hhk_model):
+    # a pivot set holds iff some mask has no failing check row; the walk
+    # tries its masks fewest rows first and reads each row at most once,
+    # and must accept exactly the pivot sets of the eager rule
+    rows = _CountedRows([(1, 0), (0, 1), (2, 0)])
+    # the first mask fails on row 1, and the second reuses row 0's verdict
+    assert _consistent(rows, (0b011, 0b101), (0, 2)) and rows.read == [0, 1, 2]
+    accepted = rejected = 0
+    for OM, A, shifts in _scan_cases(hhk_model):
+        plan = _fan_plan(OM, A)
+        for h in shifts:
+            h_int = integer_multiple(vector(h))[1]
+            for _, _, checks, masks in plan.pivoted:
+                failed = sum(1 << i for i, row in enumerate(checks) if sum(map(mul, row, h_int)))
+                eager = not all(mask & failed for mask in masks)
+                rows = _CountedRows(checks)
+                assert _consistent(rows, masks, h_int) == eager, (OM, A, h)
+                assert len(set(rows.read)) == len(rows.read) <= len(checks)
+                accepted += eager
+                rejected += not eager
+    assert accepted > 1000 and rejected > 1000
+
+
 # --- block partitions ----------------------------------------------------------
 
 
@@ -459,7 +573,10 @@ def check_partitions_against_chains(OM, A=None):
             if any(c):
                 mask |= 1 << checks.index(c)
         masks[key].add(mask)
-    assert [m for *_, m in plan.pivoted] == [frozenset(m) for m in masks.values()]
+    assert [frozenset(m) for *_, m in plan.pivoted] == [frozenset(m) for m in masks.values()]
+    # each mask once, masks with fewer check rows first
+    for *_, m in plan.pivoted:
+        assert len(set(m)) == len(m) and m == tuple(sorted(m, key=lambda x: (x.bit_count(), x)))
     assert len(plan.underdetermined) == len(short)
     for combo, (*_, cells) in zip(short, plan.underdetermined):
         assert [sorted(c) for c in cells] == [sorted(g[p]) for g, p in zip(ref, combo)]

@@ -187,6 +187,29 @@ def test_rate_scan_reduces_C_once(hhk_model, monkeypatch):
     assert len(calls) == 1
 
 
+def test_rate_scan_shares_one_reduced_C(hhk_model):
+    # draws that share C get the one reduced matrix the memo keeps, C's
+    # first independent rows; a rank-deficient C is refused on every call,
+    # also once its reduction is memoized
+    systems_module._independent_rows.cache_clear()
+    reduced = [
+        assemble_crn(dataclasses.replace(hhk_model, h=h)).reduced_coefficients()
+        for h in [(7, -6, -2, -3, -3, 3), (7, 8, 3, 3, -1, 8), (-4, 2, 6, -8, 1, -3)]
+    ]
+    assert reduced[0] is reduced[1] is reduced[2]
+    C = assemble_crn(hhk_model).C
+    assert reduced[0] == C.submatrix_rows(first_independent_rows(C))
+    deficient = VerticalSystem(
+        RationalMatrix.from_rows([[1, -1, 1, -1], [2, -2, 2, -2]]),
+        RationalMatrix.from_rows([[1, 0, 1, 2], [0, 1, 1, 3]]),
+        (0, 0, 0, 0),
+    )
+    for _ in range(3):
+        with pytest.raises(SystemError_, match=r"^rank\(C\) = 1 differs from n = 2$"):
+            deficient.reduced_coefficients()
+    assert systems_module._independent_rows.cache_info().hits == 4
+
+
 def test_bound_empty_fan(running_A):
     system = VerticalSystem(
         RationalMatrix.from_rows([[1, 1, 1, 1, 1], [1, 2, 3, 4, 5]]),

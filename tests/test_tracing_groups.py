@@ -109,3 +109,58 @@ def test_traced_scan_reuses_eliminations(hhk_model):
     }
     metrics = tracer.per_layer(wall_s=1.0)
     assert {name: metrics[name] for name in expected} == expected
+
+
+def test_traced_scan_eliminates_each_tie_system_once(hhk_model, monkeypatch):
+    # on the three draws above, the fan plan eliminates each tie system
+    # once, at the first draw, and reads the solutions of each
+    # underdetermined one off once; every cell probe then runs in the free
+    # coordinates of those solutions with no equalities, so no draw
+    # eliminates a system's ties again
+    from tropibound import _polyhedra, intersection, matroid, systems
+
+    tracing = load_tracing()
+    matroid.realize_from_kernel.cache_clear()
+    intersection._fan_plan.cache_clear()
+    calls = {"_tie_system": 0, "_solution": 0}
+
+    def counted(name):
+        real = getattr(intersection, name)
+
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(intersection, name, counted(name))
+    probes = []
+    real_dimension = _polyhedra.polyhedron_dimension
+
+    def dimension(dim, equalities, inequalities):
+        probes.append((dim, len(equalities)))
+        return real_dimension(dim, equalities, inequalities)
+
+    monkeypatch.setattr(_polyhedra, "polyhedron_dimension", dimension)
+    draws = [(7, -6, -2, -3, -3, 3), (7, 8, 3, 3, -1, 8), (-4, 2, 6, -8, 1, -3)]
+    after = []
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for h in draws:
+            system = systems.assemble_crn(dataclasses.replace(hhk_model, h=h))
+            tracer.run(lambda: systems.bound(system))
+            after.append(dict(calls))
+    finally:
+        tracer.uninstall()
+    plan = intersection._fan_plan(matroid.realize_from_kernel(system.C), system.A)
+    underdetermined = len(plan.underdetermined)
+    assert after[0] == after[1] == after[2]
+    assert after[0] == {
+        "_tie_system": len(plan.pivoted) + underdetermined,
+        "_solution": underdetermined,
+    }
+    assert len(probes) == tracer.per_layer(wall_s=1.0)["polyhedra.dimension_calls"] == 48
+    # hhk's underdetermined ties leave 1 free coordinate of v's 6
+    assert set(probes) == {(1, 0)}
