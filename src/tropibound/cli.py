@@ -94,6 +94,8 @@ def parse_input(path: str):
         raise CliInputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})") from None
+    except RecursionError:
+        raise CliInputError(f"{path}: nested too deeply to parse") from None
     if not isinstance(doc, dict) or "kind" not in doc:
         raise CliInputError(f"{path}: top-level object with a 'kind' field required")
     kind = doc["kind"]
@@ -132,8 +134,8 @@ def parse_input(path: str):
 _BATCH = 4096
 # the highest rank whose sample counts fit the byte lanes of _cones
 _MAX_FAN_RANK = 256
-# the element types of a list or tuple that write_json joins in one step
-_JOINABLE = ({str}, {int})
+# what write_json's encoder leaves in place of each lazy array
+_MARKER = "\x00lazy array\x00"
 
 
 class _Rendered(str):
@@ -141,17 +143,6 @@ class _Rendered(str):
     rendered in advance, for the depth where the document holds them, as
     one item of a fan document's iterator is a batch of finished cone
     text.  Nothing parsed from input is of this type."""
-
-
-def _float(x: float) -> str:
-    """A float as json writes it, NaN and the infinities included."""
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    return float.__repr__(x)
 
 
 def _joined(texts, depth: int) -> str:
@@ -162,83 +153,72 @@ def _joined(texts, depth: int) -> str:
     return "[" + inner + body + "\n" + "  " * depth + "]" if body else "[]"
 
 
+def _check_keys(values) -> None:
+    """Raise TypeError on a key that is not a str in a dict among
+    ``values`` or nested in them, which the library encoder would turn
+    into a str."""
+    for o in values:
+        if isinstance(o, dict):
+            for key in o:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+            _check_keys(o.values())
+        elif isinstance(o, (list, tuple)):
+            _check_keys(o)
+
+
 def write_json(doc, stream) -> None:
     """Write ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` to stream,
     byte for byte, without building the whole text.
 
     An iterator is written as an array, each item written as soon as it
     is rendered, so a document can hand its cones over lazily and only
-    one item is held at a time.  A ``_Rendered`` string is written as it
-    stands, not quoted: one item of a fan document's iterator is a batch
-    of ``_BATCH`` cones' finished text (see ``_cones``).
-    A list or tuple holding only str or only int values is joined in one
-    step, and such a tuple is rendered once per depth, memoized by its
-    value: not by ``id()``, which a freed tuple passes on.  A key that is
-    not a str raises TypeError, as does a value json cannot encode.
+    one item is held at a time.  The library encoder renders the rest of
+    the document, with a marker string in place of each iterator; the
+    text is written up to each marker, then the iterator's items, at the
+    depth of the marker's line, then the rest.  A ``_Rendered`` item is
+    written as it stands, not quoted: one item of a fan document's
+    iterator is a batch of ``_BATCH`` cones' finished text (see
+    ``_cones``).  Any other item is written the same way one level
+    deeper, its newlines re-indented, which is exact since no JSON string
+    holds a raw newline.  A document string that reads as a marker
+    raises RuntimeError before the text around it is written.  A key
+    that is not a str raises TypeError, as does a value json cannot
+    encode.
     """
-    out: list[str] = []
-    memo: dict[tuple, str] = {}
 
-    def flush():
-        stream.write("".join(out))
-        out.clear()
+    def write(o, depth: int):
+        _check_keys((o,))
+        lazy: list[Iterator] = []
 
-    def array(items, depth: int, lazy: bool = False):
-        inner = "\n" + "  " * (depth + 1)
-        n = 0
-        for x in items:
-            out.append("," + inner if n else "[" + inner)
-            put(x, depth + 1)
-            n += 1
-            if lazy:
-                flush()
-        out.append("\n" + "  " * depth + "]" if n else "[]")
+        def default(x):
+            if not isinstance(x, Iterator):
+                raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+            lazy.append(x)
+            return _MARKER
 
-    def joined(items, depth: int) -> str:
-        return _joined(map(_quote if type(items[0]) is str else int.__repr__, items), depth)
+        chunks = json.JSONEncoder(indent=2, sort_keys=True, default=default).encode(o).split(_quote(_MARKER))
+        if len(chunks) != len(lazy) + 1:
+            raise RuntimeError("a document string reads as write_json's lazy-array marker")
+        pad = "\n" + "  " * depth
+        for before, items in zip(chunks, lazy):
+            stream.write(before.replace("\n", pad))
+            # the array's depth is the indentation of the marker's line
+            line = before[before.rfind("\n") + 1 :]
+            inner = depth + (len(line) - len(line.lstrip(" "))) // 2
+            sep = "[\n" + "  " * (inner + 1)
+            for item in items:
+                stream.write(sep)
+                if type(item) is _Rendered:
+                    stream.write(item)
+                else:
+                    write(item, inner + 1)
+                sep = ",\n" + "  " * (inner + 1)
+            stream.write("[]" if sep[0] == "[" else "\n" + "  " * inner + "]")
+        stream.write(chunks[-1].replace("\n", pad))
 
-    def put(o, depth: int):
-        # no value is both a container and a scalar, so containers go first
-        if isinstance(o, dict):
-            for key in o:
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-            inner = "\n" + "  " * (depth + 1)
-            for n, (key, value) in enumerate(sorted(o.items())):
-                out.append(("," if n else "{") + inner + _quote(key) + ": ")
-                put(value, depth + 1)
-            out.append("\n" + "  " * depth + "}" if o else "{}")
-        elif isinstance(o, (list, tuple)):
-            # types before values: (True,) == (1,) but renders differently
-            if set(map(type, o)) not in _JOINABLE:
-                array(o, depth)
-            elif isinstance(o, list):
-                out.append(joined(o, depth))
-            else:
-                text = memo.get((depth, o))
-                if text is None:
-                    text = memo[depth, o] = joined(o, depth)
-                out.append(text)
-        elif isinstance(o, str):
-            out.append(o if type(o) is _Rendered else _quote(o))
-        elif o is None:
-            out.append("null")
-        elif o is True:
-            out.append("true")
-        elif o is False:
-            out.append("false")
-        elif isinstance(o, int):
-            out.append(int.__repr__(o))
-        elif isinstance(o, float):
-            out.append(_float(o))
-        elif isinstance(o, Iterator):
-            array(o, depth, lazy=True)
-        else:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    put(doc, 0)
-    out.append("\n")
-    flush()
+    write(doc, 0)
+    stream.write("\n")
 
 
 def _emit(doc: dict, args, human_lines: list[str]) -> None:

@@ -216,23 +216,29 @@ def count_roots(
     run to residual TOL.
 
     Roots are deduplicated at max-norm log-distance SEPARATION; tropical
-    seeds run first so deterministic ties resolve toward them, and one
-    whose t^v overflows or rounds to 0 as a float is skipped, since no
-    float witness lies there.  The result is an empirical witness list.
+    seeds run first so deterministic ties resolve toward them.  A start
+    that overflows or rounds to 0 as a float, a tropical seed's t^v or a
+    random start's exp at a small t, is skipped, since no float witness
+    lies there; every random start is still drawn, so the others stay
+    the same.  The result is an empirical witness list.
     """
     seeds: list[tuple[str, list[float]]] = []
-    for p in report.points:
+
+    def add(origin: str, start) -> None:
         try:
-            x0 = tropical_seed(F.t, p.v)
+            x0 = start()
         except OverflowError:
-            continue
+            return
         if all(0.0 < x < math.inf for x in x0):
-            seeds.append(("tropical v=(" + ",".join(str(x) for x in p.v) + ")", x0))
+            seeds.append((origin, x0))
+
+    for p in report.points:
+        add("tropical v=(" + ",".join(str(x) for x in p.v) + ")", lambda: tropical_seed(F.t, p.v))
     rng = random.Random(seed)
     span = 1.5 * abs(math.log(F.t))
     for k in range(MULTISTARTS):
         y0 = [rng.uniform(-span, span) for _ in range(F.n)]
-        seeds.append((f"random#{k}", [math.exp(c) for c in y0]))
+        add(f"random#{k}", lambda: [math.exp(c) for c in y0])
 
     witnesses: list[RootWitness] = []
     for origin, x0 in seeds:

@@ -109,6 +109,15 @@ def test_parse_invalid_json(tmp_path):
         parse_input(str(p))
 
 
+def test_parse_deeply_nested_json_exit_one(tmp_path, capsys):
+    # the decoder's RecursionError is a RuntimeError, which main would
+    # report as an internal error
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["circuits", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {p}: nested too deeply")
+
+
 def test_parse_dimension_cross_check(tmp_path):
     path = write(
         tmp_path,
@@ -191,6 +200,16 @@ def test_verify_skips_unrepresentable_tropical_seeds(tmp_path, capsys, A, h, bou
     result = json.loads(out)
     assert result["certified_bound"] == bound
     assert not any(w["seed_origin"].startswith("tropical") for w in result["witnesses"])
+
+
+def test_verify_skips_overflowing_random_starts(capsys):
+    # the random starts span 1.5 |log t|, about 1036 here, past the
+    # range of exp
+    code = main(["verify", str(INPUTS / "running_2x5.json"), "--t", "1e-300", "--json", "-"])
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    assert "Traceback" not in err and "error" not in err
+    assert json.loads(out)["t"] == 1e-300
 
 
 def test_internal_error_exit_three(monkeypatch, capsys):
@@ -675,6 +694,48 @@ def test_write_json_streams_an_iterator_in_batches():
 def test_write_json_refuses_what_json_cannot_key_or_encode(doc):
     with pytest.raises(TypeError):
         write_json(doc, io.StringIO())
+
+
+@pytest.mark.parametrize(
+    "doc, in_an_item",
+    [
+        ({"a": cli._MARKER}, False),
+        ({"a": cli._MARKER, "b": Lazy([1])}, False),
+        ({cli._MARKER: 1, "b": Lazy()}, False),
+        ({"before": 1, "items": Lazy([{"x": 1}, {"x": cli._MARKER}])}, True),
+    ],
+    ids=["value", "value-beside-iterator", "key", "in-an-item"],
+)
+def test_write_json_refuses_a_string_that_reads_as_the_marker(doc, in_an_item):
+    stream = io.StringIO()
+    with pytest.raises(RuntimeError, match="marker"):
+        write_json(as_written(doc), stream)
+    # nothing wrong is written: only the start of the right text, which
+    # is empty unless the string is in an item of an iterator
+    expected = json.dumps(as_reference(doc), indent=2, sort_keys=True)
+    assert expected.startswith(stream.getvalue())
+    assert bool(stream.getvalue()) == in_an_item
+
+
+@pytest.mark.parametrize("depth", [0, 3])
+def test_write_json_writes_rendered_items_verbatim(depth):
+    # items at depth + 1, as a fan document's cone batches are; the text
+    # need not be JSON for the writer to hand it on unchanged
+    texts = ["<first>", "<second,\n    line>"]
+
+    def at_depth(x):
+        return x if depth == 0 else {"a": {"b": [x]}}
+
+    got = written(at_depth(cli._Rendered(t) for t in texts))
+    expected = json.dumps(at_depth(["P0", "P1"]), indent=2, sort_keys=True) + "\n"
+    for i, text in enumerate(texts):
+        expected = expected.replace(f'"P{i}"', text)
+    assert got == expected
+
+
+def test_write_json_writes_an_empty_iterator_as_empty_array():
+    assert written(iter(())) == "[]\n"
+    assert written({"a": iter(()), "b": [iter(())]}) == '{\n  "a": [],\n  "b": [\n    []\n  ]\n}\n'
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")

@@ -356,19 +356,20 @@ def test_only_rational_turns_rationals_into_integers():
 
 
 def test_only_the_cli_writer_serializes_json():
-    # documents reach their bytes through cli.write_json alone
+    # documents reach their bytes through cli.write_json alone, which
+    # stands on json.JSONEncoder: no other module may use that class
     offences = []
     for path in sorted(PACKAGE.glob("*.py")):
+        banned = {"dump", "dumps"} | ({"JSONEncoder"} if path.name != "cli.py" else set())
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.ImportFrom) and node.module == "json":
+            if isinstance(node, ast.ImportFrom) and node.module in ("json", "json.encoder"):
                 for alias in node.names:
-                    if alias.name in ("dump", "dumps"):
+                    if alias.name in banned:
                         offences.append(f"{path.name}:{node.lineno} imports json.{alias.name}")
             elif (
                 isinstance(node, ast.Attribute)
-                and node.attr in ("dump", "dumps")
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "json"
+                and node.attr in banned
+                and (node.attr == "JSONEncoder" or isinstance(node.value, ast.Name) and node.value.id == "json")
             ):
                 offences.append(f"{path.name}:{node.lineno} uses json.{node.attr}")
     assert offences == []
