@@ -12,9 +12,11 @@ of two rows stays integer and is made ``rational.primitive``, so every
 row has one primitive form (Schrijver, *Theory of Linear and Integer
 Programming*, 1986, §12.2).  The sample is back-substituted in integers
 over one common denominator, and only the returned point is built of
-Fractions.  Intended for the desk-scale systems that arise from cone
-pieces and tangent-direction tests (a handful of variables, tens of
-constraints); no attempt at asymptotic cleverness.
+Fractions.  Intended for the desk-scale systems that arise from the
+cell pieces of the fan walk (a handful of variables, tens of
+constraints); no attempt at asymptotic cleverness.  ``cone_nonzero_point``
+serves only ``intersection.tangent_direction``, which the pipeline
+never calls.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ positive cells (componentwise, since circuits never straddle connected
 components), one elimination per set of pivot ties, listing the cells
 themselves only where a system is underdetermined; the oracle enumerates
 vertices of the tie-hyperplane arrangement.
-Per-point isolation is certified exactly, never by genericity arguments:
-by one rank test where the point is interior and its star is a linear
-space, and by a tangent-direction search elsewhere.
+Per-point isolation is certified exactly, never by genericity arguments,
+and read off the cells the walk already probes: a point is not isolated
+iff it lies in the closed cone of a probed cell whose piece has positive
+dimension.
 """
 
 from __future__ import annotations
@@ -186,87 +187,21 @@ def _level_flag(p: Sequence) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(e for e, x in enumerate(p, 1) if x >= cut) for cut in values[:-1])
 
 
-def _argmin_classes(p: Sequence, OM: OrientedMatroid) -> tuple[list[int], bool]:
-    """The argmin classes of p, and whether p lies in the positive fan.
-
-    The classes are the partition of the ground set, as bitmasks, that
-    merges every circuit's argmin set of p (``_classes``).  p lies in
-    the positive fan iff every circuit's argmin meets both its signs.
-    Each circuit is read once, up to negation, as its sign bitmasks.
-    """
-    levels = _level_masks(p)
-    argmins = set()
-    positive = True
-    for P, N in OM.sign_masks:
-        m = _argmin(levels, P | N)
-        positive = positive and bool(m & P and m & N)
-        argmins.add(m)
-    return _classes((1 << OM.ground_size) - 1, argmins), positive
-
-
 def _is_interior(p: Sequence, OM: OrientedMatroid) -> bool:
     """Whether p lies in a full-dimensional cell of the coarse structure.
 
     The tangent space of the constant-initial-circuits locus at p is cut
-    out by tying each circuit's argmin set; merging those sets leaves
-    exactly rank(M) parts iff the cell has the fan's full dimension.
+    out by tying each circuit's argmin set; merging those sets
+    (``_classes``) leaves exactly rank(M) parts iff the cell has the
+    fan's full dimension.  Each circuit is read once, up to negation, as
+    its sign bitmasks.
     """
-    return len(_argmin_classes(p, OM)[0]) == OM.rank
-
-
-def _restrict_kernel(basis: Sequence[Sequence[int]], row: Sequence[int]) -> list[tuple[int, ...]]:
-    """A basis of primitive integer rows for the vectors of span(basis)
-    orthogonal to row.
-
-    With s_i = row . k_i and a pivot p with s_p != 0, the rows
-    s_p k_i - s_i k_p for i != p are orthogonal to row, independent
-    because the k_i are, and one fewer than the k_i: so they span the
-    restriction exactly.  When every s_i is 0 the basis is kept whole.
-    """
-    dots = [sum(map(mul, row, k)) for k in basis]
-    p = next((i for i, s in enumerate(dots) if s), None)
-    if p is None:
-        return list(basis)
-    sp, kp = dots[p], basis[p]
-    return [
-        primitive([sp * a - s * b for a, b in zip(k, kp)])
-        for i, (k, s) in enumerate(zip(basis, dots))
-        if i != p
-    ]
-
-
-def _cone_point(
-    n: int,
-    kernel: list[tuple[int, ...]],
-    eqs: Iterable[tuple[int, ...]],
-    ineqs: Iterable[tuple[int, ...]],
-) -> tuple[int, ...] | None:
-    """A nonzero integer point of {u in R^n : Eu = 0, Gu <= 0}, or None
-    when the cone is the origin alone; kernel is a nonempty basis of the
-    kernel of E.  A vector left after restricting it by every row of G
-    is a lineality vector, and only when none is left is the cone probed.
-    """
-    for g in ineqs:
-        kernel = _restrict_kernel(kernel, g)
-        if not kernel:
-            found = _polyhedra.cone_nonzero_point(n, list(eqs), list(ineqs))
-            return None if found is None else tuple(integer_multiple(found)[1])
-    return kernel[0]
+    levels = _level_masks(p)
+    argmins = {_argmin(levels, P | N) for P, N in OM.sign_masks}
+    return len(_classes((1 << OM.ground_size) - 1, argmins)) == OM.rank
 
 
 _OUTSIDE = "point is not in the positive fan; isolation is undefined"
-
-
-def _integer_point(
-    v: Sequence, A: RationalMatrix, h: Sequence
-) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-    """The integer columns of A, and the positive integer multiple
-    V H (A^T v + h) of the point, with (V, V v) and (H, H h) from
-    ``integer_multiple``: it has the same argmins as A^T v + h."""
-    at_int = integer_columns(A)
-    V, v_int = integer_multiple(vector(v))
-    H, h_int = integer_multiple(vector(h))
-    return at_int, [H * sum(map(mul, row, v_int)) + V * x for row, x in zip(at_int, h_int)]
 
 
 def tangent_direction(
@@ -274,128 +209,48 @@ def tangent_direction(
 ) -> tuple[Fraction, ...] | None:
     """A nonzero direction u with A^T (v + eps u) + h inside the positive
     fan for all small eps > 0, or None when no such direction exists.
-    A must be integer; the search is ``_tangent_search`` on the integer
-    multiple of ``_integer_point``."""
-    u = _tangent_search(*_integer_point(v, A, h), OM, A.rows)
-    return None if u is None else tuple(map(Fraction, u))
 
+    By the rule of ``intersect_via_fan``, one exists iff p = A^T v + h
+    lies in the closed cone of a probed product cell whose piece at h has
+    positive dimension.  That piece is a polyhedron holding v and a
+    second point, so its tangent cone at v is nonzero: the cell's block
+    ties (A^T_a - A^T_b) . u = 0 as equalities and its ordering facets
+    tight at p, (A^T_a - A^T_b) . u <= 0, as inequalities.
+    ``_polyhedra.cone_nonzero_point`` finds u there, and v + eps u stays
+    in the piece for small eps > 0, so its image stays in the cell's
+    closed cone, inside the positive fan.
 
-def _tangent_search(
-    at_int: Sequence[Sequence[int]], p: Sequence[int], OM: OrientedMatroid, n: int
-) -> tuple[int, ...] | None:
-    """A nonzero integer tangent direction at the positive multiple p of
-    A^T v + h, with at_int the integer columns of A, or None.
-
-    To first order the fan condition reads: for every circuit, the argmin
-    of A^T u over the circuit's current argmin set still meets both
-    signs.  That is a finite union of polyhedral cones {Eu = 0, Gu <= 0}
-    indexed by per-circuit witness pairs, built one circuit per level;
-    the direction exists iff some cone of the last level has a nonzero
-    point.  The argmins are read off p, each circuit once, up to
-    negation, and the cones are cut out by ``primitive`` rows.
-
-    Each accepted state carries a nonzero integer point of its cone and a
-    basis of primitive integer rows for the kernel of its E.  A child
-    adds one equality row and some inequality rows, so its cone is the
-    parent's cone cut by the new rows, and it is decided by the first of
-    four exact steps that settles it:
-
-    1. the parent's kernel restricted by the new equality row is the
-       child's kernel (``_restrict_kernel``); when it is zero, Eu = 0
-       pins u to the origin and the child is refuted;
-    2. the parent's point lies in the parent's cone, so when it meets
-       the new equality and inequalities it lies in the child's cone;
-    3. a nonzero vector of the kernel of [E; G] has Eu = 0 and Gu = 0,
-       so it lies in {Eu = 0, Gu <= 0};
-    4. otherwise ``_polyhedra.cone_nonzero_point`` decides the cone.
+    A must be integer, and (OM, A) go through ``_fan_plan``, so
+    rank(A) < n raises ``InputValidationError``.  ValueError when p is
+    outside the positive fan.
     """
-    levels = _level_masks(p)
-
-    tasks: list[tuple[list[tuple[int, int]], tuple[int, ...]]] = []
-    for P, N in OM.sign_masks:
-        m = _argmin(levels, P | N)
-        if not (m & P and m & N):
-            raise ValueError(_OUTSIDE)
-        pairs = [(i, j) for i in _elements(m & P) for j in _elements(m & N)]
-        tasks.append((pairs, _elements(m)))
-    tasks.sort(key=lambda t: (len(t[0]), len(t[1])))
-    if not tasks:
-        # no circuits: the fan is everything and every direction stays in
-        return tuple(int(i == 0) for i in range(n)) if n else None
-
-    @functools.cache
-    def diff(a: int, b: int) -> tuple[int, ...]:
-        return primitive([x - y for x, y in zip(at_int[a - 1], at_int[b - 1])])
-
-    # each level maps its accepted states (frozenset of equality rows,
-    # frozenset of inequality rows) to a nonzero integer point of their
-    # cone and a kernel basis of their equality rows; the root cone is
-    # the whole space, and it carries no point
-    identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    level: dict[tuple[frozenset, frozenset], tuple] = {(frozenset(), frozenset()): (None, identity)}
-    for witnesses, arg in tasks:
-        accepted: dict[tuple[frozenset, frozenset], tuple] = {}
-        for (eqs, ineqs), (u, kernel) in level.items():
-            for i_pos, i_neg in witnesses:
-                row = diff(i_pos, i_neg)
-                new = {diff(i_pos, j) for j in arg if j != i_pos and j != i_neg}
-                key = (eqs | {row}, ineqs | new)
-                if key in accepted:
-                    continue
-                child = _restrict_kernel(kernel, row)
-                if not child:
-                    continue
-                w = u
-                if w is None or sum(map(mul, row, w)) or any(sum(map(mul, g, w)) > 0 for g in new):
-                    w = _cone_point(n, child, *key)
-                    if w is None:
-                        continue
-                accepted[key] = (w, child)
-        if not accepted:
-            return None
-        level = accepted
-    return next(iter(level.values()))[0]
+    at_int = integer_columns(A)
+    V, v_int = integer_multiple(vector(v))
+    H, h_int = integer_multiple(vector(h))
+    # V H (A^T v + h), a positive multiple with the same argmins and ties
+    p = [H * sum(map(mul, row, v_int)) + V * x for row, x in zip(at_int, h_int)]
+    if not is_positive_member(p, OM):
+        raise ValueError(_OUTSIDE)
+    cells = _product_cells(_fan_plan(OM, A), H, h_int)
+    cell = next((c for c, (dim, _) in cells if dim > 0 and _in_closed_cone(p, c)), None)
+    if cell is None:
+        return None
+    ties = [(block[0] - 1, e - 1) for c in cell for block in c for e in block[1:]]
+    tight = [(a, b) for c in cell for a, b in _ordering_pairs(c) if p[a] == p[b]]
+    eqs, ineqs = (
+        [tuple(x - y for x, y in zip(at_int[a], at_int[b])) for a, b in pairs]
+        for pairs in (ties, tight)
+    )
+    return _polyhedra.cone_nonzero_point(A.rows, eqs, ineqs)
 
 
 def is_isolated(v: Sequence, OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> bool:
     """Exact certificate: no nonzero tangent direction inside rowspan(A)
-    stays in the positive fan at p = A^T v + h.
-
-    Near p the positive fan is p plus the star of p: the positive
-    Bergman fan of the initial oriented matroid in_p(OM), whose circuits
-    are the minimal initial forms of OM's circuits, each keeping the
-    circuit's signs on its argmin set (Ardila-Klivans-Williams, arXiv
-    math/0406116; Speyer-Williams, arXiv math/0312297).  So p is
-    isolated iff rowspan(A) meets the star only at 0.
-
-    Where p has exactly rank(M) argmin classes (``_argmin_classes``;
-    that is, where p is interior) the star is a linear space and one
-    rank test decides.  Every circuit of in_p(M) lies in one argmin set,
-    so each component of in_p(M) lies in one class.  A point of the
-    positive fan has no singleton argmin, so in_p(M) has no loop, has
-    the rank of M, and so has at most rank(M) components.  With rank(M)
-    classes, the components are the classes and each has rank 1: a
-    parallel class, or a coloop.  The circuits of in_p(OM) are then the
-    pairs inside a class, each meeting both signs because p is in the
-    positive fan, so the star is the linear space of the vectors
-    constant on each class, and p is isolated iff the ties
-    A^T_a - A^T_b of the pairs inside the classes have rank n, one
-    ``_echelon``.  Every other point falls back to ``_tangent_search``,
-    handed the integer columns and the multiple p already built here.
+    stays in the positive fan at p = A^T v + h (``tangent_direction``).
 
     ValueError when p is outside the positive fan.
     """
-    at_int, p = _integer_point(v, A, h)
-    classes, positive = _argmin_classes(p, OM)
-    if not positive:
-        raise ValueError(_OUTSIDE)
-    if len(classes) != OM.rank:
-        return _tangent_search(at_int, p, OM, A.rows) is None
-    ties = []
-    for c in classes:
-        a, *rest = _elements(c)
-        ties += ([x - y for x, y in zip(at_int[a - 1], at_int[b - 1])] for b in rest)
-    return len(_echelon(ties, A.rows)[1]) == A.rows
+    return tangent_direction(v, OM, A, h) is None
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +624,27 @@ def _probe_cells(
     return verdicts
 
 
+def _product_cells(
+    plan: _FanPlan, H: int, h_int: Sequence[int]
+) -> Iterable[tuple[tuple[_Cell, ...], tuple[int, tuple[Fraction, ...] | None]]]:
+    """Each product cell the fan walk probes at the shift with integer
+    multiple (H, H h), as one cell per component, with its
+    ``_probe_cells`` verdict: the cells of the underdetermined systems
+    whose ties hold there."""
+    for system in plan.underdetermined:
+        yield from zip(itertools.product(*system.groups), _probe_cells(system, H, h_int))
+
+
+def _in_closed_cone(p: Sequence[int], cell: tuple[_Cell, ...]) -> bool:
+    """Whether p lies in the closed cone of a product cell: p is constant
+    on each block, and p[a] <= p[b] for each of its ``_ordering_pairs``."""
+    return all(
+        all(p[e - 1] == p[block[0] - 1] for block in c for e in block[1:])
+        and all(p[a] <= p[b] for a, b in _ordering_pairs(c))
+        for c in cell
+    )
+
+
 def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> IntersectionReport:
     """Primary enumeration: the tie systems of the distinct block
     partitions of the positive cells.
@@ -801,6 +677,22 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     ``integer_multiple`` of its image.  Each point's level flag and
     interiority are read off p: a positive multiple has the same level
     sets and the same argmins.
+
+    Isolation is read off the same probes: a point v with p in the
+    positive fan is not isolated iff p lies in the closed cone of a
+    probed product cell whose piece at h has positive dimension
+    (``_in_closed_cone``, a comparison of ints).  If p lies in such a
+    cell, the cell's piece is convex, holds v and holds a second point;
+    its closed cone lies in the positive fan, so the segment between the
+    two points lies in the intersection.  Conversely, take u != 0 with
+    v + eps u in the intersection for eps in (0, eps0).  The closed
+    cones of the positive cells cover the positive fan, so each closed
+    cell meets that ray in a closed interval, and finitely many closed
+    intervals cover (0, eps0): one of them is some [0, beta] with
+    beta > 0.  That cell's ties hold on a segment, so its system is
+    underdetermined and consistent at h, the walk probes it, and its
+    piece has positive dimension.  With no such piece every point is
+    isolated.
     """
     hh = vector(h)
     plan = _fan_plan(OM, A)
@@ -817,7 +709,6 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     candidates: dict[tuple[Fraction, ...], tuple[tuple[Fraction, ...], list[int]]] = {}
     seen: set[tuple[tuple[int, ...], int]] = set()
     pinned = 0
-    positive_cells = 0
     for d, h_rows, checks, masks in plan.pivoted:
         if not _consistent(checks, masks, h_int):
             continue
@@ -835,50 +726,41 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
             den = d * H
             v = tuple(Fraction(xi, den) for xi in x)
             candidates[v] = (tuple(Fraction(a, den) for a in aw), p)
-    for system in plan.underdetermined:
-        for dim, vstar in _probe_cells(system, H, h_int):
-            if dim < 0:
-                continue
-            if dim == 0:
-                wstar = tuple(sum(map(mul, row, vstar)) for row in at_int)
-                p = integer_multiple([a + b for a, b in zip(wstar, hh)])[1]
-                if not is_positive_member(p, OM):
-                    raise RuntimeError(
-                        "pinned cone point escaped the positive fan; cell"
-                        " bookkeeping is wrong"
-                    )
-                candidates[vstar] = (wstar, p)
-                pinned += 1
-            else:
-                positive_cells += 1
+    # the product cells whose piece has positive dimension
+    pieces = []
+    for cell, (dim, vstar) in _product_cells(plan, H, h_int):
+        if dim == 0:
+            wstar = tuple(sum(map(mul, row, vstar)) for row in at_int)
+            p = integer_multiple([a + b for a, b in zip(wstar, hh)])[1]
+            if not is_positive_member(p, OM):
+                raise RuntimeError(
+                    "pinned cone point escaped the positive fan; cell"
+                    " bookkeeping is wrong"
+                )
+            candidates[vstar] = (wstar, p)
+            pinned += 1
+        elif dim > 0:
+            pieces.append(cell)
     if pinned:
         notes.append(
             f"{pinned} underdetermined tie system(s) pinned to a point by cone facets"
         )
-    if positive_cells:
+    if pieces:
         notes.append(
-            f"{positive_cells} positive cell(s) meet rowspan(A) in positive dimension"
+            f"{len(pieces)} positive cell(s) meet rowspan(A) in positive dimension"
         )
 
     diagnostics = plan.diagnostics
-    positive_dimensional = positive_cells > 0
+    positive_dimensional = bool(pieces)
     points = []
     for v in sorted(candidates):
         w, p = candidates[v]
-        isolated = is_isolated(v, OM, A, hh)
-        if not isolated and not positive_dimensional:
-            # a tangent direction would put a segment into the closed piece
-            # of some positive cell, which the fan walk would have counted
-            raise RuntimeError(
-                f"point v = {tuple(str(x) for x in v)} is not isolated, but the fan"
-                " walk met no positive-dimensional piece"
-            )
         points.append(
             IntersectionPoint(
                 v=v,
                 w=w,
                 supporting_flag=_level_flag(p),
-                isolated=isolated,
+                isolated=not any(_in_closed_cone(p, cell) for cell in pieces),
                 interior=_is_interior(p, OM),
             )
         )

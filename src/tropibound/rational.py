@@ -15,8 +15,8 @@ affine solutions, determinants and independent row sets are read off
 its result, solutions through ``_solution``; Fractions are built only
 for the values returned.
 
-The pipeline layers (the fan walk, the isolation test, the polyhedron
-probes, the subdivision and ``validate_inputs``) call ``_echelon`` and
+The pipeline layers (the fan walk, the polyhedron probes, the
+subdivision and ``validate_inputs``) call ``_echelon`` and
 ``_solution`` on their own integer rows.  ``solve_affine``, ``det``,
 ``rref``, ``rank``, ``row_space_equal`` and ``in_row_span`` are the
 Fraction forms.  No pipeline layer calls them, but they stay because

@@ -28,7 +28,7 @@ from tropibound.matroid import (
     realize_from_kernel,
 )
 from tropibound.rational import RationalMatrix
-from tropibound.systems import CRNModel, VerticalSystem
+from tropibound.systems import CRNModel, VerticalSystem, assemble_crn
 
 INPUTS = Path(__file__).resolve().parents[1] / "inputs"
 
@@ -227,13 +227,21 @@ def test_internal_error_exit_three(monkeypatch, capsys):
     assert err.startswith("internal error:") and "Traceback" not in err
 
 
-def test_isolation_contradicting_fan_walk_exit_three(monkeypatch, capsys):
-    # the fan walk met no positive-dimensional piece, so every point it
-    # reports must be isolated
+def test_isolation_contradicting_fan_walk_exit_three(tmp_path, monkeypatch, capsys):
+    # a point that a cell's facets pin lies in that cell's closed cone, so
+    # in the positive fan; hhk at this shift has underdetermined tie
+    # systems, and a probe that pins a point outside the fan is an
+    # internal error
     import tropibound.intersection as mod
 
-    monkeypatch.setattr(mod, "is_isolated", lambda v, OM, A, h: False)
-    code = main(["intersect", str(INPUTS / "running_2x5.json")])
+    doc = json.loads((INPUTS / "hhk_crn.json").read_text())
+    doc["h"] = [7, 8, 3, 3, -1, 8]
+    path = write(tmp_path, "hhk.json", doc)
+    vs = assemble_crn(parse_input(path))
+    outside = (Fraction(0),) * vs.A.rows
+    assert not is_positive_member(vs.h, realize_from_kernel(vs.C))
+    monkeypatch.setattr(mod, "_probe_cells", lambda system, H, h_int: [(0, outside)])
+    code = main(["intersect", path])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("internal error:") and "Traceback" not in captured.err
@@ -664,7 +672,7 @@ JSON_DOCS = st.recursive(
 def test_write_json_matches_json_dumps(doc):
     expected = json.dumps(as_reference(doc), indent=2, sort_keys=True) + "\n"
     assert written(as_written(doc)) == expected
-    # the same tuple values again, at other depths, after the memo has them
+    # the same values again in one document, at other depths
     twice = [doc, {"again": [doc]}]
     assert written(as_written(twice)) == json.dumps(
         as_reference(twice), indent=2, sort_keys=True

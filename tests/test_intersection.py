@@ -27,7 +27,6 @@ from tropibound.intersection import (
     _is_interior,
     _level_flag,
     _probe_cells,
-    _restrict_kernel,
     _tie_system,
     intersect_via_fan,
     intersect_via_vertices,
@@ -50,10 +49,8 @@ from tropibound.rational import (
     first_independent_rows,
     integer_columns,
     integer_multiple,
-    kernel_basis,
     primitive,
     rank,
-    row_space_equal,
     solve_affine,
     vector,
 )
@@ -1104,20 +1101,44 @@ def test_isolation_search_matches_per_state_probes_on_fan_faces():
 
 
 def test_rank_test_matches_tangent_search(hhk_model):
-    # is_isolated decides interior points by one rank test and the others
-    # by the search; both must give the search's verdict, and both paths
-    # and both verdicts must occur
+    # is_isolated once decided interior points by a rank test; it now
+    # reads every verdict off the probed cells, and that verdict must be
+    # the per-circuit tangent-cone search's at interior points and at the
+    # others, with both verdicts occurring at both kinds of point
     cases = [(OM, A, h, v) for _, OM, A, h, v in _isolation_cases(hhk_model)]
     cases += [(OM, A, h, v) for _, OM, A, h, v, _ in _fan_face_cases(150)]
     seen = {}
     for OM, A, h, v in cases:
         isolated = is_isolated(v, OM, A, h)
-        assert isolated == (tangent_direction(v, OM, A, h) is None), (OM, A, h, v)
+        assert isolated == (_reference_tangent_direction(v, OM, A, h) is None), (OM, A, h, v)
         interior = _is_interior([x + Fraction(y) for x, y in zip(A.transpose().apply(v), h)], OM)
         seen[interior, isolated] = seen.get((interior, isolated), 0) + 1
     assert seen.get((True, True), 0) + seen.get((True, False), 0) >= 100, seen
     assert seen.get((False, True), 0) + seen.get((False, False), 0) >= 30, seen
     assert len(seen) == 4, seen
+
+
+def test_walk_isolation_matches_reference_search(monkeypatch, hhk_model):
+    # every fan-walk point's isolated flag, read off the probed cells,
+    # against the per-circuit tangent-cone search, on the 200 systems of
+    # acceptance criterion 7 and the 24 crn_scan draws
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    rng = random.Random(20260809)
+    systems = [random_instance(rng) for _ in range(200)]
+    for h in workloads.crn_base_draws():
+        vs = assemble_crn(dataclasses.replace(hhk_model, h=h))
+        systems.append((vs.C, vs.A, vs.h))
+    verdicts = []
+    for C, A, h in systems:
+        OM = realize_from_kernel(C)
+        for p in intersect_via_fan(OM, A, h).points:
+            want = _reference_tangent_direction(p.v, OM, A, h) is None
+            assert p.isolated == want, (C, A, h, p.v)
+            verdicts.append(p.isolated)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 5, verdicts
 
 
 def test_classes_match_union_find():
@@ -1131,30 +1152,6 @@ def test_classes_match_union_find():
         ]
         got = [list(_elements(c)) for c in _classes((1 << r) - 1, map(_mask, groups))]
         assert got == reference_merge(r, [sorted(g) for g in groups]), groups
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_restrict_kernel_matches_kernel_basis(data):
-    # folding rows one at a time into the identity basis leaves a basis of
-    # the kernel of all of them, of primitive integer rows
-    n = data.draw(st.integers(1, 6), label="n")
-    entry = st.integers(-4, 4)
-    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6), label="rows")
-    for a, b in data.draw(st.lists(st.tuples(entry, entry), max_size=3), label="combos"):
-        rows.append([0] * n if not rows else [a * x + b * y for x, y in zip(rows[0], rows[-1])])
-    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    for row in rows:
-        basis = _restrict_kernel(basis, row)
-    assert all(gcd(*k) == 1 for k in basis)
-    if not rows:
-        assert len(basis) == n
-        return
-    M = RationalMatrix.from_rows(rows)
-    assert len(basis) == n - rank(M)
-    assert all(sum(map(mul, row, k)) == 0 for row in rows for k in basis)
-    if basis:
-        assert row_space_equal(RationalMatrix.from_rows(basis), kernel_basis(M))
 
 
 # --- oracle equivalence and properties ------------------------------------------

@@ -46,10 +46,11 @@ def test_workloads_build(monkeypatch):
 
 
 def test_traced_bound_counts(running_system):
-    # a traced cross-checked bound reaches every hooked function and reads
-    # the result shapes its hooks expect; with the scan memos (the matroid
-    # and the fan plan) cleared the counters of the running example are
-    # exact, and the fan walk lists no positive chain
+    # a traced cross-checked bound reaches the hooked functions it calls
+    # and reads the result shapes their hooks expect; with the scan memos
+    # (the matroid and the fan plan) cleared the counters of the running
+    # example are exact, the fan walk lists no positive chain, and it
+    # reads isolation off its own probes, so the isolation hooks see no call
     from tropibound import intersection, matroid, systems
 
     tracing = load_tracing()
@@ -68,7 +69,7 @@ def test_traced_bound_counts(running_system):
         "subdivision.cells_count": 4,
         "subdivision.decorated_count": 1,
         "intersection.oracle_calls": 1,
-        "intersection.isolation_calls": 2,
+        "intersection.isolation_calls": 0,
         "systems.bound_calls": 1,
     }
     metrics = tracer.per_layer(wall_s=1.0)
@@ -99,13 +100,14 @@ def test_traced_scan_reuses_eliminations(hhk_model):
         tracer.uninstall()
     assert after[0] == after[1] == after[2]
     # the fan walk's counters on these draws before its tie systems were
-    # eliminated once per (matroid, A), pinned, with the cone probes left
-    # when the isolation test carries each state's point and kernel
+    # eliminated once per (matroid, A), pinned, less the feasibility and
+    # cone probes of the tangent-cone search: isolation is now read off
+    # the cells the walk probes, with no polyhedron probe of its own
     expected = {
         "intersection.points_count": 9,
-        "polyhedra.feasible_point_calls": 122,
+        "polyhedra.feasible_point_calls": 102,
         "polyhedra.dimension_calls": 48,
-        "polyhedra.cone_probe_calls": 4,
+        "polyhedra.cone_probe_calls": 0,
     }
     metrics = tracer.per_layer(wall_s=1.0)
     assert {name: metrics[name] for name in expected} == expected
