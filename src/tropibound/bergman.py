@@ -32,17 +32,6 @@ def _coerce(w: Sequence) -> tuple:
     return tuple(w)
 
 
-def _min_attained_twice(w: Sequence, support: tuple[int, ...]) -> bool:
-    m = min(w[e - 1] for e in support)
-    hits = 0
-    for e in support:
-        if w[e - 1] == m:
-            hits += 1
-            if hits == 2:
-                return True
-    return False
-
-
 def _level_masks(w: Sequence) -> list[int]:
     """The elements of w grouped by value, as bitmasks (element e is bit
     e - 1), in increasing order of value."""
@@ -62,11 +51,14 @@ def _argmin(levels: Sequence[int], support: int) -> int:
 
 
 def is_member(w: Sequence, M: OrientedMatroid) -> bool:
-    """Whether w lies in the Bergman fan of the underlying matroid."""
+    """Whether w lies in the Bergman fan of the underlying matroid:
+    whether every circuit support's argmin (``_argmin``) has at least two
+    elements."""
     ww = _coerce(w)
     if len(ww) != M.ground_size:
         raise ValueError("weight vector length mismatch")
-    return all(_min_attained_twice(ww, sup) for sup in M.circuit_supports)
+    levels = _level_masks(ww)
+    return all(_argmin(levels, S).bit_count() >= 2 for S in M._masks)
 
 
 def is_positive_member(w: Sequence, OM: OrientedMatroid) -> bool:

@@ -130,19 +130,12 @@ def parse_input(path: str):
     raise CliInputError(f"{path}: unknown kind {kind!r}")
 
 
-# cones in one item of a fan document's iterator (see _cones)
+# cones in one piece of a fan document's cone text (see _cones)
 _BATCH = 4096
 # the highest rank whose sample counts fit the byte lanes of _cones
 _MAX_FAN_RANK = 256
 # what write_json's encoder leaves in place of each lazy array
 _MARKER = "\x00lazy array\x00"
-
-
-class _Rendered(str):
-    """Text that write_json writes as it stands: document items that were
-    rendered in advance, for the depth where the document holds them, as
-    one item of a fan document's iterator is a batch of finished cone
-    text.  Nothing parsed from input is of this type."""
 
 
 def _joined(texts, depth: int) -> str:
@@ -171,54 +164,32 @@ def write_json(doc, stream) -> None:
     """Write ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` to stream,
     byte for byte, without building the whole text.
 
-    An iterator is written as an array, each item written as soon as it
-    is rendered, so a document can hand its cones over lazily and only
-    one item is held at a time.  The library encoder renders the rest of
-    the document, with a marker string in place of each iterator; the
-    text is written up to each marker, then the iterator's items, at the
-    depth of the marker's line, then the rest.  A ``_Rendered`` item is
-    written as it stands, not quoted: one item of a fan document's
-    iterator is a batch of ``_BATCH`` cones' finished text (see
-    ``_cones``).  Any other item is written the same way one level
-    deeper, its newlines re-indented, which is exact since no JSON string
-    holds a raw newline.  A document string that reads as a marker
-    raises RuntimeError before the text around it is written.  A key
-    that is not a str raises TypeError, as does a value json cannot
-    encode.
+    An iterator in ``doc`` stands for the text it yields: the finished
+    JSON of one value, laid out for the place the document holds it, as
+    ``_cones`` yields a fan document's whole ``cones`` array.  The library
+    encoder renders the rest of the document, with a marker string in
+    place of each iterator; the text is written up to each marker, then
+    the iterator's strings as they stand, one write each, so only one is
+    held at a time, then the rest.  A document string that reads as a
+    marker raises RuntimeError before anything is written.  A key that
+    is not a str raises TypeError, as does a value json cannot encode.
     """
+    _check_keys((doc,))
+    lazy: list[Iterator[str]] = []
 
-    def write(o, depth: int):
-        _check_keys((o,))
-        lazy: list[Iterator] = []
+    def default(x):
+        if not isinstance(x, Iterator):
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        lazy.append(x)
+        return _MARKER
 
-        def default(x):
-            if not isinstance(x, Iterator):
-                raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-            lazy.append(x)
-            return _MARKER
-
-        chunks = json.JSONEncoder(indent=2, sort_keys=True, default=default).encode(o).split(_quote(_MARKER))
-        if len(chunks) != len(lazy) + 1:
-            raise RuntimeError("a document string reads as write_json's lazy-array marker")
-        pad = "\n" + "  " * depth
-        for before, items in zip(chunks, lazy):
-            stream.write(before.replace("\n", pad))
-            # the array's depth is the indentation of the marker's line
-            line = before[before.rfind("\n") + 1 :]
-            inner = depth + (len(line) - len(line.lstrip(" "))) // 2
-            sep = "[\n" + "  " * (inner + 1)
-            for item in items:
-                stream.write(sep)
-                if type(item) is _Rendered:
-                    stream.write(item)
-                else:
-                    write(item, inner + 1)
-                sep = ",\n" + "  " * (inner + 1)
-            stream.write("[]" if sep[0] == "[" else "\n" + "  " * inner + "]")
-        stream.write(chunks[-1].replace("\n", pad))
-
-    write(doc, 0)
-    stream.write("\n")
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, default=default).encode(doc).split(_quote(_MARKER))
+    if len(chunks) != len(lazy) + 1:
+        raise RuntimeError("a document string reads as write_json's lazy-array marker")
+    for before, texts in zip(chunks, lazy):
+        stream.write(before)
+        stream.writelines(texts)
+    stream.write(chunks[-1] + "\n")
 
 
 def _emit(doc: dict, args, human_lines: list[str]) -> None:
@@ -306,14 +277,15 @@ def _fan_levels(M, flats) -> list:
     return _covers(flats(M), M.rank)
 
 
-def _cones(levels, ground_size: int, dimension: bool) -> Iterator[_Rendered]:
-    """The cones over the maximal chains of the cover levels ``levels``
-    (``_fan_levels``) as ``write_json`` renders them at depth 2, where
-    the fan documents hold them: each the text of ``{"dimension":
-    len(chain) + 1 (only with dimension), "flats": the flats' elements,
-    "sample": the chain's sample as count strings}``.  One item is a
-    batch: the finished text of ``_BATCH`` cones (fewer in the last),
-    joined by the separator of depth-2 items.
+def _cones(levels, ground_size: int, dimension: bool) -> Iterator[str]:
+    """The text of a fan document's ``cones`` array, as ``write_json``
+    splices it in at depth 1, where the fan documents hold it: one cone
+    per maximal chain of the cover levels ``levels`` (``_fan_levels``),
+    each the text at depth 2 of ``{"dimension": len(chain) + 1 (only with
+    dimension), "flats": the flats' elements, "sample": the chain's
+    sample as count strings}``.  The opening bracket comes with the first
+    batch of ``_BATCH`` cones, the separator of depth-2 items before each
+    later one, then the closing bracket; with no cone the text is ``[]``.
 
     In a geometric lattice every maximal chain steps through covers, so
     a depth-first walk over the covers from the rank-0 flat reaches
@@ -330,7 +302,7 @@ def _cones(levels, ground_size: int, dimension: bool) -> Iterator[_Rendered]:
     rank-0 flat.
     """
     top = len(levels) - 1  # the length of every chain
-    d2, d3, d4 = ("\n" + "  " * k for k in (2, 3, 4))
+    d1, d2, d3, d4 = ("\n" + "  " * k for k in (1, 2, 3, 4))
     head = f"{{{d3}\"dimension\": {top + 1}," if dimension else "{"
     quoted = [_quote(str(k)) for k in range(top + 1)]
     sep = "," + d4
@@ -343,8 +315,14 @@ def _cones(levels, ground_size: int, dimension: bool) -> Iterator[_Rendered]:
     ones = [[sum(256 ** (e - 1) for e in f.elements) for f, _ in level] for level in levels]
     ups = [[above for _, above in level] for level in levels]
     start, mid, end = f"{head}{d3}\"flats\": [", f"{d3}],{d3}\"sample\": [{d4}", f"{d3}]{d2}}}"
-    between = "," + d2  # between two cones of a batch
-    pending: list[str] = []  # rendered cones not yet in a batch
+    between = "," + d2  # between two cones
+    pending: list[str] = []  # rendered cones not yet yielded
+    opening = "[" + d2  # the text before the next batch
+
+    def batch(cones: list[str]) -> str:
+        nonlocal opening
+        text, opening = opening + between.join(cones), between
+        return text
 
     def walk(k: int, above: list[int], sample: int, prefix: str):
         # the chains that go on through levels[k][j], j in above
@@ -358,7 +336,7 @@ def _cones(levels, ground_size: int, dimension: bool) -> Iterator[_Rendered]:
             counts = sep.join(map(quoted.__getitem__, lanes))
             pending.append("".join((lead, leaf_texts[j], mid, counts, end)))
         while len(pending) >= _BATCH:
-            yield _Rendered(between.join(pending[:_BATCH]))
+            yield batch(pending[:_BATCH])
             del pending[:_BATCH]
 
     for above in ups[0]:
@@ -368,7 +346,8 @@ def _cones(levels, ground_size: int, dimension: bool) -> Iterator[_Rendered]:
             counts = sep.join([quoted[0]] * ground_size)
             pending.append(f"{head}{d3}\"flats\": [],{d3}\"sample\": [{d4}{counts}{end}")
     if pending:
-        yield _Rendered(between.join(pending))
+        yield batch(pending)
+    yield d1 + "]" if opening == between else "[]"
 
 
 def _bergman(M, args):

@@ -305,12 +305,15 @@ def _cell_partitions(
     positive cells, found by a recursion over its positive proper flats
     memoized by flat.
 
-    A positive cell is the cone of an upward-maximal chain F_1 < ... < F_k
-    of positive proper flats (Ardila-Klivans-Williams, arXiv
-    math/0406116; see ``_is_positive_flat``), with blocks F_1, F_2 - F_1,
-    ..., E - F_k.  So the partitions of the chains starting above a flat
-    F are parts(F) = {E - F} when no positive proper flat lies above F,
-    and otherwise the union over positive proper G > F of
+    A cell here is the cone of a chain F_1 < ... < F_k of positive
+    proper flats that no positive proper flat extends at its top
+    (Ardila-Klivans-Williams, arXiv math/0406116; see
+    ``_is_positive_flat``), with blocks F_1, F_2 - F_1, ..., E - F_k.  A
+    step of the chain need not be a cover: a chain that skips a rank
+    spans a cone of lower dimension inside the positive fan, and its
+    partition is listed too.  So the partitions of the chains starting
+    above a flat F are parts(F) = {E - F} when no positive proper flat
+    lies above F, and otherwise the union over positive proper G > F of
     {G - F} + parts(G).  Each parts(F) is built once, larger flats
     first; the component's partitions are parts of the empty flat, which
     is {E} when it has no positive proper flat.  A component's flats are
@@ -950,15 +953,31 @@ def lower_bound(system: VerticalSystem, cross_check: bool = False) -> Intersecti
 
     The count is certified exactly when the report says transverse;
     otherwise it is still computed and reported honestly.  With
-    cross_check=True the vertex oracle must reproduce the same v-set
-    or an OracleMismatchError is raised.
+    cross_check=True the vertex oracle (``intersect_via_vertices``)
+    checks the walk's v-set, and an OracleMismatchError is raised when
+    the walk lists a v the oracle lacks, or when the two sets differ and
+    the report is not ``positive_dimensional``.
+
+    Every tie the walk solves pairs two elements of one circuit-connected
+    component: a block tie does, and so does an ordering facet that pins
+    a piece, since both of its blocks belong to one component's cell.
+    Any two elements of a connected component lie in a common circuit
+    (Oxley, Matroid Theory, Prop. 4.1.2), so each such tie is one of the
+    oracle's planes.  A walk point solves n independent ties, so it is a
+    vertex of the oracle's arrangement, and both engines test its image
+    for positive membership exactly: the walk's set always lies inside
+    the oracle's.  A positive-dimensional piece holds vertices that are
+    not isolated, and the walk need not list them.  Without one, every
+    intersection point is isolated (the rule of ``intersect_via_fan``),
+    the walk finds every isolated point, and the oracle finds no other:
+    the two sets are equal.
     """
     OM = realize_from_kernel(system.C)
     report = intersect_via_fan(OM, system.A, system.h)
     if cross_check:
         found = {p.v for p in report.points}
         other = intersect_via_vertices(OM, system.A, system.h)
-        if found != other:
+        if not found <= other or (found != other and not report.positive_dimensional):
             raise OracleMismatchError(
                 f"fan walk found {sorted(found)} but vertex oracle found {sorted(other)}"
             )

@@ -222,7 +222,7 @@ def test_positive_fan_support_matches_coarse_verdicts(M):
 
 def positive_fan_document(OM):
     """The CLI's positive_fan document of OM, written and read back: its
-    iterator hands over batches of rendered cones, not one per cone."""
+    iterator hands over the text of the cones array, not the cones."""
     doc, _, _ = _positive_bergman(OM, argparse.Namespace(coarse_compare=None))
     stream = io.StringIO()
     write_json(doc, stream)

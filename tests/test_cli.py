@@ -227,6 +227,29 @@ def test_internal_error_exit_three(monkeypatch, capsys):
     assert err.startswith("internal error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["intersect", "bound"])
+def test_cross_check_passes_a_positive_dimensional_run(tmp_path, capsys, command):
+    # the oracle finds a vertex of a positive-dimensional piece that is
+    # not isolated, and the walk lists no point: no disagreement
+    path = write(
+        tmp_path,
+        "piece.json",
+        {
+            "kind": "vertical_system",
+            "C": [[-2, -1, 2, 2], [-1, -2, -1, 2]],
+            "A": [[-2, -1, -2, -2], [2, 2, -1, 2]],
+            "h": [-2, 0, -2, -2],
+        },
+    )
+    for output in ([], ["--json", "-"]):
+        runs = []
+        for flags in ([], ["--cross-check"]):
+            code = main([command, path, *output, *flags])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1] and runs[0][0] == 2 and runs[0][2] == ""
+    assert '"positive_dimensional": true' in runs[0][1]
+
+
 def test_isolation_contradicting_fan_walk_exit_three(tmp_path, monkeypatch, capsys):
     # a point that a cell's facets pin lies in that cell's closed cone, so
     # in the positive fan; hhk at this shift has underdetermined tie
@@ -614,17 +637,30 @@ def test_help_exit_zero(capsys):
 
 
 class Lazy(list):
-    """An array that write_json is handed as a generator."""
+    """An array whose text write_json is handed as an iterator."""
 
 
-def as_written(doc):
+def as_written(doc, texts: list[str]):
+    """The document write_json is handed: each Lazy becomes an iterator
+    over its items' compact JSON, whose joined text is appended to
+    ``texts``, and a placeholder string ``lazy_placeholder(i)`` stands
+    for it in the second value returned, the document json.dumps renders
+    for reference."""
     if isinstance(doc, Lazy):
-        return (as_written(x) for x in doc)
+        pieces = [json.dumps(as_reference(x)) for x in doc]
+        texts.append("".join(pieces))
+        return iter(pieces), lazy_placeholder(len(texts) - 1)
     if isinstance(doc, dict):
-        return {k: as_written(v) for k, v in doc.items()}
+        pairs = {k: as_written(v, texts) for k, v in doc.items()}
+        return {k: w for k, (w, _) in pairs.items()}, {k: r for k, (_, r) in pairs.items()}
     if isinstance(doc, (list, tuple)):
-        return type(doc)(as_written(x) for x in doc)
-    return doc
+        pairs = [as_written(x, texts) for x in doc]
+        return type(doc)(w for w, _ in pairs), type(doc)(r for _, r in pairs)
+    return doc, doc
+
+
+def lazy_placeholder(i: int) -> str:
+    return f"\x01lazy {i}\x01"
 
 
 def as_reference(doc):
@@ -640,6 +676,15 @@ def written(doc) -> str:
     stream = io.StringIO()
     write_json(doc, stream)
     return stream.getvalue()
+
+
+def spliced(reference, texts: list[str]) -> str:
+    """json.dumps of the reference, each placeholder replaced by the text
+    its iterator yields."""
+    expected = json.dumps(reference, indent=2, sort_keys=True) + "\n"
+    for i, text in enumerate(texts):
+        expected = expected.replace(json.dumps(lazy_placeholder(i)), text)
+    return expected
 
 
 JSON_SCALARS = st.one_of(
@@ -670,13 +715,15 @@ JSON_DOCS = st.recursive(
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(JSON_DOCS)
 def test_write_json_matches_json_dumps(doc):
-    expected = json.dumps(as_reference(doc), indent=2, sort_keys=True) + "\n"
-    assert written(as_written(doc)) == expected
-    # the same values again in one document, at other depths
-    twice = [doc, {"again": [doc]}]
-    assert written(as_written(twice)) == json.dumps(
-        as_reference(twice), indent=2, sort_keys=True
-    ) + "\n"
+    # with no iterator in it, the document is json.dumps's text
+    plain = as_reference(doc)
+    assert written(plain) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+    # each iterator's text goes in verbatim where the array would be, at
+    # any depth; the same values again in one document, at other depths
+    for value in (doc, [doc, {"again": [doc]}]):
+        texts: list[str] = []
+        handed, reference = as_written(value, texts)
+        assert written(handed) == spliced(reference, texts)
 
 
 def test_write_json_streams_an_iterator_in_batches():
@@ -688,10 +735,12 @@ def test_write_json_streams_an_iterator_in_batches():
             return super().write(text)
 
     stream = Writes()
-    write_json({"cones": ({"n": i, "flats": [(1, 2), (i,)]} for i in range(10_000))}, stream)
-    reference = {"cones": [{"n": i, "flats": [(1, 2), (i,)]} for i in range(10_000)]}
-    assert stream.getvalue() == json.dumps(reference, indent=2, sort_keys=True) + "\n"
-    assert stream.count > 2
+    batches = [f"<batch {i}>" for i in range(10)]
+    write_json({"a": 1, "cones": iter(batches), "z": [2]}, stream)
+    expected = json.dumps({"a": 1, "cones": "P", "z": [2]}, indent=2, sort_keys=True) + "\n"
+    assert stream.getvalue() == expected.replace('"P"', "".join(batches))
+    # one write per batch, besides the text around the iterator
+    assert stream.count >= len(batches) + 2
 
 
 @pytest.mark.parametrize(
@@ -705,45 +754,37 @@ def test_write_json_refuses_what_json_cannot_key_or_encode(doc):
 
 
 @pytest.mark.parametrize(
-    "doc, in_an_item",
+    "doc",
     [
-        ({"a": cli._MARKER}, False),
-        ({"a": cli._MARKER, "b": Lazy([1])}, False),
-        ({cli._MARKER: 1, "b": Lazy()}, False),
-        ({"before": 1, "items": Lazy([{"x": 1}, {"x": cli._MARKER}])}, True),
+        {"a": cli._MARKER},
+        {"a": cli._MARKER, "b": Lazy([1])},
+        {cli._MARKER: 1, "b": Lazy()},
     ],
-    ids=["value", "value-beside-iterator", "key", "in-an-item"],
+    ids=["value", "value-beside-iterator", "key"],
 )
-def test_write_json_refuses_a_string_that_reads_as_the_marker(doc, in_an_item):
+def test_write_json_refuses_a_string_that_reads_as_the_marker(doc):
     stream = io.StringIO()
     with pytest.raises(RuntimeError, match="marker"):
-        write_json(as_written(doc), stream)
-    # nothing wrong is written: only the start of the right text, which
-    # is empty unless the string is in an item of an iterator
-    expected = json.dumps(as_reference(doc), indent=2, sort_keys=True)
-    assert expected.startswith(stream.getvalue())
-    assert bool(stream.getvalue()) == in_an_item
+        write_json(as_written(doc, [])[0], stream)
+    assert stream.getvalue() == ""
 
 
 @pytest.mark.parametrize("depth", [0, 3])
 def test_write_json_writes_rendered_items_verbatim(depth):
-    # items at depth + 1, as a fan document's cone batches are; the text
-    # need not be JSON for the writer to hand it on unchanged
-    texts = ["<first>", "<second,\n    line>"]
+    # the text need not be JSON for the writer to hand it on unchanged,
+    # and nothing in it is re-indented
+    texts = ["<first>", "<second,\n    line>", ""]
 
     def at_depth(x):
         return x if depth == 0 else {"a": {"b": [x]}}
 
-    got = written(at_depth(cli._Rendered(t) for t in texts))
-    expected = json.dumps(at_depth(["P0", "P1"]), indent=2, sort_keys=True) + "\n"
-    for i, text in enumerate(texts):
-        expected = expected.replace(f'"P{i}"', text)
-    assert got == expected
+    expected = json.dumps(at_depth("P"), indent=2, sort_keys=True) + "\n"
+    assert written(at_depth(iter(texts))) == expected.replace('"P"', "".join(texts))
 
 
-def test_write_json_writes_an_empty_iterator_as_empty_array():
-    assert written(iter(())) == "[]\n"
-    assert written({"a": iter(()), "b": [iter(())]}) == '{\n  "a": [],\n  "b": [\n    []\n  ]\n}\n'
+def test_write_json_writes_an_empty_iterator_as_no_text():
+    assert written(iter(())) == "\n"
+    assert written({"a": iter(()), "b": [iter(())]}) == '{\n  "a": ,\n  "b": [\n    \n  ]\n}\n'
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
@@ -971,11 +1012,13 @@ def test_seeded_fan_cases_reach_the_edge_cases():
 def test_hhk_fan_reaches_write_json_in_batches():
     M = cli._matroid(parse_input(str(INPUTS / "hhk_crn.json")), "bergman")
     doc, _, _ = cli._bergman(M, argparse.Namespace(coarse_compare=None))
-    items = list(doc["cones"])
-    assert len(items) == -(-29484 // cli._BATCH) == 8
-    assert all(type(item) is cli._Rendered for item in items)
+    texts = list(doc["cones"])
+    # the batches, then the closing bracket
+    assert len(texts) - 1 == -(-29484 // cli._BATCH) == 8
+    assert texts[0].startswith("[\n    {\n") and texts[-1] == "\n  ]"
+    assert all(t.startswith(",\n    {\n") for t in texts[1:-1])
     # each cone holds one "flats" key
-    sizes = [item.count('"flats": ') for item in items]
+    sizes = [t.count('"flats": ') for t in texts[:-1]]
     assert sizes == [cli._BATCH] * 7 + [29484 - 7 * cli._BATCH]
 
 

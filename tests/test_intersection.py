@@ -1431,6 +1431,73 @@ def test_oracle_mismatch_raises(monkeypatch, running_N, running_A):
         mod.lower_bound(VerticalSystem(running_N, running_A, H_RUN), cross_check=True)
 
 
+def test_oracle_dropping_a_walk_point_raises_on_a_positive_dimensional_system(monkeypatch):
+    # the walk's set lies inside the oracle's whether or not a piece has
+    # positive dimension, so a walk point the oracle lacks always raises
+    import tropibound.intersection as mod
+
+    C = RationalMatrix.from_rows([[-1, 0, 1, 2]])
+    A = RationalMatrix.from_rows([[2, 1, 1, 2]])
+    system = VerticalSystem(C, A, (2, 1, 0, 2))
+    report = lower_bound(system, cross_check=True)
+    assert report.positive_dimensional and [p.v for p in report.points] == [(-2,)]
+    real = mod.intersect_via_vertices
+    monkeypatch.setattr(mod, "intersect_via_vertices", lambda *a: real(*a) - {(-2,)})
+    with pytest.raises(OracleMismatchError):
+        mod.lower_bound(system, cross_check=True)
+
+
+def test_extra_oracle_vertex_raises_without_a_positive_dimensional_piece(
+    monkeypatch, running_N, running_A
+):
+    import tropibound.intersection as mod
+
+    system = VerticalSystem(running_N, running_A, H_RUN)
+    assert not lower_bound(system).positive_dimensional
+    real = mod.intersect_via_vertices
+    extra = (Fraction(7, 3),) * running_A.rows
+
+    monkeypatch.setattr(mod, "intersect_via_vertices", lambda *a: real(*a) | {extra})
+    with pytest.raises(OracleMismatchError):
+        mod.lower_bound(system, cross_check=True)
+
+
+def _small_system(rng):
+    """C and A of n x r with rank n, n <= 2, r <= 6, entries and h in
+    [-2, 2]: small enough that many draws have a positive-dimensional
+    piece."""
+    while True:
+        n = rng.randint(1, 2)
+        r = rng.randint(n + 1, 6)
+        C, A = (
+            RationalMatrix.from_rows([[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)])
+            for _ in range(2)
+        )
+        if rank(C) == n and rank(A) == n:
+            return C, A, [rng.randint(-2, 2) for _ in range(r)]
+
+
+def test_cross_check_contract_on_small_systems():
+    # the contract lower_bound checks: the walk's set inside the oracle's,
+    # equal without a positive-dimensional piece, and every vertex only
+    # the oracle finds not isolated
+    rng = random.Random(11)
+    positive_dimensional = mismatched = 0
+    for _ in range(1000):
+        C, A, h = _small_system(rng)
+        OM = realize_from_kernel(C)
+        report = intersect_via_fan(OM, A, h)
+        walk, oracle = {p.v for p in report.points}, intersect_via_vertices(OM, A, h)
+        assert walk <= oracle, (C, A, h)
+        positive_dimensional += report.positive_dimensional
+        if walk != oracle:
+            assert report.positive_dimensional, (C, A, h)
+            assert not any(is_isolated(v, OM, A, h) for v in oracle - walk), (C, A, h)
+            mismatched += 1
+        lower_bound(VerticalSystem(C, A, tuple(h)), cross_check=True)
+    assert positive_dimensional >= 20 and mismatched >= 1
+
+
 def test_shift_covariance(running_N, running_A):
     rng = random.Random(31)
     base = lower_bound(VerticalSystem(running_N, running_A, H_RUN))
