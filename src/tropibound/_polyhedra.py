@@ -12,11 +12,18 @@ of two rows stays integer and is made ``rational.primitive``, so every
 row has one primitive form (Schrijver, *Theory of Linear and Integer
 Programming*, 1986, §12.2).  The sample is back-substituted in integers
 over one common denominator, and only the returned point is built of
-Fractions.  Intended for the desk-scale systems that arise from the
-cell pieces of the fan walk (a handful of variables, tens of
-constraints); no attempt at asymptotic cleverness.  ``cone_nonzero_point``
-serves only ``intersection.tangent_direction``, which the pipeline
-never calls.
+Fractions.
+
+One such run answers every question asked here.  Back-substitution
+puts each variable in the relative interior of its interval, so the run
+decides feasibility (``feasible_point``), counts the intervals that are
+not a single point, which is the dimension (``polyhedron_dimension``),
+and its sample lies in the relative interior, which is nonzero for a
+cone of positive dimension (``cone_nonzero_point``).  Intended for the
+desk-scale systems that arise from the cell pieces of the fan walk (a
+handful of variables, tens of constraints); no attempt at asymptotic
+cleverness.  ``cone_nonzero_point`` serves only
+``intersection.tangent_direction``, which the pipeline never calls.
 """
 
 from __future__ import annotations
@@ -87,11 +94,12 @@ def _choose_var(ineqs: list[Inequality], remaining: list[int]) -> int:
     return best
 
 
-def _feasible_ineqs(dim: int, ineqs: list[Inequality]) -> tuple[list[int], int] | None:
-    """Fourier-Motzkin feasibility with sample reconstruction.
+def _feasible_ineqs(dim: int, ineqs: list[Inequality]) -> tuple[list[int], int, int] | None:
+    """Fourier-Motzkin feasibility with a relative-interior sample.
 
     Returns the sample as integer numerators over one positive common
-    denominator, or None when the system is infeasible.
+    denominator, and the number of back-substitution intervals that are
+    not a single point; None when the system is infeasible.
     """
     try:
         stages: list[tuple[int, list[Inequality]]] = []
@@ -108,10 +116,11 @@ def _feasible_ineqs(dim: int, ineqs: list[Inequality]) -> tuple[list[int], int] 
     # nums / den, and each bound is a pair (numerator, positive denominator).
     nums = [0] * dim
     den = 1
+    free = 0
     for var, constraints in reversed(stages):
-        lo: tuple[int, int, bool] | None = None
-        hi: tuple[int, int, bool] | None = None
-        for coeffs, rhs, strict in constraints:
+        lo: tuple[int, int] | None = None
+        hi: tuple[int, int] | None = None
+        for coeffs, rhs, _ in constraints:
             c = coeffs[var]
             if c == 0:
                 continue
@@ -120,24 +129,22 @@ def _feasible_ineqs(dim: int, ineqs: list[Inequality]) -> tuple[list[int], int] 
             bn = rhs * den - sum(map(mul, coeffs, nums))
             bd = c * den
             if c > 0:
-                if hi is None or bn * hi[1] < hi[0] * bd or (bn * hi[1] == hi[0] * bd and strict):
-                    hi = (bn, bd, strict)
+                if hi is None or bn * hi[1] < hi[0] * bd:
+                    hi = (bn, bd)
             else:
                 bn, bd = -bn, -bd
-                if lo is None or bn * lo[1] > lo[0] * bd or (bn * lo[1] == lo[0] * bd and strict):
-                    lo = (bn, bd, strict)
+                if lo is None or bn * lo[1] > lo[0] * bd:
+                    lo = (bn, bd)
         if lo is None and hi is None:
-            vn, vd = 0, 1
+            vn, vd = 1, 1
         elif lo is None:
-            vn, vd = (hi[0] - hi[1], hi[1]) if hi[2] else hi[:2]
+            vn, vd = hi[0] - hi[1], hi[1]
         elif hi is None:
-            vn, vd = (lo[0] + lo[1], lo[1]) if lo[2] else lo[:2]
-        elif lo[0] * hi[1] == hi[0] * lo[1]:
-            # FM encodes strict lower-vs-upper combinations, so a pinched
-            # interval can only arise with both bounds weak
-            vn, vd = lo[:2]
+            vn, vd = lo[0] + lo[1], lo[1]
         else:
+            # the midpoint, which is lo itself when lo = hi
             vn, vd = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        free += lo is None or hi is None or lo[0] * hi[1] != hi[0] * lo[1]
         g = gcd(vn, vd)
         vn, vd = vn // g, vd // g
         grow = vd // gcd(den, vd)
@@ -145,21 +152,25 @@ def _feasible_ineqs(dim: int, ineqs: list[Inequality]) -> tuple[list[int], int] 
             nums = [x * grow for x in nums]
             den *= grow
         nums[var] = vn * (den // vd)
-    return nums, den
+    return nums, den, free
 
 
-def feasible_point(
+def _sample(
     dim: int,
     equalities: Sequence[Equality],
     inequalities: Sequence[Inequality],
-) -> tuple[Fraction, ...] | None:
-    """An exact solution of the mixed system, or None if infeasible.
+) -> tuple[tuple[Fraction, ...], int] | None:
+    """The sample of ``feasible_point`` and the number of its intervals
+    that are not a single point, which is the dimension when every row is
+    weak (``polyhedron_dimension``).
 
     One elimination of the augmented equalities gives, through
     ``rational._solution``, x = (x0 + sum of s_f k_f) / d over the free
     columns f, with x0 and the kernel vectors k_f integer and d > 0.  An
     inequality a . x <= b then reads sum of s_f (a . k_f) <= d b - a . x0,
-    an integer row in s, and the sample s of those rows gives x.
+    an integer row in s, and one Fourier-Motzkin run over those rows gives
+    s.  The map from s to x is affine and one-to-one, so it keeps the
+    dimension and the relative interior.
     """
     m, pivots, d, _ = _echelon([(*row, rhs) for row, rhs in equalities], dim + 1)
     if pivots and pivots[-1] == dim:
@@ -174,15 +185,35 @@ def feasible_point(
                 strict,
             )
         )
-    sample = _feasible_ineqs(len(kernel), reduced)
-    if sample is None:
+    run = _feasible_ineqs(len(kernel), reduced)
+    if run is None:
         return None
-    nums, den = sample
+    nums, den, free = run
     # x = (x0 + sum of (nums_f / den) k_f) / d
-    return tuple(
+    point = tuple(
         Fraction(x0[j] * den + sum(s * k[j] for s, k in zip(nums, kernel)), den * d)
         for j in range(dim)
     )
+    return point, free
+
+
+def feasible_point(
+    dim: int,
+    equalities: Sequence[Equality],
+    inequalities: Sequence[Inequality],
+) -> tuple[Fraction, ...] | None:
+    """An exact solution of the mixed system, or None if infeasible.
+
+    Back-substitution puts each variable inside its interval over the
+    variables already fixed: at the interval's one point when the
+    interval is a single point, at the midpoint of a bounded interval, a
+    step of 1 off the bound of a ray, and at 1 when nothing bounds it.
+    Fourier-Motzkin keeps strict rows strict, so a nonempty interval is a
+    single point only between two weak bounds; every other pick lies
+    strictly inside, and so satisfies strict and weak rows alike.
+    """
+    run = _sample(dim, equalities, inequalities)
+    return None if run is None else run[0]
 
 
 def polyhedron_dimension(
@@ -190,31 +221,28 @@ def polyhedron_dimension(
     equalities: Sequence[Equality],
     inequalities: Sequence[Inequality],
 ) -> tuple[int, tuple[Fraction, ...] | None]:
-    """Dimension of {x : equalities, weak inequalities} and a point in its
-    relative interior.  Returns (-1, None) when empty.
+    """Dimension of P = {x : equalities, weak inequalities} and a point in
+    its relative interior, read off one Fourier-Motzkin run over the
+    inequalities made weak.  Returns (-1, None) when P is empty.
 
-    Implicit equalities (inequalities tight on the whole polyhedron) are
-    detected by probing each one strictly and folded into the equality
-    system.  One pass suffices: an inequality is implicit exactly when it
-    cannot hold strictly on the polyhedron, and folding an implicit one
-    into the equalities leaves the polyhedron, and so every other
-    verdict, unchanged.
+    Why the run gives both (Schrijver §12.2; Rockafellar, *Convex
+    Analysis*, 1970, Thm 6.8 and Cor. 6.5.1):
+
+    - The rows the elimination holds at stage i describe exactly the
+      projection Q_i of P onto the variables not yet eliminated.
+    - Take s in the relative interior of Q_{i+1} and x in the relative
+      interior of the fiber of Q_i over s.  Then (x, s) lies in the
+      relative interior of Q_i, and dim Q_i = dim Q_{i+1} + dim(fiber).
+    - Back-substitution picks such an x at every stage (see
+      ``feasible_point``), so the sample lies in the relative interior of
+      P, and dim P is the number of fibers that are not a single point.
+    - A P of dimension 0 is one point, which the sample is.
     """
-    eqs = list(equalities)
-    ineqs = [(c, r, False) for c, r, _ in inequalities]
-    if feasible_point(dim, eqs, ineqs) is None:
+    run = _sample(dim, equalities, [(c, r, False) for c, r, _ in inequalities])
+    if run is None:
         return -1, None
-    still: list[Inequality] = []
-    for i, (coeffs, rhs, _) in enumerate(ineqs):
-        probe = still + ineqs[i + 1 :] + [(coeffs, rhs, True)]
-        if feasible_point(dim, eqs, probe) is None:
-            eqs.append((coeffs, rhs))
-        else:
-            still.append((coeffs, rhs, False))
-    d = dim - len(_echelon([row for row, _ in eqs], dim)[1])
-    strict_all = [(c, r, True) for c, r, _ in still]
-    sample = feasible_point(dim, eqs, strict_all)
-    return d, sample
+    point, free = run
+    return free, point
 
 
 def cone_nonzero_point(
@@ -222,22 +250,17 @@ def cone_nonzero_point(
     equalities: Sequence[Row],
     inequalities: Sequence[Row],
 ) -> tuple[Fraction, ...] | None:
-    """A nonzero point of the homogeneous cone {u : Eu = 0, Gu <= 0}, or
-    None when the cone is the origin alone.
+    """A nonzero point of the homogeneous cone K = {u : Eu = 0, Gu <= 0},
+    or None when K is the origin alone: the relative-interior sample of
+    ``polyhedron_dimension`` when K has positive dimension.
 
-    When E has rank dim, Eu = 0 alone pins u to the origin, and one
-    elimination returns None.  Otherwise any nonzero point can be scaled
-    so some coordinate is +-1, so 2*dim slice feasibility checks decide
-    the question.
+    That sample is nonzero.  If 0 is not in the relative interior of K,
+    the sample is not 0.  If it is, K is a linear subspace, and so is each
+    projection Q_i; every fiber over 0 is then 0 alone or all of R, and
+    back-substitution, having set every earlier variable to 0, sets the
+    variable of the first fiber that is all of R to 1.
     """
-    if len(_echelon(equalities, dim)[1]) == dim:
-        return None
-    eqs = [(row, 0) for row in equalities]
-    ineqs = [(row, 0, False) for row in inequalities]
-    for i in range(dim):
-        pin = tuple(int(j == i) for j in range(dim))
-        for sign in (1, -1):
-            pt = feasible_point(dim, eqs + [(pin, sign)], ineqs)
-            if pt is not None:
-                return pt
-    return None
+    d, u = polyhedron_dimension(
+        dim, [(row, 0) for row in equalities], [(row, 0, False) for row in inequalities]
+    )
+    return u if d > 0 else None

@@ -216,9 +216,10 @@ def tangent_direction(
     second point, so its tangent cone at v is nonzero: the cell's block
     ties (A^T_a - A^T_b) . u = 0 as equalities and its ordering facets
     tight at p, (A^T_a - A^T_b) . u <= 0, as inequalities.
-    ``_polyhedra.cone_nonzero_point`` finds u there, and v + eps u stays
-    in the piece for small eps > 0, so its image stays in the cell's
-    closed cone, inside the positive fan.
+    ``_polyhedra.cone_nonzero_point`` finds u there, in the relative
+    interior of that tangent cone, and v + eps u stays in the piece for
+    small eps > 0, so its image stays in the cell's closed cone, inside
+    the positive fan.
 
     A must be integer, and (OM, A) go through ``_fan_plan``, so
     rank(A) < n raises ``InputValidationError``.  ValueError when p is
@@ -598,8 +599,8 @@ def _probe_cells(
     piece at the shift with integer multiple (H, H h) and, when that is
     0, the piece's point v; no cells when the ties fail there.
 
-    Each cell is probed by ``_polyhedra.polyhedron_dimension`` in the k
-    free coordinates t of the ties' solutions, with the ordering facets
+    Each cell is probed by ``_polyhedra.polyhedron_dimension``, one
+    Fourier-Motzkin run, in the k free coordinates t of the ties' solutions, with the ordering facets
     of ``_Underdetermined`` as its inequalities and no equalities: each
     facet's right-hand side is found once per call.  A zero-dimensional
     piece is one point, so its sample t maps back to the one v.

@@ -10,9 +10,10 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from tropibound._polyhedra import polyhedron_dimension
+from tropibound._polyhedra import feasible_point
 from tropibound.bergman import _coerce
 from tropibound.matroid import Flat
+from tropibound.rational import RationalMatrix, rank
 
 
 def generators(chain, ground_size: int) -> tuple[tuple[int, ...], ...]:
@@ -137,10 +138,10 @@ def reference_probe_cells(
     Each cell is probed in v-space, as the fan walk once did: its ties
     (w + h)_a = (w + h)_b as equalities and its ordering facets
     (w + h)_a <= (w + h)_b as inequalities, times H, go to
-    ``polyhedron_dimension`` over all n coordinates of v.  Ties that fail
+    ``reference_dimension`` over all n coordinates of v.  Ties that fail
     at h leave every piece empty.  The reference for
     ``intersection._probe_cells``, which probes in the free coordinates
-    of the ties' solutions.
+    of the ties' solutions with ``_polyhedra.polyhedron_dimension``.
     """
     n = len(at_int[0])
 
@@ -155,6 +156,38 @@ def reference_probe_cells(
             for cell in combo
             for upper, lower in zip(cell, cell[1:])
         ]
-        dim, v = polyhedron_dimension(n, eqs, ineqs)
+        dim, v = reference_dimension(n, eqs, ineqs)
         verdicts.append((dim, v if dim == 0 else None))
     return verdicts
+
+
+def reference_dimension(dim: int, equalities, inequalities) -> tuple[int, tuple | None]:
+    """Dimension of {x : equalities, weak inequalities} and a point in its
+    relative interior, or (-1, None) when empty, by implicit equalities:
+    the reference for ``_polyhedra.polyhedron_dimension``, which reads
+    both off one elimination.
+
+    Each inequality is probed once, strictly, with ``feasible_point``; a
+    row that cannot hold strictly is implicit (tight on the whole
+    polyhedron) and joins the equalities.  One pass suffices, since
+    folding an implicit row into the equalities leaves the polyhedron,
+    and so every other verdict, unchanged.  The dimension is dim less the
+    rank of the equalities, and a point with every other row strict lies
+    in the relative interior.  Only the feasibility verdicts of
+    ``feasible_point`` are used, never the dimension it counts.
+    """
+    eqs = list(equalities)
+    ineqs = [(c, r, False) for c, r, _ in inequalities]
+    if feasible_point(dim, eqs, ineqs) is None:
+        return -1, None
+    still = []
+    for i, (coeffs, rhs, _) in enumerate(ineqs):
+        if feasible_point(dim, eqs, still + ineqs[i + 1 :] + [(coeffs, rhs, True)]) is None:
+            eqs.append((coeffs, rhs))
+        else:
+            still.append((coeffs, rhs, False))
+    if eqs:
+        dim_left = dim - rank(RationalMatrix(len(eqs), dim, [c for row, _ in eqs for c in row]))
+    else:
+        dim_left = dim
+    return dim_left, feasible_point(dim, eqs, [(c, r, True) for c, r, _ in still])

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 from math import gcd, lcm
 
+from fan_reference import reference_dimension
+from tropibound import _polyhedra
 from tropibound._polyhedra import (
     cone_nonzero_point,
     feasible_point,
@@ -18,6 +20,25 @@ def eq(coeffs, rhs):
 
 def ineq(coeffs, rhs, strict=False):
     return (*eq(coeffs, rhs), strict)
+
+
+def tight_rows(point, ineqs):
+    """Indices of the inequalities that hold with equality at point."""
+    return {
+        i for i, (coeffs, rhs, _) in enumerate(ineqs) if sum(map(F.__mul__, point, coeffs)) == rhs
+    }
+
+
+def assert_matches_reference(got, want, ineqs):
+    """got = (dimension, sample) agrees with a reference's: the same
+    dimension, the same point at dimension 0, and a sample tight on
+    exactly the rows the reference's relative-interior sample is tight
+    on (the implicit equalities)."""
+    assert got[0] == want[0]
+    if got[0] == 0:
+        assert got[1] == want[1]
+    if got[0] >= 0:
+        assert tight_rows(got[1], ineqs) == tight_rows(want[1], ineqs)
 
 
 def satisfies(point, eqs, ineqs):
@@ -128,46 +149,35 @@ def test_cone_nonzero_point_matches_slice_reference():
             eqs.append(tuple(a + b for a, b in zip(eqs[0], eqs[-1])))
         ineqs = random_rows(rng, rng.randint(0, 4), dim)
         got = cone_nonzero_point(dim, eqs, ineqs)
-        assert got == slice_reference(dim, eqs, ineqs)
+        assert (got is None) == (slice_reference(dim, eqs, ineqs) is None)
+        if got is not None:
+            assert any(got)
+            assert all(sum(map(F.__mul__, got, row)) == 0 for row in eqs)
+            assert all(sum(map(F.__mul__, got, row)) <= 0 for row in ineqs)
         pinned += got is None
         found += got is not None
     assert pinned and found
 
 
-def _two_pass_dimension(dim, equalities, inequalities):
-    """polyhedron_dimension as it was, re-probing the leftover
-    inequalities until a pass folds no new implicit equality."""
-    eqs = list(equalities)
-    ineqs = [(c, r, False) for c, r, _ in inequalities]
-    if feasible_point(dim, eqs, ineqs) is None:
-        return -1, None
-    changed = True
-    while changed:
-        changed = False
-        still = []
-        for i, (coeffs, rhs, _) in enumerate(ineqs):
-            probe = still + ineqs[i + 1 :] + [(coeffs, rhs, True)]
-            if feasible_point(dim, eqs, probe) is None:
-                eqs.append((coeffs, rhs))
-                changed = True
-            else:
-                still.append((coeffs, rhs, False))
-        ineqs = still
-    if eqs:
-        M = RationalMatrix(len(eqs), dim, [c for row, _ in eqs for c in row])
-        d = kernel_basis(M).rows
-    else:
-        d = dim
-    return d, feasible_point(dim, eqs, [(c, r, True) for c, r, _ in ineqs])
+def test_cone_that_is_a_subspace_gets_a_nonzero_point():
+    # 0 lies in the relative interior of a linear subspace, so the
+    # sample is nonzero only because the first free fiber gets 1
+    for dim, eqs, ineqs in [
+        (3, [(1, -1, 0)], []),
+        (2, [], []),
+        (3, [], [(1, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]),
+    ]:
+        u = cone_nonzero_point(dim, eqs, ineqs)
+        assert u is not None and any(u)
+        assert all(sum(map(F.__mul__, u, row)) == 0 for row in eqs + ineqs)
 
 
-def test_one_pass_dimension_matches_two_pass():
-    # rows tight at x0 whose positive combination is negated by a closing
-    # row are all implicit equalities; slack rows are not, and a negative
-    # slack can empty the polyhedron
-    rng = random.Random(7117)
-    implicit = empty = 0
-    while implicit < 200:
+def implicit_cases(rng):
+    """Seeded systems (dim, eqs, ineqs) with implicit equalities: rows
+    tight at x0 whose positive combination is negated by a closing row
+    are all implicit; slack rows are not, and a negative slack can empty
+    the polyhedron."""
+    while True:
         dim = rng.randint(1, 4)
         x0 = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
 
@@ -186,13 +196,75 @@ def test_one_pass_dimension_matches_two_pass():
             a = row()
             ineqs.append(ineq(a, at_x0(a) + rng.choice([-1, 1, 2, F(1, 2)])))
         rng.shuffle(ineqs)
+        yield dim, eqs, ineqs
+
+
+def test_one_pass_dimension_matches_two_pass():
+    # the dimension read off one elimination against the implicit-equality
+    # reference, which probes each row strictly
+    implicit = empty = 0
+    for dim, eqs, ineqs in implicit_cases(random.Random(7117)):
         got = polyhedron_dimension(dim, eqs, ineqs)
-        assert got == _two_pass_dimension(dim, eqs, ineqs), (dim, eqs, ineqs)
+        assert_matches_reference(got, reference_dimension(dim, eqs, ineqs), ineqs)
         if got[0] < 0:
             empty += 1
         elif got[0] < polyhedron_dimension(dim, eqs, [])[0]:
             implicit += 1
+        if implicit == 200:
+            break
     assert empty >= 10
+
+
+def test_dimension_ignores_variable_order_and_row_order():
+    # permuting the variables changes the elimination order; shuffling
+    # and duplicating rows changes the rows each stage holds
+    rng = random.Random(31)
+    cases = implicit_cases(random.Random(7117))
+    for _ in range(300):
+        dim, eqs, ineqs = next(cases)
+        want = polyhedron_dimension(dim, eqs, ineqs)
+        perm = rng.sample(range(dim), dim)
+        p_eqs = [(tuple(c[j] for j in perm), r) for c, r in eqs]
+        p_ineqs = [(tuple(c[j] for j in perm), r, s) for c, r, s in ineqs]
+        p_ineqs += rng.choices(p_ineqs, k=rng.randint(0, 3))
+        rng.shuffle(p_ineqs)
+        got = polyhedron_dimension(dim, p_eqs, p_ineqs)
+        assert got[0] == want[0], (dim, eqs, ineqs, perm)
+        if got[0] >= 0:
+            back = [None] * dim
+            for i, j in enumerate(perm):
+                back[j] = got[1][i]
+            assert_matches_reference((got[0], tuple(back)), want, ineqs)
+
+
+def test_one_elimination_per_dimension_and_cone_probe(monkeypatch):
+    runs = []
+    real = _polyhedra._feasible_ineqs
+
+    def counted(dim, ineqs):
+        runs.append(dim)
+        return real(dim, ineqs)
+
+    monkeypatch.setattr(_polyhedra, "_feasible_ineqs", counted)
+    for dim, eqs, ineqs in [
+        (2, [], [ineq([1, 1], 1), ineq([-1, 0], 0), ineq([0, -1], 0)]),
+        (2, [], [ineq([1, 0], 0), ineq([-1, 0], 0)]),
+        (2, [eq([1, 1], 1)], [ineq([1, 0], 0), ineq([-1, 0], 0)]),
+        (1, [], [ineq([1], -1), ineq([-1], -1)]),
+    ]:
+        runs.clear()
+        polyhedron_dimension(dim, eqs, ineqs)
+        assert len(runs) == 1
+    cones = [(2, [(1, -1)], [(1, 0)]), (2, [(1, 0), (0, 1)], []), (3, [(1, -1, 0)], [])]
+    for dim, eqs, ineqs in cones:
+        runs.clear()
+        cone_nonzero_point(dim, eqs, ineqs)
+        assert len(runs) == 1
+
+
+def test_dimension_of_the_zero_dimensional_space():
+    assert polyhedron_dimension(0, [], []) == (0, ())
+    assert polyhedron_dimension(0, [], [((), -1, False)]) == (-1, None)
 
 
 # The Fraction implementation the integer one replaced, kept as a
@@ -263,27 +335,24 @@ def _ref_feasible_ineqs(dim, ineqs):
     sample = [F(0)] * dim
     for var, constraints in reversed(stages):
         lo = hi = None
-        for coeffs, rhs, strict in constraints:
+        for coeffs, rhs, _ in constraints:
             c = coeffs[var]
             if c == 0:
                 continue
             rest = sum((coeffs[j] * sample[j] for j in range(dim) if j != var), F(0))
             bound = (rhs - rest) / c
             if c > 0:
-                if hi is None or bound < hi[0] or (bound == hi[0] and strict):
-                    hi = (bound, strict)
-            elif lo is None or bound > lo[0] or (bound == lo[0] and strict):
-                lo = (bound, strict)
+                hi = bound if hi is None else min(hi, bound)
+            else:
+                lo = bound if lo is None else max(lo, bound)
         if lo is None and hi is None:
-            value = F(0)
+            value = F(1)
         elif lo is None:
-            value = hi[0] - 1 if hi[1] else hi[0]
+            value = hi - 1
         elif hi is None:
-            value = lo[0] + 1 if lo[1] else lo[0]
-        elif lo[0] == hi[0]:
-            value = lo[0]
+            value = lo + 1
         else:
-            value = (lo[0] + hi[0]) / 2
+            value = (lo + hi) / 2
         sample[var] = value
     return tuple(sample)
 
@@ -365,6 +434,6 @@ def test_integer_rows_give_exact_fraction_points():
             assert all(type(x) is F for x in pt)
             assert satisfies(pt, eqs, ineqs)
         got = polyhedron_dimension(dim, eqs, ineqs)
-        assert got == _ref_dimension(dim, ref_eqs, ref_ineqs)
+        assert_matches_reference(got, _ref_dimension(dim, ref_eqs, ref_ineqs), ineqs)
         assert got[1] is None or all(type(x) is F for x in got[1])
     assert feasible > 100 and empty > 50

@@ -102,10 +102,12 @@ def test_traced_scan_reuses_eliminations(hhk_model):
     # the fan walk's counters on these draws before its tie systems were
     # eliminated once per (matroid, A), pinned, less the feasibility and
     # cone probes of the tangent-cone search: isolation is now read off
-    # the cells the walk probes, with no polyhedron probe of its own
+    # the cells the walk probes, with no polyhedron probe of its own.
+    # Each cell probe is one polyhedron_dimension call, which reads the
+    # dimension off its one elimination and so calls no feasible_point
     expected = {
         "intersection.points_count": 9,
-        "polyhedra.feasible_point_calls": 102,
+        "polyhedra.feasible_point_calls": 0,
         "polyhedra.dimension_calls": 48,
         "polyhedra.cone_probe_calls": 0,
     }
