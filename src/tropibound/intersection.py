@@ -5,8 +5,9 @@ Two structurally different complete enumerations are provided: the primary
 one solves the tie systems of the distinct block partitions of the
 positive cells (componentwise, since circuits never straddle connected
 components), one elimination per set of pivot ties, listing the cells
-themselves only where a system is underdetermined; the oracle enumerates
-vertices of the tie-hyperplane arrangement.
+themselves only where an underdetermined system's ties hold; the oracle
+enumerates vertices of the tie-hyperplane arrangement, one circuit at a
+time.
 Per-point isolation is certified exactly, never by genericity arguments,
 and read off the cells the walk already probes: a point is not isolated
 iff it lies in the closed cone of a probed cell whose piece has positive
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import mul, or_
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from tropibound import _polyhedra
 from tropibound.bergman import _argmin, _is_positive_flat, _level_masks, is_positive_member
@@ -413,19 +414,20 @@ def _tie_system(
     )
 
 
-class _Underdetermined(NamedTuple):
+@dataclass(frozen=True)
+class _Underdetermined:
     """An underdetermined combination's ties, eliminated with h left
-    symbolic, and its cells' ordering facets in the coordinates of the
-    ties' solution space.
+    symbolic, and, listed the first time they are read, its cells and
+    their ordering facets in the coordinates of the ties' solution space.
 
     With x_i = h_row_i . (H h), the ties hold at h iff every check row
     . (H h) is 0, and then their solutions are
     v = (x0 + sum of t_f k_f) / (d H) over t in R^k, where x0 is x_i at
     pivot i and 0 elsewhere and the k_f form ``kernel`` (``_solution``).
-    An ordering facet (w + h)_a <= (w + h)_b, times d H, reads
-    row . t <= d ((H h)_b - (H h)_a) - diffs . x, with row the
-    (A^T_a - A^T_b) . k_f and diffs the entries of A^T_a - A^T_b at the
-    pivots; ``facets`` holds (a, b, row, diffs) once per 0-based pair.
+    The cells matter only at an h where the ties hold, so ``groups`` and
+    ``facets`` are memoized properties, computed by the first
+    ``_probe_cells`` that finds the ties holding; a scan over shifts
+    sharing the plan lists each entry's cells at most once.
     """
 
     d: int
@@ -433,9 +435,33 @@ class _Underdetermined(NamedTuple):
     kernel: tuple[tuple[int, ...], ...]
     h_rows: tuple
     check: tuple
-    facets: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]
-    # each component's positive cells with its partition
-    groups: tuple[tuple[_Cell, ...], ...]
+    at_int: tuple[tuple[int, ...], ...]
+    # each component's block partition
+    combo: tuple[_Cell, ...]
+    # the plan's ``_fine_cells``, memoized by component index and partition
+    fine_cells: Callable[[int, _Cell], tuple[_Cell, ...]]
+
+    @functools.cached_property
+    def groups(self) -> tuple[tuple[_Cell, ...], ...]:
+        """Each component's positive cells with its partition."""
+        return tuple(self.fine_cells(i, partition) for i, partition in enumerate(self.combo))
+
+    @functools.cached_property
+    def facets(self) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
+        """Each ordering facet of the cells, once per 0-based pair, as
+        (a, b, row, diffs).  The facet (w + h)_a <= (w + h)_b, times d H,
+        reads row . t <= d ((H h)_b - (H h)_a) - diffs . x, with row the
+        (A^T_a - A^T_b) . k_f and diffs the entries of A^T_a - A^T_b at
+        the pivots."""
+        facets = {}
+        for cells in self.groups:
+            for cell in cells:
+                for a, b in _ordering_pairs(cell):
+                    if (a, b) not in facets:
+                        diff = [x - y for x, y in zip(self.at_int[a], self.at_int[b])]
+                        row = tuple(sum(map(mul, diff, k)) for k in self.kernel)
+                        facets[a, b] = (a, b, row, tuple(diff[i] for i in self.pivots))
+        return tuple(facets.values())
 
 
 def _ordering_pairs(cell: _Cell) -> list[tuple[int, int]]:
@@ -446,28 +472,21 @@ def _ordering_pairs(cell: _Cell) -> list[tuple[int, int]]:
 
 
 def _underdetermined(
-    at_int: Sequence[Sequence[int]],
+    at_int: tuple[tuple[int, ...], ...],
     pairs: Sequence[tuple[int, int]],
     n: int,
-    groups: tuple[tuple[_Cell, ...], ...],
+    combo: tuple[_Cell, ...],
+    fine_cells: Callable[[int, _Cell], tuple[_Cell, ...]],
 ) -> _Underdetermined:
     """The plan entry of an underdetermined combination: its ties
-    eliminated once, and each ordering facet of its cells reduced once
-    onto the free coordinates of their solutions."""
+    eliminated once and their solutions read as a point plus the free
+    coordinates; its cells wait until they are read."""
     d, v_rows, h_rows, check = _tie_system(at_int, pairs, n)
     pivots = tuple(next(j for j, c in enumerate(row) if c) for row in v_rows)
     # the kernel needs no right-hand side, so a zero column stands in for x
     kernel = _solution([(*row, 0) for row in v_rows], pivots, d, n)[1]
-    facets = {}
-    for cells in groups:
-        for cell in cells:
-            for a, b in _ordering_pairs(cell):
-                if (a, b) not in facets:
-                    diff = [x - y for x, y in zip(at_int[a], at_int[b])]
-                    row = tuple(sum(map(mul, diff, k)) for k in kernel)
-                    facets[a, b] = (a, b, row, tuple(diff[i] for i in pivots))
     return _Underdetermined(
-        d, pivots, tuple(map(tuple, kernel)), h_rows, check, tuple(facets.values()), groups
+        d, pivots, tuple(map(tuple, kernel)), h_rows, check, at_int, combo, fine_cells
     )
 
 
@@ -518,10 +537,13 @@ def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
     masks of fewer rows first; so a pivot set is consistent at h iff some
     mask has no check row that fails there (``_consistent``).  A
     combination of rank below n keeps its full ``_tie_system``, read as
-    the free coordinates of its solutions, and its positive cells are
-    listed with their ordering facets reduced onto those coordinates
-    (``_underdetermined``), since only an underdetermined system needs
-    them; each component partition's cells are listed once.
+    the free coordinates of its solutions (``_underdetermined``).  Its
+    positive cells, and their ordering facets reduced onto those
+    coordinates, are listed only when a walk first finds its ties
+    holding (``_Underdetermined.groups`` and ``.facets``), since only a
+    consistent underdetermined system is probed cell by cell; one memo
+    per plan lists each component partition's cells once, for every
+    combination that shares it.
     """
     diagnostics = validate_inputs(OM, A)
     at_int = integer_columns(A)
@@ -539,8 +561,7 @@ def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
             diffs = [[Ai[a] - Ai[b] for a, b in pairs] for Ai in A_rows]
             m, independent = _echelon(diffs, len(pairs))[:2]
             if len(independent) < n:
-                groups = tuple(cells(i, partition) for i, partition in enumerate(combo))
-                underdetermined.append(_underdetermined(at_int, pairs, n, groups))
+                underdetermined.append(_underdetermined(at_int, pairs, n, combo, cells))
                 continue
             key = tuple(map(pairs.__getitem__, independent))
             if key not in pivoted:
@@ -597,12 +618,14 @@ def _probe_cells(
     """Per product cell of an underdetermined system, in the order of
     ``itertools.product`` over its groups, the dimension of the cell's
     piece at the shift with integer multiple (H, H h) and, when that is
-    0, the piece's point v; no cells when the ties fail there.
+    0, the piece's point v; no cells when the ties fail there, and then
+    the cells are not listed.
 
     Each cell is probed by ``_polyhedra.polyhedron_dimension``, one
-    Fourier-Motzkin run, in the k free coordinates t of the ties' solutions, with the ordering facets
-    of ``_Underdetermined`` as its inequalities and no equalities: each
-    facet's right-hand side is found once per call.  A zero-dimensional
+    Fourier-Motzkin run, in the k free coordinates t of the ties'
+    solutions, with the ordering facets of ``_Underdetermined`` as its
+    inequalities and no equalities: each facet's right-hand side is
+    found once per call.  A zero-dimensional
     piece is one point, so its sample t maps back to the one v.
     """
     if any(sum(map(mul, row, h_int)) for row in system.check):
@@ -636,7 +659,9 @@ def _product_cells(
     ``_probe_cells`` verdict: the cells of the underdetermined systems
     whose ties hold there."""
     for system in plan.underdetermined:
-        yield from zip(itertools.product(*system.groups), _probe_cells(system, H, h_int))
+        verdicts = _probe_cells(system, H, h_int)
+        if verdicts:
+            yield from zip(itertools.product(*system.groups), verdicts)
 
 
 def _in_closed_cone(p: Sequence[int], cell: tuple[_Cell, ...]) -> bool:
@@ -674,8 +699,9 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     positive membership in integers, on the positive multiple
     p = d H (A^T v + h), and Fractions are built only for accepted
     points.  An underdetermined system's cells are probed in the k free
-    coordinates of its solutions (``_probe_cells``): the plan reduced
-    each ordering facet onto them, so a call only finds each facet's
+    coordinates of its solutions (``_probe_cells``): the plan entry
+    lists the cells and reduces each ordering facet onto them the first
+    time its ties hold, so a call only finds each facet's
     right-hand side and hands ``_polyhedra`` k variables and no
     equalities.  A point a cell pins maps back to v and gets p from
     ``integer_multiple`` of its image.  Each point's level flag and
@@ -804,42 +830,57 @@ def intersect_via_vertices(
     the positive fan and v is not isolated.  The search shares no code
     path with the fan walk: no cells, chains or calls into `_polyhedra`.
 
-    A depth-first search visits the independent sets of n planes, in
-    plane index order.  Each node carries its remaining candidate planes
-    as integer rows already reduced against the planes chosen above it;
-    choosing a pivot row reduces the child's candidates against that one
-    row and drops those whose coefficients vanished, since such a plane
-    contains the node's flat or misses it and can never pivot below.
-    The flat itself is carried as v = (u + sum of v_c * q_c) / d over its
-    free columns c, each pivot substituted in once, so at depth n - 1 it
-    is a line and every remaining candidate r meets it at
-    v_c = r[n] / r[c].  Vertices are keyed by their gcd-normalized
-    integer numerators and positive denominator, and each new one is
-    tested once, in integers: A is read through ``integer_columns`` and
-    (H, H h) come from ``integer_multiple``, so
+    A depth-first search chooses one plane at a time.  Each node carries
+    its remaining candidate planes as integer rows already reduced
+    against the planes chosen above it; choosing a pivot row reduces the
+    child's candidates against that one row and drops those whose
+    coefficients vanished, since such a plane contains the node's flat
+    or misses it and can never pivot below.  The flat itself is carried
+    as v = (u + sum of v_c * q_c) / d over its free columns c, each pivot
+    substituted in once, so at depth n - 1 it is a line and a candidate r
+    meets it at v_c = r[n] / r[c].  Vertices are keyed by their
+    gcd-normalized integer numerators and positive denominator, and each
+    new one is tested once, in integers: A is read through
+    ``integer_columns`` and (H, H h) come from ``integer_multiple``, so
     H * d * (A^T v + h) = (H A^T) num + (H h) d is a positive multiple of
     A^T v + h, every circuit has the same argmin and the verdict is
     exact.  Fractions are built only for accepted vertices.
 
-    The search is pruned by circuit coverage.  A point in the positive
-    fan has, for every signed circuit, a positive and a negative element
-    tied at the circuit's argmin, so it lies on the plane of one
-    opposite-sign pair of every circuit, or that pair is tied
-    identically (equal columns of A and equal h).  Each circuit gets a
-    bitmask of its opposite-sign planes; a circuit with an identically
-    tied pair is exempt, and a pair whose row vanishes but whose sides
-    differ is never tied and adds no bit.  Each node also holds its
-    chosen planes and the candidates dropped with a zero right-hand
-    side, which contain its flat.  A child is cut when some mask misses
-    all of those and all of the child's remaining candidates; an empty
-    mask means no vertex at all.  This loses no valid vertex p: on the
-    path that chooses, in index order, the first basis of the planes
-    through p, every plane through p is chosen, contains the flat (a
-    skipped one depends on the chosen planes) or is still a candidate,
-    so that path is never cut.  The prune keeps every plane as a
-    candidate and cuts only subtrees.  Dropping planes instead, keeping
-    only the opposite-sign ties inside each circuit, cut the hhk oracle
-    about eightfold but missed 1 of the 5 points at
+    The search branches on circuits, one positive tropical hypersurface
+    at a time and the most constrained first, as tropical prevarieties
+    are traversed (Bogart, Jensen, Speyer, Sturmfels and Thomas,
+    "Computing tropical varieties", J. Symbolic Comput. 42, 2007).  A
+    point in the positive fan has, for every signed circuit, a positive
+    and a negative element tied at the circuit's argmin, so it lies on
+    the plane of one opposite-sign pair of every circuit, or that pair
+    is tied identically (equal columns of A and equal h).  Each circuit
+    gets a bitmask of its opposite-sign planes; a circuit with an
+    identically tied pair is exempt, and a pair whose row vanishes but
+    whose sides differ is never tied and adds no bit.  A node's held
+    planes are its chosen pivots and the candidates that reduced to
+    0 = 0; they contain its flat.  While some mask holds no held plane,
+    the node takes such a mask with the fewest live candidates and
+    branches on those, in index order: branch j drops the mask's earlier
+    planes from its candidates, and at a line node only the mask's live
+    planes meet the line.  A mask with no live candidate cuts the node,
+    so an empty mask means no vertex at all.  Once every mask holds a
+    plane, the node branches on every candidate in index order, branch j
+    dropping the earlier ones, and visits each set of planes once.
+
+    This loses no valid vertex p.  At each node on p's path, take the
+    branch whose plane is the first plane through p among those the node
+    branches on.  The planes a branch drops come before it, so none
+    passes through p; a plane dropped as 0 = c with c != 0 misses the
+    flat, which holds p.  So every plane through p is held or live.  While
+    the flat is more than {p}, some plane through p does not contain it,
+    since p is a vertex.  A mask with no held plane has a plane through
+    p, which is then live, so the node has a branch through p, and that
+    branch adds rank: the path reaches p as the flat, or a line node
+    where that plane meets the line at p.  A branch only orders the
+    search; its child keeps the other circuits' planes and the same-sign
+    ties as candidates.  Dropping planes from the whole search instead,
+    keeping only the opposite-sign ties inside each circuit, cut the hhk
+    oracle about eightfold but missed 1 of the 5 points at
     h = (7, 8, 3, 3, -1, 8), whose planes need a same-sign tie to pin it.
 
     Only the v set is returned, with no isolation, interiority or level
@@ -875,11 +916,19 @@ def intersect_via_vertices(
     found: set[tuple[Fraction, ...]] = set()
     seen: set[tuple[tuple[int, ...], int]] = set()
 
-    def walk(cands: list, u: list[int], free: dict[int, list[int]], d: int, held: int) -> None:
-        # the node's flat: v = (u + sum over free columns c of v_c * free[c]) / d
+    def walk(
+        cands: list, u: list[int], free: dict[int, list[int]], d: int, unheld: list[int]
+    ) -> None:
+        # the node's flat: v = (u + sum over free columns c of v_c * free[c]) / d;
+        # ``unheld`` are the masks none of whose planes contains it
+        live = functools.reduce(or_, (t for t, _ in cands), 0)
+        # branch on the live planes of the mask with the fewest, or on
+        # every candidate in index order once each mask holds a plane
+        mask = min(unheld, key=lambda m: (m & live).bit_count()) if unheld else live
+        branches = [(t, r) for t, r in cands if t & mask]
         if len(free) == 1:
             ((c, q),) = free.items()
-            for _, r in cands:
+            for _, r in branches:
                 # r meets the line at v_c = r[n] / r[c]
                 rc, rn = r[c], r[n]
                 den = d * rc
@@ -901,29 +950,29 @@ def intersect_via_vertices(
                 if is_positive_member(p, OM):
                     found.add(tuple(Fraction(x, den) for x in num))
             return
-        for k in range(len(cands) - len(free) + 1):
-            mark, r = cands[k]
+        done = 0  # the branch planes so far, dropped from every later branch
+        # a child keeps at most len(cands) - 1 - j candidates and needs
+        # len(free) - 1 of them
+        for mark, r in branches[: len(cands) - len(free) + 1]:
             col = next(j for j, x in enumerate(r) if x)
             pv, rn = r[col], r[n]
             child = []
-            child_held = held | mark
-            reach = 0
-            for t, s in cands[k + 1 :]:
+            held = mark
+            done |= mark
+            for t, s in cands:
+                if t & done:
+                    continue
                 f = s[col]
                 if f:
                     s = [pv * a - f * b for a, b in zip(s, r)]
                     if not any(s[:n]):
                         if not s[n]:
-                            child_held |= t  # the plane contains the child's flat
+                            held |= t  # the plane contains the child's flat
                         continue
                     g = gcd(*s)
                     if g > 1:
                         s = [x // g for x in s]
                 child.append((t, s))
-                reach |= t
-            reach |= child_held
-            if not all(m & reach for m in masks):
-                continue
             # substitute v_col = (r[n] - sum of r[c] * v_c) / r[col]
             qp = free[col]
             walk(
@@ -935,17 +984,16 @@ def intersect_via_vertices(
                     if c != col
                 },
                 d * pv,
-                child_held,
+                [m for m in unheld if not m & held],
             )
 
-    if all(masks):
-        walk(
-            [(bit[p], p) for p in planes],
-            [0] * n,
-            {c: [int(j == c) for j in range(n)] for c in range(n)},
-            1,
-            0,
-        )
+    walk(
+        [(bit[p], p) for p in planes],
+        [0] * n,
+        {c: [int(j == c) for j in range(n)] for c in range(n)},
+        1,
+        sorted(masks),
+    )
     return found
 
 

@@ -422,6 +422,47 @@ def test_cell_probes_match_v_space_reference(hhk_model):
     assert seen >= {(1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1), (2, 2)}
 
 
+def test_fan_plan_lists_cells_only_where_ties_hold(monkeypatch, hhk_model):
+    # an underdetermined combination's cells are listed the first time a
+    # walk finds its ties holding, and kept: system 80 of the criterion-7
+    # family (the base of random_family) has 21 such combinations, all
+    # failing at its h, and hhk draw 1 has one that holds, over both of
+    # hhk's components
+    import tropibound.intersection as mod
+
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    listed = []
+
+    def counted(above, partition):
+        listed.append(partition)
+        return _fine_cells(above, partition)
+
+    monkeypatch.setattr(mod, "_fine_cells", counted)
+    _fan_plan.cache_clear()
+    C_rows, A_rows, h = workloads.criterion7_family()[80]
+    OM, A = realize_from_kernel(RationalMatrix.from_rows(C_rows)), RationalMatrix.from_rows(A_rows)
+    intersect_via_fan(OM, A, h)
+    assert len(_fan_plan(OM, A).underdetermined) == 21 and listed == []
+    vs = assemble_crn(dataclasses.replace(hhk_model, h=workloads.crn_base_draws()[1]))
+    OM = realize_from_kernel(vs.C)
+    counts = []
+    for _ in range(2):
+        intersect_via_fan(OM, vs.A, vs.h)
+        counts.append(len(listed))
+    h_int = integer_multiple(vector(vs.h))[1]
+    holding = [
+        system
+        for system in _fan_plan(OM, vs.A).underdetermined
+        if not any(sum(map(mul, row, h_int)) for row in system.check)
+    ]
+    _fan_plan.cache_clear()
+    assert len(holding) == 1 and counts == [2, 2]
+    assert listed == list(holding[0].combo)
+
+
 class _CountedRows(list):
     """Check rows that record which of them are read."""
 
@@ -575,8 +616,8 @@ def check_partitions_against_chains(OM, A=None):
     for *_, m in plan.pivoted:
         assert len(set(m)) == len(m) and m == tuple(sorted(m, key=lambda x: (x.bit_count(), x)))
     assert len(plan.underdetermined) == len(short)
-    for combo, (*_, cells) in zip(short, plan.underdetermined):
-        assert [sorted(c) for c in cells] == [sorted(g[p]) for g, p in zip(ref, combo)]
+    for combo, system in zip(short, plan.underdetermined):
+        assert [sorted(c) for c in system.groups] == [sorted(g[p]) for g, p in zip(ref, combo)]
 
 
 @pytest.mark.parametrize(
@@ -1337,6 +1378,69 @@ def test_pruned_oracle_on_hhk_reference_draws(monkeypatch, hhk_model):
         M = realize_from_kernel(vs.C)
         fan = {p.v for p in intersect_via_fan(M, vs.A, vs.h).points}
         assert intersect_via_vertices(M, vs.A, vs.h) == fan, h
+
+
+def _rank_cliff_recipe(ranks):
+    """The rank-cliff recipe: one Random(3) stream, three systems per
+    (r, n) for r in ``ranks`` and n in (2, 3), each with C and A of
+    n x r and entries in [-3, 3], redrawn together until both have rank
+    n, then h_j = randint(-8, 8) / randint(1, 4).  The recipe's ranks
+    are (8, 10, 11, 12), so a prefix of them draws the same systems."""
+    rng = random.Random(3)
+    for r in ranks:
+        for n in (2, 3):
+            for _ in range(3):
+                while True:
+                    C, A = (
+                        RationalMatrix.from_rows(
+                            [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+                        )
+                        for _ in range(2)
+                    )
+                    if rank(C) == rank(A) == n:
+                        break
+                yield C, A, [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(r)]
+
+
+def test_circuit_driven_oracle_on_rank_cliff_recipe():
+    # the oracle branches on the live planes of its most constrained
+    # circuit; at r = 8 and 10 its vertices must be the reference's,
+    # which visits every independent set of n planes
+    nonempty = 0
+    for C, A, h in _rank_cliff_recipe((8, 10)):
+        M = realize_from_kernel(C)
+        got = intersect_via_vertices(M, A, h)
+        assert got == _reference_vertices(M, A, h), (C, A, h)
+        nonempty += bool(got)
+    assert nonempty >= 6
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_oracle_vertices_follow_relabelling(data):
+    # the oracle's branch order follows the plane indices, but its vertex
+    # set does not: permuting the columns of C, A and h together leaves it
+    # unchanged, and adding A^T u to h moves it by -u (the relabelling of
+    # the random_family benchmark); integer h in [-2, 2] ties many pairs
+    # identically
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    C, A, h = random_instance(rng)
+    if data.draw(st.booleans(), label="small integer h"):
+        h = [rng.randint(-2, 2) for _ in range(A.cols)]
+    perm = data.draw(st.permutations(range(A.cols)), label="perm")
+    u = data.draw(st.lists(st.integers(-2, 2), min_size=A.rows, max_size=A.rows), label="u")
+    shift = [sum(map(mul, u, A.column(j))) for j in range(A.cols)]
+
+    def permuted(rows):
+        return RationalMatrix.from_rows([[row[j] for j in perm] for row in rows])
+
+    got = intersect_via_vertices(
+        realize_from_kernel(permuted(C.row_list())),
+        permuted(A.row_list()),
+        [h[j] + shift[j] for j in perm],
+    )
+    want = intersect_via_vertices(realize_from_kernel(C), A, h)
+    assert got == {tuple(x - y for x, y in zip(v, u)) for v in want}
 
 
 def test_point_flags_are_flats(monkeypatch, hhk_model):
