@@ -1,29 +1,32 @@
-"""Exact feasibility, dimension, and sampling for small rational polyhedra.
+"""Exact dimension and relative-interior points of small rational polyhedra.
 
-Rows are integer.  An equality is ``(coeffs, rhs)`` meaning
-coeffs . x = rhs; an inequality is ``(coeffs, rhs, strict)`` meaning
-coeffs . x <= rhs, or < if strict.  Callers make their rows integer with
-the helpers of ``rational``, so no Fraction is unpacked here.  The
-equalities are eliminated once with ``rational._echelon`` and their
-solutions read off with ``rational._solution``; the inequalities,
-rewritten over the solution space, go through Fourier-Motzkin
-elimination on integer rows with strict/weak tracking: each combination
-of two rows stays integer and is made ``rational.primitive``, so every
-row has one primitive form (Schrijver, *Theory of Linear and Integer
-Programming*, 1986, §12.2).  The sample is back-substituted in integers
-over one common denominator, and only the returned point is built of
-Fractions.
+Rows are integer and weak: ``(coeffs, rhs)`` means coeffs . x <= rhs as
+an inequality and coeffs . x = rhs as an equality.  Callers make their
+rows integer with the helpers of ``rational``, so no Fraction is
+unpacked here.
 
-One such run answers every question asked here.  Back-substitution
-puts each variable in the relative interior of its interval, so the run
-decides feasibility (``feasible_point``), counts the intervals that are
-not a single point, which is the dimension (``polyhedron_dimension``),
-and its sample lies in the relative interior, which is nonzero for a
-cone of positive dimension (``cone_nonzero_point``).  Intended for the
-desk-scale systems that arise from the cell pieces of the fan walk (a
-handful of variables, tens of constraints); no attempt at asymptotic
-cleverness.  ``cone_nonzero_point`` serves only
-``intersection.tangent_direction``, which the pipeline never calls.
+Each question is one run.  The equalities are eliminated once with
+``rational._echelon`` and their solutions read off with
+``rational._solution``; the inequalities, rewritten over the solution
+space, go through one Fourier-Motzkin elimination on integer rows: each
+combination of two rows stays integer and is made
+``rational.primitive``, so every row has one primitive form (Schrijver,
+*Theory of Linear and Integer Programming*, 1986, §12.2).
+Back-substitution puts each variable in the relative interior of its
+interval, in integers over one common denominator, and only the
+returned point is built of Fractions.  So the run gives the dimension,
+which is the number of intervals that are not a single point, and a
+sample in the relative interior.
+
+``polyhedron_dimension`` returns both, and ``intersection._probe_cells``
+calls it once per cell probe of the fan walk.  ``cone_nonzero_point``
+reads a nonzero point of a cone of positive dimension off the same run,
+for ``intersection.tangent_direction``, which the pipeline never calls.
+``feasible_point`` is the sample alone; no package code calls it, and it
+stays only because ``bench/tracing.py`` wraps it by name.  Intended for
+the desk-scale systems that arise from the cell pieces of the fan walk
+(a handful of variables, tens of constraints); no attempt at asymptotic
+cleverness.
 """
 
 from __future__ import annotations
@@ -37,72 +40,71 @@ from tropibound.rational import _echelon, _solution, primitive
 
 Row = tuple[int, ...]
 
-# An inequality is (coeffs, rhs, strict) meaning coeffs.x <= rhs, or < if strict.
-Inequality = tuple[Row, int, bool]
-# An equality is (coeffs, rhs).
-Equality = tuple[Row, int]
+# An inequality (coeffs, rhs) means coeffs.x <= rhs, an equality coeffs.x = rhs.
+Constraint = tuple[Row, int]
 
 
 class _Infeasible(Exception):
     pass
 
 
-def _clean(ineqs: list[Inequality]) -> list[Inequality]:
+def _clean(ineqs: list[Constraint]) -> list[Constraint]:
     """Drop tautologies, make rows primitive, raise on contradictions, dedupe."""
-    seen: dict[tuple[Row, int], bool] = {}
-    for coeffs, rhs, strict in ineqs:
-        if not any(coeffs):
-            if rhs < 0 or (strict and rhs == 0):
-                raise _Infeasible
-            continue
-        row = primitive((*coeffs, rhs))
-        key = (row[:-1], row[-1])
-        seen[key] = seen.get(key, False) or strict
-    return [(row, rhs, strict) for (row, rhs), strict in seen.items()]
+    rows: dict[Constraint, None] = {}
+    for coeffs, rhs in ineqs:
+        if any(coeffs):
+            row = primitive((*coeffs, rhs))
+            rows[row[:-1], row[-1]] = None
+        elif rhs < 0:
+            raise _Infeasible
+    return list(rows)
 
 
-def _eliminate(ineqs: list[Inequality], var: int) -> list[Inequality]:
-    lowers = []   # x_var >= ... : (coeffs', rhs', strict) for the bound expression
+def _eliminate(ineqs: list[Constraint], var: int) -> list[Constraint]:
+    lowers = []   # x_var >= ... : (coeffs, rhs, coefficient of x_var)
     uppers = []
     passthrough = []
-    for coeffs, rhs, strict in ineqs:
+    for coeffs, rhs in ineqs:
         c = coeffs[var]
         if c == 0:
-            passthrough.append((coeffs, rhs, strict))
+            passthrough.append((coeffs, rhs))
         elif c > 0:
-            uppers.append((coeffs, rhs, strict, c))
+            uppers.append((coeffs, rhs, c))
         else:
-            lowers.append((coeffs, rhs, strict, c))
-    for lc, lr, ls, la in lowers:
-        for uc, ur, us, ua in uppers:
+            lowers.append((coeffs, rhs, c))
+    for lc, lr, la in lowers:
+        for uc, ur, ua in uppers:
             # combine: (-la) * upper + ua * lower with la < 0 < ua eliminates var
             coeffs = tuple(ua * l - la * u for l, u in zip(lc, uc))
-            rhs = ua * lr - la * ur
-            passthrough.append((coeffs, rhs, ls or us))
+            passthrough.append((coeffs, ua * lr - la * ur))
     return _clean(passthrough)
 
 
-def _choose_var(ineqs: list[Inequality], remaining: list[int]) -> int:
+def _choose_var(ineqs: list[Constraint], remaining: list[int]) -> int:
     """Variable whose elimination creates the fewest product rows."""
     best, best_cost = remaining[-1], None
     for v in remaining:
-        lo = sum(1 for c, _, _ in ineqs if c[v] < 0)
-        hi = sum(1 for c, _, _ in ineqs if c[v] > 0)
+        lo = sum(1 for c, _ in ineqs if c[v] < 0)
+        hi = sum(1 for c, _ in ineqs if c[v] > 0)
         cost = lo * hi - lo - hi
         if best_cost is None or cost < best_cost:
             best, best_cost = v, cost
     return best
 
 
-def _feasible_ineqs(dim: int, ineqs: list[Inequality]) -> tuple[list[int], int, int] | None:
+def _feasible_ineqs(dim: int, ineqs: list[Constraint]) -> tuple[list[int], int, int] | None:
     """Fourier-Motzkin feasibility with a relative-interior sample.
 
     Returns the sample as integer numerators over one positive common
     denominator, and the number of back-substitution intervals that are
     not a single point; None when the system is infeasible.
+    Back-substitution puts each variable inside its interval over the
+    variables already fixed: at the interval's one point when the
+    interval is a single point, at the midpoint of a bounded interval, a
+    step of 1 off the bound of a ray, and at 1 when nothing bounds it.
     """
     try:
-        stages: list[tuple[int, list[Inequality]]] = []
+        stages: list[tuple[int, list[Constraint]]] = []
         current = _clean(list(ineqs))
         remaining = list(range(dim))
         while remaining:
@@ -120,7 +122,7 @@ def _feasible_ineqs(dim: int, ineqs: list[Inequality]) -> tuple[list[int], int, 
     for var, constraints in reversed(stages):
         lo: tuple[int, int] | None = None
         hi: tuple[int, int] | None = None
-        for coeffs, rhs, _ in constraints:
+        for coeffs, rhs in constraints:
             c = coeffs[var]
             if c == 0:
                 continue
@@ -155,14 +157,14 @@ def _feasible_ineqs(dim: int, ineqs: list[Inequality]) -> tuple[list[int], int, 
     return nums, den, free
 
 
-def _sample(
+def polyhedron_dimension(
     dim: int,
-    equalities: Sequence[Equality],
-    inequalities: Sequence[Inequality],
-) -> tuple[tuple[Fraction, ...], int] | None:
-    """The sample of ``feasible_point`` and the number of its intervals
-    that are not a single point, which is the dimension when every row is
-    weak (``polyhedron_dimension``).
+    equalities: Sequence[Constraint],
+    inequalities: Sequence[Constraint],
+) -> tuple[int, tuple[Fraction, ...] | None]:
+    """Dimension of P = {x : equalities, inequalities} and a point in its
+    relative interior, read off one Fourier-Motzkin run.  Returns
+    (-1, None) when P is empty.
 
     One elimination of the augmented equalities gives, through
     ``rational._solution``, x = (x0 + sum of s_f k_f) / d over the free
@@ -171,59 +173,6 @@ def _sample(
     an integer row in s, and one Fourier-Motzkin run over those rows gives
     s.  The map from s to x is affine and one-to-one, so it keeps the
     dimension and the relative interior.
-    """
-    m, pivots, d, _ = _echelon([(*row, rhs) for row, rhs in equalities], dim + 1)
-    if pivots and pivots[-1] == dim:
-        return None
-    x0, kernel = _solution(m, pivots, d, dim)
-    reduced: list[Inequality] = []
-    for coeffs, rhs, strict in inequalities:
-        reduced.append(
-            (
-                tuple(sum(map(mul, coeffs, k)) for k in kernel),
-                d * rhs - sum(map(mul, coeffs, x0)),
-                strict,
-            )
-        )
-    run = _feasible_ineqs(len(kernel), reduced)
-    if run is None:
-        return None
-    nums, den, free = run
-    # x = (x0 + sum of (nums_f / den) k_f) / d
-    point = tuple(
-        Fraction(x0[j] * den + sum(s * k[j] for s, k in zip(nums, kernel)), den * d)
-        for j in range(dim)
-    )
-    return point, free
-
-
-def feasible_point(
-    dim: int,
-    equalities: Sequence[Equality],
-    inequalities: Sequence[Inequality],
-) -> tuple[Fraction, ...] | None:
-    """An exact solution of the mixed system, or None if infeasible.
-
-    Back-substitution puts each variable inside its interval over the
-    variables already fixed: at the interval's one point when the
-    interval is a single point, at the midpoint of a bounded interval, a
-    step of 1 off the bound of a ray, and at 1 when nothing bounds it.
-    Fourier-Motzkin keeps strict rows strict, so a nonempty interval is a
-    single point only between two weak bounds; every other pick lies
-    strictly inside, and so satisfies strict and weak rows alike.
-    """
-    run = _sample(dim, equalities, inequalities)
-    return None if run is None else run[0]
-
-
-def polyhedron_dimension(
-    dim: int,
-    equalities: Sequence[Equality],
-    inequalities: Sequence[Inequality],
-) -> tuple[int, tuple[Fraction, ...] | None]:
-    """Dimension of P = {x : equalities, weak inequalities} and a point in
-    its relative interior, read off one Fourier-Motzkin run over the
-    inequalities made weak.  Returns (-1, None) when P is empty.
 
     Why the run gives both (Schrijver §12.2; Rockafellar, *Convex
     Analysis*, 1970, Thm 6.8 and Cor. 6.5.1):
@@ -234,15 +183,39 @@ def polyhedron_dimension(
       interior of the fiber of Q_i over s.  Then (x, s) lies in the
       relative interior of Q_i, and dim Q_i = dim Q_{i+1} + dim(fiber).
     - Back-substitution picks such an x at every stage (see
-      ``feasible_point``), so the sample lies in the relative interior of
-      P, and dim P is the number of fibers that are not a single point.
+      ``_feasible_ineqs``), so the sample lies in the relative interior
+      of P, and dim P is the number of fibers that are not a single point.
     - A P of dimension 0 is one point, which the sample is.
     """
-    run = _sample(dim, equalities, [(c, r, False) for c, r, _ in inequalities])
+    m, pivots, d, _ = _echelon([(*row, rhs) for row, rhs in equalities], dim + 1)
+    if pivots and pivots[-1] == dim:
+        return -1, None
+    x0, kernel = _solution(m, pivots, d, dim)
+    reduced = [
+        (tuple(sum(map(mul, coeffs, k)) for k in kernel), d * rhs - sum(map(mul, coeffs, x0)))
+        for coeffs, rhs in inequalities
+    ]
+    run = _feasible_ineqs(len(kernel), reduced)
     if run is None:
         return -1, None
-    point, free = run
+    nums, den, free = run
+    # x = (x0 + sum of (nums_f / den) k_f) / d
+    point = tuple(
+        Fraction(x0[j] * den + sum(s * k[j] for s, k in zip(nums, kernel)), den * d)
+        for j in range(dim)
+    )
     return free, point
+
+
+def feasible_point(
+    dim: int,
+    equalities: Sequence[Constraint],
+    inequalities: Sequence[Constraint],
+) -> tuple[Fraction, ...] | None:
+    """A point in the relative interior of the polyhedron, or None if it
+    is empty: ``polyhedron_dimension(...)[1]``.  No package code calls
+    it; it stays because ``bench/tracing.py`` wraps it by name."""
+    return polyhedron_dimension(dim, equalities, inequalities)[1]
 
 
 def cone_nonzero_point(
@@ -261,6 +234,6 @@ def cone_nonzero_point(
     variable of the first fiber that is all of R to 1.
     """
     d, u = polyhedron_dimension(
-        dim, [(row, 0) for row in equalities], [(row, 0, False) for row in inequalities]
+        dim, [(row, 0) for row in equalities], [(row, 0) for row in inequalities]
     )
     return u if d > 0 else None

@@ -633,7 +633,7 @@ def _probe_cells(
     d, pivots, kernel = system.d, system.pivots, system.kernel
     x = [sum(map(mul, row, h_int)) for row in system.h_rows]
     facets = {
-        (a, b): (row, d * (h_int[b] - h_int[a]) - sum(map(mul, diffs, x)), False)
+        (a, b): (row, d * (h_int[b] - h_int[a]) - sum(map(mul, diffs, x)))
         for a, b, row, diffs in system.facets
     }
     verdicts = []
@@ -898,20 +898,24 @@ def intersect_via_vertices(
         row = [x - y for x, y in zip(at_int[i - 1], at_int[j - 1])]
         return primitive((*row, h_int[j - 1] - h_int[i - 1]))
 
+    # each pair i < j sharing a circuit support, once, in support order
+    pairs = dict.fromkeys(
+        pair for sup in OM.circuit_supports for pair in itertools.combinations(sup, 2)
+    )
+    ties = {pair: tie(*pair) for pair in pairs}
     planes: list[tuple[int, ...]] = []
     bit: dict[tuple[int, ...], int] = {}  # either sign of a plane -> its bit
-    for sup in OM.circuit_supports:
-        for i, j in itertools.combinations(sup, 2):
-            aug = tie(i, j)
-            if any(aug[:n]) and aug not in bit:
-                bit[aug] = bit[tuple(-x for x in aug)] = 1 << len(planes)
-                planes.append(aug)
+    for aug in ties.values():
+        if any(aug[:n]) and aug not in bit:
+            bit[aug] = bit[tuple(-x for x in aug)] = 1 << len(planes)
+            planes.append(aug)
 
     masks = set()
     for P, N in OM.sign_masks:
-        ties = [tie(i, j) for i in _elements(P) for j in _elements(N)]
-        if (0,) * (n + 1) not in ties:
-            masks.add(functools.reduce(or_, (bit[t] for t in ties if any(t[:n])), 0))
+        # tie(j, i) is -tie(i, j), which has the same bit and is 0 alike
+        pair_ties = [ties[min(i, j), max(i, j)] for i in _elements(P) for j in _elements(N)]
+        if (0,) * (n + 1) not in pair_ties:
+            masks.add(functools.reduce(or_, (bit[t] for t in pair_ties if any(t[:n])), 0))
 
     found: set[tuple[Fraction, ...]] = set()
     seen: set[tuple[tuple[int, ...], int]] = set()

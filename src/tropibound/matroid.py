@@ -130,22 +130,16 @@ class OrientedMatroid:
         raise AttributeError("OrientedMatroid is immutable")
 
     @property
-    def ground_set(self) -> range:
-        return range(1, self.ground_size + 1)
-
-    def rank_of(self, subset: Iterable[int]) -> int:
-        """Matroid rank of a subset, by greedy extension of independent sets."""
-        chosen = 0
-        for e in sorted(set(subset)):
-            trial = chosen | 1 << (e - 1)
-            if all(c & ~trial for c in self._masks):
-                chosen = trial
-        return chosen.bit_count()
-
-    @property
     def rank(self) -> int:
+        """Matroid rank of the ground set, by greedy extension of an
+        independent set: an element joins unless it closes a circuit."""
         if self._rank is None:
-            object.__setattr__(self, "_rank", self.rank_of(self.ground_set))
+            chosen = 0
+            for e in range(self.ground_size):
+                trial = chosen | 1 << e
+                if all(c & ~trial for c in self._masks):
+                    chosen = trial
+            object.__setattr__(self, "_rank", chosen.bit_count())
         return self._rank
 
     @property

@@ -1,5 +1,6 @@
-"""Reference geometry of a fine fan cone, and reference predicates on
-weight vectors, for the tests.
+"""Reference geometry of a fine fan cone, reference predicates on
+weight vectors, and a reference Fourier-Motzkin elimination, for the
+tests.
 
 A cone is the tuple of its chain's flats: the nonnegative span of the
 flats' indicator vectors plus the all-ones lineality line, on the ground
@@ -8,12 +9,11 @@ set {1..ground_size}.
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from tropibound._polyhedra import feasible_point
 from tropibound.bergman import _coerce
 from tropibound.matroid import Flat
-from tropibound.rational import RationalMatrix, rank
 
 
 def generators(chain, ground_size: int) -> tuple[tuple[int, ...], ...]:
@@ -139,7 +139,8 @@ def reference_probe_cells(
     (w + h)_a = (w + h)_b as equalities and its ordering facets
     (w + h)_a <= (w + h)_b as inequalities, times H, go to
     ``reference_dimension`` over all n coordinates of v.  Ties that fail
-    at h leave every piece empty.  The reference for
+    at h leave every piece empty, so they are solved once first.  The
+    reference for
     ``intersection._probe_cells``, which probes in the free coordinates
     of the ties' solutions with ``_polyhedra.polyhedron_dimension``.
     """
@@ -149,10 +150,13 @@ def reference_probe_cells(
         return tuple(H * (x - y) for x, y in zip(at_int[a], at_int[b])), h_int[b] - h_int[a]
 
     eqs = [tie(block[0] - 1, e - 1) for cells in groups for block in cells[0] for e in block[1:]]
+    combos = list(itertools.product(*groups))
+    if _solve_equalities(n, eqs) is None:
+        return [(-1, None)] * len(combos)
     verdicts = []
-    for combo in itertools.product(*groups):
+    for combo in combos:
         ineqs = [
-            (*tie(lower[0] - 1, upper[0] - 1), False)
+            tie(lower[0] - 1, upper[0] - 1)
             for cell in combo
             for upper, lower in zip(cell, cell[1:])
         ]
@@ -161,33 +165,195 @@ def reference_probe_cells(
     return verdicts
 
 
-def reference_dimension(dim: int, equalities, inequalities) -> tuple[int, tuple | None]:
-    """Dimension of {x : equalities, weak inequalities} and a point in its
-    relative interior, or (-1, None) when empty, by implicit equalities:
-    the reference for ``_polyhedra.polyhedron_dimension``, which reads
-    both off one elimination.
+# An exact Fourier-Motzkin elimination that keeps strict rows, the
+# reference for ``_polyhedra``, with which it shares no code: the
+# equalities go through its own Gauss-Jordan elimination over Fractions,
+# the inequalities are scaled to primitive integer rows, and the sample
+# is back-substituted in Fractions.  An equality is (coeffs, rhs) and an
+# inequality (coeffs, rhs, strict), meaning coeffs . x <= rhs, or < if
+# strict; entries are ints or Fractions.
 
-    Each inequality is probed once, strictly, with ``feasible_point``; a
-    row that cannot hold strictly is implicit (tight on the whole
-    polyhedron) and joins the equalities.  One pass suffices, since
-    folding an implicit row into the equalities leaves the polyhedron,
-    and so every other verdict, unchanged.  The dimension is dim less the
-    rank of the equalities, and a point with every other row strict lies
-    in the relative interior.  Only the feasibility verdicts of
-    ``feasible_point`` are used, never the dimension it counts.
-    """
-    eqs = list(equalities)
-    ineqs = [(c, r, False) for c, r, _ in inequalities]
-    if feasible_point(dim, eqs, ineqs) is None:
-        return -1, None
-    still = []
-    for i, (coeffs, rhs, _) in enumerate(ineqs):
-        if feasible_point(dim, eqs, still + ineqs[i + 1 :] + [(coeffs, rhs, True)]) is None:
-            eqs.append((coeffs, rhs))
+
+def _normalize(coeffs, rhs):
+    den = lcm(*(c.denominator for c in (*coeffs, rhs)))
+    ints = [int(c * den) for c in (*coeffs, rhs)]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [x // g for x in ints]
+    return tuple(ints[:-1]), ints[-1]
+
+
+def _clean(ineqs):
+    seen = {}
+    for coeffs, rhs, strict in ineqs:
+        if all(c == 0 for c in coeffs):
+            if rhs < 0 or (strict and rhs == 0):
+                raise ValueError("infeasible")
+            continue
+        key = _normalize(coeffs, rhs)
+        seen[key] = seen.get(key, False) or strict
+    return [(row, rhs, strict) for (row, rhs), strict in seen.items()]
+
+
+def _eliminate(ineqs, var):
+    lowers, uppers, passthrough = [], [], []
+    for coeffs, rhs, strict in ineqs:
+        c = coeffs[var]
+        if c == 0:
+            passthrough.append((coeffs, rhs, strict))
         else:
-            still.append((coeffs, rhs, False))
-    if eqs:
-        dim_left = dim - rank(RationalMatrix(len(eqs), dim, [c for row, _ in eqs for c in row]))
-    else:
-        dim_left = dim
-    return dim_left, feasible_point(dim, eqs, [(c, r, True) for c, r, _ in still])
+            (uppers if c > 0 else lowers).append((coeffs, rhs, strict, c))
+    for lc, lr, ls, la in lowers:
+        for uc, ur, us, ua in uppers:
+            coeffs = tuple(ua * l - la * u for l, u in zip(lc, uc))
+            passthrough.append((coeffs, ua * lr - la * ur, ls or us))
+    return _clean(passthrough)
+
+
+def _choose_var(ineqs, remaining):
+    best, best_cost = remaining[-1], None
+    for v in remaining:
+        lo = sum(1 for c, _, _ in ineqs if c[v] < 0)
+        hi = sum(1 for c, _, _ in ineqs if c[v] > 0)
+        cost = lo * hi - lo - hi
+        if best_cost is None or cost < best_cost:
+            best, best_cost = v, cost
+    return best
+
+
+def _feasible_ineqs(dim, ineqs):
+    """A sample of the inequalities, back-substituted at the midpoint of
+    each bounded interval, a step of 1 off the bound of a ray and at 1
+    when nothing bounds the variable; None when infeasible."""
+    try:
+        stages = []
+        current = _clean(list(ineqs))
+        remaining = list(range(dim))
+        while remaining:
+            var = _choose_var(current, remaining)
+            stages.append((var, current))
+            current = _eliminate(current, var)
+            remaining.remove(var)
+    except ValueError:
+        return None
+    sample = [Fraction(0)] * dim
+    for var, constraints in reversed(stages):
+        lo = hi = None
+        for coeffs, rhs, _ in constraints:
+            c = coeffs[var]
+            if c == 0:
+                continue
+            rest = sum((coeffs[j] * sample[j] for j in range(dim) if j != var), Fraction(0))
+            bound = (rhs - rest) / c
+            if c > 0:
+                hi = bound if hi is None else min(hi, bound)
+            else:
+                lo = bound if lo is None else max(lo, bound)
+        if lo is None and hi is None:
+            value = Fraction(1)
+        elif lo is None:
+            value = hi - 1
+        elif hi is None:
+            value = lo + 1
+        else:
+            value = (lo + hi) / 2
+        sample[var] = value
+    return tuple(sample)
+
+
+def _solve_equalities(dim, equalities):
+    """(x0, kernel) with {x : equalities} = {x0 + sum of s_i kernel[i]},
+    read off the reduced row echelon form: x0 zero off the pivot columns
+    and one kernel vector per free column f, 1 at f and zero at the other
+    free columns.  None when the equalities are inconsistent."""
+    rows = [[Fraction(c) for c in (*coeffs, rhs)] for coeffs, rhs in equalities]
+    pivots = []
+    for col in range(dim):
+        r = next((i for i in range(len(pivots), len(rows)) if rows[i][col]), None)
+        if r is None:
+            continue
+        k = len(pivots)
+        rows[k], rows[r] = rows[r], rows[k]
+        pivot = rows[k][col]
+        rows[k] = [x / pivot for x in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and row[col]:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[k])]
+        pivots.append(col)
+    if any(row[dim] for row in rows[len(pivots) :]):
+        return None
+    x0 = [Fraction(0)] * dim
+    for row, col in zip(rows, pivots):
+        x0[col] = row[dim]
+    kernel = []
+    for f in range(dim):
+        if f not in pivots:
+            k = [Fraction(int(j == f)) for j in range(dim)]
+            for row, col in zip(rows, pivots):
+                k[col] = -row[f]
+            kernel.append(k)
+    return x0, kernel
+
+
+def _over_solutions(dim, equalities, inequalities):
+    """The solutions x0 + sum of s_i kernel[i] of the equalities, and the
+    inequalities rewritten as rows in s; None when the equalities are
+    inconsistent."""
+    solved = _solve_equalities(dim, equalities)
+    if solved is None:
+        return None
+    x0, kernel = solved
+    rows = [
+        (
+            tuple(sum(a * x for a, x in zip(coeffs, k)) for k in kernel),
+            rhs - sum(a * x for a, x in zip(coeffs, x0)),
+            strict,
+        )
+        for coeffs, rhs, strict in inequalities
+    ]
+    return x0, kernel, rows
+
+
+def _lift(x0, kernel, s):
+    return tuple(x0[j] + sum(si * k[j] for si, k in zip(s, kernel)) for j in range(len(x0)))
+
+
+def reference_feasible_point(dim: int, equalities, inequalities) -> tuple | None:
+    """A point of {x : equalities, inequalities}, strict rows held
+    strictly, or None when there is none."""
+    solved = _over_solutions(dim, equalities, inequalities)
+    if solved is None:
+        return None
+    x0, kernel, rows = solved
+    s = _feasible_ineqs(len(kernel), rows)
+    return None if s is None else _lift(x0, kernel, s)
+
+
+def reference_dimension(dim: int, equalities, inequalities) -> tuple[int, tuple | None]:
+    """Dimension of {x : equalities, weak inequalities (coeffs, rhs)} and
+    a point in its relative interior, or (-1, None) when empty, by
+    implicit equalities: the reference for
+    ``_polyhedra.polyhedron_dimension``, which reads both off one
+    elimination.
+
+    The inequalities are rewritten over the solutions of the equalities,
+    and each is probed once, strictly, with the others weak; a row that
+    cannot hold strictly is implicit (tight on the whole polyhedron).
+    The dimension is the number of free columns left by the equalities
+    and the implicit rows, and a point with every other row strict lies
+    in the relative interior.
+    """
+    solved = _over_solutions(dim, equalities, [(c, r, False) for c, r in inequalities])
+    if solved is None:
+        return -1, None
+    x0, kernel, rows = solved
+    k = len(kernel)
+    if _feasible_ineqs(k, rows) is None:
+        return -1, None
+    implicit = [
+        _feasible_ineqs(k, rows[:i] + rows[i + 1 :] + [(c, r, True)]) is None
+        for i, (c, r, _) in enumerate(rows)
+    ]
+    tight = [(c, r) for (c, r, _), imp in zip(rows, implicit) if imp]
+    s = _feasible_ineqs(k, [(c, r, not imp) for (c, r, _), imp in zip(rows, implicit)])
+    return len(_solve_equalities(k, tight)[1]), _lift(x0, kernel, s)

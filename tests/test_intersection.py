@@ -1343,10 +1343,11 @@ def test_oracle_equivalence_random_instances():
 
 
 def test_pruned_oracle_matches_reference():
-    # the circuit-coverage prune cuts subtrees of the oracle's search, never
-    # planes, so it finds every point the unpruned reference finds; with
-    # integer h in [-2, 2] many pairs tie identically, and systems 388 and
-    # 715 of the second loop lose points unless such a circuit is exempt
+    # the circuit-driven branching drops a plane only from the branches
+    # after the one that takes it, never from the whole search, so it finds
+    # every point the unpruned reference finds; with integer h in [-2, 2]
+    # many pairs tie identically, and systems 388 and 715 of the second
+    # loop lose points unless such a circuit is exempt
     nonempty = 0
     rng = random.Random(2408)
     for i in range(1000):

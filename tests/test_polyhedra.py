@@ -1,15 +1,15 @@
 import random
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import lcm
 
-from fan_reference import reference_dimension
+from fan_reference import reference_dimension, reference_feasible_point
 from tropibound import _polyhedra
 from tropibound._polyhedra import (
     cone_nonzero_point,
     feasible_point,
     polyhedron_dimension,
 )
-from tropibound.rational import RationalMatrix, kernel_basis, rank, solve_affine
+from tropibound.rational import RationalMatrix, rank
 
 
 def eq(coeffs, rhs):
@@ -18,14 +18,20 @@ def eq(coeffs, rhs):
     return tuple(int(F(c) * den) for c in coeffs), int(F(rhs) * den)
 
 
-def ineq(coeffs, rhs, strict=False):
-    return (*eq(coeffs, rhs), strict)
+def ineq(coeffs, rhs):
+    """The weak row coeffs . x <= rhs, scaled as ``eq`` scales."""
+    return eq(coeffs, rhs)
+
+
+def strict(coeffs, rhs):
+    """The row coeffs . x < rhs, as the reference elimination takes it."""
+    return (*eq(coeffs, rhs), True)
 
 
 def tight_rows(point, ineqs):
     """Indices of the inequalities that hold with equality at point."""
     return {
-        i for i, (coeffs, rhs, _) in enumerate(ineqs) if sum(map(F.__mul__, point, coeffs)) == rhs
+        i for i, (coeffs, rhs) in enumerate(ineqs) if sum(map(F.__mul__, point, coeffs)) == rhs
     }
 
 
@@ -45,9 +51,10 @@ def satisfies(point, eqs, ineqs):
     for coeffs, rhs in eqs:
         if sum(c * x for c, x in zip(coeffs, point)) != rhs:
             return False
-    for coeffs, rhs, strict in ineqs:
+    # a row (coeffs, rhs) is weak and (coeffs, rhs, strict) may be strict
+    for coeffs, rhs, *flag in ineqs:
         lhs = sum(c * x for c, x in zip(coeffs, point))
-        if lhs > rhs or (strict and lhs == rhs):
+        if lhs > rhs or (any(flag) and lhs == rhs):
             return False
     return True
 
@@ -58,11 +65,11 @@ def test_triangle_feasible_and_full_dimensional():
     assert pt is not None and satisfies(pt, [], ineqs)
     dim, sample = polyhedron_dimension(2, [], ineqs)
     assert dim == 2
-    assert satisfies(sample, [], [(c, r, True) for c, r, _ in ineqs])
+    assert satisfies(sample, [], [(c, r, True) for c, r in ineqs])
 
 
 def test_strict_infeasible():
-    assert feasible_point(1, [], [ineq([1], 0, True), ineq([-1], 0, True)]) is None
+    assert reference_feasible_point(1, [], [strict([1], 0), strict([-1], 0)]) is None
 
 
 def test_weak_pinch_is_a_point():
@@ -73,10 +80,14 @@ def test_weak_pinch_is_a_point():
 
 
 def test_equalities_with_parameters():
-    # x + y + z = 3, x - y = 1, z >= 0 strictly
+    # x + y + z = 3, x - y = 1, z > 0 for the reference, and z >= 0,
+    # whose relative interior has z > 0, for the module
     eqs = [eq([1, 1, 1], 3), eq([1, -1, 0], 1)]
-    pt = feasible_point(3, eqs, [ineq([0, 0, -1], 0, True)])
+    pt = reference_feasible_point(3, eqs, [strict([0, 0, -1], 0)])
     assert pt is not None and satisfies(pt, eqs, [])
+    assert pt[2] > 0
+    dim, pt = polyhedron_dimension(3, eqs, [ineq([0, 0, -1], 0)])
+    assert dim == 1 and satisfies(pt, eqs, [])
     assert pt[2] > 0
 
 
@@ -114,13 +125,14 @@ def test_zero_dimensional_space():
 
 
 def slice_reference(dim, equalities, inequalities):
-    """The 2*dim slice probes alone, without the rank exit."""
+    """The 2*dim slice probes alone, without the rank exit, by the
+    reference elimination."""
     eqs = [(row, 0) for row in equalities]
     ineqs = [(row, 0, False) for row in inequalities]
     for i in range(dim):
         pin = tuple(int(j == i) for j in range(dim))
         for sign in (1, -1):
-            pt = feasible_point(dim, eqs + [(pin, sign)], ineqs)
+            pt = reference_feasible_point(dim, eqs + [(pin, sign)], ineqs)
             if pt is not None:
                 return pt
     return None
@@ -225,7 +237,7 @@ def test_dimension_ignores_variable_order_and_row_order():
         want = polyhedron_dimension(dim, eqs, ineqs)
         perm = rng.sample(range(dim), dim)
         p_eqs = [(tuple(c[j] for j in perm), r) for c, r in eqs]
-        p_ineqs = [(tuple(c[j] for j in perm), r, s) for c, r, s in ineqs]
+        p_ineqs = [(tuple(c[j] for j in perm), r) for c, r in ineqs]
         p_ineqs += rng.choices(p_ineqs, k=rng.randint(0, 3))
         rng.shuffle(p_ineqs)
         got = polyhedron_dimension(dim, p_eqs, p_ineqs)
@@ -264,143 +276,14 @@ def test_one_elimination_per_dimension_and_cone_probe(monkeypatch):
 
 def test_dimension_of_the_zero_dimensional_space():
     assert polyhedron_dimension(0, [], []) == (0, ())
-    assert polyhedron_dimension(0, [], [((), -1, False)]) == (-1, None)
-
-
-# The Fraction implementation the integer one replaced, kept as a
-# reference: rows are scaled to primitive integer rows of Fractions,
-# equalities go through solve_affine and the sample is back-substituted
-# in Fractions.
-
-
-def _ref_normalize(coeffs, rhs):
-    den = lcm(*(c.denominator for c in (*coeffs, rhs)))
-    ints = [int(c * den) for c in (*coeffs, rhs)]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(F(x) for x in ints[:-1]), F(ints[-1])
-
-
-def _ref_clean(ineqs):
-    seen = {}
-    for coeffs, rhs, strict in ineqs:
-        if all(c == 0 for c in coeffs):
-            if rhs < 0 or (strict and rhs == 0):
-                raise ValueError("infeasible")
-            continue
-        key = _ref_normalize(coeffs, rhs)
-        seen[key] = seen.get(key, False) or strict
-    return [(row, rhs, strict) for (row, rhs), strict in seen.items()]
-
-
-def _ref_eliminate(ineqs, var):
-    lowers, uppers, passthrough = [], [], []
-    for coeffs, rhs, strict in ineqs:
-        c = coeffs[var]
-        if c == 0:
-            passthrough.append((coeffs, rhs, strict))
-        else:
-            (uppers if c > 0 else lowers).append((coeffs, rhs, strict, c))
-    for lc, lr, ls, la in lowers:
-        for uc, ur, us, ua in uppers:
-            coeffs = tuple(ua * l - la * u for l, u in zip(lc, uc))
-            passthrough.append((coeffs, ua * lr - la * ur, ls or us))
-    return _ref_clean(passthrough)
-
-
-def _ref_choose_var(ineqs, remaining):
-    best, best_cost = remaining[-1], None
-    for v in remaining:
-        lo = sum(1 for c, _, _ in ineqs if c[v] < 0)
-        hi = sum(1 for c, _, _ in ineqs if c[v] > 0)
-        cost = lo * hi - lo - hi
-        if best_cost is None or cost < best_cost:
-            best, best_cost = v, cost
-    return best
-
-
-def _ref_feasible_ineqs(dim, ineqs):
-    try:
-        stages = []
-        current = _ref_clean(list(ineqs))
-        remaining = list(range(dim))
-        while remaining:
-            var = _ref_choose_var(current, remaining)
-            stages.append((var, current))
-            current = _ref_eliminate(current, var)
-            remaining.remove(var)
-    except ValueError:
-        return None
-    sample = [F(0)] * dim
-    for var, constraints in reversed(stages):
-        lo = hi = None
-        for coeffs, rhs, _ in constraints:
-            c = coeffs[var]
-            if c == 0:
-                continue
-            rest = sum((coeffs[j] * sample[j] for j in range(dim) if j != var), F(0))
-            bound = (rhs - rest) / c
-            if c > 0:
-                hi = bound if hi is None else min(hi, bound)
-            else:
-                lo = bound if lo is None else max(lo, bound)
-        if lo is None and hi is None:
-            value = F(1)
-        elif lo is None:
-            value = hi - 1
-        elif hi is None:
-            value = lo + 1
-        else:
-            value = (lo + hi) / 2
-        sample[var] = value
-    return tuple(sample)
-
-
-def _ref_feasible_point(dim, equalities, inequalities):
-    if equalities:
-        M = RationalMatrix(len(equalities), dim, [c for row, _ in equalities for c in row])
-        sol = solve_affine(M, [rhs for _, rhs in equalities])
-        if sol is None:
-            return None
-        x0, K = sol
-    else:
-        x0, K = tuple(F(0) for _ in range(dim)), RationalMatrix.identity(dim)
-    reduced = [
-        (
-            tuple(sum(a * k for a, k in zip(coeffs, K.row(i))) for i in range(K.rows)),
-            rhs - sum(a * x for a, x in zip(coeffs, x0)),
-            strict,
-        )
-        for coeffs, rhs, strict in inequalities
-    ]
-    s = _ref_feasible_ineqs(K.rows, reduced)
-    if s is None:
-        return None
-    return tuple(x0[j] + sum(s[i] * K[i, j] for i in range(K.rows)) for j in range(dim))
-
-
-def _ref_dimension(dim, equalities, inequalities):
-    eqs = list(equalities)
-    ineqs = [(c, r, False) for c, r, _ in inequalities]
-    if _ref_feasible_point(dim, eqs, ineqs) is None:
-        return -1, None
-    still = []
-    for i, (coeffs, rhs, _) in enumerate(ineqs):
-        if _ref_feasible_point(dim, eqs, still + ineqs[i + 1 :] + [(coeffs, rhs, True)]) is None:
-            eqs.append((coeffs, rhs))
-        else:
-            still.append((coeffs, rhs, False))
-    M = RationalMatrix(len(eqs), dim, [c for row, _ in eqs for c in row]) if eqs else None
-    d = kernel_basis(M).rows if eqs else dim
-    return d, _ref_feasible_point(dim, eqs, [(c, r, True) for c, r, _ in still])
+    assert polyhedron_dimension(0, [], [((), -1)]) == (-1, None)
 
 
 def test_integer_rows_give_exact_fraction_points():
     # with one free direction left after the equalities, every bound of the
     # back-substitution comes from a row with no other variable: the sample
-    # must stay exact, satisfy the input, and agree with the Fraction
-    # implementation on the verdict, the dimension and the point itself
+    # must stay exact, satisfy the input, and agree with the reference
+    # elimination on the verdict, the dimension and the point itself
     rng = random.Random(4242)
     feasible = empty = 0
     for _ in range(300):
@@ -419,14 +302,15 @@ def test_integer_rows_give_exact_fraction_points():
             (
                 tuple(F(rng.randint(-3, 3)) for _ in range(dim)),
                 F(rng.randint(-6, 6), rng.randint(1, 4)),
-                rng.random() < 0.5,
             )
             for _ in range(rng.randint(1, 5))
         ]
         eqs = [eq(c, r) for c, r in ref_eqs]
-        ineqs = [ineq(c, r, strict) for c, r, strict in ref_ineqs]
+        ineqs = [ineq(c, r) for c, r in ref_ineqs]
         pt = feasible_point(dim, eqs, ineqs)
-        assert pt == _ref_feasible_point(dim, ref_eqs, ref_ineqs)
+        assert pt == reference_feasible_point(
+            dim, ref_eqs, [(c, r, False) for c, r in ref_ineqs]
+        )
         if pt is None:
             empty += 1
         else:
@@ -434,6 +318,6 @@ def test_integer_rows_give_exact_fraction_points():
             assert all(type(x) is F for x in pt)
             assert satisfies(pt, eqs, ineqs)
         got = polyhedron_dimension(dim, eqs, ineqs)
-        assert_matches_reference(got, _ref_dimension(dim, ref_eqs, ref_ineqs), ineqs)
+        assert_matches_reference(got, reference_dimension(dim, ref_eqs, ref_ineqs), ineqs)
         assert got[1] is None or all(type(x) is F for x in got[1])
     assert feasible > 100 and empty > 50

@@ -355,6 +355,24 @@ def test_only_rational_turns_rationals_into_integers():
     assert offences == []
 
 
+def test_references_import_nothing_from_polyhedra():
+    # the references of tests/*_reference.py check _polyhedra, so none of
+    # them may share its code
+    offences = []
+    references = sorted(PACKAGE.parents[1].joinpath("tests").glob("*_reference.py"))
+    for path in references:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[:2] == ["tropibound", "_polyhedra"] for name in names):
+                offences.append(f"{path.name}:{node.lineno} imports tropibound._polyhedra")
+    assert references and offences == []
+
+
 def test_only_the_cli_writer_serializes_json():
     # documents reach their bytes through cli.write_json alone, which
     # stands on json.JSONEncoder: no other module may use that class

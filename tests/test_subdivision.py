@@ -1,11 +1,10 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 import pytest
+from fan_reference import reference_feasible_point
 
-from tropibound import _polyhedra
 from tropibound.matroid import realize_from_kernel
 from tropibound.rational import RationalMatrix, det, rank, solve_affine, vector
 from tropibound.subdivision import (
@@ -21,17 +20,11 @@ from tropibound.subdivision import (
 H_RUN = [0, 0, 0, 0, -1]
 
 
-def integer_row(coeffs, rhs):
-    """coeffs . x = rhs scaled to the integer row `_polyhedra` takes."""
-    den = lcm(*(x.denominator for x in (*coeffs, rhs)))
-    return tuple(int(x * den) for x in coeffs), int(rhs * den)
-
-
 def brute_force_full_cells(A: RationalMatrix, h) -> set[tuple[int, ...]]:
     """Independent oracle: S is a cell iff some v achieves equality of the
     lifted product on S and strict inequality off S; full-dimensional iff
-    the S columns affinely span.  Feasibility decided by exact
-    Fourier-Motzkin on (v, c)."""
+    the S columns affinely span.  Feasibility decided by the exact
+    reference Fourier-Motzkin elimination on (v, c)."""
     n, r = A.rows, A.cols
     hh = vector(h)
     cols = [A.column(j) for j in range(r)]
@@ -42,15 +35,13 @@ def brute_force_full_cells(A: RationalMatrix, h) -> set[tuple[int, ...]]:
             if rank(homog) != n + 1:
                 continue
             # unknowns (v, c): on S equality alpha_j . v + h_j = c, off S strict >
-            eqs = [
-                integer_row((*cols[j - 1], Fraction(-1)), -hh[j - 1]) for j in S
-            ]
+            eqs = [((*cols[j - 1], -1), -hh[j - 1]) for j in S]
             ineqs = [
-                (*integer_row((*(-x for x in cols[j - 1]), Fraction(1)), hh[j - 1]), True)
+                ((*(-x for x in cols[j - 1]), 1), hh[j - 1], True)
                 for j in range(1, r + 1)
                 if j not in S
             ]
-            if _polyhedra.feasible_point(n + 1, eqs, ineqs) is not None:
+            if reference_feasible_point(n + 1, eqs, ineqs) is not None:
                 out.add(S)
     return out
 
