@@ -66,6 +66,8 @@ def _matrix(rows, path: str) -> RationalMatrix:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise CliInputError(f"{path}: expected a non-empty list of rows")
     width = len(rows[0])
+    if not width:
+        raise CliInputError(f"{path}[0]: expected a row with at least one entry")
     parsed = []
     for i, row in enumerate(rows):
         if len(row) != width:

@@ -4,7 +4,8 @@ intersected with the row span of an integer exponent matrix.
 Two structurally different complete enumerations are provided: the primary
 one solves the tie systems of the distinct block partitions of the
 positive cells (componentwise, since circuits never straddle connected
-components), one elimination per set of pivot ties, listing the cells
+components), one elimination per set of pivot ties, full rank or not,
+which gives the solutions and their free coordinates, listing the cells
 themselves only where an underdetermined system's ties hold; the oracle
 enumerates vertices of the tie-hyperplane arrangement, one circuit at a
 time.
@@ -36,7 +37,6 @@ from tropibound.matroid import (
 from tropibound.rational import (
     RationalMatrix,
     _echelon,
-    _solution,
     integer_columns,
     integer_multiple,
     primitive,
@@ -384,56 +384,27 @@ def _fine_cells(above: dict[int, tuple[int, ...]], partition: _Cell) -> tuple[_C
     return tuple(cells)
 
 
-def _tie_system(
-    at_int: Sequence[Sequence[int]], pairs: Iterable[tuple[int, int]], n: int
-) -> tuple[int, tuple, tuple, tuple]:
-    """Eliminate the ties (w + h)_a = (w + h)_b of 0-based element pairs
-    once, with h left symbolic.
-
-    The tie reads (A^T_a - A^T_b) . v = (e_b - e_a) . h, one row
-    (A^T_a - A^T_b | e_b - e_a), and ``_echelon`` pivots in the n
-    v-columns only.  Returns ``(d, v_rows, h_rows, check)``: the pivot
-    rows split into their v-part, d times the reduced echelon form, and
-    their h-part, then the h-parts of the other rows, whose v-parts are
-    zero.  So at an h with integer multiple (H, H h) the ties are
-    consistent iff every check row . (H h) is 0, and then they are
-    equivalent to the equalities (H v_row) . v = h_row . (H h).
-    """
-    rows = []
-    for a, b in pairs:
-        h_part = [0] * len(at_int)
-        h_part[a], h_part[b] = -1, 1
-        rows.append([x - y for x, y in zip(at_int[a], at_int[b])] + h_part)
-    m, pivots, d, _ = _echelon(rows, n)
-    solved, rest = m[: len(pivots)], m[len(pivots) :]
-    return (
-        d,
-        tuple(tuple(row[:n]) for row in solved),
-        tuple(tuple(row[n:]) for row in solved),
-        tuple(tuple(row[n:]) for row in rest),
-    )
-
-
 @dataclass(frozen=True)
 class _Underdetermined:
     """An underdetermined combination's ties, eliminated with h left
     symbolic, and, listed the first time they are read, its cells and
     their ordering facets in the coordinates of the ties' solution space.
 
-    With x_i = h_row_i . (H h), the ties hold at h iff every check row
-    . (H h) is 0, and then their solutions are
-    v = (x0 + sum of t_f k_f) / (d H) over t in R^k, where x0 is x_i at
-    pivot i and 0 elsewhere and the k_f form ``kernel`` (``_solution``).
-    The cells matter only at an h where the ties hold, so ``groups`` and
-    ``facets`` are memoized properties, computed by the first
-    ``_probe_cells`` that finds the ties holding; a scan over shifts
-    sharing the plan lists each entry's cells at most once.
+    d, ``h_rows`` and ``kernel`` are its pivot set's, shared by every
+    combination with those pivot ties (``_fan_plan``); ``check`` are its
+    own check rows.  With x_i = h_row_i . (H h), the ties hold at h iff
+    every check row . (H h) is 0, and then their solutions are
+    v = (x + sum of t_f l_f) / (d H) over t in R^k, where the k free
+    directions l_f form ``kernel``.  The cells matter only at an h where
+    the ties hold, so ``groups`` and ``facets`` are memoized properties,
+    computed by the first ``_probe_cells`` that finds the ties holding; a
+    scan over shifts sharing the plan lists each entry's cells at most
+    once.
     """
 
     d: int
-    pivots: tuple[int, ...]
-    kernel: tuple[tuple[int, ...], ...]
     h_rows: tuple
+    kernel: tuple[tuple[int, ...], ...]
     check: tuple
     at_int: tuple[tuple[int, ...], ...]
     # each component's block partition
@@ -449,18 +420,17 @@ class _Underdetermined:
     @functools.cached_property
     def facets(self) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
         """Each ordering facet of the cells, once per 0-based pair, as
-        (a, b, row, diffs).  The facet (w + h)_a <= (w + h)_b, times d H,
-        reads row . t <= d ((H h)_b - (H h)_a) - diffs . x, with row the
-        (A^T_a - A^T_b) . k_f and diffs the entries of A^T_a - A^T_b at
-        the pivots."""
+        (a, b, row, diff).  The facet (w + h)_a <= (w + h)_b, times d H,
+        reads row . t <= d ((H h)_b - (H h)_a) - diff . x, with diff the
+        difference A^T_a - A^T_b and row the diff . l_f."""
         facets = {}
         for cells in self.groups:
             for cell in cells:
                 for a, b in _ordering_pairs(cell):
                     if (a, b) not in facets:
-                        diff = [x - y for x, y in zip(self.at_int[a], self.at_int[b])]
-                        row = tuple(sum(map(mul, diff, k)) for k in self.kernel)
-                        facets[a, b] = (a, b, row, tuple(diff[i] for i in self.pivots))
+                        diff = tuple(x - y for x, y in zip(self.at_int[a], self.at_int[b]))
+                        row = tuple(sum(map(mul, diff, f)) for f in self.kernel)
+                        facets[a, b] = (a, b, row, diff)
         return tuple(facets.values())
 
 
@@ -471,25 +441,6 @@ def _ordering_pairs(cell: _Cell) -> list[tuple[int, int]]:
     return [(lower[0] - 1, upper[0] - 1) for upper, lower in zip(cell, cell[1:])]
 
 
-def _underdetermined(
-    at_int: tuple[tuple[int, ...], ...],
-    pairs: Sequence[tuple[int, int]],
-    n: int,
-    combo: tuple[_Cell, ...],
-    fine_cells: Callable[[int, _Cell], tuple[_Cell, ...]],
-) -> _Underdetermined:
-    """The plan entry of an underdetermined combination: its ties
-    eliminated once and their solutions read as a point plus the free
-    coordinates; its cells wait until they are read."""
-    d, v_rows, h_rows, check = _tie_system(at_int, pairs, n)
-    pivots = tuple(next(j for j, c in enumerate(row) if c) for row in v_rows)
-    # the kernel needs no right-hand side, so a zero column stands in for x
-    kernel = _solution([(*row, 0) for row in v_rows], pivots, d, n)[1]
-    return _Underdetermined(
-        d, pivots, tuple(map(tuple, kernel)), h_rows, check, at_int, combo, fine_cells
-    )
-
-
 class _FanPlan(NamedTuple):
     """Everything the fan walk needs that depends only on (OM, A)."""
 
@@ -497,9 +448,9 @@ class _FanPlan(NamedTuple):
     empty: tuple[int, ...] | None  # a component admitting no positive weight
     at_int: tuple[tuple[int, ...], ...]  # the rows of A^T
     # per distinct pivot tie set of the full-rank partition combinations,
-    # in order of first appearance: d and the h_rows of its
-    # ``_tie_system``, the distinct nonzero check rows of the other ties,
-    # per combination the bitmask of its check rows, fewest rows first
+    # in order of first appearance: its d and h_rows, the distinct nonzero
+    # check rows of the other ties, per combination the bitmask of its
+    # check rows, fewest rows first
     pivoted: tuple[tuple[int, tuple, tuple, tuple[int, ...]], ...]
     # per underdetermined combination, its ``_Underdetermined`` entry
     underdetermined: tuple[_Underdetermined, ...]
@@ -509,37 +460,52 @@ class _FanPlan(NamedTuple):
 def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
     """Validate (OM, A), find each component's block partitions, and
     eliminate the ties of the partition combinations, sharing one
-    elimination among the combinations with the same pivot ties.
+    elimination among the combinations with the same pivot ties,
+    whatever their rank.
 
     A is read through ``integer_columns``, so a non-integer A raises
     ValueError.  The ties of a combination tie each block's first element
     to each of its other elements, and are eliminated with h left
     symbolic: so a one-entry memo lets every shift of a scan over one
     matroid and one A share the plan; the result is immutable because
-    callers share it.
+    callers share it.  Tie (a, b) reads
+    (A^T_a - A^T_b) . v = (e_b - e_a) . h.
 
-    One ``_echelon`` of the n x k transposed differences A^T_a - A^T_b of
-    a combination's k pairs finds its first n pairs with independent
-    differences, its pivot ties, as ``first_independent_rows`` does.
-    When there are n, the ties have full rank and their solution depends
-    on the pivot ties alone: ``_tie_system`` of just those pairs, once
-    per distinct pivot set, gives d and the h_rows with
-    d H v_i = h_row_i . (H h).  Each other pair (a, b) then holds iff
-    its check row c = sum_i (A^T_a - A^T_b)_i h_row_i + d (e_a - e_b)
-    has c . (H h) = 0.  The echelon holds d times the reduced form (its
-    d is the pivot set's: both are |det| of the pivot differences).  Its
-    column of (a, b) writes A^T_a - A^T_b as sum_t lam_t / d times the
-    difference of pivot tie t = (a_t, b_t), and pivot t reads
-    sum_i (A^T_a_t - A^T_b_t)_i h_row_i = d (e_b_t - e_a_t); so
-    c = sum_t lam_t (e_b_t - e_a_t) + d (e_a - e_b), read off without a
-    product.  The nonzero check rows are kept once per pivot set, and
-    each combination becomes the bitmask of its own, kept with the
-    masks of fewer rows first; so a pivot set is consistent at h iff some
-    mask has no check row that fails there (``_consistent``).  A
-    combination of rank below n keeps its full ``_tie_system``, read as
-    the free coordinates of its solutions (``_underdetermined``).  Its
-    positive cells, and their ordering facets reduced onto those
-    coordinates, are listed only when a walk first finds its ties
+    One ``_echelon`` of the n x k differences A^T_a - A^T_b of a
+    combination's k pairs, one column per pair, finds its pivot ties: the
+    first rho <= n pairs with independent differences, as
+    ``first_independent_rows`` does.  Each new pivot set gets one more
+    ``_echelon``, of [P | I_n] with P the n x rho pivot differences; the
+    identity columns record its row operations as L.  Rows t < rho have
+    L_t P = d e_t, so with h_row_i = sum_t L[t][i] (e_b_t - e_a_t) over
+    the pivot ties t = (a_t, b_t), v_i = h_row_i . h / d solves them:
+    d H v_i = h_row_i . (H h).  Rows rho to n - 1 have L_f P = 0, and L
+    is invertible, so they are n - rho independent free directions l_f,
+    and the solutions are v = (x + sum of t_f l_f) / (d H) with
+    x_i = h_row_i . (H h).  At full rank there are none and L = d P^-1.
+
+    Why one entry per pivot set is sound: ``_echelon`` does row
+    operations only at pivot columns, and a column that depends on
+    earlier ones is already zero below the pivot rows, so it starts
+    none.  The operations, and d, depend only on the pivot columns in
+    order, so a combination's echelon is L times its differences, with
+    the pivot set's d.  Its column of pair (a, b) is then
+    L (A^T_a - A^T_b): lam_t in rows t < rho and 0 below, so
+    A^T_a - A^T_b is sum_t lam_t / d times the difference of pivot tie t.
+    Where the pivot ties hold, (a, b) then holds iff its check row
+    c = sum_t lam_t (e_b_t - e_a_t) + d (e_a - e_b) has c . (H h) = 0.
+    The lam are read off the first rho rows only.  So every combination
+    with the same pivot ties shares L, d and each pair's check row, and
+    differs only in which pairs it has.
+
+    The nonzero check rows are kept once per pivot set.  A full-rank
+    combination becomes the bitmask of its own, kept with the masks of
+    fewer rows first; so a full-rank pivot set is consistent at h iff
+    some mask has no check row that fails there (``_consistent``).  A
+    combination of rank below n becomes an ``_Underdetermined`` entry:
+    its pivot set's d, h_rows and free directions, and its own check
+    rows.  Its positive cells, and their ordering facets reduced onto the
+    free coordinates, are listed only when a walk first finds its ties
     holding (``_Underdetermined.groups`` and ``.facets``), since only a
     consistent underdetermined system is probed cell by cell; one memo
     per plan lists each component partition's cells once, for every
@@ -551,8 +517,10 @@ def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
     components, empty = _cell_partitions(OM)
     cells = functools.cache(lambda i, partition: _fine_cells(components[i].above, partition))
     A_rows = tuple(zip(*at_int))
-    # pivot pairs -> (d, h_rows, pair -> bit of its check row, check rows, masks)
-    pivoted: dict[tuple, tuple[int, tuple, dict, list, set[int]]] = {}
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    # pivot pairs -> (d, h_rows, free directions, pair -> bit of its check
+    # row, check rows, full-rank masks)
+    pivoted: dict[tuple, tuple[int, tuple, tuple, dict, list, set[int]]] = {}
     underdetermined = []
     # an empty fan has no cells; product() of no factors would yield one
     if empty is None:
@@ -560,27 +528,40 @@ def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
             pairs = [(block[0] - 1, e - 1) for blocks in combo for block in blocks for e in block[1:]]
             diffs = [[Ai[a] - Ai[b] for a, b in pairs] for Ai in A_rows]
             m, independent = _echelon(diffs, len(pairs))[:2]
-            if len(independent) < n:
-                underdetermined.append(_underdetermined(at_int, pairs, n, combo, cells))
-                continue
             key = tuple(map(pairs.__getitem__, independent))
+            rank = len(key)
             if key not in pivoted:
-                d, _, h_rows, _ = _tie_system(at_int, key, n)
-                pivoted[key] = (d, h_rows, {}, [], set())
-            d, h_rows, bits, checks, masks = pivoted[key]
+                beside = [[row[j] for j in independent] + e for row, e in zip(diffs, identity)]
+                L, _, d, _ = _echelon(beside, rank)
+                h_rows = [[0] * A.cols for _ in range(n)]
+                for (a, b), Lt in zip(key, L):
+                    for h_row, x in zip(h_rows, Lt[rank:]):
+                        h_row[a], h_row[b] = h_row[a] - x, h_row[b] + x
+                free = tuple(tuple(row[rank:]) for row in L[rank:])
+                pivoted[key] = (d, tuple(map(tuple, h_rows)), free, {}, [], set())
+            d, h_rows, free, bits, checks, masks = pivoted[key]
             for j, pair in enumerate(pairs):
                 if pair not in bits:
                     # c = sum_t lam_t (e_b_t - e_a_t) + d (e_a - e_b) with
-                    # lam_t = m[t][j]: the pair itself enters with -d
+                    # lam_t = m[t][j] for t < rho: the pair itself enters with -d
                     c = [0] * A.cols
-                    for (a, b), lam in zip((*key, pair), [*(row[j] for row in m), -d]):
+                    lams = [row[j] for row in m[:rank]] + [-d]
+                    for (a, b), lam in zip((*key, pair), lams):
                         c[a], c[b] = c[a] - lam, c[b] + lam
                     bits[pair] = 1 << len(checks) if any(c) else 0
                     checks += [tuple(c)] if any(c) else []
-            masks.add(sum(map(bits.get, pairs)))
+            mask = sum(map(bits.get, pairs))
+            if rank == n:
+                masks.add(mask)
+            else:
+                check = tuple(c for i, c in enumerate(checks) if mask >> i & 1)
+                underdetermined.append(
+                    _Underdetermined(d, h_rows, free, check, at_int, combo, cells)
+                )
     pivot_sets = tuple(
         (d, h, tuple(c), tuple(sorted(m, key=lambda m: (m.bit_count(), m))))
-        for d, h, _, c, m in pivoted.values()
+        for key, (d, h, _, _, c, m) in pivoted.items()
+        if len(key) == n
     )
     return _FanPlan(diagnostics, empty, at_int, pivot_sets, tuple(underdetermined))
 
@@ -623,18 +604,18 @@ def _probe_cells(
 
     Each cell is probed by ``_polyhedra.polyhedron_dimension``, one
     Fourier-Motzkin run, in the k free coordinates t of the ties'
-    solutions, with the ordering facets of ``_Underdetermined`` as its
-    inequalities and no equalities: each facet's right-hand side is
-    found once per call.  A zero-dimensional
+    solutions v = (x + sum of t_f l_f) / (d H), with the ordering facets
+    of ``_Underdetermined`` as its inequalities and no equalities: each
+    facet's right-hand side is found once per call.  A zero-dimensional
     piece is one point, so its sample t maps back to the one v.
     """
     if any(sum(map(mul, row, h_int)) for row in system.check):
         return []
-    d, pivots, kernel = system.d, system.pivots, system.kernel
+    d, kernel = system.d, system.kernel
     x = [sum(map(mul, row, h_int)) for row in system.h_rows]
     facets = {
-        (a, b): (row, d * (h_int[b] - h_int[a]) - sum(map(mul, diffs, x)))
-        for a, b, row, diffs in system.facets
+        (a, b): (row, d * (h_int[b] - h_int[a]) - sum(map(mul, diff, x)))
+        for a, b, row, diff in system.facets
     }
     verdicts = []
     for combo in itertools.product(*system.groups):
@@ -642,10 +623,9 @@ def _probe_cells(
         dim, t = _polyhedra.polyhedron_dimension(len(kernel), [], ineqs)
         v = None
         if dim == 0:
-            x0 = dict(zip(pivots, x))
             v = tuple(
-                (x0.get(j, 0) + sum(s * k[j] for s, k in zip(t, kernel))) / (d * H)
-                for j in range(len(kernel[0]))
+                (xi + sum(s * f[i] for s, f in zip(t, kernel))) / (d * H)
+                for i, xi in enumerate(x)
             )
         verdicts.append((dim, v))
     return verdicts
@@ -689,21 +669,23 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
 
     The partitions are found, and the ties of the integer A eliminated
     with h left symbolic, once per (OM, A) in ``_fan_plan``; the systems
-    of full rank share one elimination per set of pivot ties.  Per call,
-    ``integer_multiple`` gives H and the ints H h, and the check rows are
-    evaluated at them, each at most once: a pivot set is consistent iff,
-    for some one of its combinations, each check row . (H h) is 0 (its
-    masks are walked until one holds), an underdetermined system iff all
-    of its own are, and then x_i = h_row_i . (H h).  A pivot set has the
-    unique solution v = x / (d H); its image A^T v + h is tested for
-    positive membership in integers, on the positive multiple
-    p = d H (A^T v + h), and Fractions are built only for accepted
-    points.  An underdetermined system's cells are probed in the k free
-    coordinates of its solutions (``_probe_cells``): the plan entry
-    lists the cells and reduces each ordering facet onto them the first
-    time its ties hold, so a call only finds each facet's
-    right-hand side and hands ``_polyhedra`` k variables and no
-    equalities.  A point a cell pins maps back to v and gets p from
+    share one elimination per set of pivot ties, full rank or not.  Per
+    call, ``integer_multiple`` gives H and the ints H h, and the check
+    rows are evaluated at them, each at most once: a full-rank pivot set
+    is consistent iff, for some one of its combinations, each check
+    row . (H h) is 0 (its masks are walked until one holds), an
+    underdetermined system iff all of its own are, and then
+    x_i = h_row_i . (H h).  A full-rank pivot set has the unique solution
+    v = x / (d H); its image A^T v + h is tested for positive membership
+    in integers, on the positive multiple p = d H (A^T v + h), and
+    Fractions are built only for accepted points.  An underdetermined
+    system's solutions are v = (x + sum of t_f l_f) / (d H), with its
+    pivot set's free directions l_f, and its cells are probed in those k
+    free coordinates t (``_probe_cells``): the plan entry lists the cells
+    and reduces each ordering facet onto them the first time its ties
+    hold, so a call only finds each facet's right-hand side and hands
+    ``_polyhedra`` k variables and no equalities.  A point a cell pins
+    maps back to v and gets p from
     ``integer_multiple`` of its image.  Each point's level flag and
     interiority are read off p: a positive multiple has the same level
     sets and the same argmins.

@@ -96,6 +96,20 @@ def test_parse_ragged_matrix(tmp_path):
         parse_input(path)
 
 
+def test_matrix_with_no_columns_exits_one(tmp_path, capsys):
+    # an empty row is refused at parse time, naming its path, instead of
+    # reaching circuits as a zero matrix or subdivision as 0 cells
+    cases = [
+        ("circuits", {"kind": "matrix", "matrix": [[]]}, "matrix[0]"),
+        ("subdivision", {"kind": "vertical_system", "C": [[]], "A": [[]], "h": []}, "C[0]"),
+    ]
+    for command, doc, where in cases:
+        assert main([command, write(tmp_path, "empty.json", doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {where}: expected a row with at least one entry\n"
+
+
 def test_parse_unknown_kind(tmp_path):
     path = write(tmp_path, "odd.json", {"kind": "polygon"})
     with pytest.raises(CliInputError, match="unknown kind"):

@@ -27,7 +27,6 @@ from tropibound.intersection import (
     _is_interior,
     _level_flag,
     _probe_cells,
-    _tie_system,
     intersect_via_fan,
     intersect_via_vertices,
     is_isolated,
@@ -198,15 +197,18 @@ def test_lower_bound_cross_check_passes(running_N, running_A):
 
 
 def test_tie_system_matches_solve_affine():
-    # the fan plan eliminates the ties of each block partition once, with h
-    # symbolic, and evaluates them at each H h; consistency, the particular
-    # solution and the kernel dimension must be those of solve_affine on the
-    # tie matrix, also when zero, repeated or dependent differences of A's
-    # columns make the ties dependent, and when fractional h makes H > 1
+    # the fan plan eliminates the pivot ties of each partition combination
+    # once per pivot set, full rank or not, with h symbolic, and evaluates
+    # the result at each H h; for every combination, its plan entry's
+    # consistency, its solution x / (d H) and its free directions must be
+    # those of solve_affine on the combination's full tie matrix, also
+    # when zero, repeated or dependent differences of A's columns make the
+    # ties dependent, and when fractional h makes H > 1
     rng = random.Random(1313)
-    short = consistent = inconsistent = scaled = 0
+    short = full = consistent = inconsistent = free = scaled = 0
     for _ in range(300):
-        r, n = rng.randint(2, 8), rng.randint(1, 5)
+        r = rng.randint(2, 8)
+        n = rng.randint(1, min(5, r))
         at_int = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
         if rng.random() < 0.3:
             at_int[rng.randrange(r)] = [0] * n
@@ -214,40 +216,80 @@ def test_tie_system_matches_solve_affine():
             at_int[rng.randrange(r)] = list(at_int[rng.randrange(r)])
         if r > 2 and rng.random() < 0.3:
             at_int[-1] = [2 * b - a for a, b in zip(at_int[0], at_int[1])]
-        label = [rng.randrange(rng.randint(1, r)) for _ in range(r)]
-        blocks = [[e for e in range(r) if label[e] == k] for k in sorted(set(label))]
-        pairs = [(block[0], e) for block in blocks for e in block[1:]]
-        if not pairs:
+        A = RationalMatrix.from_rows([list(col) for col in zip(*at_int)])
+        C = RationalMatrix.from_rows(
+            [[rng.randint(-2, 2) for _ in range(r)] for _ in range(rng.randint(1, 2))]
+        )
+        if C.is_zero() or rank(A) < n:
             continue
-        d, v_rows, h_rows, check = _tie_system(at_int, pairs, n)
-        M = [[x - y for x, y in zip(at_int[a], at_int[b])] for a, b in pairs]
-        short += len(v_rows) < len(pairs)
-        for _ in range(4):
-            den = rng.choice([1, 2, 3, 6])
-            if rng.random() < 0.5:
-                # w + h is constant on each block at this h
-                v0 = [Fraction(rng.randint(-5, 5), den) for _ in range(n)]
-                t = [Fraction(rng.randint(-4, 4), den) for _ in range(r)]
-                h = [t[label[e]] - sum(map(mul, at_int[e], v0)) for e in range(r)]
+        OM = realize_from_kernel(C)
+        components, empty = _cell_partitions(OM)
+        if empty is not None:
+            continue
+        combos = list(itertools.product(*(c.partitions for c in components)))
+        if len(combos) > 100:
+            continue
+        plan = _fan_plan(OM, A)
+        # each combination's entry: d, h_rows, free directions, and check
+        # rows with the one mask of them that must hold; pivot sets in
+        # order of first appearance
+        pivot_sets, underdetermined, entries = {}, iter(plan.underdetermined), []
+        for combo in combos:
+            pairs, rows = _combination_ties(combo, at_int)
+            key = _pivot_ties(pairs, rows, n)
+            if key is None:
+                system = next(underdetermined)
+                checks, mask = system.check, (1 << len(system.check)) - 1
+                entry = (system.d, system.h_rows, system.kernel, checks, mask)
             else:
-                h = [Fraction(rng.randint(-6, 6), den) for _ in range(r)]
-            H, h_int = integer_multiple(h)
-            scaled += H > 1
-            want = solve_affine(RationalMatrix.from_rows(M), [h[b] - h[a] for a, b in pairs])
-            ok = not any(sum(map(mul, row, h_int)) for row in check)
-            assert ok == (want is not None), (at_int, pairs, h)
-            if want is None:
-                inconsistent += 1
+                d, h_rows, checks, masks = plan.pivoted[pivot_sets.setdefault(key, len(pivot_sets))]
+                # each tie's check row is sum_i (A^T_a - A^T_b)_i h_row_i + d (e_a - e_b)
+                mask = 0
+                for (a, b), row in zip(pairs, rows):
+                    c = [sum(x * h_row[j] for x, h_row in zip(row, h_rows)) for j in range(r)]
+                    c[a], c[b] = c[a] + d, c[b] - d
+                    if any(c):
+                        mask |= 1 << checks.index(tuple(c))
+                assert mask in masks
+                entry = (d, h_rows, (), checks, mask)
+            entries.append((combo, pairs, rows, entry))
+        assert next(underdetermined, None) is None and len(pivot_sets) == len(plan.pivoted)
+        for combo, pairs, rows, entry in rng.sample(entries, min(8, len(entries))):
+            d, h_rows, kernel, checks, mask = entry
+            if not pairs:
                 continue
-            consistent += 1
-            v = [Fraction(0)] * n
-            for row, hr in zip(v_rows, h_rows):
-                pivot = next(j for j, c in enumerate(row) if c)
-                assert row[pivot] == d
-                v[pivot] = Fraction(sum(map(mul, hr, h_int)), d * H)
-            assert tuple(v) == want[0], (at_int, pairs, h)
-            assert n - len(v_rows) == want[1].rows
-    assert short > 60 and consistent > 600 and inconsistent > 100 and scaled > 500
+            label = {e - 1: k for k, block in enumerate(b for c in combo for b in c) for e in block}
+            short += bool(kernel)
+            full += not kernel
+            M = RationalMatrix.from_rows(rows)
+            for _ in range(4):
+                den = rng.choice([1, 2, 3, 6])
+                if rng.random() < 0.5:
+                    # w + h is constant on each block at this h
+                    v0 = [Fraction(rng.randint(-5, 5), den) for _ in range(n)]
+                    t = [Fraction(rng.randint(-4, 4), den) for _ in range(r)]
+                    h = [t[label[e]] - sum(map(mul, at_int[e], v0)) for e in range(r)]
+                else:
+                    h = [Fraction(rng.randint(-6, 6), den) for _ in range(r)]
+                H, h_int = integer_multiple(h)
+                scaled += H > 1
+                want = solve_affine(M, [h[b] - h[a] for a, b in pairs])
+                assert _consistent(checks, [mask], h_int) == (want is not None), (at_int, pairs, h)
+                if want is None:
+                    inconsistent += 1
+                    continue
+                consistent += 1
+                v = tuple(Fraction(sum(map(mul, row, h_int)), d * H) for row in h_rows)
+                assert M.apply(v) == tuple(h[b] - h[a] for a, b in pairs)
+                assert len(kernel) == want[1].rows
+                if kernel:
+                    free += 1
+                    assert not any(x for f in kernel for x in M.apply(f))
+                    assert rank(RationalMatrix.from_rows(kernel)) == len(kernel)
+                else:
+                    assert v == want[0], (at_int, pairs, h)
+    assert short > 350 and full > 200 and free > 1300
+    assert consistent > 2000 and inconsistent > 300 and scaled > 1800
 
 
 def test_pivot_sets_match_solve_affine():
@@ -326,23 +368,32 @@ def test_pivot_sets_match_solve_affine():
 
 def test_fan_plan_eliminates_once_per_pivot_set(monkeypatch):
     # 2,265 partition combinations of the one 3-positive, 5-negative
-    # circuit, of which 2,259 have full rank with 24 distinct pivot ties
+    # circuit: 2,259 of full rank with 24 distinct pivot ties, and 6 whose
+    # ties all vanish, which share the empty pivot set; each pivot set is
+    # eliminated once beside the identity
     import tropibound.intersection
+    from tropibound.rational import _echelon
 
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return _tie_system(*args)
+    def counted(rows, ncols):
+        rows = list(rows)
+        identity = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+        if [list(row[ncols:]) for row in rows] == identity:
+            calls.append(ncols)
+        return _echelon(rows, ncols)
 
-    monkeypatch.setattr(tropibound.intersection, "_tie_system", counted)
+    monkeypatch.setattr(tropibound.intersection, "_echelon", counted)
     _fan_plan.cache_clear()
     C = RationalMatrix.from_rows([[1, 2, 1, -1, -3, -1, -2, -1]])
     A = RationalMatrix.from_rows([[0, 1, 3, 2, -1, 1, 2, 0]])
     plan = _fan_plan(realize_from_kernel(C), A)
     _fan_plan.cache_clear()
     assert len(plan.pivoted) == 24 and len(plan.underdetermined) == 6
-    assert len(calls) == 30
+    assert sorted(calls) == [0] + [1] * 24
+    # the underdetermined combinations share the empty pivot set's entry
+    assert len({id(system.kernel) for system in plan.underdetermined}) == 1
+    assert plan.underdetermined[0].kernel == ((1,),)
 
 
 @functools.cache
@@ -902,6 +953,44 @@ def test_crn_underdetermined_ties_notes(hhk_model):
     # the vertex oracle finds these boundary-pinned points too
     oracle = intersect_via_vertices(tropical.matroid, vs.A, vs.h)
     assert oracle == {p.v for p in tropical.points}
+
+
+def test_pinned_points_survive_unimodular_coordinate_changes(hhk_model):
+    # at this shift 2 underdetermined hhk tie systems hold and 5 of their
+    # product cells are pinned to a point; A -> V A for a unimodular V,
+    # built from row operations, moves v to V^-T v and keeps w = A^T v, so
+    # the walk must list the same points with the same flags and verdicts,
+    # and the same notes
+    vs = assemble_crn(dataclasses.replace(hhk_model, h=(7, 8, 3, 3, -1, 8)))
+    OM = realize_from_kernel(vs.C)
+    h_int = integer_multiple(vector(vs.h))[1]
+    holding = [
+        system
+        for system in _fan_plan(OM, vs.A).underdetermined
+        if not any(sum(map(mul, row, h_int)) for row in system.check)
+    ]
+    base = intersect_via_fan(OM, vs.A, vs.h)
+    assert len(holding) == 2 and base.notes[0].startswith("5 underdetermined")
+
+    def summary(report):
+        points = sorted((p.w, p.supporting_flag, p.isolated, p.interior) for p in report.points)
+        return points, report.notes, report.transverse
+
+    n = vs.A.rows
+    for seed in range(5):
+        rng = random.Random(seed)
+        V = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            V[i] = [x + rng.choice([-2, -1, 1, 2]) * y for x, y in zip(V[i], V[j])]
+        i, j = rng.sample(range(n), 2)
+        V[i], V[j] = [-x for x in V[j]], V[i]
+        V = RationalMatrix.from_rows(V)
+        report = intersect_via_fan(OM, V.matmul(vs.A), vs.h)
+        assert summary(report) == summary(base), seed
+        assert sorted(V.transpose().apply(p.v) for p in report.points) == [
+            p.v for p in base.points
+        ]
 
 
 def test_free_matroid_report():

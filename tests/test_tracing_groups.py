@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -116,29 +117,25 @@ def test_traced_scan_reuses_eliminations(hhk_model):
 
 
 def test_traced_scan_eliminates_each_tie_system_once(hhk_model, monkeypatch):
-    # on the three draws above, the fan plan eliminates each tie system
-    # once, at the first draw, and reads the solutions of each
-    # underdetermined one off once; every cell probe then runs in the free
-    # coordinates of those solutions with no equalities, so no draw
-    # eliminates a system's ties again
+    # on the three draws above, every elimination of the fan plan runs at
+    # the first draw: one of the inputs, one per partition combination and
+    # one per pivot set, whose solutions and free directions it gives;
+    # every cell probe then runs in the free coordinates of those
+    # solutions with no equalities, so no draw eliminates a system's ties
+    # again
     from tropibound import _polyhedra, intersection, matroid, systems
 
     tracing = load_tracing()
     matroid.realize_from_kernel.cache_clear()
     intersection._fan_plan.cache_clear()
-    calls = {"_tie_system": 0, "_solution": 0}
+    calls = {"_echelon": 0}
+    real_echelon = intersection._echelon
 
-    def counted(name):
-        real = getattr(intersection, name)
+    def echelon(*args):
+        calls["_echelon"] += 1
+        return real_echelon(*args)
 
-        def count(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return count
-
-    for name in calls:
-        monkeypatch.setattr(intersection, name, counted(name))
+    monkeypatch.setattr(intersection, "_echelon", echelon)
     probes = []
     real_dimension = _polyhedra.polyhedron_dimension
 
@@ -158,13 +155,12 @@ def test_traced_scan_eliminates_each_tie_system_once(hhk_model, monkeypatch):
             after.append(dict(calls))
     finally:
         tracer.uninstall()
-    plan = intersection._fan_plan(matroid.realize_from_kernel(system.C), system.A)
-    underdetermined = len(plan.underdetermined)
-    assert after[0] == after[1] == after[2]
-    assert after[0] == {
-        "_tie_system": len(plan.pivoted) + underdetermined,
-        "_solution": underdetermined,
-    }
+    OM = matroid.realize_from_kernel(system.C)
+    plan = intersection._fan_plan(OM, system.A)
+    combinations = math.prod(len(c.partitions) for c in intersection._cell_partitions(OM)[0])
+    # hhk's 6 underdetermined combinations share 5 pivot sets
+    assert combinations == 240 and len(plan.pivoted) == 77 and len(plan.underdetermined) == 6
+    assert after[0] == after[1] == after[2] == {"_echelon": 1 + combinations + 77 + 5}
     assert len(probes) == tracer.per_layer(wall_s=1.0)["polyhedra.dimension_calls"] == 48
     # hhk's underdetermined ties leave 1 free coordinate of v's 6
     assert set(probes) == {(1, 0)}
