@@ -1,14 +1,13 @@
 """Exact dimension and relative-interior points of small rational polyhedra.
 
-Rows are integer and weak: ``(coeffs, rhs)`` means coeffs . x <= rhs as
-an inequality and coeffs . x = rhs as an equality.  Callers make their
+A polyhedron is {t : G t <= b}, given as integer weak inequalities:
+``(coeffs, rhs)`` means coeffs . t <= rhs.  There are no equalities;
+the fan walk hands over its cells in the free coordinates of their
+ties' solutions, where only ordering facets remain.  Callers make their
 rows integer with the helpers of ``rational``, so no Fraction is
 unpacked here.
 
-Each question is one run.  The equalities are eliminated once with
-``rational._echelon`` and their solutions read off with
-``rational._solution``; the inequalities, rewritten over the solution
-space, go through one Fourier-Motzkin elimination on integer rows: each
+Each question is one Fourier-Motzkin elimination on integer rows: each
 combination of two rows stays integer and is made
 ``rational.primitive``, so every row has one primitive form (Schrijver,
 *Theory of Linear and Integer Programming*, 1986, §12.2).
@@ -36,11 +35,11 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from tropibound.rational import _echelon, _solution, primitive
+from tropibound.rational import primitive
 
 Row = tuple[int, ...]
 
-# An inequality (coeffs, rhs) means coeffs.x <= rhs, an equality coeffs.x = rhs.
+# An inequality (coeffs, rhs) means coeffs . t <= rhs.
 Constraint = tuple[Row, int]
 
 
@@ -158,21 +157,11 @@ def _feasible_ineqs(dim: int, ineqs: list[Constraint]) -> tuple[list[int], int, 
 
 
 def polyhedron_dimension(
-    dim: int,
-    equalities: Sequence[Constraint],
-    inequalities: Sequence[Constraint],
+    dim: int, inequalities: Sequence[Constraint]
 ) -> tuple[int, tuple[Fraction, ...] | None]:
-    """Dimension of P = {x : equalities, inequalities} and a point in its
-    relative interior, read off one Fourier-Motzkin run.  Returns
-    (-1, None) when P is empty.
-
-    One elimination of the augmented equalities gives, through
-    ``rational._solution``, x = (x0 + sum of s_f k_f) / d over the free
-    columns f, with x0 and the kernel vectors k_f integer and d > 0.  An
-    inequality a . x <= b then reads sum of s_f (a . k_f) <= d b - a . x0,
-    an integer row in s, and one Fourier-Motzkin run over those rows gives
-    s.  The map from s to x is affine and one-to-one, so it keeps the
-    dimension and the relative interior.
+    """Dimension of P = {t : inequalities} and a point in its relative
+    interior, read off one Fourier-Motzkin run.  Returns (-1, None) when
+    P is empty.
 
     Why the run gives both (Schrijver §12.2; Rockafellar, *Convex
     Analysis*, 1970, Thm 6.8 and Cor. 6.5.1):
@@ -187,45 +176,25 @@ def polyhedron_dimension(
       of P, and dim P is the number of fibers that are not a single point.
     - A P of dimension 0 is one point, which the sample is.
     """
-    m, pivots, d, _ = _echelon([(*row, rhs) for row, rhs in equalities], dim + 1)
-    if pivots and pivots[-1] == dim:
-        return -1, None
-    x0, kernel = _solution(m, pivots, d, dim)
-    reduced = [
-        (tuple(sum(map(mul, coeffs, k)) for k in kernel), d * rhs - sum(map(mul, coeffs, x0)))
-        for coeffs, rhs in inequalities
-    ]
-    run = _feasible_ineqs(len(kernel), reduced)
+    run = _feasible_ineqs(dim, inequalities)
     if run is None:
         return -1, None
     nums, den, free = run
-    # x = (x0 + sum of (nums_f / den) k_f) / d
-    point = tuple(
-        Fraction(x0[j] * den + sum(s * k[j] for s, k in zip(nums, kernel)), den * d)
-        for j in range(dim)
-    )
-    return free, point
+    return free, tuple(Fraction(x, den) for x in nums)
 
 
-def feasible_point(
-    dim: int,
-    equalities: Sequence[Constraint],
-    inequalities: Sequence[Constraint],
-) -> tuple[Fraction, ...] | None:
+def feasible_point(dim: int, inequalities: Sequence[Constraint]) -> tuple[Fraction, ...] | None:
     """A point in the relative interior of the polyhedron, or None if it
     is empty: ``polyhedron_dimension(...)[1]``.  No package code calls
     it; it stays because ``bench/tracing.py`` wraps it by name."""
-    return polyhedron_dimension(dim, equalities, inequalities)[1]
+    return polyhedron_dimension(dim, inequalities)[1]
 
 
-def cone_nonzero_point(
-    dim: int,
-    equalities: Sequence[Row],
-    inequalities: Sequence[Row],
-) -> tuple[Fraction, ...] | None:
-    """A nonzero point of the homogeneous cone K = {u : Eu = 0, Gu <= 0},
-    or None when K is the origin alone: the relative-interior sample of
-    ``polyhedron_dimension`` when K has positive dimension.
+def cone_nonzero_point(dim: int, rows: Sequence[Row]) -> tuple[Fraction, ...] | None:
+    """A nonzero point of the homogeneous cone K = {u : G u <= 0}, with
+    the rows of G given, or None when K is the origin alone: the
+    relative-interior sample of ``polyhedron_dimension`` when K has
+    positive dimension.
 
     That sample is nonzero.  If 0 is not in the relative interior of K,
     the sample is not 0.  If it is, K is a linear subspace, and so is each
@@ -233,7 +202,5 @@ def cone_nonzero_point(
     back-substitution, having set every earlier variable to 0, sets the
     variable of the first fiber that is all of R to 1.
     """
-    d, u = polyhedron_dimension(
-        dim, [(row, 0) for row in equalities], [(row, 0) for row in inequalities]
-    )
+    d, u = polyhedron_dimension(dim, [(row, 0) for row in rows])
     return u if d > 0 else None

@@ -24,7 +24,7 @@ from tropibound.matroid import (
     MatroidError,
     _chain_count,
     _covers,
-    all_flats,
+    _fine_flats,
     maximal_flag_count,
     realize_from_kernel,
 )
@@ -353,7 +353,7 @@ def _cones(levels, ground_size: int, dimension: bool) -> Iterator[str]:
 
 
 def _bergman(M, args):
-    levels = _fan_levels(M, all_flats)
+    levels = _fan_levels(M, _fine_flats)
     doc = {
         "kind": "fan",
         "ground_size": M.ground_size,

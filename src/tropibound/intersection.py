@@ -4,15 +4,17 @@ intersected with the row span of an integer exponent matrix.
 Two structurally different complete enumerations are provided: the primary
 one solves the tie systems of the distinct block partitions of the
 positive cells (componentwise, since circuits never straddle connected
-components), one elimination per set of pivot ties, full rank or not,
-which gives the solutions and their free coordinates, listing the cells
-themselves only where an underdetermined system's ties hold; the oracle
-enumerates vertices of the tie-hyperplane arrangement, one circuit at a
-time.
+components), one elimination per partition combination, whose recorded
+row operations give its pivot ties' solutions and free coordinates,
+listing the cells themselves only where an underdetermined system's
+ties hold, and probing each cell as inequalities alone in those free
+coordinates; the oracle enumerates vertices of the tie-hyperplane
+arrangement, one circuit at a time.
 Per-point isolation is certified exactly, never by genericity arguments,
 and read off the cells the walk already probes: a point is not isolated
 iff it lies in the closed cone of a probed cell whose piece has positive
-dimension.
+dimension, and ``tangent_direction`` finds a direction of that piece in
+the same free coordinates.
 """
 
 from __future__ import annotations
@@ -214,13 +216,16 @@ def tangent_direction(
     By the rule of ``intersect_via_fan``, one exists iff p = A^T v + h
     lies in the closed cone of a probed product cell whose piece at h has
     positive dimension.  That piece is a polyhedron holding v and a
-    second point, so its tangent cone at v is nonzero: the cell's block
-    ties (A^T_a - A^T_b) . u = 0 as equalities and its ordering facets
-    tight at p, (A^T_a - A^T_b) . u <= 0, as inequalities.
-    ``_polyhedra.cone_nonzero_point`` finds u there, in the relative
-    interior of that tangent cone, and v + eps u stays in the piece for
-    small eps > 0, so its image stays in the cell's closed cone, inside
-    the positive fan.
+    second point, so its tangent cone at v is nonzero.  The piece lies in
+    the solutions v = (x + sum of t_f l_f) / (d H) of its system's ties,
+    where it is cut out by the cell's ordering facets, already reduced
+    onto the free coordinates t (``_Underdetermined.facets``); so its
+    tangent cone at v is {t : row . t <= 0} over the facets tight at p.
+    ``_polyhedra.cone_nonzero_point`` finds t != 0 there, in the relative
+    interior of that cone, and u = sum of t_f l_f is nonzero, since the
+    l_f are independent.  v + eps u stays in the piece for small
+    eps > 0, so its image stays in the cell's closed cone, inside the
+    positive fan.
 
     A must be integer, and (OM, A) go through ``_fan_plan``, so
     rank(A) < n raises ``InputValidationError``.  ValueError when p is
@@ -233,17 +238,17 @@ def tangent_direction(
     p = [H * sum(map(mul, row, v_int)) + V * x for row, x in zip(at_int, h_int)]
     if not is_positive_member(p, OM):
         raise ValueError(_OUTSIDE)
-    cells = _product_cells(_fan_plan(OM, A), H, h_int)
-    cell = next((c for c, (dim, _) in cells if dim > 0 and _in_closed_cone(p, c)), None)
-    if cell is None:
-        return None
-    ties = [(block[0] - 1, e - 1) for c in cell for block in c for e in block[1:]]
-    tight = [(a, b) for c in cell for a, b in _ordering_pairs(c) if p[a] == p[b]]
-    eqs, ineqs = (
-        [tuple(x - y for x, y in zip(at_int[a], at_int[b])) for a, b in pairs]
-        for pairs in (ties, tight)
-    )
-    return _polyhedra.cone_nonzero_point(A.rows, eqs, ineqs)
+    for system in _fan_plan(OM, A).underdetermined:
+        verdicts = _probe_cells(system, H, h_int)
+        if not verdicts:
+            continue
+        for cell, (dim, _) in zip(itertools.product(*system.groups), verdicts):
+            if dim > 0 and _in_closed_cone(p, cell):
+                tight = [(a, b) for c in cell for a, b in _ordering_pairs(c) if p[a] == p[b]]
+                rows = [system.facets[pair][0] for pair in tight]
+                t = _polyhedra.cone_nonzero_point(len(system.kernel), rows)
+                return tuple(sum(map(mul, t, column)) for column in zip(*system.kernel))
+    return None
 
 
 def is_isolated(v: Sequence, OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> bool:
@@ -418,20 +423,19 @@ class _Underdetermined:
         return tuple(self.fine_cells(i, partition) for i, partition in enumerate(self.combo))
 
     @functools.cached_property
-    def facets(self) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
-        """Each ordering facet of the cells, once per 0-based pair, as
-        (a, b, row, diff).  The facet (w + h)_a <= (w + h)_b, times d H,
-        reads row . t <= d ((H h)_b - (H h)_a) - diff . x, with diff the
-        difference A^T_a - A^T_b and row the diff . l_f."""
+    def facets(self) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Each ordering facet of the cells, keyed by its 0-based pair
+        (a, b), as (row, diff).  The facet (w + h)_a <= (w + h)_b, times
+        d H, reads row . t <= d ((H h)_b - (H h)_a) - diff . x, with diff
+        the difference A^T_a - A^T_b and row the diff . l_f."""
         facets = {}
         for cells in self.groups:
             for cell in cells:
                 for a, b in _ordering_pairs(cell):
                     if (a, b) not in facets:
                         diff = tuple(x - y for x, y in zip(self.at_int[a], self.at_int[b]))
-                        row = tuple(sum(map(mul, diff, f)) for f in self.kernel)
-                        facets[a, b] = (a, b, row, diff)
-        return tuple(facets.values())
+                        facets[a, b] = (tuple(sum(map(mul, diff, f)) for f in self.kernel), diff)
+        return facets
 
 
 def _ordering_pairs(cell: _Cell) -> list[tuple[int, int]]:
@@ -459,9 +463,9 @@ class _FanPlan(NamedTuple):
 @functools.lru_cache(maxsize=1)
 def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
     """Validate (OM, A), find each component's block partitions, and
-    eliminate the ties of the partition combinations, sharing one
-    elimination among the combinations with the same pivot ties,
-    whatever their rank.
+    eliminate the ties of each partition combination once, sharing one
+    entry among the combinations with the same pivot ties, whatever
+    their rank.
 
     A is read through ``integer_columns``, so a non-integer A raises
     ValueError.  The ties of a combination tie each block's first element
@@ -471,25 +475,29 @@ def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
     callers share it.  Tie (a, b) reads
     (A^T_a - A^T_b) . v = (e_b - e_a) . h.
 
-    One ``_echelon`` of the n x k differences A^T_a - A^T_b of a
-    combination's k pairs, one column per pair, finds its pivot ties: the
-    first rho <= n pairs with independent differences, as
-    ``first_independent_rows`` does.  Each new pivot set gets one more
-    ``_echelon``, of [P | I_n] with P the n x rho pivot differences; the
-    identity columns record its row operations as L.  Rows t < rho have
-    L_t P = d e_t, so with h_row_i = sum_t L[t][i] (e_b_t - e_a_t) over
-    the pivot ties t = (a_t, b_t), v_i = h_row_i . h / d solves them:
+    Each combination is eliminated once: one ``_echelon`` of
+    [D | I_n] over the k columns of D, the n x k differences
+    A^T_a - A^T_b of its k pairs, one column per pair.  It finds the
+    pivot ties, the first rho <= n pairs with independent differences,
+    as ``first_independent_rows`` does, and the identity columns record
+    its row operations as L.  With P the n x rho pivot differences, rows
+    t < rho have L_t P = d e_t, so with
+    h_row_i = sum_t L[t][i] (e_b_t - e_a_t) over the pivot ties
+    t = (a_t, b_t), v_i = h_row_i . h / d solves them:
     d H v_i = h_row_i . (H h).  Rows rho to n - 1 have L_f P = 0, and L
     is invertible, so they are n - rho independent free directions l_f,
     and the solutions are v = (x + sum of t_f l_f) / (d H) with
     x_i = h_row_i . (H h).  At full rank there are none and L = d P^-1.
+    The first combination with a pivot set reads its d, h_rows and free
+    directions off that elimination.
 
     Why one entry per pivot set is sound: ``_echelon`` does row
     operations only at pivot columns, and a column that depends on
     earlier ones is already zero below the pivot rows, so it starts
     none.  The operations, and d, depend only on the pivot columns in
-    order, so a combination's echelon is L times its differences, with
-    the pivot set's d.  Its column of pair (a, b) is then
+    order, so every combination with the same pivot ties records the
+    same L and d, and its echelon is L times its differences.  Its
+    column of pair (a, b) is then
     L (A^T_a - A^T_b): lam_t in rows t < rho and 0 below, so
     A^T_a - A^T_b is sum_t lam_t / d times the difference of pivot tie t.
     Where the pivot ties hold, (a, b) then holds iff its check row
@@ -516,8 +524,8 @@ def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
     n = A.rows
     components, empty = _cell_partitions(OM)
     cells = functools.cache(lambda i, partition: _fine_cells(components[i].above, partition))
-    A_rows = tuple(zip(*at_int))
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    # the rows of A beside the identity, whose columns record the row operations
+    A_rows = [(row, [int(i == j) for j in range(n)]) for i, row in enumerate(zip(*at_int))]
     # pivot pairs -> (d, h_rows, free directions, pair -> bit of its check
     # row, check rows, full-rank masks)
     pivoted: dict[tuple, tuple[int, tuple, tuple, dict, list, set[int]]] = {}
@@ -526,18 +534,17 @@ def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
     if empty is None:
         for combo in itertools.product(*(c.partitions for c in components)):
             pairs = [(block[0] - 1, e - 1) for blocks in combo for block in blocks for e in block[1:]]
-            diffs = [[Ai[a] - Ai[b] for a, b in pairs] for Ai in A_rows]
-            m, independent = _echelon(diffs, len(pairs))[:2]
+            k = len(pairs)
+            rows = [[Ai[a] - Ai[b] for a, b in pairs] + e for Ai, e in A_rows]
+            m, independent, d, _ = _echelon(rows, k)
             key = tuple(map(pairs.__getitem__, independent))
             rank = len(key)
             if key not in pivoted:
-                beside = [[row[j] for j in independent] + e for row, e in zip(diffs, identity)]
-                L, _, d, _ = _echelon(beside, rank)
                 h_rows = [[0] * A.cols for _ in range(n)]
-                for (a, b), Lt in zip(key, L):
-                    for h_row, x in zip(h_rows, Lt[rank:]):
+                for (a, b), Lt in zip(key, m):
+                    for h_row, x in zip(h_rows, Lt[k:]):
                         h_row[a], h_row[b] = h_row[a] - x, h_row[b] + x
-                free = tuple(tuple(row[rank:]) for row in L[rank:])
+                free = tuple(tuple(row[k:]) for row in m[rank:])
                 pivoted[key] = (d, tuple(map(tuple, h_rows)), free, {}, [], set())
             d, h_rows, free, bits, checks, masks = pivoted[key]
             for j, pair in enumerate(pairs):
@@ -604,10 +611,12 @@ def _probe_cells(
 
     Each cell is probed by ``_polyhedra.polyhedron_dimension``, one
     Fourier-Motzkin run, in the k free coordinates t of the ties'
-    solutions v = (x + sum of t_f l_f) / (d H), with the ordering facets
-    of ``_Underdetermined`` as its inequalities and no equalities: each
-    facet's right-hand side is found once per call.  A zero-dimensional
-    piece is one point, so its sample t maps back to the one v.
+    solutions v = (x + sum of t_f l_f) / (d H): the ties hold on the
+    whole solution space, so the cell's piece there is cut out by its
+    ordering facets of ``_Underdetermined.facets`` alone, as
+    inequalities, each facet's right-hand side found once per call.  A
+    zero-dimensional piece is one point, so its sample t maps back to
+    the one v.
     """
     if any(sum(map(mul, row, h_int)) for row in system.check):
         return []
@@ -615,12 +624,12 @@ def _probe_cells(
     x = [sum(map(mul, row, h_int)) for row in system.h_rows]
     facets = {
         (a, b): (row, d * (h_int[b] - h_int[a]) - sum(map(mul, diff, x)))
-        for a, b, row, diff in system.facets
+        for (a, b), (row, diff) in system.facets.items()
     }
     verdicts = []
     for combo in itertools.product(*system.groups):
         ineqs = [facets[pair] for cell in combo for pair in _ordering_pairs(cell)]
-        dim, t = _polyhedra.polyhedron_dimension(len(kernel), [], ineqs)
+        dim, t = _polyhedra.polyhedron_dimension(len(kernel), ineqs)
         v = None
         if dim == 0:
             v = tuple(
@@ -629,19 +638,6 @@ def _probe_cells(
             )
         verdicts.append((dim, v))
     return verdicts
-
-
-def _product_cells(
-    plan: _FanPlan, H: int, h_int: Sequence[int]
-) -> Iterable[tuple[tuple[_Cell, ...], tuple[int, tuple[Fraction, ...] | None]]]:
-    """Each product cell the fan walk probes at the shift with integer
-    multiple (H, H h), as one cell per component, with its
-    ``_probe_cells`` verdict: the cells of the underdetermined systems
-    whose ties hold there."""
-    for system in plan.underdetermined:
-        verdicts = _probe_cells(system, H, h_int)
-        if verdicts:
-            yield from zip(itertools.product(*system.groups), verdicts)
 
 
 def _in_closed_cone(p: Sequence[int], cell: tuple[_Cell, ...]) -> bool:
@@ -668,8 +664,9 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     higher-dimensional pieces flag the run as non-transverse.
 
     The partitions are found, and the ties of the integer A eliminated
-    with h left symbolic, once per (OM, A) in ``_fan_plan``; the systems
-    share one elimination per set of pivot ties, full rank or not.  Per
+    with h left symbolic, once per (OM, A) in ``_fan_plan``, one
+    elimination per system; the systems with the same pivot ties, full
+    rank or not, share one entry.  Per
     call, ``integer_multiple`` gives H and the ints H h, and the check
     rows are evaluated at them, each at most once: a full-rank pivot set
     is consistent iff, for some one of its combinations, each check
@@ -684,7 +681,7 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     free coordinates t (``_probe_cells``): the plan entry lists the cells
     and reduces each ordering facet onto them the first time its ties
     hold, so a call only finds each facet's right-hand side and hands
-    ``_polyhedra`` k variables and no equalities.  A point a cell pins
+    ``_polyhedra`` k variables and inequalities alone.  A point a cell pins
     maps back to v and gets p from
     ``integer_multiple`` of its image.  Each point's level flag and
     interiority are read off p: a positive multiple has the same level
@@ -740,19 +737,23 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
             candidates[v] = (tuple(Fraction(a, den) for a in aw), p)
     # the product cells whose piece has positive dimension
     pieces = []
-    for cell, (dim, vstar) in _product_cells(plan, H, h_int):
-        if dim == 0:
-            wstar = tuple(sum(map(mul, row, vstar)) for row in at_int)
-            p = integer_multiple([a + b for a, b in zip(wstar, hh)])[1]
-            if not is_positive_member(p, OM):
-                raise RuntimeError(
-                    "pinned cone point escaped the positive fan; cell"
-                    " bookkeeping is wrong"
-                )
-            candidates[vstar] = (wstar, p)
-            pinned += 1
-        elif dim > 0:
-            pieces.append(cell)
+    for system in plan.underdetermined:
+        verdicts = _probe_cells(system, H, h_int)
+        if not verdicts:
+            continue
+        for cell, (dim, vstar) in zip(itertools.product(*system.groups), verdicts):
+            if dim == 0:
+                wstar = tuple(sum(map(mul, row, vstar)) for row in at_int)
+                p = integer_multiple([a + b for a, b in zip(wstar, hh)])[1]
+                if not is_positive_member(p, OM):
+                    raise RuntimeError(
+                        "pinned cone point escaped the positive fan; cell"
+                        " bookkeeping is wrong"
+                    )
+                candidates[vstar] = (wstar, p)
+                pinned += 1
+            elif dim > 0:
+                pieces.append(cell)
     if pinned:
         notes.append(
             f"{pinned} underdetermined tie system(s) pinned to a point by cone facets"

@@ -417,14 +417,25 @@ def _chain_count(levels: list[list[tuple[Flat, list[int]]]]) -> int:
     return sum(paths)
 
 
+def _fine_flats(M: OrientedMatroid) -> tuple[Flat, ...]:
+    """The flats whose chains index the fine fan's cones: all of them,
+    or none when the rank-0 flat, the set of loops, is nonempty.  A
+    loop's circuit {e} never attains its minimum twice, so then the fan
+    is empty, just as ``bergman._positive_flats`` has no flats when the
+    empty flat fails."""
+    flats = all_flats(M)
+    return () if flats[0].elements else flats
+
+
 @lru_cache(maxsize=64)
 def maximal_flags(M: OrientedMatroid) -> tuple[tuple[Flat, ...], ...]:
     """All chains of proper nonempty flats of ranks 1, 2, ..., rank(M)-1,
     each the tuple of its flats; the empty chain, which indexes the
-    lineality-only cone, alone when rank(M) <= 1."""
-    return tuple(_full_chains(all_flats(M), M.rank))
+    lineality-only cone, alone when rank(M) <= 1; none when M has a loop
+    (``_fine_flats``)."""
+    return tuple(_full_chains(_fine_flats(M), M.rank))
 
 
 def maximal_flag_count(M: OrientedMatroid) -> int:
     """``len(maximal_flags(M))`` without listing the flags."""
-    return _chain_count(_covers(all_flats(M), M.rank))
+    return _chain_count(_covers(_fine_flats(M), M.rank))

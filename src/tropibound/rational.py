@@ -15,12 +15,14 @@ affine solutions, determinants and independent row sets are read off
 its result, solutions through ``_solution``; Fractions are built only
 for the values returned.
 
-The pipeline layers (the fan walk, the polyhedron probes, the
-subdivision and ``validate_inputs``) call ``_echelon`` on their own
-integer rows, and the polyhedron probes and the subdivision read
-solutions off it with ``_solution``.  The fan walk does not: it
-eliminates its pivot ties beside an identity block and reads the
-solutions off the row operations recorded there.  ``solve_affine``, ``det``,
+The pipeline layers that eliminate (the fan walk, the subdivision and
+``validate_inputs``) call ``_echelon`` on their own integer rows.  The
+subdivision reads solutions off it with ``_solution``, as ``_solve``
+does here.  The fan walk does not: it eliminates each tie system once,
+beside an identity block, and reads the solutions off the row
+operations recorded there.  The polyhedron probes eliminate nothing
+here: ``_polyhedra`` takes inequalities alone and needs only
+``primitive``.  ``solve_affine``, ``det``,
 ``rref``, ``rank``, ``row_space_equal`` and ``in_row_span`` are the
 Fraction forms.  No pipeline layer calls them, but they stay because
 the benchmark needs them: ``bench/tracing.py`` wraps them by name, and

@@ -7,9 +7,11 @@ flats' indicator vectors plus the all-ones lineality line, on the ground
 set {1..ground_size}.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from tropibound.bergman import _coerce
@@ -327,6 +329,37 @@ def reference_feasible_point(dim: int, equalities, inequalities) -> tuple | None
     x0, kernel, rows = solved
     s = _feasible_ineqs(len(kernel), rows)
     return None if s is None else _lift(x0, kernel, s)
+
+
+@functools.cache
+def _cone_kernel(dim: int, equalities: frozenset) -> list:
+    """A basis of {u : E u = 0}, with the rows of E given as a set: the
+    reduced echelon form, and so the basis, does not depend on the order
+    of the rows."""
+    return _solve_equalities(dim, [(row, 0) for row in equalities])[1]
+
+
+def reference_cone_point(dim: int, equalities, inequalities) -> tuple | None:
+    """A nonzero point of the cone {u : E u = 0, G u <= 0}, given the
+    rows of E and G, or None when the cone is the origin alone: the
+    reference for ``_polyhedra.cone_nonzero_point``.
+
+    The equalities are solved once per set of rows, u = sum of
+    s_i kernel[i], and the cone is probed in the coordinates s by slices
+    s_i = 1 and s_i = -1 with ``reference_feasible_point``, the first
+    point found mapped back to u.  Every nonzero point of the cone has
+    some s_i != 0, so scaled it lies in one of the slices.
+    """
+    kernel = _cone_kernel(dim, frozenset(equalities))
+    k = len(kernel)
+    rows = [(tuple(sum(map(mul, row, f)) for f in kernel), 0, False) for row in inequalities]
+    for i in range(k):
+        pin = tuple(int(j == i) for j in range(k))
+        for sign in (1, -1):
+            s = reference_feasible_point(k, [(pin, sign)], rows)
+            if s is not None:
+                return _lift([0] * dim, kernel, s)
+    return None
 
 
 def reference_dimension(dim: int, equalities, inequalities) -> tuple[int, tuple | None]:

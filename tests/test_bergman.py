@@ -362,14 +362,20 @@ def check_cover_walk(OM, keep):
     """The cover walk lists the scanning reference's chains, in order,
     and ``_chain_count`` counts them: over all flats, over the positive
     ones, and over the flats that ``keep`` selects besides the rank-0
-    one; no chain at all when no rank-0 flat is given."""
+    one; no chain at all when no rank-0 flat is given.  The maximal flags
+    are the chains over all flats whose relative-interior sample lies in
+    the fan: all of them, or none when a loop makes the rank-0 flat
+    nonempty."""
     flats = all_flats(OM)
     for given in (flats, _positive_flats(OM), [f for f in flats if f.rank == 0 or keep(f)]):
         expected = reference_full_chains(given, OM.rank) if given else []
         assert _full_chains(given, OM.rank) == expected
         assert _chain_count(_covers(given, OM.rank)) == len(expected)
-    fine = _covers(flats, OM.rank)
-    assert _chain_count(fine) == maximal_flag_count(OM) == len(maximal_flags(OM))
+    r = OM.ground_size
+    chains = reference_full_chains(flats, OM.rank)
+    fine = [c for c in chains if is_member(sample_relative_interior(c, r), OM)]
+    assert len(fine) in (0, len(chains)) and (not fine) == bool(flats[0].elements)
+    assert list(maximal_flags(OM)) == fine and maximal_flag_count(OM) == len(fine)
     assert _chain_count(_covers(_positive_flats(OM), OM.rank)) == len(positive_fan(OM))
 
 

@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 
 from fan_reference import reference_full_chains, sample_relative_interior
 from tropibound import cli, matroid
-from tropibound.bergman import is_positive_member, positive_fan
+from tropibound.bergman import is_member, is_positive_member, positive_fan
 from tropibound.cli import CliInputError, main, parse_input, write_json
 from tropibound.matroid import (
     OrientedMatroid,
     SignedCircuit,
     all_flats,
+    maximal_flag_count,
     maximal_flags,
     realize_from_kernel,
 )
@@ -924,10 +925,11 @@ def reference_fan_text(M, command: str, chains) -> str:
 
 def assert_fan_documents_match(M):
     # the handlers walk the covers of the flat lattice; the reference
-    # chains come from scanning every flat of the next rank, and the
-    # positive ones from sampling each cone's relative interior
-    fine = reference_full_chains(all_flats(M), M.rank)
+    # chains come from scanning every flat of the next rank, and the fine
+    # and positive ones from sampling each chain's relative interior
     r = M.ground_size
+    chains = reference_full_chains(all_flats(M), M.rank)
+    fine = [c for c in chains if is_member(sample_relative_interior(c, r), M)]
     positive = [c for c in fine if is_positive_member(sample_relative_interior(c, r), M)]
     expected_lines = {
         "bergman": f"fine fan: {len(fine)} maximal cones",
@@ -1021,6 +1023,28 @@ def test_seeded_fan_cases_reach_the_edge_cases():
     assert max(M.ground_size for M in SEEDED_FANS.values()) >= 9
     one_signed = SEEDED_FANS["one-signed-circuit"]
     assert one_signed.circuits and not positive_fan(one_signed)
+    # loops leave no cone at all, not the empty chain of rank 0
+    assert not maximal_flags(SEEDED_FANS["rank-0-loops"])
+
+
+def test_loop_leaves_the_fine_fan_empty(tmp_path, capsys):
+    # element 1 is a loop of ker C: its circuit {1} never attains its
+    # minimum twice, so no weight lies in the fan, whose 6 maximal flags
+    # of flats are not cones of it
+    path = write(tmp_path, "loop.json", {"kind": "matrix", "matrix": [[1, 0, 0, 0]]})
+    M = realize_from_kernel(RationalMatrix.from_rows([[1, 0, 0, 0]]))
+    flags = reference_full_chains(all_flats(M), M.rank)
+    assert len(flags) == 6
+    assert not any(is_member(sample_relative_interior(c, 4), M) for c in flags)
+    assert maximal_flags(M) == () and maximal_flag_count(M) == 0
+    for command, line in (
+        ("bergman", "fine fan: 0 maximal cones"),
+        ("positive-bergman", "positive fan: 0 of 0 maximal cones"),
+    ):
+        assert main([command, path]) == 0
+        assert capsys.readouterr() == (line + "\n", "")
+        assert main([command, path, "--json", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["cones"] == []
 
 
 def test_hhk_fan_reaches_write_json_in_batches():
@@ -1069,7 +1093,7 @@ def test_fan_commands_refuse_rank_above_byte_lanes(monkeypatch, capsys):
     def unlisted(M):
         raise AssertionError("flats listed")
 
-    monkeypatch.setattr(cli, "all_flats", unlisted)
+    monkeypatch.setattr(cli, "_fine_flats", unlisted)
     monkeypatch.setattr(cli, "_positive_flats", unlisted)
     monkeypatch.setattr(cli, "realize_from_kernel", lambda C: OrientedMatroid(257, []))
     for command in ("bergman", "positive-bergman"):

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fan_reference import reference_merge, reference_probe_cells
-from tropibound import _polyhedra
+from fan_reference import reference_cone_point, reference_merge, reference_probe_cells
 from tropibound.bergman import _is_positive_flat, is_positive_member, positive_chains, positive_fan
 from tropibound.intersection import (
     InputValidationError,
@@ -369,18 +368,21 @@ def test_pivot_sets_match_solve_affine():
 def test_fan_plan_eliminates_once_per_pivot_set(monkeypatch):
     # 2,265 partition combinations of the one 3-positive, 5-negative
     # circuit: 2,259 of full rank with 24 distinct pivot ties, and 6 whose
-    # ties all vanish, which share the empty pivot set; each pivot set is
-    # eliminated once beside the identity
+    # ties all vanish, which share the empty pivot set; each combination
+    # is eliminated once beside the identity, and a pivot set reads its
+    # entry off the first such elimination, with no second one
     import tropibound.intersection
     from tropibound.rational import _echelon
 
     calls = []
+    beside = []
 
     def counted(rows, ncols):
         rows = list(rows)
+        calls.append(ncols)
         identity = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
         if [list(row[ncols:]) for row in rows] == identity:
-            calls.append(ncols)
+            beside.append(ncols)
         return _echelon(rows, ncols)
 
     monkeypatch.setattr(tropibound.intersection, "_echelon", counted)
@@ -390,7 +392,10 @@ def test_fan_plan_eliminates_once_per_pivot_set(monkeypatch):
     plan = _fan_plan(realize_from_kernel(C), A)
     _fan_plan.cache_clear()
     assert len(plan.pivoted) == 24 and len(plan.underdetermined) == 6
-    assert sorted(calls) == [0] + [1] * 24
+    # the inputs once (A has 1 row, so 2 columns), then each combination
+    # over the columns of its pairs, beside the identity
+    assert len(calls) == 1 + 2265 and calls[0] == 2
+    assert beside == calls[1:]
     # the underdetermined combinations share the empty pivot set's entry
     assert len({id(system.kernel) for system in plan.underdetermined}) == 1
     assert plan.underdetermined[0].kernel == ((1,),)
@@ -856,7 +861,7 @@ def test_scaling_h_scales_every_point(data):
 
 def test_scaling_h_scales_pinned_points(hhk_model):
     # at this shift five underdetermined hhk tie systems are pinned by
-    # their cone facets, so the equalities handed to _polyhedra carry H
+    # their cone facets, so the facet rows handed to _polyhedra carry H
     vs = assemble_crn(dataclasses.replace(hhk_model, h=(7, 8, 3, 3, -1, 8)))
     report = check_scaling_h(vs.C, vs.A, vs.h, Fraction(5, 3))
     assert report.notes[0] == "5 underdetermined tie system(s) pinned to a point by cone facets"
@@ -1094,7 +1099,8 @@ def test_tangent_probe_on_random_instances():
 
 def _reference_tangent_direction(v, OM, A, h):
     """The isolation search before it carried points and kernels down the
-    levels: every state's cone probed with ``cone_nonzero_point``."""
+    levels: every state's cone probed with ``reference_cone_point``, the
+    reference elimination, which shares no code with ``_polyhedra``."""
     at_int = integer_columns(A)
     n = A.rows
     V, v_int = integer_multiple(vector(v))
@@ -1131,13 +1137,21 @@ def _reference_tangent_direction(v, OM, A, h):
                 i2 = ineqs | {diff(i_pos, j) for j in arg if j != i_pos and j != i_neg}
                 if (e2, i2) in accepted:
                     continue
-                u = _polyhedra.cone_nonzero_point(n, list(e2), list(i2))
+                u = reference_cone_point(n, list(e2), list(i2))
                 if u is not None:
                     accepted[(e2, i2)] = u
         if not accepted:
             return None
         level = accepted
     return next(iter(level.values()))
+
+
+@functools.cache
+def _reference_isolated(v, OM, A, h: tuple) -> bool:
+    """Whether ``_reference_tangent_direction`` finds no direction, kept
+    per case: ``test_rank_test_matches_tangent_search`` checks the cases
+    of the two tests before it again."""
+    return _reference_tangent_direction(v, OM, A, h) is None
 
 
 def _isolation_cases(hhk_model):
@@ -1177,7 +1191,7 @@ def test_isolation_search_matches_per_state_probes(hhk_model):
     sources = []
     for source, OM, A, h, v in _isolation_cases(hhk_model):
         u = tangent_direction(v, OM, A, h)
-        assert (u is None) == (_reference_tangent_direction(v, OM, A, h) is None), (OM, A, h, v)
+        assert (u is None) == _reference_isolated(v, OM, A, tuple(h)), (OM, A, h, v)
         verdicts.append(u is None)
         sources.append(source)
         if u is not None:
@@ -1223,7 +1237,7 @@ def test_isolation_search_matches_per_state_probes_on_fan_faces():
     verdicts = []
     for C, OM, A, h, v, w in _fan_face_cases(150):
         u = tangent_direction(v, OM, A, h)
-        assert (u is None) == (_reference_tangent_direction(v, OM, A, h) is None), (C, A, h, v)
+        assert (u is None) == _reference_isolated(v, OM, A, tuple(h)), (C, A, h, v)
         verdicts.append(u is None)
         if u is not None:
             _assert_direction_stays(w, A, u, OM)
@@ -1240,7 +1254,7 @@ def test_rank_test_matches_tangent_search(hhk_model):
     seen = {}
     for OM, A, h, v in cases:
         isolated = is_isolated(v, OM, A, h)
-        assert isolated == (_reference_tangent_direction(v, OM, A, h) is None), (OM, A, h, v)
+        assert isolated == _reference_isolated(v, OM, A, tuple(h)), (OM, A, h, v)
         interior = _is_interior([x + Fraction(y) for x, y in zip(A.transpose().apply(v), h)], OM)
         seen[interior, isolated] = seen.get((interior, isolated), 0) + 1
     assert seen.get((True, True), 0) + seen.get((True, False), 0) >= 100, seen
@@ -1265,7 +1279,7 @@ def test_walk_isolation_matches_reference_search(monkeypatch, hhk_model):
     for C, A, h in systems:
         OM = realize_from_kernel(C)
         for p in intersect_via_fan(OM, A, h).points:
-            want = _reference_tangent_direction(p.v, OM, A, h) is None
+            want = _reference_isolated(p.v, OM, A, tuple(h))
             assert p.isolated == want, (C, A, h, p.v)
             verdicts.append(p.isolated)
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 5, verdicts

@@ -373,6 +373,22 @@ def test_references_import_nothing_from_polyhedra():
     assert references and offences == []
 
 
+def test_polyhedra_takes_only_primitive_from_rational():
+    # _polyhedra takes inequalities alone and eliminates no equalities, so
+    # of rational it needs only primitive: neither _echelon nor _solution,
+    # nor the whole module under some name
+    path = PACKAGE / "_polyhedra.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "tropibound.rational":
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "tropibound":
+            imported += [f"tropibound.{a.name}" for a in node.names if a.name == "rational"]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names if a.name == "tropibound.rational"]
+    assert imported == ["primitive"]
+
+
 def test_only_the_cli_writer_serializes_json():
     # documents reach their bytes through cli.write_json alone, which
     # stands on json.JSONEncoder: no other module may use that class
