@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import mul, or_
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from tropibound import _polyhedra
 from tropibound.bergman import _argmin, _is_positive_flat, _level_masks, is_positive_member
@@ -238,16 +238,12 @@ def tangent_direction(
     p = [H * sum(map(mul, row, v_int)) + V * x for row, x in zip(at_int, h_int)]
     if not is_positive_member(p, OM):
         raise ValueError(_OUTSIDE)
-    for system in _fan_plan(OM, A).underdetermined:
-        verdicts = _probe_cells(system, H, h_int)
-        if not verdicts:
-            continue
-        for cell, (dim, _) in zip(itertools.product(*system.groups), verdicts):
-            if dim > 0 and _in_closed_cone(p, cell):
-                tight = [(a, b) for c in cell for a, b in _ordering_pairs(c) if p[a] == p[b]]
-                rows = [system.facets[pair][0] for pair in tight]
-                t = _polyhedra.cone_nonzero_point(len(system.kernel), rows)
-                return tuple(sum(map(mul, t, column)) for column in zip(*system.kernel))
+    for system, cell, dim, _ in _product_cells(_fan_plan(OM, A), H, h_int):
+        if dim > 0 and _in_closed_cone(p, cell):
+            tight = [(a, b) for c in cell for a, b in _ordering_pairs(c) if p[a] == p[b]]
+            rows = [system.facets[pair][0] for pair in tight]
+            t = _polyhedra.cone_nonzero_point(len(system.kernel), rows)
+            return tuple(sum(map(mul, t, column)) for column in zip(*system.kernel))
     return None
 
 
@@ -640,6 +636,21 @@ def _probe_cells(
     return verdicts
 
 
+def _product_cells(
+    plan: _FanPlan, H: int, h_int: Sequence[int]
+) -> Iterator[tuple[_Underdetermined, tuple[_Cell, ...], int, tuple[Fraction, ...] | None]]:
+    """Each product cell of the plan's underdetermined systems whose ties
+    hold at the shift with integer multiple (H, H h), with its system and
+    its ``_probe_cells`` verdict: the dimension of its piece and, when
+    that is 0, the piece's point v.  A system whose ties fail is skipped
+    before its cells are listed."""
+    for system in plan.underdetermined:
+        verdicts = _probe_cells(system, H, h_int)
+        if verdicts:
+            for cell, (dim, v) in zip(itertools.product(*system.groups), verdicts):
+                yield system, cell, dim, v
+
+
 def _in_closed_cone(p: Sequence[int], cell: tuple[_Cell, ...]) -> bool:
     """Whether p lies in the closed cone of a product cell: p is constant
     on each block, and p[a] <= p[b] for each of its ``_ordering_pairs``."""
@@ -737,23 +748,18 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
             candidates[v] = (tuple(Fraction(a, den) for a in aw), p)
     # the product cells whose piece has positive dimension
     pieces = []
-    for system in plan.underdetermined:
-        verdicts = _probe_cells(system, H, h_int)
-        if not verdicts:
-            continue
-        for cell, (dim, vstar) in zip(itertools.product(*system.groups), verdicts):
-            if dim == 0:
-                wstar = tuple(sum(map(mul, row, vstar)) for row in at_int)
-                p = integer_multiple([a + b for a, b in zip(wstar, hh)])[1]
-                if not is_positive_member(p, OM):
-                    raise RuntimeError(
-                        "pinned cone point escaped the positive fan; cell"
-                        " bookkeeping is wrong"
-                    )
-                candidates[vstar] = (wstar, p)
-                pinned += 1
-            elif dim > 0:
-                pieces.append(cell)
+    for _, cell, dim, vstar in _product_cells(plan, H, h_int):
+        if dim == 0:
+            wstar = tuple(sum(map(mul, row, vstar)) for row in at_int)
+            p = integer_multiple([a + b for a, b in zip(wstar, hh)])[1]
+            if not is_positive_member(p, OM):
+                raise RuntimeError(
+                    "pinned cone point escaped the positive fan; cell bookkeeping is wrong"
+                )
+            candidates[vstar] = (wstar, p)
+            pinned += 1
+        elif dim > 0:
+            pieces.append(cell)
     if pinned:
         notes.append(
             f"{pinned} underdetermined tie system(s) pinned to a point by cone facets"

@@ -275,7 +275,11 @@ def test_one_elimination_per_dimension_and_cone_probe(monkeypatch):
         runs.clear()
         polyhedron_dimension(dim, ineqs)
         assert len(runs) == 1
-    cones = [(2, [(1, -1), (-1, 1), (1, 0)]), (2, cone_folded([(1, 0), (0, 1)])), (3, [])]
+    cones = [
+        (2, cone_folded([(1, -1)]) + [(1, 0)]),
+        (2, cone_folded([(1, 0), (0, 1)])),
+        (3, cone_folded([(1, -1, 0)])),
+    ]
     for dim, rows in cones:
         runs.clear()
         cone_nonzero_point(dim, rows)
