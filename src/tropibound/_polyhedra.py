@@ -17,7 +17,7 @@ returned point is built of Fractions.  So the run gives the dimension,
 which is the number of intervals that are not a single point, and a
 sample in the relative interior.
 
-``polyhedron_dimension`` returns both, and ``intersection._probe_cells``
+``polyhedron_dimension`` returns both, and ``intersection._product_cells``
 calls it once per cell probe of the fan walk.  ``cone_nonzero_point``
 reads a nonzero point of a cone of positive dimension off the same run,
 for ``intersection.tangent_direction``, which the pipeline never calls.

@@ -118,7 +118,7 @@ def parse_input(path: str):
                 h=tuple(_vector(doc.get("h"), "h")),
             )
         if kind == "coarse_fan":
-            rays, cones = doc.get("rays", []), doc.get("cones", [])
+            rays, cones = doc.get("rays"), doc.get("cones")
             if not isinstance(rays, list) or not isinstance(cones, list):
                 raise CliInputError(f"{path}: 'rays' and 'cones' must be lists")
             rays = [_vector(ray, f"rays[{i}]") for i, ray in enumerate(rays)]

@@ -207,6 +207,16 @@ def _is_interior(p: Sequence, OM: OrientedMatroid) -> bool:
 _OUTSIDE = "point is not in the positive fan; isolation is undefined"
 
 
+def _image(
+    at_int: Sequence[Sequence[int]], h_int: Sequence[int], x: Sequence[int], d: int
+) -> list[int]:
+    """p = A^T x + d (H h) for the rows ``at_int`` of an integer A^T and
+    ``h_int`` = H h: the image A^T v + h of v = x / (d H), times d H.
+    With d H > 0 it is a positive multiple, with the same argmins, ties
+    and level sets."""
+    return [sum(map(mul, row, x)) + d * hj for row, hj in zip(at_int, h_int)]
+
+
 def tangent_direction(
     v: Sequence, OM: OrientedMatroid, A: RationalMatrix, h: Sequence
 ) -> tuple[Fraction, ...] | None:
@@ -231,11 +241,9 @@ def tangent_direction(
     rank(A) < n raises ``InputValidationError``.  ValueError when p is
     outside the positive fan.
     """
-    at_int = integer_columns(A)
     V, v_int = integer_multiple(vector(v))
     H, h_int = integer_multiple(vector(h))
-    # V H (A^T v + h), a positive multiple with the same argmins and ties
-    p = [H * sum(map(mul, row, v_int)) + V * x for row, x in zip(at_int, h_int)]
+    p = _image(integer_columns(A), h_int, [H * x for x in v_int], V)
     if not is_positive_member(p, OM):
         raise ValueError(_OUTSIDE)
     for system, cell, dim, _ in _product_cells(_fan_plan(OM, A), H, h_int):
@@ -398,7 +406,7 @@ class _Underdetermined:
     v = (x + sum of t_f l_f) / (d H) over t in R^k, where the k free
     directions l_f form ``kernel``.  The cells matter only at an h where
     the ties hold, so ``groups`` and ``facets`` are memoized properties,
-    computed by the first ``_probe_cells`` that finds the ties holding; a
+    computed by the first ``_product_cells`` that finds the ties holding; a
     scan over shifts sharing the plan lists each entry's cells at most
     once.
     """
@@ -596,59 +604,44 @@ def _consistent(
     return False
 
 
-def _probe_cells(
-    system: _Underdetermined, H: int, h_int: Sequence[int]
-) -> list[tuple[int, tuple[Fraction, ...] | None]]:
-    """Per product cell of an underdetermined system, in the order of
-    ``itertools.product`` over its groups, the dimension of the cell's
-    piece at the shift with integer multiple (H, H h) and, when that is
-    0, the piece's point v; no cells when the ties fail there, and then
-    the cells are not listed.
+def _product_cells(
+    plan: _FanPlan, H: int, h_int: Sequence[int]
+) -> Iterator[tuple[_Underdetermined, tuple[_Cell, ...], int, tuple[list[int], int] | None]]:
+    """Each product cell of the plan's underdetermined systems whose ties
+    hold at the shift with integer multiple (H, H h), in the order of
+    ``itertools.product`` over its system's groups, with its system, the
+    dimension of its piece there and, when that is 0, the piece's point
+    as (x', d') with v = x' / (d' H).  A system whose ties fail is
+    skipped before its cells are listed.
 
     Each cell is probed by ``_polyhedra.polyhedron_dimension``, one
     Fourier-Motzkin run, in the k free coordinates t of the ties'
     solutions v = (x + sum of t_f l_f) / (d H): the ties hold on the
     whole solution space, so the cell's piece there is cut out by its
     ordering facets of ``_Underdetermined.facets`` alone, as
-    inequalities, each facet's right-hand side found once per call.  A
-    zero-dimensional piece is one point, so its sample t maps back to
-    the one v.
+    inequalities, each facet's right-hand side found once per system.  A
+    zero-dimensional piece is one point, its sample t; with
+    (den, nums) = ``integer_multiple(t)`` it is
+    x' = den x + sum of nums_f l_f over d' = den d, in integers.
     """
-    if any(sum(map(mul, row, h_int)) for row in system.check):
-        return []
-    d, kernel = system.d, system.kernel
-    x = [sum(map(mul, row, h_int)) for row in system.h_rows]
-    facets = {
-        (a, b): (row, d * (h_int[b] - h_int[a]) - sum(map(mul, diff, x)))
-        for (a, b), (row, diff) in system.facets.items()
-    }
-    verdicts = []
-    for combo in itertools.product(*system.groups):
-        ineqs = [facets[pair] for cell in combo for pair in _ordering_pairs(cell)]
-        dim, t = _polyhedra.polyhedron_dimension(len(kernel), ineqs)
-        v = None
-        if dim == 0:
-            v = tuple(
-                (xi + sum(s * f[i] for s, f in zip(t, kernel))) / (d * H)
-                for i, xi in enumerate(x)
-            )
-        verdicts.append((dim, v))
-    return verdicts
-
-
-def _product_cells(
-    plan: _FanPlan, H: int, h_int: Sequence[int]
-) -> Iterator[tuple[_Underdetermined, tuple[_Cell, ...], int, tuple[Fraction, ...] | None]]:
-    """Each product cell of the plan's underdetermined systems whose ties
-    hold at the shift with integer multiple (H, H h), with its system and
-    its ``_probe_cells`` verdict: the dimension of its piece and, when
-    that is 0, the piece's point v.  A system whose ties fail is skipped
-    before its cells are listed."""
     for system in plan.underdetermined:
-        verdicts = _probe_cells(system, H, h_int)
-        if verdicts:
-            for cell, (dim, v) in zip(itertools.product(*system.groups), verdicts):
-                yield system, cell, dim, v
+        if any(sum(map(mul, row, h_int)) for row in system.check):
+            continue
+        d, kernel = system.d, system.kernel
+        x = [sum(map(mul, row, h_int)) for row in system.h_rows]
+        facets = {
+            (a, b): (row, d * (h_int[b] - h_int[a]) - sum(map(mul, diff, x)))
+            for (a, b), (row, diff) in system.facets.items()
+        }
+        for cell in itertools.product(*system.groups):
+            ineqs = [facets[pair] for c in cell for pair in _ordering_pairs(c)]
+            dim, t = _polyhedra.polyhedron_dimension(len(kernel), ineqs)
+            point = None
+            if dim == 0:
+                den, nums = integer_multiple(t)
+                moved = [sum(map(mul, nums, column)) for column in zip(*kernel)]
+                point = ([xi * den + m for xi, m in zip(x, moved)], d * den)
+            yield system, cell, dim, point
 
 
 def _in_closed_cone(p: Sequence[int], cell: tuple[_Cell, ...]) -> bool:
@@ -684,19 +677,21 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     row . (H h) is 0 (its masks are walked until one holds), an
     underdetermined system iff all of its own are, and then
     x_i = h_row_i . (H h).  A full-rank pivot set has the unique solution
-    v = x / (d H); its image A^T v + h is tested for positive membership
-    in integers, on the positive multiple p = d H (A^T v + h), and
-    Fractions are built only for accepted points.  An underdetermined
-    system's solutions are v = (x + sum of t_f l_f) / (d H), with its
-    pivot set's free directions l_f, and its cells are probed in those k
-    free coordinates t (``_probe_cells``): the plan entry lists the cells
+    v = x / (d H).  An underdetermined system's solutions are
+    v = (x + sum of t_f l_f) / (d H), with its pivot set's free
+    directions l_f, and its cells are probed in those k free
+    coordinates t (``_product_cells``): the plan entry lists the cells
     and reduces each ordering facet onto them the first time its ties
     hold, so a call only finds each facet's right-hand side and hands
-    ``_polyhedra`` k variables and inequalities alone.  A point a cell pins
-    maps back to v and gets p from
-    ``integer_multiple`` of its image.  Each point's level flag and
-    interiority are read off p: a positive multiple has the same level
-    sets and the same argmins.
+    ``_polyhedra`` k variables and inequalities alone; a cell that pins
+    its piece to one point gives it as integers (x', d') too.  Every
+    point, of a pivot set or pinned, is one key (x, d) in lowest terms,
+    tested once: its image p = d H (A^T v + h) (``_image``) for positive
+    membership in integers.  A pinned point outside the positive fan is
+    an internal error.  Fractions are built only for accepted points,
+    v = x / (d H) and w = (p - d H h) / (d H).  Each point's level flag
+    and interiority are read off p: a positive multiple has the same
+    level sets and the same argmins.
 
     Isolation is read off the same probes: a point v with p in the
     positive fan is not isolated iff p lies in the closed cone of a
@@ -714,10 +709,8 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     piece has positive dimension.  With no such piece every point is
     isolated.
     """
-    hh = vector(h)
     plan = _fan_plan(OM, A)
-    at_int = plan.at_int
-    H, h_int = integer_multiple(hh)
+    H, h_int = integer_multiple(vector(h))
 
     notes: list[str] = []
     if plan.empty is not None:
@@ -725,38 +718,30 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
             f"component {list(plan.empty)} admits no positive weight; the positive fan is empty"
         )
 
-    # v -> (w, an integer positive multiple p of w + h)
-    candidates: dict[tuple[Fraction, ...], tuple[tuple[Fraction, ...], list[int]]] = {}
-    seen: set[tuple[tuple[int, ...], int]] = set()
-    pinned = 0
-    for d, h_rows, checks, masks in plan.pivoted:
-        if not _consistent(checks, masks, h_int):
-            continue
-        x = [sum(map(mul, row, h_int)) for row in h_rows]
-        # v = x / (d H); many pivot sets share a point, so each v, keyed
-        # by x / d in lowest terms, is tested once
+    # each point (x, d) in lowest terms, v = x / (d H), tested once: its
+    # image p, or None outside the positive fan
+    images: dict[tuple[tuple[int, ...], int], list[int] | None] = {}
+
+    def accept(x: Sequence[int], d: int) -> list[int] | None:
         g = gcd(d, *x)
         key = (tuple(xi // g for xi in x), d // g)
-        if key in seen:
-            continue
-        seen.add(key)
-        aw = [sum(map(mul, row, x)) for row in at_int]
-        p = [a + d * hj for a, hj in zip(aw, h_int)]
-        if is_positive_member(p, OM):
-            den = d * H
-            v = tuple(Fraction(xi, den) for xi in x)
-            candidates[v] = (tuple(Fraction(a, den) for a in aw), p)
+        if key not in images:
+            p = _image(plan.at_int, h_int, *key)
+            images[key] = p if is_positive_member(p, OM) else None
+        return images[key]
+
+    for d, h_rows, checks, masks in plan.pivoted:
+        if _consistent(checks, masks, h_int):
+            accept([sum(map(mul, row, h_int)) for row in h_rows], d)
     # the product cells whose piece has positive dimension
     pieces = []
-    for _, cell, dim, vstar in _product_cells(plan, H, h_int):
+    pinned = 0
+    for _, cell, dim, point in _product_cells(plan, H, h_int):
         if dim == 0:
-            wstar = tuple(sum(map(mul, row, vstar)) for row in at_int)
-            p = integer_multiple([a + b for a, b in zip(wstar, hh)])[1]
-            if not is_positive_member(p, OM):
+            if accept(*point) is None:
                 raise RuntimeError(
                     "pinned cone point escaped the positive fan; cell bookkeeping is wrong"
                 )
-            candidates[vstar] = (wstar, p)
             pinned += 1
         elif dim > 0:
             pieces.append(cell)
@@ -771,18 +756,20 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
 
     diagnostics = plan.diagnostics
     positive_dimensional = bool(pieces)
-    points = []
-    for v in sorted(candidates):
-        w, p = candidates[v]
-        points.append(
+    points = sorted(
+        (
             IntersectionPoint(
-                v=v,
-                w=w,
+                v=tuple(Fraction(xi, d * H) for xi in x),
+                w=tuple(Fraction(pj - d * hj, d * H) for pj, hj in zip(p, h_int)),
                 supporting_flag=_level_flag(p),
                 isolated=not any(_in_closed_cone(p, cell) for cell in pieces),
                 interior=_is_interior(p, OM),
             )
-        )
+            for (x, d), p in images.items()
+            if p is not None
+        ),
+        key=lambda pt: pt.v,
+    )
     free_matroid = not OM.circuits
     transverse = (
         diagnostics.ok

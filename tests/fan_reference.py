@@ -142,9 +142,10 @@ def reference_probe_cells(
     (w + h)_a <= (w + h)_b as inequalities, times H, go to
     ``reference_dimension`` over all n coordinates of v.  Ties that fail
     at h leave every piece empty, so they are solved once first.  The
-    reference for
-    ``intersection._probe_cells``, which probes in the free coordinates
-    of the ties' solutions with ``_polyhedra.polyhedron_dimension``.
+    reference for ``intersection._product_cells``, which probes in the
+    free coordinates of the ties' solutions with
+    ``_polyhedra.polyhedron_dimension`` and gives a point as integers
+    (x, d) with v = x / (d H).
     """
     n = len(at_int[0])
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fan_reference import (
@@ -356,6 +356,53 @@ def test_chains_strictly_increase_random(data):
         label="C",
     )
     check_chains_strictly_increase(realize_from_kernel(RationalMatrix.from_rows(C_rows)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_positive_flats_are_graded_random(data):
+    # the positive flats form a graded poset: with the empty flat and E
+    # among them, two of them two or more ranks apart have a third strictly
+    # between them, so each chain of positive flats refines to one that
+    # steps through covers.  C has zero columns, parallel columns (up to
+    # sign) and repeated rows.  A random rowspan(C) often holds a
+    # nonnegative vector, a one-signed circuit that leaves no positive
+    # flat; rows summing to 0 put (1, ..., 1) in ker(C) and rule that out
+    r = data.draw(st.integers(1, 8), label="r")
+    m = data.draw(st.integers(1, r), label="m")
+    if data.draw(st.booleans(), label="balanced"):
+        pairs = st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, r - 1)), max_size=3 * r)
+        rows = []
+        for _ in range(m):
+            row = [0] * r
+            for i, j in data.draw(pairs, label="moves"):
+                if row[i] < 3 and row[j] > -3:
+                    row[i], row[j] = row[i] + 1, row[j] - 1
+            rows.append(row)
+    else:
+        columns = []
+        for _ in range(r):
+            kind = data.draw(st.sampled_from(("fresh",) * 6 + ("parallel", "zero")), label="kind")
+            if kind == "parallel" and columns:
+                sign = data.draw(st.sampled_from((1, -1)), label="sign")
+                columns.append([sign * x for x in data.draw(st.sampled_from(columns))])
+            elif kind == "zero":
+                columns.append([0] * m)
+            else:
+                columns.append(data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)))
+        rows = [list(row) for row in zip(*columns)]
+    if data.draw(st.booleans(), label="repeat"):
+        rows.append([-x for x in data.draw(st.sampled_from(rows))])
+    assume(any(map(any, rows)))
+    OM = realize_from_kernel(RationalMatrix.from_rows(rows))
+    flats = _positive_flats(OM)
+    if flats:
+        sets = {f.as_set for f in flats}
+        assert frozenset() in sets and frozenset(range(1, r + 1)) in sets
+    for F in flats:
+        for G in flats:
+            if F.as_set < G.as_set and G.rank - F.rank >= 2:
+                assert any(F.as_set < H.as_set < G.as_set for H in flats), (rows, F, G)
 
 
 def check_cover_walk(OM, keep):

@@ -276,9 +276,10 @@ def test_isolation_contradicting_fan_walk_exit_three(tmp_path, monkeypatch, caps
     doc["h"] = [7, 8, 3, 3, -1, 8]
     path = write(tmp_path, "hhk.json", doc)
     vs = assemble_crn(parse_input(path))
-    outside = (Fraction(0),) * vs.A.rows
+    # v = 0, as (x, d) = (0, 1), whose image is h
+    outside = ([0] * vs.A.rows, 1)
     assert not is_positive_member(vs.h, realize_from_kernel(vs.C))
-    monkeypatch.setattr(mod, "_probe_cells", lambda system, H, h_int: [(0, outside)])
+    monkeypatch.setattr(mod, "_product_cells", lambda plan, H, h_int: [(None, (), 0, outside)])
     code = main(["intersect", path])
     assert code == 3
     captured = capsys.readouterr()
@@ -339,11 +340,17 @@ def test_positive_bergman_with_coarse_compare(capsys):
         ("cones", [[1, 2], [3, 8]]),
         ("cones", {"1": [1, 2]}),
         ("rays", 7),
+        # None drops the field
+        pytest.param("rays", None, id="rays-missing"),
+        pytest.param("cones", None, id="cones-missing"),
     ],
 )
 def test_coarse_compare_refuses_bad_fan(tmp_path, capsys, field, value):
     doc = json.loads((INPUTS / "coarse_fan_2x5.json").read_text())
-    doc[field] = value
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
     path = write(tmp_path, "coarse.json", doc)
     with pytest.raises(CliInputError, match=re.escape(path)):
         parse_input(path)

@@ -25,7 +25,7 @@ from tropibound.intersection import (
     _fine_cells,
     _is_interior,
     _level_flag,
-    _probe_cells,
+    _product_cells,
     intersect_via_fan,
     intersect_via_vertices,
     is_isolated,
@@ -458,15 +458,19 @@ def _scan_cases(hhk_model) -> tuple[tuple, ...]:
 def test_cell_probes_match_v_space_reference(hhk_model):
     # the fan walk probes an underdetermined system's cells in the free
     # coordinates of its ties' solutions, with each ordering facet reduced
-    # once; every cell's dimension, and its point where that is 0, must be
-    # those of the v-space probe it replaced
+    # once; every cell's dimension, and its point v = x / (d H) where that
+    # is 0, must be those of the v-space probe it replaced
     seen = set()
     for OM, A, shifts in _scan_cases(hhk_model):
         plan = _fan_plan(OM, A)
         for h in shifts:
             H, h_int = integer_multiple(vector(h))
             for system in plan.underdetermined:
-                got = _probe_cells(system, H, h_int)
+                one = plan._replace(underdetermined=(system,))
+                got = [
+                    (dim, point and tuple(Fraction(xi, point[1] * H) for xi in point[0]))
+                    for _, _, dim, point in _product_cells(one, H, h_int)
+                ]
                 want = reference_probe_cells(plan.at_int, system.groups, H, h_int)
                 if got:
                     assert got == want, (OM, A, h)
@@ -1550,7 +1554,9 @@ def test_oracle_vertices_follow_relabelling(data):
 def test_point_flags_are_flats(monkeypatch, hhk_model):
     # each level set of a fan point is a flat of a positive chain; checked
     # on the 24 crn_scan draws, the hhk shift whose points are pinned by
-    # cone facets, and random systems
+    # cone facets, and random systems.  The walk reads a point's flag and
+    # interiority off its integer image; both must be those of the exact
+    # image w + h
     spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
@@ -1569,6 +1575,9 @@ def test_point_flags_are_flats(monkeypatch, hhk_model):
             flag = [frozenset(level) for level in point.supporting_flag]
             assert all(a < b for a, b in zip(flag, flag[1:])), (C, A, h, point.v)
             assert all(level in flats for level in flag), (C, A, h, point.v)
+            image = [wi + hi for wi, hi in zip(point.w, vector(h))]
+            assert point.supporting_flag == _level_flag(image), (C, A, h, point.v)
+            assert point.interior == _is_interior(image, OM), (C, A, h, point.v)
             levels += len(flag)
     assert levels >= 300
 
