@@ -11,7 +11,6 @@ decimal approximations, always marked as such.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from collections.abc import Iterator
@@ -51,15 +50,28 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+# the most characters of a refused entry that an error message echoes
+_ECHO = 40
+
+
+def _echo(value) -> str:
+    text = repr(value)
+    return text if len(text) <= _ECHO else f"{text[:_ECHO]}... ({len(text)} characters)"
+
+
 def _fraction(value, path: str) -> Fraction:
     try:
         return to_rational(value)
     except ZeroDivisionError:
-        raise CliInputError(f"{path}: zero denominator in {value!r}") from None
+        raise CliInputError(f"{path}: zero denominator in {_echo(value)}") from None
     except (TypeError, ValueError):
-        raise CliInputError(
-            f"{path}: expected an integer or fraction string, got {value!r}"
-        ) from None
+        expected = "an integer or fraction string"
+        # Fraction refuses a numerator or denominator of more digits than
+        # this, so only a string longer than it can be well-formed and refused
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if isinstance(value, str) and 0 < limit < len(value):
+            expected += f" of at most {limit} digits a part"
+        raise CliInputError(f"{path}: expected {expected}, got {_echo(value)}") from None
 
 
 def _matrix(rows, path: str) -> RationalMatrix:
@@ -98,6 +110,10 @@ def parse_input(path: str):
         raise CliInputError(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})") from None
     except RecursionError:
         raise CliInputError(f"{path}: nested too deeply to parse") from None
+    except ValueError as exc:
+        # an integer literal of more digits than sys.get_int_max_str_digits(),
+        # or bytes that are not UTF-8
+        raise CliInputError(f"{path}: {exc}") from None
     if not isinstance(doc, dict) or "kind" not in doc:
         raise CliInputError(f"{path}: top-level object with a 'kind' field required")
     kind = doc["kind"]
@@ -110,10 +126,12 @@ def parse_input(path: str):
             h = _vector(doc.get("h"), "h")
             return VerticalSystem(C, A, tuple(h))
         if kind == "crn":
+            N, W = _matrix(doc.get("N"), "N"), doc.get("W")
             return CRNModel(
-                N_stoich=_matrix(doc.get("N"), "N"),
+                N_stoich=N,
                 B=_matrix(doc.get("B"), "B"),
-                W=_matrix(doc.get("W"), "W"),
+                # a network without conservation laws: no rows, and T empty
+                W=RationalMatrix(0, N.rows, ()) if W == [] else _matrix(W, "W"),
                 T=tuple(_vector(doc.get("T"), "T")),
                 h=tuple(_vector(doc.get("h"), "h")),
             )
@@ -540,38 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's mallopt parameter and its initial value, in bytes
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD = 128 * 1024
-
-
-@functools.cache
-def _pin_mmap_threshold() -> None:
-    """Keep glibc's mmap threshold at its initial 128 KiB in this process.
-
-    glibc raises the threshold to the size of each mapped block it frees,
-    up to 32 MiB.  Once one fan document of a large input (23 MB of text
-    for ``bergman`` on hhk) has been freed, blocks of that size come from
-    the heap instead, and whether a freed one can be reused depends on
-    which small blocks were placed beside it since; a process that runs
-    several commands then peaks one whole document higher in some runs
-    than in others.  With the threshold pinned, every block above 128 KiB
-    is mapped on its own and unmapped when freed.  Without glibc's
-    ``mallopt`` this does nothing (musl's ignores the call).
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-
-
 def main(argv=None) -> int:
-    _pin_mmap_threshold()
     try:
         return run(build_parser().parse_args(argv))
     except (ValueError, OSError) as exc:

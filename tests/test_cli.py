@@ -1,9 +1,10 @@
 import argparse
+import codecs
 import hashlib
 import io
 import json
+import locale
 import os
-import platform
 import random
 import re
 import subprocess
@@ -91,6 +92,26 @@ def test_bound_refuses_decimal_and_exponent_shifts(tmp_path, capsys):
         assert err.startswith("error: h[4]: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(), reason="no integer string digit limit"
+)
+def test_over_long_integers_name_the_file_or_entry(tmp_path, capsys):
+    # json.load refuses an over-long integer literal with a ValueError that
+    # is not a JSONDecodeError; Fraction refuses an over-long integer string
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    path = tmp_path / "long.json"
+    path.write_text('{"kind": "matrix", "matrix": [[' + digits + "]]}")
+    assert main(["circuits", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    path = write(tmp_path, "long_string.json", {"kind": "matrix", "matrix": [[digits]]})
+    assert main(["circuits", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix[0][0]: ") and err.count("\n") == 1, err
+    assert f"at most {sys.get_int_max_str_digits()} digits" in err
+    assert digits[:100] not in err
+
+
 def test_parse_ragged_matrix(tmp_path):
     path = write(tmp_path, "ragged.json", {"kind": "matrix", "matrix": [[1, 2], [3]]})
     with pytest.raises(CliInputError, match="ragged"):
@@ -122,6 +143,17 @@ def test_parse_invalid_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(CliInputError, match="line"):
         parse_input(str(p))
+
+
+@pytest.mark.skipif(
+    codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+    reason="input files are read in the locale's encoding",
+)
+def test_parse_non_utf8_names_the_file(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"kind": "matrix", "matrix": [[1]], "note": "\xff"}')
+    assert main(["circuits", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {p}: 'utf-8' codec")
 
 
 def test_parse_deeply_nested_json_exit_one(tmp_path, capsys):
@@ -516,6 +548,31 @@ def test_crn_command_exit_zero(capsys):
     assert "certified lower bound on positive real roots: 3" in out
 
 
+OPEN_NETWORK = {"kind": "crn", "N": [[1, -1]], "B": [[0, 1]], "W": [], "T": [], "h": [2, -1]}
+
+
+def test_crn_without_conservation_laws(tmp_path, capsys):
+    # 0 -> X -> 0 at rates t^2 and t^-1: x = k1/k2 = t^3, so v = 3
+    path = write(tmp_path, "open.json", OPEN_NETWORK)
+    assert main(["crn", path, "--json", "-"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["certified_bound"] == 1
+    assert [p["v"] for p in doc["tropical"]["points"]] == [["3"]]
+    assert main(["verify", path, "--json", "-"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["certified_bound"] == 1 and len(doc["witnesses"]) == 1
+    [[x]] = [w["x"] for w in doc["witnesses"]]
+    assert x == pytest.approx(0.01**3)
+
+
+def test_crn_without_conservation_laws_takes_no_totals(tmp_path, capsys):
+    path = write(tmp_path, "open.json", {**OPEN_NETWORK, "T": [1]})
+    assert main(["crn", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: one total per conservation row required\n"
+
+
 # sha256 of the `--json -` document of each command on the shipped inputs;
 # None marks a command that refuses the input (exit 1, nothing on stdout).
 # A command may carry flags after its name; `--cross-check` only adds a
@@ -835,39 +892,6 @@ def test_fan_documents_stream_in_small_memory(command):
     code, peak_kb = map(int, done.stderr.split()[-2:])
     assert code == 0
     assert peak_kb < 60 * 1024
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc and Linux /proc")
-def test_main_returns_freed_large_blocks_to_the_system():
-    # Freeing a mapped 20 MiB block would raise glibc's mmap threshold, so
-    # the 10 MiB block after it would come from the heap and stay resident
-    # once freed; after main, both are mapped on their own.
-    script = (
-        "import sys\n"
-        "from tropibound.cli import main\n"
-        f"code = main(['circuits', {str(INPUTS / 'running_2x5.json')!r}, '--json', '-'])\n"
-        "def resident():\n"
-        "    return int(open('/proc/self/statm').read().split()[1]) * 4096\n"
-        "big = b'x' * (20 << 20)\n"
-        "del big\n"
-        "before = resident()\n"
-        "block = b'y' * (10 << 20)\n"
-        "del block\n"
-        "print(code, resident() - before, file=sys.stderr)\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(INPUTS.parent / "src")}
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=env,
-        timeout=120,
-        check=True,
-    )
-    code, kept = map(int, done.stderr.split()[-2:])
-    assert code == 0
-    assert kept < 1 << 20
 
 
 def test_only_verify_imports_numpy():
