@@ -136,21 +136,22 @@ def positive_chains(OM: OrientedMatroid) -> list[tuple[Flat, ...]]:
     proper = sorted(
         (f for f in positive if 0 < f.rank < OM.rank), key=lambda f: (f.rank, f.elements)
     )
+    masks = [_mask(f.elements) for f in proper]
     out: list[tuple[Flat, ...]] = []
 
-    def extend(chain: tuple[Flat, ...], start: int):
+    def extend(chain: tuple[Flat, ...], last: int, start: int):
+        # last is the mask of the chain's top flat, 0 for the empty chain
         extended = False
         for idx in range(start, len(proper)):
-            f = proper[idx]
-            if chain and not (chain[-1].as_set < f.as_set):
+            if last & ~masks[idx] or last == masks[idx]:
                 continue
             extended = True
-            extend((*chain, f), idx + 1)
+            extend((*chain, proper[idx]), masks[idx], idx + 1)
         if not extended:
             out.append(chain)
 
     if positive:
-        extend((), 0)
+        extend((), 0, 0)
     return out
 
 

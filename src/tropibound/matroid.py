@@ -10,10 +10,9 @@ stored.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from operator import and_, lt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from tropibound.rational import RationalMatrix, integer_multiple, kernel_basis, primitive
 
@@ -27,22 +26,13 @@ def _normalized(t) -> bool:
     return type(t) is tuple and all(map(lt, t, t[1:]))
 
 
-@dataclass(frozen=True, order=True)
-class SignedCircuit:
-    """A pair of disjoint 1-based index sets (positive part, negative part)."""
+class SignedCircuit(NamedTuple):
+    """A pair of disjoint 1-based index sets (positive part, negative
+    part), each an increasing tuple; ``OrientedMatroid`` normalizes and
+    checks the circuits it is given."""
 
     positive: tuple[int, ...]
     negative: tuple[int, ...]
-
-    def __post_init__(self):
-        if not (_normalized(self.positive) and _normalized(self.negative)):
-            object.__setattr__(self, "positive", tuple(sorted(set(self.positive))))
-            object.__setattr__(self, "negative", tuple(sorted(set(self.negative))))
-        pos, neg = self.positive, self.negative
-        if not set(pos).isdisjoint(neg):
-            raise MatroidError(f"positive and negative parts overlap: {pos} / {neg}")
-        if not pos and not neg:
-            raise MatroidError("empty signed circuit")
 
     @property
     def support(self) -> frozenset[int]:
@@ -55,22 +45,12 @@ class SignedCircuit:
         return f"({set(self.positive) or '{}'}, {set(self.negative) or '{}'})"
 
 
-@dataclass(frozen=True, order=True)
-class Flat:
-    """A closure-closed subset of the ground set, with its matroid rank."""
+class Flat(NamedTuple):
+    """A closure-closed subset of the ground set, as an increasing tuple,
+    with its matroid rank."""
 
     elements: tuple[int, ...]
     rank: int
-
-    def __post_init__(self):
-        if not _normalized(self.elements):
-            object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
-
-    @cached_property
-    def as_set(self) -> frozenset[int]:
-        """The elements as a set, built on first read: the walks that make
-        and render flats read only ``elements``."""
-        return frozenset(self.elements)
 
     def __repr__(self) -> str:
         return f"Flat({set(self.elements) or '{}'}, rank={self.rank})"
@@ -84,12 +64,11 @@ class OrientedMatroid:
     supports, sorted by (size, elements), and ``_masks`` their bitmasks;
     ``sign_masks`` holds each circuit once, up to negation, as bitmasks.
 
-    The constructor works on the circuits' sorted ``(positive,
-    negative)`` tuples: it checks the ground set on the ends of each
-    sorted support and nesting on bitmasks, builds only the negations
-    that are missing, each once through ``negated``, and sorts plain
-    tuples.  So every ``SignedCircuit`` it holds was built, and checked
-    by its constructor, once.
+    The constructor is where circuits enter the package: it sorts and
+    dedupes each one's parts (sorted tuples are kept as they are), then
+    refuses overlapping parts, an empty circuit, an element outside the
+    ground set and nested supports, the last on bitmasks.  It builds only
+    the negations that are missing, each once through ``negated``.
     """
 
     __slots__ = ("ground_size", "circuits", "circuit_supports", "_masks", "_rank", "_signs")
@@ -97,15 +76,24 @@ class OrientedMatroid:
     def __init__(self, ground_size: int, circuits: Iterable[SignedCircuit]):
         if ground_size < 1:
             raise MatroidError("ground set must be nonempty")
-        closed = {(c.positive, c.negative): c for c in circuits}
+        closed = set()
         found = set()
-        for (pos, neg), c in list(closed.items()):
+        for c in circuits:
+            pos, neg = c
+            if not (_normalized(pos) and _normalized(neg)):
+                pos, neg = tuple(sorted(set(pos))), tuple(sorted(set(neg)))
+                c = SignedCircuit(pos, neg)
             s = tuple(sorted(pos + neg))
+            if not _normalized(s):
+                raise MatroidError(f"positive and negative parts overlap: {pos} / {neg}")
+            if not s:
+                raise MatroidError("empty signed circuit")
             if s[0] < 1 or s[-1] > ground_size:
                 raise MatroidError(f"circuit {c} leaves the ground set [1..{ground_size}]")
             found.add(s)
-            if (neg, pos) not in closed:
-                closed[neg, pos] = c.negated()
+            closed.add(c)
+        # a circuit equals and hashes as its (positive, negative) tuple
+        closed |= {c.negated() for c in closed if c[::-1] not in closed}
         supports = [s for _, s in sorted((len(s), s) for s in found)]
         # bit i of holders[e] is set when support i holds e; the AND over a
         # support's elements marks every support containing it
@@ -119,8 +107,7 @@ class OrientedMatroid:
                 b = supports[(above & -above).bit_length() - 1]
                 raise MatroidError(f"circuit supports are nested: {set(s)} < {set(b)}")
         object.__setattr__(self, "ground_size", ground_size)
-        # the dataclass order is the order of the (positive, negative) keys
-        object.__setattr__(self, "circuits", tuple(closed[k] for k in sorted(closed)))
+        object.__setattr__(self, "circuits", tuple(sorted(closed)))
         object.__setattr__(self, "circuit_supports", tuple(supports))
         object.__setattr__(self, "_masks", tuple(map(_mask, supports)))
         object.__setattr__(self, "_rank", None)
@@ -165,7 +152,7 @@ class OrientedMatroid:
         )
 
     def __hash__(self) -> int:
-        # equal circuits give equal masks, and ints hash faster than dataclasses
+        # equal circuits give equal masks, and ints hash faster than circuits
         return hash((self.ground_size, self._masks))
 
     def __repr__(self) -> str:
@@ -211,9 +198,8 @@ def circuits_via_subsets(G: RationalMatrix) -> list[SignedCircuit]:
     ``integer_multiple``, which leaves the column relations unchanged.
 
     The search collects each circuit as its sorted ``(positive,
-    negative)`` tuples, in both orientations.  One sort of those plain
-    tuples gives the dataclass order, and each ``SignedCircuit`` is then
-    built once, already in place.
+    negative)`` tuples, in both orientations, and each ``SignedCircuit``
+    is built once, in sorted order.
     """
     ints = [integer_multiple(G.row(i))[1] for i in range(G.rows)]
     circuits: list[tuple[tuple[int, ...], tuple[int, ...]]] = []

@@ -21,7 +21,7 @@ from tropibound.matroid import Flat
 def generators(chain, ground_size: int) -> tuple[tuple[int, ...], ...]:
     """The indicator vectors of the chain's flats."""
     return tuple(
-        tuple(1 if e in f.as_set else 0 for e in range(1, ground_size + 1)) for f in chain
+        tuple(1 if e in f.elements else 0 for e in range(1, ground_size + 1)) for f in chain
     )
 
 
@@ -30,8 +30,8 @@ def blocks(chain, ground_size: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     prev: frozenset[int] = frozenset()
     for f in chain:
-        out.append(tuple(sorted(f.as_set - prev)))
-        prev = f.as_set
+        out.append(tuple(sorted(frozenset(f.elements) - prev)))
+        prev = frozenset(f.elements)
     out.append(tuple(sorted(set(range(1, ground_size + 1)) - prev)))
     return out
 
@@ -85,7 +85,7 @@ def reference_full_chains(flats: Iterable[Flat], top_rank: int) -> list[tuple[Fl
             out.append(prefix)
             return
         for f in by_rank.get(depth, []):
-            if not prefix or prefix[-1].as_set < f.as_set:
+            if not prefix or frozenset(prefix[-1].elements) < frozenset(f.elements):
                 extend((*prefix, f))
 
     extend(())

@@ -2,8 +2,8 @@
 
 The package builds circuits and flats as bitmasks and sorted tuples and
 makes each ``SignedCircuit`` and ``Flat`` once.  This module keeps the
-construction it replaced: circuits built as dataclasses, negated and
-sorted by the dataclass order; supports deduplicated as frozensets; and
+construction it replaced: circuits built as records, negated and
+sorted by the record order; supports deduplicated as frozensets; and
 flats read off every ground-set element, built, then sorted by a key.
 The tests check that both give the same objects in the same order.
 ``initial_circuit`` lives here too: only the tests call it.
@@ -29,7 +29,7 @@ def initial_circuit(w: Sequence, c: SignedCircuit) -> SignedCircuit:
 
 def circuits_via_subsets(G: RationalMatrix) -> list[SignedCircuit]:
     """The depth-first circuit search, each relation built as a
-    ``SignedCircuit`` and its negation, sorted by the dataclass order."""
+    ``SignedCircuit`` and its negation, sorted by the record order."""
     ints = [integer_multiple(G.row(i))[1] for i in range(G.rows)]
     circuits: list[SignedCircuit] = []
 
@@ -79,7 +79,7 @@ def _mask(S: Iterable[int]) -> int:
 
 class ReferenceMatroid:
     """The circuits, supports and masks of ``OrientedMatroid``, closed
-    under negation through a set of dataclasses and sorted by key."""
+    under negation through a set of records and sorted by key."""
 
     def __init__(self, ground_size: int, circuits: Iterable[SignedCircuit]):
         if ground_size < 1:

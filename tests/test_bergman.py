@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import initial_reference
 from fan_reference import (
     contains,
     generators,
@@ -201,7 +202,7 @@ def test_cone_contains_strict_flags_boundary():
 def test_positive_fan_running_example(M):
     cones = positive_fan(M)
     assert len(cones) == 6
-    chains = {tuple(f.as_set for f in c) for c in cones}
+    chains = {tuple(frozenset(f.elements) for f in c) for c in cones}
     assert chains == {
         (frozenset({1}), frozenset({1, 2, 3})),
         (frozenset({1}), frozenset({1, 4, 5})),
@@ -255,9 +256,9 @@ def test_positive_fan_two_sided_random_oracle():
 
 
 def test_positive_chains_cover_positive_fan_cones(M):
-    chains = {tuple(f.as_set for f in chain) for chain in positive_chains(M)}
+    chains = {tuple(frozenset(f.elements) for f in chain) for chain in positive_chains(M)}
     for cone in positive_fan(M):
-        assert tuple(f.as_set for f in cone) in chains
+        assert tuple(frozenset(f.elements) for f in cone) in chains
 
 
 def reference_positive_chains(OM):
@@ -272,7 +273,8 @@ def reference_positive_chains(OM):
     out = []
 
     def walk(chain):
-        above = [f for f in proper if not chain or chain[-1].as_set < f.as_set]
+        below = frozenset(chain[-1].elements) if chain else frozenset()
+        above = [f for f in proper if below < frozenset(f.elements)]
         if positive(chain) and not any(positive(chain + [f]) for f in above):
             out.append(tuple(chain))
         for f in above:
@@ -338,7 +340,8 @@ def check_chains_strictly_increase(OM):
     holds only proper nonempty flats."""
     full = (*maximal_flags(OM), *positive_fan(OM))
     for chain in (*full, *positive_chains(OM)):
-        assert all(a.as_set < b.as_set for a, b in zip(chain, chain[1:])), chain
+        sets = [frozenset(f.elements) for f in chain]
+        assert all(a < b for a, b in zip(sets, sets[1:])), chain
         assert all(0 < f.rank < OM.rank for f in chain), chain
     for chain in full:
         assert [f.rank for f in chain] == list(range(1, OM.rank)), chain
@@ -356,6 +359,35 @@ def test_chains_strictly_increase(running_N, hhk_model):
         rank_one,
     ):
         check_chains_strictly_increase(OM)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(C_ROWS, st.data())
+def test_initial_form_membership_matches_circuits_random(C_rows, data):
+    # the circuit rule against the initial forms of rowspan(C), which read
+    # no circuits.  Where C has a positive chain, a w from the closed cone
+    # of one, shifted along (1, ..., 1), is checked with that w with one
+    # entry nudged by 1, so that about half of all points are members;
+    # elsewhere one w is drawn from {-1, 0, 1}^r
+    r = len(C_rows[0])
+    OM = realize_from_kernel(RationalMatrix.from_rows(C_rows))
+    chains = positive_chains(OM)
+    if chains:
+        chain = data.draw(st.sampled_from(chains), label="chain")
+        w = [data.draw(st.integers(-2, 2), label="shift")] * r
+        for f in chain:
+            weight = data.draw(st.integers(0, 3), label="weight")
+            for e in f.elements:
+                w[e - 1] += weight
+        nudged = list(w)
+        nudged[data.draw(st.integers(0, r - 1), label="at")] += data.draw(
+            st.sampled_from([-1, 1]), label="by"
+        )
+        points = [w, nudged]
+    else:
+        points = [data.draw(st.lists(st.integers(-1, 1), min_size=r, max_size=r), label="w")]
+    for w in points:
+        assert initial_reference.is_positive_member(C_rows, w) == is_positive_member(w, OM), w
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -403,12 +435,14 @@ def test_positive_flats_are_graded_random(data):
     OM = realize_from_kernel(RationalMatrix.from_rows(rows))
     flats = _positive_flats(OM)
     if flats:
-        sets = {f.as_set for f in flats}
+        sets = {frozenset(f.elements) for f in flats}
         assert frozenset() in sets and frozenset(range(1, r + 1)) in sets
     for F in flats:
         for G in flats:
-            if F.as_set < G.as_set and G.rank - F.rank >= 2:
-                assert any(F.as_set < H.as_set < G.as_set for H in flats), (rows, F, G)
+            if set(F.elements) < set(G.elements) and G.rank - F.rank >= 2:
+                assert any(
+                    set(F.elements) < set(H.elements) < set(G.elements) for H in flats
+                ), (rows, F, G)
 
 
 def check_cover_walk(OM, keep):

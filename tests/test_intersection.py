@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import initial_reference
 from fan_reference import reference_cone_point, reference_merge, reference_probe_cells
 from tropibound.bergman import _is_positive_flat, is_positive_member, positive_chains, positive_fan
 from tropibound.intersection import (
@@ -594,7 +595,7 @@ def _chain_partitions(OM):
             blocks, below = [], frozenset()
             for f in flag:
                 blocks.append(tuple(comp[e - 1] for e in f.elements if e not in below))
-                below = f.as_set
+                below = frozenset(f.elements)
             blocks.append(tuple(g for e, g in enumerate(comp, 1) if e not in below))
             grouped.setdefault(tuple(sorted(blocks)), []).append(tuple(blocks))
         groups.append(grouped)
@@ -754,9 +755,9 @@ def check_component_flats(OM):
     that the frozenset rule keeps, on every component and on OM itself."""
 
     def frozenset_rule(f, M):
+        F = frozenset(f.elements)
         return all(
-            c.support <= f.as_set
-            or not (f.as_set.issuperset(c.positive) or f.as_set.issuperset(c.negative))
+            c.support <= F or not (F.issuperset(c.positive) or F.issuperset(c.negative))
             for c in M.circuits
         )
 
@@ -1570,7 +1571,7 @@ def test_point_flags_are_flats(monkeypatch, hhk_model):
     levels = 0
     for C, A, h in systems:
         OM = realize_from_kernel(C)
-        flats = {f.as_set for f in all_flats(OM)}
+        flats = {frozenset(f.elements) for f in all_flats(OM)}
         for point in intersect_via_fan(OM, A, h).points:
             flag = [frozenset(level) for level in point.supporting_flag]
             assert all(a < b for a, b in zip(flag, flag[1:])), (C, A, h, point.v)
@@ -1580,6 +1581,28 @@ def test_point_flags_are_flats(monkeypatch, hhk_model):
             assert point.interior == _is_interior(image, OM), (C, A, h, point.v)
             levels += len(flag)
     assert levels >= 300
+
+
+def test_hhk_points_are_initial_form_members(monkeypatch, hhk_model):
+    # every point w + h the fan walk reports on the 24 crn_scan draws is a
+    # member by the initial forms of rowspan(C), which read no circuits
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    C = assemble_crn(hhk_model).C
+    C_rows = [C.row(i) for i in range(C.rows)]
+    OM = realize_from_kernel(C)
+    points = 0
+    for h in workloads.crn_base_draws():
+        vs = assemble_crn(dataclasses.replace(hhk_model, h=h))
+        assert vs.C == C
+        for point in intersect_via_fan(OM, vs.A, vs.h).points:
+            image = [w + x for w, x in zip(point.w, vector(vs.h))]
+            assert initial_reference.is_positive_member(C_rows, image), (h, point.v)
+            assert is_positive_member(image, OM), (h, point.v)
+            points += 1
+    assert points >= 24
 
 
 def test_isolated_points_are_oracle_vertices(monkeypatch, hhk_model):

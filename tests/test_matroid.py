@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -58,14 +59,11 @@ def circuits_by_sympy(G: RationalMatrix) -> set[SignedCircuit]:
 
 
 def test_signed_circuit_normalizes_and_validates():
-    c = SignedCircuit((3, 1), (2,))
-    assert c.positive == (1, 3)
-    with pytest.raises(MatroidError):
-        SignedCircuit((1,), (1, 2))
-    with pytest.raises(MatroidError):
-        SignedCircuit((), ())
-    # lists, duplicates and unsorted input all come out as sorted tuples of
-    # distinct elements, sorted tuples as they are
+    # a hand-built circuit is normalized and checked where it enters an
+    # OrientedMatroid: lists, duplicates and unsorted parts give the
+    # circuits that sorted tuples of distinct elements give, and those are
+    # kept as they are
+    want = (SignedCircuit((1, 3), (2,)), SignedCircuit((2,), (1, 3)))
     for pos, neg in [
         ([1, 3], [2]),
         ([3, 1], (2, 2)),
@@ -73,20 +71,29 @@ def test_signed_circuit_normalizes_and_validates():
         ((3, 1, 1, 3), (2,)),
         ((1, 3), (2,)),
     ]:
-        c = SignedCircuit(pos, neg)
-        assert (c.positive, c.negative) == ((1, 3), (2,))
-        assert type(c.positive) is tuple and type(c.negative) is tuple
-        assert c == SignedCircuit((1, 3), (2,)) and hash(c) == hash(SignedCircuit((1, 3), (2,)))
-    # an overlap hidden by a duplicate or by a list is still refused
-    for pos, neg in [([2, 1], [1]), ((1, 1), (1,)), ((2, 2), [2, 3]), ([], [])]:
-        with pytest.raises(MatroidError):
-            SignedCircuit(pos, neg)
-    for elements in [[2, 1], (2, 1, 2), [1, 2], (1, 1, 2), (1, 2)]:
-        f = Flat(elements, 1)
-        assert f.elements == (1, 2) and type(f.elements) is tuple
-        assert f.as_set == frozenset({1, 2})
-        assert f == Flat((1, 2), 1) and hash(f) == hash(Flat((1, 2), 1))
-    assert Flat([], 0).elements == ()
+        for given in ([SignedCircuit(pos, neg)], [SignedCircuit(pos, neg), want[0]]):
+            circuits = OrientedMatroid(3, given).circuits
+            assert circuits == want
+            assert all(type(c) is SignedCircuit for c in circuits)
+            assert all(type(c.positive) is tuple and type(c.negative) is tuple for c in circuits)
+    # an overlap, also one hidden by a duplicate or by a list, is refused
+    # with the normalized parts named, and so is an empty circuit
+    for pos, neg, named in [
+        ((1,), (1, 2), "(1,) / (1, 2)"),
+        ([2, 1], [1], "(1, 2) / (1,)"),
+        ((1, 1), (1,), "(1,) / (1,)"),
+        ((2, 2), [2, 3], "(2,) / (2, 3)"),
+    ]:
+        message = "positive and negative parts overlap: " + named
+        with pytest.raises(MatroidError, match=re.escape(message)):
+            OrientedMatroid(3, [SignedCircuit(pos, neg)])
+    for pos, neg in [((), ()), ([], [])]:
+        with pytest.raises(MatroidError, match="empty signed circuit"):
+            OrientedMatroid(3, [SignedCircuit(pos, neg)])
+    # each record equals its plain tuple and hashes as it does
+    c, f = SignedCircuit((1, 3), (2,)), Flat((1, 2), 1)
+    assert c == ((1, 3), (2,)) and hash(c) == hash(((1, 3), (2,)))
+    assert f == ((1, 2), 1) and hash(f) == hash(((1, 2), 1))
 
 
 def test_realize_running_example(running_N):
@@ -254,7 +261,7 @@ def test_circuit_search_matches_integer_subset_scan(G):
 @given(awkward_matrices(), st.randoms(use_true_random=False))
 def test_matroid_layer_matches_reference_construction(C, rng):
     # the layer built on masks and sorted tuples gives the same objects, in
-    # the same order, as building, negating and sorting dataclasses
+    # the same order, as building, negating and sorting records
     if C.is_zero():
         return
     G = kernel_basis(C)
@@ -267,9 +274,6 @@ def test_matroid_layer_matches_reference_construction(C, rng):
     assert M._masks == R._masks
     flats = all_flats.__wrapped__(M)
     assert flats == matroid_reference.all_flats(R)
-    assert [(f.elements, f.as_set) for f in flats] == [
-        (f.elements, f.as_set) for f in matroid_reference.all_flats(R)
-    ]
     assert M.to_document() == R.to_document()
     # one orientation of some circuits, both of others, repeats, any order
     given_circuits = [c for c in circuits if rng.random() < 0.7] + rng.sample(
@@ -313,7 +317,7 @@ def test_all_flats_running_example(running_N):
     flats = all_flats(M)
     by_rank = {}
     for f in flats:
-        by_rank.setdefault(f.rank, set()).add(f.as_set)
+        by_rank.setdefault(f.rank, set()).add(frozenset(f.elements))
     assert by_rank[0] == {frozenset()}
     assert by_rank[1] == {frozenset({i}) for i in range(1, 6)}
     assert by_rank[2] == {
@@ -353,7 +357,7 @@ def test_flats_match_exhaustive_closure_oracle():
                 k = col_rank(S)
                 if all(col_rank(S + (e,)) > k for e in range(1, 6) if e not in S):
                     expected[frozenset(S)] = k
-        assert {f.as_set: f.rank for f in all_flats(M)} == expected
+        assert {frozenset(f.elements): f.rank for f in all_flats(M)} == expected
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -392,7 +396,7 @@ def test_flats_match_rank_oracle_with_loops_coloops_and_parallels(data):
             k = rank_M(S)
             if all(rank_M(S + (e,)) > k for e in range(1, r + 1) if e not in S):
                 expected[frozenset(S)] = k
-    assert {f.as_set: f.rank for f in all_flats(realize_from_kernel(C))} == expected
+    assert {frozenset(f.elements): f.rank for f in all_flats(realize_from_kernel(C))} == expected
 
 
 def test_flats_close_each_cover_once_per_flat(running_N, monkeypatch):
@@ -425,7 +429,7 @@ def test_flats_close_each_cover_once_per_flat(running_N, monkeypatch):
             1
             for F in flats
             for G in flats
-            if G.rank == F.rank + 1 < top and F.as_set < G.as_set
+            if G.rank == F.rank + 1 < top and frozenset(F.elements) < frozenset(G.elements)
         )
         assert len(calls) == covers + 1 + (top > 0)
 
@@ -462,10 +466,10 @@ def test_nested_support_check_matches_pairwise_reference(data):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
-def test_negation_closure_keeps_dataclass_order(data):
+def test_negation_closure_keeps_tuple_order(data):
     # circuits supplied in one or both orientations, repeated or not, close
-    # to the same sorted tuple as sorting the closed set by the dataclass
-    # order
+    # to the same sorted tuple as sorting the closed set by the record
+    # order, which is that of (positive, negative) tuples
     r = data.draw(st.integers(1, 6), label="r")
     signs = st.lists(st.sampled_from([0, 1, -1]), min_size=r, max_size=r).filter(any)
     circuits = []
@@ -529,12 +533,12 @@ def test_column_permutation_relabels_circuits_and_flats(data):
     assert M.circuits and MP.circuits
 
     def moved(elements):
-        return tuple(relabel[e] for e in elements)
+        return tuple(sorted(relabel[e] for e in elements))
 
     assert set(MP.circuits) == {
         SignedCircuit(moved(c.positive), moved(c.negative)) for c in M.circuits
     }
-    assert {(f.as_set, f.rank) for f in all_flats(MP)} == {
+    assert {(frozenset(f.elements), f.rank) for f in all_flats(MP)} == {
         (frozenset(moved(f.elements)), f.rank) for f in all_flats(M)
     }
 
@@ -546,7 +550,7 @@ def test_maximal_flags_running_example(running_N):
     M = realize_from_kernel(running_N)
     flags = maximal_flags(M)
     assert len(flags) == 14
-    chains = {tuple(f.as_set for f in flag) for flag in flags}
+    chains = {tuple(frozenset(f.elements) for f in flag) for flag in flags}
     assert (frozenset({2}), frozenset({1, 2, 3})) in chains
     assert (frozenset({2}), frozenset({2, 4})) in chains
     for flag in flags:
@@ -556,7 +560,7 @@ def test_maximal_flags_running_example(running_N):
 def test_maximal_flags_free_matroid_two_elements():
     M = OrientedMatroid(2, [])
     flags = maximal_flags(M)
-    assert {tuple(f.as_set for f in flag) for flag in flags} == {
+    assert {tuple(frozenset(f.elements) for f in flag) for flag in flags} == {
         (frozenset({1}),),
         (frozenset({2}),),
     }
