@@ -7,10 +7,12 @@ ties' solutions, where only ordering facets remain.  Callers make their
 rows integer with the helpers of ``rational``, so no Fraction is
 unpacked here.
 
-Each question is one Fourier-Motzkin elimination on integer rows: each
-combination of two rows stays integer and is made
-``rational.primitive``, so every row has one primitive form (Schrijver,
-*Theory of Linear and Integer Programming*, 1986, §12.2).
+Each question is one Fourier-Motzkin elimination on integer rows, of
+the variables in index order: each combination of two rows stays
+integer and is made ``rational.primitive``, so every row has one
+primitive form (Schrijver, *Theory of Linear and Integer Programming*,
+1986, §12.2).  The order changes neither the dimension nor, where that
+is 0, the one point, and the fan walk reads nothing else.
 Back-substitution puts each variable in the relative interior of its
 interval, in integers over one common denominator, and only the
 returned point is built of Fractions.  So the run gives the dimension,
@@ -79,22 +81,11 @@ def _eliminate(ineqs: list[Constraint], var: int) -> list[Constraint]:
     return _clean(passthrough)
 
 
-def _choose_var(ineqs: list[Constraint], remaining: list[int]) -> int:
-    """Variable whose elimination creates the fewest product rows."""
-    best, best_cost = remaining[-1], None
-    for v in remaining:
-        lo = sum(1 for c, _ in ineqs if c[v] < 0)
-        hi = sum(1 for c, _ in ineqs if c[v] > 0)
-        cost = lo * hi - lo - hi
-        if best_cost is None or cost < best_cost:
-            best, best_cost = v, cost
-    return best
-
-
 def _feasible_ineqs(dim: int, ineqs: list[Constraint]) -> tuple[list[int], int, int] | None:
     """Fourier-Motzkin feasibility with a relative-interior sample.
 
-    Returns the sample as integer numerators over one positive common
+    The variables are eliminated in index order, t_0 first.  Returns
+    the sample as integer numerators over one positive common
     denominator, and the number of back-substitution intervals that are
     not a single point; None when the system is infeasible.
     Back-substitution puts each variable inside its interval over the
@@ -103,14 +94,10 @@ def _feasible_ineqs(dim: int, ineqs: list[Constraint]) -> tuple[list[int], int, 
     step of 1 off the bound of a ray, and at 1 when nothing bounds it.
     """
     try:
-        stages: list[tuple[int, list[Constraint]]] = []
-        current = _clean(list(ineqs))
-        remaining = list(range(dim))
-        while remaining:
-            var = _choose_var(current, remaining)
-            stages.append((var, current))
-            current = _eliminate(current, var)
-            remaining.remove(var)
+        # stages[var] holds the rows just before var is eliminated
+        stages = [_clean(list(ineqs))]
+        for var in range(dim):
+            stages.append(_eliminate(stages[-1], var))
     except _Infeasible:
         return None
     # Feasible: back-substitute, innermost variable first.  The sample is
@@ -118,7 +105,8 @@ def _feasible_ineqs(dim: int, ineqs: list[Constraint]) -> tuple[list[int], int, 
     nums = [0] * dim
     den = 1
     free = 0
-    for var, constraints in reversed(stages):
+    for var in reversed(range(dim)):
+        constraints = stages[var]
         lo: tuple[int, int] | None = None
         hi: tuple[int, int] | None = None
         for coeffs, rhs in constraints:

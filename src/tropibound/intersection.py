@@ -246,7 +246,8 @@ def tangent_direction(
     p = _image(integer_columns(A), h_int, [H * x for x in v_int], V)
     if not is_positive_member(p, OM):
         raise ValueError(_OUTSIDE)
-    for system, cell, dim, _ in _product_cells(_fan_plan(OM, A), H, h_int):
+    plan = _fan_plan(OM, A)
+    for system, cell, dim, _ in _product_cells(plan, H, h_int, _verdicts(plan.checks, h_int)):
         if dim > 0 and _in_closed_cone(p, cell):
             tight = [(a, b) for c in cell for a, b in _ordering_pairs(c) if p[a] == p[b]]
             rows = [system.facets[pair][0] for pair in tight]
@@ -400,9 +401,10 @@ class _Underdetermined:
     their ordering facets in the coordinates of the ties' solution space.
 
     d, ``h_rows`` and ``kernel`` are its pivot set's, shared by every
-    combination with those pivot ties (``_fan_plan``); ``check`` are its
-    own check rows.  With x_i = h_row_i . (H h), the ties hold at h iff
-    every check row . (H h) is 0, and then their solutions are
+    combination with those pivot ties (``_fan_plan``); ``check`` are the
+    indices of its own check rows in the plan's table.  With
+    x_i = h_row_i . (H h), the ties hold at h iff each of those rows has
+    row . (H h) = 0, and then their solutions are
     v = (x + sum of t_f l_f) / (d H) over t in R^k, where the k free
     directions l_f form ``kernel``.  The cells matter only at an h where
     the ties hold, so ``groups`` and ``facets`` are memoized properties,
@@ -414,7 +416,7 @@ class _Underdetermined:
     d: int
     h_rows: tuple
     kernel: tuple[tuple[int, ...], ...]
-    check: tuple
+    check: tuple[int, ...]
     at_int: tuple[tuple[int, ...], ...]
     # each component's block partition
     combo: tuple[_Cell, ...]
@@ -455,11 +457,13 @@ class _FanPlan(NamedTuple):
     diagnostics: Diagnostics
     empty: tuple[int, ...] | None  # a component admitting no positive weight
     at_int: tuple[tuple[int, ...], ...]  # the rows of A^T
+    # the distinct nonzero check rows of every tie system, in order of
+    # first appearance; the entries below name them by index
+    checks: tuple[tuple[int, ...], ...]
     # per distinct pivot tie set of the full-rank partition combinations,
-    # in order of first appearance: its d and h_rows, the distinct nonzero
-    # check rows of the other ties, per combination the bitmask of its
-    # check rows, fewest rows first
-    pivoted: tuple[tuple[int, tuple, tuple, tuple[int, ...]], ...]
+    # in order of first appearance: its d and h_rows, and per distinct
+    # combination the indices of its check rows
+    pivoted: tuple[tuple[int, tuple, tuple[tuple[int, ...], ...]], ...]
     # per underdetermined combination, its ``_Underdetermined`` entry
     underdetermined: tuple[_Underdetermined, ...]
 
@@ -510,18 +514,22 @@ def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
     with the same pivot ties shares L, d and each pair's check row, and
     differs only in which pairs it has.
 
-    The nonzero check rows are kept once per pivot set.  A full-rank
-    combination becomes the bitmask of its own, kept with the masks of
-    fewer rows first; so a full-rank pivot set is consistent at h iff
-    some mask has no check row that fails there (``_consistent``).  A
+    The distinct nonzero check rows of the whole plan form one table,
+    ``checks``, and every entry names its rows by index there.  A row is
+    one linear condition c . (H h) = 0 on h, whichever pivot set it came
+    from, so one verdict per row and shift serves every entry that
+    names it (``_verdicts``).  A full-rank combination becomes the tuple
+    of its distinct row indices, in order of first appearance, and its
+    pivot set keeps each distinct tuple once: the pivot set is
+    consistent at h iff one of its tuples has no failing row.  A
     combination of rank below n becomes an ``_Underdetermined`` entry:
-    its pivot set's d, h_rows and free directions, and its own check
-    rows.  Its positive cells, and their ordering facets reduced onto the
-    free coordinates, are listed only when a walk first finds its ties
-    holding (``_Underdetermined.groups`` and ``.facets``), since only a
-    consistent underdetermined system is probed cell by cell; one memo
-    per plan lists each component partition's cells once, for every
-    combination that shares it.
+    its pivot set's d, h_rows and free directions, and its own row
+    indices.  Its positive cells, and their ordering facets reduced onto
+    the free coordinates, are listed only when a walk first finds its
+    ties holding (``_Underdetermined.groups`` and ``.facets``), since
+    only a consistent underdetermined system is probed cell by cell; one
+    memo per plan lists each component partition's cells once, for
+    every combination that shares it.
     """
     diagnostics = validate_inputs(OM, A)
     at_int = integer_columns(A)
@@ -530,9 +538,11 @@ def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
     cells = functools.cache(lambda i, partition: _fine_cells(components[i].above, partition))
     # the rows of A beside the identity, whose columns record the row operations
     A_rows = [(row, [int(i == j) for j in range(n)]) for i, row in enumerate(zip(*at_int))]
-    # pivot pairs -> (d, h_rows, free directions, pair -> bit of its check
-    # row, check rows, full-rank masks)
-    pivoted: dict[tuple, tuple[int, tuple, tuple, dict, list, set[int]]] = {}
+    # each distinct nonzero check row -> its index in the plan's table
+    index: dict[tuple[int, ...], int] = {}
+    # pivot pairs -> (d, h_rows, free directions, pair -> index of its
+    # check row or None when that is 0, full-rank combinations' indices)
+    pivoted: dict[tuple, tuple[int, tuple, tuple, dict, dict]] = {}
     underdetermined = []
     # an empty fan has no cells; product() of no factors would yield one
     if empty is None:
@@ -549,70 +559,66 @@ def _fan_plan(OM: OrientedMatroid, A: RationalMatrix) -> _FanPlan:
                     for h_row, x in zip(h_rows, Lt[k:]):
                         h_row[a], h_row[b] = h_row[a] - x, h_row[b] + x
                 free = tuple(tuple(row[k:]) for row in m[rank:])
-                pivoted[key] = (d, tuple(map(tuple, h_rows)), free, {}, [], set())
-            d, h_rows, free, bits, checks, masks = pivoted[key]
+                pivoted[key] = (d, tuple(map(tuple, h_rows)), free, {}, {})
+            d, h_rows, free, row_of, combos = pivoted[key]
             for j, pair in enumerate(pairs):
-                if pair not in bits:
+                if pair not in row_of:
                     # c = sum_t lam_t (e_b_t - e_a_t) + d (e_a - e_b) with
                     # lam_t = m[t][j] for t < rho: the pair itself enters with -d
                     c = [0] * A.cols
                     lams = [row[j] for row in m[:rank]] + [-d]
                     for (a, b), lam in zip((*key, pair), lams):
                         c[a], c[b] = c[a] - lam, c[b] + lam
-                    bits[pair] = 1 << len(checks) if any(c) else 0
-                    checks += [tuple(c)] if any(c) else []
-            mask = sum(map(bits.get, pairs))
+                    row_of[pair] = index.setdefault(tuple(c), len(index)) if any(c) else None
+            check = tuple(dict.fromkeys(i for i in map(row_of.get, pairs) if i is not None))
             if rank == n:
-                masks.add(mask)
+                combos[check] = None
             else:
-                check = tuple(c for i, c in enumerate(checks) if mask >> i & 1)
                 underdetermined.append(
                     _Underdetermined(d, h_rows, free, check, at_int, combo, cells)
                 )
     pivot_sets = tuple(
-        (d, h, tuple(c), tuple(sorted(m, key=lambda m: (m.bit_count(), m))))
-        for key, (d, h, _, _, c, m) in pivoted.items()
-        if len(key) == n
+        (d, h, tuple(combos)) for key, (d, h, _, _, combos) in pivoted.items() if len(key) == n
     )
-    return _FanPlan(diagnostics, empty, at_int, pivot_sets, tuple(underdetermined))
+    return _FanPlan(diagnostics, empty, at_int, tuple(index), pivot_sets, tuple(underdetermined))
 
 
-def _consistent(
-    checks: Sequence[Sequence[int]], masks: Iterable[int], h_int: Sequence[int]
-) -> bool:
-    """Whether some mask has no check row c with c . (H h) != 0.
+def _verdicts(
+    checks: Sequence[Sequence[int]], h_int: Sequence[int]
+) -> Callable[[Iterable[int]], bool]:
+    """The test, at the shift with integer multiple H h, of whether every
+    check row named by some indices has c . (H h) = 0.
 
-    The masks are tried in order and each row is evaluated at most once:
-    ``good`` and ``bad`` hold the rows found to hold and to fail, so a
-    mask with a failing row is passed over at once, and the first mask
-    whose rows all hold ends the walk.
+    The verdicts live in one list, shared by every call of the returned
+    test and computed the first time a row is read, so each row of the
+    table is evaluated at most once per shift.  A call reads its rows in
+    order and stops at the first that fails.
     """
-    good = bad = 0
-    for mask in masks:
-        if mask & bad:
-            continue
-        rest = mask & ~good
-        while rest:
-            low = rest & -rest
-            if sum(map(mul, checks[low.bit_length() - 1], h_int)):
-                bad |= low
-                break
-            good |= low
-            rest ^= low
-        else:
-            return True
-    return False
+    verdicts: list[bool | None] = [None] * len(checks)
+
+    def holds(rows: Iterable[int]) -> bool:
+        for i in rows:
+            held = verdicts[i]
+            if held is None:
+                held = verdicts[i] = not sum(map(mul, checks[i], h_int))
+            if not held:
+                return False
+        return True
+
+    return holds
 
 
 def _product_cells(
-    plan: _FanPlan, H: int, h_int: Sequence[int]
+    plan: _FanPlan, H: int, h_int: Sequence[int], holds: Callable[[Iterable[int]], bool]
 ) -> Iterator[tuple[_Underdetermined, tuple[_Cell, ...], int, tuple[list[int], int] | None]]:
     """Each product cell of the plan's underdetermined systems whose ties
     hold at the shift with integer multiple (H, H h), in the order of
     ``itertools.product`` over its system's groups, with its system, the
     dimension of its piece there and, when that is 0, the piece's point
-    as (x', d') with v = x' / (d' H).  A system whose ties fail is
-    skipped before its cells are listed.
+    as (x', d') with v = x' / (d' H).  A system's ties hold iff
+    ``holds``, the shift's ``_verdicts`` of the plan's check rows, passes
+    its row indices; a system whose ties fail is skipped before its
+    cells are listed.
 
     Each cell is probed by ``_polyhedra.polyhedron_dimension``, one
     Fourier-Motzkin run, in the k free coordinates t of the ties'
@@ -625,7 +631,7 @@ def _product_cells(
     x' = den x + sum of nums_f l_f over d' = den d, in integers.
     """
     for system in plan.underdetermined:
-        if any(sum(map(mul, row, h_int)) for row in system.check):
+        if not holds(system.check):
             continue
         d, kernel = system.d, system.kernel
         x = [sum(map(mul, row, h_int)) for row in system.h_rows]
@@ -670,17 +676,19 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     The partitions are found, and the ties of the integer A eliminated
     with h left symbolic, once per (OM, A) in ``_fan_plan``, one
     elimination per system; the systems with the same pivot ties, full
-    rank or not, share one entry.  Per
-    call, ``integer_multiple`` gives H and the ints H h, and the check
-    rows are evaluated at them, each at most once: a full-rank pivot set
-    is consistent iff, for some one of its combinations, each check
-    row . (H h) is 0 (its masks are walked until one holds), an
-    underdetermined system iff all of its own are, and then
-    x_i = h_row_i . (H h).  A full-rank pivot set has the unique solution
-    v = x / (d H).  An underdetermined system's solutions are
-    v = (x + sum of t_f l_f) / (d H), with its pivot set's free
-    directions l_f, and its cells are probed in those k free
-    coordinates t (``_product_cells``): the plan entry lists the cells
+    rank or not, share one entry, and every entry names its check rows
+    in one plan-wide table.  Per call, ``integer_multiple`` gives H and
+    the ints H h, and one list of verdicts (``_verdicts``), read by the
+    pivot sets and by ``_product_cells`` alike, evaluates each row of
+    the table at most once, the first time an entry reads it: a
+    full-rank pivot set is consistent iff, for some one of its
+    combinations, each check row . (H h) is 0 (its combinations are
+    tried in order, each until a row fails), an underdetermined system
+    iff all of its own are, and then x_i = h_row_i . (H h).  A full-rank
+    pivot set has the unique solution v = x / (d H).  An underdetermined
+    system's solutions are v = (x + sum of t_f l_f) / (d H), with its
+    pivot set's free directions l_f, and its cells are probed in those k
+    free coordinates t (``_product_cells``): the plan entry lists the cells
     and reduces each ordering facet onto them the first time its ties
     hold, so a call only finds each facet's right-hand side and hands
     ``_polyhedra`` k variables and inequalities alone; a cell that pins
@@ -730,13 +738,14 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
             images[key] = p if is_positive_member(p, OM) else None
         return images[key]
 
-    for d, h_rows, checks, masks in plan.pivoted:
-        if _consistent(checks, masks, h_int):
+    holds = _verdicts(plan.checks, h_int)
+    for d, h_rows, combos in plan.pivoted:
+        if any(map(holds, combos)):
             accept([sum(map(mul, row, h_int)) for row in h_rows], d)
     # the product cells whose piece has positive dimension
     pieces = []
     pinned = 0
-    for _, cell, dim, point in _product_cells(plan, H, h_int):
+    for _, cell, dim, point in _product_cells(plan, H, h_int, holds):
         if dim == 0:
             if accept(*point) is None:
                 raise RuntimeError(

@@ -17,9 +17,19 @@ with an earlier pivot.  Their restrictions to the level's columns span
 F_k.  Membership asks that each nonzero F_k has a strictly positive
 kernel vector, an exact linear program.
 
+The same forms give the initial matroid in_w(M) of the matroid M of
+ker C: it is the direct sum over the levels of the matroids of the
+ker F_k, so its connected components are those of the levels, counted
+by ``component_count`` with no circuits either.  A point lies in a
+full-dimensional cell of the coarse structure iff that count is
+rank(M).  ``intersection._is_interior`` asks the same of the classes
+that the argmin sets of all circuits merge into; a non-minimal initial
+form can join two components there, so the two rules can differ.
+
 This module reads no circuits and imports nothing from ``tropibound``:
 its elimination is sympy's ``rref``, its feasibility test sympy's
-simplex.  It is the tests' independent check of ``is_positive_member``.
+simplex.  It is the tests' independent check of ``is_positive_member``
+and of ``_is_interior``.
 """
 
 from fractions import Fraction
@@ -70,3 +80,32 @@ def is_positive_member(C_rows: Sequence[Sequence], w: Sequence) -> bool:
     """Whether w lies in the positive tropicalization of ker C, read off
     the initial forms of rowspan C alone."""
     return all(map(has_positive_kernel_vector, initial_forms(C_rows, w)))
+
+
+def component_count(C_rows: Sequence[Sequence], w: Sequence) -> int:
+    """The number of connected components of in_w(M), read off the
+    initial forms of rowspan C alone.
+
+    A matroid and its dual have the same components, so each level may
+    count those of the column matroid of its F_k.  The rows of F_k from
+    ``initial_forms`` are reduced echelon rows pivoted inside the level,
+    restricted to it, so F_k is [I | D] up to the order of its columns,
+    beside rows that vanish on the level.  Each nonzero row ties its
+    pivot to every other column where it is nonzero: the pivot and such
+    a column lie in that column's fundamental circuit of the pivot
+    basis, so in one component.  And if no row ties a set X of columns
+    to the rest, every row is nonzero on one side only, F_k is block
+    diagonal, and its column matroid is a direct sum over X and the
+    rest.  So the components are the classes of the ties.  A level whose
+    forms all vanish has no ties: each of its elements is a component.
+    """
+    count = 0
+    for F in initial_forms(C_rows, w):
+        parts = [{j} for j in range(F.cols)]
+        for i in range(F.rows):
+            row = {j for j in range(F.cols) if F[i, j]}
+            if row:
+                joined = set().union(*(part for part in parts if part & row))
+                parts = [part for part in parts if not part & row] + [joined]
+        count += len(parts)
+    return count

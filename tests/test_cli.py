@@ -311,7 +311,9 @@ def test_isolation_contradicting_fan_walk_exit_three(tmp_path, monkeypatch, caps
     # v = 0, as (x, d) = (0, 1), whose image is h
     outside = ([0] * vs.A.rows, 1)
     assert not is_positive_member(vs.h, realize_from_kernel(vs.C))
-    monkeypatch.setattr(mod, "_product_cells", lambda plan, H, h_int: [(None, (), 0, outside)])
+    monkeypatch.setattr(
+        mod, "_product_cells", lambda plan, H, h_int, holds: [(None, (), 0, outside)]
+    )
     code = main(["intersect", path])
     assert code == 3
     captured = capsys.readouterr()

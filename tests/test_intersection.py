@@ -1,8 +1,10 @@
+import collections
 import dataclasses
 import functools
 import importlib.util
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -21,12 +23,12 @@ from tropibound.intersection import (
     OracleMismatchError,
     _cell_partitions,
     _classes,
-    _consistent,
     _fan_plan,
     _fine_cells,
     _is_interior,
     _level_flag,
     _product_cells,
+    _verdicts,
     intersect_via_fan,
     intersect_via_vertices,
     is_isolated,
@@ -230,32 +232,31 @@ def test_tie_system_matches_solve_affine():
         if len(combos) > 100:
             continue
         plan = _fan_plan(OM, A)
-        # each combination's entry: d, h_rows, free directions, and check
-        # rows with the one mask of them that must hold; pivot sets in
-        # order of first appearance
+        # each combination's entry: d, h_rows, free directions, and the
+        # indices of the check rows that must hold, in the plan's table;
+        # pivot sets in order of first appearance
         pivot_sets, underdetermined, entries = {}, iter(plan.underdetermined), []
         for combo in combos:
             pairs, rows = _combination_ties(combo, at_int)
             key = _pivot_ties(pairs, rows, n)
             if key is None:
                 system = next(underdetermined)
-                checks, mask = system.check, (1 << len(system.check)) - 1
-                entry = (system.d, system.h_rows, system.kernel, checks, mask)
+                entry = (system.d, system.h_rows, system.kernel, system.check)
             else:
-                d, h_rows, checks, masks = plan.pivoted[pivot_sets.setdefault(key, len(pivot_sets))]
+                d, h_rows, held = plan.pivoted[pivot_sets.setdefault(key, len(pivot_sets))]
                 # each tie's check row is sum_i (A^T_a - A^T_b)_i h_row_i + d (e_a - e_b)
-                mask = 0
+                check = {}
                 for (a, b), row in zip(pairs, rows):
                     c = [sum(x * h_row[j] for x, h_row in zip(row, h_rows)) for j in range(r)]
                     c[a], c[b] = c[a] + d, c[b] - d
                     if any(c):
-                        mask |= 1 << checks.index(tuple(c))
-                assert mask in masks
-                entry = (d, h_rows, (), checks, mask)
+                        check[plan.checks.index(tuple(c))] = None
+                assert tuple(check) in held
+                entry = (d, h_rows, (), tuple(check))
             entries.append((combo, pairs, rows, entry))
         assert next(underdetermined, None) is None and len(pivot_sets) == len(plan.pivoted)
         for combo, pairs, rows, entry in rng.sample(entries, min(8, len(entries))):
-            d, h_rows, kernel, checks, mask = entry
+            d, h_rows, kernel, check = entry
             if not pairs:
                 continue
             label = {e - 1: k for k, block in enumerate(b for c in combo for b in c) for e in block}
@@ -274,7 +275,8 @@ def test_tie_system_matches_solve_affine():
                 H, h_int = integer_multiple(h)
                 scaled += H > 1
                 want = solve_affine(M, [h[b] - h[a] for a, b in pairs])
-                assert _consistent(checks, [mask], h_int) == (want is not None), (at_int, pairs, h)
+                holds = _verdicts(plan.checks, h_int)
+                assert holds(check) == (want is not None), (at_int, pairs, h)
                 if want is None:
                     inconsistent += 1
                     continue
@@ -332,7 +334,7 @@ def test_pivot_sets_match_solve_affine():
                 groups.setdefault(key, []).append((pairs, rows))
         assert len(plan.pivoted) == len(groups)
         shared += sum(len(g) > 1 for g in groups.values())
-        for (d, h_rows, checks, masks), group in zip(plan.pivoted, groups.values()):
+        for (d, h_rows, held), group in zip(plan.pivoted, groups.values()):
             for _ in range(3):
                 den = rng.choice([1, 2, 3, 6])
                 if rng.random() < 0.5:
@@ -352,8 +354,9 @@ def test_pivot_sets_match_solve_affine():
                     solve_affine(RationalMatrix.from_rows(rows), [h[b] - h[a] for a, b in pairs])
                     for pairs, rows in group
                 ]
-                failed = sum(1 << i for i, row in enumerate(checks) if sum(map(mul, row, h_int)))
-                ok = any(not mask & failed for mask in masks)
+                named = {i for check in held for i in check}
+                failed = {i for i in named if sum(map(mul, plan.checks[i], h_int))}
+                ok = any(failed.isdisjoint(check) for check in held)
                 assert ok == any(want is not None for want in wants), (at_int, group, h)
                 if not ok:
                     inconsistent += 1
@@ -470,7 +473,9 @@ def test_cell_probes_match_v_space_reference(hhk_model):
                 one = plan._replace(underdetermined=(system,))
                 got = [
                     (dim, point and tuple(Fraction(xi, point[1] * H) for xi in point[0]))
-                    for _, _, dim, point in _product_cells(one, H, h_int)
+                    for _, _, dim, point in _product_cells(
+                        one, H, h_int, _verdicts(plan.checks, h_int)
+                    )
                 ]
                 want = reference_probe_cells(plan.at_int, system.groups, H, h_int)
                 if got:
@@ -514,10 +519,11 @@ def test_fan_plan_lists_cells_only_where_ties_hold(monkeypatch, hhk_model):
         intersect_via_fan(OM, vs.A, vs.h)
         counts.append(len(listed))
     h_int = integer_multiple(vector(vs.h))[1]
+    plan = _fan_plan(OM, vs.A)
     holding = [
         system
-        for system in _fan_plan(OM, vs.A).underdetermined
-        if not any(sum(map(mul, row, h_int)) for row in system.check)
+        for system in plan.underdetermined
+        if not any(sum(map(mul, plan.checks[i], h_int)) for i in system.check)
     ]
     _fan_plan.cache_clear()
     assert len(holding) == 1 and counts == [2, 2]
@@ -536,27 +542,52 @@ class _CountedRows(list):
         return super().__getitem__(i)
 
 
-def test_lazy_check_rows_match_eager_rule(hhk_model):
-    # a pivot set holds iff some mask has no failing check row; the walk
-    # tries its masks fewest rows first and reads each row at most once,
-    # and must accept exactly the pivot sets of the eager rule
+def test_lazy_check_rows_match_eager_rule(monkeypatch, hhk_model):
+    # one list of verdicts per shift serves every entry of the plan: a
+    # pivot set holds iff one of its combinations has no failing check
+    # row, an underdetermined system iff none of its own fails, and each
+    # row of the plan's table is read at most once per shift, by the
+    # walk itself too
+    import tropibound.intersection as mod
+
     rows = _CountedRows([(1, 0), (0, 1), (2, 0)])
-    # the first mask fails on row 1, and the second reuses row 0's verdict
-    assert _consistent(rows, (0b011, 0b101), (0, 2)) and rows.read == [0, 1, 2]
-    accepted = rejected = 0
+    holds = _verdicts(rows, (0, 2))
+    # the first combination fails on row 1, and the second reuses row 0's verdict
+    assert not holds((0, 1)) and holds((0, 2)) and not holds((1,)) and rows.read == [0, 1, 2]
+    accepted = rejected = holding = failing = shared = 0
     for OM, A, shifts in _scan_cases(hhk_model):
         plan = _fan_plan(OM, A)
+        # the rows that more than one pivot set or system names
+        entries = [{i for c in combos for i in c} for *_, combos in plan.pivoted]
+        entries += [set(system.check) for system in plan.underdetermined]
+        owners = collections.Counter(i for entry in entries for i in entry)
+        shared += sum(k > 1 for k in owners.values())
         for h in shifts:
             h_int = integer_multiple(vector(h))[1]
-            for _, _, checks, masks in plan.pivoted:
-                failed = sum(1 << i for i, row in enumerate(checks) if sum(map(mul, row, h_int)))
-                eager = not all(mask & failed for mask in masks)
-                rows = _CountedRows(checks)
-                assert _consistent(rows, masks, h_int) == eager, (OM, A, h)
-                assert len(set(rows.read)) == len(rows.read) <= len(checks)
+            failed = {i for i, row in enumerate(plan.checks) if sum(map(mul, row, h_int))}
+            rows = _CountedRows(plan.checks)
+            holds = _verdicts(rows, h_int)
+            for _, _, combos in plan.pivoted:
+                eager = any(failed.isdisjoint(check) for check in combos)
+                assert any(map(holds, combos)) == eager, (OM, A, h)
                 accepted += eager
                 rejected += not eager
-    assert accepted > 1000 and rejected > 1000
+            for system in plan.underdetermined:
+                eager = failed.isdisjoint(system.check)
+                assert holds(system.check) == eager, (OM, A, h)
+                holding += eager
+                failing += not eager
+            assert len(set(rows.read)) == len(rows.read) <= len(plan.checks)
+            # the walk reads the same rows once each, through one list
+            # shared by the pivot sets and the cell probes
+            rows = _CountedRows(plan.checks)
+            monkeypatch.setattr(mod, "_fan_plan", lambda OM, A: plan._replace(checks=rows))
+            intersect_via_fan(OM, A, h)
+            monkeypatch.undo()
+            assert len(set(rows.read)) == len(rows.read), (OM, A, h)
+    assert accepted > 2000 and rejected > 5000 and holding > 600 and failing > 800
+    # 178 rows are named by more than one entry of their plan
+    assert shared > 150
 
 
 # --- block partitions ----------------------------------------------------------
@@ -625,8 +656,11 @@ def check_partitions_against_chains(OM, A=None):
     and counted in exactly one pivot set, or underdetermined with cells
     that match the chains': the pivot sets come in order of first
     appearance, each one's d and h_rows solve its pivot ties at every
-    unit h (by ``solve_affine``), and each combination's mask marks the
-    check rows of its other ties, d times the tie's residual there."""
+    unit h (by ``solve_affine``), and each combination names, in order
+    of first appearance, the check rows of its other ties, d times the
+    tie's residual there, by index in the plan's table of distinct
+    nonzero rows; each pivot set keeps each combination's indices once,
+    in order of first appearance."""
     ref, ref_empty = _chain_partitions(OM)
     components, empty = _cell_partitions(OM)
     assert empty == ref_empty
@@ -634,7 +668,7 @@ def check_partitions_against_chains(OM, A=None):
         assert components == ()
         if A is not None:
             plan = _fan_plan(OM, A)
-            assert plan.pivoted == plan.underdetermined == ()
+            assert plan.checks == plan.pivoted == plan.underdetermined == ()
         return
     assert [c.partitions for c in components] == [tuple(sorted(g)) for g in ref]
     if A is None:
@@ -644,7 +678,7 @@ def check_partitions_against_chains(OM, A=None):
         return
     plan = _fan_plan(OM, A)
     n, r, at_int = A.rows, A.cols, integer_columns(A)
-    short, masks, solved = [], {}, {}
+    short, held, solved = [], {}, {}
     for combo in itertools.product(*(c.partitions for c in components)):
         pairs, rows = _combination_ties(combo, at_int)
         key = _pivot_ties(pairs, rows, n)
@@ -660,22 +694,24 @@ def check_partitions_against_chains(OM, A=None):
                 assert sol is not None and sol[1].rows == 0
                 V.append(sol[0])
             solved[key] = V
-            masks[key] = set()
-        d, h_rows, checks, _ = plan.pivoted[list(solved).index(key)]
+            held[key] = {}
+        d, h_rows, _ = plan.pivoted[list(solved).index(key)]
         V = solved[key]
         assert h_rows == tuple(tuple(d * V[j][i] for j in range(r)) for i in range(n))
-        mask = 0
+        check = {}
         for (a, b), row in zip(pairs, rows):
             c = tuple(
                 d * (sum(map(mul, row, V[j])) - (b == j) + (a == j)) for j in range(r)
             )
             if any(c):
-                mask |= 1 << checks.index(c)
-        masks[key].add(mask)
-    assert [frozenset(m) for *_, m in plan.pivoted] == [frozenset(m) for m in masks.values()]
-    # each mask once, masks with fewer check rows first
-    for *_, m in plan.pivoted:
-        assert len(set(m)) == len(m) and m == tuple(sorted(m, key=lambda x: (x.bit_count(), x)))
+                check[plan.checks.index(c)] = None
+        held[key][tuple(check)] = None
+    assert [combos for *_, combos in plan.pivoted] == [tuple(c) for c in held.values()]
+    # the table: distinct nonzero rows, each named by some entry
+    named = {i for *_, combos in plan.pivoted for check in combos for i in check}
+    named.update(i for system in plan.underdetermined for i in system.check)
+    assert len(set(plan.checks)) == len(plan.checks) and all(map(any, plan.checks))
+    assert named == set(range(len(plan.checks)))
     assert len(plan.underdetermined) == len(short)
     for combo, system in zip(short, plan.underdetermined):
         assert [sorted(c) for c in system.groups] == [sorted(g[p]) for g, p in zip(ref, combo)]
@@ -974,10 +1010,11 @@ def test_pinned_points_survive_unimodular_coordinate_changes(hhk_model):
     vs = assemble_crn(dataclasses.replace(hhk_model, h=(7, 8, 3, 3, -1, 8)))
     OM = realize_from_kernel(vs.C)
     h_int = integer_multiple(vector(vs.h))[1]
+    plan = _fan_plan(OM, vs.A)
     holding = [
         system
-        for system in _fan_plan(OM, vs.A).underdetermined
-        if not any(sum(map(mul, row, h_int)) for row in system.check)
+        for system in plan.underdetermined
+        if not any(sum(map(mul, plan.checks[i], h_int)) for i in system.check)
     ]
     base = intersect_via_fan(OM, vs.A, vs.h)
     assert len(holding) == 2 and base.notes[0].startswith("5 underdetermined")
@@ -1605,6 +1642,48 @@ def test_hhk_points_are_initial_form_members(monkeypatch, hhk_model):
     assert points >= 24
 
 
+def test_interiority_matches_initial_form_components(monkeypatch, hhk_model):
+    # _is_interior merges the argmin sets of every circuit; the
+    # circuit-free rule counts the components of the initial matroid from
+    # the initial forms of rowspan(C).  Both must call the same fan points
+    # interior on the criterion-7 family and the 24 crn_scan draws.
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    vs = assemble_crn(hhk_model)
+    cases = [
+        (vs.C, vs.A, assemble_crn(dataclasses.replace(hhk_model, h=h)).h)
+        for h in workloads.crn_base_draws()
+    ]
+    cases += [
+        (RationalMatrix.from_rows(C), RationalMatrix.from_rows(A), vector(h))
+        for C, A, h in workloads.criterion7_family()
+    ]
+    interior = boundary = 0
+    for C, A, h in cases:
+        OM = realize_from_kernel(C)
+        C_rows = [C.row(i) for i in range(C.rows)]
+        for point in intersect_via_fan(OM, A, h).points:
+            image = [w + x for w, x in zip(point.w, h)]
+            full = initial_reference.component_count(C_rows, image) == OM.rank
+            assert full == _is_interior(image, OM), (C, A, h, point.v)
+            interior += full
+            boundary += not full
+    assert interior >= 100 and boundary >= 10
+    # the known disagreement: here the form {1, 3, 5, 6} merges the minimal
+    # initial circuits {1, 6} and {3, 5}, so _is_interior finds fewer
+    # classes than the 4 = rank(M) components of the initial matroid
+    C = RationalMatrix.from_rows([[-1, 2, 3, 2, -3, 1], [-2, -3, -1, 2, 1, 2]])
+    A = RationalMatrix.from_rows([[-1, 1, -3, 0, 3, -2], [2, -3, 1, -2, -3, 0]])
+    h = vector([1, -1, -2, 0, 0, -2])
+    OM = realize_from_kernel(C)
+    (point,) = [p for p in intersect_via_fan(OM, A, h).points if p.v == (-1, -1)]
+    image = [w + x for w, x in zip(point.w, h)]
+    assert initial_reference.component_count([C.row(0), C.row(1)], image) == OM.rank == 4
+    assert not _is_interior(image, OM) and not point.interior
+
+
 def test_isolated_points_are_oracle_vertices(monkeypatch, hhk_model):
     # the oracle's completeness argument: at an isolated point the ties it
     # meets among pairs in a common circuit support have rank n, so it is a
@@ -1750,6 +1829,81 @@ def test_shift_covariance(running_N, running_A):
         rep = lower_bound(VerticalSystem(running_N, running_A, h2))
         assert rep.count == base.count
         assert {tuple(a + b for a, b in zip(p.v, u)) for p in rep.points} == base_vs
+
+
+def test_walk_follows_column_relabelling_and_row_span_shift():
+    # permuting the columns of C, A and h together relabels the elements,
+    # and adding A^T u to h moves every v by -u; the fan plan then meets
+    # other partitions, pivot ties and check rows, which its table dedupes
+    # by value, yet the walk must list the same points with relabelled
+    # flags, the same verdicts, the same notes and the same certified
+    # bound (the relabelling of the random_family benchmark); an empty
+    # fan's note names the first component with a one-signed circuit,
+    # which need not be the same one after relabelling
+    from tropibound.systems import bound
+
+    def element_lists(notes):
+        lists = re.findall(r"\[([\d, ]+)\]", "".join(notes))
+        return [[int(e) for e in m.split(", ")] for m in lists]
+
+    def unlabelled(notes):
+        return tuple(re.sub(r"\[[\d, ]+\]", "[]", note) for note in notes)
+
+    rng = random.Random(4404)
+    points = pieces = pinned = empty = 0
+    for i in range(240):
+        C, A, h = random_instance(rng)
+        # at h = 0 the intersection is a cone, and integer h in [-1, 1] ties
+        # many pairs identically, so that pinned points and pieces of
+        # positive dimension occur
+        if i % 3 == 1:
+            h = [0] * A.cols
+        elif i % 3 == 2:
+            h = [rng.randint(-1, 1) for _ in range(A.cols)]
+        r, n = A.cols, A.rows
+        # new element j + 1 is old element perm[j] + 1
+        perm = rng.sample(range(r), r)
+        label = {old + 1: new + 1 for new, old in enumerate(perm)}
+        u = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+        moved = [a + b for a, b in zip(h, A.transpose().apply(u))]
+        base = bound(VerticalSystem(C, A, h))
+        report = bound(
+            VerticalSystem(
+                C.submatrix_columns(perm), A.submatrix_columns(perm), [moved[j] for j in perm]
+            )
+        )
+        got, want = report.tropical, base.tropical
+        assert report.certified_bound == base.certified_bound, (C, A, h, perm, u)
+        assert (got.count, got.transverse, got.positive_dimensional, unlabelled(got.notes)) == (
+            want.count,
+            want.transverse,
+            want.positive_dimensional,
+            unlabelled(want.notes),
+        ), (C, A, h, perm, u)
+        for elements in element_lists(got.notes):
+            component = tuple(sorted(perm[e - 1] + 1 for e in elements))
+            assert component in _components(want.matroid), (C, A, h, perm, u)
+            assert any(
+                set(c.support) <= set(component) and not (c.positive and c.negative)
+                for c in want.matroid.circuits
+            )
+        relabelled = {
+            p.v: (
+                tuple(tuple(sorted(label[e] for e in F)) for F in p.supporting_flag),
+                p.isolated,
+                p.interior,
+            )
+            for p in want.points
+        }
+        assert {
+            tuple(a + b for a, b in zip(p.v, u)): (p.supporting_flag, p.isolated, p.interior)
+            for p in got.points
+        } == relabelled, (C, A, h, perm, u)
+        points += got.count
+        pieces += got.positive_dimensional
+        pinned += any("pinned" in note for note in got.notes)
+        empty += bool(element_lists(got.notes))
+    assert points > 100 and pieces > 5 and pinned > 5 and empty > 50
 
 
 def test_report_document_roundtrip(running_N, running_A):

@@ -157,8 +157,10 @@ def test_traced_scan_eliminates_each_tie_system_once(hhk_model, monkeypatch):
     OM = matroid.realize_from_kernel(system.C)
     plan = intersection._fan_plan(OM, system.A)
     combinations = math.prod(len(c.partitions) for c in intersection._cell_partitions(OM)[0])
-    # hhk's 6 underdetermined combinations share 5 pivot sets
+    # hhk's 6 underdetermined combinations share 5 pivot sets; its full-rank
+    # pivot sets name 200 check rows between them, 68 of them distinct
     assert combinations == 240 and len(plan.pivoted) == 77 and len(plan.underdetermined) == 6
+    assert len(plan.checks) == 68
     assert after[0] == after[1] == after[2] == {"_echelon": 1 + combinations}
     assert len(probes) == tracer.per_layer(wall_s=1.0)["polyhedra.dimension_calls"] == 48
     # hhk's underdetermined ties leave 1 free coordinate of v's 6
