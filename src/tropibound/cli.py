@@ -147,7 +147,7 @@ def parse_input(path: str):
             return {"rays": rays, "cones": cones}
     except (SystemError_, MatroidError) as exc:
         raise CliInputError(f"{path}: {exc}") from None
-    raise CliInputError(f"{path}: unknown kind {kind!r}")
+    raise CliInputError(f"{path}: unknown kind {_echo(kind)}")
 
 
 # cones in one piece of a fan document's cone text (see _cones)
@@ -166,20 +166,6 @@ def _joined(texts, depth: int) -> str:
     return "[" + inner + body + "\n" + "  " * depth + "]" if body else "[]"
 
 
-def _check_keys(values) -> None:
-    """Raise TypeError on a key that is not a str in a dict among
-    ``values`` or nested in them, which the library encoder would turn
-    into a str."""
-    for o in values:
-        if isinstance(o, dict):
-            for key in o:
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-            _check_keys(o.values())
-        elif isinstance(o, (list, tuple)):
-            _check_keys(o)
-
-
 def write_json(doc, stream) -> None:
     """Write ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` to stream,
     byte for byte, without building the whole text.
@@ -191,10 +177,10 @@ def write_json(doc, stream) -> None:
     place of each iterator; the text is written up to each marker, then
     the iterator's strings as they stand, one write each, so only one is
     held at a time, then the rest.  A document string that reads as a
-    marker raises RuntimeError before anything is written.  A key that
-    is not a str raises TypeError, as does a value json cannot encode.
+    marker raises RuntimeError before anything is written.  What
+    ``json.dumps`` refuses raises its TypeError, and what it writes,
+    such as an int key as a str, comes out the same.
     """
-    _check_keys((doc,))
     lazy: list[Iterator[str]] = []
 
     def default(x):
@@ -233,40 +219,30 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 
 
-# --- input kinds: each turns a parsed document into what its commands take
+# --- input kinds: each command takes the document kinds COMMANDS lists
+
+
+def _document(obj, kinds, user: str):
+    """``obj``, a document ``parse_input`` returned, if its kind is among
+    ``kinds``, with a crn document assembled into its vertical system.
+    Any other kind is refused, in a message saying that ``user`` needs
+    one of ``kinds``."""
+    kind = {
+        RationalMatrix: "matrix",
+        VerticalSystem: "vertical_system",
+        CRNModel: "crn",
+        dict: "coarse_fan",
+    }[type(obj)]
+    if kind not in kinds:
+        raise CliInputError(f"{user} needs a {' or '.join(kinds)} document, got a {kind} document")
+    return assemble_crn(obj) if kind == "crn" else obj
 
 
 def _matroid(obj, command):
-    """The oriented matroid of a matrix, or of a system's C."""
-    if isinstance(obj, CRNModel):
-        obj = assemble_crn(obj)
-    if isinstance(obj, VerticalSystem):
-        obj = obj.C
-    if not isinstance(obj, RationalMatrix):
-        raise CliInputError(
-            f"command '{command}' needs a matrix, vertical_system, or crn document"
-        )
-    return realize_from_kernel(obj)
-
-
-def _system(obj, command) -> VerticalSystem:
-    """A vertical system; a reaction network is assembled into one."""
-    if isinstance(obj, CRNModel):
-        return assemble_crn(obj)
-    if not isinstance(obj, VerticalSystem):
-        raise CliInputError(
-            f"command '{command}' needs a VerticalSystem document, got {type(obj).__name__}"
-        )
-    return obj
-
-
-def _crn(obj, command) -> VerticalSystem:
-    """The system of a reaction network; no other document is accepted."""
-    if not isinstance(obj, CRNModel):
-        raise CliInputError(
-            f"command '{command}' needs a CRNModel document, got {type(obj).__name__}"
-        )
-    return assemble_crn(obj)
+    """The oriented matroid of a matrix, or of a system's C, from a
+    document of a kind ``command`` takes."""
+    obj = _document(obj, COMMANDS[command][0], f"command '{command}'")
+    return realize_from_kernel(obj.C if isinstance(obj, VerticalSystem) else obj)
 
 
 # --- handlers: each returns (document, human lines, exit code)
@@ -397,9 +373,7 @@ def _positive_bergman(M, args):
 def _coarse_compare(M, args, doc, lines):
     """A fan report, with the --coarse-compare diagnostics when asked for."""
     if args.coarse_compare:
-        coarse = parse_input(args.coarse_compare)
-        if not isinstance(coarse, dict):
-            raise CliInputError("--coarse-compare needs a coarse_fan document")
+        coarse = _document(parse_input(args.coarse_compare), ("coarse_fan",), "--coarse-compare")
         for i, ray in enumerate(coarse["rays"]):
             if len(ray) != M.ground_size:
                 raise CliInputError(
@@ -498,20 +472,22 @@ def _verify(system, args):
     return doc, lines, 0 if len(witnesses) >= report.certified_bound else 2
 
 
-# command -> (input kind, handler, the flags it takes besides --json).
+# command -> (the document kinds it takes, handler, the flags it takes
+# besides --json).  The commands that take a matrix get its oriented
+# matroid (_matroid), the others the vertical system (_document).
 # Handlers reach the pipeline through this module's globals, so
 # rebinding one of them reaches every command.
 COMMANDS = {
-    "circuits": (_matroid, _circuits, ()),
-    "flats": (_matroid, _flats, ()),
-    "bergman": (_matroid, _bergman, ("coarse_compare",)),
-    "positive-bergman": (_matroid, _positive_bergman, ("coarse_compare",)),
-    "intersect": (_system, _intersect, ("cross_check",)),
-    "subdivision": (_system, _subdivision, ()),
-    "decorated": (_system, _decorated, ()),
-    "bound": (_system, _bound, ("cross_check",)),
-    "crn": (_crn, _bound, ("cross_check",)),
-    "verify": (_system, _verify, ("t", "seed")),
+    "circuits": (("matrix", "vertical_system", "crn"), _circuits, ()),
+    "flats": (("matrix", "vertical_system", "crn"), _flats, ()),
+    "bergman": (("matrix", "vertical_system", "crn"), _bergman, ("coarse_compare",)),
+    "positive-bergman": (("matrix", "vertical_system", "crn"), _positive_bergman, ("coarse_compare",)),
+    "intersect": (("vertical_system", "crn"), _intersect, ("cross_check",)),
+    "subdivision": (("vertical_system", "crn"), _subdivision, ()),
+    "decorated": (("vertical_system", "crn"), _decorated, ()),
+    "bound": (("vertical_system", "crn"), _bound, ("cross_check",)),
+    "crn": (("crn",), _bound, ("cross_check",)),
+    "verify": (("vertical_system", "crn"), _verify, ("t", "seed")),
 }
 
 # each command-specific flag and its value when it is not given
@@ -523,7 +499,7 @@ def _options(flags) -> str:
 
 
 def run(args) -> int:
-    coerce, handler, flags = COMMANDS[args.command]
+    kinds, handler, flags = COMMANDS[args.command]
     given = vars(args)
     stray = [f for f in FLAG_DEFAULTS if f in given and f not in flags]
     if stray:
@@ -532,7 +508,12 @@ def run(args) -> int:
             f" (it takes {_options((*flags, 'json'))})"
         )
     args = argparse.Namespace(**{**FLAG_DEFAULTS, **given})
-    doc, lines, code = handler(coerce(parse_input(args.input), args.command), args)
+    obj = parse_input(args.input)
+    if "matrix" in kinds:
+        obj = _matroid(obj, args.command)
+    else:
+        obj = _document(obj, kinds, f"command '{args.command}'")
+    doc, lines, code = handler(obj, args)
     _emit(doc, args, lines)
     return code
 

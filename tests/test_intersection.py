@@ -1478,6 +1478,30 @@ def random_instance(rng):
         return C, A, h
 
 
+def balanced_instance(rng):
+    """A system drawn as ``random_instance`` draws one, but each row of C
+    is the cyclic differences y_i - y_(i+1) of a y in {-1, 0, 1}^r, as
+    ``C_ROWS`` in tests/test_bergman.py draws half its rows.  Every row
+    sums to 0, so (1, ..., 1) lies in ker C, no circuit is one-signed and
+    the positive fan is not empty."""
+    while True:
+        r = rng.randint(3, 8)
+        n = rng.randint(1, min(3, r - 1))
+        m = rng.randint(n, r - 1)
+        rows = []
+        for _ in range(m):
+            y = [rng.randint(-1, 1) for _ in range(r)]
+            rows.append([a - b for a, b in zip(y, y[1:] + y[:1])])
+        C = RationalMatrix.from_rows(rows)
+        A = RationalMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        )
+        if C.is_zero() or rank(A) < n or rank(C) != n:
+            continue
+        h = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(r)]
+        return C, A, h
+
+
 def test_oracle_equivalence_random_instances():
     rng = random.Random(20260809)
     for _ in range(60):
@@ -1485,6 +1509,16 @@ def test_oracle_equivalence_random_instances():
         M = realize_from_kernel(C)
         fan = intersect_via_fan(M, A, h)
         assert {p.v for p in fan.points} == intersect_via_vertices(M, A, h)
+    # draws whose positive fan is not empty, so that the walk proper runs
+    points = 0
+    for _ in range(60):
+        C, A, h = balanced_instance(rng)
+        M = realize_from_kernel(C)
+        assert _cell_partitions(M)[1] is None, C
+        fan = intersect_via_fan(M, A, h)
+        assert {p.v for p in fan.points} == intersect_via_vertices(M, A, h)
+        points += fan.count
+    assert points >= 50
 
 
 def test_pruned_oracle_matches_reference():
@@ -1640,6 +1674,35 @@ def test_hhk_points_are_initial_form_members(monkeypatch, hhk_model):
             assert is_positive_member(image, OM), (h, point.v)
             points += 1
     assert points >= 24
+
+
+def test_oracle_vertices_are_initial_form_members(monkeypatch, hhk_model):
+    # ROADMAP item 12: every vertex the oracle returns lies, shifted to
+    # w = A^T v + h, in the positive fan by the initial forms of
+    # rowspan(C), which read no circuits; on the criterion-7 family, the
+    # 24 crn_scan draws and 60 balanced draws
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    cases = [
+        (RationalMatrix.from_rows(C), RationalMatrix.from_rows(A), vector(h))
+        for C, A, h in workloads.criterion7_family()
+    ]
+    for h in workloads.crn_base_draws():
+        vs = assemble_crn(dataclasses.replace(hhk_model, h=h))
+        cases.append((vs.C, vs.A, vs.h))
+    rng = random.Random(20260809)
+    cases += [balanced_instance(rng) for _ in range(60)]
+    counts = [0, 0, 0]  # vertices per source, in the order above
+    for k, (C, A, h) in enumerate(cases):
+        C_rows = [C.row(i) for i in range(C.rows)]
+        At = A.transpose()
+        for v in intersect_via_vertices(realize_from_kernel(C), A, h):
+            w = [x + y for x, y in zip(At.apply(v), h)]
+            assert initial_reference.is_positive_member(C_rows, w), (C, A, h, v)
+            counts[(k >= 200) + (k >= 224)] += 1
+    assert counts[0] >= 80 and counts[1] >= 24 and counts[2] >= 50
 
 
 def test_interiority_matches_initial_form_components(monkeypatch, hhk_model):
@@ -1850,9 +1913,12 @@ def test_walk_follows_column_relabelling_and_row_span_shift():
         return tuple(re.sub(r"\[[\d, ]+\]", "[]", note) for note in notes)
 
     rng = random.Random(4404)
-    points = pieces = pinned = empty = 0
-    for i in range(240):
-        C, A, h = random_instance(rng)
+    # per family: random_instance draws, then balanced_instance draws,
+    # whose positive fan is never empty
+    points, pieces, pinned, empty = ([0, 0] for _ in range(4))
+    for i in range(240 + 120):
+        family = int(i >= 240)
+        C, A, h = (balanced_instance if family else random_instance)(rng)
         # at h = 0 the intersection is a cone, and integer h in [-1, 1] ties
         # many pairs identically, so that pinned points and pieces of
         # positive dimension occur
@@ -1899,11 +1965,12 @@ def test_walk_follows_column_relabelling_and_row_span_shift():
             tuple(a + b for a, b in zip(p.v, u)): (p.supporting_flag, p.isolated, p.interior)
             for p in got.points
         } == relabelled, (C, A, h, perm, u)
-        points += got.count
-        pieces += got.positive_dimensional
-        pinned += any("pinned" in note for note in got.notes)
-        empty += bool(element_lists(got.notes))
-    assert points > 100 and pieces > 5 and pinned > 5 and empty > 50
+        points[family] += got.count
+        pieces[family] += got.positive_dimensional
+        pinned[family] += any("pinned" in note for note in got.notes)
+        empty[family] += bool(element_lists(got.notes))
+    assert points[0] > 100 and pieces[0] > 5 and pinned[0] > 5 and empty[0] > 50
+    assert points[1] > 100 and pieces[1] > 5 and pinned[1] > 5 and empty[1] == 0
 
 
 def test_report_document_roundtrip(running_N, running_A):

@@ -221,6 +221,39 @@ def test_bound_empty_fan(running_A):
     assert report.tropical.count == 0
 
 
+def test_bound_falls_back_to_the_decorated_count():
+    # ROADMAP item 3's system: v = (-1, -1) is isolated but not interior,
+    # so the tropical count 2 is not certified and the decorated count is
+    # the bound; once item 3 lands that point is interior and the bound 2
+    system = VerticalSystem(
+        RationalMatrix.from_rows([[-1, 2, 3, 2, -3, 1], [-2, -3, -1, 2, 1, 2]]),
+        RationalMatrix.from_rows([[-1, 1, -3, 0, 3, -2], [2, -3, 1, -2, -3, 0]]),
+        (1, -1, -2, 0, 0, -2),
+    )
+    report = bound(system)
+    assert (report.tropical.count, report.tropical.transverse) == (2, False)
+    (point,) = [p for p in report.tropical.points if p.v == (-1, -1)]
+    assert point.isolated and not point.interior
+    assert report.decorated is not None and report.decorated[0] == 1
+    assert report.certified_bound == 1
+    assert report.method_notes == (
+        "tropical count not certified; falling back to the decorated-simplex bound",
+    )
+
+
+def test_bound_defaults_to_zero_without_a_certified_method(hhk_model):
+    # draw 0 of the crn_scan benchmark: the tropical count is not
+    # certified and the decorated bound is skipped, so no method applies
+    report = bound(assemble_crn(dataclasses.replace(hhk_model, h=(-6, 4, -8, -5, 7, 7))))
+    assert not report.tropical.transverse
+    assert report.decorated is None
+    assert report.certified_bound == 0
+    assert report.method_notes == (
+        "exponent matrix has repeated columns; decorated-simplex bound skipped",
+        "no certified method applies; bound defaults to 0",
+    )
+
+
 def test_bound_reduces_stacked_coefficients(hhk_model):
     vs = assemble_crn(hhk_model)
     Ct = vs.reduced_coefficients()
