@@ -164,31 +164,25 @@ def compare_with_coarse(
 
     ``rays`` are weight vectors; ``cones`` list 1-based ray indices.  Each
     cone is sampled at the sum of its rays and both membership predicates
-    are reported, alongside per-ray membership.
+    are reported, alongside per-ray membership; one builder makes the
+    pair for rays and samples alike.
     """
+
+    def verdicts(w: Sequence) -> dict:
+        return {"member": is_member(w, OM), "positive_member": is_positive_member(w, OM)}
+
     ray_vecs = [tuple(to_rational(x) for x in ray) for ray in rays]
-    report = {
+    samples = [
+        tuple(sum(ray_vecs[i - 1][k] for i in idxs) for k in range(OM.ground_size))
+        for idxs in cones
+    ]
+    return {
         "rays": [
-            {
-                "index": i + 1,
-                "vector": [str(x) for x in ray],
-                "member": is_member(ray, OM),
-                "positive_member": is_positive_member(ray, OM),
-            }
+            {"index": i + 1, "vector": [str(x) for x in ray], **verdicts(ray)}
             for i, ray in enumerate(ray_vecs)
         ],
-        "cones": [],
+        "cones": [
+            {"ray_indices": list(idxs), "sample": [str(x) for x in w], **verdicts(w)}
+            for idxs, w in zip(cones, samples)
+        ],
     }
-    for idxs in cones:
-        sample = tuple(
-            sum(ray_vecs[i - 1][k] for i in idxs) for k in range(OM.ground_size)
-        )
-        report["cones"].append(
-            {
-                "ray_indices": list(idxs),
-                "sample": [str(x) for x in sample],
-                "member": is_member(sample, OM),
-                "positive_member": is_positive_member(sample, OM),
-            }
-        )
-    return report

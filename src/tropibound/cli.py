@@ -4,8 +4,10 @@ to the pipeline, render human- and machine-readable reports.
 Exit codes: 0 success (certified where certification applies), 2 computed
 but not certified, 1 error, 3 internal inconsistency (an independent check
 disagreed with the pipeline).  Machine output is deterministic: exact
-fraction strings, sorted keys, fixed layout.  Human output may show
-decimal approximations, always marked as such.
+numbers as integers or fraction strings, sorted keys, fixed layout.  The
+one exception to exact numbers is the ``witnesses`` document of
+``verify``, whose ``t``, ``x`` and ``residual`` are JSON floats.  Human
+output may show decimal approximations, always marked as such.
 """
 
 from __future__ import annotations

@@ -213,7 +213,8 @@ def _image(
     """p = A^T x + d (H h) for the rows ``at_int`` of an integer A^T and
     ``h_int`` = H h: the image A^T v + h of v = x / (d H), times d H.
     With d H > 0 it is a positive multiple, with the same argmins, ties
-    and level sets."""
+    and level sets.  The vertex oracle passes the rows of H A^T, and so
+    gets H d (A^T v + h) for v = x / d."""
     return [sum(map(mul, row, x)) + d * hj for row, hj in zip(at_int, h_int)]
 
 
@@ -813,7 +814,8 @@ def intersect_via_vertices(
     v + eps u, and for small eps > 0 its other elements stay above them:
     every circuit keeps its argmin set, so A^T (v + eps u) + h stays in
     the positive fan and v is not isolated.  The search shares no code
-    path with the fan walk: no cells, chains or calls into `_polyhedra`.
+    path with the fan walk: no cells, chains or calls into `_polyhedra`;
+    only the image arithmetic of ``_image`` and the membership test.
 
     A depth-first search chooses one plane at a time.  Each node carries
     its remaining candidate planes as integer rows already reduced
@@ -822,10 +824,11 @@ def intersect_via_vertices(
     coefficients vanished, since such a plane contains the node's flat
     or misses it and can never pivot below.  The flat itself is carried
     as v = (u + sum of v_c * q_c) / d over its free columns c, each pivot
-    substituted in once, so at depth n - 1 it is a line and a candidate r
-    meets it at v_c = r[n] / r[c].  Vertices are keyed by their
-    gcd-normalized integer numerators and positive denominator, and each
-    new one is tested once, in integers: A is read through
+    substituted in once.  At depth n - 1 the flat is a line, and the same
+    substitution of a branch plane gives the vertex where it meets the
+    line, which is tested in place of a child.  Vertices are keyed by
+    their gcd-normalized integer numerators and positive denominator, and
+    each new one is tested once, in integers: A is read through
     ``integer_columns`` and (H, H h) come from ``integer_multiple``, so
     H * d * (A^T v + h) = (H A^T) num + (H h) d is a positive multiple of
     A^T v + h, every circuit has the same argmin and the verdict is
@@ -846,8 +849,8 @@ def intersect_via_vertices(
     0 = 0; they contain its flat.  While some mask holds no held plane,
     the node takes such a mask with the fewest live candidates and
     branches on those, in index order: branch j drops the mask's earlier
-    planes from its candidates, and at a line node only the mask's live
-    planes meet the line.  A mask with no live candidate cuts the node,
+    planes from its candidates, and a line node tests only the vertices
+    of the mask's live planes.  A mask with no live candidate cuts the node,
     so an empty mask means no vertex at all.  Once every mask holds a
     plane, the node branches on every candidate in index order, branch j
     dropping the earlier ones, and visits each set of planes once.
@@ -915,36 +918,29 @@ def intersect_via_vertices(
         # every candidate in index order once each mask holds a plane
         mask = min(unheld, key=lambda m: (m & live).bit_count()) if unheld else live
         branches = [(t, r) for t, r in cands if t & mask]
-        if len(free) == 1:
-            ((c, q),) = free.items()
-            for _, r in branches:
-                # r meets the line at v_c = r[n] / r[c]
-                rc, rn = r[c], r[n]
-                den = d * rc
-                if den < 0:
-                    rc, rn, den = -rc, -rn, -den
-                num = [x * rc + rn * y for x, y in zip(u, q)]
-                g = gcd(den, *num)
-                if g > 1:
-                    num = [x // g for x in num]
-                    den //= g
-                key = (tuple(num), den)
-                if key in seen:
-                    continue
-                seen.add(key)
-                p = [
-                    sum(a * x for a, x in zip(row, num)) + hi * den
-                    for row, hi in zip(at_int, h_int)
-                ]
-                if is_positive_member(p, OM):
-                    found.add(tuple(Fraction(x, den) for x in num))
-            return
         done = 0  # the branch planes so far, dropped from every later branch
         # a child keeps at most len(cands) - 1 - j candidates and needs
-        # len(free) - 1 of them
+        # len(free) - 1 of them; with one free column that is every branch
         for mark, r in branches[: len(cands) - len(free) + 1]:
             col = next(j for j, x in enumerate(r) if x)
             pv, rn = r[col], r[n]
+            # substitute v_col = (r[n] - sum of r[c] * v_c) / r[col]
+            qp = free[col]
+            num = [pv * a + rn * b for a, b in zip(u, qp)]
+            den = d * pv
+            if len(free) == 1:
+                # r meets the line in a vertex: key it by its gcd-normalized
+                # numerators over a positive denominator and test it once
+                g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+                if g != 1:
+                    num = [x // g for x in num]
+                    den //= g
+                key = (tuple(num), den)
+                if key not in seen:
+                    seen.add(key)
+                    if is_positive_member(_image(at_int, h_int, num, den), OM):
+                        found.add(tuple(Fraction(x, den) for x in num))
+                continue
             child = []
             held = mark
             done |= mark
@@ -962,17 +958,15 @@ def intersect_via_vertices(
                     if g > 1:
                         s = [x // g for x in s]
                 child.append((t, s))
-            # substitute v_col = (r[n] - sum of r[c] * v_c) / r[col]
-            qp = free[col]
             walk(
                 child,
-                [pv * a + rn * b for a, b in zip(u, qp)],
+                num,
                 {
                     c: [pv * a - r[c] * b for a, b in zip(q, qp)]
                     for c, q in free.items()
                     if c != col
                 },
-                d * pv,
+                den,
                 [m for m in unheld if not m & held],
             )
 

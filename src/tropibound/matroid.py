@@ -10,7 +10,7 @@ stored.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_, lt
 from typing import Iterable, NamedTuple, Sequence
 
@@ -63,6 +63,8 @@ class OrientedMatroid:
     is stored too.  ``circuit_supports`` holds the deduplicated circuit
     supports, sorted by (size, elements), and ``_masks`` their bitmasks;
     ``sign_masks`` holds each circuit once, up to negation, as bitmasks.
+    ``rank`` and ``sign_masks`` are cached properties, which write the
+    instance dict and so pass the ``__setattr__`` guard.
 
     The constructor is where circuits enter the package: it sorts and
     dedupes each one's parts (sorted tuples are kept as they are), then
@@ -70,8 +72,6 @@ class OrientedMatroid:
     ground set and nested supports, the last on bitmasks.  It builds only
     the negations that are missing, each once through ``negated``.
     """
-
-    __slots__ = ("ground_size", "circuits", "circuit_supports", "_masks", "_rank", "_signs")
 
     def __init__(self, ground_size: int, circuits: Iterable[SignedCircuit]):
         if ground_size < 1:
@@ -110,39 +110,30 @@ class OrientedMatroid:
         object.__setattr__(self, "circuits", tuple(sorted(closed)))
         object.__setattr__(self, "circuit_supports", tuple(supports))
         object.__setattr__(self, "_masks", tuple(map(_mask, supports)))
-        object.__setattr__(self, "_rank", None)
-        object.__setattr__(self, "_signs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrientedMatroid is immutable")
 
-    @property
+    @cached_property
     def rank(self) -> int:
         """Matroid rank of the ground set, by greedy extension of an
         independent set: an element joins unless it closes a circuit."""
-        if self._rank is None:
-            chosen = 0
-            for e in range(self.ground_size):
-                trial = chosen | 1 << e
-                if all(c & ~trial for c in self._masks):
-                    chosen = trial
-            object.__setattr__(self, "_rank", chosen.bit_count())
-        return self._rank
+        chosen = 0
+        for e in range(self.ground_size):
+            trial = chosen | 1 << e
+            if all(c & ~trial for c in self._masks):
+                chosen = trial
+        return chosen.bit_count()
 
-    @property
+    @cached_property
     def sign_masks(self) -> tuple[tuple[int, int], ...]:
         """One ``(positive, negative)`` bitmask pair per circuit up to
         negation, in ``circuits`` order: the orientation whose positive
         tuple sorts first.  Built on first use and kept, as ``rank`` is:
         listing circuits and flats never reads it."""
-        if self._signs is None:
-            signs = tuple(
-                (_mask(c.positive), _mask(c.negative))
-                for c in self.circuits
-                if c.positive < c.negative
-            )
-            object.__setattr__(self, "_signs", signs)
-        return self._signs
+        return tuple(
+            (_mask(c.positive), _mask(c.negative)) for c in self.circuits if c.positive < c.negative
+        )
 
     def __eq__(self, other) -> bool:
         return (

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
 
@@ -72,13 +73,12 @@ def vector(entries: Iterable[Scalar]) -> RationalVector:
 
 class RationalMatrix:
     """Immutable dense matrix of rationals, stored row-major.  Equality
-    and the hash read one tuple of ints (``_ints``), built on first use
-    and kept: one-entry memos keyed on a matrix hash and compare it on
-    every call, while most matrices never are.  ``integer_columns`` keeps
-    its result the same way, so every layer that reads an exponent matrix
-    shares one conversion."""
-
-    __slots__ = ("rows", "cols", "_entries", "_key", "_columns")
+    and the hash read one tuple of ints (``_ints``), a cached property:
+    one-entry memos keyed on a matrix hash and compare it on every call,
+    while most matrices never are.  ``integer_columns`` reads another
+    (``_columns``), so every layer that reads an exponent matrix shares
+    one conversion.  ``cached_property`` writes the instance dict, so the
+    ``__setattr__`` guard does not stop it."""
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
         ent = tuple(to_rational(x) for x in entries)
@@ -87,8 +87,6 @@ class RationalMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_entries", ent)
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
@@ -163,21 +161,26 @@ class RationalMatrix:
     def is_integer(self) -> bool:
         return all(x.denominator == 1 for x in self._entries)
 
+    @cached_property
     def _ints(self) -> tuple[int, ...]:
         """The shape, the numerators, then the denominators.  Entries are
         in lowest terms with positive denominators, so two matrices are
         equal iff these tuples are."""
-        if self._key is None:
-            ent = self._entries
-            key = (*(x.numerator for x in ent), *(x.denominator for x in ent))
-            object.__setattr__(self, "_key", (self.rows, self.cols, *key))
-        return self._key
+        ent = self._entries
+        return (self.rows, self.cols, *(x.numerator for x in ent), *(x.denominator for x in ent))
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """``integer_columns``; raising leaves nothing cached."""
+        if not self.is_integer():
+            raise ValueError("exponent matrix must have integer entries")
+        return tuple(tuple(x.numerator for x in self.column(j)) for j in range(self.cols))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self._ints() == other._ints()
+        return isinstance(other, RationalMatrix) and self._ints == other._ints
 
     def __hash__(self) -> int:
-        return hash(self._ints())
+        return hash(self._ints)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
@@ -201,11 +204,6 @@ def primitive(row: Sequence[int]) -> tuple[int, ...]:
 def integer_columns(M: RationalMatrix) -> tuple[tuple[int, ...], ...]:
     """The columns of an integer matrix as ints; ValueError on any other
     entry.  Built on first use and kept on the matrix."""
-    if M._columns is None:
-        if not M.is_integer():
-            raise ValueError("exponent matrix must have integer entries")
-        columns = tuple(tuple(x.numerator for x in M.column(j)) for j in range(M.cols))
-        object.__setattr__(M, "_columns", columns)
     return M._columns
 
 

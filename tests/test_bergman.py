@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import initial_reference
@@ -17,6 +17,7 @@ from fan_reference import (
     sample_relative_interior,
 )
 from tropibound.bergman import (
+    _is_positive_flat,
     _positive_flats,
     compare_with_coarse,
     fine_fan,
@@ -26,6 +27,7 @@ from tropibound.bergman import (
     positive_fan,
 )
 from tropibound.cli import _positive_bergman, write_json
+from tropibound.intersection import _is_interior
 from tropibound.matroid import (
     Flat,
     OrientedMatroid,
@@ -33,6 +35,7 @@ from tropibound.matroid import (
     _chain_count,
     _covers,
     _full_chains,
+    _mask,
     all_flats,
     maximal_flag_count,
     maximal_flags,
@@ -388,6 +391,58 @@ def test_initial_form_membership_matches_circuits_random(C_rows, data):
         points = [data.draw(st.lists(st.integers(-1, 1), min_size=r, max_size=r), label="w")]
     for w in points:
         assert initial_reference.is_positive_member(C_rows, w) == is_positive_member(w, OM), w
+
+
+@st.composite
+def balanced_c_rows(draw):
+    """The rows of a C with r = 3..8 columns: 1..r - 1 rows, each the
+    cyclic differences y_i - y_(i+1) of a y in {-1, 0, 1}^r, not all
+    zero.  (1, ..., 1) lies in ker(C), so no circuit is one-signed; rows
+    may repeat or depend, and columns may be zero or parallel."""
+    r = draw(st.integers(3, 8))
+    y = st.lists(st.integers(-1, 1), min_size=r, max_size=r)
+    row = y.map(lambda y: [a - b for a, b in zip(y, y[1:] + y[:1])])
+    return draw(st.lists(row, min_size=1, max_size=r - 1).filter(lambda rows: any(map(any, rows))))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(balanced_c_rows(), st.data())
+def test_chain_cones_match_initial_forms_random(C_rows, data):
+    # the flag description of _is_positive_flat against the initial forms
+    # of rowspan(C), which read no circuits.  Three random chains of proper
+    # nonempty flats per C, positive or not: each is the flats of a
+    # maximal chain that get a positive weight, sampled in its cone's
+    # relative interior and shifted along (1, ..., 1).  The sample is a
+    # member iff the empty flat and every flat of the chain are positive.
+    # Where _is_interior holds at a member, the initial matroid has
+    # rank(M) components.  The converse fails at ROADMAP item 3's kind of
+    # point, where a non-minimal initial form merges two components; such
+    # points are counted as an event, not asserted away.
+    r = len(C_rows[0])
+    OM = realize_from_kernel(RationalMatrix.from_rows(C_rows))
+    proper = [f for f in all_flats(OM) if 0 < f.rank < OM.rank]
+    signs = OM.sign_masks
+    for _ in range(3):
+        flag = []
+        while above := [f for f in proper if not flag or set(flag[-1].elements) < set(f.elements)]:
+            flag.append(data.draw(st.sampled_from(above), label="flat"))
+        weights = [data.draw(st.integers(0, 3), label="weight") for _ in flag]
+        chain = [f for f, weight in zip(flag, weights) if weight]
+        w = [data.draw(st.integers(-2, 2), label="shift")] * r
+        for f, weight in zip(flag, weights):
+            for e in f.elements:
+                w[e - 1] += weight
+        positive = _is_positive_flat(0, signs) and all(
+            _is_positive_flat(_mask(f.elements), signs) for f in chain
+        )
+        assert initial_reference.is_positive_member(C_rows, w) == positive, (chain, w)
+        if not positive:
+            continue
+        full = initial_reference.component_count(C_rows, w) == OM.rank
+        if _is_interior(w, OM):
+            assert full, (chain, w)
+        elif full:
+            event("rank(M) initial components where _is_interior is false (ROADMAP item 3)")
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -157,6 +157,17 @@ def test_realize_memo_returns_equal_matroids(running_N):
         )
 
 
+def test_matroid_is_immutable(running_N):
+    # rank and sign_masks are cached properties; once built, they refuse
+    # assignment as the fields do
+    OM = realize_from_kernel(running_N)
+    assert OM.rank == 3 and len(OM.sign_masks) == len(OM.circuits) // 2
+    for name in ("rank", "sign_masks", "circuits", "ground_size"):
+        with pytest.raises(AttributeError):
+            setattr(OM, name, None)
+    assert OM.rank == 3
+
+
 def circuits_by_kernel_basis(G: RationalMatrix) -> set[SignedCircuit]:
     """Every column subset whose kernel is one full-support line, read off
     ``kernel_basis`` of the Fraction slice."""

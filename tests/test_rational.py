@@ -14,6 +14,7 @@ from tropibound.rational import (
     det,
     first_independent_rows,
     in_row_span,
+    integer_columns,
     integer_multiple,
     kernel_basis,
     primitive,
@@ -269,6 +270,12 @@ def test_to_rational_rejects_float():
 def test_matrix_is_immutable(running_N):
     with pytest.raises(AttributeError):
         running_N.rows = 5
+    # the cached values, once built, are kept and refuse assignment too
+    hash(running_N)
+    assert integer_columns(running_N) is integer_columns(running_N)
+    for name in ("_ints", "_columns", "rows"):
+        with pytest.raises(AttributeError):
+            setattr(running_N, name, None)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -387,6 +394,32 @@ def test_polyhedra_takes_only_primitive_from_rational():
         elif isinstance(node, ast.Import):
             imported += [a.name for a in node.names if a.name == "tropibound.rational"]
     assert imported == ["primitive"]
+
+
+def test_object_setattr_only_in_constructors():
+    # a value type sets its checked fields with object.__setattr__ in
+    # __init__ or __post_init__ and builds derived data with
+    # functools.cached_property; no other function may go round the
+    # __setattr__ guards
+    allowed, offences = [], []
+
+    def visit(node, where, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        ):
+            found = f"{path.name}:{node.lineno} in {where or 'module level'}"
+            (allowed if where in ("__init__", "__post_init__") else offences).append(found)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, path)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), None, path)
+    assert allowed and offences == []
 
 
 def test_only_the_cli_writer_serializes_json():
