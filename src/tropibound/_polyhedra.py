@@ -19,7 +19,8 @@ returned point is built of Fractions.  So the run gives the dimension,
 which is the number of intervals that are not a single point, and a
 sample in the relative interior.
 
-``polyhedron_dimension`` returns both, and ``intersection._product_cells``
+``polyhedron_dimension`` is that run, elimination and back-substitution
+in one function, and returns both; ``intersection._product_cells``
 calls it once per cell probe of the fan walk.  ``cone_nonzero_point``
 reads a nonzero point of a cone of positive dimension off the same run,
 for ``intersection.tangent_direction``, which the pipeline never calls.
@@ -81,35 +82,51 @@ def _eliminate(ineqs: list[Constraint], var: int) -> list[Constraint]:
     return _clean(passthrough)
 
 
-def _feasible_ineqs(dim: int, ineqs: list[Constraint]) -> tuple[list[int], int, int] | None:
-    """Fourier-Motzkin feasibility with a relative-interior sample.
+def polyhedron_dimension(
+    dim: int, inequalities: Sequence[Constraint]
+) -> tuple[int, tuple[Fraction, ...] | None]:
+    """Dimension of P = {t : inequalities} and a point in its relative
+    interior, read off one Fourier-Motzkin run.  Returns (-1, None) when
+    P is empty.
 
-    The variables are eliminated in index order, t_0 first.  Returns
-    the sample as integer numerators over one positive common
-    denominator, and the number of back-substitution intervals that are
-    not a single point; None when the system is infeasible.
+    The variables are eliminated in index order, t_0 first.
     Back-substitution puts each variable inside its interval over the
     variables already fixed: at the interval's one point when the
     interval is a single point, at the midpoint of a bounded interval, a
     step of 1 off the bound of a ray, and at 1 when nothing bounds it.
+    The sample is built as integer numerators over one positive common
+    denominator, and the dimension is the number of intervals that are
+    not a single point.
+
+    Why the run gives both (Schrijver §12.2; Rockafellar, *Convex
+    Analysis*, 1970, Thm 6.8 and Cor. 6.5.1):
+
+    - The rows the elimination holds at stage i describe exactly the
+      projection Q_i of P onto the variables not yet eliminated.
+    - Take s in the relative interior of Q_{i+1} and x in the relative
+      interior of the fiber of Q_i over s.  Then (x, s) lies in the
+      relative interior of Q_i, and dim Q_i = dim Q_{i+1} + dim(fiber).
+    - Back-substitution picks such an x at every stage, so the sample
+      lies in the relative interior of P, and dim P is the number of
+      fibers that are not a single point.
+    - A P of dimension 0 is one point, which the sample is.
     """
     try:
         # stages[var] holds the rows just before var is eliminated
-        stages = [_clean(list(ineqs))]
+        stages = [_clean(list(inequalities))]
         for var in range(dim):
             stages.append(_eliminate(stages[-1], var))
     except _Infeasible:
-        return None
+        return -1, None
     # Feasible: back-substitute, innermost variable first.  The sample is
     # nums / den, and each bound is a pair (numerator, positive denominator).
     nums = [0] * dim
     den = 1
     free = 0
     for var in reversed(range(dim)):
-        constraints = stages[var]
         lo: tuple[int, int] | None = None
         hi: tuple[int, int] | None = None
-        for coeffs, rhs in constraints:
+        for coeffs, rhs in stages[var]:
             c = coeffs[var]
             if c == 0:
                 continue
@@ -141,33 +158,6 @@ def _feasible_ineqs(dim: int, ineqs: list[Constraint]) -> tuple[list[int], int, 
             nums = [x * grow for x in nums]
             den *= grow
         nums[var] = vn * (den // vd)
-    return nums, den, free
-
-
-def polyhedron_dimension(
-    dim: int, inequalities: Sequence[Constraint]
-) -> tuple[int, tuple[Fraction, ...] | None]:
-    """Dimension of P = {t : inequalities} and a point in its relative
-    interior, read off one Fourier-Motzkin run.  Returns (-1, None) when
-    P is empty.
-
-    Why the run gives both (Schrijver §12.2; Rockafellar, *Convex
-    Analysis*, 1970, Thm 6.8 and Cor. 6.5.1):
-
-    - The rows the elimination holds at stage i describe exactly the
-      projection Q_i of P onto the variables not yet eliminated.
-    - Take s in the relative interior of Q_{i+1} and x in the relative
-      interior of the fiber of Q_i over s.  Then (x, s) lies in the
-      relative interior of Q_i, and dim Q_i = dim Q_{i+1} + dim(fiber).
-    - Back-substitution picks such an x at every stage (see
-      ``_feasible_ineqs``), so the sample lies in the relative interior
-      of P, and dim P is the number of fibers that are not a single point.
-    - A P of dimension 0 is one point, which the sample is.
-    """
-    run = _feasible_ineqs(dim, inequalities)
-    if run is None:
-        return -1, None
-    nums, den, free = run
     return free, tuple(Fraction(x, den) for x in nums)
 
 

@@ -240,13 +240,6 @@ def _document(obj, kinds, user: str):
     return assemble_crn(obj) if kind == "crn" else obj
 
 
-def _matroid(obj, command):
-    """The oriented matroid of a matrix, or of a system's C, from a
-    document of a kind ``command`` takes."""
-    obj = _document(obj, COMMANDS[command][0], f"command '{command}'")
-    return realize_from_kernel(obj.C if isinstance(obj, VerticalSystem) else obj)
-
-
 # --- handlers: each returns (document, human lines, exit code)
 
 
@@ -475,8 +468,9 @@ def _verify(system, args):
 
 
 # command -> (the document kinds it takes, handler, the flags it takes
-# besides --json).  The commands that take a matrix get its oriented
-# matroid (_matroid), the others the vertical system (_document).
+# besides --json).  The commands that take a matrix get the oriented
+# matroid of the matrix or of the system's C, the others the vertical
+# system (_document).
 # Handlers reach the pipeline through this module's globals, so
 # rebinding one of them reaches every command.
 COMMANDS = {
@@ -510,11 +504,9 @@ def run(args) -> int:
             f" (it takes {_options((*flags, 'json'))})"
         )
     args = argparse.Namespace(**{**FLAG_DEFAULTS, **given})
-    obj = parse_input(args.input)
+    obj = _document(parse_input(args.input), kinds, f"command '{args.command}'")
     if "matrix" in kinds:
-        obj = _matroid(obj, args.command)
-    else:
-        obj = _document(obj, kinds, f"command '{args.command}'")
+        obj = realize_from_kernel(obj.C if isinstance(obj, VerticalSystem) else obj)
     doc, lines, code = handler(obj, args)
     _emit(doc, args, lines)
     return code

@@ -80,12 +80,14 @@ def validate_inputs(OM: OrientedMatroid, A: RationalMatrix) -> Diagnostics:
     reported in the diagnostics and degrades certification, not
     computation.  rank(C) is read off the kernel realization OM of C as
     r - rank(OM), so C is never eliminated here.  A is eliminated once,
-    as the rows (A^T_j, 1) over its columns j: rank(A) is the number of
-    pivots among the first n columns, and the all-ones vector lies in
-    rowspan(A) iff the last column has no pivot.
+    as the rows (A^T_j, 1) over its columns j, read through
+    ``integer_columns``, which the matrix keeps: so a non-integer A
+    raises ValueError here, as ``_fan_plan`` would next.  rank(A) is the
+    number of pivots among the first n columns, and the all-ones vector
+    lies in rowspan(A) iff the last column has no pivot.
     """
     n, r = A.rows, A.cols
-    rows = [integer_multiple((*A.column(j), 1))[1] for j in range(r)]
+    rows = [(*col, 1) for col in integer_columns(A)]
     pivots = _echelon(rows, n + 1)[1]
     rank_A = sum(p < n for p in pivots)
     if rank_A < n:
@@ -218,6 +220,14 @@ def _image(
     return [sum(map(mul, row, x)) + d * hj for row, hj in zip(at_int, h_int)]
 
 
+def _lowest_terms(x: Sequence[int], d: int) -> tuple[tuple[int, ...], int]:
+    """x and d divided by their gcd, with d > 0: the one key of the point
+    x / d, under which the fan walk and the vertex oracle each test a
+    candidate point once."""
+    g = gcd(d, *x) if d > 0 else -gcd(d, *x)
+    return tuple(xi // g for xi in x), d // g
+
+
 def tangent_direction(
     v: Sequence, OM: OrientedMatroid, A: RationalMatrix, h: Sequence
 ) -> tuple[Fraction, ...] | None:
@@ -248,7 +258,7 @@ def tangent_direction(
     if not is_positive_member(p, OM):
         raise ValueError(_OUTSIDE)
     plan = _fan_plan(OM, A)
-    for system, cell, dim, _ in _product_cells(plan, H, h_int, _verdicts(plan.checks, h_int)):
+    for system, cell, dim, _ in _product_cells(plan, h_int, _verdicts(plan.checks, h_int)):
         if dim > 0 and _in_closed_cone(p, cell):
             tight = [(a, b) for c in cell for a, b in _ordering_pairs(c) if p[a] == p[b]]
             rows = [system.facets[pair][0] for pair in tight]
@@ -610,16 +620,17 @@ def _verdicts(
 
 
 def _product_cells(
-    plan: _FanPlan, H: int, h_int: Sequence[int], holds: Callable[[Iterable[int]], bool]
+    plan: _FanPlan, h_int: Sequence[int], holds: Callable[[Iterable[int]], bool]
 ) -> Iterator[tuple[_Underdetermined, tuple[_Cell, ...], int, tuple[list[int], int] | None]]:
     """Each product cell of the plan's underdetermined systems whose ties
-    hold at the shift with integer multiple (H, H h), in the order of
-    ``itertools.product`` over its system's groups, with its system, the
-    dimension of its piece there and, when that is 0, the piece's point
-    as (x', d') with v = x' / (d' H).  A system's ties hold iff
-    ``holds``, the shift's ``_verdicts`` of the plan's check rows, passes
-    its row indices; a system whose ties fail is skipped before its
-    cells are listed.
+    hold at the shift with integer multiple ``h_int`` = H h, in the order
+    of ``itertools.product`` over its system's groups, with its system,
+    the dimension of its piece there and, when that is 0, the piece's
+    point as (x', d') with v = x' / (d' H); H itself enters only where
+    the caller builds v.  A system's ties hold iff ``holds``, the
+    shift's ``_verdicts`` of the plan's check rows, passes its row
+    indices; a system whose ties fail is skipped before its cells are
+    listed.
 
     Each cell is probed by ``_polyhedra.polyhedron_dimension``, one
     Fourier-Motzkin run, in the k free coordinates t of the ties'
@@ -732,8 +743,7 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     images: dict[tuple[tuple[int, ...], int], list[int] | None] = {}
 
     def accept(x: Sequence[int], d: int) -> list[int] | None:
-        g = gcd(d, *x)
-        key = (tuple(xi // g for xi in x), d // g)
+        key = _lowest_terms(x, d)
         if key not in images:
             p = _image(plan.at_int, h_int, *key)
             images[key] = p if is_positive_member(p, OM) else None
@@ -746,7 +756,7 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     # the product cells whose piece has positive dimension
     pieces = []
     pinned = 0
-    for _, cell, dim, point in _product_cells(plan, H, h_int, holds):
+    for _, cell, dim, point in _product_cells(plan, h_int, holds):
         if dim == 0:
             if accept(*point) is None:
                 raise RuntimeError(
@@ -815,7 +825,8 @@ def intersect_via_vertices(
     every circuit keeps its argmin set, so A^T (v + eps u) + h stays in
     the positive fan and v is not isolated.  The search shares no code
     path with the fan walk: no cells, chains or calls into `_polyhedra`;
-    only the image arithmetic of ``_image`` and the membership test.
+    only the image arithmetic of ``_image``, the point key of
+    ``_lowest_terms`` and the membership test.
 
     A depth-first search chooses one plane at a time.  Each node carries
     its remaining candidate planes as integer rows already reduced
@@ -827,9 +838,10 @@ def intersect_via_vertices(
     substituted in once.  At depth n - 1 the flat is a line, and the same
     substitution of a branch plane gives the vertex where it meets the
     line, which is tested in place of a child.  Vertices are keyed by
-    their gcd-normalized integer numerators and positive denominator, and
-    each new one is tested once, in integers: A is read through
-    ``integer_columns`` and (H, H h) come from ``integer_multiple``, so
+    their integer numerators and denominator in lowest terms
+    (``_lowest_terms``), and each new one is tested once, in integers:
+    A is read through ``integer_columns`` and (H, H h) come from
+    ``integer_multiple``, so
     H * d * (A^T v + h) = (H A^T) num + (H h) d is a positive multiple of
     A^T v + h, every circuit has the same argmin and the verdict is
     exact.  Fractions are built only for accepted vertices.
@@ -929,13 +941,9 @@ def intersect_via_vertices(
             num = [pv * a + rn * b for a, b in zip(u, qp)]
             den = d * pv
             if len(free) == 1:
-                # r meets the line in a vertex: key it by its gcd-normalized
-                # numerators over a positive denominator and test it once
-                g = gcd(den, *num) if den > 0 else -gcd(den, *num)
-                if g != 1:
-                    num = [x // g for x in num]
-                    den //= g
-                key = (tuple(num), den)
+                # r meets the line in a vertex: key it in lowest terms and
+                # test it once
+                key = num, den = _lowest_terms(num, den)
                 if key not in seen:
                     seen.add(key)
                     if is_positive_member(_image(at_int, h_int, num, den), OM):

@@ -325,11 +325,12 @@ def _flat_levels(ground: int, masks: Sequence[int]) -> list[set[int]]:
     return levels
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def all_flats(M: OrientedMatroid) -> tuple[Flat, ...]:
     """Every flat of the underlying matroid, graded by rank (see
     ``_flat_levels``): sorted as ``(rank, elements)`` tuples, then each
-    ``Flat`` built once."""
+    ``Flat`` built once.  A one-entry memo, as is ``maximal_flags``:
+    each CLI command reads the flats of one matroid."""
     levels = _flat_levels((1 << M.ground_size) - 1, M._masks)
     flats = sorted((k, _elements(F)) for k, level in enumerate(levels) for F in level)
     return tuple(Flat(elements, k) for k, elements in flats)
@@ -404,7 +405,7 @@ def _fine_flats(M: OrientedMatroid) -> tuple[Flat, ...]:
     return () if flats[0].elements else flats
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def maximal_flags(M: OrientedMatroid) -> tuple[tuple[Flat, ...], ...]:
     """All chains of proper nonempty flats of ranks 1, 2, ..., rank(M)-1,
     each the tuple of its flats; the empty chain, which indexes the

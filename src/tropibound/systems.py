@@ -34,13 +34,12 @@ class SystemError_(ValueError):
 
 
 @functools.lru_cache(maxsize=1)
-def _independent_rows(C: RationalMatrix) -> tuple[tuple[int, ...], RationalMatrix]:
-    """The first independent rows of C, and C restricted to them.  A
-    one-entry memo: CLI ``verify`` reduces C for the Newton witnesses and
-    again for the decorated count, and every draw of a rate scan shares
-    its C, so the draws share one reduced matrix as well."""
-    rows = tuple(first_independent_rows(C))
-    return rows, C.submatrix_rows(rows)
+def _independent_rows(C: RationalMatrix) -> RationalMatrix:
+    """C restricted to its first independent rows.  A one-entry memo:
+    CLI ``verify`` reduces C for the Newton witnesses and again for the
+    decorated count, and every draw of a rate scan shares its C, so the
+    draws share one reduced matrix as well."""
+    return C.submatrix_rows(first_independent_rows(C))
 
 
 @dataclass(frozen=True)
@@ -80,9 +79,9 @@ class VerticalSystem:
         witnesses both need, exists only when rank(C) = n; otherwise
         SystemError_ is raised.
         """
-        rows, reduced = _independent_rows(self.C)
-        if len(rows) != self.n:
-            raise SystemError_(f"rank(C) = {len(rows)} differs from n = {self.n}")
+        reduced = _independent_rows(self.C)
+        if reduced.rows != self.n:
+            raise SystemError_(f"rank(C) = {reduced.rows} differs from n = {self.n}")
         return reduced
 
 

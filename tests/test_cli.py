@@ -321,13 +321,51 @@ def test_isolation_contradicting_fan_walk_exit_three(tmp_path, monkeypatch, caps
     outside = ([0] * vs.A.rows, 1)
     assert not is_positive_member(vs.h, realize_from_kernel(vs.C))
     monkeypatch.setattr(
-        mod, "_product_cells", lambda plan, H, h_int, holds: [(None, (), 0, outside)]
+        mod, "_product_cells", lambda plan, h_int, holds: [(None, (), 0, outside)]
     )
     code = main(["intersect", path])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("internal error:") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# criterion-7 system 18: two decorated simplices, bound 2, transverse
+SYSTEM_18 = {"kind": "vertical_system", "C": [[-2, -3, 3]], "A": [[-2, 2, 0]], "h": ["7", "0", "-5/2"]}
+
+
+@pytest.mark.parametrize(
+    "document, stand_in, message",
+    [
+        (SYSTEM_18, "one_image", "two decorated simplices share one tropical image"),
+        ("running_2x5.json", "one_image", "not a reported point"),
+        ("running_2x5.json", "no_member", "decorated simplex maps outside the positive tropical set"),
+    ],
+)
+def test_decorated_comparison_checks_exit_three(
+    tmp_path, monkeypatch, capsys, document, stand_in, message
+):
+    # each of bound's three checks of the decorated comparison map, made
+    # to fail: two simplices with one image, an image that is not a
+    # reported point (running example: one simplex, transverse), and an
+    # image outside the positive fan; each is an internal error with no
+    # document written
+    from tropibound import subdivision, systems
+
+    if isinstance(document, dict):
+        path = write(tmp_path, "system.json", document)
+    else:
+        path = str(INPUTS / document)
+    if stand_in == "one_image":
+        one_image = lambda s, A, h, matroid: (Fraction(99),) * A.cols  # noqa: E731
+        monkeypatch.setattr(systems, "decorated_to_tropical", one_image)
+    else:
+        monkeypatch.setattr(subdivision, "is_positive_member", lambda w, OM: False)
+    assert main(["bound", path, "--json", "-"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.startswith("internal error:")
+    assert message in captured.err
 
 
 def test_zero_C_refused_before_the_rank_of_A(tmp_path, capsys):
@@ -1094,7 +1132,7 @@ def test_loop_leaves_the_fine_fan_empty(tmp_path, capsys):
 
 
 def test_hhk_fan_reaches_write_json_in_batches():
-    M = cli._matroid(parse_input(str(INPUTS / "hhk_crn.json")), "bergman")
+    M = realize_from_kernel(assemble_crn(parse_input(str(INPUTS / "hhk_crn.json"))).C)
     doc, _, _ = cli._bergman(M, argparse.Namespace(coarse_compare=None))
     texts = list(doc["cones"])
     # the batches, then the closing bracket

@@ -474,7 +474,7 @@ def test_cell_probes_match_v_space_reference(hhk_model):
                 got = [
                     (dim, point and tuple(Fraction(xi, point[1] * H) for xi in point[0]))
                     for _, _, dim, point in _product_cells(
-                        one, H, h_int, _verdicts(plan.checks, h_int)
+                        one, h_int, _verdicts(plan.checks, h_int)
                     )
                 ]
                 want = reference_probe_cells(plan.at_int, system.groups, H, h_int)

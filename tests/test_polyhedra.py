@@ -258,14 +258,16 @@ def test_dimension_ignores_variable_order_and_row_order():
 
 
 def test_one_elimination_per_dimension_and_cone_probe(monkeypatch):
+    # one Fourier-Motzkin run per probe: each variable is eliminated at
+    # most once, in index order
     runs = []
-    real = _polyhedra._feasible_ineqs
+    real = _polyhedra._eliminate
 
-    def counted(dim, ineqs):
-        runs.append(dim)
-        return real(dim, ineqs)
+    def counted(ineqs, var):
+        runs.append(var)
+        return real(ineqs, var)
 
-    monkeypatch.setattr(_polyhedra, "_feasible_ineqs", counted)
+    monkeypatch.setattr(_polyhedra, "_eliminate", counted)
     for dim, ineqs in [
         (2, [ineq([1, 1], 1), ineq([-1, 0], 0), ineq([0, -1], 0)]),
         (2, [ineq([1, 0], 0), ineq([-1, 0], 0)]),
@@ -274,7 +276,7 @@ def test_one_elimination_per_dimension_and_cone_probe(monkeypatch):
     ]:
         runs.clear()
         polyhedron_dimension(dim, ineqs)
-        assert len(runs) == 1
+        assert runs == list(range(len(runs))) and len(runs) <= dim
     cones = [
         (2, cone_folded([(1, -1)]) + [(1, 0)]),
         (2, cone_folded([(1, 0), (0, 1)])),
@@ -283,7 +285,7 @@ def test_one_elimination_per_dimension_and_cone_probe(monkeypatch):
     for dim, rows in cones:
         runs.clear()
         cone_nonzero_point(dim, rows)
-        assert len(runs) == 1
+        assert runs == list(range(dim))
 
 
 def test_dimension_of_the_zero_dimensional_space():

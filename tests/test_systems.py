@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -6,9 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tropibound
 from tropibound import systems as systems_module
 from tropibound.intersection import _fan_plan
-from tropibound.matroid import realize_from_kernel
+from tropibound.matroid import all_flats, maximal_flags, realize_from_kernel
 from tropibound.rational import RationalMatrix, first_independent_rows, kernel_basis, rank, vector
 from tropibound.systems import (
     ComparisonViolation,
@@ -167,7 +170,15 @@ def test_rate_scan_documents_ignore_memo_state(hhk_model, running_system):
     for s in systems:
         bound(running_system)
         evicted.append(bound(s).to_document())
-    assert realize_from_kernel.cache_info().maxsize == _fan_plan.cache_info().maxsize == 1
+    # every memo of the package holds one entry
+    memos = {
+        f
+        for info in pkgutil.iter_modules(tropibound.__path__, "tropibound.")
+        for f in vars(importlib.import_module(info.name)).values()
+        if hasattr(f, "cache_info")
+    }
+    assert {realize_from_kernel, _fan_plan, all_flats, maximal_flags} <= memos
+    assert {f.cache_info().maxsize for f in memos} == {1}
     assert forward == backward == evicted
     assert len({str(doc) for doc in forward}) > 1
 
