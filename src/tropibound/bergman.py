@@ -133,9 +133,8 @@ def positive_chains(OM: OrientedMatroid) -> list[tuple[Flat, ...]]:
     which wraps this function by name.
     """
     positive = _positive_flats(OM)
-    proper = sorted(
-        (f for f in positive if 0 < f.rank < OM.rank), key=lambda f: (f.rank, f.elements)
-    )
+    # in all_flats order, which is (rank, elements) order
+    proper = [f for f in positive if 0 < f.rank < OM.rank]
     masks = [_mask(f.elements) for f in proper]
     out: list[tuple[Flat, ...]] = []
 

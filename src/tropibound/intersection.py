@@ -61,7 +61,6 @@ class OracleMismatchError(AssertionError):
 class Diagnostics:
     r: int
     n: int
-    rank_A: int
     rank_C: int
     ranks_ok: bool
     lineality_ok: bool
@@ -109,7 +108,6 @@ def validate_inputs(OM: OrientedMatroid, A: RationalMatrix) -> Diagnostics:
     return Diagnostics(
         r=r,
         n=n,
-        rank_A=rank_A,
         rank_C=rank_C,
         ranks_ok=ranks_ok,
         lineality_ok=not ones_in,
@@ -160,7 +158,7 @@ class IntersectionReport:
             "diagnostics": {
                 "r": self.diagnostics.r,
                 "n": self.diagnostics.n,
-                "rank_A": self.diagnostics.rank_A,
+                "rank_A": self.diagnostics.n,
                 "rank_C": self.diagnostics.rank_C,
                 "ranks_ok": self.diagnostics.ranks_ok,
                 "messages": list(self.diagnostics.messages),
@@ -215,8 +213,7 @@ def _image(
     """p = A^T x + d (H h) for the rows ``at_int`` of an integer A^T and
     ``h_int`` = H h: the image A^T v + h of v = x / (d H), times d H.
     With d H > 0 it is a positive multiple, with the same argmins, ties
-    and level sets.  The vertex oracle passes the rows of H A^T, and so
-    gets H d (A^T v + h) for v = x / d."""
+    and level sets."""
     return [sum(map(mul, row, x)) + d * hj for row, hj in zip(at_int, h_int)]
 
 
@@ -828,23 +825,25 @@ def intersect_via_vertices(
     only the image arithmetic of ``_image``, the point key of
     ``_lowest_terms`` and the membership test.
 
-    A depth-first search chooses one plane at a time.  Each node carries
-    its remaining candidate planes as integer rows already reduced
-    against the planes chosen above it; choosing a pivot row reduces the
-    child's candidates against that one row and drops those whose
-    coefficients vanished, since such a plane contains the node's flat
-    or misses it and can never pivot below.  The flat itself is carried
-    as v = (u + sum of v_c * q_c) / d over its free columns c, each pivot
-    substituted in once.  At depth n - 1 the flat is a line, and the same
-    substitution of a branch plane gives the vertex where it meets the
-    line, which is tested in place of a child.  Vertices are keyed by
-    their integer numerators and denominator in lowest terms
-    (``_lowest_terms``), and each new one is tested once, in integers:
-    A is read through ``integer_columns`` and (H, H h) come from
-    ``integer_multiple``, so
-    H * d * (A^T v + h) = (H A^T) num + (H h) d is a positive multiple of
-    A^T v + h, every circuit has the same argmin and the verdict is
-    exact.  Fractions are built only for accepted vertices.
+    A depth-first search chooses one plane at a time.  It runs in
+    y = H v, with A read through ``integer_columns`` and (H, H h) from
+    ``integer_multiple``: the tie of i and j is the integer row
+    (A^T_i - A^T_j) . y = (H h)_j - (H h)_i, the plane of v's tie under
+    the diagonal map diag(H, ..., H, 1), so it has the same zero
+    pattern.  Each node carries its remaining candidate planes as
+    primitive integer rows already reduced against the planes chosen
+    above it; choosing a pivot row reduces the child's candidates
+    against that one row and drops those whose coefficients vanished,
+    since such a plane contains the node's flat or misses it and can
+    never pivot below.  The flat itself is carried as
+    y = (u + sum of y_c * q_c) / d over its free columns c, each pivot
+    substituted in once.  At depth n - 1 the flat is a line, and the
+    same substitution of a branch plane gives the vertex where it meets
+    the line, which is tested in place of a child.  A vertex y = x / d
+    is v = x / (d H), the fan walk's convention, and is keyed and tested
+    as the walk's points are: once, as (x, d) in lowest terms
+    (``_lowest_terms``), through its integer image (``_image``).
+    Fractions are built only for accepted vertices.
 
     The search branches on circuits, one positive tropical hypersurface
     at a time and the most constrained first, as tropical prevarieties
@@ -889,12 +888,11 @@ def intersect_via_vertices(
     """
     n = A.rows
     H, h_int = integer_multiple(vector(h))
-    at_int = [[H * x for x in col] for col in integer_columns(A)]
+    at_int = integer_columns(A)
 
     def tie(i: int, j: int) -> tuple[int, ...]:
-        # w_i = w_j as an integer augmented row a . v = b of H A^T and H h,
-        # divided by its gcd, so each plane has one primitive form and the
-        # elimination below runs on plain ints
+        # w_i = w_j as a primitive integer row a . y = b, so each plane has
+        # one form and the elimination below runs on plain ints
         row = [x - y for x, y in zip(at_int[i - 1], at_int[j - 1])]
         return primitive((*row, h_int[j - 1] - h_int[i - 1]))
 
@@ -923,7 +921,7 @@ def intersect_via_vertices(
     def walk(
         cands: list, u: list[int], free: dict[int, list[int]], d: int, unheld: list[int]
     ) -> None:
-        # the node's flat: v = (u + sum over free columns c of v_c * free[c]) / d;
+        # the node's flat: y = (u + sum over free columns c of y_c * free[c]) / d;
         # ``unheld`` are the masks none of whose planes contains it
         live = functools.reduce(or_, (t for t, _ in cands), 0)
         # branch on the live planes of the mask with the fewest, or on
@@ -936,7 +934,7 @@ def intersect_via_vertices(
         for mark, r in branches[: len(cands) - len(free) + 1]:
             col = next(j for j, x in enumerate(r) if x)
             pv, rn = r[col], r[n]
-            # substitute v_col = (r[n] - sum of r[c] * v_c) / r[col]
+            # substitute y_col = (r[n] - sum of r[c] * y_c) / r[col]
             qp = free[col]
             num = [pv * a + rn * b for a, b in zip(u, qp)]
             den = d * pv
@@ -947,7 +945,7 @@ def intersect_via_vertices(
                 if key not in seen:
                     seen.add(key)
                     if is_positive_member(_image(at_int, h_int, num, den), OM):
-                        found.add(tuple(Fraction(x, den) for x in num))
+                        found.add(tuple(Fraction(x, den * H) for x in num))
                 continue
             child = []
             held = mark
@@ -957,14 +955,11 @@ def intersect_via_vertices(
                     continue
                 f = s[col]
                 if f:
-                    s = [pv * a - f * b for a, b in zip(s, r)]
+                    s = primitive([pv * a - f * b for a, b in zip(s, r)])
                     if not any(s[:n]):
                         if not s[n]:
                             held |= t  # the plane contains the child's flat
                         continue
-                    g = gcd(*s)
-                    if g > 1:
-                        s = [x // g for x in s]
                 child.append((t, s))
             walk(
                 child,

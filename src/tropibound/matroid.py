@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import and_, lt
 from typing import Iterable, NamedTuple, Sequence
 
-from tropibound.rational import RationalMatrix, integer_multiple, kernel_basis, primitive
+from tropibound.rational import RationalMatrix, _integer_rows, kernel_basis, primitive
 
 
 class MatroidError(ValueError):
@@ -70,7 +70,8 @@ class OrientedMatroid:
     dedupes each one's parts (sorted tuples are kept as they are), then
     refuses overlapping parts, an empty circuit, an element outside the
     ground set and nested supports, the last on bitmasks.  It builds only
-    the negations that are missing, each once through ``negated``.
+    the negations that are missing, each once through ``negated``, and
+    keeps the circuits sorted, the one place they are sorted.
     """
 
     def __init__(self, ground_size: int, circuits: Iterable[SignedCircuit]):
@@ -185,22 +186,22 @@ def circuits_via_subsets(G: RationalMatrix) -> list[SignedCircuit]:
     later ones against that one column, dropping the pivot row, and
     ``primitive`` keeps the rows small.  A candidate reduced to zero
     carries I + j's relation and is dropped, since a dependent set is
-    never extended.  Each row of G is scaled to integers once by
-    ``integer_multiple``, which leaves the column relations unchanged.
+    never extended.  Each row of G is scaled to integers once
+    (``rational._integer_rows``), which leaves the column relations
+    unchanged.
 
-    The search collects each circuit as its sorted ``(positive,
-    negative)`` tuples, in both orientations, and each ``SignedCircuit``
-    is built once, in sorted order.
+    Each circuit is returned in both orientations, in search order;
+    ``OrientedMatroid`` sorts the circuits it is given.
     """
-    ints = [integer_multiple(G.row(i))[1] for i in range(G.rows)]
-    circuits: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    ints = _integer_rows(G)
+    circuits: list[SignedCircuit] = []
 
     def relation(cols: tuple[int, ...], row: Sequence[int]) -> None:
         lam = row[len(row) - len(cols) :]
         if 0 not in lam:
             pos = tuple(j + 1 for j, x in zip(cols, lam) if x > 0)
             neg = tuple(j + 1 for j, x in zip(cols, lam) if x < 0)
-            circuits.extend(((pos, neg), (neg, pos)))
+            circuits.extend((SignedCircuit(pos, neg), SignedCircuit(neg, pos)))
 
     def walk(path: tuple[int, ...], cands: list, live: int) -> None:
         # cands: (column, residual on `live` rows + coefficients on path + own)
@@ -235,7 +236,7 @@ def circuits_via_subsets(G: RationalMatrix) -> list[SignedCircuit]:
         else:
             relation((j,), row)
     walk((), roots, G.rows)
-    return [SignedCircuit(pos, neg) for pos, neg in sorted(circuits)]
+    return circuits
 
 
 @lru_cache(maxsize=1)

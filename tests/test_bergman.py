@@ -126,6 +126,8 @@ def test_one_signed_circuit_never_positive():
 def test_membership_rejects_floats(M):
     with pytest.raises(TypeError):
         is_member((0.5, 0, 0, 0, 0), M)
+    with pytest.raises(ValueError, match="weight vector length mismatch"):
+        is_member((0, 0, 0, 0), M)
 
 
 # --- fine fan -------------------------------------------------------------

@@ -622,6 +622,60 @@ def test_crn_without_conservation_laws_takes_no_totals(tmp_path, capsys):
     assert captured.err == f"error: {path}: one total per conservation row required\n"
 
 
+# (command, document or None for a missing file, the error line after
+# "error: "; {path} is the input file); the missing file's line goes on
+# with the operating system's reason
+INPUT_REFUSALS = {
+    "missing file": ("bound", None, "cannot read {path}: "),
+    "top-level list": ("bound", [1, 2], "{path}: top-level object with a 'kind' field required"),
+    "no kind": ("bound", {"C": [[1]]}, "{path}: top-level object with a 'kind' field required"),
+    "no matrix": ("circuits", {"kind": "matrix"}, "matrix: expected a non-empty list of rows"),
+    "no rows": (
+        "circuits",
+        {"kind": "matrix", "matrix": []},
+        "matrix: expected a non-empty list of rows",
+    ),
+    "rows not lists": (
+        "circuits",
+        {"kind": "matrix", "matrix": [1, 2]},
+        "matrix: expected a non-empty list of rows",
+    ),
+    "h not a list": (
+        "bound",
+        {"kind": "vertical_system", "C": [[1, -1]], "A": [[1, 0]], "h": "0"},
+        "h: expected a list",
+    ),
+    "B wider than N": (
+        "crn",
+        {**OPEN_NETWORK, "B": [[1, 0, 0]]},
+        "{path}: reactant matrix shape must match the stoichiometric matrix",
+    ),
+    "W with a column per reaction": (
+        "crn",
+        {**OPEN_NETWORK, "W": [[1, 1]], "T": [1]},
+        "{path}: conservation matrix must have one column per species",
+    ),
+    "one h for two reactions": (
+        "crn",
+        {**OPEN_NETWORK, "h": [0]},
+        "{path}: one rate exponent per reaction required",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_REFUSALS)
+def test_input_refusals_exit_one(tmp_path, capsys, case):
+    command, doc, message = INPUT_REFUSALS[case]
+    path = str(tmp_path / "missing.json") if doc is None else write(tmp_path, "in.json", doc)
+    assert main([command, path, "--json", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    want = "error: " + message.format(path=path)
+    assert line.startswith(want) if doc is None else line == want
+
+
 # sha256 of the `--json -` document of each command on the shipped inputs;
 # None marks a command that refuses the input (exit 1, nothing on stdout).
 # A command may carry flags after its name; `--cross-check` only adds a

@@ -77,7 +77,7 @@ def test_validate_crn_ranks(hhk_model):
 
     vs = assemble_crn(hhk_model)
     d = validate_inputs(realize_from_kernel(vs.C), vs.A)
-    assert d.rank_C == 6 and d.rank_A == 6 and d.ok
+    assert d.rank_C == 6 and d.n == 6 and d.ok
     assert vs.C.rows == 8  # rank comes from the matroid, not the row count
 
 

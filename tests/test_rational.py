@@ -230,6 +230,24 @@ def test_det_rejects_nonsquare():
         det(RationalMatrix(2, 3, [0] * 6))
 
 
+def test_shape_mismatches_raise():
+    M = RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    refusals = [
+        (lambda: RationalMatrix(2, 2, [1, 2, 3]), ValueError, "expected 4 entries, got 3"),
+        (lambda: RationalMatrix.from_rows([[1, 2], [3]]), ValueError, "ragged rows"),
+        (lambda: M[2, 0], IndexError, r"\(2, 0\)"),
+        (lambda: M[0, -1], IndexError, r"\(0, -1\)"),
+        (lambda: M.matmul(M), ValueError, "shape mismatch for matmul"),
+        (lambda: M.apply([1, 2]), ValueError, "vector length mismatch"),
+        (lambda: solve_affine(M, [1, 2, 3]), ValueError, "right-hand side length mismatch"),
+    ]
+    for call, error, message in refusals:
+        with pytest.raises(error, match=message):
+            call()
+    # matrices with different column counts never share a row space
+    assert not row_space_equal(M, M.submatrix_columns([0, 1]))
+
+
 def test_det_random_against_cofactor():
     rng = random.Random(43)
     cases = [random_matrix(rng, 5, 5, denom=2, span=3) for _ in range(6)]
@@ -261,6 +279,8 @@ def test_det_multiplicative():
 def test_to_rational_rejects_float():
     with pytest.raises(TypeError):
         to_rational(0.5)
+    with pytest.raises(TypeError, match="bool is not a rational scalar"):
+        to_rational(True)
     for text in ("0.5", "0.0", "-1e0", "-1e5000", "1e100000000", "1_000", "1 /2"):
         with pytest.raises(ValueError):
             to_rational(text)

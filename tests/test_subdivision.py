@@ -68,10 +68,12 @@ def test_flat_lift_single_cell(running_A):
     assert cells[0].witness == vector([0, 0])
 
 
-def test_full_cells_reject_duplicate_columns():
+def test_full_cells_reject_duplicate_columns(running_A):
     A = RationalMatrix.from_rows([[0, 0, 1], [1, 1, 0]])
     with pytest.raises(SubdivisionError):
         full_cells(A, [0, 0, 0])
+    with pytest.raises(SubdivisionError, match="lift length mismatch"):
+        full_cells(running_A, [0] * 4)
 
 
 def test_witness_reproduces_members(running_A):
@@ -180,6 +182,15 @@ def test_decoration_golden_cell(running_N, running_A):
 def test_decoration_mixed_signs_rejected(running_N, running_A):
     cells = {c.members: c for c in full_cells(running_A, H_RUN)}
     assert positively_decorated(running_N, cells[(1, 2, 5)]) is None
+
+
+def test_decoration_refuses_mismatched_shapes(running_N, running_A):
+    with pytest.raises(SubdivisionError, match="needs an 3-member cell, got 2"):
+        positively_decorated(running_N, Cell((1, 2), vector([0, 0])))
+    with pytest.raises(SubdivisionError, match="has 1 rows, expected n = 2"):
+        decorated_count(running_N.submatrix_rows([0]), running_A, H_RUN)
+    with pytest.raises(SubdivisionError, match="disagree on columns"):
+        decorated_count(running_N.submatrix_columns([0, 1, 2, 3]), running_A, H_RUN)
 
 
 def test_decoration_telescoping_chain():
