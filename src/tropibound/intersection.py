@@ -59,16 +59,27 @@ class OracleMismatchError(AssertionError):
 
 @dataclass(frozen=True)
 class Diagnostics:
+    """What ``validate_inputs`` found; the verdicts on it are properties."""
+
     r: int
     n: int
     rank_C: int
-    ranks_ok: bool
     lineality_ok: bool
-    messages: tuple[str, ...]
+
+    @property
+    def ranks_ok(self) -> bool:
+        return self.rank_C == self.n
 
     @property
     def ok(self) -> bool:
         return self.ranks_ok and self.lineality_ok
+
+    @property
+    def messages(self) -> tuple[str, ...]:
+        """Why the bound is not certified: the rank message, then the all-ones one."""
+        rank = f"rank(C) = {self.rank_C} differs from n = {self.n}; the root-count bound does not apply"
+        ones = "the all-ones vector lies in rowspan(A); every solution translates along a line"
+        return tuple(m for m, holds in ((rank, self.ranks_ok), (ones, self.lineality_ok)) if not holds)
 
 
 def validate_inputs(OM: OrientedMatroid, A: RationalMatrix) -> Diagnostics:
@@ -77,42 +88,23 @@ def validate_inputs(OM: OrientedMatroid, A: RationalMatrix) -> Diagnostics:
     Hard error when rank(A) < rows(A): the monomial parametrization is
     not injective and no bound can be stated.  Everything else is
     reported in the diagnostics and degrades certification, not
-    computation.  rank(C) is read off the kernel realization OM of C as
-    r - rank(OM), so C is never eliminated here.  A is eliminated once,
-    as the rows (A^T_j, 1) over its columns j, read through
-    ``integer_columns``, which the matrix keeps: so a non-integer A
-    raises ValueError here, as ``_fan_plan`` would next.  rank(A) is the
-    number of pivots among the first n columns, and the all-ones vector
-    lies in rowspan(A) iff the last column has no pivot.
+    computation.  Returns four facts: r, n, rank(C) and whether the
+    all-ones vector avoids rowspan(A).  rank(C) is read off the kernel
+    realization OM of C as r - rank(OM), so C is never eliminated here.
+    A is eliminated once, as the rows (A^T_j, 1) over its columns j,
+    read through ``integer_columns``, which the matrix keeps: so a
+    non-integer A raises ValueError here, as ``_fan_plan`` would next.
+    rank(A) is the number of pivots among the first n columns, and the
+    all-ones vector lies in rowspan(A) iff the last column has no pivot.
     """
-    n, r = A.rows, A.cols
-    rows = [(*col, 1) for col in integer_columns(A)]
-    pivots = _echelon(rows, n + 1)[1]
+    n = A.rows
+    pivots = _echelon([(*col, 1) for col in integer_columns(A)], n + 1)[1]
     rank_A = sum(p < n for p in pivots)
     if rank_A < n:
         raise InputValidationError(
             f"exponent matrix has rank {rank_A} < {n} rows; parametrization is not injective"
         )
-    rank_C = r - OM.rank
-    messages = []
-    ranks_ok = rank_C == n
-    if not ranks_ok:
-        messages.append(
-            f"rank(C) = {rank_C} differs from n = {n}; the root-count bound does not apply"
-        )
-    ones_in = n not in pivots
-    if ones_in:
-        messages.append(
-            "the all-ones vector lies in rowspan(A); every solution translates along a line"
-        )
-    return Diagnostics(
-        r=r,
-        n=n,
-        rank_C=rank_C,
-        ranks_ok=ranks_ok,
-        lineality_ok=not ones_in,
-        messages=tuple(messages),
-    )
+    return Diagnostics(A.cols, n, A.cols - OM.rank, lineality_ok=n in pivots)
 
 
 @dataclass(frozen=True)
@@ -138,14 +130,34 @@ class IntersectionPoint:
 @dataclass(frozen=True)
 class IntersectionReport:
     points: tuple[IntersectionPoint, ...]
-    count: int
-    transverse: bool
     diagnostics: Diagnostics
-    free_matroid: bool
     positive_dimensional: bool
     notes: tuple[str, ...]
     # the oriented matroid the points were found in; not part of the document
     matroid: OrientedMatroid = field(compare=False, repr=False)
+
+    @property
+    def count(self) -> int:
+        return len(self.points)
+
+    @property
+    def free_matroid(self) -> bool:
+        return not self.matroid.circuits
+
+    @property
+    def transverse(self) -> bool:
+        """Whether the count is certified: the rank hypotheses hold, the
+        all-ones vector avoids rowspan(A), no positive-dimensional piece
+        was met, and every point is isolated and interior.  For n >= 1 a
+        circuit-free matroid always meets a positive-dimensional piece;
+        at n = 0, which only an A with no rows gives, the free-matroid
+        term alone refuses it."""
+        return (
+            self.diagnostics.ok
+            and not self.free_matroid
+            and not self.positive_dimensional
+            and all(pt.isolated and pt.interior for pt in self.points)
+        )
 
     def to_document(self) -> dict:
         return {
@@ -213,7 +225,8 @@ def _image(
     """p = A^T x + d (H h) for the rows ``at_int`` of an integer A^T and
     ``h_int`` = H h: the image A^T v + h of v = x / (d H), times d H.
     With d H > 0 it is a positive multiple, with the same argmins, ties
-    and level sets."""
+    and level sets.  The fan walk, ``tangent_direction``, the vertex
+    oracle and ``subdivision.full_cells`` all read their images here."""
     return [sum(map(mul, row, x)) + d * hj for row, hj in zip(at_int, h_int)]
 
 
@@ -682,33 +695,18 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
     zero-dimensional pieces contribute their point, and
     higher-dimensional pieces flag the run as non-transverse.
 
-    The partitions are found, and the ties of the integer A eliminated
-    with h left symbolic, once per (OM, A) in ``_fan_plan``, one
-    elimination per system; the systems with the same pivot ties, full
-    rank or not, share one entry, and every entry names its check rows
-    in one plan-wide table.  Per call, ``integer_multiple`` gives H and
-    the ints H h, and one list of verdicts (``_verdicts``), read by the
-    pivot sets and by ``_product_cells`` alike, evaluates each row of
-    the table at most once, the first time an entry reads it: a
-    full-rank pivot set is consistent iff, for some one of its
-    combinations, each check row . (H h) is 0 (its combinations are
-    tried in order, each until a row fails), an underdetermined system
-    iff all of its own are, and then x_i = h_row_i . (H h).  A full-rank
-    pivot set has the unique solution v = x / (d H).  An underdetermined
-    system's solutions are v = (x + sum of t_f l_f) / (d H), with its
-    pivot set's free directions l_f, and its cells are probed in those k
-    free coordinates t (``_product_cells``): the plan entry lists the cells
-    and reduces each ordering facet onto them the first time its ties
-    hold, so a call only finds each facet's right-hand side and hands
-    ``_polyhedra`` k variables and inequalities alone; a cell that pins
-    its piece to one point gives it as integers (x', d') too.  Every
-    point, of a pivot set or pinned, is one key (x, d) in lowest terms,
-    tested once: its image p = d H (A^T v + h) (``_image``) for positive
-    membership in integers.  A pinned point outside the positive fan is
-    an internal error.  Fractions are built only for accepted points,
-    v = x / (d H) and w = (p - d H h) / (d H).  Each point's level flag
-    and interiority are read off p: a positive multiple has the same
-    level sets and the same argmins.
+    The partitions, and the ties of the integer A eliminated with h left
+    symbolic, come from ``_fan_plan``, once per (OM, A).  Per call,
+    ``_verdicts`` evaluates each of the plan's check rows at most once,
+    a consistent full-rank pivot set gives v = x / (d H) with
+    x_i = h_row_i . (H h), and ``_product_cells`` probes the cells of
+    the consistent underdetermined systems.  Every point, of a pivot set
+    or pinned by a cell, is one key (x, d) in lowest terms, tested once
+    through its integer image p = d H (A^T v + h) (``_image``); a pinned
+    point outside the positive fan is an internal error.  Fractions are
+    built only for accepted points, and each point's level flag and
+    interiority are read off p, a positive multiple of A^T v + h with
+    the same level sets and argmins.
 
     Isolation is read off the same probes: a point v with p in the
     positive fan is not isolated iff p lies in the closed cone of a
@@ -771,8 +769,6 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
             f"{len(pieces)} positive cell(s) meet rowspan(A) in positive dimension"
         )
 
-    diagnostics = plan.diagnostics
-    positive_dimensional = bool(pieces)
     points = sorted(
         (
             IntersectionPoint(
@@ -787,23 +783,7 @@ def intersect_via_fan(OM: OrientedMatroid, A: RationalMatrix, h: Sequence) -> In
         ),
         key=lambda pt: pt.v,
     )
-    free_matroid = not OM.circuits
-    transverse = (
-        diagnostics.ok
-        and not free_matroid
-        and not positive_dimensional
-        and all(pt.isolated and pt.interior for pt in points)
-    )
-    return IntersectionReport(
-        points=tuple(points),
-        count=len(points),
-        transverse=transverse,
-        diagnostics=diagnostics,
-        free_matroid=free_matroid,
-        positive_dimensional=positive_dimensional,
-        notes=tuple(notes),
-        matroid=OM,
-    )
+    return IntersectionReport(tuple(points), plan.diagnostics, bool(pieces), tuple(notes), OM)
 
 
 def intersect_via_vertices(

@@ -77,8 +77,10 @@ class RationalMatrix:
     one-entry memos keyed on a matrix hash and compare it on every call,
     while most matrices never are.  ``integer_columns`` reads another
     (``_columns``), so every layer that reads an exponent matrix shares
-    one conversion.  ``cached_property`` writes the instance dict, so the
-    ``__setattr__`` guard does not stop it."""
+    one conversion; ``is_integer`` is a third, so the draws of a scan
+    that share one matrix check its entries once.  ``cached_property``
+    writes the instance dict, so the ``__setattr__`` guard does not stop
+    it."""
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
         ent = tuple(to_rational(x) for x in entries)
@@ -158,7 +160,9 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self._entries)
 
+    @cached_property
     def is_integer(self) -> bool:
+        """Whether every entry is an integer, read once per matrix."""
         return all(x.denominator == 1 for x in self._entries)
 
     @cached_property
@@ -172,7 +176,7 @@ class RationalMatrix:
     @cached_property
     def _columns(self) -> tuple[tuple[int, ...], ...]:
         """``integer_columns``; raising leaves nothing cached."""
-        if not self.is_integer():
+        if not self.is_integer:
             raise ValueError("exponent matrix must have integer entries")
         return tuple(tuple(x.numerator for x in self.column(j)) for j in range(self.cols))
 

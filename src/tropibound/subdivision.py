@@ -20,6 +20,7 @@ from operator import mul
 from typing import Sequence
 
 from tropibound.bergman import is_positive_member
+from tropibound.intersection import _image
 from tropibound.matroid import OrientedMatroid
 from tropibound.rational import (
     RationalMatrix,
@@ -78,9 +79,10 @@ def full_cells(A: RationalMatrix, h: Sequence) -> list[Cell]:
     subset runs one ``_echelon`` of its rows (alpha_j, -1 | -H h_j) in
     the unknowns H (v, c); the subset spans exactly when all n + 1
     columns are pivots, and then H (v, c) = (x, y) / d.  The argmin is
-    taken over the integers alpha_j . x + d H h_j, a positive multiple
-    of alpha_j . v + h_j, which equal y on the subset; Fractions are
-    built only for a kept witness.
+    taken over the integers alpha_j . x + d H h_j
+    (``intersection._image``), a positive multiple of alpha_j . v + h_j,
+    which equal y on the subset; Fractions are built only for a kept
+    witness.
     """
     n, r = A.rows, A.cols
     cols = integer_columns(A)
@@ -96,7 +98,7 @@ def full_cells(A: RationalMatrix, h: Sequence) -> list[Cell]:
         if len(pivots) <= n:
             continue
         *x, y = (row[n + 1] for row in m)
-        vals = [sum(map(mul, col, x)) + d * hj for col, hj in zip(cols, hh)]
+        vals = _image(cols, hh, x, d)
         members = tuple(j + 1 for j, val in enumerate(vals) if val == y)
         if min(vals) == y and members not in found:
             found[members] = Cell(members, tuple(Fraction(xi, d * H) for xi in x))

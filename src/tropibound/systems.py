@@ -60,7 +60,7 @@ class VerticalSystem:
             raise SystemError_(
                 f"column mismatch: C has {C.cols} columns, A has {A.cols}, h has {len(h)}"
             )
-        if not A.is_integer():
+        if not A.is_integer:
             raise SystemError_("exponent matrix must have integer entries")
         object.__setattr__(self, "h", vector(h))
 
@@ -100,7 +100,7 @@ class CRNModel:
         ns, rs = self.N_stoich.rows, self.N_stoich.cols
         if self.B.rows != ns or self.B.cols != rs:
             raise SystemError_("reactant matrix shape must match the stoichiometric matrix")
-        if not self.B.is_integer():
+        if not self.B.is_integer:
             raise SystemError_("reactant matrix must be integer")
         if self.W.cols != ns:
             raise SystemError_("conservation matrix must have one column per species")

@@ -56,7 +56,7 @@ from tropibound.rational import (
     vector,
 )
 from tropibound.subdivision import decorated_count, full_cells
-from tropibound.systems import SystemError_, VerticalSystem, assemble_crn
+from tropibound.systems import SystemError_, VerticalSystem, assemble_crn, bound
 
 H_RUN = [0, 0, 0, 0, -1]
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -79,6 +79,47 @@ def test_validate_crn_ranks(hhk_model):
     d = validate_inputs(realize_from_kernel(vs.C), vs.A)
     assert d.rank_C == 6 and d.n == 6 and d.ok
     assert vs.C.rows == 8  # rank comes from the matroid, not the row count
+
+
+def test_diagnostics_messages_follow_the_ranks():
+    rank_message = "rank(C) = 1 differs from n = 2; the root-count bound does not apply"
+    ones_message = "the all-ones vector lies in rowspan(A); every solution translates along a line"
+    # rank(C) = 1 < n = 2 and the all-ones vector in rowspan(A): both
+    # messages, the rank one first, and no method applies
+    system = VerticalSystem(
+        RationalMatrix.from_rows([[1, -1, 0]]),
+        RationalMatrix.from_rows([[1, 1, 1], [0, 1, 2]]),
+        (0, 0, 0),
+    )
+    doc = bound(system).to_document()
+    assert doc["tropical"]["diagnostics"] == {
+        "r": 3,
+        "n": 2,
+        "rank_A": 2,
+        "rank_C": 1,
+        "ranks_ok": False,
+        "messages": [rank_message, ones_message],
+    }
+    assert doc["method_notes"] == [
+        "rank(C) = 1 differs from n = 2; decorated-simplex bound skipped",
+        "no certified method applies; bound defaults to 0",
+        rank_message,
+        ones_message,
+    ]
+    # rank(C) = n: only the all-ones message, and the decorated count is
+    # the fallback
+    system = VerticalSystem(
+        RationalMatrix.from_rows([[1, -1, 0, 0], [0, 1, -1, 0]]),
+        RationalMatrix.from_rows([[1, 1, 1, 1], [0, 1, 2, 3]]),
+        (0, 1, 0, 2),
+    )
+    doc = bound(system).to_document()
+    diagnostics = doc["tropical"]["diagnostics"]
+    assert diagnostics["ranks_ok"] and diagnostics["messages"] == [ones_message]
+    assert doc["method_notes"] == [
+        "tropical count not certified; falling back to the decorated-simplex bound",
+        ones_message,
+    ]
 
 
 def test_validate_rejects_duplicated_exponent_row(running_N):
@@ -1055,6 +1096,24 @@ def test_free_matroid_report():
     assert not rep.transverse and rep.count == 0
     assert rep.notes == ("1 positive cell(s) meet rowspan(A) in positive dimension",)
     assert intersect_via_vertices(M, A, [0, 0, 0]) == set()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_circuit_free_matroid_is_never_transverse(data):
+    # with no circuits every element is its own block: one system with no
+    # ties, whose one cell is all of R^r, so for n >= 1 its piece is all
+    # of R^n and positive-dimensional.  At n = 0, an A with no rows, the
+    # piece is the point 0 and the free-matroid term alone refuses it
+    n = data.draw(st.integers(0, 3), label="n")
+    r = data.draw(st.integers(n + 1, 6), label="r")
+    entries = data.draw(st.lists(st.integers(-3, 3), min_size=n * r, max_size=n * r), label="A")
+    A = RationalMatrix(n, r, entries)
+    assume(rank(A) == n)
+    h = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=r, max_size=r))
+    report = intersect_via_fan(OrientedMatroid(r, []), A, h)
+    assert report.free_matroid and not report.transverse
+    assert report.positive_dimensional == (n > 0)
 
 
 # --- isolation -----------------------------------------------------------------
