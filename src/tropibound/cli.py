@@ -357,7 +357,7 @@ def _positive_bergman(M, args):
         "kind": "positive_fan",
         "ground_size": M.ground_size,
         # no circuits: the fan is all of R^r
-        "free_matroid": not M.circuits,
+        "free_matroid": not M._masks,
         "cones": _cones(levels, M.ground_size, dimension=True),
     }
     count = _chain_count(levels)

@@ -85,8 +85,9 @@ class Diagnostics:
 def validate_inputs(OM: OrientedMatroid, A: RationalMatrix) -> Diagnostics:
     """Check the rank hypotheses and the lineality obstruction.
 
-    Hard error when rank(A) < rows(A): the monomial parametrization is
-    not injective and no bound can be stated.  Everything else is
+    Hard error when A has no rows (a system with no unknowns) and when
+    rank(A) < rows(A), where the monomial parametrization is not
+    injective: no bound can be stated for either.  Everything else is
     reported in the diagnostics and degrades certification, not
     computation.  Returns four facts: r, n, rank(C) and whether the
     all-ones vector avoids rowspan(A).  rank(C) is read off the kernel
@@ -98,6 +99,8 @@ def validate_inputs(OM: OrientedMatroid, A: RationalMatrix) -> Diagnostics:
     all-ones vector lies in rowspan(A) iff the last column has no pivot.
     """
     n = A.rows
+    if not n:
+        raise InputValidationError("exponent matrix has no rows; the system has no unknowns")
     pivots = _echelon([(*col, 1) for col in integer_columns(A)], n + 1)[1]
     rank_A = sum(p < n for p in pivots)
     if rank_A < n:
@@ -142,19 +145,18 @@ class IntersectionReport:
 
     @property
     def free_matroid(self) -> bool:
-        return not self.matroid.circuits
+        return not self.matroid._masks
 
     @property
     def transverse(self) -> bool:
         """Whether the count is certified: the rank hypotheses hold, the
         all-ones vector avoids rowspan(A), no positive-dimensional piece
-        was met, and every point is isolated and interior.  For n >= 1 a
-        circuit-free matroid always meets a positive-dimensional piece;
-        at n = 0, which only an A with no rows gives, the free-matroid
-        term alone refuses it."""
+        was met, and every point is isolated and interior.  A
+        circuit-free matroid is never certified: its one cell is all of
+        R^r, so it meets rowspan(A) in a positive-dimensional piece,
+        since ``validate_inputs`` refuses n = 0."""
         return (
             self.diagnostics.ok
-            and not self.free_matroid
             and not self.positive_dimensional
             and all(pt.isolated and pt.interior for pt in self.points)
         )

@@ -3,15 +3,15 @@
 Ground set elements are the integers 1..r, matching the column numbering
 of the defining matrix in every report and serialized document.  Signed
 circuits record the sign pattern of the minimal-support linear forms that
-vanish on the realized space; both orientations of every circuit are
-stored.
+vanish on the realized space.  Each circuit is stored once, up to
+negation, as a pair of bitmasks; the sorted tuple of both orientations
+is built only when a document, ``repr`` or a caller reads ``circuits``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property, lru_cache, reduce
-from operator import and_, lt
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from tropibound.rational import RationalMatrix, _integer_rows, kernel_basis, primitive
@@ -21,15 +21,10 @@ class MatroidError(ValueError):
     pass
 
 
-def _normalized(t) -> bool:
-    """Whether t is a strictly increasing tuple, which normalizing leaves alone."""
-    return type(t) is tuple and all(map(lt, t, t[1:]))
-
-
 class SignedCircuit(NamedTuple):
     """A pair of disjoint 1-based index sets (positive part, negative
-    part), each an increasing tuple; ``OrientedMatroid`` normalizes and
-    checks the circuits it is given."""
+    part), each an increasing tuple; ``OrientedMatroid`` turns the
+    circuits it is given into bitmasks and checks them there."""
 
     positive: tuple[int, ...]
     negative: tuple[int, ...]
@@ -59,58 +54,55 @@ class Flat(NamedTuple):
 class OrientedMatroid:
     """Signed-circuit presentation of an oriented matroid on {1..r}.
 
-    Closed under negation: for every stored (C+, C-) the pair (C-, C+)
-    is stored too.  ``circuit_supports`` holds the deduplicated circuit
-    supports, sorted by (size, elements), and ``_masks`` their bitmasks;
-    ``sign_masks`` holds each circuit once, up to negation, as bitmasks.
-    ``rank`` and ``sign_masks`` are cached properties, which write the
-    instance dict and so pass the ``__setattr__`` guard.
+    Each circuit is stored once, up to negation, as a ``(positive,
+    negative)`` pair of bitmasks (element e is bit e-1) in ``_pairs``,
+    and ``_masks`` holds the deduplicated supports sorted by size, then
+    by value.  ``rank``, ``sign_masks``, ``circuit_supports`` and
+    ``circuits`` are cached properties, built on first read from those
+    two; they write the instance dict and so pass the ``__setattr__``
+    guard.  The pipeline reads the masks and the properties built from
+    them; ``circuits``, the sorted tuple of both orientations, serves
+    documents, ``repr`` and tests only.
 
-    The constructor is where circuits enter the package: it sorts and
-    dedupes each one's parts (sorted tuples are kept as they are), then
-    refuses overlapping parts, an empty circuit, an element outside the
-    ground set and nested supports, the last on bitmasks.  It builds only
-    the negations that are missing, each once through ``negated``, and
-    keeps the circuits sorted, the one place they are sorted.
+    The constructor is the one way circuits enter the package.  Each
+    circuit, given as a ``(positive, negative)`` pair of bitmasks (what
+    ``circuits_via_subsets`` returns) or of element collections (a
+    ``SignedCircuit``), is turned into masks first, where an element
+    below 1 is refused as leaving the ground set.  Then it refuses
+    overlapping parts, an empty circuit, an element above the ground
+    set and nested supports, all on masks.  Each pair is oriented so
+    that its positive part, as an increasing tuple, sorts first, and
+    deduplicated, so a circuit given in both orientations is kept once.
     """
 
-    def __init__(self, ground_size: int, circuits: Iterable[SignedCircuit]):
+    def __init__(self, ground_size: int, circuits: Iterable):
         if ground_size < 1:
             raise MatroidError("ground set must be nonempty")
-        closed = set()
-        found = set()
-        for c in circuits:
-            pos, neg = c
-            if not (_normalized(pos) and _normalized(neg)):
-                pos, neg = tuple(sorted(set(pos))), tuple(sorted(set(neg)))
-                c = SignedCircuit(pos, neg)
-            s = tuple(sorted(pos + neg))
-            if not _normalized(s):
+        pairs = set()
+        for P, N in circuits:
+            if type(P) is not int:
+                if min((*P, *N), default=1) < 1:
+                    raise _outside(*(tuple(sorted(set(x))) for x in (P, N)), ground_size)
+                P, N = _mask(set(P)), _mask(set(N))
+            if P & N:
+                pos, neg = _elements(P), _elements(N)
                 raise MatroidError(f"positive and negative parts overlap: {pos} / {neg}")
-            if not s:
+            if not (P or N):
                 raise MatroidError("empty signed circuit")
-            if s[0] < 1 or s[-1] > ground_size:
-                raise MatroidError(f"circuit {c} leaves the ground set [1..{ground_size}]")
-            found.add(s)
-            closed.add(c)
-        # a circuit equals and hashes as its (positive, negative) tuple
-        closed |= {c.negated() for c in closed if c[::-1] not in closed}
-        supports = [s for _, s in sorted((len(s), s) for s in found)]
-        # bit i of holders[e] is set when support i holds e; the AND over a
-        # support's elements marks every support containing it
-        holders = [0] * (ground_size + 1)
-        for i, s in enumerate(supports):
-            for e in s:
-                holders[e] |= 1 << i
-        for i, s in enumerate(supports):
-            above = reduce(and_, map(holders.__getitem__, s)) & ~(1 << i)
-            if above:
-                b = supports[(above & -above).bit_length() - 1]
-                raise MatroidError(f"circuit supports are nested: {set(s)} < {set(b)}")
+            if (P | N) >> ground_size:
+                raise _outside(_elements(P), _elements(N), ground_size)
+            # the positive part sorts first as a tuple: it is empty, or it
+            # holds the least element
+            pairs.add((P, N) if P & -P < N & -N else (N, P))
+        masks = sorted(sorted({P | N for P, N in pairs}), key=int.bit_count)
+        if _nested(masks, ground_size):
+            # name the first nested pair in (size, elements) order
+            masks.sort(key=lambda m: (m.bit_count(), _elements(m)))
+            s, b = (_elements(masks[i]) for i in _nested(masks, ground_size))
+            raise MatroidError(f"circuit supports are nested: {set(s)} < {set(b)}")
         object.__setattr__(self, "ground_size", ground_size)
-        object.__setattr__(self, "circuits", tuple(sorted(closed)))
-        object.__setattr__(self, "circuit_supports", tuple(supports))
-        object.__setattr__(self, "_masks", tuple(map(_mask, supports)))
+        object.__setattr__(self, "_pairs", frozenset(pairs))
+        object.__setattr__(self, "_masks", tuple(masks))
 
     def __setattr__(self, name, value):
         raise AttributeError("OrientedMatroid is immutable")
@@ -128,23 +120,29 @@ class OrientedMatroid:
 
     @cached_property
     def sign_masks(self) -> tuple[tuple[int, int], ...]:
-        """One ``(positive, negative)`` bitmask pair per circuit up to
-        negation, in ``circuits`` order: the orientation whose positive
-        tuple sorts first.  Built on first use and kept, as ``rank`` is:
-        listing circuits and flats never reads it."""
-        return tuple(
-            (_mask(c.positive), _mask(c.negative)) for c in self.circuits if c.positive < c.negative
-        )
+        """The stored pairs in ``circuits`` order: sorted by their
+        (positive, negative) element tuples."""
+        return tuple(sorted(self._pairs, key=lambda pair: tuple(map(_elements, pair))))
+
+    @cached_property
+    def circuit_supports(self) -> tuple[tuple[int, ...], ...]:
+        """The circuit supports as increasing tuples, sorted by (size,
+        elements)."""
+        return tuple(sorted(sorted(map(_elements, self._masks)), key=len))
+
+    @cached_property
+    def circuits(self) -> tuple[SignedCircuit, ...]:
+        """Every circuit in both orientations, sorted: each stored pair and
+        its negation, built once."""
+        half = [SignedCircuit(*map(_elements, pair)) for pair in self._pairs]
+        return tuple(sorted([*half, *map(SignedCircuit.negated, half)]))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OrientedMatroid)
-            and self.ground_size == other.ground_size
-            and self.circuits == other.circuits
-        )
+        same = isinstance(other, OrientedMatroid) and self.ground_size == other.ground_size
+        return same and self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        # equal circuits give equal masks, and ints hash faster than circuits
+        # equal pairs give equal sorted supports
         return hash((self.ground_size, self._masks))
 
     def __repr__(self) -> str:
@@ -167,8 +165,35 @@ class OrientedMatroid:
         }
 
 
-def circuits_via_subsets(G: RationalMatrix) -> list[SignedCircuit]:
-    """Signed circuits of the column matroid of G, both orientations.
+def _outside(pos: tuple[int, ...], neg: tuple[int, ...], r: int) -> MatroidError:
+    """The refusal of the circuit (pos, neg), which leaves the ground set
+    {1..r}."""
+    return MatroidError(f"circuit {SignedCircuit(pos, neg)} leaves the ground set [1..{r}]")
+
+
+def _nested(masks: Sequence[int], r: int) -> tuple[int, int] | None:
+    """The position of the first of the distinct r-bit masks ``masks``
+    that lies inside another, with that of the first such other one;
+    None when none does.
+
+    Bit i of ``holders[b]`` is set when masks[i] holds the bit b: the
+    masks written as rows of r binary digits, last row first, hold each
+    bit's column.  The AND of ``holders`` over a mask's bits marks every
+    mask that holds it.
+    """
+    rows = "".join(format(m, f"0{r}b") for m in reversed(masks))
+    holders = {1 << e: int(rows[r - 1 - e :: r] or "0", 2) for e in range(r)}
+    for i, m in enumerate(masks):
+        above = ~(1 << i)
+        while m:
+            above &= holders[m & -m]
+            m &= m - 1
+        if above:
+            return i, (above & -above).bit_length() - 1
+
+
+def circuits_via_subsets(G: RationalMatrix) -> list[tuple[int, int]]:
+    """Signed circuits of the column matroid of G, one orientation each.
 
     A depth-first search visits every independent set I of columns, each
     built in index order.  It rests on one fact (Oxley, *Matroid Theory*,
@@ -190,18 +215,18 @@ def circuits_via_subsets(G: RationalMatrix) -> list[SignedCircuit]:
     (``rational._integer_rows``), which leaves the column relations
     unchanged.
 
-    Each circuit is returned in both orientations, in search order;
-    ``OrientedMatroid`` sorts the circuits it is given.
+    Each circuit is returned once, up to negation, as a ``(positive,
+    negative)`` pair of bitmasks (column j is bit j - 1), in search
+    order; ``OrientedMatroid`` orients, checks and dedupes the pairs.
     """
     ints = _integer_rows(G)
-    circuits: list[SignedCircuit] = []
+    circuits: list[tuple[int, int]] = []
 
     def relation(cols: tuple[int, ...], row: Sequence[int]) -> None:
         lam = row[len(row) - len(cols) :]
         if 0 not in lam:
-            pos = tuple(j + 1 for j, x in zip(cols, lam) if x > 0)
-            neg = tuple(j + 1 for j, x in zip(cols, lam) if x < 0)
-            circuits.extend((SignedCircuit(pos, neg), SignedCircuit(neg, pos)))
+            pos = sum(1 << j for j, x in zip(cols, lam) if x > 0)
+            circuits.append((pos, sum(1 << j for j in cols) ^ pos))
 
     def walk(path: tuple[int, ...], cands: list, live: int) -> None:
         # cands: (column, residual on `live` rows + coefficients on path + own)
@@ -306,13 +331,9 @@ def _flat_levels(ground: int, masks: Sequence[int]) -> list[set[int]]:
     closing the other hyperplanes' covers.
     """
     sizes = [c.bit_count() for c in masks]
-
-    def small(k: int) -> Sequence[int]:
-        return masks[: bisect_right(sizes, k + 1)]
-
-    levels = [{_close(0, small(0))}]
+    levels = [{_close(0, masks[: bisect_right(sizes, 1)])}]
     while ground not in levels[-1]:
-        closing = small(len(levels))
+        closing = masks[: bisect_right(sizes, len(levels) + 1)]
         covers: set[int] = set()
         for F in levels[-1]:
             rest = ground & ~F

@@ -1102,10 +1102,9 @@ def test_free_matroid_report():
 @given(st.data())
 def test_circuit_free_matroid_is_never_transverse(data):
     # with no circuits every element is its own block: one system with no
-    # ties, whose one cell is all of R^r, so for n >= 1 its piece is all
-    # of R^n and positive-dimensional.  At n = 0, an A with no rows, the
-    # piece is the point 0 and the free-matroid term alone refuses it
-    n = data.draw(st.integers(0, 3), label="n")
+    # ties, whose one cell is all of R^r, so its piece is all of R^n and
+    # positive-dimensional (n = 0 is refused, see the test below)
+    n = data.draw(st.integers(1, 3), label="n")
     r = data.draw(st.integers(n + 1, 6), label="r")
     entries = data.draw(st.lists(st.integers(-3, 3), min_size=n * r, max_size=n * r), label="A")
     A = RationalMatrix(n, r, entries)
@@ -1113,7 +1112,21 @@ def test_circuit_free_matroid_is_never_transverse(data):
     h = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=r, max_size=r))
     report = intersect_via_fan(OrientedMatroid(r, []), A, h)
     assert report.free_matroid and not report.transverse
-    assert report.positive_dimensional == (n > 0)
+    assert report.positive_dimensional
+
+
+def test_exponent_matrix_without_rows_is_refused():
+    # n = 0, a system with no unknowns, is refused as rank(A) < n is, both
+    # by the fan walk on a circuit-free matroid, whose one piece would be
+    # the point 0, and through a VerticalSystem
+    no_rows = RationalMatrix(0, 3, [])
+    message = "exponent matrix has no rows; the system has no unknowns"
+    with pytest.raises(InputValidationError, match=re.escape(message)):
+        intersect_via_fan(OrientedMatroid(3, []), no_rows, (0, 0, 0))
+    system = VerticalSystem(RationalMatrix.from_rows([[1, -1, 0]]), no_rows, (0, 0, 0))
+    for run in (lower_bound, bound):
+        with pytest.raises(InputValidationError, match=re.escape(message)):
+            run(system)
 
 
 # --- isolation -----------------------------------------------------------------

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import matroid_reference
@@ -56,6 +56,20 @@ def circuits_by_sympy(G: RationalMatrix) -> set[SignedCircuit]:
             out |= {c, c.negated()}
             supports.append(set(cols))
     return out
+
+
+def elements_of(mask: int) -> tuple[int, ...]:
+    """The elements of a bitmask (element e is bit e-1), read bit by bit,
+    apart from the package's helpers."""
+    return tuple(e for e in range(1, mask.bit_length() + 1) if mask >> (e - 1) & 1)
+
+
+def both_orientations(pairs) -> list[SignedCircuit]:
+    """The circuits ``circuits_via_subsets`` returns as (positive, negative)
+    bitmask pairs, one orientation each, as records in both orientations,
+    sorted."""
+    half = [SignedCircuit(elements_of(P), elements_of(N)) for P, N in pairs]
+    return sorted(half + [c.negated() for c in half])
 
 
 def test_signed_circuit_normalizes_and_validates():
@@ -128,7 +142,7 @@ def test_circuits_random_against_sympy_oracle():
 
 def test_circuits_via_subsets_supports(running_N):
     G = kernel_basis(running_N)
-    circuits = circuits_via_subsets(G)
+    circuits = both_orientations(circuits_via_subsets(G))
     supports = {tuple(sorted(c.support)) for c in circuits}
     assert supports == {(1, 2, 3), (1, 4, 5), (2, 3, 4, 5)}
 
@@ -140,7 +154,7 @@ def test_circuits_via_subsets_free_matroid():
 def test_four_element_relation_signs(running_N):
     # the unique relation on columns {2,3,4,5} of the kernel span puts
     # {3,4} against {2,5}
-    circuits = circuits_via_subsets(kernel_basis(running_N))
+    circuits = both_orientations(circuits_via_subsets(kernel_basis(running_N)))
     four = [c for c in circuits if c.support == frozenset({2, 3, 4, 5})]
     assert SignedCircuit((3, 4), (2, 5)) in four
     assert SignedCircuit((2, 5), (3, 4)) in four
@@ -148,7 +162,7 @@ def test_four_element_relation_signs(running_N):
 
 def test_realize_agrees_with_subset_scan(running_N):
     M = realize_from_kernel(running_N)
-    assert set(M.circuits) == set(circuits_via_subsets(kernel_basis(running_N)))
+    assert list(M.circuits) == both_orientations(circuits_via_subsets(kernel_basis(running_N)))
 
 
 def test_realize_memo_returns_equal_matroids(running_N):
@@ -199,7 +213,9 @@ def test_circuits_via_subsets_fractional_rows():
                 for _ in range(rows)
             ]
         )
-        assert set(circuits_via_subsets(G)) == circuits_by_kernel_basis(G)
+        circuits = both_orientations(circuits_via_subsets(G))
+        assert len(set(circuits)) == len(circuits)
+        assert set(circuits) == circuits_by_kernel_basis(G)
 
 
 def circuits_by_integer_scan(G: RationalMatrix) -> list[SignedCircuit]:
@@ -266,9 +282,9 @@ def awkward_matrices(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(awkward_matrices())
 def test_circuit_search_matches_integer_subset_scan(G):
-    # same circuits, both orientations; the search returns them in search
-    # order, and OrientedMatroid sorts them
-    assert sorted(circuits_via_subsets(G)) == circuits_by_integer_scan(G)
+    # same circuits; the search returns each once, up to negation, as
+    # bitmasks in search order, and OrientedMatroid orients and sorts them
+    assert both_orientations(circuits_via_subsets(G)) == circuits_by_integer_scan(G)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -279,13 +295,15 @@ def test_matroid_layer_matches_reference_construction(C, rng):
     if C.is_zero():
         return
     G = kernel_basis(C)
-    circuits = sorted(circuits_via_subsets(G))
+    circuits = both_orientations(circuits_via_subsets(G))
     assert circuits == matroid_reference.circuits_via_subsets(G)
     M = realize_from_kernel(C)
     R = matroid_reference.ReferenceMatroid(C.cols, circuits)
     assert M.circuits == R.circuits
     assert M.circuit_supports == R.circuit_supports
-    assert M._masks == R._masks
+    # the support bitmasks, sorted by size alone
+    assert sorted(M._masks) == sorted(R._masks)
+    assert [m.bit_count() for m in M._masks] == sorted(m.bit_count() for m in R._masks)
     flats = all_flats.__wrapped__(M)
     assert flats == matroid_reference.all_flats(R)
     assert M.to_document() == R.to_document()
@@ -374,29 +392,34 @@ def test_flats_match_exhaustive_closure_oracle():
         assert {frozenset(f.elements): f.rank for f in all_flats(M)} == expected
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_flats_match_rank_oracle_with_loops_coloops_and_parallels(data):
-    r = data.draw(st.integers(2, 6), label="r")
-    rows = data.draw(
+@st.composite
+def coefficient_matrices(draw):
+    """A nonzero integer C on 1..6 columns: a unit row makes a loop of
+    ker(C), a two-entry row a parallel pair, and a zero column of C a
+    coloop."""
+    r = draw(st.integers(1, 6), label="r")
+    rows = draw(
         st.lists(st.lists(st.integers(-2, 2), min_size=r, max_size=r), max_size=2), label="C"
     )
-    # a unit row makes a loop, a two-entry row a parallel pair, and a zero
-    # column of C a coloop
-    for e in data.draw(st.lists(st.integers(0, r - 1), max_size=2), label="loops"):
+    for e in draw(st.lists(st.integers(0, r - 1), max_size=2), label="loops"):
         rows.append([int(j == e) for j in range(r)])
-    for e, f in data.draw(
+    for e, f in draw(
         st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, r - 1)), max_size=2),
         label="parallels",
     ):
         if e != f:
             rows.append([1 if j == e else -2 if j == f else 0 for j in range(r)])
-    coloops = data.draw(st.sets(st.integers(0, r - 1), max_size=r - 1), label="coloops")
+    coloops = draw(st.sets(st.integers(0, r - 1), max_size=r - 1), label="coloops")
     rows = [[0 if j in coloops else x for j, x in enumerate(row)] for row in rows]
     if not any(any(row) for row in rows):
         rows.append([int(j not in coloops) for j in range(r)])
-    C = RationalMatrix.from_rows(rows)
+    return RationalMatrix.from_rows(rows)
 
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(coefficient_matrices())
+def test_flats_match_rank_oracle_with_loops_coloops_and_parallels(C):
+    r = C.cols
     # ker(C) realizes the dual of the column matroid of C
     rank_C = rank(C)
 
@@ -500,6 +523,62 @@ def test_negation_closure_keeps_tuple_order(data):
     assert OrientedMatroid(r, circuits).circuits == reference
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(coefficient_matrices(), st.data())
+def test_one_constructor_path_for_records_and_masks(C, data):
+    # circuits given as records or as the search's bitmask pairs build one
+    # matroid, and a bad circuit is refused with one message either way
+    r = C.cols
+    G = kernel_basis(C)
+    pairs = circuits_via_subsets(G)
+    records = matroid_reference.circuits_via_subsets(G)
+    M, R = OrientedMatroid(r, pairs), OrientedMatroid(r, records)
+    assert M == R and hash(M) == hash(R)
+    assert M.circuits == R.circuits == tuple(records)
+    assert M.sign_masks == R.sign_masks
+    assert M.circuit_supports == R.circuit_supports
+    supports = {tuple(sorted(c.support)) for c in records}
+    assert list(M.circuit_supports) == sorted(supports, key=lambda s: (len(s), s))
+    assert M.sign_masks == tuple(
+        (matroid._mask(c.positive), matroid._mask(c.negative))
+        for c in M.circuits
+        if c.positive < c.negative
+    )
+    # one bad circuit among the good ones, at any place; a nonzero C always
+    # yields a circuit
+    P, N = data.draw(st.sampled_from(pairs), label="circuit")
+    bit = 1 << data.draw(st.integers(0, r - 1), label="element")
+    kind = data.draw(st.sampled_from(["overlap", "empty", "outside", "nested"]), label="kind")
+    if kind == "overlap":
+        bad = (P | bit, N | bit)
+        pos, neg = elements_of(P | bit), elements_of(N | bit)
+        message = f"positive and negative parts overlap: {pos} / {neg}"
+    elif kind == "empty":
+        bad, message = (0, 0), "empty signed circuit"
+    elif kind == "outside":
+        bad = (P | 1 << r, N)
+        named = SignedCircuit(elements_of(P | 1 << r), elements_of(N))
+        message = f"circuit {named} leaves the ground set [1..{r}]"
+    else:
+        # one element more or less is never a circuit support, and nested
+        if bit & (P | N):
+            assume(P | N != bit)
+            bad = (P & ~bit, N & ~bit)
+        else:
+            bad = (P | bit, N)
+        given_supports = {frozenset(elements_of(p | n)) for p, n in [*pairs, bad]}
+        message = nested_by_pairs(sorted(given_supports, key=lambda s: (len(s), sorted(s))))
+    at = data.draw(st.integers(0, len(pairs)), label="at")
+    given_pairs = [*pairs[:at], bad, *pairs[at:]]
+    for given_circuits in (
+        given_pairs,
+        [SignedCircuit(elements_of(p), elements_of(n)) for p, n in given_pairs],
+    ):
+        with pytest.raises(MatroidError) as raised:
+            OrientedMatroid(r, given_circuits)
+        assert str(raised.value) == message
+
+
 def test_negation_built_once_per_new_circuit(running_N, monkeypatch):
     given_circuits = realize_from_kernel(running_N).circuits
     calls = []
@@ -510,17 +589,17 @@ def test_negation_built_once_per_new_circuit(running_N, monkeypatch):
         return real(self)
 
     monkeypatch.setattr(SignedCircuit, "negated", counting)
-    # closed input needs no negation
-    assert OrientedMatroid(5, given_circuits).circuits == given_circuits
-    assert calls == []
-    # one negation per circuit whose negation is missing, however often it
-    # is given
+    # the constructor negates nothing; reading circuits negates each stored
+    # circuit once, in its positive-first orientation, however often and in
+    # whichever orientations it was given
     half = [c for c in given_circuits if c.positive < c.negative]
-    assert OrientedMatroid(5, [*half, *half[:2]]).circuits == given_circuits
-    assert sorted(calls) == sorted(half)
-    calls.clear()
-    assert OrientedMatroid(5, [*given_circuits[:3], *half]).circuits == given_circuits
-    assert sorted(calls) == sorted(c for c in half if c.negated() not in given_circuits[:3])
+    flipped = [c[::-1] for c in half]
+    for given in (given_circuits, [*half, *half[:2]], [*given_circuits[:3], *half], flipped):
+        M = OrientedMatroid(5, given)
+        assert calls == []
+        assert M.circuits == given_circuits
+        assert sorted(calls) == half
+        calls.clear()
     # a circuit leaving the ground set is refused even after its negation
     bad = SignedCircuit((6,), (1,))
     with pytest.raises(MatroidError, match="leaves the ground set"):

@@ -371,3 +371,27 @@ def test_bound_invariant_under_coordinate_changes(data):
     )
     assert (certified, count, transverse) == expected[:3]
     assert ws == {tuple(w[p] for p in perm) for w in expected[3]}
+
+
+def test_bound_never_builds_the_sorted_circuit_tuple(hhk_model):
+    # the pipeline reads the matroid's masks only: bound, with and without
+    # the oracle, and its document leave the cached tuple of SignedCircuits
+    # unbuilt, on hhk and on the first system of the criterion-7 family
+    rng = random.Random(20260809)
+    while True:
+        r = rng.randint(3, 8)
+        n = rng.randint(1, min(3, r - 1))
+        m = rng.randint(n, r - 1)
+        C = RationalMatrix.from_rows([[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)])
+        A = RationalMatrix.from_rows([[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)])
+        if not C.is_zero() and rank(A) == n and rank(C) == n:
+            break
+    h = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(r)]
+    for system in (assemble_crn(hhk_model), VerticalSystem(C, A, h)):
+        realize_from_kernel.cache_clear()
+        reports = [bound(system), bound(system, cross_check=True)]
+        for report in reports:
+            report.to_document()
+        M = realize_from_kernel(system.C)
+        assert all(report.tropical.matroid is M for report in reports)
+        assert M._masks and "circuits" not in M.__dict__

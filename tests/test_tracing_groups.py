@@ -64,7 +64,8 @@ def test_traced_bound_counts(running_system):
     finally:
         tracer.uninstall()
     expected = {
-        "matroid.circuits_count": 6,
+        # the search returns the 3 circuits once each, up to negation
+        "matroid.circuits_count": 3,
         "bergman.chains_count": 0,
         "intersection.points_count": 2,
         "subdivision.cells_count": 4,
